@@ -5,7 +5,13 @@ and Hessian.  When the negated Hessian is not positive definite (the
 censored log-likelihood is not concave for every family) a diagonal
 Levenberg shift is escalated until it is, falling back to plain gradient
 ascent past a shift of 1e6.  Iterates never leave the parameter domain:
-steps are halved until feasible.
+steps are halved until feasible.  Steps must raise the log-likelihood
+enough (Armijo), except near the optimum, where the gain a step predicts is
+below the float resolution of the log-likelihood: there the full Newton
+step is taken when it lowers the score.
+
+``fit`` works on the grouped data (identical observations merged into
+counts), so each iteration costs O(distinct rows), not O(n).
 
 Multistart: a method-of-moments style initial point per family plus
 seeded multiplicative jitters; the winner is the candidate with the
@@ -90,28 +96,33 @@ def auto_initialize(model, data, multistart_count=5, seed=0):
     return starts
 
 
+def _mean(x, data):
+    """Mean over the observations, weighting each row by its count."""
+    return float(np.average(x, weights=data.counts))
+
+
 def _bit_fraction(data):
-    n = data.n
-    p = float(np.mean(data.bits > 0))
+    n = data.total
+    p = _mean(data.bits > 0, data)
     return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
 
 
 def _moments_start(model, data):
     p = _bit_fraction(data)
-    mean_tau = float(np.mean(data.designs.taus))
+    mean_tau = _mean(data.designs.taus, data)
     if isinstance(model, models.GaussianCase1):
         w = data.designs.V[:, 0, 0] * model.sigma**2
-        mean_w = float(np.mean(w))
+        mean_w = _mean(w, data)
         if abs(mean_w) < 1e-8:
             return np.array([0.0])
         alpha0 = (mean_tau - model.sigma * float(norm_ppf(p))) / mean_w
         return np.array([alpha0])
     if isinstance(model, models.GaussianCase2):
-        spread = float(np.mean((data.designs.taus - data.designs.aux) ** 2))
+        spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
         return np.array([1.0 / max(spread, 1e-4)])
     if isinstance(model, models.GaussianCase3):
         w = data.designs.V[:, 0, 0]
-        mean_w = float(np.mean(w))
+        mean_w = _mean(w, data)
         if abs(mean_w) < 1e-8:
             alpha0 = 0.0
         else:
@@ -120,8 +131,8 @@ def _moments_start(model, data):
         return np.array([alpha0, 1.0])
     if isinstance(model, models.PoissonModel):
         v = data.designs.V[:, 0, 0]
-        vbar = float(np.mean(v))
-        scale = float(np.mean(np.abs(v)))
+        vbar = _mean(v, data)
+        scale = _mean(np.abs(v), data)
         # mixed-sign covariates can average to ~0 and catapult the start
         if abs(vbar) < max(1e-8, 0.1 * scale):
             vbar = scale if scale > 1e-8 else 1.0
@@ -167,6 +178,18 @@ def _safe_ll(model, data, theta):
         return likelihood.log_likelihood(model, theta, data)
     except (DegenerateLikelihood, NumericalError):
         return -np.inf
+
+
+def _safe_evaluate(model, data, theta):
+    try:
+        return likelihood.evaluate(model, theta, data)
+    except (DegenerateLikelihood, NumericalError):
+        return None
+
+
+def _ll_resolution(ll):
+    """Smallest change of a log-likelihood near ``ll`` that rounding cannot fake."""
+    return 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
 
 
 def _ascent_direction(neg_hess, grad):
@@ -215,25 +238,35 @@ def _newton(model, data, theta0, config):
         if status == "boundary-divergence":
             break
 
+        # a predicted gain below the float resolution of the log-likelihood
+        # makes the sufficient-increase test a coin flip; there the full
+        # step is judged by whether it lowers the score instead
         accepted = False
-        while t >= MIN_DAMPING:
-            cand = theta + t * direction
-            cand_ll = _safe_ll(model, data, cand)
-            if cand_ll >= ll + config.sufficient_increase * t * slope:
-                gain = cand_ll - ll
-                theta = cand
+        if t == 1.0 and 0.5 * slope <= _ll_resolution(ll):
+            step = _safe_evaluate(model, data, theta + direction)
+            if step is not None and float(np.max(np.abs(step[1]))) < gnorm:
+                theta = theta + direction
+                gain = step[0] - ll
+                ll, grad, hess = step
                 accepted = True
-                break
-            t *= config.backtracking_factor
         if not accepted:
-            break  # no measurable progress left at this precision
-
-        ll, grad, hess = likelihood.evaluate(model, theta, data)
+            while t >= MIN_DAMPING:
+                cand = theta + t * direction
+                cand_ll = _safe_ll(model, data, cand)
+                if cand_ll >= ll + config.sufficient_increase * t * slope:
+                    gain = cand_ll - ll
+                    theta = cand
+                    accepted = True
+                    break
+                t *= config.backtracking_factor
+            if not accepted:
+                break  # no measurable progress left at this precision
+            ll, grad, hess = likelihood.evaluate(model, theta, data)
 
         # progress below the float resolution of the log-likelihood for many
         # consecutive steps means the line search has gone blind; give slow
         # shifted-Newton crawls room, but do not churn to the iteration cap
-        if gain <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll)):
+        if gain <= _ll_resolution(ll):
             stalled += 1
             if stalled >= 25:
                 break
@@ -252,12 +285,16 @@ def _newton(model, data, theta0, config):
 def fit(model, data, config=None):
     """Maximize the censored log-likelihood over the model's domain.
 
-    Runs every start from ``config.initial_points`` (or auto_initialize),
-    then deterministically selects the best candidate.  Raises
-    NonIdentifiable when the data admit no finite maximizer and propagates
-    degenerate-data errors.
+    Works on ``data.grouped()``, so the result is bit-identical under any
+    permutation of the observations.  Runs every start from
+    ``config.initial_points`` (or auto_initialize), then deterministically
+    selects the best candidate.  Raises NonIdentifiable when the data admit
+    no finite maximizer and propagates degenerate-data errors.
     """
     config = config or FitConfig()
+    # every evaluation below costs O(distinct rows), and the canonical row
+    # order makes the fit independent of the order of the observations
+    data, rows = data.grouped(return_index=True)
     _check_identifiable(model, data)
 
     if config.initial_points is not None:
@@ -292,6 +329,9 @@ def fit(model, data, config=None):
                         last_error = err
                     break
     if not candidates:
+        if isinstance(last_error, DegenerateLikelihood) and last_error.index is not None:
+            # name the observation in the caller's numbering, not the grouped one
+            raise DegenerateLikelihood.at_observation(int(rows[last_error.index])) from last_error
         raise last_error
 
     def rank(c):

@@ -23,12 +23,18 @@ class NumericalError(BitGlmError):
 class DegenerateLikelihood(BitGlmError):
     """An observed bit has probability exactly zero at the given parameter.
 
-    ``index`` identifies the first offending observation.
+    ``index`` identifies the first offending row.  ``fit`` works on grouped
+    data and reports the first row of the first offending group, in the
+    numbering of the data it was given.
     """
 
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+    @classmethod
+    def at_observation(cls, index):
+        return cls(f"observation {index} has probability 0 at this parameter", index=index)
 
 
 class DegenerateThreshold(BitGlmError):

@@ -1,15 +1,16 @@
 """Censored-likelihood operations generic over any model family.
 
-For independent observations with bits b_i and designs (V_i, tau_i):
+For independent observations with bits b_i and designs (V_i, tau_i),
+each row i standing for n_i identical observations (``data.counts``):
 
 * probability of a bit:   P(+1) = F(tau), P(-1) = 1 - F(tau)
-* log-likelihood:         sum_i log P(b_i)
-* score (gradient):       sum_i V_i^T (E[T_i | B_i=b_i] - E[T_i])
-* Hessian:                sum_i V_i^T (Cov(T_i | B_i=b_i) - Cov(T_i)) V_i
+* log-likelihood:         sum_i n_i log P(b_i)
+* score (gradient):       sum_i n_i V_i^T (E[T_i | B_i=b_i] - E[T_i])
+* Hessian:                sum_i n_i V_i^T (Cov(T_i | B_i=b_i) - Cov(T_i)) V_i
 
-The summation order is fixed (observation order) and the log-likelihood
-reduction uses math.fsum, whose correctly-rounded result is additionally
-invariant under permutations of the dataset.
+The summation order is fixed (row order) and the log-likelihood reduction
+uses math.fsum over the rounded terms n_i log P(b_i), whose correctly
+rounded result is additionally invariant under permutations of the rows.
 """
 
 import math
@@ -47,23 +48,25 @@ def censored_prob(model, theta, design, b):
     return f if b == 1 else 1.0 - f
 
 
+def _per_row(terms, data):
+    """Per-row terms weighted by the rows' counts, shape unchanged."""
+    return terms * data.counts.reshape((-1,) + (1,) * (terms.ndim - 1))
+
+
 def _check_not_degenerate(probs):
     if np.any(probs <= 0.0):
-        idx = int(np.argmax(probs <= 0.0))
-        raise DegenerateLikelihood(
-            f"observation {idx} has probability 0 at this parameter", index=idx
-        )
+        raise DegenerateLikelihood.at_observation(int(np.argmax(probs <= 0.0)))
 
 
 def log_likelihood(model, theta, data):
-    """Censored log-likelihood sum_i log P(B_i = b_i; theta).
+    """Censored log-likelihood sum_i n_i log P(B_i = b_i; theta).
 
     Raises DegenerateLikelihood (reporting the observation) instead of
     returning -inf when some observed bit has probability zero.
     """
     probs = bit_probabilities(model, theta, data)
     _check_not_degenerate(probs)
-    return math.fsum(np.log(probs))
+    return math.fsum(_per_row(np.log(probs), data))
 
 
 def score(model, theta, data):
@@ -71,7 +74,7 @@ def score(model, theta, data):
     theta = _theta_values(model, theta)
     probs = bit_probabilities(model, theta, data)
     _check_not_degenerate(probs)
-    dev = model.cond_mean_dev_T(theta, data.designs, data.bits)  # (n, d)
+    dev = _per_row(model.cond_mean_dev_T(theta, data.designs, data.bits), data)  # (n, d)
     V = data.designs.V
     n, d, k = V.shape
     return V.reshape(n * d, k).T @ dev.reshape(n * d)
@@ -85,7 +88,7 @@ def hessian(model, theta, data):
     theta = _theta_values(model, theta)
     probs = bit_probabilities(model, theta, data)
     _check_not_degenerate(probs)
-    dev = model.cond_cov_dev_T(theta, data.designs, data.bits)  # (n, d, d)
+    dev = _per_row(model.cond_cov_dev_T(theta, data.designs, data.bits), data)  # (n, d, d)
     V = data.designs.V
     n, d, k = V.shape
     tmp = np.matmul(dev, V)  # (n, d, k)
@@ -102,8 +105,9 @@ def evaluate(model, theta, data):
     theta = _theta_values(model, theta)
     probs = bit_probabilities(model, theta, data)
     _check_not_degenerate(probs)
-    ll = math.fsum(np.log(probs))
+    ll = math.fsum(_per_row(np.log(probs), data))
     mean_dev, cov_dev = model.cond_devs_T(theta, data.designs, data.bits)
+    mean_dev, cov_dev = _per_row(mean_dev, data), _per_row(cov_dev, data)
     V = data.designs.V
     n, d, k = V.shape
     flat = V.reshape(n * d, k)
@@ -124,7 +128,7 @@ def third_derivative_tensor(model, theta, data):
     _check_not_degenerate(probs)
     k_cond = model.cond_third_central_T(theta, data.designs, data.bits)
     k_unc = model.third_central_T(theta, data.designs)
-    diff = k_cond - k_unc  # (n, d, d, d)
+    diff = _per_row(k_cond - k_unc, data)  # (n, d, d, d)
     V = data.designs.V
     contrib = np.einsum("nja,nlb,nkc,njlk->nabc", V, V, V, diff)
     return np.add.reduce(contrib, axis=0)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _gauss, _poisson
 from .exceptions import DegenerateThreshold, DomainError, NumericalError
@@ -484,6 +483,10 @@ class GaussianCase3(ModelFamily):
 
 
 def _norm_t3_quad(mu, sigma):
+    # imported here: scipy.integrate costs a quarter of the cold start and
+    # only this diagnostic needs it
+    from scipy.integrate import quad
+
     def integrand(x):
         return abs(x) ** 3 * (1.0 + x * x) ** 1.5 * math.exp(-0.5 * ((x - mu) / sigma) ** 2)
 

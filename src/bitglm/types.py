@@ -214,10 +214,15 @@ class CensoredDataset:
     bits : ndarray of int8, shape (n,)
         Each entry -1 or +1.
     designs : DesignSet
+    counts : ndarray of int64, shape (n,)
+        How many identical observations each row stands for; one each
+        when not given.  ``n`` and ``len`` count rows, ``total``
+        observations.
     """
 
     bits: np.ndarray
     designs: DesignSet
+    counts: np.ndarray = None
 
     def __post_init__(self):
         bits = np.atleast_1d(np.asarray(self.bits))
@@ -232,6 +237,14 @@ class CensoredDataset:
             object.__setattr__(self, "designs", DesignSet.coerce(self.designs))
         if self.designs.n != b.shape[0]:
             raise ValueError("bits and designs must have equal length")
+        counts = np.ones(b.shape, np.int64) if self.counts is None else np.asarray(self.counts)
+        if counts.shape != b.shape:
+            raise ValueError("counts must have one entry per row")
+        if not (np.all(counts == np.round(counts)) and np.all(counts >= 1)):
+            raise ValueError("counts must be positive integers")
+        counts = counts.astype(np.int64)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_observations(cls, observations):
@@ -248,16 +261,58 @@ class CensoredDataset:
     def __len__(self):
         return self.n
 
+    @property
+    def total(self):
+        """Number of observations the rows stand for."""
+        return int(self.counts.sum())
+
     def observations(self):
-        """Iterate (bit, ObservationDesign) pairs."""
+        """Iterate (bit, ObservationDesign) pairs, one per row.
+
+        Counts are not repeated: a row standing for several observations
+        is yielded once.  Use ``counts`` alongside, or enumerate ``single``.
+        """
         for i in range(self.n):
             yield int(self.bits[i]), self.designs.design(i)
 
     def permuted(self, order):
-        """Dataset with observations reordered by the given index array."""
+        """Dataset with rows reordered by the given index array."""
         order = np.asarray(order)
-        return CensoredDataset(self.bits[order], self.designs.subset(order))
+        return CensoredDataset(self.bits[order], self.designs.subset(order), self.counts[order])
+
+    def grouped(self, return_index=False):
+        """The same observations with identical rows merged into counts.
+
+        Rows are identical when every design entry, the threshold, aux and
+        the bit agree.  Groups come in sorted key order, so every
+        permutation of the rows gives the same grouped dataset, bit for bit.
+        With ``return_index`` also returns, per group, the index of its
+        first row in this dataset.
+        """
+        n, designs = self.n, self.designs
+        columns = [*designs.V.reshape(n, -1).T, designs.taus, self.bits]
+        if designs.aux is not None:
+            columns.append(designs.aux)
+        # constant columns cannot split a group; sorting on them is waste
+        keys = [c for c in columns if np.any(c != c[0])]
+        order = np.lexsort(keys) if keys else np.arange(n)
+        new = np.zeros(n, dtype=bool)
+        new[0] = True
+        for key in keys:
+            s = key[order]
+            new[1:] |= s[1:] != s[:-1]
+        starts = np.flatnonzero(new)
+        first = order[starts]
+        counts = np.add.reduceat(self.counts[order], starts)
+        # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
+        # leak the input order into the representative
+        picked = [a[first] for a in (designs.V, designs.taus, designs.aux) if a is not None]
+        for a in picked:
+            a += 0.0
+        grouped = CensoredDataset(self.bits[first], DesignSet(*picked), counts)
+        return (grouped, first) if return_index else grouped
 
     def single(self, i):
         """One-observation dataset (used by enumeration oracles)."""
-        return CensoredDataset(self.bits[i : i + 1], self.designs.subset(slice(i, i + 1)))
+        rows = slice(i, i + 1)
+        return CensoredDataset(self.bits[rows], self.designs.subset(rows), self.counts[rows])

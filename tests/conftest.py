@@ -8,7 +8,7 @@ without running into genuine double-precision limits.
 import numpy as np
 import pytest
 
-from bitglm import models
+from bitglm import CensoredDataset, models
 
 MODEL_NAMES = ("gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson")
 
@@ -52,6 +52,17 @@ def random_instance(name, rng, n_max=6):
         taus = np.array([rng.integers(0, h + 1) for h in hi], dtype=float)
         return family, np.array([theta]), family.design_set(taus)
     raise ValueError(name)
+
+
+def repeated_rows(name, rng, n_max=5, max_reps=8):
+    """(family, theta, data): a random_instance whose designs each appear
+    3..max_reps times in shuffled order, with random bits, so that every
+    design repeats with an equal bit and most also with the opposite one."""
+    family, theta, designs = random_instance(name, rng, n_max=n_max)
+    idx = np.repeat(np.arange(designs.n), rng.integers(3, max_reps + 1, designs.n))
+    rng.shuffle(idx)
+    rows = designs.subset(idx)
+    return family, theta, CensoredDataset(rng.choice([-1, 1], rows.n), rows)
 
 
 @pytest.fixture

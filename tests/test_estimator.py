@@ -1,23 +1,29 @@
 """Solver behavior: oracle agreement, determinism, identifiability."""
 
 import math
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from bitglm import (
+    BitGlmError,
     CensoredDataset,
+    DegenerateLikelihood,
     FitConfig,
     NonIdentifiable,
     NumericalError,
     auto_initialize,
+    cli,
     fit,
     likelihood,
     models,
+    montecarlo,
 )
 from bitglm._gauss import norm_ppf
-from conftest import random_instance
+from conftest import MODEL_NAMES, random_instance, repeated_rows
 from _oracles import grid_search_maximizer
 
 
@@ -54,6 +60,16 @@ class TestFitSpots:
         data = CensoredDataset([1, -1], fam.design_set([0.0, 0.0]))
         with pytest.raises(NonIdentifiable):
             fit(fam, data)
+
+    def test_degenerate_error_names_the_callers_observation(self):
+        # only observation 1 is impossible at the start, and the grouped
+        # data store it as row 2
+        fam = models.GaussianCase1([1.0] * 4, sigma=1.0)
+        data = CensoredDataset([-1, 1, 1, -1], fam.design_set([2.0, -1e4, 2.0, 1.0]))
+        with pytest.raises(DegenerateLikelihood) as err:
+            fit(fam, data, FitConfig(initial_points=[[0.0]]))
+        assert err.value.index == 1
+        assert str(err.value).startswith("observation 1 ")
 
     def test_unconstrained_direction_raises(self):
         fam = models.GaussianCase1([0.0, 0.0], sigma=1.0)
@@ -158,6 +174,27 @@ class TestDeterminism:
         assert a.iterations == b.iterations
         assert np.array_equal(a.observed_information, b.observed_information)
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_order_invariant_fit(self, name, rng):
+        # fit groups its data in a canonical order, so any permutation of
+        # the observations gives the same estimate, bit for bit
+        fitted = 0
+        for _ in range(6):
+            fam, _, data = repeated_rows(name, rng, max_reps=12)
+            outcomes = []
+            for order in [np.arange(data.n)] + [rng.permutation(data.n) for _ in range(3)]:
+                try:
+                    res = fit(fam, data.permuted(order), FitConfig(multistart_count=3))
+                except BitGlmError as err:
+                    outcomes.append(type(err))
+                    continue
+                outcomes.append(
+                    (res.theta_hat.values.tobytes(), res.log_likelihood, res.status, res.iterations)
+                )
+            assert all(o == outcomes[0] for o in outcomes)
+            fitted += not isinstance(outcomes[0], type)
+        assert fitted >= 1
+
     def test_monotone_start_improvement(self, rng):
         # the winner is at least as good as the likelihood at every start
         fam, theta, ds = random_instance("gaussian-case1", rng, n_max=5)
@@ -216,3 +253,43 @@ class TestFitConfigValidation:
         res = fit(fam, data, FitConfig(initial_points=(np.array([2.0]),)))
         assert res.converged
         assert res.theta_hat.values[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def _closed_form_two_threshold(data):
+    """(alpha, sigma) of N(alpha, sigma^2) from bits at two thresholds with
+    unit weights: each threshold's bit fraction is Phi((tau - alpha)/sigma)."""
+    t1, t2 = np.unique(data.designs.taus)
+    fractions = (float(np.mean(data.bits[data.designs.taus == t] > 0)) for t in (t1, t2))
+    q1, q2 = (NormalDist().inv_cdf(p) for p in fractions)
+    sigma = (t2 - t1) / (q2 - q1)
+    return t1 - sigma * q1, sigma
+
+
+class TestBlindLineSearch:
+    """Near the optimum the predicted gain of a Newton step falls below the
+    float resolution of the log-likelihood, and the sufficient-increase test
+    turns into a coin flip.  These fig1 trials used to stall there, with a
+    score of 1e-9..1e-6, and end at the iteration cap."""
+
+    @pytest.mark.parametrize(
+        "name,n,trial",
+        [
+            ("mixture-0.42-2.0", 1000, 50),
+            ("mixture-1.2-1.9", 1000, 38),
+            ("mixture-1.2-1.9", 3162, 23),
+        ],
+    )
+    def test_fig1_trial_converges_to_closed_form(self, name, n, trial):
+        doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
+        config = dict(cli.load_experiments(doc))[name]
+        assert montecarlo.run_trial(config, n, trial).status == "converged"
+        # the same data and fit as run_trial, for the diagnostics
+        rng = montecarlo._substream(config.seed, n, trial)
+        fam, designs, theta0 = montecarlo.family_and_theta(config, n, rng)
+        x = fam.sample(theta0, designs, rng)
+        data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
+        res = fit(fam, data, config.fit)
+        assert res.converged and res.status == "converged"
+        assert res.final_score_norm <= 1e-9
+        alpha_sigma = fam.to_moment(res.theta_hat.values)
+        assert_allclose(alpha_sigma, _closed_form_two_threshold(data), rtol=1e-8)

@@ -21,7 +21,7 @@ from bitglm import (
     score,
     third_derivative_tensor,
 )
-from conftest import MODEL_NAMES, random_instance
+from conftest import MODEL_NAMES, random_instance, repeated_rows
 from _oracles import fd_gradient, fd_jacobian, truncated_normal_moment
 
 
@@ -199,3 +199,32 @@ class TestThirdDerivativeDiagnostic:
         assert_allclose(got, np.swapaxes(got, 1, 2), rtol=0, atol=1e-10 * (1 + np.abs(got).max()))
         fd = fd_jacobian(lambda t: hessian(fam, t, data), theta, step=1e-5)
         assert_allclose(got, fd, rtol=2e-3, atol=2e-3 * max(1.0, np.abs(got).max()))
+
+
+class TestGroupedRows:
+    """Every operation on ``data.grouped()`` (counts weighting distinct
+    rows) against the same operation on the rows one by one."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_grouped_matches_rows(self, name, rng):
+        for _ in range(10):
+            fam, theta, rows = repeated_rows(name, rng)
+            grouped = rows.grouped()
+            assert grouped.n < rows.n and grouped.total == rows.n
+            assert_allclose(
+                log_likelihood(fam, theta, grouped), log_likelihood(fam, theta, rows), rtol=1e-12
+            )
+            assert_allclose(score(fam, theta, grouped), score(fam, theta, rows), rtol=1e-12)
+            assert_allclose(hessian(fam, theta, grouped), hessian(fam, theta, rows), rtol=1e-12)
+            for got, want in zip(
+                likelihood.evaluate(fam, theta, grouped), likelihood.evaluate(fam, theta, rows)
+            ):
+                assert_allclose(got, want, rtol=1e-12)
+
+    def test_counts_weight_the_third_derivative(self, rng):
+        fam, theta, rows = repeated_rows("gaussian-case3", rng, n_max=3)
+        assert_allclose(
+            third_derivative_tensor(fam, theta, rows.grouped()),
+            third_derivative_tensor(fam, theta, rows),
+            rtol=1e-12,
+        )

@@ -103,3 +103,92 @@ class TestCensoredDataset:
             data.bits[0] = -1
         with pytest.raises(ValueError):
             data.designs.V[0, 0, 0] = 5.0
+
+
+class TestCounts:
+    def test_counts_validated(self):
+        designs = DesignSet(np.ones((2, 1, 1)), np.zeros(2))
+        for bad in ([1], [1, 0], [1, 1.5], [1, -2]):
+            with pytest.raises(ValueError):
+                CensoredDataset([1, -1], designs, bad)
+        data = CensoredDataset([1, -1], designs, [3, 2.0])
+        assert data.counts.dtype == np.int64
+        assert (data.n, len(data), data.total) == (2, 2, 5)
+        with pytest.raises(ValueError):
+            data.counts[0] = 7
+
+    def test_permuted_carries_counts(self):
+        designs = DesignSet(np.ones((3, 1, 1)), np.arange(3.0))
+        data = CensoredDataset([1, -1, 1], designs, [1, 2, 3])
+        assert list(data.permuted([2, 0, 1]).counts) == [3, 1, 2]
+
+    def test_one_each_by_default(self):
+        data = CensoredDataset([1, -1], DesignSet(np.ones((2, 1, 1)), np.zeros(2)))
+        assert list(data.counts) == [1, 1] and data.counts.dtype == np.int64
+
+    def test_single_carries_count(self):
+        designs = DesignSet(np.ones((3, 1, 1)), np.arange(3.0))
+        data = CensoredDataset([1, -1, 1], designs, [1, 2, 3])
+        assert (data.single(1).counts.tolist(), data.single(1).total) == ([2], 2)
+
+    def test_observations_yield_each_row_once(self):
+        designs = DesignSet(np.ones((2, 1, 1)), np.arange(2.0))
+        data = CensoredDataset([1, -1], designs, [4, 1])
+        assert [b for b, _ in data.observations()] == [1, -1]
+
+
+def _mixed_rows(rng, n=60):
+    """Rows over 3 designs (2 x 2 V, tau, aux) with both bits, shuffled."""
+    V = np.array([[[1.0, 0.0], [0.0, -0.5]], [[2.0, 0.0], [0.0, -0.5]], [[1.0, 0.0], [0.0, -0.5]]])
+    taus = np.array([0.5, 0.5, 0.5])
+    aux = np.array([0.0, 0.0, 1.0])
+    pick = rng.integers(0, 3, n)
+    return CensoredDataset(rng.choice([-1, 1], n), DesignSet(V[pick], taus[pick], aux[pick]))
+
+
+class TestGrouped:
+    def test_merges_identical_rows_only(self, rng):
+        data = _mixed_rows(rng)
+        g = data.grouped()
+        # every (design, bit) pair once; V, tau and aux each split groups
+        keys = {
+            (data.designs.V[i].tobytes(), data.designs.aux[i], data.bits[i]) for i in range(data.n)
+        }
+        assert g.n == len(keys)
+        assert g.total == data.total == data.n
+        for j in range(g.n):
+            same = (
+                np.all(data.designs.V == g.designs.V[j], axis=(1, 2))
+                & (data.designs.taus == g.designs.taus[j])
+                & (data.designs.aux == g.designs.aux[j])
+                & (data.bits == g.bits[j])
+            )
+            assert g.counts[j] == np.count_nonzero(same)
+
+    def test_permutation_gives_identical_groups(self, rng):
+        data = _mixed_rows(rng)
+        g = data.grouped()
+        for _ in range(5):
+            h = data.permuted(rng.permutation(data.n)).grouped()
+            assert np.array_equal(g.bits, h.bits)
+            assert np.array_equal(g.counts, h.counts)
+            assert np.array_equal(g.designs.V, h.designs.V)
+            assert np.array_equal(g.designs.taus, h.designs.taus)
+            assert np.array_equal(g.designs.aux, h.designs.aux)
+
+    def test_regrouping_adds_counts(self, rng):
+        data = _mixed_rows(rng)
+        g = data.grouped()
+        doubled = CensoredDataset(g.bits, g.designs, 2 * g.counts).permuted(np.arange(g.n)[::-1])
+        again = doubled.grouped()
+        assert np.array_equal(again.counts, 2 * g.counts)
+        assert np.array_equal(again.designs.V, g.designs.V)
+
+    def test_single_group_and_signed_zero(self):
+        V = np.array([[[0.0]], [[-0.0]], [[0.0]]])
+        data = CensoredDataset([1, 1, 1], DesignSet(V, [1.0, 1.0, 1.0]))
+        g = data.grouped()
+        assert (g.n, list(g.counts)) == (1, [3])
+        h = data.permuted([1, 0, 2]).grouped()
+        assert np.array_equal(g.designs.V, h.designs.V)
+        assert not np.signbit(h.designs.V).any()
