@@ -1,8 +1,10 @@
-"""Poisson CDF and partial moments via direct pmf summation.
+"""Poisson tail probabilities and partial moments.
 
-The production CDF intentionally sums the pmf recurrence rather than
-calling a gamma-function identity, so tests can cross-check it against
-scipy's regularized-incomplete-gamma formulation as an independent route.
+The CDF and the survival function are scipy's regularized incomplete
+gamma ratios ``pdtr`` and ``pdtrc`` (DiDonato & Morris, ACM TOMS 12(4),
+1986).  Each tail is evaluated directly, never as the complement of the
+other, so both keep full relative precision far into the tails for every
+rate the models accept.
 
 All functions are vectorized over observations; thresholds are integers
 (callers apply the floor rule before arriving here).
@@ -11,141 +13,51 @@ All functions are vectorized over observations; thresholds are integers
 import numpy as np
 from scipy import special
 
-# Remaining upper-tail mass below this bound is dropped from the summation.
-_TAIL_TOL = 1e-16
-# Summation term bound beyond which further terms cannot move the sum.
-_TERM_TOL = 1e-22
+
+def _tail(fn, t, lam, below):
+    """``fn(t, lam)`` elementwise, with ``below`` where t < 0 (outside the
+    support, where the incomplete gamma route returns NaN)."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.int64))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return np.where(t < 0, below, fn(np.maximum(t, 0), lam))
 
 
 def poisson_cdf(t, lam):
     """P(X <= t) for X ~ Poisson(lam), elementwise.
-
-    Sums pmf terms with the recurrence p(x+1) = p(x) * lam / (x + 1).
-    For rates above ~700 the seed exp(-lam) would underflow, so the
-    recurrence is started at the mode via a log-pmf seed and run in both
-    directions.  The scan stops once the neglected mass is below 1e-16.
 
     Parameters
     ----------
     t : array_like of int
         Thresholds; entries below 0 give probability 0.
     lam : array_like of float
-        Poisson rates, each > 0 and at most ~1e4.
+        Poisson rates, each > 0.
 
     Returns
     -------
     ndarray of float
     """
-    t = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    t, lam = np.broadcast_arrays(t, lam)
-    out = np.zeros(t.shape, dtype=float)
-
-    neg = t < 0
-    # Beyond mode + ~40 standard deviations the remaining mass is < 1e-16,
-    # so the effective summation limit per entry is
-    cap = np.ceil(lam + 40.0 * np.sqrt(lam) + 40.0).astype(np.int64)
-    t_eff = np.minimum(t, cap)
-    saturated = (t > cap) & ~neg
-
-    active = ~neg
-    if not np.any(active):
-        return out
-
-    small = active & (lam <= 700.0)
-    if np.any(small):
-        out[small] = _cdf_from_zero(t_eff[small], lam[small])
-    big = active & (lam > 700.0)
-    if np.any(big):
-        out[big] = _cdf_from_mode(t_eff[big], lam[big])
-
-    # Entries truncated at the cap differ from the true CDF by < 1e-16.
-    out[saturated] = np.minimum(out[saturated] + _TAIL_TOL, 1.0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _cdf_from_zero(t, lam):
-    """pmf-recurrence CDF seeded at x = 0 (requires exp(-lam) > 0)."""
-    n = t.shape[0]
-    term = np.exp(-lam)
-    total = np.where(t >= 0, term, 0.0)
-    x_max = int(t.max()) if n else -1
-    for x in range(1, x_max + 1):
-        term = term * (lam / x)
-        mask = t >= x
-        if not mask.any():
-            break
-        total = np.where(mask, total + term, total)
-        if term.max() < _TERM_TOL and x > lam.max():
-            break
-    return total
-
-
-def _cdf_from_mode(t, lam):
-    """pmf-recurrence CDF seeded at the mode, for large rates."""
-    mode = np.floor(lam).astype(np.int64)
-    log_seed = mode * np.log(lam) - lam - special.gammaln(mode + 1.0)
-    seed = np.exp(log_seed)
-
-    total = np.where(t >= mode, seed, 0.0)
-    # downward sweep: p(x-1) = p(x) * x / lam
-    term = seed.copy()
-    x = mode.copy()
-    for _ in range(10**7):
-        live = (x > 0) & (term > _TERM_TOL)
-        if not live.any():
-            break
-        term = np.where(live, term * (x / lam), term)
-        x = np.where(live, x - 1, x)
-        total = np.where(live & (t >= x), total + term, total)
-    # upward sweep: p(x+1) = p(x) * lam / (x+1)
-    term = seed.copy()
-    x = mode.copy()
-    t_max = int(t.max())
-    for _ in range(10**7):
-        live = (x < t_max) & ((term > _TERM_TOL) | (x < lam))
-        if not live.any():
-            break
-        term = np.where(live, term * (lam / (x + 1)), term)
-        x = np.where(live, x + 1, x)
-        total = np.where(live & (t >= x) & (x > mode), total + term, total)
-    return total
+    return _tail(special.pdtr, t, lam, 0.0)
 
 
 def poisson_sf(t, lam):
-    """P(X > t) by direct upper summation (never formed as 1 - CDF).
+    """P(X > t), elementwise; entries with t < 0 give 1.
 
-    Seeds the pmf recurrence at x = t + 1 via a log-pmf evaluation and
-    sums upward until the terms stop mattering, so near-one CDFs do not
-    poison the survival probability through cancellation.
+    Computed directly (never as 1 - CDF), so survival probabilities far
+    below the cancellation floor of the complement keep their digits.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    t, lam = np.broadcast_arrays(t, lam)
-    out = np.ones(t.shape, dtype=float)
+    return _tail(special.pdtrc, t, lam, 1.0)
 
-    pos = t >= 0
-    if not np.any(pos):
-        return out
 
-    tp = t[pos]
-    lp = lam[pos]
-    x = (tp + 1).astype(np.int64)
-    log_seed = x * np.log(lp) - lp - special.gammaln(x + 1.0)
-    term = np.exp(log_seed)
-    total = term.copy()
-    # past the mode the terms decay at rate lam/(x+1) < 1; keep summing
-    # until a term stops mattering *relative* to the running total, so tiny
-    # survival probabilities keep full relative precision
-    for _ in range(10**6):
-        live = (term > 1e-17 * total) | (x < lp)
-        if not live.any():
-            break
-        xn = np.where(live, x + 1, x)
-        term = np.where(live, term * (lp / xn), term)
-        total = np.where(live, total + term, total)
-        x = xn
-    out[pos] = np.minimum(total, 1.0)
+def bit_prob(t, lam, bits):
+    """P(B = b) for the bit b of X <= t: the CDF where b = +1 and the
+    survival function where b = -1, each evaluated only where needed."""
+    t, lam, bits = np.broadcast_arrays(
+        np.atleast_1d(t), np.atleast_1d(lam), np.atleast_1d(bits)
+    )
+    plus = bits > 0
+    out = np.empty(t.shape, dtype=float)
+    out[plus] = poisson_cdf(t[plus], lam[plus])
+    out[~plus] = poisson_sf(t[~plus], lam[~plus])
     return out
 
 

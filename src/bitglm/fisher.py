@@ -4,6 +4,12 @@ Censored:   J_n = sum_i V_i^T Cov(E[T_i | B_i]) V_i, with the inner
 covariance assembled exactly from the two-point distribution of each bit.
 Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i.
 
+Each total is assembled as one k x k BLAS reduction over the stacked rows:
+the censored information as sum_b (g_b * P(b))^T g_b over the per-bit
+scores g_b = V_i^T dev_b, the sandwiches as the (n d) x k product
+V^T (inner V).  The (n, k, k) stack of per-observation summands is built
+only when asked for.
+
 ``fim_numeric_oracle`` is an independent verification route: it enumerates
 both bit values per observation and averages the outer product of the
 single-observation score.  ``negative_expected_hessian`` is a second
@@ -49,17 +55,16 @@ class FimResult:
     per_observation_terms: tuple = None
 
     @classmethod
-    def from_terms(cls, terms, keep_terms=False):
-        total = np.add.reduce(terms, axis=0)
+    def build(cls, total, terms=None):
+        """From the k x k total and, optionally, its (n, k, k) summands."""
         total = 0.5 * (total + total.T)
         eigs = np.linalg.eigvalsh(total)
-        m = total.copy()
-        m.setflags(write=False)
+        total.setflags(write=False)
         return cls(
-            matrix=m,
+            matrix=total,
             min_eigenvalue=float(eigs[0]),
             determinant=_det_small(total),
-            per_observation_terms=tuple(terms) if keep_terms else None,
+            per_observation_terms=None if terms is None else tuple(terms),
         )
 
     @property
@@ -92,24 +97,33 @@ def fim_censored(model, theta, designs, keep_terms=False):
     _check_thresholds(f, model.name)
 
     plus = np.ones(designs.n, dtype=np.int8)
-    dev_p = model.cond_mean_dev_T(theta, designs, plus)   # (n, d)
-    dev_m = model.cond_mean_dev_T(theta, designs, -plus)  # (n, d)
-    # Cov(E[T|B]) = sum_b dev_b dev_b^T P(b)
-    cov = (
-        np.einsum("nd,ne->nde", dev_p, dev_p) * f[:, None, None]
-        + np.einsum("nd,ne->nde", dev_m, dev_m) * (1.0 - f)[:, None, None]
-    )
-    terms = np.einsum("ndk,nde,nel->nkl", designs.V, cov, designs.V)
-    return FimResult.from_terms(terms, keep_terms)
+    # per-bit scores g_b = V^T (E[T | b] - E[T]), shape (n, k)
+    g_p = np.einsum("ndk,nd->nk", designs.V, model.cond_mean_dev_T(theta, designs, plus))
+    g_m = np.einsum("ndk,nd->nk", designs.V, model.cond_mean_dev_T(theta, designs, -plus))
+    # V^T Cov(E[T|B]) V = sum_b P(b) g_b g_b^T
+    wg_p = g_p * f[:, None]
+    wg_m = g_m * (1.0 - f)[:, None]
+    total = wg_p.T @ g_p + wg_m.T @ g_m
+    terms = None
+    if keep_terms:
+        terms = wg_p[:, :, None] * g_p[:, None, :] + wg_m[:, :, None] * g_m[:, None, :]
+    return FimResult.build(total, terms)
+
+
+def _sandwich(V, inner, keep_terms):
+    """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
+    n, d, k = V.shape
+    right = np.matmul(inner, V)  # (n, d, k)
+    total = V.reshape(n * d, k).T @ right.reshape(n * d, k)
+    terms = np.matmul(V.swapaxes(1, 2), right) if keep_terms else None
+    return FimResult.build(total, terms)
 
 
 def fim_uncensored(model, theta, designs, keep_terms=False):
     """Information carried by the raw observations."""
     theta = _theta_values(model, theta)
     designs = DesignSet.coerce(designs)
-    cov = model.cov_T(theta, designs)
-    terms = np.einsum("ndk,nde,nel->nkl", designs.V, cov, designs.V)
-    return FimResult.from_terms(terms, keep_terms)
+    return _sandwich(designs.V, model.cov_T(theta, designs), keep_terms)
 
 
 def fim_numeric_oracle(model, theta, designs, keep_terms=False):
@@ -130,7 +144,7 @@ def fim_numeric_oracle(model, theta, designs, keep_terms=False):
             s = likelihood.score_single(model, theta, design, b)
             acc += np.outer(s, s) * pb
         terms[i] = acc
-    return FimResult.from_terms(terms, keep_terms)
+    return FimResult.build(np.add.reduce(terms, axis=0), terms if keep_terms else None)
 
 
 def negative_expected_hessian(model, theta, designs, keep_terms=False):
@@ -146,8 +160,7 @@ def negative_expected_hessian(model, theta, designs, keep_terms=False):
     dev_m = model.cond_cov_dev_T(theta, designs, -plus)
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
-    terms = np.einsum("ndk,nde,nel->nkl", designs.V, inner, designs.V)
-    return FimResult.from_terms(terms, keep_terms)
+    return _sandwich(designs.V, inner, keep_terms)
 
 
 @dataclass(frozen=True)

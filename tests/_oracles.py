@@ -1,8 +1,8 @@
 """Independent verification routes used by the tests.
 
 Everything here deliberately avoids the library's own computation paths:
-finite differences for derivatives, quadrature/summation for moments, and
-dense grid search for maximizers.
+finite differences for derivatives, quadrature/summation for moments and
+Poisson tail probabilities, and dense grid search for maximizers.
 """
 
 import math
@@ -57,6 +57,36 @@ def truncated_normal_moment(mu, sigma, tau, b, power):
 
 def poisson_pmf_exact(x, lam):
     return math.exp(-lam) * lam**x / math.factorial(x)
+
+
+def poisson_cdf_sum(t, lam):
+    """P(X <= t) by summing the pmf recurrence p(x+1) = p(x) * lam / (x+1)
+    upward from p(0) = exp(-lam); the seed underflows for rates above ~700."""
+    if t < 0:
+        return 0.0
+    term = math.exp(-lam)
+    terms = [term]
+    for x in range(1, t + 1):
+        term *= lam / x
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def poisson_sf_sum(t, lam):
+    """P(X > t) by summing the pmf recurrence upward from x = t + 1, seeded
+    through lgamma, until a term no longer moves the sum."""
+    if t < 0:
+        return 1.0
+    x = t + 1
+    term = math.exp(x * math.log(lam) - lam - math.lgamma(x + 1.0))
+    terms = [term]
+    total = term
+    while x < lam or term > 1e-17 * total:
+        x += 1
+        term *= lam / x
+        terms.append(term)
+        total += term
+    return math.fsum(terms)
 
 
 def poisson_conditional_moment_sum(lam, tau, b, power, tail_tol=1e-18):

@@ -13,9 +13,11 @@ from bitglm import CensoredDataset, models
 MODEL_NAMES = ("gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson")
 
 
-def random_instance(name, rng, n_max=6):
-    """(family, theta, designs) with informative, non-degenerate designs."""
-    n = int(rng.integers(1, n_max + 1))
+def random_instance(name, rng, n_max=6, n=None):
+    """(family, theta, designs) with informative, non-degenerate designs:
+    ``n`` of them, or a random count up to ``n_max``."""
+    if n is None:
+        n = int(rng.integers(1, n_max + 1))
     if name == "gaussian-case1":
         sigma = float(rng.uniform(0.5, 2.0))
         w = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)

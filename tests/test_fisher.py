@@ -83,11 +83,36 @@ class TestPsdAndStructure:
             assert fim_uncensored(fam, theta, ds).min_eigenvalue >= -1e-10
 
     def test_per_observation_terms(self, rng):
-        fam, theta, ds = random_instance("gaussian-case3", rng, n_max=5)
-        r = fim_censored(fam, theta, ds, keep_terms=True)
-        assert len(r.per_observation_terms) == ds.n
-        assert_allclose(np.sum(r.per_observation_terms, axis=0), r.matrix, rtol=1e-13)
-        assert fim_censored(fam, theta, ds).per_observation_terms is None
+        # every BLAS-assembled total against the summed per-observation
+        # stack and against the per-row sandwich V_i^T inner_i V_i
+        for name in MODEL_NAMES:
+            fam, theta, ds = random_instance(name, rng, n=1000)
+            f = fam.prob_leq(theta, ds)
+            plus = np.ones(ds.n, dtype=np.int8)
+            m_p = fam.cond_mean_dev_T(theta, ds, plus)
+            m_m = fam.cond_mean_dev_T(theta, ds, -plus)
+            c_p = fam.cond_cov_dev_T(theta, ds, plus)
+            c_m = fam.cond_cov_dev_T(theta, ds, -plus)
+            fw = f[:, None, None]
+            inners = {
+                fim_censored: (
+                    np.einsum("nd,ne->nde", m_p, m_p) * fw
+                    + np.einsum("nd,ne->nde", m_m, m_m) * (1.0 - fw)
+                ),
+                fim_uncensored: fam.cov_T(theta, ds),
+                negative_expected_hessian: -(c_p * fw + c_m * (1.0 - fw)),
+            }
+            for route, inner in inners.items():
+                label = f"{route.__name__} for {name}"
+                r = route(fam, theta, ds, keep_terms=True)
+                terms = np.array(r.per_observation_terms)
+                assert terms.shape == (ds.n, fam.k, fam.k), label
+                sandwich = np.einsum("ndk,nde,nel->nkl", ds.V, inner, ds.V)
+                scale = np.abs(sandwich).max(axis=(1, 2), keepdims=True)
+                assert np.all(np.abs(terms - sandwich) <= 1e-12 * scale), label
+                assert_allclose(r.matrix, terms.sum(axis=0), rtol=1e-12, err_msg=label)
+                assert_allclose(r.matrix, sandwich.sum(axis=0), rtol=1e-12, err_msg=label)
+                assert route(fam, theta, ds).per_observation_terms is None, label
 
     def test_additivity_over_concatenation(self, rng):
         fam_a, theta, ds_a = random_instance("gaussian-case1", rng, n_max=4)

@@ -120,6 +120,30 @@ class TestLogLikelihood:
         assert err.value.index == 0
 
 
+class TestPoissonFarTails:
+    """One Poisson bit whose probability sits in a far tail at a large rate."""
+
+    @staticmethod
+    def one_bit(lam, tau, b):
+        fam = models.PoissonModel([1.0])
+        return fam, np.array([math.log(lam)]), CensoredDataset([b], fam.design_set([tau]))
+
+    def test_left_tail_bit_has_finite_log_likelihood(self):
+        fam, theta, data = self.one_bit(1086.07, 550.0, 1)
+        lam = float(np.exp(theta[0]))
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.gammainc(551, lam, mpmath.inf, regularized=True)))
+        assert_allclose(log_likelihood(fam, theta, data), want, rtol=1e-10)
+
+    def test_certain_bit_has_finite_derivatives(self):
+        # P(B=-1) rounds to 1 and the pmf at the threshold to 0
+        fam, theta, data = self.one_bit(1975.6, 215.0, -1)
+        ll, g, h = likelihood.evaluate(fam, theta, data)
+        assert ll == 0.0
+        assert_allclose(g, 0.0, atol=1e-300)
+        assert_allclose(h, 0.0, atol=1e-300)
+
+
 class TestScore:
     def test_median_threshold_spot_value(self):
         # single bit at the information-optimal threshold

@@ -230,6 +230,14 @@ class TestPoissonInformation:
         with pytest.raises(DomainError):
             fam.design_set([-1.0])
 
+    def test_rates_beyond_the_supported_range_raise(self):
+        fam = models.PoissonModel([1.0, 1.0])
+        ds = fam.design_set([0.0, 2.0 * fam.MAX_RATE])
+        top = math.log(fam.MAX_RATE)
+        assert np.all(np.isfinite(fam.prob_leq([top - 1e-9], ds)))
+        with pytest.raises(NumericalError):
+            fam.prob_leq([top + 1e-9], ds)
+
 
 class TestPoissonConditionalMean:
     def test_only_zero_survives(self):

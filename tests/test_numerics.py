@@ -6,10 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
 
-from bitglm import _gauss, _poisson
-from _oracles import truncated_normal_moment
+from bitglm import _gauss, _poisson, models
+from _oracles import poisson_cdf_sum, poisson_sf_sum, truncated_normal_moment
 
 
 def mp_norm_cdf(z):
@@ -78,22 +77,32 @@ class TestNormalPieces:
             assert_allclose(got, want, rtol=1e-9)
 
 
+def mp_poisson_tails(t, lam):
+    """(P(X <= t), P(X > t)) in 340-digit arithmetic through the upper
+    incomplete gamma function, so the complement keeps every tail above
+    the double-precision underflow threshold."""
+    with mpmath.workdps(340):
+        cdf = mpmath.gammainc(int(t) + 1, mpmath.mpf(float(lam)), mpmath.inf, regularized=True)
+        return float(cdf), float(1 - cdf)
+
+
 class TestPoissonPieces:
-    def test_cdf_matches_incomplete_gamma_route(self):
-        # production path is pmf summation; scipy routes through the
-        # regularized incomplete gamma function
+    def test_tails_match_pmf_summation(self):
         rng = np.random.default_rng(0)
         lam = rng.uniform(0.05, 50.0, 300)
         t = rng.integers(0, 201, 300)
-        got = _poisson.poisson_cdf(t, lam)
-        want = stats.poisson.cdf(t, lam)
-        assert np.max(np.abs(got - want)) < 1e-12
+        for name, fn, oracle in (
+            ("cdf", _poisson.poisson_cdf, poisson_cdf_sum),
+            ("sf", _poisson.poisson_sf, poisson_sf_sum),
+        ):
+            want = [oracle(int(ti), float(li)) for ti, li in zip(t, lam)]
+            assert np.max(np.abs(fn(t, lam) - want)) < 1e-12, name
 
-    def test_cdf_large_rates_use_mode_seeded_recurrence(self):
+    def test_cdf_large_rates_against_mpmath(self):
         for lam in (750.0, 2000.0, 9000.0):
             for t in (int(lam) - 50, int(lam), int(lam) + 120):
                 got = float(_poisson.poisson_cdf(np.array([t]), np.array([lam]))[0])
-                want = float(stats.poisson.cdf(t, lam))
+                want, _ = mp_poisson_tails(t, lam)
                 assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
     def test_negative_threshold(self):
@@ -102,12 +111,49 @@ class TestPoissonPieces:
 
     def test_sf_is_direct_not_complement(self):
         # survival values far below the cancellation floor of 1 - cdf
-        lam = np.array([1.0])
-        t = np.array([40])
-        got = float(_poisson.poisson_sf(t, lam)[0])
-        want = float(stats.poisson.sf(40, 1.0))
+        got = float(_poisson.poisson_sf(np.array([40]), np.array([1.0]))[0])
+        _, want = mp_poisson_tails(40, 1.0)
         assert want < 1e-40  # 1 - cdf would be exactly 0 here
         assert_allclose(got, want, rtol=1e-10)
+
+    def test_far_left_tail_at_a_large_rate(self):
+        # the rate-seeded pmf summation lost every left tail below ~1e-22
+        # once the rate passed 700 and returned 0 here
+        got = float(_poisson.poisson_cdf(550, 1086.07)[0])
+        want, _ = mp_poisson_tails(550, 1086.07)
+        assert_allclose(want, 1.7642e-72, rtol=1e-4)
+        assert_allclose(got, want, rtol=1e-10)
+
+    def test_survival_near_one_far_below_the_rate(self):
+        # summing upward from a pmf seed that underflows returned 0 here
+        _, want = mp_poisson_tails(215, 1975.6)
+        assert want == 1.0
+        assert float(_poisson.poisson_sf(215, 1975.6)[0]) == 1.0
+
+    def test_tails_across_the_supported_rate_range(self):
+        # rates log-uniform up to the model's limit, thresholds up to 38
+        # standard deviations to either side of the rate; plus the limit
+        # itself 4.5-8 deviations above the rate, where scipy's lower-gamma
+        # series runs longest
+        rng = np.random.default_rng(5)
+        top = models.PoissonModel.MAX_RATE
+        lam = np.exp(rng.uniform(math.log(1e-2), math.log(top), 300))
+        z = rng.uniform(-38.0, 38.0, 300)
+        lam = np.concatenate([lam, np.full(8, top)])
+        z = np.concatenate([z, np.linspace(4.5, 8.0, 8)])
+        t = np.maximum(np.floor(lam + z * np.sqrt(lam)), 0).astype(np.int64)
+        want = np.array([mp_poisson_tails(ti, li) for ti, li in zip(t, lam)])
+        assert_allclose(_poisson.poisson_cdf(t, lam), want[:, 0], rtol=1e-10, atol=1e-300)
+        assert_allclose(_poisson.poisson_sf(t, lam), want[:, 1], rtol=1e-10, atol=1e-300)
+
+    def test_bit_prob_takes_the_bit_side(self):
+        t = np.array([0, 3, 3, 12])
+        lam = np.array([0.5, 2.0, 2.0, 9.0])
+        bits = np.array([1, 1, -1, -1])
+        want = np.where(
+            bits > 0, _poisson.poisson_cdf(t, lam), _poisson.poisson_sf(t, lam)
+        )
+        assert np.array_equal(_poisson.bit_prob(t, lam, bits), want)
 
     def test_cdf_plus_sf(self):
         rng = np.random.default_rng(1)
