@@ -13,20 +13,26 @@ step is taken when it lowers the score.
 ``fit`` works on the grouped data (identical observations merged into
 counts), so each iteration costs O(distinct rows), not O(n).
 
-Multistart: a method-of-moments style initial point per family plus
-seeded multiplicative jitters; the winner is the candidate with the
-highest log-likelihood, ties broken by smaller parameter norm and then
-lexicographic order, so results are reproducible bit for bit.
+Multistart: each family's ``initial_point`` plus seeded multiplicative
+jitters; the winner is the candidate with the highest log-likelihood, ties
+broken by smaller parameter norm and then lexicographic order, so results
+are reproducible bit for bit.  The Gaussian families start at the
+per-design probit inversion (Berkson's minimum-chi-square start): where
+designs repeat, each design's +1 fraction p_j gives Phi^-1(p_j), which is
+linear in a reparameterisation of theta, and a weighted least-squares fit
+of those values is the start.  With exactly k designs seen with both bits
+it is the MLE itself, so such a fit converges at its first iteration.  With
+fewer such designs (every i.i.d. dataset), a rank-deficient system or a
+solution outside the domain, they fall back to a pooled start built from
+the overall bit fraction and mean threshold.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
-from . import likelihood, models
-from ._gauss import norm_ppf
+from . import likelihood
 from .exceptions import DegenerateLikelihood, NonIdentifiable, NumericalError
 from .types import ParameterVector, satisfies_domain
 
@@ -81,68 +87,23 @@ class FitResult:
 
 
 def auto_initialize(model, data, multistart_count=5, seed=0):
-    """Starting points: one method-of-moments style inversion per family
-    plus seeded multiplicative log-normal jitters (scale 0.5).
+    """Starting points: ``model.initial_point(data)`` plus seeded
+    multiplicative log-normal jitters (scale 0.5).
+
+    For the Gaussian families the base point is the per-design probit
+    inversion where at least k designs are seen with both bits, and the
+    pooled bit-fraction start otherwise (see the module docstring).
 
     Returns a list of ``multistart_count`` parameter arrays, the
     deterministic base point first.
     """
-    base = _moments_start(model, data)
+    base = model.initial_point(data)
     starts = [base]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     while len(starts) < multistart_count:
         jitter = np.exp(0.5 * rng.standard_normal(base.shape[0]))
         starts.append(base * jitter)
     return starts
-
-
-def _mean(x, data):
-    """Mean over the observations, weighting each row by its count."""
-    return float(np.average(x, weights=data.counts))
-
-
-def _bit_fraction(data):
-    n = data.total
-    p = _mean(data.bits > 0, data)
-    return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
-
-
-def _moments_start(model, data):
-    p = _bit_fraction(data)
-    mean_tau = _mean(data.designs.taus, data)
-    if isinstance(model, models.GaussianCase1):
-        w = data.designs.V[:, 0, 0] * model.sigma**2
-        mean_w = _mean(w, data)
-        if abs(mean_w) < 1e-8:
-            return np.array([0.0])
-        alpha0 = (mean_tau - model.sigma * float(norm_ppf(p))) / mean_w
-        return np.array([alpha0])
-    if isinstance(model, models.GaussianCase2):
-        spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
-        return np.array([1.0 / max(spread, 1e-4)])
-    if isinstance(model, models.GaussianCase3):
-        w = data.designs.V[:, 0, 0]
-        mean_w = _mean(w, data)
-        if abs(mean_w) < 1e-8:
-            alpha0 = 0.0
-        else:
-            alpha0 = (mean_tau - float(norm_ppf(p))) / mean_w
-        # sigma0 = 1, so theta = (alpha0, 1)
-        return np.array([alpha0, 1.0])
-    if isinstance(model, models.PoissonModel):
-        v = data.designs.V[:, 0, 0]
-        vbar = _mean(v, data)
-        scale = _mean(np.abs(v), data)
-        # mixed-sign covariates can average to ~0 and catapult the start
-        if abs(vbar) < max(1e-8, 0.1 * scale):
-            vbar = scale if scale > 1e-8 else 1.0
-        return np.array([math.log(max(0.5, mean_tau)) / vbar])
-    # generic fallback: ones, sign-adjusted to the domain
-    out = np.ones(model.k)
-    for j, kind in enumerate(model.domain):
-        if kind == "negative":
-            out[j] = -1.0
-    return out
 
 
 def _check_identifiable(model, data):
@@ -209,13 +170,17 @@ def _ascent_direction(neg_hess, grad):
 
 
 def _newton(model, data, theta0, config):
+    """Damped Newton ascent from ``theta0``.
+
+    Returns (theta, status, iterations, (ll, grad, hess)), the last being
+    the evaluation at the returned theta.
+    """
     theta = np.asarray(theta0, dtype=float).copy()
     if not satisfies_domain(theta, model.domain):
         raise DegenerateLikelihood("starting point outside the parameter domain")
     ll, grad, hess = likelihood.evaluate(model, theta, data)  # may raise; caller skips start
 
     status = "max-iterations"
-    gnorm = np.inf
     iterations = 0
     stalled = 0
     for iterations in range(1, config.max_iterations + 1):
@@ -279,7 +244,7 @@ def _newton(model, data, theta0, config):
                 "not pin down a finite maximizer"
             )
 
-    return theta, ll, status, iterations, gnorm
+    return theta, status, iterations, (ll, grad, hess)
 
 
 def fit(model, data, config=None):
@@ -335,13 +300,11 @@ def fit(model, data, config=None):
         raise last_error
 
     def rank(c):
-        theta, ll, _, _, _ = c
+        theta, _, _, (ll, _, _) = c
         return (-ll, float(np.linalg.norm(theta)), tuple(theta))
 
-    theta, ll, status, iterations, gnorm = min(candidates, key=rank)
-
-    # recompute final diagnostics at the winner
-    ll, grad, hess = likelihood.evaluate(model, theta, data)
+    # the final diagnostics are the winner's last evaluation, at its theta
+    theta, status, iterations, (ll, grad, hess) = min(candidates, key=rank)
     gnorm = float(np.max(np.abs(grad)))
     observed = -hess
     observed.setflags(write=False)

@@ -129,6 +129,15 @@ class ModelFamily(abc.ABC):
     def sample(self, theta, designs, rng):
         """Draw one X_i per observation, shape (n,)."""
 
+    # -- fitting ----------------------------------------------------------------
+    def initial_point(self, data):
+        """Deterministic starting point of the MLE solver for ``data``.
+
+        Defaults to ones, sign-adjusted to the domain; the concrete
+        families derive theirs from the data.
+        """
+        return np.array([-1.0 if kind == "negative" else 1.0 for kind in self.domain])
+
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):
         """Map natural coordinates to the family's reporting coordinates.

@@ -23,11 +23,58 @@ import numpy as np
 from . import _gauss, _poisson
 from .exceptions import DegenerateThreshold, DomainError, NumericalError
 from .families import ModelFamily
-from .types import DesignSet
+from .types import DesignSet, satisfies_domain
 
 
 def _as_1d(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Starting points for the MLE solver
+# ---------------------------------------------------------------------------
+
+def _mean(x, data):
+    """Mean over the observations, weighting each row by its count."""
+    return float(np.average(x, weights=data.counts))
+
+
+def _bit_fraction(data):
+    """Pooled fraction of +1 bits, kept inside [1/(n+1), n/(n+1)]."""
+    n = data.total
+    p = _mean(data.bits > 0, data)
+    return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
+
+
+def _probit_start(family, data, regressors, to_theta):
+    """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
+
+    A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
+    and q_j = Phi^-1(p_j) estimates its standardized threshold, which each
+    Gaussian family writes as linear in a reparameterisation beta of theta:
+    q_j = offset_j + X_j beta, with ``(X, offset) = regressors(V, taus, aux)``
+    over the usable designs.  Solves that system by least squares weighted
+    by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns ``to_theta(beta)``; with
+    exactly k usable designs this is the MLE.  Returns None when fewer than
+    k designs are usable, the system is rank-deficient, or the solution lies
+    outside the domain (``to_theta`` gives None).
+    """
+    rows, totals, plus = data.design_tally()
+    usable = (plus > 0) & (plus < totals)
+    if np.count_nonzero(usable) < family.k:
+        return None
+    rows, n = rows[usable], totals[usable]
+    p = plus[usable] / n
+    q = _gauss.norm_ppf(p)
+    designs = data.designs
+    aux = None if designs.aux is None else designs.aux[rows]
+    X, offset = regressors(designs.V[rows], designs.taus[rows], aux)
+    root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
+    beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
+    if rank < family.k:
+        return None
+    theta = to_theta(beta)
+    return theta if theta is not None and satisfies_domain(theta, family.domain) else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +178,24 @@ class GaussianCase1(ModelFamily):
 
     def moment_labels(self):
         return ("alpha",)
+
+    def initial_point(self, data):
+        """The per-design probit inversion, z = tau/sigma - sigma V alpha;
+        without one, alpha from the pooled bit fraction at the mean threshold."""
+        start = _probit_start(
+            self,
+            data,
+            lambda V, taus, aux: (-self.sigma * V[:, 0, :], taus / self.sigma),
+            lambda beta: beta,
+        )
+        if start is not None:
+            return start
+        w = data.designs.V[:, 0, 0] * self.sigma**2
+        mean_w = _mean(w, data)
+        if abs(mean_w) < 1e-8:
+            return np.array([0.0])
+        q = float(_gauss.norm_ppf(_bit_fraction(data)))
+        return np.array([(_mean(data.designs.taus, data) - self.sigma * q) / mean_w])
 
 
 def case1_fim(model, alpha, taus):
@@ -271,6 +336,20 @@ class GaussianCase2(ModelFamily):
 
     def moment_labels(self):
         return ("sigma",)
+
+    def initial_point(self, data):
+        """The per-design probit inversion, z = (tau - mean) / sigma, linear
+        in 1/sigma; without one, the inverse mean squared threshold offset."""
+        start = _probit_start(
+            self,
+            data,
+            lambda V, taus, aux: ((taus - aux)[:, None], 0.0),
+            lambda beta: beta**2 if beta[0] > 0 else None,
+        )
+        if start is not None:
+            return start
+        spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
+        return np.array([1.0 / max(spread, 1e-4)])
 
 
 def case2_fim(model, sigma, taus):
@@ -471,6 +550,26 @@ class GaussianCase3(ModelFamily):
     def moment_labels(self):
         return ("alpha", "sigma")
 
+    def initial_point(self, data):
+        """The per-design probit inversion, z = tau/sigma - w alpha/sigma,
+        linear in (1/sigma, alpha/sigma); without one, sigma = 1 and alpha
+        from the pooled bit fraction at the mean threshold."""
+        start = _probit_start(
+            self,
+            data,
+            lambda V, taus, aux: (np.stack([taus, -V[:, 0, 0]], axis=1), 0.0),
+            lambda beta: np.array([beta[0] * beta[1], beta[0] ** 2]) if beta[0] > 0 else None,
+        )
+        if start is not None:
+            return start
+        mean_w = _mean(data.designs.V[:, 0, 0], data)
+        if abs(mean_w) < 1e-8:
+            alpha0 = 0.0
+        else:
+            q = float(_gauss.norm_ppf(_bit_fraction(data)))
+            alpha0 = (_mean(data.designs.taus, data) - q) / mean_w
+        return np.array([alpha0, 1.0])
+
     @staticmethod
     def alpha_sigma2_from_natural(theta):
         """(alpha, sigma^2) from (alpha/sigma^2, 1/sigma^2)."""
@@ -669,6 +768,16 @@ class PoissonModel(ModelFamily):
 
     def moment_labels(self):
         return ("theta",)
+
+    def initial_point(self, data):
+        """log of the mean threshold over the mean covariate."""
+        v = data.designs.V[:, 0, 0]
+        vbar = _mean(v, data)
+        scale = _mean(np.abs(v), data)
+        # mixed-sign covariates can average to ~0 and catapult the start
+        if abs(vbar) < max(1e-8, 0.1 * scale):
+            vbar = scale if scale > 1e-8 else 1.0
+        return np.array([math.log(max(0.5, _mean(data.designs.taus, data))) / vbar])
 
 
 def poisson_conditional_mean(lam, tau, b):

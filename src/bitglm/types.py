@@ -205,6 +205,21 @@ class DesignSet:
         return (self.V.reshape(n * d, k) @ theta).reshape(n, d)
 
 
+def _runs(columns):
+    """(order, starts): a stable lexicographic order of the rows (the last
+    column most significant) and where each run of equal rows starts in it."""
+    n = columns[0].shape[0]
+    # constant columns cannot split a run; sorting on them is waste
+    keys = [c for c in columns if np.any(c != c[0])]
+    order = np.lexsort(keys) if keys else np.arange(n)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for key in keys:
+        s = key[order]
+        new[1:] |= s[1:] != s[:-1]
+    return order, np.flatnonzero(new)
+
+
 @dataclass(frozen=True)
 class CensoredDataset:
     """Observed bits paired with their designs.
@@ -228,7 +243,7 @@ class CensoredDataset:
         bits = np.atleast_1d(np.asarray(self.bits))
         if bits.ndim != 1 or bits.shape[0] < 1:
             raise ValueError("need at least one observation")
-        if not np.all(np.isin(bits, (-1, 1))):
+        if not np.all((bits == 1) | (bits == -1)):
             raise ValueError("bits must be -1 or +1")
         b = bits.astype(np.int8)
         b.setflags(write=False)
@@ -293,15 +308,7 @@ class CensoredDataset:
         columns = [*designs.V.reshape(n, -1).T, designs.taus, self.bits]
         if designs.aux is not None:
             columns.append(designs.aux)
-        # constant columns cannot split a group; sorting on them is waste
-        keys = [c for c in columns if np.any(c != c[0])]
-        order = np.lexsort(keys) if keys else np.arange(n)
-        new = np.zeros(n, dtype=bool)
-        new[0] = True
-        for key in keys:
-            s = key[order]
-            new[1:] |= s[1:] != s[:-1]
-        starts = np.flatnonzero(new)
+        order, starts = _runs(columns)
         first = order[starts]
         counts = np.add.reduceat(self.counts[order], starts)
         # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
@@ -311,6 +318,27 @@ class CensoredDataset:
             a += 0.0
         grouped = CensoredDataset(self.bits[first], DesignSet(*picked), counts)
         return (grouped, first) if return_index else grouped
+
+    def design_tally(self):
+        """Observation and +1 counts per distinct design (V, tau, aux).
+
+        Returns ``(rows, totals, plus)``: per distinct design, the index of
+        one of its rows, the number of observations it carries and how many
+        of them have bit +1.  Designs come sorted by threshold first.
+        """
+        n, designs = self.n, self.designs
+        order = np.argsort(designs.taus)
+        s = designs.taus[order]
+        if np.all(s[1:] != s[:-1]):
+            # distinct thresholds: every row is its own design, and the
+            # unstable sort already gives the one order
+            starts = np.arange(n)
+        else:
+            aux = [] if designs.aux is None else [designs.aux]
+            order, starts = _runs([*designs.V.reshape(n, -1).T, *aux, designs.taus])
+        counts = self.counts[order]
+        plus = np.where(self.bits[order] > 0, counts, 0)
+        return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)
 
     def single(self, i):
         """One-observation dataset (used by enumeration oracles)."""

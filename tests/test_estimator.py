@@ -6,6 +6,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bitglm import (
@@ -255,6 +257,16 @@ class TestFitConfigValidation:
         assert res.theta_hat.values[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def _fig1_trial(name, n, trial):
+    """(config, family, data) of one fig1.cfg trial, drawn as run_trial draws it."""
+    doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
+    config = dict(cli.load_experiments(doc))[name]
+    rng = montecarlo._substream(config.seed, n, trial)
+    fam, designs, theta0 = montecarlo.family_and_theta(config, n, rng)
+    x = fam.sample(theta0, designs, rng)
+    return config, fam, CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
+
+
 def _closed_form_two_threshold(data):
     """(alpha, sigma) of N(alpha, sigma^2) from bits at two thresholds with
     unit weights: each threshold's bit fraction is Phi((tau - alpha)/sigma)."""
@@ -280,16 +292,141 @@ class TestBlindLineSearch:
         ],
     )
     def test_fig1_trial_converges_to_closed_form(self, name, n, trial):
-        doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
-        config = dict(cli.load_experiments(doc))[name]
+        config, fam, data = _fig1_trial(name, n, trial)
         assert montecarlo.run_trial(config, n, trial).status == "converged"
-        # the same data and fit as run_trial, for the diagnostics
-        rng = montecarlo._substream(config.seed, n, trial)
-        fam, designs, theta0 = montecarlo.family_and_theta(config, n, rng)
-        x = fam.sample(theta0, designs, rng)
-        data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
         res = fit(fam, data, config.fit)
         assert res.converged and res.status == "converged"
         assert res.final_score_norm <= 1e-9
         alpha_sigma = fam.to_moment(res.theta_hat.values)
         assert_allclose(alpha_sigma, _closed_form_two_threshold(data), rtol=1e-8)
+
+
+def _pooled_start(model, data):
+    """The Gaussian families' start from the pooled bit fraction and mean
+    threshold, the only start before the per-design probit inversion."""
+    n = data.total
+    p = float(np.average(data.bits > 0, weights=data.counts))
+    p = min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
+    mean_tau = float(np.average(data.designs.taus, weights=data.counts))
+    if isinstance(model, models.GaussianCase1):
+        mean_w = float(np.average(data.designs.V[:, 0, 0] * model.sigma**2, weights=data.counts))
+        if abs(mean_w) < 1e-8:
+            return np.array([0.0])
+        return np.array([(mean_tau - model.sigma * float(norm_ppf(p))) / mean_w])
+    if isinstance(model, models.GaussianCase2):
+        spread = float(np.average((data.designs.taus - data.designs.aux) ** 2, weights=data.counts))
+        return np.array([1.0 / max(spread, 1e-4)])
+    mean_w = float(np.average(data.designs.V[:, 0, 0], weights=data.counts))
+    alpha0 = 0.0 if abs(mean_w) < 1e-8 else (mean_tau - float(norm_ppf(p))) / mean_w
+    return np.array([alpha0, 1.0])
+
+
+def _gaussian(name, taus, bits, weights=None):
+    """(family, data); unit weights unless given, case-2 means 0.2 * weights."""
+    n = len(taus)
+    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if name == "gaussian-case1":
+        fam = models.GaussianCase1(weights, sigma=1.3)
+    elif name == "gaussian-case2":
+        fam = models.GaussianCase2(means=0.2 * weights)
+    else:
+        fam = models.GaussianCase3(weights)
+    return fam, CensoredDataset(bits, fam.design_set(taus))
+
+
+GAUSSIANS = ("gaussian-case1", "gaussian-case2", "gaussian-case3")
+FIG1_TRIALS = [
+    ("mixture-0.42-2.0", 1000, 50),
+    ("mixture-1.2-1.9", 1000, 38),
+    ("mixture-1.2-1.9", 3162, 23),
+] + [
+    (name, n, trial)
+    for name in ("mixture-0.42-2.0", "mixture-1.2-1.9")
+    for n in (1000, 10000)
+    for trial in range(10)
+]
+
+
+class TestProbitStart:
+    """The Gaussian families start at the per-design probit inversion:
+    Berkson's minimum-chi-square fit of Phi^-1(p_j) over the designs seen
+    with both bits, the MLE itself when there are exactly k of them."""
+
+    @pytest.mark.parametrize("name,n,trial", FIG1_TRIALS)
+    def test_fig1_start_is_the_closed_form_mle(self, name, n, trial):
+        config, fam, data = _fig1_trial(name, n, trial)
+        want = _closed_form_two_threshold(data)
+        start = auto_initialize(fam, data.grouped(), 1)[0]
+        assert_allclose(fam.to_moment(start), want, rtol=1e-10)
+        # the raw rows tally to the same designs
+        assert_allclose(fam.to_moment(fam.initial_point(data)), want, rtol=1e-10)
+        res = fit(fam, data, config.fit)
+        assert res.converged and res.iterations == 1
+        assert_allclose(fam.to_moment(res.theta_hat.values), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", GAUSSIANS)
+    def test_one_design_per_family_parameter_is_inverted_exactly(self, name):
+        # k = 1: a single design seen with both bits; 3 of 4 bits are +1
+        taus = [0.9] * 4
+        fam, data = _gaussian(name, taus, [1, 1, -1, 1])
+        q = float(norm_ppf(0.75))
+        if name == "gaussian-case3":
+            # k = 2: a second design, 9 of 10 bits +1
+            fam, data = _gaussian(name, taus + [2.5] * 10, [1, 1, -1, 1] + [1] * 9 + [-1])
+            sigma = (2.5 - 0.9) / (float(norm_ppf(0.9)) - q)
+            want = fam.from_moment([0.9 - sigma * q, sigma])
+        elif name == "gaussian-case1":
+            want = [0.9 - 1.3 * q]  # tau - sigma q over a unit weight
+        else:
+            want = [(q / (0.9 - 0.2)) ** 2]  # 1/sigma^2 with q = (tau - mean)/sigma
+        assert_allclose(fam.initial_point(data.grouped()), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", GAUSSIANS)
+    def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):
+        fam, _, designs = random_instance(name, rng, n=60)
+        data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
+        assert np.array_equal(fam.initial_point(data), _pooled_start(fam, data))
+        assert np.array_equal(fam.initial_point(data.grouped()), _pooled_start(fam, data.grouped()))
+
+    @pytest.mark.parametrize(
+        "name,taus,bits,weights",
+        [
+            # one design, but two parameters
+            ("gaussian-case3", [1.0] * 4, [1, -1, 1, 1], None),
+            # the +1 fraction falls as the threshold rises: sigma < 0
+            ("gaussian-case3", [0.5, 0.5, 0.5, 2.0, 2.0, 2.0], [1, 1, -1, 1, -1, -1], None),
+            ("gaussian-case2", [1.0] * 4, [1, -1, -1, -1], None),
+            # a design with only +1 bits leaves one usable design of two
+            ("gaussian-case3", [0.5, 0.5, 2.0, 2.0, 2.0], [1, -1, 1, 1, 1], None),
+            # only one-sided designs
+            ("gaussian-case1", [0.5, 0.5, 2.0, 2.0], [1, 1, -1, -1], None),
+            ("gaussian-case2", [0.5, 0.5, 2.0, 2.0], [-1, -1, 1, 1], None),
+            # thresholds proportional to the weights: a rank-deficient system
+            ("gaussian-case3", [1.0, 1.0, 2.0, 2.0], [1, -1, 1, -1], [1.0, 1.0, 2.0, 2.0]),
+        ],
+    )
+    def test_fallback_is_the_pooled_start(self, name, taus, bits, weights):
+        fam, data = _gaussian(name, taus, bits, weights)
+        assert np.array_equal(fam.initial_point(data.grouped()), _pooled_start(fam, data.grouped()))
+
+    @pytest.mark.parametrize("name", GAUSSIANS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fit_agrees_with_the_pooled_start_fit(self, name, seed):
+        fam, _, data = repeated_rows(name, np.random.default_rng(seed), max_reps=30)
+        grouped = data.grouped()
+        try:
+            old = fit(fam, data, FitConfig(initial_points=[_pooled_start(fam, grouped)]))
+        except BitGlmError:
+            return
+        if not old.converged:
+            return
+        new = fit(fam, data, FitConfig(multistart_count=1))
+        assert new.converged
+        # each estimate is within about |score| / lambda_min of the exact
+        # maximizer, which on flat likelihoods exceeds the rounding term; a
+        # singular information (one case-3 design: a ridge) has no unique one
+        lam = np.linalg.eigvalsh(new.observed_information)[0]
+        slack = 2.0 * (new.final_score_norm + old.final_score_norm) / lam if lam > 0 else np.inf
+        got, want = new.theta_hat.values, old.theta_hat.values
+        assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want) + slack)

@@ -58,6 +58,21 @@ class TestCensoredDataset:
         data = CensoredDataset([1, -1], designs)
         assert data.n == 2
 
+    @pytest.mark.parametrize(
+        "bits",
+        [[1.0, 0.5], [-1.0, 1.5], [True, False], [0, 1], [0, 0], [np.nan, 1.0], [1, 2]],
+    )
+    def test_bits_other_than_signs_raise(self, bits):
+        designs = DesignSet(np.ones((2, 1, 1)), np.zeros(2))
+        with pytest.raises(ValueError, match="bits must be -1 or"):
+            CensoredDataset(bits, designs)
+
+    @pytest.mark.parametrize("bits", [[1.0, -1.0], [True, True], np.array([-1, 1], np.int8)])
+    def test_bits_equal_to_signs_are_kept(self, bits):
+        data = CensoredDataset(bits, DesignSet(np.ones((2, 1, 1)), np.zeros(2)))
+        assert data.bits.dtype == np.int8
+        assert np.array_equal(data.bits, np.asarray(bits, dtype=float))
+
     def test_mixed_design_shapes_rejected(self):
         pair = [
             (1, ObservationDesign([[1.0]], 0.0)),
@@ -192,3 +207,37 @@ class TestGrouped:
         h = data.permuted([1, 0, 2]).grouped()
         assert np.array_equal(g.designs.V, h.designs.V)
         assert not np.signbit(h.designs.V).any()
+
+
+class TestDesignTally:
+    def test_counts_per_design_over_rows_and_groups(self, rng):
+        data = _mixed_rows(rng, n=80)
+        doubled = CensoredDataset(data.bits, data.designs, 2 * data.counts)
+        shuffled = doubled.permuted(rng.permutation(80))
+        for d, scale in ((data, 1), (data.grouped(), 1), (shuffled, 2)):
+            rows, totals, plus = d.design_tally()
+            assert len(rows) == 3  # (w, aux): (1, 0), (2, 0), (1, 1); one threshold
+            for r, total, p in zip(rows, totals, plus):
+                same = np.all(data.designs.V == d.designs.V[r], axis=(1, 2)) & (
+                    data.designs.aux == d.designs.aux[r]
+                )
+                assert total == scale * np.count_nonzero(same)
+                assert p == scale * np.count_nonzero(same & (data.bits > 0))
+
+    def test_distinct_thresholds_make_one_design_per_row(self):
+        V = np.ones((4, 1, 1))
+        data = CensoredDataset([1, -1, -1, 1], DesignSet(V, [0.3, -1.0, 2.0, 0.5]), [2, 1, 3, 1])
+        rows, totals, plus = data.design_tally()
+        assert list(rows) == [1, 0, 3, 2]  # sorted by threshold
+        assert list(totals) == [1, 2, 1, 3]
+        assert list(plus) == [0, 2, 1, 0]
+
+    def test_shared_threshold_split_by_design(self):
+        V = np.array([[[1.0]], [[2.0]], [[1.0]], [[2.0]], [[1.0]]])
+        data = CensoredDataset([1, 1, -1, 1, 1], DesignSet(V, [0.5, 0.5, 0.5, 0.5, 0.7]))
+        rows, totals, plus = data.design_tally()
+        got = sorted(
+            (float(data.designs.V[r, 0, 0]), float(data.designs.taus[r]), int(t), int(p))
+            for r, t, p in zip(rows, totals, plus)
+        )
+        assert got == [(1.0, 0.5, 2, 1), (1.0, 0.7, 1, 1), (2.0, 0.5, 2, 2)]
