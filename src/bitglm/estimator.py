@@ -20,11 +20,12 @@ are reproducible bit for bit.  The Gaussian families start at the
 per-design probit inversion (Berkson's minimum-chi-square start): where
 designs repeat, each design's +1 fraction p_j gives Phi^-1(p_j), which is
 linear in a reparameterisation of theta, and a weighted least-squares fit
-of those values is the start.  With exactly k designs seen with both bits
-it is the MLE itself, so such a fit converges at its first iteration.  With
-fewer such designs (every i.i.d. dataset), a rank-deficient system or a
-solution outside the domain, they fall back to a pooled start built from
-the overall bit fraction and mean threshold.
+of those values is the start.  With exactly k designs, each seen with both
+bits and none one-sided, it is the MLE itself, so such a fit converges at
+its first iteration.  With fewer than k designs seen with both bits (every
+i.i.d. dataset), a rank-deficient system or a solution outside the domain,
+they fall back to a pooled start built from the overall bit fraction and
+mean threshold.
 """
 
 from dataclasses import dataclass

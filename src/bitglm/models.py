@@ -54,10 +54,12 @@ def _probit_start(family, data, regressors, to_theta):
     Gaussian family writes as linear in a reparameterisation beta of theta:
     q_j = offset_j + X_j beta, with ``(X, offset) = regressors(V, taus, aux)``
     over the usable designs.  Solves that system by least squares weighted
-    by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns ``to_theta(beta)``; with
-    exactly k usable designs this is the MLE.  Returns None when fewer than
-    k designs are usable, the system is rank-deficient, or the solution lies
-    outside the domain (``to_theta`` gives None).
+    by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns ``to_theta(beta)``.  With
+    exactly k designs, every one of them usable, this is the MLE.  A
+    one-sided design adds nothing to the regression but still counts in the
+    likelihood, so with one the MLE lies further on.  Returns None when
+    fewer than k designs are usable, the system is rank-deficient, or the
+    solution lies outside the domain (``to_theta`` gives None).
     """
     rows, totals, plus = data.design_tally()
     usable = (plus > 0) & (plus < totals)

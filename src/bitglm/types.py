@@ -327,15 +327,8 @@ class CensoredDataset:
         of them have bit +1.  Designs come sorted by threshold first.
         """
         n, designs = self.n, self.designs
-        order = np.argsort(designs.taus)
-        s = designs.taus[order]
-        if np.all(s[1:] != s[:-1]):
-            # distinct thresholds: every row is its own design, and the
-            # unstable sort already gives the one order
-            starts = np.arange(n)
-        else:
-            aux = [] if designs.aux is None else [designs.aux]
-            order, starts = _runs([*designs.V.reshape(n, -1).T, *aux, designs.taus])
+        aux = [] if designs.aux is None else [designs.aux]
+        order, starts = _runs([*designs.V.reshape(n, -1).T, *aux, designs.taus])
         counts = self.counts[order]
         plus = np.where(self.bits[order] > 0, counts, 0)
         return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)

@@ -350,7 +350,8 @@ FIG1_TRIALS = [
 class TestProbitStart:
     """The Gaussian families start at the per-design probit inversion:
     Berkson's minimum-chi-square fit of Phi^-1(p_j) over the designs seen
-    with both bits, the MLE itself when there are exactly k of them."""
+    with both bits, the MLE itself when there are exactly k designs and
+    every one of them is seen with both bits."""
 
     @pytest.mark.parametrize("name,n,trial", FIG1_TRIALS)
     def test_fig1_start_is_the_closed_form_mle(self, name, n, trial):
@@ -380,6 +381,21 @@ class TestProbitStart:
         else:
             want = [(q / (0.9 - 0.2)) ** 2]  # 1/sigma^2 with q = (tau - mean)/sigma
         assert_allclose(fam.initial_point(data.grouped()), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", GAUSSIANS)
+    def test_a_one_sided_design_moves_the_mle_off_the_start(self, name):
+        # k designs seen with both bits, plus one whose 5 bits are all +1: it
+        # adds nothing to the regression but still pulls on the likelihood
+        taus, bits = [0.9] * 4, [1, 1, -1, 1]
+        if name == "gaussian-case3":
+            taus, bits = taus + [2.5] * 10, bits + [1] * 9 + [-1]
+        fam_usable, usable = _gaussian(name, taus, bits)
+        fam, data = _gaussian(name, taus + [4.0] * 5, bits + [1] * 5)
+        start = fam.initial_point(data.grouped())
+        assert_allclose(start, fam_usable.initial_point(usable.grouped()), rtol=1e-12)
+        res = fit(fam, data, FitConfig(multistart_count=1))
+        assert res.converged and res.iterations > 1
+        assert not np.allclose(res.theta_hat.values, start, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):

@@ -6,9 +6,10 @@ Run from anywhere inside the repository:
         --workload info-sweep --seeds 31-40 --about "what the change does"
 
 Each side is a fresh copy of ``src/`` and ``bench/``: the parent is
-extracted from ``--parent`` (default ``HEAD``) with ``git archive``; the
-change is extracted from ``--change`` the same way, or copied from the
-working tree when ``--change`` is not given.  For every workload and seed
+extracted from ``--parent`` (default ``HEAD``) with ``git archive``, and the
+change is copied from the working tree.  To measure a committed change, check
+it out and pass its parent, e.g. ``--parent HEAD~1``; the script exits with
+an error when the two sides' ``src/`` and ``bench/`` are the same.  For every workload and seed
 the script runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once on each side, one process at a time, alternating which side goes first
 (parent first on odd seeds).  It then reports, per workload and end-to-end
@@ -137,7 +138,6 @@ def parse_args(argv):
     p.add_argument("--seeds", default="11-20", help="'lo-hi' or a comma list (default 11-20)")
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
-    p.add_argument("--change", default=None, help="change revision (default: the working tree)")
     p.add_argument("--trace-seed", type=int, default=None,
                    help="also run --trace 1 --seconds 10 at this seed on each side")
     p.add_argument("--about", default="", help="one-paragraph description of the change")
@@ -150,22 +150,16 @@ def main(argv=None):
     seeds = parse_seeds(args.seeds)
     bench_spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     out_path = root / f"BENCH_{args.label}.json"
-    revs = {"parent": subprocess.run(
+    parent = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=root, capture_output=True, text=True, check=True
-    ).stdout.strip()}
-    if args.change:
-        revs["change"] = subprocess.run(
-            ["git", "rev-parse", args.change], cwd=root, capture_output=True, text=True, check=True
-        ).stdout.strip()
+    ).stdout.strip()
+    if subprocess.run(["git", "diff", "--quiet", parent, "--", *TREES], cwd=root).returncode == 0:
+        sys.exit(f"the working tree's {' and '.join(TREES)} match {args.parent}: nothing to compare")
 
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         dirs = {side: Path(tmp) / side for side in ("parent", "change")}
-        for side, d in dirs.items():
-            d.mkdir()
-            if side in revs:
-                extract(root, revs[side], d)
-            else:
-                copy_worktree(root, d)
+        extract(root, parent, dirs["parent"])
+        copy_worktree(root, dirs["change"])
 
         machine = {}
         runs = {w: [] for w in args.workloads}
@@ -199,8 +193,7 @@ def main(argv=None):
             "end_to_end": (
                 f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
                 "--trace 0, run in fresh copies of src/ and bench/ of the parent "
-                f"({revs['parent'][:12]}) and of the change "
-                f"({revs['change'][:12] if 'change' in revs else 'working tree'}), one process "
+                f"({parent[:12]}) and of the change (working tree), one process "
                 "at a time, alternating which side runs first (odd seeds parent first), "
                 f"seeds {args.seeds} ({len(seeds)} pairs per workload); median and quartiles "
                 "(statistics.quantiles, n=4); change_wins counts pairs in which the change "
