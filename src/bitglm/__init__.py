@@ -37,7 +37,6 @@ from .likelihood import (
     hessian,
     log_likelihood,
     score,
-    third_derivative_tensor,
 )
 from .models import (
     REGISTRY,
@@ -68,7 +67,6 @@ from .montecarlo import (
     check_consistency_conditions,
     generate_and_censor,
     run_mse_experiment,
-    uncensored_mle,
 )
 from .types import CensoredDataset, DesignSet, ObservationDesign, ParameterVector
 
@@ -94,7 +92,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "hessian",
-    "third_derivative_tensor",
     # models
     "REGISTRY",
     "GaussianCase1",
@@ -136,5 +133,4 @@ __all__ = [
     "run_mse_experiment",
     "check_asymptotic_normality",
     "check_consistency_conditions",
-    "uncensored_mle",
 ]

@@ -1,4 +1,4 @@
-"""Poisson tail probabilities and partial moments.
+"""Poisson tail probabilities and the probability mass function.
 
 The CDF and the survival function are scipy's regularized incomplete
 gamma ratios ``pdtr`` and ``pdtrc`` (DiDonato & Morris, ACM TOMS 12(4),
@@ -68,23 +68,3 @@ def poisson_pmf(x, lam):
     out = np.exp(x * np.log(lam) - lam - special.gammaln(x + 1.0))
     return np.where(x < 0, 0.0, out)
 
-
-def poisson_partial_moments(t, lam):
-    """(F(t), E[X 1{X<=t}], E[X^2 1{X<=t}], E[X^3 1{X<=t}]) elementwise.
-
-    Uses the factorial-shift identities
-        E[X   1{X<=t}] = lam * F(t-1)
-        E[X^2 1{X<=t}] = lam^2 * F(t-2) + lam * F(t-1)
-        E[X^3 1{X<=t}] = lam^3 * F(t-3) + 3 lam^2 * F(t-2) + lam * F(t-1)
-    so only shifted CDF evaluations are needed.
-    """
-    t = np.asarray(t, dtype=np.int64)
-    lam = np.asarray(lam, dtype=float)
-    f0 = poisson_cdf(t, lam)
-    f1 = poisson_cdf(t - 1, lam)
-    f2 = poisson_cdf(t - 2, lam)
-    f3 = poisson_cdf(t - 3, lam)
-    s1 = lam * f1
-    s2 = lam * lam * f2 + lam * f1
-    s3 = lam**3 * f3 + 3.0 * lam * lam * f2 + lam * f1
-    return f0, s1, s2, s3

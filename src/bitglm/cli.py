@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 degenerate model input,
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -32,7 +33,7 @@ from .exceptions import (
     NonIdentifiable,
     NumericalError,
 )
-from .types import CensoredDataset, DesignSet
+from .types import CensoredDataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,71 +92,51 @@ def _floats(value, count, path):
     raise ConfigError("expected a number or a list of numbers", location=path)
 
 
+def _family_class(model, path, keys):
+    """The family class a model section names, once the section is checked
+    to hold exactly ``name`` and the keys ``keys(cls)`` lists."""
+    # ``optional=model`` allows every key present: only the type and
+    # ``name`` are checked before the family is known
+    _check_keys(model, path, required=("name",), optional=model)
+    cls = models.REGISTRY.get(model["name"]) if isinstance(model["name"], str) else None
+    if cls is None:
+        raise ConfigError(f"unknown model {model['name']!r}", location=f"{path}.name")
+    _check_keys(model, path, required=("name", *keys(cls)))
+    return cls
+
+
+def _model_values(model, cls, keys, n, path):
+    """``keys`` of a checked model section as floats, the family's
+    per-observation key as n of them."""
+    out = {}
+    for key in keys:
+        if key != cls.per_obs_key:
+            out[key] = float(model[key])
+            continue
+        out[key] = _floats(model[key], n, f"{path}.{key}")
+        if out[key].shape[0] != n:
+            raise ConfigError(
+                f"{key} lists {out[key].shape[0]} entries but there are {n} observations",
+                location=f"{path}.{key}",
+            )
+    return out
+
+
 def build_model_instance(doc, path="model"):
     """(family, theta0, designs) from a model+thresholds config section."""
     _check_keys(doc, "<root>", required=("model", "thresholds"), optional=("count", "fit"))
-    count = doc.get("count")
     model = doc["model"]
-    _check_keys(
-        model,
-        path,
-        required=("name",),
-        optional=("alpha", "sigma", "theta", "weights", "means", "covariates"),
-    )
-    name = model["name"]
-    if name not in models.REGISTRY:
-        raise ConfigError(f"unknown model {name!r}", location=f"{path}.name")
-    taus = _floats(doc["thresholds"], count, "thresholds")
-    n = taus.shape[0]
-
-    def need(key):
-        if key not in model:
-            raise ConfigError(f"model {name!r} requires {key!r}", location=path)
-        return model[key]
-
-    if name == "gaussian-case1":
-        family = models.GaussianCase1(
-            _floats(need("weights"), n, f"{path}.weights"), sigma=float(need("sigma"))
-        )
-        theta0 = np.array([float(need("alpha"))])
-    elif name == "gaussian-case2":
-        family = models.GaussianCase2(means=_floats(need("means"), n, f"{path}.means"))
-        theta0 = np.array([1.0 / float(need("sigma")) ** 2])
-    elif name == "gaussian-case3":
-        family = models.GaussianCase3(_floats(need("weights"), n, f"{path}.weights"))
-        theta0 = models.GaussianCase3.natural_from_alpha_sigma2(
-            float(need("alpha")), float(need("sigma")) ** 2
-        )
-    else:  # poisson
-        family = models.PoissonModel(
-            covariates=_floats(need("covariates"), n, f"{path}.covariates")
-        )
-        theta0 = np.array([float(need("theta"))])
-    per_obs = getattr(family, "weights", None)
-    if per_obs is None:
-        per_obs = getattr(family, "means", getattr(family, "covariates", None))
-    if per_obs is not None and per_obs.shape[0] != n:
-        raise ConfigError(
-            f"per-observation arrays list {per_obs.shape[0]} entries but there "
-            f"are {n} thresholds",
-            location=path,
-        )
+    cls = _family_class(model, path, lambda c: (c.per_obs_key, *c.param_keys))
+    taus = _floats(doc["thresholds"], doc.get("count"), "thresholds")
+    params = _model_values(model, cls, (cls.per_obs_key, *cls.param_keys), taus.shape[0], path)
+    family, theta0 = cls.from_params(params.pop(cls.per_obs_key), params)
     return family, theta0, family.design_set(taus)
 
 
 def _build_fit_config(doc, path="fit", seed_override=None):
-    _check_keys(
-        doc,
-        path,
-        optional=(
-            "max_iterations",
-            "gradient_tolerance",
-            "multistart_count",
-            "seed",
-            "backtracking_factor",
-            "sufficient_increase",
-        ),
-    )
+    # every solver setting but explicit starts, which configs cannot give
+    keys = [f.name for f in dataclasses.fields(FitConfig) if f.name != "initial_points"]
+    _check_keys(doc, path, optional=keys)
     kwargs = dict(doc)
     if seed_override is not None:
         kwargs["seed"] = int(seed_override)
@@ -165,19 +146,15 @@ def _build_fit_config(doc, path="fit", seed_override=None):
         raise ConfigError(str(err), location=path) from err
 
 
-_RULE_KEYS = ("kind", "value", "values", "probabilities", "low", "high", "mu", "sd")
-
-
-def _build_weights_rule(doc, path):
-    _check_keys(doc, path, required=("kind",), optional=("value", "values", "low", "high"))
+def _build_rule(rule_cls, doc, path):
+    """A WeightsRule or ThresholdRule from its config object."""
+    keys = [f.name for f in dataclasses.fields(rule_cls)]
+    _check_keys(doc, path, required=("kind",), optional=keys)
     tupled = {k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()}
-    return montecarlo.WeightsRule(**tupled)
-
-
-def _build_threshold_rule(doc, path):
-    _check_keys(doc, path, required=("kind",), optional=_RULE_KEYS[1:])
-    tupled = {k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()}
-    return montecarlo.ThresholdRule(**tupled)
+    try:
+        return rule_cls(**tupled)
+    except (ConfigError, TypeError, ValueError) as err:
+        raise ConfigError(str(err), location=path) from err
 
 
 _EXPERIMENT_KEYS = dict(
@@ -201,12 +178,14 @@ def build_experiment(doc, path="experiment", seed_override=None):
     if not isinstance(doc["true_params"], dict):
         raise ConfigError("true_params must be an object", location=f"{path}.true_params")
     fit_cfg = _build_fit_config(doc.get("fit", {}), f"{path}.fit")
+    weights = _build_rule(montecarlo.WeightsRule, doc["weights"], f"{path}.weights")
+    thresholds = _build_rule(montecarlo.ThresholdRule, doc["thresholds"], f"{path}.thresholds")
     try:
         config = montecarlo.ExperimentConfig(
             model=doc["model"],
             true_params={k: float(v) for k, v in doc["true_params"].items()},
-            weights=_build_weights_rule(doc["weights"], f"{path}.weights"),
-            thresholds=_build_threshold_rule(doc["thresholds"], f"{path}.thresholds"),
+            weights=weights,
+            thresholds=thresholds,
             sample_sizes=tuple(doc["sample_sizes"]),
             trials=int(doc["trials"]),
             seed=int(seed_override if seed_override is not None else doc["seed"]),
@@ -215,7 +194,7 @@ def build_experiment(doc, path="experiment", seed_override=None):
             fit=fit_cfg,
             max_failure_fraction=float(doc.get("max_failure_fraction", 0.05)),
         )
-    except (TypeError, ValueError) as err:
+    except (ConfigError, TypeError, ValueError) as err:
         raise ConfigError(str(err), location=path) from err
     return name, config
 
@@ -244,10 +223,11 @@ def load_experiments(doc, seed_override=None):
 def load_data_file(path, family_section):
     """Read observations: a 'd k' header line, then 'b tau v11 ... vdk' rows.
 
-    ``family_section`` is the config's model object; it supplies fixed
-    structure (sigma, means) that the row format does not carry.
-    Returns (family, CensoredDataset).
+    ``family_section`` is the config's model object; it supplies the
+    family's ``fit_keys`` (sigma, means), which the row format does not
+    carry.  Returns (family, CensoredDataset).
     """
+    cls = _family_class(family_section, "model", lambda c: c.fit_keys)
     rows = []
     header = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -290,30 +270,13 @@ def load_data_file(path, family_section):
     V = np.stack([v for _, _, v in rows])
     n = bits.shape[0]
 
-    name = family_section["name"]
-    if name == "gaussian-case1":
-        sigma = float(family_section["sigma"])
-        family = models.GaussianCase1(V[:, 0, 0] * sigma**2, sigma=sigma)
-        designs = DesignSet(V, taus)
-    elif name == "gaussian-case2":
-        means = _floats(family_section["means"], n, "model.means")
-        if means.shape[0] != n:
-            raise ConfigError(f"model.means must list {n} entries (one per data row)")
-        family = models.GaussianCase2(means=means)
-        designs = DesignSet(V, taus, aux=means)
-    elif name == "gaussian-case3":
-        family = models.GaussianCase3(V[:, 0, 0])
-        designs = DesignSet(V, taus)
-    elif name == "poisson":
-        family = models.PoissonModel(covariates=V[:, 0, 0])
-        designs = DesignSet(V, taus)
-    else:
-        raise ConfigError(f"unknown model {name!r}", location="model.name")
-    if (designs.d, designs.k) != (family.d, family.k):
+    if (d, k) != (cls.d, cls.k):
         raise ConfigError(
-            f"data file declares d={d}, k={k} but model {name!r} needs "
-            f"d={family.d}, k={family.k}"
+            f"data file declares d={d}, k={k} but model {cls.name!r} needs "
+            f"d={cls.d}, k={cls.k}"
         )
+    section = _model_values(family_section, cls, cls.fit_keys, n, "model")
+    family, designs = cls.from_data(V, taus, section)
     family.check_designs(designs)
     return family, CensoredDataset(bits, designs)
 
@@ -366,8 +329,10 @@ def _emit(args, payload, human_lines):
             _print(line)
 
 
-def _write_json_report(args, manifest, payload, filename):
+def _write_json_report(args, doc, payload, filename, seed=None):
+    """With ``--out``, ``payload`` as ``filename`` and its manifest."""
     if args.out:
+        manifest = _Manifest(args.command, doc, args.config, seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / filename
@@ -428,14 +393,8 @@ def cmd_fim(args):
         rows = _threshold_sweep(family, theta0, designs, _parse_sweep(args.sweep))
         label = "information" if family.k == 1 else "det_information"
         payload = {"model": family.name, "sweep": [[t, v] for t, v in rows], "value": label}
-        if args.json:
-            _print(json.dumps(payload, indent=2))
-        else:
-            _print(f"tau,{label}")
-            for t, v in rows:
-                _print(f"{t!r},{v!r}")
-        manifest = _Manifest("fim", doc, args.config, None)
-        _write_json_report(args, manifest, payload, "fim-sweep.json")
+        _emit(args, payload, [f"tau,{label}", *(f"{t!r},{v!r}" for t, v in rows)])
+        _write_json_report(args, doc, payload, "fim-sweep.json")
         return EXIT_OK
     report = fisher.dpi_check(family, theta0, designs)
     j, i = report.censored, report.uncensored
@@ -465,8 +424,7 @@ def cmd_fim(args):
     if "censored_to_uncensored_ratio" in payload:
         lines.append(f"censored/uncensored ratio: {payload['censored_to_uncensored_ratio']:.12g}")
     _emit(args, payload, lines)
-    manifest = _Manifest("fim", doc, args.config, None)
-    _write_json_report(args, manifest, payload, "fim.json")
+    _write_json_report(args, doc, payload, "fim.json")
     return EXIT_OK
 
 
@@ -502,8 +460,7 @@ def cmd_fit(args):
         f"observed information: {np.array2string(result.observed_information, precision=6)}",
     ]
     _emit(args, payload, lines)
-    manifest = _Manifest("fit", doc, args.config, fit_cfg.seed)
-    _write_json_report(args, manifest, payload, "fit.json")
+    _write_json_report(args, doc, payload, "fit.json", fit_cfg.seed)
     return EXIT_OK
 
 
@@ -512,9 +469,7 @@ def cmd_simulate(args):
     experiments = load_experiments(doc, seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(
-        "simulate", doc, args.config, args.seed if args.seed is not None else None
-    )
+    manifest = _Manifest("simulate", doc, args.config, args.seed)
     for name, config in experiments:
         table = montecarlo.run_mse_experiment(config)
         csv_text = table.to_csv()
@@ -574,8 +529,7 @@ def cmd_check_conditions(args):
             f"min eigenvalue {posdef.min_eigenvalue:.6g})"
         )
     _emit(args, payload, lines)
-    manifest = _Manifest("check-conditions", doc, args.config, None)
-    _write_json_report(args, manifest, payload, "conditions.json")
+    _write_json_report(args, doc, payload, "conditions.json")
     return EXIT_OK
 
 

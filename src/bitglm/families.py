@@ -11,13 +11,16 @@ Design notes
   DesignSet (plus a bits array where relevant) and return stacked arrays.
 * The primitive conditional quantities are the *deviations*
   E[T|B=b] - E[T] and Cov(T|B=b) - Cov(T), for which every concrete
-  family has a cancellation-free closed form.  The plain conditional
-  moments are derived from them.  The score, the Hessian and all Fisher
+  family has a cancellation-free closed form.  ``cond_devs_T`` is the one
+  route that returns both; the plain conditional moments, the Hessian and
+  the curvature route to the information are derived from it, and
+  ``cond_mean_dev_T`` is its first half, which families override with a
+  cheaper mean-only pass.  The score, the Hessian and all Fisher
   information assemblies consume only the deviations, which is what lets
   independent computation routes agree to ~1e-10 instead of ~1e-6.
-* ``log_base_measure`` is carried for completeness of the density
-  specification; no operation in this package consumes it (it cancels
-  from every censored-likelihood quantity).
+* A family also owns what the CLI and the Monte Carlo harness need to
+  build it: the config keys it reads (``per_obs_key``, ``param_keys``,
+  ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
 """
 
 import abc
@@ -42,6 +45,12 @@ class ModelFamily(abc.ABC):
     d = None
     #: parameter dimension
     k = None
+    #: config key of the per-observation constant, e.g. "weights"
+    per_obs_key = None
+    #: reporting parameters a model config or ``true_params`` gives
+    param_keys = ()
+    #: model-section keys a ``fit`` config gives besides ``name``
+    fit_keys = ()
 
     # -- parameter domain ------------------------------------------------
     @property
@@ -60,14 +69,14 @@ class ModelFamily(abc.ABC):
     def log_partition(self, theta, designs):
         """phi(eta_i) per observation, shape (n,)."""
 
-    @abc.abstractmethod
-    def log_base_measure(self, x, designs):
-        """log h(x_i) per observation; unused by any operation here."""
-
     # -- designs -----------------------------------------------------------
-    @abc.abstractmethod
     def check_designs(self, designs):
-        """Validate shapes, thresholds interior to the support, aux data."""
+        """Validate shapes, thresholds interior to the support, aux data.
+
+        Defaults to the shape checks of ``DesignSet.coerce``, which is all a
+        family whose support is the whole real line needs.
+        """
+        DesignSet.coerce(designs)
 
     # -- censoring ----------------------------------------------------------
     @abc.abstractmethod
@@ -84,24 +93,17 @@ class ModelFamily(abc.ABC):
         """Cov(T_i), shape (n, d, d)."""
 
     @abc.abstractmethod
-    def cond_mean_dev_T(self, theta, designs, bits):
-        """E[T_i | B_i=b_i] - E[T_i], shape (n, d), cancellation-free."""
-
-    @abc.abstractmethod
-    def cond_cov_dev_T(self, theta, designs, bits):
-        """Cov(T_i | B_i=b_i) - Cov(T_i), shape (n, d, d)."""
-
     def cond_devs_T(self, theta, designs, bits):
-        """(mean deviation, covariance deviation) in one pass.
+        """(E[T_i | B_i=b_i] - E[T_i], Cov(T_i | B_i=b_i) - Cov(T_i)),
+        shapes (n, d) and (n, d, d), cancellation-free and in one pass."""
 
-        Solvers call this once per iteration; families with shared
-        intermediate quantities (standardized thresholds, hazard ratios)
-        override it to avoid recomputing them.
+    def cond_mean_dev_T(self, theta, designs, bits):
+        """E[T_i | B_i=b_i] - E[T_i], shape (n, d).
+
+        The first half of :meth:`cond_devs_T`; the concrete families
+        override it with a pass that skips the covariance.
         """
-        return (
-            self.cond_mean_dev_T(theta, designs, bits),
-            self.cond_cov_dev_T(theta, designs, bits),
-        )
+        return self.cond_devs_T(theta, designs, bits)[0]
 
     def conditional_mean_T(self, theta, designs, bits):
         """E[T_i | B_i=b_i], shape (n, d)."""
@@ -109,17 +111,9 @@ class ModelFamily(abc.ABC):
 
     def conditional_cov_T(self, theta, designs, bits):
         """Cov(T_i | B_i=b_i), shape (n, d, d)."""
-        return self.cov_T(theta, designs) + self.cond_cov_dev_T(theta, designs, bits)
+        return self.cov_T(theta, designs) + self.cond_devs_T(theta, designs, bits)[1]
 
-    # -- optional diagnostics --------------------------------------------------
-    def third_central_T(self, theta, designs):
-        """Third central moment tensor of T_i, shape (n, d, d, d)."""
-        raise NotImplementedError(f"{self.name} does not provide third central moments")
-
-    def cond_third_central_T(self, theta, designs, bits):
-        """Third central moment tensor of T_i given B_i=b_i."""
-        raise NotImplementedError(f"{self.name} does not provide third central moments")
-
+    # -- moment conditions -------------------------------------------------------
     @abc.abstractmethod
     def third_abs_moment_T(self, theta, designs):
         """E[||T_i||^3] per observation, shape (n,)."""
@@ -128,6 +122,27 @@ class ModelFamily(abc.ABC):
     @abc.abstractmethod
     def sample(self, theta, designs, rng):
         """Draw one X_i per observation, shape (n,)."""
+
+    # -- construction from configs and data ---------------------------------------
+    @classmethod
+    def from_params(cls, values, params):
+        """(family, theta0) from the per-observation constants ``values``
+        and a dict of the reporting parameters ``param_keys``.  Defaults to
+        ``cls(values)`` at the coordinates ``moment_labels`` names."""
+        family = cls(values)
+        return family, family.from_moment([params[key] for key in family.moment_labels()])
+
+    @classmethod
+    def from_data(cls, V, taus, section):
+        """(family, designs) for data rows (V, taus); ``section`` maps the
+        ``fit_keys`` to their values.  Defaults to a family whose constant
+        per observation is its design's first entry."""
+        return cls(V[:, 0, 0]), DesignSet(V, taus)
+
+    @abc.abstractmethod
+    def uncensored_mle(self, designs, x):
+        """Maximum-likelihood theta from the raw observations ``x``; raises
+        NonIdentifiable where it has no finite value."""
 
     # -- fitting ----------------------------------------------------------------
     def initial_point(self, data):

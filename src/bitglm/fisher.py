@@ -18,14 +18,14 @@ cannot create information, so I_n - J_n must be positive semidefinite;
 ``dpi_check`` verifies that numerically.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import likelihood
 from .exceptions import DegenerateThreshold
-from .types import CensoredDataset, DesignSet
+from .likelihood import _theta_values
+from .types import DesignSet
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
 PSD_TOLERANCE = -1e-10
@@ -72,29 +72,26 @@ class FimResult:
         return self.matrix.shape[0]
 
 
-def _theta_values(model, theta):
-    values = np.atleast_1d(np.asarray(getattr(theta, "values", theta), dtype=float))
-    model.check_theta(values)
-    return values
-
-
-def _check_thresholds(f, model_name):
+def _censoring(model, theta, designs):
+    """(theta, designs, P(X_i <= tau_i)); DegenerateThreshold where a
+    censoring probability is numerically 0 or 1."""
+    theta = _theta_values(model, theta)
+    designs = DesignSet.coerce(designs)
+    f = model.prob_leq(theta, designs)
     bad = (f <= 0.0) | (f >= 1.0)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise DegenerateThreshold(
-            f"{model_name} design {idx}: censoring probability is numerically 0 or 1",
+            f"{model.name} design {idx}: censoring probability is numerically 0 or 1",
             index=idx,
         )
+    return theta, designs, f
 
 
 def fim_censored(model, theta, designs, keep_terms=False):
     """Information carried by the bits: per observation, the two-point
     covariance of E[T | B] sandwiched by the design matrix."""
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    f = model.prob_leq(theta, designs)
-    _check_thresholds(f, model.name)
+    theta, designs, f = _censoring(model, theta, designs)
 
     plus = np.ones(designs.n, dtype=np.int8)
     # per-bit scores g_b = V^T (E[T | b] - E[T]), shape (n, k)
@@ -130,10 +127,7 @@ def fim_numeric_oracle(model, theta, designs, keep_terms=False):
     """Independent check of the censored information: enumerate both bits
     per observation and average the outer product of the score computed by
     the likelihood module."""
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    f = model.prob_leq(theta, designs)
-    _check_thresholds(f, model.name)
+    theta, designs, f = _censoring(model, theta, designs)
 
     k = designs.k
     terms = np.empty((designs.n, k, k))
@@ -150,14 +144,11 @@ def fim_numeric_oracle(model, theta, designs, keep_terms=False):
 def negative_expected_hessian(model, theta, designs, keep_terms=False):
     """-E[Hessian] with the expectation enumerated over both bit values;
     equals the censored information by the information-matrix equality."""
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    f = model.prob_leq(theta, designs)
-    _check_thresholds(f, model.name)
+    theta, designs, f = _censoring(model, theta, designs)
 
     plus = np.ones(designs.n, dtype=np.int8)
-    dev_p = model.cond_cov_dev_T(theta, designs, plus)
-    dev_m = model.cond_cov_dev_T(theta, designs, -plus)
+    dev_p = model.cond_devs_T(theta, designs, plus)[1]
+    dev_m = model.cond_devs_T(theta, designs, -plus)[1]
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
     return _sandwich(designs.V, inner, keep_terms)

@@ -42,10 +42,8 @@ def censored_prob(model, theta, design, b):
     """
     if b not in (-1, 1):
         raise ValueError("bit must be -1 or +1")
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce([design])
-    f = float(model.prob_leq(theta, designs)[0])
-    return f if b == 1 else 1.0 - f
+    data = CensoredDataset(np.array([b]), DesignSet.coerce([design]))
+    return float(bit_probabilities(model, theta, data)[0])
 
 
 def _per_row(terms, data):
@@ -69,38 +67,11 @@ def log_likelihood(model, theta, data):
     return math.fsum(_per_row(np.log(probs), data))
 
 
-def score(model, theta, data):
-    """Gradient of the censored log-likelihood, shape (k,)."""
-    theta = _theta_values(model, theta)
-    probs = bit_probabilities(model, theta, data)
-    _check_not_degenerate(probs)
-    dev = _per_row(model.cond_mean_dev_T(theta, data.designs, data.bits), data)  # (n, d)
-    V = data.designs.V
-    n, d, k = V.shape
-    return V.reshape(n * d, k).T @ dev.reshape(n * d)
-
-
-def hessian(model, theta, data):
-    """Hessian of the censored log-likelihood, shape (k, k).
-
-    Symmetrized after assembly to remove floating-point asymmetry.
-    """
-    theta = _theta_values(model, theta)
-    probs = bit_probabilities(model, theta, data)
-    _check_not_degenerate(probs)
-    dev = _per_row(model.cond_cov_dev_T(theta, data.designs, data.bits), data)  # (n, d, d)
-    V = data.designs.V
-    n, d, k = V.shape
-    tmp = np.matmul(dev, V)  # (n, d, k)
-    h = V.reshape(n * d, k).T @ tmp.reshape(n * d, k)
-    return 0.5 * (h + h.T)
-
-
 def evaluate(model, theta, data):
     """(log-likelihood, score, hessian) sharing one probability pass.
 
-    Same values as the three separate operations; this is the solver's
-    per-iteration workhorse.
+    The solver's per-iteration workhorse and the one place the score and
+    the Hessian (symmetrized after assembly) are formed.
     """
     theta = _theta_values(model, theta)
     probs = bit_probabilities(model, theta, data)
@@ -116,22 +87,14 @@ def evaluate(model, theta, data):
     return ll, g, 0.5 * (h + h.T)
 
 
-def third_derivative_tensor(model, theta, data):
-    """Third derivative tensor of the censored log-likelihood, shape (k, k, k).
+def score(model, theta, data):
+    """Gradient of the censored log-likelihood, shape (k,)."""
+    return evaluate(model, theta, data)[1]
 
-    Diagnostic only; no solver consumes it.  Assembled from the difference
-    of conditional and unconditional third central moments of T contracted
-    with three copies of each design matrix.
-    """
-    theta = _theta_values(model, theta)
-    probs = bit_probabilities(model, theta, data)
-    _check_not_degenerate(probs)
-    k_cond = model.cond_third_central_T(theta, data.designs, data.bits)
-    k_unc = model.third_central_T(theta, data.designs)
-    diff = _per_row(k_cond - k_unc, data)  # (n, d, d, d)
-    V = data.designs.V
-    contrib = np.einsum("nja,nlb,nkc,njlk->nabc", V, V, V, diff)
-    return np.add.reduce(contrib, axis=0)
+
+def hessian(model, theta, data):
+    """Hessian of the censored log-likelihood, shape (k, k)."""
+    return evaluate(model, theta, data)[2]
 
 
 def score_single(model, theta, design, b):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _gauss, _poisson
-from .exceptions import DegenerateThreshold, DomainError, NumericalError
+from .exceptions import DegenerateThreshold, DomainError, NonIdentifiable, NumericalError
 from .families import ModelFamily
 from .types import DesignSet, satisfies_domain
 
@@ -92,6 +92,9 @@ class GaussianCase1(ModelFamily):
     name = "gaussian-case1"
     d = 1
     k = 1
+    per_obs_key = "weights"
+    param_keys = ("alpha", "sigma")
+    fit_keys = ("sigma",)
 
     def __init__(self, weights, sigma):
         self.weights = _as_1d(weights)
@@ -112,9 +115,6 @@ class GaussianCase1(ModelFamily):
         V = (self.weights / self.sigma**2).reshape(-1, 1, 1)
         return DesignSet(V, taus)
 
-    def check_designs(self, designs):
-        DesignSet.coerce(designs)  # support is all of R; any finite tau is interior
-
     def _mu_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
         eta = designs.natural_params(theta)[:, 0]
@@ -126,10 +126,6 @@ class GaussianCase1(ModelFamily):
         theta, designs = self._coerce(theta, designs)
         eta = designs.natural_params(theta)[:, 0]
         return 0.5 * self.sigma**2 * eta**2
-
-    def log_base_measure(self, x, designs):
-        x = _as_1d(x)
-        return -0.5 * x**2 / self.sigma**2 - 0.5 * math.log(2 * math.pi * self.sigma**2)
 
     def prob_leq(self, theta, designs):
         _, z = self._mu_z(theta, designs)
@@ -148,27 +144,12 @@ class GaussianCase1(ModelFamily):
         c = _gauss.signed_hazard(z, bits)
         return (-self.sigma * c)[:, None]
 
-    def cond_cov_dev_T(self, theta, designs, bits):
-        _, z = self._mu_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        return (-self.sigma**2 * c * (z + c))[:, None, None]
-
     def cond_devs_T(self, theta, designs, bits):
         _, z = self._mu_z(theta, designs)
         c = _gauss.signed_hazard(z, bits)
         mean_dev = (-self.sigma * c)[:, None]
         cov_dev = (-self.sigma**2 * c * (z + c))[:, None, None]
         return mean_dev, cov_dev
-
-    def third_central_T(self, theta, designs):
-        n = DesignSet.coerce(designs).n
-        return np.zeros((n, 1, 1, 1))
-
-    def cond_third_central_T(self, theta, designs, bits):
-        _, z = self._mu_z(theta, designs)
-        m1, m2, m3 = _gauss.truncated_std_moments(z, bits, 3)
-        central = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-        return (self.sigma**3 * central)[:, None, None, None]
 
     def third_abs_moment_T(self, theta, designs):
         mu, _ = self._mu_z(theta, designs)
@@ -177,6 +158,25 @@ class GaussianCase1(ModelFamily):
     def sample(self, theta, designs, rng):
         mu, _ = self._mu_z(theta, designs)
         return mu + self.sigma * rng.standard_normal(mu.shape[0])
+
+    @classmethod
+    def from_params(cls, values, params):
+        family = cls(values, sigma=params["sigma"])
+        return family, family.from_moment([params["alpha"]])
+
+    @classmethod
+    def from_data(cls, V, taus, section):
+        """The design entry is w / sigma^2, so the weights are V sigma^2."""
+        sigma = section["sigma"]
+        return cls(V[:, 0, 0] * sigma**2, sigma=sigma), DesignSet(V, taus)
+
+    def uncensored_mle(self, designs, x):
+        """Least squares, alpha = w.x / w.w."""
+        w = DesignSet.coerce(designs).V[:, 0, 0] * self.sigma**2
+        denom = float(w @ w)
+        if denom == 0.0:
+            raise NonIdentifiable("all weights are zero")
+        return np.array([float(w @ x) / denom])
 
     def moment_labels(self):
         return ("alpha",)
@@ -238,6 +238,9 @@ class GaussianCase2(ModelFamily):
     name = "gaussian-case2"
     d = 1
     k = 1
+    per_obs_key = "means"
+    param_keys = ("sigma",)
+    fit_keys = ("means",)
 
     def __init__(self, means):
         self.means = _as_1d(means)
@@ -273,10 +276,6 @@ class GaussianCase2(ModelFamily):
         eta = designs.natural_params(theta)[:, 0]
         return -0.5 * np.log(np.abs(2.0 * eta))
 
-    def log_base_measure(self, x, designs):
-        x = _as_1d(x)
-        return np.full_like(x, -0.5 * math.log(2 * math.pi))
-
     def prob_leq(self, theta, designs):
         _, z = self._sigma_z(theta, designs)
         return _gauss.norm_cdf(z)
@@ -294,30 +293,13 @@ class GaussianCase2(ModelFamily):
         c = _gauss.signed_hazard(z, bits)
         return (-sigma**2 * z * c)[:, None]
 
-    def cond_cov_dev_T(self, theta, designs, bits):
-        # Var((X-mu)^2 | b) - 2 sigma^4 = -sigma^4 * c * z * (z^2 + 1 + z*c)
-        sigma, z = self._sigma_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        dev = -c * z * (z * z + 1.0 + z * c)
-        return (sigma**4 * dev)[:, None, None]
-
     def cond_devs_T(self, theta, designs, bits):
         sigma, z = self._sigma_z(theta, designs)
         c = _gauss.signed_hazard(z, bits)
         mean_dev = (-sigma**2 * z * c)[:, None]
+        # Var((X-mu)^2 | b) - 2 sigma^4 = -sigma^4 * c * z * (z^2 + 1 + z*c)
         cov_dev = (sigma**4 * (-c * z * (z * z + 1.0 + z * c)))[:, None, None]
         return mean_dev, cov_dev
-
-    def third_central_T(self, theta, designs):
-        sigma, z = self._sigma_z(theta, designs)
-        return np.full((z.shape[0], 1, 1, 1), 8.0 * sigma**6)
-
-    def cond_third_central_T(self, theta, designs, bits):
-        sigma, z = self._sigma_z(theta, designs)
-        m = _gauss.truncated_std_moments(z, bits, 6)
-        m2, m4, m6 = m[1], m[3], m[5]
-        central = m6 - 3.0 * m2 * m4 + 2.0 * m2**3
-        return (sigma**6 * central)[:, None, None, None]
 
     def third_abs_moment_T(self, theta, designs):
         sigma, z = self._sigma_z(theta, designs)
@@ -327,6 +309,18 @@ class GaussianCase2(ModelFamily):
         designs = DesignSet.coerce(designs)
         sigma, _ = self._sigma_z(theta, designs)
         return designs.aux + sigma * rng.standard_normal(designs.n)
+
+    @classmethod
+    def from_data(cls, V, taus, section):
+        means = section["means"]
+        return cls(means=means), DesignSet(V, taus, aux=means)
+
+    def uncensored_mle(self, designs, x):
+        """The inverse mean squared deviation from the known means."""
+        ss = float(np.mean((x - DesignSet.coerce(designs).aux) ** 2))
+        if ss <= 0.0:
+            raise NonIdentifiable("zero empirical variance")
+        return np.array([1.0 / ss])
 
     def to_moment(self, theta):
         theta = _as_1d(theta)
@@ -384,6 +378,8 @@ class GaussianCase3(ModelFamily):
     name = "gaussian-case3"
     d = 2
     k = 2
+    per_obs_key = "weights"
+    param_keys = ("alpha", "sigma")
 
     def __init__(self, weights):
         self.weights = _as_1d(weights)
@@ -404,9 +400,6 @@ class GaussianCase3(ModelFamily):
         V[:, 1, 1] = -0.5
         return DesignSet(V, taus)
 
-    def check_designs(self, designs):
-        DesignSet.coerce(designs)
-
     def _mu_sigma_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
         if not theta[1] > 0:
@@ -418,25 +411,11 @@ class GaussianCase3(ModelFamily):
         z = (designs.taus - mu) / sigma
         return mu, sigma, z, designs
 
-    def _lin_map(self, mu, sigma):
-        """Per-observation matrix A with (T - E[T]) = A (Y - E[Y], Y^2 - E[Y^2])
-        for the standardized variable Y; moments of T transform through it."""
-        n = mu.shape[0]
-        A = np.zeros((n, 2, 2))
-        A[:, 0, 0] = sigma
-        A[:, 1, 0] = 2.0 * mu * sigma
-        A[:, 1, 1] = sigma**2
-        return A
-
     def log_partition(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
         eta = designs.natural_params(theta)
         # -eta1^2/(4 eta2) - log(-2 eta2)/2 for eta2 < 0
         return -eta[:, 0] ** 2 / (4.0 * eta[:, 1]) - 0.5 * np.log(-2.0 * eta[:, 1])
-
-    def log_base_measure(self, x, designs):
-        x = _as_1d(x)
-        return np.full_like(x, -0.5 * math.log(2 * math.pi))
 
     def prob_leq(self, theta, designs):
         _, _, z, _ = self._mu_sigma_z(theta, designs)
@@ -463,24 +442,6 @@ class GaussianCase3(ModelFamily):
         dev[:, 1] = -sigma * c * (designs.taus + mu)
         return dev
 
-    def cond_cov_dev_T(self, theta, designs, bits):
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        # standardized deviations: Var(Y|b)-1, Cov(Y,Y^2|b)-0, Var(Y^2|b)-2,
-        # pushed through (T - E[T]) = A (Y - E[Y], Y^2 - E[Y^2]) elementwise
-        d11 = -c * (z + c)
-        d12 = -c * (1.0 + z * z + z * c)
-        d22 = -c * z * (z * z + 1.0 + z * c)
-        s2 = sigma * sigma
-        n = z.shape[0]
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = s2 * d11
-        out[:, 0, 1] = out[:, 1, 0] = 2.0 * mu * s2 * d11 + sigma * s2 * d12
-        out[:, 1, 1] = (
-            4.0 * mu * mu * s2 * d11 + 4.0 * mu * sigma * s2 * d12 + s2 * s2 * d22
-        )
-        return out
-
     def cond_devs_T(self, theta, designs, bits):
         mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
         c = _gauss.signed_hazard(z, bits)
@@ -488,6 +449,9 @@ class GaussianCase3(ModelFamily):
         mean_dev = np.empty((n, 2))
         mean_dev[:, 0] = -sigma * c
         mean_dev[:, 1] = -sigma * c * (designs.taus + mu)
+        # standardized deviations: Var(Y|b)-1, Cov(Y,Y^2|b)-0, Var(Y^2|b)-2,
+        # pushed through T - E[T] = (sigma Y', 2 mu sigma Y' + sigma^2 Y'')
+        # with Y' = Y - E[Y], Y'' = Y^2 - E[Y^2], elementwise
         d11 = -c * (z + c)
         d12 = -c * (1.0 + z * z + z * c)
         d22 = -c * z * (z * z + 1.0 + z * c)
@@ -499,32 +463,6 @@ class GaussianCase3(ModelFamily):
             4.0 * mu * mu * s2 * d11 + 4.0 * mu * sigma * s2 * d12 + s2 * s2 * d22
         )
         return mean_dev, cov_dev
-
-    def third_central_T(self, theta, designs):
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        ky = np.zeros((z.shape[0], 2, 2, 2))
-        # nonzero standard-normal third central moments of (Y, Y^2):
-        # E[Y Y (Y^2-1)] = 2 and E[(Y^2-1)^3] = 8
-        ky[:, 0, 0, 1] = ky[:, 0, 1, 0] = ky[:, 1, 0, 0] = 2.0
-        ky[:, 1, 1, 1] = 8.0
-        A = self._lin_map(mu, sigma)
-        return np.einsum("nia,njb,nkc,nabc->nijk", A, A, A, ky)
-
-    def cond_third_central_T(self, theta, designs, bits):
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        m1, m2, m3, m4, m5, m6 = _gauss.truncated_std_moments(z, bits, 6)
-        k111 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-        k112 = m4 - 2.0 * m1 * m3 + m1**2 * m2 - m2 * m2 + m1**2 * m2
-        k122 = m5 - m1 * m4 - 2.0 * m2 * m3 + 2.0 * m1 * m2 * m2
-        k222 = m6 - 3.0 * m2 * m4 + 2.0 * m2**3
-        n = z.shape[0]
-        ky = np.empty((n, 2, 2, 2))
-        ky[:, 0, 0, 0] = k111
-        ky[:, 0, 0, 1] = ky[:, 0, 1, 0] = ky[:, 1, 0, 0] = k112
-        ky[:, 0, 1, 1] = ky[:, 1, 0, 1] = ky[:, 1, 1, 0] = k122
-        ky[:, 1, 1, 1] = k222
-        A = self._lin_map(mu, sigma)
-        return np.einsum("nia,njb,nkc,nabc->nijk", A, A, A, ky)
 
     def third_abs_moment_T(self, theta, designs):
         # ||T|| = |x| sqrt(1 + x^2); its cube has no closed Gaussian moment,
@@ -538,6 +476,18 @@ class GaussianCase3(ModelFamily):
     def sample(self, theta, designs, rng):
         mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
         return mu + sigma * rng.standard_normal(mu.shape[0])
+
+    def uncensored_mle(self, designs, x):
+        """Least-squares alpha and the biased (MLE-convention) variance."""
+        w = DesignSet.coerce(designs).V[:, 0, 0]
+        denom = float(w @ w)
+        if denom == 0.0:
+            raise NonIdentifiable("all weights are zero")
+        alpha = float(w @ x) / denom
+        sigma2 = float(np.mean((x - w * alpha) ** 2))
+        if sigma2 <= 0.0:
+            raise NonIdentifiable("zero empirical variance")
+        return self.natural_from_alpha_sigma2(alpha, sigma2)
 
     def to_moment(self, theta):
         """(alpha, sigma) from natural coordinates."""
@@ -643,6 +593,8 @@ class PoissonModel(ModelFamily):
     name = "poisson"
     d = 1
     k = 1
+    per_obs_key = "covariates"
+    param_keys = ("theta",)
 
     def __init__(self, covariates):
         self.covariates = _as_1d(covariates)
@@ -700,11 +652,6 @@ class PoissonModel(ModelFamily):
         theta, designs = self._coerce(theta, designs)
         return np.exp(designs.natural_params(theta)[:, 0])
 
-    def log_base_measure(self, x, designs):
-        from scipy.special import gammaln
-
-        return -gammaln(_as_1d(x) + 1.0)
-
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)
         return _poisson.poisson_cdf(t, lam)
@@ -734,31 +681,10 @@ class PoissonModel(ModelFamily):
         lam, _, h = self._dev_pieces(theta, designs, bits)
         return (-lam * h)[:, None]
 
-    def cond_cov_dev_T(self, theta, designs, bits):
-        return self.cond_devs_T(theta, designs, bits)[1]
-
     def cond_devs_T(self, theta, designs, bits):
         lam, t, h = self._dev_pieces(theta, designs, bits)
         var_dev = lam * h * (lam - t - 1.0 - lam * h)
         return (-lam * h)[:, None], var_dev[:, None, None]
-
-    def third_central_T(self, theta, designs):
-        lam, _ = self._lam_t(theta, designs)
-        return lam[:, None, None, None].copy()
-
-    def cond_third_central_T(self, theta, designs, bits):
-        lam, t = self._lam_t(theta, designs)
-        bits = np.asarray(bits)
-        pb = self._bit_prob(t, lam, bits)
-        _, s1, s2, s3 = _poisson.poisson_partial_moments(t, lam)
-        e1 = lam
-        e2 = lam * lam + lam
-        e3 = lam**3 + 3.0 * lam * lam + lam
-        r1 = np.where(bits > 0, s1 / pb, (e1 - s1) / pb)
-        r2 = np.where(bits > 0, s2 / pb, (e2 - s2) / pb)
-        r3 = np.where(bits > 0, s3 / pb, (e3 - s3) / pb)
-        central = r3 - 3.0 * r1 * r2 + 2.0 * r1**3
-        return central[:, None, None, None]
 
     def third_abs_moment_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)
@@ -767,6 +693,29 @@ class PoissonModel(ModelFamily):
     def sample(self, theta, designs, rng):
         lam, _ = self._lam_t(theta, designs)
         return rng.poisson(lam).astype(float)
+
+    def uncensored_mle(self, designs, x):
+        """The root of sum v (x - exp(v theta)) = 0: log of the mean count
+        over v for a constant covariate, else a Newton solve from 0."""
+        v = DesignSet.coerce(designs).V[:, 0, 0]
+        target = float(v @ x)
+        if np.all(v == v[0]) and v[0] != 0.0:
+            mean_x = float(np.mean(x))
+            if mean_x <= 0.0:
+                raise NonIdentifiable("all counts are zero")
+            return np.array([math.log(mean_x) / v[0]])
+        theta = 0.0
+        for _ in range(100):
+            lam = np.exp(v * theta)
+            g = target - float(v @ lam)
+            h = float((v * v) @ lam)
+            if h <= 0.0:
+                raise NonIdentifiable("rate link carries no information")
+            step = g / h
+            theta += step
+            if abs(step) < 1e-12:
+                return np.array([theta])
+        raise NonIdentifiable("rate equation admits no finite root")
 
     def moment_labels(self):
         return ("theta",)
@@ -795,12 +744,7 @@ def poisson_conditional_mean(lam, tau, b):
     scalar = lam.ndim == 0 and t.ndim == 0 and b.ndim == 0
     lam, t, b = np.atleast_1d(lam), np.atleast_1d(t), np.atleast_1d(b)
     lam, t, b = np.broadcast_arrays(lam, t, b)
-    pb = _poisson.bit_prob(t, lam, b)
-    if np.any(pb == 0.0):
-        idx = int(np.argmax(pb == 0.0))
-        raise DegenerateThreshold(
-            f"entry {idx}: conditioning event has probability 0", index=idx
-        )
+    pb = PoissonModel._bit_prob(t, lam, b)
     out = lam * _poisson.bit_prob(t - 1, lam, b) / pb
     return float(out[0]) if scalar else out
 

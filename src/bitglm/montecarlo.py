@@ -8,7 +8,7 @@ order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,22 @@ def _substream(seed, n, trial):
 # Design-generation rules
 # ---------------------------------------------------------------------------
 
+def _check_rule(rule, what, reads):
+    """Raise ConfigError unless ``rule`` is of a kind in ``reads`` and sets
+    exactly the fields that kind reads, with a non-empty list of values."""
+    if rule.kind not in reads:
+        raise ConfigError(f"unknown {what} rule {rule.kind!r}")
+    given = [f.name for f in fields(rule) if f.name != "kind" and getattr(rule, f.name) is not None]
+    if sorted(given) != sorted(reads[rule.kind]):
+        raise ConfigError(
+            f"{what} rule {rule.kind!r} reads {list(reads[rule.kind])}, got {given}"
+        )
+    if rule.values is not None:
+        vals = np.asarray(rule.values, dtype=float)
+        if vals.ndim != 1 or vals.shape[0] == 0:
+            raise ConfigError(f"{what} rule {rule.kind!r} needs a non-empty list of values")
+
+
 @dataclass(frozen=True)
 class WeightsRule:
     """How per-observation known constants are produced.
@@ -47,16 +63,19 @@ class WeightsRule:
     low: float = None
     high: float = None
 
+    def __post_init__(self):
+        _check_rule(
+            self,
+            "weights",
+            {"constant": ("value",), "list": ("values",), "iid-uniform": ("low", "high")},
+        )
+
     def draw(self, n, rng):
         if self.kind == "constant":
             return np.full(n, float(self.value))
         if self.kind == "list":
-            vals = np.asarray(self.values, dtype=float)
-            reps = int(np.ceil(n / vals.shape[0]))
-            return np.tile(vals, reps)[:n]
-        if self.kind == "iid-uniform":
-            return rng.uniform(float(self.low), float(self.high), size=n)
-        raise ConfigError(f"unknown weights rule {self.kind!r}")
+            return np.resize(np.asarray(self.values, dtype=float), n)
+        return rng.uniform(float(self.low), float(self.high), size=n)
 
 
 @dataclass(frozen=True)
@@ -74,22 +93,34 @@ class ThresholdRule:
     mu: float = None
     sd: float = None
 
+    def __post_init__(self):
+        _check_rule(
+            self,
+            "threshold",
+            {
+                "fixed": ("value",),
+                "two-point": ("values", "probabilities"),
+                "iid-uniform": ("low", "high"),
+                "iid-normal": ("mu", "sd"),
+            },
+        )
+        if self.kind == "two-point":
+            probs = np.asarray(self.probabilities, dtype=float)
+            if probs.shape != np.shape(self.values):
+                raise ConfigError("two-point rule needs matching values/probabilities")
+            if not math.isclose(float(probs.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
+                raise ConfigError("two-point probabilities must sum to 1")
+
     def draw(self, n, rng):
         if self.kind == "fixed":
             return np.full(n, float(self.value))
         if self.kind == "two-point":
             vals = np.asarray(self.values, dtype=float)
             probs = np.asarray(self.probabilities, dtype=float)
-            if vals.shape != probs.shape or vals.ndim != 1:
-                raise ConfigError("two-point rule needs matching values/probabilities")
-            if not math.isclose(float(probs.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
-                raise ConfigError("two-point probabilities must sum to 1")
             return rng.choice(vals, size=n, p=probs)
         if self.kind == "iid-uniform":
             return rng.uniform(float(self.low), float(self.high), size=n)
-        if self.kind == "iid-normal":
-            return rng.normal(float(self.mu), float(self.sd), size=n)
-        raise ConfigError(f"unknown threshold rule {self.kind!r}")
+        return rng.normal(float(self.mu), float(self.sd), size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +131,10 @@ class ThresholdRule:
 class ExperimentConfig:
     """A repeated-trial estimation experiment.
 
-    ``true_params`` uses the family's reporting parameters, e.g.
-    {"alpha": 2, "sigma": 1} for the two-parameter Gaussian or
-    {"theta": 0.3} for the Poisson family.  ``error_metric`` selects the
-    coordinates the squared error is accumulated in.
+    ``true_params`` gives exactly the family's reporting parameters
+    (``param_keys``), e.g. {"alpha": 2, "sigma": 1} for the two-parameter
+    Gaussian or {"theta": 0.3} for the Poisson family.  ``error_metric``
+    selects the coordinates the squared error is accumulated in.
     """
 
     model: str
@@ -121,6 +152,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in models.REGISTRY:
             raise ConfigError(f"unknown model {self.model!r}")
+        keys = models.REGISTRY[self.model].param_keys
+        if sorted(self.true_params) != sorted(keys):
+            raise ConfigError(
+                f"true_params of {self.model!r} are {list(keys)}, got {list(self.true_params)}"
+            )
         sizes = tuple(int(n) for n in self.sample_sizes)
         object.__setattr__(self, "sample_sizes", sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
@@ -137,24 +173,7 @@ def family_and_theta(config, n, rng):
     """Instantiate (family, designs, theta0) for one trial of size n."""
     w = config.weights.draw(n, rng)
     taus = config.thresholds.draw(n, rng)
-    p = config.true_params
-    name = config.model
-    if name == "gaussian-case1":
-        family = models.GaussianCase1(w, sigma=float(p["sigma"]))
-        theta0 = np.array([float(p["alpha"])])
-    elif name == "gaussian-case2":
-        family = models.GaussianCase2(means=w)
-        theta0 = np.array([1.0 / float(p["sigma"]) ** 2])
-    elif name == "gaussian-case3":
-        family = models.GaussianCase3(w)
-        theta0 = models.GaussianCase3.natural_from_alpha_sigma2(
-            float(p["alpha"]), float(p["sigma"]) ** 2
-        )
-    elif name == "poisson":
-        family = models.PoissonModel(covariates=w)
-        theta0 = np.array([float(p["theta"])])
-    else:  # unreachable; config validated
-        raise ConfigError(f"unknown model {name!r}")
+    family, theta0 = models.REGISTRY[config.model].from_params(w, config.true_params)
     return family, family.design_set(taus), theta0
 
 
@@ -174,63 +193,6 @@ def generate_and_censor(model, theta0, designs, seed):
     x = model.sample(np.asarray(theta0, dtype=float), designs, rng)
     bits = np.where(x <= designs.taus, 1, -1)
     return CensoredDataset(bits, designs)
-
-
-# ---------------------------------------------------------------------------
-# Uncensored-baseline estimators (closed-form MLEs on the raw draws)
-# ---------------------------------------------------------------------------
-
-def uncensored_mle(family, designs, x):
-    """Maximum-likelihood estimate from the raw observations.
-
-    Closed form for the Gaussian families (sample mean; biased, i.e.
-    MLE-convention, variance) and a one-dimensional Newton solve for the
-    Poisson rate link.
-    """
-    designs = DesignSet.coerce(designs)
-    x = np.asarray(x, dtype=float)
-    if isinstance(family, models.GaussianCase1):
-        w = designs.V[:, 0, 0] * family.sigma**2
-        denom = float(w @ w)
-        if denom == 0.0:
-            raise NonIdentifiable("all weights are zero")
-        return np.array([float(w @ x) / denom])
-    if isinstance(family, models.GaussianCase2):
-        ss = float(np.mean((x - designs.aux) ** 2))
-        if ss <= 0.0:
-            raise NonIdentifiable("zero empirical variance")
-        return np.array([1.0 / ss])
-    if isinstance(family, models.GaussianCase3):
-        w = designs.V[:, 0, 0]
-        denom = float(w @ w)
-        if denom == 0.0:
-            raise NonIdentifiable("all weights are zero")
-        alpha = float(w @ x) / denom
-        sigma2 = float(np.mean((x - w * alpha) ** 2))
-        if sigma2 <= 0.0:
-            raise NonIdentifiable("zero empirical variance")
-        return models.GaussianCase3.natural_from_alpha_sigma2(alpha, sigma2)
-    if isinstance(family, models.PoissonModel):
-        v = designs.V[:, 0, 0]
-        target = float(v @ x)
-        if np.all(v == v[0]) and v[0] != 0.0:
-            mean_x = float(np.mean(x))
-            if mean_x <= 0.0:
-                raise NonIdentifiable("all counts are zero")
-            return np.array([math.log(mean_x) / v[0]])
-        theta = 0.0
-        for _ in range(100):
-            lam = np.exp(v * theta)
-            g = target - float(v @ lam)
-            h = float((v * v) @ lam)
-            if h <= 0.0:
-                raise NonIdentifiable("rate link carries no information")
-            step = g / h
-            theta += step
-            if abs(step) < 1e-12:
-                return np.array([theta])
-        raise NonIdentifiable("rate equation admits no finite root")
-    raise TypeError(f"no uncensored baseline for {type(family).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +254,7 @@ def run_trial(config, n, trial):
     x = family.sample(theta0, designs, rng)
     try:
         if config.estimator == "uncensored":
-            theta_hat = uncensored_mle(family, designs, x)
-            status = "converged"
+            theta_hat = family.uncensored_mle(designs, x)
         else:
             bits = np.where(x <= designs.taus, 1, -1)
             data = CensoredDataset(bits, designs)
@@ -301,14 +262,13 @@ def run_trial(config, n, trial):
             if not result.converged:
                 return TrialOutcome(n, result.theta_hat.values, math.nan, result.status)
             theta_hat = result.theta_hat.values
-            status = "converged"
     except (NonIdentifiable, DegenerateLikelihood, DegenerateThreshold) as err:
         return TrialOutcome(n, None, math.nan, type(err).__name__)
     err = _squared_error(family, theta_hat, theta0, config.error_metric)
-    return TrialOutcome(n, theta_hat, err, status)
+    return TrialOutcome(n, theta_hat, err, "converged")
 
 
-def run_mse_experiment(config, collect_outcomes=False):
+def run_mse_experiment(config):
     """Accumulate mean squared estimation error over repeated trials.
 
     Non-converged trials are excluded from the average and counted in the
@@ -316,14 +276,11 @@ def run_mse_experiment(config, collect_outcomes=False):
     exclusions exceed ``config.max_failure_fraction``.
     """
     rows = []
-    outcomes = []
     for n in config.sample_sizes:
         errs = []
         failures = 0
         for trial in range(config.trials):
             outcome = run_trial(config, n, trial)
-            if collect_outcomes:
-                outcomes.append(outcome)
             if outcome.status == "converged":
                 errs.append(outcome.squared_error)
             else:
@@ -337,8 +294,7 @@ def run_mse_experiment(config, collect_outcomes=False):
         mse = float(np.mean(errs))
         stderr = float(np.std(errs, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
         rows.append(MseRow(n=n, mse=mse, mc_stderr=stderr, failures=failures))
-    table = MseTable(rows=tuple(rows), trials=config.trials, error_metric=config.error_metric)
-    return (table, outcomes) if collect_outcomes else table
+    return MseTable(rows=tuple(rows), trials=config.trials, error_metric=config.error_metric)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,110 @@ class TestCheckConditions:
         assert "(1)" in out and "(2)" in out and "(3)" in out
 
 
+def main_in_process(capsys, *args):
+    """(exit code, stderr) of ``bitglm ARGS`` run in this process."""
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err
+
+
+class TestFamilyKeys:
+    """Each model section holds exactly the keys its family names:
+    ``per_obs_key`` and ``param_keys`` for fim and check-conditions,
+    ``fit_keys`` for fit and ``param_keys`` as simulate's true_params."""
+
+    def test_readme_lists_each_familys_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for cls in models.REGISTRY.values():
+            fit_keys = f"`{', '.join(cls.fit_keys)}`" if cls.fit_keys else "none"
+            row = f"| `{cls.name}` | `{cls.per_obs_key}` | `{', '.join(cls.param_keys)}` | {fit_keys} |"
+            assert row in readme
+
+    @pytest.mark.parametrize("command", ["fim", "check-conditions"])
+    def test_other_familys_keys_rejected(self, tmp_path, capsys, command):
+        cfg = write(
+            tmp_path,
+            "x.cfg",
+            '{"model": {"name": "poisson", "theta": 0.0, "covariates": 1.0, '
+            '"alpha": 9, "sigma": 2}, "thresholds": [1.0]}',
+        )
+        code, err = main_in_process(capsys, command, "--config", cfg)
+        assert code == 2
+        assert "alpha" in err and "sigma" in err
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ('{"sigma": 1.0}', "name"),
+            ('{"name": "gaussian-case1"}', "sigma"),
+            ('{"name": "gaussian-case2"}', "means"),
+            ('{"name": "gaussian-case1", "sigma": 1.0, "bogus": 1}', "bogus"),
+            ('{"name": "gaussian-case3", "sigma": 1.0}', "sigma"),
+            ('[1, 2]', "model"),
+        ],
+    )
+    def test_fit_model_section_checked(self, tmp_path, capsys, model, key):
+        cfg = write(tmp_path, "fit.cfg", f'{{"model": {model}}}')
+        data = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert code == 2
+        assert key in err
+
+    def test_fit_means_need_one_entry_per_row(self, tmp_path, capsys):
+        cfg = write(tmp_path, "fit.cfg", '{"model": {"name": "gaussian-case2", "means": [0, 1]}}')
+        data = write(tmp_path, "obs.dat", FOUR_ROW_DATA.replace("0.0 1.0", "0.0 -0.5"))
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert code == 2
+        assert "means" in err
+
+    @staticmethod
+    def _experiment(name, **overrides):
+        doc = {
+            "name": name,
+            "model": "gaussian-case1",
+            "true_params": {"alpha": 0.5, "sigma": 1.0},
+            "weights": {"kind": "constant", "value": 1.0},
+            "thresholds": {"kind": "fixed", "value": 0.5},
+            "sample_sizes": [50],
+            "trials": 1,
+            "seed": 1,
+        }
+        doc.update(overrides)
+        return doc
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"true_params": {"alpha": 0.5}}, "sigma"),
+            ({"true_params": {"alpha": 0.5, "sigma": 1.0, "theta": 2.0}}, "theta"),
+            ({"weights": {"kind": "list", "values": []}}, "values"),
+            ({"weights": {"kind": "constant", "value": 1.0, "low": 0.0}}, "low"),
+            ({"weights": {"kind": "zigzag", "value": 1.0}}, "zigzag"),
+            ({"thresholds": {"kind": "fixed"}}, "value"),
+            ({"thresholds": {"kind": "fixed", "value": 1.0, "sd": 2.0}}, "sd"),
+            ({"thresholds": {"kind": "iid-gamma", "mu": 1.0, "sd": 2.0}}, "iid-gamma"),
+            (
+                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [0.6, 0.6]}},
+                "probabilities",
+            ),
+            (
+                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.0]}},
+                "probabilities",
+            ),
+        ],
+    )
+    def test_simulate_checks_every_experiment_before_running(
+        self, tmp_path, capsys, override, key
+    ):
+        # the bad experiment comes second: nothing may run or be written
+        doc = {"experiments": [self._experiment("good"), self._experiment("bad", **override)]}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert key in err and "experiments[1]" in err
+        assert not out.exists()
+
+
 class TestConfigHash:
     def test_stable_under_key_reordering(self, tmp_path):
         a = load_json_config(

@@ -32,6 +32,17 @@ def closed_form(family, theta, designs):
     return np.array([[models.poisson_fim(family, theta[0], designs.taus)]])
 
 
+def closed_form_uncensored(family, theta):
+    if isinstance(family, models.GaussianCase1):
+        return np.array([[models.case1_uncensored_fim(family)]])
+    if isinstance(family, models.GaussianCase2):
+        return np.array([[models.case2_uncensored_fim(family, 1.0 / math.sqrt(theta[0]))]])
+    if isinstance(family, models.GaussianCase3):
+        alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
+        return models.case3_uncensored_fim(family, alpha, math.sqrt(sigma2))
+    return np.array([[models.poisson_uncensored_fim(family, theta[0])]])
+
+
 def rel_err(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
     return np.abs(a - b).max() / scale
@@ -91,8 +102,8 @@ class TestPsdAndStructure:
             plus = np.ones(ds.n, dtype=np.int8)
             m_p = fam.cond_mean_dev_T(theta, ds, plus)
             m_m = fam.cond_mean_dev_T(theta, ds, -plus)
-            c_p = fam.cond_cov_dev_T(theta, ds, plus)
-            c_m = fam.cond_cov_dev_T(theta, ds, -plus)
+            c_p = fam.cond_devs_T(theta, ds, plus)[1]
+            c_m = fam.cond_devs_T(theta, ds, -plus)[1]
             fw = f[:, None, None]
             inners = {
                 fim_censored: (
@@ -136,6 +147,16 @@ class TestPsdAndStructure:
 
 
 class TestUncensoredSpots:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_closed_forms_match_the_sandwich(self, name, rng):
+        for _ in range(25):
+            fam, theta, ds = random_instance(name, rng)
+            assert_allclose(
+                closed_form_uncensored(fam, theta),
+                fim_uncensored(fam, theta, ds).matrix,
+                rtol=1e-12,
+            )
+
     def test_gaussian_known_variance(self):
         fam = models.GaussianCase1([1.0, 1.0, 1.0], sigma=1.0)
         r = fim_uncensored(fam, [0.4], fam.design_set([0.0, 0.0, 0.0]))

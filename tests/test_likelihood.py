@@ -19,7 +19,6 @@ from bitglm import (
     log_likelihood,
     models,
     score,
-    third_derivative_tensor,
 )
 from conftest import MODEL_NAMES, random_instance, repeated_rows
 from _oracles import fd_gradient, fd_jacobian, truncated_normal_moment
@@ -212,19 +211,6 @@ class TestHessian:
                 assert got < 0  # truncation shrinks the variance here
 
 
-class TestThirdDerivativeDiagnostic:
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_matches_hessian_differences(self, name, rng):
-        fam, theta, ds = random_instance(name, rng, n_max=3)
-        data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        got = third_derivative_tensor(fam, theta, data)
-        # tensor symmetry in all index pairs
-        assert_allclose(got, np.swapaxes(got, 0, 1), rtol=0, atol=1e-10 * (1 + np.abs(got).max()))
-        assert_allclose(got, np.swapaxes(got, 1, 2), rtol=0, atol=1e-10 * (1 + np.abs(got).max()))
-        fd = fd_jacobian(lambda t: hessian(fam, t, data), theta, step=1e-5)
-        assert_allclose(got, fd, rtol=2e-3, atol=2e-3 * max(1.0, np.abs(got).max()))
-
-
 class TestGroupedRows:
     """Every operation on ``data.grouped()`` (counts weighting distinct
     rows) against the same operation on the rows one by one."""
@@ -245,10 +231,3 @@ class TestGroupedRows:
             ):
                 assert_allclose(got, want, rtol=1e-12)
 
-    def test_counts_weight_the_third_derivative(self, rng):
-        fam, theta, rows = repeated_rows("gaussian-case3", rng, n_max=3)
-        assert_allclose(
-            third_derivative_tensor(fam, theta, rows.grouped()),
-            third_derivative_tensor(fam, theta, rows),
-            rtol=1e-12,
-        )

@@ -22,7 +22,6 @@ from bitglm.montecarlo import (
     check_consistency_conditions,
     generate_and_censor,
     run_mse_experiment,
-    uncensored_mle,
 )
 from conftest import random_instance
 
@@ -85,14 +84,14 @@ class TestUncensoredMle:
     def test_known_variance_mean(self):
         fam = models.GaussianCase1([1.0, 2.0], sigma=1.0)
         ds = fam.design_set([0.0, 0.0])
-        got = uncensored_mle(fam, ds, np.array([1.0, 4.0]))
+        got = fam.uncensored_mle(ds, np.array([1.0, 4.0]))
         assert_allclose(got, [(1.0 + 8.0) / 5.0])
 
     def test_known_mean_precision(self):
         fam = models.GaussianCase2(means=[1.0, 1.0, 1.0])
         ds = fam.design_set([0.0, 0.0, 0.0])
         x = np.array([0.0, 1.0, 3.0])
-        got = uncensored_mle(fam, ds, x)
+        got = fam.uncensored_mle(ds, x)
         assert_allclose(got, [3.0 / 5.0])
 
     def test_two_parameter_gaussian(self):
@@ -101,20 +100,20 @@ class TestUncensoredMle:
         x = np.array([1.0, 2.0, 3.0, 6.0])
         alpha = x.mean()
         sigma2 = np.mean((x - alpha) ** 2)  # biased, MLE convention
-        got = uncensored_mle(fam, ds, x)
+        got = fam.uncensored_mle(ds, x)
         assert_allclose(got, models.GaussianCase3.natural_from_alpha_sigma2(alpha, sigma2))
 
     def test_poisson_constant_covariates(self):
         fam = models.PoissonModel([2.0, 2.0])
         ds = fam.design_set([1.0, 1.0])
-        got = uncensored_mle(fam, ds, np.array([3.0, 5.0]))
+        got = fam.uncensored_mle(ds, np.array([3.0, 5.0]))
         assert_allclose(got, [math.log(4.0) / 2.0])
 
     def test_poisson_general_covariates(self):
         fam = models.PoissonModel([1.0, 2.0, 0.5])
         ds = fam.design_set([1.0, 1.0, 1.0])
         x = np.array([2.0, 7.0, 1.0])
-        theta = uncensored_mle(fam, ds, x)[0]
+        theta = fam.uncensored_mle(ds, x)[0]
         v = np.array([1.0, 2.0, 0.5])
         assert_allclose(float(v @ x), float(v @ np.exp(v * theta)), rtol=1e-10)
 
@@ -274,9 +273,29 @@ class TestRules:
     def test_two_point_probabilities_validated(self):
         from bitglm import ConfigError
 
-        rule = ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(0.6, 0.6))
         with pytest.raises(ConfigError):
-            rule.draw(10, np.random.default_rng(0))
+            ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(0.6, 0.6))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WeightsRule(kind="list", values=()),
+            lambda: WeightsRule(kind="constant"),
+            lambda: WeightsRule(kind="constant", value=1.0, high=2.0),
+            lambda: WeightsRule(kind="zigzag", value=1.0),
+            lambda: ThresholdRule(kind="fixed"),
+            lambda: ThresholdRule(kind="iid-normal", mu=0.0),
+            lambda: ThresholdRule(kind="iid-uniform", low=0.0, high=1.0, sd=1.0),
+            lambda: ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(1.0,)),
+            lambda: ThresholdRule(kind="two-point", values=(), probabilities=()),
+            lambda: ThresholdRule(kind="iid-gamma", mu=1.0, sd=1.0),
+        ],
+    )
+    def test_invalid_rules_rejected_at_construction(self, make):
+        from bitglm import ConfigError
+
+        with pytest.raises(ConfigError):
+            make()
 
     def test_weights_list_cycles(self):
         rule = WeightsRule(kind="list", values=(1.0, 2.0, 3.0))

@@ -162,15 +162,3 @@ class TestPoissonPieces:
         total = _poisson.poisson_cdf(t, lam) + _poisson.poisson_sf(t, lam)
         assert_allclose(total, 1.0, rtol=0, atol=1e-14)
 
-    def test_partial_moments_against_bruteforce(self):
-        for lam, t in ((0.7, 0), (2.5, 3), (8.0, 12), (3.0, 1)):
-            f0, s1, s2, s3 = _poisson.poisson_partial_moments(
-                np.array([t]), np.array([lam])
-            )
-            b0 = sum(math.exp(-lam) * lam**x / math.factorial(x) for x in range(t + 1))
-            b1 = sum(x * math.exp(-lam) * lam**x / math.factorial(x) for x in range(t + 1))
-            b2 = sum(x**2 * math.exp(-lam) * lam**x / math.factorial(x) for x in range(t + 1))
-            b3 = sum(x**3 * math.exp(-lam) * lam**x / math.factorial(x) for x in range(t + 1))
-            assert_allclose(
-                [f0[0], s1[0], s2[0], s3[0]], [b0, b1, b2, b3], rtol=1e-12, atol=1e-15
-            )
