@@ -70,8 +70,15 @@ def signed_hazard(z, bits):
 
 def fim_weight(z):
     """pdf(z)^2 / (CDF(z) * (1 - CDF(z))), the per-observation censored
-    information weight, computed as hazard(z) * hazard(-z)."""
-    return hazard(z) * hazard(-z)
+    information weight.
+
+    With a = |z|, hazard(a) is the smaller tail's hazard and the larger
+    tail is 1 - pdf(a)/hazard(a) >= 1/2, so hazard(a) * pdf(a) divided by
+    it costs one erfcx call, at a nonnegative argument, and cancels nothing.
+    """
+    a = np.abs(np.asarray(z, dtype=float))
+    pdf, h = norm_pdf(a), hazard(a)
+    return h * pdf / (1.0 - pdf / h)
 
 
 def truncated_std_moments(z, bits, order):

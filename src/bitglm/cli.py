@@ -79,17 +79,22 @@ def _check_keys(obj, path, required=(), optional=()):
         raise ConfigError(f"missing required key(s) {missing}", location=path)
 
 
+def _number(value, path, expected="a number"):
+    """A JSON number as a float; JSON's true and false are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"expected {expected}", location=path)
+
+
 def _floats(value, count, path):
     """A scalar (broadcast to count) or an explicit list of floats."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if count is None:
-            raise ConfigError("scalar needs an explicit 'count'", location=path)
-        return np.full(int(count), float(value))
-    if isinstance(value, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return np.asarray(value, dtype=float)
-    raise ConfigError("expected a number or a list of numbers", location=path)
+    expected = "a number or a list of numbers"
+    if isinstance(value, list):
+        return np.array([_number(v, path, expected) for v in value], dtype=float)
+    value = _number(value, path, expected)
+    if count is None:
+        raise ConfigError("scalar needs an explicit 'count'", location=path)
+    return np.full(int(count), value)
 
 
 def _family_class(model, path, keys):
@@ -111,7 +116,7 @@ def _model_values(model, cls, keys, n, path):
     out = {}
     for key in keys:
         if key != cls.per_obs_key:
-            out[key] = float(model[key])
+            out[key] = _number(model[key], f"{path}.{key}")
             continue
         out[key] = _floats(model[key], n, f"{path}.{key}")
         if out[key].shape[0] != n:
@@ -177,13 +182,16 @@ def build_experiment(doc, path="experiment", seed_override=None):
     name = doc.get("name", "experiment")
     if not isinstance(doc["true_params"], dict):
         raise ConfigError("true_params must be an object", location=f"{path}.true_params")
+    true_params = {
+        k: _number(v, f"{path}.true_params.{k}") for k, v in doc["true_params"].items()
+    }
     fit_cfg = _build_fit_config(doc.get("fit", {}), f"{path}.fit")
     weights = _build_rule(montecarlo.WeightsRule, doc["weights"], f"{path}.weights")
     thresholds = _build_rule(montecarlo.ThresholdRule, doc["thresholds"], f"{path}.thresholds")
     try:
         config = montecarlo.ExperimentConfig(
             model=doc["model"],
-            true_params={k: float(v) for k, v in doc["true_params"].items()},
+            true_params=true_params,
             weights=weights,
             thresholds=thresholds,
             sample_sizes=tuple(doc["sample_sizes"]),

@@ -18,6 +18,11 @@ Design notes
   cheaper mean-only pass.  The score, the Hessian and all Fisher
   information assemblies consume only the deviations, which is what lets
   independent computation routes agree to ~1e-10 instead of ~1e-6.
+* A bit takes two values, so Cov(E[T|B]) is rank one, w u u^T, and
+  ``bit_information_T`` gives its factors, cancellation-free, from one
+  evaluation of each tail and of the density.  The ``cond_mean_dev_T``
+  overrides stay: the benchmark tracer spans them, and the tests check
+  the factors against the two-bit mixture of the deviations.
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -96,6 +101,12 @@ class ModelFamily(abc.ABC):
     def cond_devs_T(self, theta, designs, bits):
         """(E[T_i | B_i=b_i] - E[T_i], Cov(T_i | B_i=b_i) - Cov(T_i)),
         shapes (n, d) and (n, d, d), cancellation-free and in one pass."""
+
+    @abc.abstractmethod
+    def bit_information_T(self, theta, designs):
+        """(f, u, w): f = P(X_i <= tau_i) as from :meth:`prob_leq`, and
+        Cov(E[T_i | B_i]) = w_i u_i u_i^T with u (n, d) and w >= 0 (n,);
+        w need not be finite where f is 0 or 1."""
 
     def cond_mean_dev_T(self, theta, designs, bits):
         """E[T_i | B_i=b_i] - E[T_i], shape (n, d).

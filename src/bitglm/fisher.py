@@ -1,14 +1,15 @@
 """Fisher information for censored and uncensored observation of a GLM.
 
-Censored:   J_n = sum_i V_i^T Cov(E[T_i | B_i]) V_i, with the inner
-covariance assembled exactly from the two-point distribution of each bit.
+Censored:   J_n = sum_i V_i^T Cov(E[T_i | B_i]) V_i.  A bit takes two
+values, so the inner covariance is rank one, w_i u_i u_i^T; the family
+gives its factors (``bit_information_T``) from one evaluation of each
+tail and of the density, one erfcx call per row for a Gaussian family.
 Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i.
 
 Each total is assembled as one k x k BLAS reduction over the stacked rows:
-the censored information as sum_b (g_b * P(b))^T g_b over the per-bit
-scores g_b = V_i^T dev_b, the sandwiches as the (n d) x k product
-V^T (inner V).  The (n, k, k) stack of per-observation summands is built
-only when asked for.
+the censored information as (g * w)^T g over the rows g_i = V_i^T u_i,
+the sandwiches as the (n d) x k product V^T (inner V).  The (n, k, k)
+stack of per-observation summands is built only when asked for.
 
 ``fim_numeric_oracle`` is an independent verification route: it enumerates
 both bit values per observation and averages the outer product of the
@@ -72,12 +73,9 @@ class FimResult:
         return self.matrix.shape[0]
 
 
-def _censoring(model, theta, designs):
-    """(theta, designs, P(X_i <= tau_i)); DegenerateThreshold where a
-    censoring probability is numerically 0 or 1."""
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    f = model.prob_leq(theta, designs)
+def _checked(model, f):
+    """``f``; DegenerateThreshold where a censoring probability is
+    numerically 0 or 1."""
     bad = (f <= 0.0) | (f >= 1.0)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -85,32 +83,37 @@ def _censoring(model, theta, designs):
             f"{model.name} design {idx}: censoring probability is numerically 0 or 1",
             index=idx,
         )
-    return theta, designs, f
+    return f
+
+
+def _censoring(model, theta, designs):
+    """(theta, designs, P(X_i <= tau_i)); DegenerateThreshold where a
+    censoring probability is numerically 0 or 1."""
+    theta = _theta_values(model, theta)
+    designs = DesignSet.coerce(designs)
+    return theta, designs, _checked(model, model.prob_leq(theta, designs))
 
 
 def fim_censored(model, theta, designs, keep_terms=False):
-    """Information carried by the bits: per observation, the two-point
-    covariance of E[T | B] sandwiched by the design matrix."""
-    theta, designs, f = _censoring(model, theta, designs)
+    """Information carried by the bits: per observation, the rank-one
+    covariance w u u^T of E[T | B] sandwiched by the design matrix."""
+    theta = _theta_values(model, theta)
+    designs = DesignSet.coerce(designs)
+    f, u, w = model.bit_information_T(theta, designs)
+    _checked(model, f)
 
-    plus = np.ones(designs.n, dtype=np.int8)
-    # per-bit scores g_b = V^T (E[T | b] - E[T]), shape (n, k)
-    g_p = np.einsum("ndk,nd->nk", designs.V, model.cond_mean_dev_T(theta, designs, plus))
-    g_m = np.einsum("ndk,nd->nk", designs.V, model.cond_mean_dev_T(theta, designs, -plus))
-    # V^T Cov(E[T|B]) V = sum_b P(b) g_b g_b^T
-    wg_p = g_p * f[:, None]
-    wg_m = g_m * (1.0 - f)[:, None]
-    total = wg_p.T @ g_p + wg_m.T @ g_m
-    terms = None
-    if keep_terms:
-        terms = wg_p[:, :, None] * g_p[:, None, :] + wg_m[:, :, None] * g_m[:, None, :]
+    g = np.einsum("ndk,nd->nk", designs.V, u)  # V^T u per row, (n, k)
+    wg = g * w[:, None]
+    total = wg.T @ g
+    terms = wg[:, :, None] * g[:, None, :] if keep_terms else None
     return FimResult.build(total, terms)
 
 
 def _sandwich(V, inner, keep_terms):
     """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
     n, d, k = V.shape
-    right = np.matmul(inner, V)  # (n, d, k)
+    # d = 1: each block product is one multiply, bit-identical and far faster
+    right = inner * V if d == 1 else np.matmul(inner, V)  # (n, d, k)
     total = V.reshape(n * d, k).T @ right.reshape(n * d, k)
     terms = np.matmul(V.swapaxes(1, 2), right) if keep_terms else None
     return FimResult.build(total, terms)

@@ -151,6 +151,10 @@ class GaussianCase1(ModelFamily):
         cov_dev = (-self.sigma**2 * c * (z + c))[:, None, None]
         return mean_dev, cov_dev
 
+    def bit_information_T(self, theta, designs):
+        _, z = self._mu_z(theta, designs)
+        return _gauss.norm_cdf(z), np.ones((z.shape[0], 1)), self.sigma**2 * _gauss.fim_weight(z)
+
     def third_abs_moment_T(self, theta, designs):
         mu, _ = self._mu_z(theta, designs)
         return _gauss.abs_third_moment(mu, self.sigma)
@@ -300,6 +304,10 @@ class GaussianCase2(ModelFamily):
         # Var((X-mu)^2 | b) - 2 sigma^4 = -sigma^4 * c * z * (z^2 + 1 + z*c)
         cov_dev = (sigma**4 * (-c * z * (z * z + 1.0 + z * c)))[:, None, None]
         return mean_dev, cov_dev
+
+    def bit_information_T(self, theta, designs):
+        sigma, z = self._sigma_z(theta, designs)
+        return _gauss.norm_cdf(z), (sigma**2 * z)[:, None], _gauss.fim_weight(z)
 
     def third_abs_moment_T(self, theta, designs):
         sigma, z = self._sigma_z(theta, designs)
@@ -463,6 +471,11 @@ class GaussianCase3(ModelFamily):
             4.0 * mu * mu * s2 * d11 + 4.0 * mu * sigma * s2 * d12 + s2 * s2 * d22
         )
         return mean_dev, cov_dev
+
+    def bit_information_T(self, theta, designs):
+        mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
+        u = np.stack([np.ones_like(z), designs.taus + mu], axis=1)
+        return _gauss.norm_cdf(z), u, sigma**2 * _gauss.fim_weight(z)
 
     def third_abs_moment_T(self, theta, designs):
         # ||T|| = |x| sqrt(1 + x^2); its cube has no closed Gaussian moment,
@@ -686,6 +699,17 @@ class PoissonModel(ModelFamily):
         var_dev = lam * h * (lam - t - 1.0 - lam * h)
         return (-lam * h)[:, None], var_dev[:, None, None]
 
+    def bit_information_T(self, theta, designs):
+        """u = lam and w = (pmf/F) (pmf/S): pmf^2 underflows far in the tails."""
+        lam, t = self._lam_t(theta, designs)
+        f = _poisson.poisson_cdf(t, lam)
+        sf = _poisson.poisson_sf(t, lam)
+        pmf = _poisson.poisson_pmf(t, lam)
+        # inf or nan where F or S is 0, rows that the caller rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (pmf / f) * (pmf / sf)
+        return f, lam[:, None], w
+
     def third_abs_moment_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)
         return lam**3 + 3.0 * lam * lam + lam
@@ -751,7 +775,8 @@ def poisson_conditional_mean(lam, tau, b):
 
 def poisson_fim(model, theta, taus):
     """Censored information for the Poisson rate parameter,
-    sum of v^2 exp(2 v theta) pmf(t)^2 / (F(t) (1 - F(t)))."""
+    sum of v^2 exp(2 v theta) pmf(t)^2 / (F(t) (1 - F(t))), taken as
+    (pmf/F) (pmf/S) since pmf^2 underflows far in the tails."""
     theta = float(np.atleast_1d(theta)[0])
     ds = model.design_set(taus)
     lam = np.exp(model.covariates * theta)
@@ -765,7 +790,7 @@ def poisson_fim(model, theta, taus):
             f"design {idx}: censoring probability is numerically 0 or 1", index=idx
         )
     p_t = _poisson.poisson_pmf(t, lam)
-    terms = model.covariates**2 * np.exp(2.0 * model.covariates * theta) * p_t * p_t / (f * sf)
+    terms = model.covariates**2 * np.exp(2.0 * model.covariates * theta) * (p_t / f) * (p_t / sf)
     return float(math.fsum(terms))
 
 

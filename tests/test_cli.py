@@ -313,6 +313,19 @@ class TestFamilyKeys:
         assert code == 2
         assert "alpha" in err and "sigma" in err
 
+    @pytest.mark.parametrize("value", ["[1]", "null", '"x"', "true"])
+    @pytest.mark.parametrize("command", ["fim", "check-conditions"])
+    def test_scalar_model_keys_must_be_numbers(self, tmp_path, capsys, command, value):
+        cfg = write(
+            tmp_path,
+            "x.cfg",
+            f'{{"model": {{"name": "poisson", "theta": {value}, "covariates": 1.0}}, '
+            '"thresholds": [1.0]}',
+        )
+        code, err = main_in_process(capsys, command, "--config", cfg)
+        assert code == 2
+        assert "model.theta" in err
+
     @pytest.mark.parametrize(
         "model, key",
         [
@@ -371,6 +384,10 @@ class TestFamilyKeys:
             (
                 {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.0]}},
                 "probabilities",
+            ),
+            *(
+                ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
+                for value in (True, None, "0.5", [0.5])
             ),
         ],
     )

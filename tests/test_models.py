@@ -3,6 +3,7 @@ and brute-force oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -216,6 +217,20 @@ class TestPoissonInformation:
         want = fim_censored(fam, [theta], fam.design_set([2.0])).matrix[0, 0]
         assert_allclose(got, want, rtol=1e-10)
 
+    def test_far_left_tail_does_not_underflow(self):
+        # F = 5.9e-168 here, so pmf^2 alone would underflow to 0
+        theta = math.log(2000.0)
+        fam = models.PoissonModel([1.0])
+        got = models.poisson_fim(fam, theta, [900.5])
+        with mpmath.workdps(60):
+            lam = mpmath.mpf(math.exp(theta))
+            f = mpmath.gammainc(901, lam, mpmath.inf, regularized=True)
+            pmf = mpmath.exp(-lam) * lam**900 / mpmath.factorial(900)
+            want = float(lam**2 * pmf**2 / (f * (1 - f)))
+        assert_allclose(got, want, rtol=1e-10)
+        j = fim_censored(fam, [theta], fam.design_set([900.5])).matrix[0, 0]
+        assert_allclose(j, want, rtol=1e-10)
+
     def test_degenerate_threshold_raises(self):
         fam = models.PoissonModel([1.0])
         with pytest.raises(DegenerateThreshold):
@@ -284,6 +299,12 @@ class TestLawOfTotalCovariance:
             assert_allclose(
                 within + between, cov, rtol=0, atol=1e-10 * (1 + np.abs(cov).max())
             )
+            # the between term is rank one, w u u^T, at the same f
+            f, u, w = fam.bit_information_T(theta, ds)
+            assert np.array_equal(f, p)
+            assert u.shape == (ds.n, fam.d) and w.shape == (ds.n,) and np.all(w >= 0)
+            rank_one = w[:, None, None] * u[:, :, None] * u[:, None, :]
+            assert_allclose(rank_one, between, rtol=0, atol=1e-10 * (1 + np.abs(cov).max()))
 
 
 class TestInformationPositivityCheck:

@@ -45,6 +45,18 @@ class TestNormalPieces:
                 f = mpmath.ncdf(z)
                 want = float(mpmath.npdf(z) ** 2 / (f * (1 - f)))
             assert_allclose(float(_gauss.fim_weight(z)), want, rtol=1e-13)
+        # from the far left tail, where pdf nears the underflow floor, to
+        # z = 8.2, past which 1 - CDF(z) rounds to 0 in CDF(z)
+        rng = np.random.default_rng(7)
+        zs = np.concatenate([np.linspace(-37.5, 8.2, 200), rng.uniform(-5.0, 5.0, 100)])
+        got = _gauss.fim_weight(zs)
+        want = np.empty_like(zs)
+        with mpmath.workdps(50):
+            for i, z in enumerate(zs):
+                f = mpmath.ncdf(z)
+                want[i] = float(mpmath.npdf(z) ** 2 / (f * (1 - f)))
+        assert_allclose(got, want, rtol=1e-13)
+        assert np.array_equal(_gauss.fim_weight(-zs), got)
 
     @pytest.mark.parametrize("z", [-2.3, -0.4, 0.0, 1.1, 2.8])
     @pytest.mark.parametrize("b", [1, -1])

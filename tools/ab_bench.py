@@ -14,8 +14,9 @@ the script runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once on each side, one process at a time, alternating which side goes first
 (parent first on odd seeds).  It then reports, per workload and end-to-end
 metric, the median and quartiles of each side (``statistics.quantiles``,
-n=4), in how many pairs the change read better, the ratio of the medians
-and the parent's interquartile range.  With ``--trace-seed`` it also runs
+n=4), in how many pairs the change read better, the ratio of the medians,
+the parent's interquartile range and a verdict (see ``verdict``) against
+the metric's bound in ``BENCHMARK.json``.  With ``--trace-seed`` it also runs
 each workload once per side with ``--trace 1 --seconds 10`` and records the
 per-layer metrics.  Uses the standard library only.
 """
@@ -94,8 +95,38 @@ def run_bench(side_dir, workload, seed, seconds, trace):
     return record, machine
 
 
+#: Share of the pairs a change must read better in for a gain.
+GAIN_WIN_SHARE = 0.9
+
+
+def verdict(parent, change, wins, pairs, higher, bound):
+    """One metric's verdict from each side's values over ``pairs`` pairs.
+
+    "gain": the change reads better in at least 9 of 10 pairs and its
+    median is better than the parent's by more than the parent's IQR.
+    "regression": the change's median is worse than the parent's by more
+    than ``bound``, relative to the parent's median.  "unresolved": the
+    parent's IQR exceeds that bound and not every change run beats every
+    parent run.  Otherwise "no regression".
+    """
+    q1, parent_median, q3 = statistics.quantiles(parent, n=4)
+    change_median = statistics.median(change)
+    sign = 1.0 if higher else -1.0
+    better_by = sign * (change_median - parent_median)
+    allowed = bound * abs(parent_median)
+    if wins >= GAIN_WIN_SHARE * pairs and better_by > q3 - q1:
+        return "gain"
+    if better_by < -allowed:
+        return "regression"
+    beats_all = (min(change) > max(parent)) if higher else (max(change) < min(parent))
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(runs, metrics):
-    """Per metric: each side's median and quartiles, wins, ratio, parent IQR."""
+    """Per metric: each side's median and quartiles, wins, ratio, parent
+    IQR and verdict."""
     by_seed = {}
     for r in runs:
         by_seed.setdefault(r["seed"], {})[r["side"]] = r
@@ -103,12 +134,12 @@ def summarize(runs, metrics):
     out = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
-        sides = {}
+        sides, values = {}, {}
         for side in ("parent", "change"):
-            values = [p[side][name] for p in pairs if name in p[side]]
-            if len(values) < 2:
+            values[side] = [p[side][name] for p in pairs if name in p[side]]
+            if len(values[side]) < 2:
                 break
-            q1, median, q3 = statistics.quantiles(values, n=4)
+            q1, median, q3 = statistics.quantiles(values[side], n=4)
             sides[side] = {"median": median, "q1": q1, "q3": q3}
         if len(sides) < 2:
             continue
@@ -127,6 +158,9 @@ def summarize(runs, metrics):
                 sides["change"]["median"] / parent_median if parent_median else None
             ),
             "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+            "verdict": verdict(
+                values["parent"], values["change"], wins, len(pairs), higher, m["bound"]
+            ),
         }
     return out
 
@@ -197,7 +231,8 @@ def main(argv=None):
                 "at a time, alternating which side runs first (odd seeds parent first), "
                 f"seeds {args.seeds} ({len(seeds)} pairs per workload); median and quartiles "
                 "(statistics.quantiles, n=4); change_wins counts pairs in which the change "
-                "read better; parent_iqr is q3 - q1 of the parent's runs"
+                "read better; parent_iqr is q3 - q1 of the parent's runs; verdict is "
+                "tools/ab_bench.py verdict() against the metric's BENCHMARK.json bound"
             ),
             "script": "tools/ab_bench.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         },
