@@ -43,6 +43,9 @@ DIVERGENCE_NORM = 1e8
 MAX_SHIFT = 1e6
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
+#: Smallest eigenvalue of the observed information, relative to its trace,
+#: below which a converged fit is a ridge and raises NonIdentifiable.
+RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,8 @@ def fit(model, data, config=None):
     permutation of the observations.  Runs every start from
     ``config.initial_points`` (or auto_initialize), then deterministically
     selects the best candidate.  Raises NonIdentifiable when the data admit
-    no finite maximizer and propagates degenerate-data errors.
+    no finite maximizer or no unique one (a singular observed information
+    at a stationary point) and propagates degenerate-data errors.
     """
     config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
@@ -310,12 +314,21 @@ def fit(model, data, config=None):
     observed = -hess
     observed.setflags(write=False)
     # converged means a stationary point that is locally a maximum: tiny
-    # score and an (up to rounding) PSD observed information
-    converged = (
-        status == "converged"
-        and gnorm <= config.gradient_tolerance
-        and float(np.linalg.eigvalsh(observed)[0]) >= -1e-8
-    )
+    # score and a positive definite observed information.  A regular point
+    # is locally identified iff its information is nonsingular (Rothenberg,
+    # Econometrica 39, 1971), so a singular one at a stationary point is a
+    # ridge of maximizers, not an estimate
+    converged = status == "converged" and gnorm <= config.gradient_tolerance
+    if converged:
+        eigs, vecs = np.linalg.eigh(observed)
+        trace = float(np.trace(observed))
+        if abs(eigs[0]) <= RIDGE_TOLERANCE * abs(trace):
+            raise NonIdentifiable(
+                f"the observed information is singular at the estimate (smallest "
+                f"eigenvalue {eigs[0]:.3g}, trace {trace:.3g}); the likelihood is flat "
+                f"along the direction {np.array2string(vecs[:, 0], precision=4)}"
+            )
+        converged = bool(eigs[0] > 0.0)
     if status == "converged" and not converged:
         status = "max-iterations"
     return FitResult(

@@ -479,12 +479,10 @@ class GaussianCase3(ModelFamily):
 
     def third_abs_moment_T(self, theta, designs):
         # ||T|| = |x| sqrt(1 + x^2); its cube has no closed Gaussian moment,
-        # so integrate numerically per observation.
+        # so integrate numerically, once per distinct mean.
         mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        out = np.empty(mu.shape[0])
-        for i, m in enumerate(mu):
-            out[i] = _norm_t3_quad(m, sigma)
-        return out
+        means, inverse = np.unique(mu, return_inverse=True)
+        return np.array([_norm_t3_quad(m, sigma) for m in means])[inverse]
 
     def sample(self, theta, designs, rng):
         mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
@@ -702,8 +700,7 @@ class PoissonModel(ModelFamily):
     def bit_information_T(self, theta, designs):
         """u = lam and w = (pmf/F) (pmf/S): pmf^2 underflows far in the tails."""
         lam, t = self._lam_t(theta, designs)
-        f = _poisson.poisson_cdf(t, lam)
-        sf = _poisson.poisson_sf(t, lam)
+        f, sf = _poisson.poisson_tails(t, lam)
         pmf = _poisson.poisson_pmf(t, lam)
         # inf or nan where F or S is 0, rows that the caller rejects
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -759,8 +756,7 @@ def poisson_conditional_mean(lam, tau, b):
     """E[X | B=b] for X ~ Poisson(lam) and the bit of X <= tau.
 
     Equals lam * F(t-1) / F(t) for b = +1 and lam * S(t-1) / S(t) for
-    b = -1, where t = floor(tau) and S is the survival function computed
-    directly (not as 1 - F).
+    b = -1, where t = floor(tau) and F and S are ``_poisson.poisson_tails``.
     """
     lam = np.asarray(lam, dtype=float)
     t = np.floor(np.asarray(tau, dtype=float)).astype(np.int64)
@@ -781,8 +777,7 @@ def poisson_fim(model, theta, taus):
     ds = model.design_set(taus)
     lam = np.exp(model.covariates * theta)
     t = np.floor(ds.taus).astype(np.int64)
-    f = _poisson.poisson_cdf(t, lam)
-    sf = _poisson.poisson_sf(t, lam)
+    f, sf = _poisson.poisson_tails(t, lam)
     bad = (f == 0.0) | (sf == 0.0)
     if np.any(bad):
         idx = int(np.argmax(bad))

@@ -72,3 +72,37 @@ def test_unresolved_when_the_parent_spreads_past_the_bound():
     row = ab_bench.summarize(runs(wide, change), [OPS])["ops_per_s"]
     assert row["change"]["median"] - row["parent"]["median"] < row["parent_iqr"]
     assert row["verdict"] == "no regression"
+
+
+#: A stand-in for bench/run.py that touches 32 MiB of fresh 4 KiB pages,
+#: one minor fault each, and prints the last line run.py prints.
+FAULTING_RUN = """
+import json, mmap
+size = 32 << 20
+buf = mmap.mmap(-1, size)
+buf.madvise(mmap.MADV_NOHUGEPAGE)
+for offset in range(0, size, mmap.PAGESIZE):
+    buf[offset] = 1
+print(json.dumps({"correct": True, "metrics": {"ops_per_s": {"value": 1.0}}}))
+"""
+
+
+def test_each_run_records_its_minor_page_faults(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(FAULTING_RUN, encoding="utf-8")
+    record, _ = ab_bench.run_bench(tmp_path, "info-sweep", 3, 1.0, 0)
+    assert record["exit"] == 0 and record["correct"] and record["ops_per_s"] == 1.0
+    assert record["minor_faults"] >= (32 << 20) // 4096
+
+
+def test_fault_medians_are_diagnostics_without_a_verdict():
+    faults = [
+        {"seed": seed, "side": side, "minor_faults": f}
+        for seed, pair in enumerate(((100, 50), (300, 70), (200, 60)))
+        for side, f in zip(("parent", "change"), pair)
+    ]
+    assert ab_bench.diagnostics(faults) == {
+        "minor_faults_median": {"parent": 200, "change": 60}
+    }
+    # verdicts go to the BENCHMARK.json metrics only
+    assert ab_bench.summarize(faults, [OPS]) == {}

@@ -184,6 +184,19 @@ class TestCase3Information:
             j = models.case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
             assert np.linalg.eigvalsh(j)[0] >= -1e-12
 
+    def test_third_moment_integrates_once_per_distinct_mean(self, monkeypatch):
+        fam = models.GaussianCase3([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 0.0])
+        theta = models.GaussianCase3.natural_from_alpha_sigma2(0.8, 1.3)
+        ds = fam.design_set(np.linspace(-1.0, 1.0, 7))
+        mu, sigma, _, _ = fam._mu_sigma_z(theta, ds)
+        want = [models._norm_t3_quad(m, sigma) for m in mu]  # the per-row loop
+        calls = []
+        quad = models._norm_t3_quad
+        monkeypatch.setattr(models, "_norm_t3_quad", lambda m, s: calls.append(m) or quad(m, s))
+        got = fam.third_abs_moment_T(theta, ds)
+        assert np.array_equal(got, want)
+        assert len(calls) == 4
+
     def test_natural_moment_roundtrip(self):
         theta = np.array([1.7, 0.4])
         alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)

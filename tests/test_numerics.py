@@ -1,11 +1,13 @@
 """Oracles for the low-level normal and Poisson building blocks."""
 
 import math
+import types
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from bitglm import _gauss, _poisson, models
 from _oracles import poisson_cdf_sum, poisson_sf_sum, truncated_normal_moment
@@ -157,6 +159,65 @@ class TestPoissonPieces:
         want = np.array([mp_poisson_tails(ti, li) for ti, li in zip(t, lam)])
         assert_allclose(_poisson.poisson_cdf(t, lam), want[:, 0], rtol=1e-10, atol=1e-300)
         assert_allclose(_poisson.poisson_sf(t, lam), want[:, 1], rtol=1e-10, atol=1e-300)
+
+    def test_one_evaluation_matches_scipys_two_calls(self):
+        # rates log-uniform from below 1e-6 up to the model's limit,
+        # thresholds up to 40 standard deviations to either side
+        rng = np.random.default_rng(8)
+        lam = np.exp(rng.uniform(math.log(1e-8), math.log(models.PoissonModel.MAX_RATE), 20000))
+        z = rng.uniform(-40.0, 40.0, lam.size)
+        t = np.maximum(np.floor(lam + z * np.maximum(np.sqrt(lam), 1.0)), 0).astype(np.int64)
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        want_cdf, want_sf = special.pdtr(t, lam), special.pdtrc(t, lam)
+        # scipy evaluates the two ratios separately in its asymptotic bands
+        # (Temme's expansion, in a = t + 1) and, at a = 1, in its power
+        # series band 1/1.1 <= lam <= 1.1; everywhere else one of its two
+        # calls is 1 minus the other's ratio
+        a = t + 1.0
+        near = np.abs(lam - a) / a
+        asymptotic = ((a > 20) & (a < 200) & (near < 0.3)) | ((a > 200) & (near < 4.5 / np.sqrt(a)))
+        series = (a == 1) & (lam >= 1 / 1.1) & (lam <= 1.1)
+        assert np.count_nonzero(asymptotic) > 100 and np.count_nonzero(series) > 10
+        exact = ~(asymptotic | series)
+        assert np.array_equal(cdf[exact], want_cdf[exact])
+        assert np.array_equal(sf[exact], want_sf[exact])
+        eps = np.finfo(float).eps
+        for got, want in ((cdf, want_cdf), (sf, want_sf)):
+            assert_allclose(got[asymptotic], want[asymptotic], rtol=4 * eps, atol=0)
+            # there F = exp(-lam) is 1 - S, and the complement scales the
+            # ~4 eps of scipy's S by up to S/F < e - 1
+            assert_allclose(got[series], want[series], rtol=8 * eps, atol=0)
+
+    def test_negative_thresholds_give_zero_and_one(self):
+        cdf, sf = _poisson.poisson_tails([[-1], [-7]], [1e-9, 2.0, 1e5])
+        assert np.array_equal(cdf, np.zeros((2, 3))) and np.array_equal(sf, np.ones((2, 3)))
+
+    def test_bit_information_evaluates_one_tail_per_row(self, monkeypatch):
+        evaluated = {"pdtr": 0, "pdtrc": 0}
+
+        def counting(name):
+            def ufunc(*args, where=True, **kwargs):
+                evaluated[name] += np.count_nonzero(
+                    np.broadcast_to(where, np.broadcast_shapes(*(np.shape(x) for x in args)))
+                )
+                return getattr(special, name)(*args, where=where, **kwargs)
+
+            return ufunc
+
+        monkeypatch.setattr(
+            _poisson,
+            "special",
+            types.SimpleNamespace(
+                pdtr=counting("pdtr"), pdtrc=counting("pdtrc"), gammaln=special.gammaln
+            ),
+        )
+        rng = np.random.default_rng(2)
+        n = 500
+        family = models.PoissonModel(rng.uniform(0.5, 2.0, n))
+        designs = family.design_set(rng.integers(0, 40, n).astype(float))
+        f, _, _ = family.bit_information_T(np.array([1.5]), designs)
+        assert evaluated["pdtr"] > 0 and evaluated["pdtrc"] > 0
+        assert evaluated["pdtr"] + evaluated["pdtrc"] == n
 
     def test_bit_prob_takes_the_bit_side(self):
         t = np.array([0, 3, 3, 12])

@@ -16,7 +16,9 @@ once on each side, one process at a time, alternating which side goes first
 metric, the median and quartiles of each side (``statistics.quantiles``,
 n=4), in how many pairs the change read better, the ratio of the medians,
 the parent's interquartile range and a verdict (see ``verdict``) against
-the metric's bound in ``BENCHMARK.json``.  With ``--trace-seed`` it also runs
+the metric's bound in ``BENCHMARK.json``.  Under ``diagnostics`` it reports,
+per workload and side, the median of the runs' minor page faults, with no
+verdict.  With ``--trace-seed`` it also runs
 each workload once per side with ``--trace 1 --seconds 10`` and records the
 per-layer metrics.  Uses the standard library only.
 """
@@ -24,6 +26,7 @@ per-layer metrics.  Uses the standard library only.
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -72,14 +75,21 @@ def parse_seeds(text):
 
 
 def run_bench(side_dir, workload, seed, seconds, trace):
-    """One bench/run.py run; (record, machine facts)."""
+    """One bench/run.py run; (record, machine facts).
+
+    The record's ``minor_faults`` is the run's minor page faults: the
+    growth of ``RUSAGE_CHILDREN`` across it, which also counts the
+    interpreters the run starts and waits for.
+    """
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         cmd, cwd=side_dir, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     machine = next(
         (json.loads(line[len("machine "):]) for line in lines if line.startswith("machine ")), {}
@@ -88,7 +98,10 @@ def run_bench(side_dir, workload, seed, seconds, trace):
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}}
-    record = {"seed": seed, "exit": proc.returncode, "correct": bool(result.get("correct"))}
+    record = {
+        "seed": seed, "exit": proc.returncode, "correct": bool(result.get("correct")),
+        "minor_faults": faults,
+    }
     record.update({k: v["value"] for k, v in result.get("metrics", {}).items()})
     if proc.returncode != 0:
         record["stderr_tail"] = proc.stderr.strip().splitlines()[-5:]
@@ -165,6 +178,14 @@ def summarize(runs, metrics):
     return out
 
 
+def diagnostics(runs):
+    """Per side, the median of its runs' minor page faults; no verdict."""
+    faults = {}
+    for r in runs:
+        faults.setdefault(r["side"], []).append(r["minor_faults"])
+    return {"minor_faults_median": {side: statistics.median(v) for side, v in faults.items()}}
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="output file is BENCH_<label>.json")
@@ -234,9 +255,14 @@ def main(argv=None):
                 "read better; parent_iqr is q3 - q1 of the parent's runs; verdict is "
                 "tools/ab_bench.py verdict() against the metric's BENCHMARK.json bound"
             ),
+            "diagnostics": (
+                "minor_faults_median: per side, the median over its runs of the run's "
+                "minor page faults (RUSAGE_CHILDREN ru_minflt delta around the run)"
+            ),
             "script": "tools/ab_bench.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         },
         "end_to_end": {w: summarize(runs[w], bench_spec["end_to_end"]) for w in args.workloads},
+        "diagnostics": {w: diagnostics(runs[w]) for w in args.workloads},
         "runs": runs,
     }
     if per_layer:
