@@ -32,12 +32,7 @@ from .fisher import (
     fim_uncensored,
     negative_expected_hessian,
 )
-from .likelihood import (
-    censored_prob,
-    hessian,
-    log_likelihood,
-    score,
-)
+from .likelihood import hessian, log_likelihood, score
 from .models import (
     REGISTRY,
     GaussianCase1,
@@ -68,13 +63,12 @@ from .montecarlo import (
     generate_and_censor,
     run_mse_experiment,
 )
-from .types import CensoredDataset, DesignSet, ObservationDesign, ParameterVector
+from .types import CensoredDataset, DesignSet, ParameterVector
 
 __all__ = [
     "__version__",
     # types
     "ParameterVector",
-    "ObservationDesign",
     "DesignSet",
     "CensoredDataset",
     "ModelFamily",
@@ -88,7 +82,6 @@ __all__ = [
     "ExperimentFailure",
     "ConfigError",
     # likelihood
-    "censored_prob",
     "log_likelihood",
     "score",
     "hessian",

@@ -53,8 +53,8 @@ def signed_hazard(z, bits):
     """b * pdf(z) / P(B=b) for bits b in {-1, +1}.
 
     P(B=+1) = CDF(z) and P(B=-1) = 1 - CDF(z).  This signed ratio is the
-    single quantity from which every truncated-normal moment below is
-    assembled; it stays finite even when P(B=b) underflows to zero.
+    single quantity from which every truncated-normal moment is assembled;
+    it stays finite even when P(B=b) underflows to zero.
     """
     z = np.asarray(z, dtype=float)
     bits = np.asarray(bits)
@@ -81,61 +81,15 @@ def fim_weight(z):
     return h * pdf / (1.0 - pdf / h)
 
 
-def truncated_std_moments(z, bits, order):
-    """Raw moments of a standard normal conditioned on one side of z.
-
-    For Y ~ N(0, 1), returns [M_1, ..., M_order] with
-    M_k = E[Y^k | Y <= z] when the bit is +1 and E[Y^k | Y > z] when -1.
-    Uses the integration-by-parts recursion
-        M_k = (k - 1) * M_{k-2} - z^{k-1} * c,    c = b * pdf(z) / P(B=b),
-    seeded by M_0 = 1, M_1 = -c.
-
-    Parameters
-    ----------
-    z : array_like
-        Standardized thresholds.
-    bits : array_like
-        Conditioning side per entry, each -1 or +1.
-    order : int
-        Highest moment to return (>= 1).
-
-    Returns
-    -------
-    list of ndarray
-        Moments M_1 .. M_order, each shaped like ``z``.
-    """
-    z = np.asarray(z, dtype=float)
-    c = signed_hazard(z, bits)
-    moments = []
-    m_prev2 = np.ones_like(z)  # M_0
-    m_prev1 = -c               # M_1
-    moments.append(m_prev1)
-    zpow = z.copy() if z.ndim else np.asarray(z, dtype=float)
-    for k in range(2, order + 1):
-        m_k = (k - 1) * m_prev2 - zpow * c
-        moments.append(m_k)
-        m_prev2, m_prev1 = m_prev1, m_k
-        zpow = zpow * z
-    return moments
-
-
 def abs_third_moment(mu, sigma):
-    """E[|X|^3] for X ~ N(mu, sigma^2), exact via half-line moments.
+    """E[|X|^3] for X ~ N(mu, sigma^2), in closed form: with m = mu / sigma,
 
-    Splits at zero and applies the truncated-moment recursion on each
-    half, so no quadrature is involved.
+        sigma^3 (sqrt(2/pi) (m^2 + 2) exp(-m^2/2) + m (m^2 + 3) erf(m/sqrt(2))).
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    z0 = (0.0 - mu) / sigma
-    lower = np.broadcast_to(np.int8(1), z0.shape)
-    upper = np.broadcast_to(np.int8(-1), z0.shape)
-    m_lo = truncated_std_moments(z0, lower, 3)
-    m_hi = truncated_std_moments(z0, upper, 3)
-
-    def raw3(m):
-        # E[X^3 | side] from standardized moments
-        return mu**3 + 3.0 * mu**2 * sigma * m[0] + 3.0 * mu * sigma**2 * m[1] + sigma**3 * m[2]
-
-    p_lo = norm_cdf(z0)
-    return raw3(m_hi) * (1.0 - p_lo) - raw3(m_lo) * p_lo
+    m = mu / sigma
+    m2 = m * m
+    return sigma**3 * (
+        _SQRT_2_OVER_PI * (m2 + 2.0) * np.exp(-0.5 * m2) + m * (m2 + 3.0) * special.erf(m / _SQRT2)
+    )

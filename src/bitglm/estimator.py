@@ -43,6 +43,10 @@ DIVERGENCE_NORM = 1e8
 MAX_SHIFT = 1e6
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
+#: Factor the line search shrinks a rejected step by.
+BACKTRACKING_FACTOR = 0.5
+#: Armijo constant: the share of the predicted gain a step must achieve.
+SUFFICIENT_INCREASE = 1e-4
 #: Smallest eigenvalue of the observed information, relative to its trace,
 #: below which a converged fit is a ridge and raises NonIdentifiable.
 RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
@@ -55,8 +59,6 @@ class FitConfig:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-9
     initial_points: tuple = None  # explicit starts; None means auto
-    backtracking_factor: float = 0.5
-    sufficient_increase: float = 1e-4
     multistart_count: int = 5
     seed: int = 0
 
@@ -65,8 +67,6 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (self.gradient_tolerance > 0):
             raise ValueError("gradient_tolerance must be > 0")
-        if not (0 < self.backtracking_factor < 1):
-            raise ValueError("backtracking_factor must lie in (0, 1)")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
 
@@ -200,7 +200,7 @@ def _newton(model, data, theta0, config):
 
         t = 1.0
         while not satisfies_domain(theta + t * direction, model.domain):
-            t *= config.backtracking_factor
+            t *= BACKTRACKING_FACTOR
             if t < MIN_DAMPING:
                 status = "boundary-divergence"
                 break
@@ -222,12 +222,12 @@ def _newton(model, data, theta0, config):
             while t >= MIN_DAMPING:
                 cand = theta + t * direction
                 cand_ll = _safe_ll(model, data, cand)
-                if cand_ll >= ll + config.sufficient_increase * t * slope:
+                if cand_ll >= ll + SUFFICIENT_INCREASE * t * slope:
                     gain = cand_ll - ll
                     theta = cand
                     accepted = True
                     break
-                t *= config.backtracking_factor
+                t *= BACKTRACKING_FACTOR
             if not accepted:
                 break  # no measurable progress left at this precision
             ll, grad, hess = likelihood.evaluate(model, theta, data)
@@ -285,9 +285,7 @@ def fit(model, data, config=None):
         # every start was infeasible (zero-probability bits there); pull the
         # starts toward a neutral interior point until the likelihood is
         # finite, then try again
-        anchor = np.array(
-            [1.0 if k == "positive" else -1.0 if k == "negative" else 0.0 for k in model.domain]
-        )
+        anchor = np.array([1.0 if k == "positive" else 0.0 for k in model.domain])
         for theta0 in starts:
             cur = np.asarray(theta0, dtype=float)
             for _ in range(60):

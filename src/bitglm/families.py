@@ -9,20 +9,22 @@ Design notes
 ------------
 * All statistical methods are vectorized over observations: they take a
   DesignSet (plus a bits array where relevant) and return stacked arrays.
+  A DesignSet is the one design type; anything else raises TypeError.
 * The primitive conditional quantities are the *deviations*
   E[T|B=b] - E[T] and Cov(T|B=b) - Cov(T), for which every concrete
   family has a cancellation-free closed form.  ``cond_devs_T`` is the one
   route that returns both; the plain conditional moments, the Hessian and
   the curvature route to the information are derived from it, and
-  ``cond_mean_dev_T`` is its first half, which families override with a
-  cheaper mean-only pass.  The score, the Hessian and all Fisher
-  information assemblies consume only the deviations, which is what lets
-  independent computation routes agree to ~1e-10 instead of ~1e-6.
+  ``cond_mean_dev_T`` is its first half.  The score, the Hessian and all
+  Fisher information assemblies consume only the deviations, which is
+  what lets independent computation routes agree to ~1e-10 instead of
+  ~1e-6.
 * A bit takes two values, so Cov(E[T|B]) is rank one, w u u^T, and
-  ``bit_information_T`` gives its factors, cancellation-free, from one
-  evaluation of each tail and of the density.  The ``cond_mean_dev_T``
-  overrides stay: the benchmark tracer spans them, and the tests check
-  the factors against the two-bit mixture of the deviations.
+  ``bit_information_T`` gives its factors (u, w), cancellation-free, from
+  one evaluation of each tail and of the density.  Each concrete family
+  defines ``cond_mean_dev_T`` itself, as the first half of its
+  ``cond_devs_T``: the benchmark tracer spans it in the class, and the
+  tests check the factors against the two-bit mixture of the deviations.
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -76,12 +78,11 @@ class ModelFamily(abc.ABC):
 
     # -- designs -----------------------------------------------------------
     def check_designs(self, designs):
-        """Validate shapes, thresholds interior to the support, aux data.
+        """Validate thresholds interior to the support and aux data.
 
-        Defaults to the shape checks of ``DesignSet.coerce``, which is all a
-        family whose support is the whole real line needs.
+        Does nothing by default, which is all a family whose support is
+        the whole real line needs.
         """
-        DesignSet.coerce(designs)
 
     # -- censoring ----------------------------------------------------------
     @abc.abstractmethod
@@ -104,17 +105,13 @@ class ModelFamily(abc.ABC):
 
     @abc.abstractmethod
     def bit_information_T(self, theta, designs):
-        """(f, u, w): f = P(X_i <= tau_i) as from :meth:`prob_leq`, and
-        Cov(E[T_i | B_i]) = w_i u_i u_i^T with u (n, d) and w >= 0 (n,);
-        w need not be finite where f is 0 or 1."""
+        """(u, w) with Cov(E[T_i | B_i]) = w_i u_i u_i^T, u (n, d) and
+        w >= 0 (n,); w is not finite where a bit has probability 0."""
 
+    @abc.abstractmethod
     def cond_mean_dev_T(self, theta, designs, bits):
-        """E[T_i | B_i=b_i] - E[T_i], shape (n, d).
-
-        The first half of :meth:`cond_devs_T`; the concrete families
-        override it with a pass that skips the covariance.
-        """
-        return self.cond_devs_T(theta, designs, bits)[0]
+        """E[T_i | B_i=b_i] - E[T_i], shape (n, d): the first half of
+        :meth:`cond_devs_T`."""
 
     def conditional_mean_T(self, theta, designs, bits):
         """E[T_i | B_i=b_i], shape (n, d)."""
@@ -159,10 +156,9 @@ class ModelFamily(abc.ABC):
     def initial_point(self, data):
         """Deterministic starting point of the MLE solver for ``data``.
 
-        Defaults to ones, sign-adjusted to the domain; the concrete
-        families derive theirs from the data.
+        Defaults to ones; the concrete families derive theirs from the data.
         """
-        return np.array([-1.0 if kind == "negative" else 1.0 for kind in self.domain])
+        return np.ones(self.k)
 
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):
@@ -183,10 +179,16 @@ class ModelFamily(abc.ABC):
 
     # -- helpers -----------------------------------------------------------------------
     def _coerce(self, theta, designs):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.k,):
-            raise DomainError(f"{self.name} expects {self.k} parameters, got shape {theta.shape}")
-        designs = DesignSet.coerce(designs)
+        """(theta, designs) checked against the family's shapes; ``theta``
+        is None for a method that takes no parameter."""
+        if theta is not None:
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+            if theta.shape != (self.k,):
+                raise DomainError(
+                    f"{self.name} expects {self.k} parameters, got shape {theta.shape}"
+                )
+        if not isinstance(designs, DesignSet):
+            raise TypeError(f"designs must be a DesignSet, got {type(designs).__name__}")
         if (designs.d, designs.k) != (self.d, self.k):
             raise DomainError(
                 f"{self.name} expects designs of shape ({self.d}, {self.k}), "

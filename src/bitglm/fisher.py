@@ -13,7 +13,7 @@ stack of per-observation summands is built only when asked for.
 
 ``fim_numeric_oracle`` is an independent verification route: it enumerates
 both bit values per observation and averages the outer product of the
-single-observation score.  ``negative_expected_hessian`` is a second
+score of that observation alone.  ``negative_expected_hessian`` is a second
 independent route through the curvature.  Processing a sample into a bit
 cannot create information, so I_n - J_n must be positive semidefinite;
 ``dpi_check`` verifies that numerically.
@@ -26,7 +26,7 @@ import numpy as np
 from . import likelihood
 from .exceptions import DegenerateThreshold
 from .likelihood import _theta_values
-from .types import DesignSet
+from .types import CensoredDataset
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
 PSD_TOLERANCE = -1e-10
@@ -73,34 +73,32 @@ class FimResult:
         return self.matrix.shape[0]
 
 
-def _checked(model, f):
-    """``f``; DegenerateThreshold where a censoring probability is
-    numerically 0 or 1."""
-    bad = (f <= 0.0) | (f >= 1.0)
+def _reject(model, bad):
+    """DegenerateThreshold naming the first design where ``bad`` holds."""
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise DegenerateThreshold(
             f"{model.name} design {idx}: censoring probability is numerically 0 or 1",
             index=idx,
         )
-    return f
 
 
 def _censoring(model, theta, designs):
-    """(theta, designs, P(X_i <= tau_i)); DegenerateThreshold where a
-    censoring probability is numerically 0 or 1."""
+    """(theta, P(X_i <= tau_i)); DegenerateThreshold where a censoring
+    probability is numerically 0 or 1, since both bits are weighted."""
     theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    return theta, designs, _checked(model, model.prob_leq(theta, designs))
+    f = model.prob_leq(theta, designs)
+    _reject(model, (f <= 0.0) | (f >= 1.0))
+    return theta, f
 
 
 def fim_censored(model, theta, designs, keep_terms=False):
     """Information carried by the bits: per observation, the rank-one
-    covariance w u u^T of E[T | B] sandwiched by the design matrix."""
+    covariance w u u^T of E[T | B] sandwiched by the design matrix.
+    DegenerateThreshold where w is not finite, at a bit of probability 0."""
     theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    f, u, w = model.bit_information_T(theta, designs)
-    _checked(model, f)
+    u, w = model.bit_information_T(theta, designs)
+    _reject(model, ~np.isfinite(w))
 
     g = np.einsum("ndk,nd->nk", designs.V, u)  # V^T u per row, (n, k)
     wg = g * w[:, None]
@@ -121,24 +119,23 @@ def _sandwich(V, inner, keep_terms):
 
 def fim_uncensored(model, theta, designs, keep_terms=False):
     """Information carried by the raw observations."""
-    theta = _theta_values(model, theta)
-    designs = DesignSet.coerce(designs)
-    return _sandwich(designs.V, model.cov_T(theta, designs), keep_terms)
+    inner = model.cov_T(_theta_values(model, theta), designs)
+    return _sandwich(designs.V, inner, keep_terms)
 
 
 def fim_numeric_oracle(model, theta, designs, keep_terms=False):
     """Independent check of the censored information: enumerate both bits
     per observation and average the outer product of the score computed by
     the likelihood module."""
-    theta, designs, f = _censoring(model, theta, designs)
+    theta, f = _censoring(model, theta, designs)
 
     k = designs.k
     terms = np.empty((designs.n, k, k))
     for i in range(designs.n):
-        design = designs.design(i)
+        row = designs.subset(slice(i, i + 1))
         acc = np.zeros((k, k))
         for b, pb in ((1, f[i]), (-1, 1.0 - f[i])):
-            s = likelihood.score_single(model, theta, design, b)
+            s = likelihood.score(model, theta, CensoredDataset(np.array([b]), row))
             acc += np.outer(s, s) * pb
         terms[i] = acc
     return FimResult.build(np.add.reduce(terms, axis=0), terms if keep_terms else None)
@@ -147,7 +144,7 @@ def fim_numeric_oracle(model, theta, designs, keep_terms=False):
 def negative_expected_hessian(model, theta, designs, keep_terms=False):
     """-E[Hessian] with the expectation enumerated over both bit values;
     equals the censored information by the information-matrix equality."""
-    theta, designs, f = _censoring(model, theta, designs)
+    theta, f = _censoring(model, theta, designs)
 
     plus = np.ones(designs.n, dtype=np.int8)
     dev_p = model.cond_devs_T(theta, designs, plus)[1]

@@ -3,7 +3,8 @@
 For independent observations with bits b_i and designs (V_i, tau_i),
 each row i standing for n_i identical observations (``data.counts``):
 
-* probability of a bit:   P(+1) = F(tau), P(-1) = 1 - F(tau)
+* probability of a bit:   P(+1) = F(tau), P(-1) = 1 - F(tau), complements
+                          of one CDF evaluation, so they sum to one exactly
 * log-likelihood:         sum_i n_i log P(b_i)
 * score (gradient):       sum_i n_i V_i^T (E[T_i | B_i=b_i] - E[T_i])
 * Hessian:                sum_i n_i V_i^T (Cov(T_i | B_i=b_i) - Cov(T_i)) V_i
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 from .exceptions import DegenerateLikelihood
-from .types import CensoredDataset, DesignSet
 
 
 def _theta_values(model, theta):
@@ -32,18 +32,6 @@ def bit_probabilities(model, theta, data):
     theta = _theta_values(model, theta)
     f = model.prob_leq(theta, data.designs)
     return np.where(data.bits > 0, f, 1.0 - f)
-
-
-def censored_prob(model, theta, design, b):
-    """Probability of observing bit ``b`` for one design.
-
-    Both bits are complements of a single CDF evaluation, so they sum to
-    one exactly.
-    """
-    if b not in (-1, 1):
-        raise ValueError("bit must be -1 or +1")
-    data = CensoredDataset(np.array([b]), DesignSet.coerce([design]))
-    return float(bit_probabilities(model, theta, data)[0])
 
 
 def _per_row(terms, data):
@@ -96,8 +84,3 @@ def hessian(model, theta, data):
     """Hessian of the censored log-likelihood, shape (k, k)."""
     return evaluate(model, theta, data)[2]
 
-
-def score_single(model, theta, design, b):
-    """Score of a single observation (convenience for enumeration oracles)."""
-    data = CensoredDataset(np.array([b]), DesignSet.coerce([design]))
-    return score(model, theta, data)

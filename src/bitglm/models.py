@@ -136,13 +136,11 @@ class GaussianCase1(ModelFamily):
         return mu[:, None]
 
     def cov_T(self, theta, designs):
-        n = DesignSet.coerce(designs).n
-        return np.full((n, 1, 1), self.sigma**2)
+        _, designs = self._coerce(theta, designs)
+        return np.full((designs.n, 1, 1), self.sigma**2)
 
     def cond_mean_dev_T(self, theta, designs, bits):
-        _, z = self._mu_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        return (-self.sigma * c)[:, None]
+        return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
         _, z = self._mu_z(theta, designs)
@@ -153,7 +151,7 @@ class GaussianCase1(ModelFamily):
 
     def bit_information_T(self, theta, designs):
         _, z = self._mu_z(theta, designs)
-        return _gauss.norm_cdf(z), np.ones((z.shape[0], 1)), self.sigma**2 * _gauss.fim_weight(z)
+        return np.ones((z.shape[0], 1)), self.sigma**2 * _gauss.fim_weight(z)
 
     def third_abs_moment_T(self, theta, designs):
         mu, _ = self._mu_z(theta, designs)
@@ -176,7 +174,8 @@ class GaussianCase1(ModelFamily):
 
     def uncensored_mle(self, designs, x):
         """Least squares, alpha = w.x / w.w."""
-        w = DesignSet.coerce(designs).V[:, 0, 0] * self.sigma**2
+        _, designs = self._coerce(None, designs)
+        w = designs.V[:, 0, 0] * self.sigma**2
         denom = float(w @ w)
         if denom == 0.0:
             raise NonIdentifiable("all weights are zero")
@@ -263,7 +262,7 @@ class GaussianCase2(ModelFamily):
         return DesignSet(V, taus, aux=self.means)
 
     def check_designs(self, designs):
-        designs = DesignSet.coerce(designs)
+        _, designs = self._coerce(None, designs)
         if designs.aux is None:
             raise DomainError("gaussian-case2 designs must carry the known means as aux")
 
@@ -293,9 +292,7 @@ class GaussianCase2(ModelFamily):
         return np.full((z.shape[0], 1, 1), 2.0 * sigma**4)
 
     def cond_mean_dev_T(self, theta, designs, bits):
-        sigma, z = self._sigma_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        return (-sigma**2 * z * c)[:, None]
+        return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
         sigma, z = self._sigma_z(theta, designs)
@@ -307,14 +304,13 @@ class GaussianCase2(ModelFamily):
 
     def bit_information_T(self, theta, designs):
         sigma, z = self._sigma_z(theta, designs)
-        return _gauss.norm_cdf(z), (sigma**2 * z)[:, None], _gauss.fim_weight(z)
+        return (sigma**2 * z)[:, None], _gauss.fim_weight(z)
 
     def third_abs_moment_T(self, theta, designs):
         sigma, z = self._sigma_z(theta, designs)
         return np.full(z.shape, 15.0 * sigma**6)
 
     def sample(self, theta, designs, rng):
-        designs = DesignSet.coerce(designs)
         sigma, _ = self._sigma_z(theta, designs)
         return designs.aux + sigma * rng.standard_normal(designs.n)
 
@@ -325,7 +321,8 @@ class GaussianCase2(ModelFamily):
 
     def uncensored_mle(self, designs, x):
         """The inverse mean squared deviation from the known means."""
-        ss = float(np.mean((x - DesignSet.coerce(designs).aux) ** 2))
+        _, designs = self._coerce(None, designs)
+        ss = float(np.mean((x - designs.aux) ** 2))
         if ss <= 0.0:
             raise NonIdentifiable("zero empirical variance")
         return np.array([1.0 / ss])
@@ -443,12 +440,7 @@ class GaussianCase3(ModelFamily):
         return out
 
     def cond_mean_dev_T(self, theta, designs, bits):
-        mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
-        c = _gauss.signed_hazard(z, bits)
-        dev = np.empty((z.shape[0], 2))
-        dev[:, 0] = -sigma * c
-        dev[:, 1] = -sigma * c * (designs.taus + mu)
-        return dev
+        return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
         mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
@@ -475,7 +467,7 @@ class GaussianCase3(ModelFamily):
     def bit_information_T(self, theta, designs):
         mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
         u = np.stack([np.ones_like(z), designs.taus + mu], axis=1)
-        return _gauss.norm_cdf(z), u, sigma**2 * _gauss.fim_weight(z)
+        return u, sigma**2 * _gauss.fim_weight(z)
 
     def third_abs_moment_T(self, theta, designs):
         # ||T|| = |x| sqrt(1 + x^2); its cube has no closed Gaussian moment,
@@ -490,7 +482,8 @@ class GaussianCase3(ModelFamily):
 
     def uncensored_mle(self, designs, x):
         """Least-squares alpha and the biased (MLE-convention) variance."""
-        w = DesignSet.coerce(designs).V[:, 0, 0]
+        _, designs = self._coerce(None, designs)
+        w = designs.V[:, 0, 0]
         denom = float(w @ w)
         if denom == 0.0:
             raise NonIdentifiable("all weights are zero")
@@ -626,7 +619,7 @@ class PoissonModel(ModelFamily):
         return ds
 
     def check_designs(self, designs):
-        designs = DesignSet.coerce(designs)
+        _, designs = self._coerce(None, designs)
         if np.any(designs.taus < 0):
             raise DomainError("poisson thresholds must be >= 0")
 
@@ -689,8 +682,7 @@ class PoissonModel(ModelFamily):
         return lam, t, h
 
     def cond_mean_dev_T(self, theta, designs, bits):
-        lam, _, h = self._dev_pieces(theta, designs, bits)
-        return (-lam * h)[:, None]
+        return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
         lam, t, h = self._dev_pieces(theta, designs, bits)
@@ -705,7 +697,7 @@ class PoissonModel(ModelFamily):
         # inf or nan where F or S is 0, rows that the caller rejects
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (pmf / f) * (pmf / sf)
-        return f, lam[:, None], w
+        return lam[:, None], w
 
     def third_abs_moment_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)
@@ -718,7 +710,8 @@ class PoissonModel(ModelFamily):
     def uncensored_mle(self, designs, x):
         """The root of sum v (x - exp(v theta)) = 0: log of the mean count
         over v for a constant covariate, else a Newton solve from 0."""
-        v = DesignSet.coerce(designs).V[:, 0, 0]
+        _, designs = self._coerce(None, designs)
+        v = designs.V[:, 0, 0]
         target = float(v @ x)
         if np.all(v == v[0]) and v[0] != 0.0:
             mean_x = float(np.mean(x))

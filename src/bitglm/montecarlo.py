@@ -21,7 +21,7 @@ from .exceptions import (
     ExperimentFailure,
     NonIdentifiable,
 )
-from .types import CensoredDataset, DesignSet
+from .types import CensoredDataset
 
 
 def _substream(seed, n, trial):
@@ -189,7 +189,6 @@ def generate_and_censor(model, theta0, designs, seed):
     deterministic given the seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    designs = DesignSet.coerce(designs)
     x = model.sample(np.asarray(theta0, dtype=float), designs, rng)
     bits = np.where(x <= designs.taus, 1, -1)
     return CensoredDataset(bits, designs)
@@ -398,12 +397,10 @@ class ConditionsReport:
 def check_consistency_conditions(model, theta0, designs, eig_tol=1e-10):
     """Evaluate the three sufficient conditions at theta0 for the given
     designs; the report carries the witnessed quantities per clause."""
-    designs = DesignSet.coerce(designs)
     theta0 = np.asarray(theta0, dtype=float)
-    n = designs.n
-
     t3 = model.third_abs_moment_T(theta0, designs)
     max_t3 = float(np.max(t3))
+    n = designs.n
 
     # matrix infinity norm per design: max absolute row sum
     vnorm = float(np.max(np.sum(np.abs(designs.V), axis=2)))

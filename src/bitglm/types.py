@@ -1,17 +1,19 @@
 """Core value types: parameters, designs, and censored datasets.
 
+Designs have one form, ``DesignSet``: the (V_i, tau_i) of all
+observations stacked into contiguous arrays, which every layer takes.
 All types are immutable after construction (arrays are made read-only),
 so they can be shared freely across workers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
 
 #: Allowed per-coordinate domain constraints for a parameter vector.
-DOMAIN_KINDS = ("unbounded", "positive", "negative")
+DOMAIN_KINDS = ("unbounded", "positive")
 
 
 def _readonly(a):
@@ -34,8 +36,6 @@ def check_domain(values, domain):
             raise DomainError(f"unknown domain constraint {kind!r}")
         if kind == "positive" and not v > 0.0:
             raise DomainError(f"coordinate {j} must be strictly positive, got {v!r}")
-        if kind == "negative" and not v < 0.0:
-            raise DomainError(f"coordinate {j} must be strictly negative, got {v!r}")
 
 
 def satisfies_domain(values, domain):
@@ -55,7 +55,7 @@ class ParameterVector:
     ----------
     values : ndarray, shape (k,)
     domain : tuple of str
-        One of "unbounded", "positive", "negative" per coordinate,
+        One of "unbounded", "positive" per coordinate,
         checked on construction.
     """
 
@@ -73,51 +73,14 @@ class ParameterVector:
     def k(self):
         return self.values.shape[0]
 
-    def with_values(self, values):
-        """Same domain, new coordinates (validated)."""
-        return ParameterVector(values, self.domain)
-
-
-@dataclass(frozen=True)
-class ObservationDesign:
-    """One observation's design: a d x k matrix V and a threshold tau.
-
-    ``aux`` carries an optional per-observation known constant consumed by
-    some model families (the known mean of a variance-only Gaussian model);
-    families that do not need it ignore it.
-    """
-
-    V: np.ndarray
-    tau: float
-    aux: float = None
-
-    def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.V, dtype=float))
-        object.__setattr__(self, "V", _readonly(V))
-        object.__setattr__(self, "tau", float(self.tau))
-        if self.V.ndim != 2 or self.V.shape[0] < 1 or self.V.shape[1] < 1:
-            raise ValueError("design matrix must be d x k with d, k >= 1")
-        if not np.all(np.isfinite(self.V)):
-            raise ValueError("design matrix entries must be finite")
-        if not np.isfinite(self.tau):
-            raise ValueError("threshold must be finite")
-        if self.aux is not None:
-            object.__setattr__(self, "aux", float(self.aux))
-
-    @property
-    def d(self):
-        return self.V.shape[0]
-
-    @property
-    def k(self):
-        return self.V.shape[1]
-
 
 class DesignSet:
-    """A stack of homogeneous designs, stored as contiguous arrays.
+    """The designs of n observations, stored as contiguous arrays.
 
-    Vectorized operations work on this form; ``ObservationDesign`` views
-    are materialized on demand.
+    ``V`` (n, d, k) holds the design matrices and ``taus`` (n,) the
+    thresholds.  ``aux`` (n,) optionally carries a per-observation known
+    constant that some model families read (the known mean of a
+    variance-only Gaussian model); families that do not need it ignore it.
     """
 
     __slots__ = ("V", "taus", "aux")
@@ -143,34 +106,6 @@ class DesignSet:
                 raise ValueError("aux must have shape (n,)")
             self.aux = _readonly(aux)
 
-    @classmethod
-    def from_designs(cls, designs):
-        """Stack a sequence of ObservationDesign (all sharing d and k)."""
-        designs = list(designs)
-        if not designs:
-            raise ValueError("need at least one design")
-        d, k = designs[0].d, designs[0].k
-        for i, ds in enumerate(designs):
-            if (ds.d, ds.k) != (d, k):
-                raise ValueError(f"design {i} has shape {(ds.d, ds.k)}, expected {(d, k)}")
-        V = np.stack([ds.V for ds in designs])
-        taus = np.array([ds.tau for ds in designs])
-        have_aux = [ds.aux is not None for ds in designs]
-        if any(have_aux):
-            if not all(have_aux):
-                raise ValueError("either every design carries aux or none does")
-            aux = np.array([ds.aux for ds in designs])
-        else:
-            aux = None
-        return cls(V, taus, aux)
-
-    @classmethod
-    def coerce(cls, designs):
-        """Accept a DesignSet or any sequence of ObservationDesign."""
-        if isinstance(designs, cls):
-            return designs
-        return cls.from_designs(designs)
-
     @property
     def n(self):
         return self.V.shape[0]
@@ -185,13 +120,6 @@ class DesignSet:
 
     def __len__(self):
         return self.n
-
-    def design(self, i):
-        aux = None if self.aux is None else self.aux[i]
-        return ObservationDesign(self.V[i], self.taus[i], aux)
-
-    def __iter__(self):
-        return (self.design(i) for i in range(self.n))
 
     def subset(self, idx):
         aux = None if self.aux is None else self.aux[idx]
@@ -249,7 +177,7 @@ class CensoredDataset:
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
         if not isinstance(self.designs, DesignSet):
-            object.__setattr__(self, "designs", DesignSet.coerce(self.designs))
+            raise TypeError(f"designs must be a DesignSet, got {type(self.designs).__name__}")
         if self.designs.n != b.shape[0]:
             raise ValueError("bits and designs must have equal length")
         counts = np.ones(b.shape, np.int64) if self.counts is None else np.asarray(self.counts)
@@ -260,14 +188,6 @@ class CensoredDataset:
         counts = counts.astype(np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_observations(cls, observations):
-        """Build from (bit, ObservationDesign) pairs."""
-        observations = list(observations)
-        bits = [b for b, _ in observations]
-        designs = DesignSet.from_designs([ds for _, ds in observations])
-        return cls(np.asarray(bits), designs)
 
     @property
     def n(self):
@@ -280,15 +200,6 @@ class CensoredDataset:
     def total(self):
         """Number of observations the rows stand for."""
         return int(self.counts.sum())
-
-    def observations(self):
-        """Iterate (bit, ObservationDesign) pairs, one per row.
-
-        Counts are not repeated: a row standing for several observations
-        is yielded once.  Use ``counts`` alongside, or enumerate ``single``.
-        """
-        for i in range(self.n):
-            yield int(self.bits[i]), self.designs.design(i)
 
     def permuted(self, order):
         """Dataset with rows reordered by the given index array."""
@@ -332,8 +243,3 @@ class CensoredDataset:
         counts = self.counts[order]
         plus = np.where(self.bits[order] > 0, counts, 0)
         return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)
-
-    def single(self, i):
-        """One-observation dataset (used by enumeration oracles)."""
-        rows = slice(i, i + 1)
-        return CensoredDataset(self.bits[rows], self.designs.subset(rows), self.counts[rows])

@@ -199,7 +199,8 @@ def test_criterion_5_score_calculus():
         total = np.zeros(fam.k)
         for j in range(ds.n):
             for b, pb in ((1, probs[j]), (-1, 1 - probs[j])):
-                total += likelihood.score_single(fam, theta, ds.design(j), b) * pb
+                one = CensoredDataset([b], ds.subset(slice(j, j + 1)))
+                total += likelihood.score(fam, theta, one) * pb
         worst_mean = max(worst_mean, float(np.max(np.abs(total))))
 
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)

@@ -344,6 +344,18 @@ class TestFamilyKeys:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize("key", ["backtracking_factor", "sufficient_increase"])
+    def test_fit_section_has_no_line_search_keys(self, tmp_path, capsys, key):
+        cfg = write(
+            tmp_path,
+            "fit.cfg",
+            f'{{"model": {{"name": "gaussian-case1", "sigma": 1.0}}, "fit": {{"{key}": 0.5}}}}',
+        )
+        data = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert code == 2
+        assert key in err
+
     def test_fit_means_need_one_entry_per_row(self, tmp_path, capsys):
         cfg = write(tmp_path, "fit.cfg", '{"model": {"name": "gaussian-case2", "means": [0, 1]}}')
         data = write(tmp_path, "obs.dat", FOUR_ROW_DATA.replace("0.0 1.0", "0.0 -0.5"))

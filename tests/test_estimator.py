@@ -257,8 +257,6 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
-            FitConfig(backtracking_factor=1.0)
-        with pytest.raises(ValueError):
             FitConfig(multistart_count=0)
 
     def test_explicit_initial_points(self):

@@ -145,6 +145,21 @@ class TestPsdAndStructure:
             fim_censored(fam, [0.0], ds)
         assert err.value.index == 1
 
+    def test_poisson_far_tail_keeps_its_information(self):
+        # a bit of probability ~1e-20 still carries finite information
+        fam = models.PoissonModel([1.0])
+        got = fim_censored(fam, [0.0], fam.design_set([20.0])).matrix[0, 0]
+        assert_allclose(got, models.poisson_fim(fam, 0.0, [20.0]), rtol=1e-12)
+        assert_allclose(got, 3.0313723275105805e-18, rtol=1e-12)
+
+    def test_gaussian_far_tail_keeps_its_information(self):
+        # 1 - F(9) rounds away in F, yet the information is finite
+        fam = models.GaussianCase1([1.0], sigma=1.0)
+        for tau, size in ((9.0, 9.36e-18), (20.0, 1.1e-86)):
+            got = fim_censored(fam, [0.0], fam.design_set([tau])).matrix[0, 0]
+            assert_allclose(got, models.case1_fim(fam, 0.0, [tau]), rtol=1e-12)
+            assert_allclose(got, size, rtol=1e-2)
+
 
 class TestUncensoredSpots:
     @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -13,7 +13,6 @@ from bitglm import (
     CensoredDataset,
     DegenerateLikelihood,
     DomainError,
-    censored_prob,
     hessian,
     likelihood,
     log_likelihood,
@@ -29,27 +28,37 @@ def gaussian1(weights, sigma, taus):
     return fam, fam.design_set(taus)
 
 
+def one_row(ds, i, b):
+    """Design i of ``ds`` alone, observed with bit b."""
+    return CensoredDataset([b], ds.subset(slice(i, i + 1)))
+
+
+def bit_prob(fam, theta, ds, i, b):
+    """P(B = b) for design i alone."""
+    return float(likelihood.bit_probabilities(fam, theta, one_row(ds, i, b))[0])
+
+
 class TestCensoredProb:
     def test_threshold_at_the_mean(self):
         fam, ds = gaussian1([1.0], 1.0, [2.0])
-        assert censored_prob(fam, [2.0], ds.design(0), 1) == 0.5
+        assert bit_prob(fam, [2.0], ds, 0, 1) == 0.5
 
     def test_poisson_zero_threshold(self):
         fam = models.PoissonModel([1.0])
         ds = fam.design_set([0.0])
-        assert_allclose(censored_prob(fam, [0.0], ds.design(0), 1), math.exp(-1), rtol=1e-15)
+        assert_allclose(bit_prob(fam, [0.0], ds, 0, 1), math.exp(-1), rtol=1e-15)
 
     def test_one_sigma_below_mean(self):
         # high-precision CDF oracle
         with mpmath.workdps(40):
             want = float(mpmath.ncdf(-1))
         fam, ds = gaussian1([1.0], 1.0, [1.0])
-        assert_allclose(censored_prob(fam, [2.0], ds.design(0), 1), want, rtol=1e-14)
+        assert_allclose(bit_prob(fam, [2.0], ds, 0, 1), want, rtol=1e-14)
 
     def test_bits_are_exact_complements(self):
         fam, ds = gaussian1([0.7], 1.3, [0.4])
-        p = censored_prob(fam, [1.1], ds.design(0), 1)
-        q = censored_prob(fam, [1.1], ds.design(0), -1)
+        p = bit_prob(fam, [1.1], ds, 0, 1)
+        q = bit_prob(fam, [1.1], ds, 0, -1)
         assert p + q == 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -61,8 +70,8 @@ class TestCensoredProb:
     )
     def test_complement_property(self, alpha, tau, w, sigma):
         fam, ds = gaussian1([w], sigma, [tau])
-        p = censored_prob(fam, [alpha], ds.design(0), 1)
-        q = censored_prob(fam, [alpha], ds.design(0), -1)
+        p = bit_prob(fam, [alpha], ds, 0, 1)
+        q = bit_prob(fam, [alpha], ds, 0, -1)
         assert 0.0 <= p <= 1.0
         assert p + q == 1.0
 
@@ -70,12 +79,12 @@ class TestCensoredProb:
         fam = models.GaussianCase2(means=[0.0])
         ds = fam.design_set([1.0])
         with pytest.raises(DomainError):
-            censored_prob(fam, [-1.0], ds.design(0), 1)
+            bit_prob(fam, [-1.0], ds, 0, 1)
 
     def test_invalid_bit(self):
         fam, ds = gaussian1([1.0], 1.0, [0.0])
         with pytest.raises(ValueError):
-            censored_prob(fam, [0.0], ds.design(0), 0)
+            bit_prob(fam, [0.0], ds, 0, 0)
 
 
 class TestLogLikelihood:
@@ -97,7 +106,7 @@ class TestLogLikelihood:
         bits = [1, -1, 1]
         data = CensoredDataset(bits, ds)
         want = sum(
-            math.log(censored_prob(fam, [0.3], ds.design(i), b)) for i, b in enumerate(bits)
+            math.log(bit_prob(fam, [0.3], ds, i, b)) for i, b in enumerate(bits)
         )
         assert_allclose(log_likelihood(fam, [0.3], data), want, rtol=1e-15)
 
@@ -163,7 +172,7 @@ class TestScore:
             total = np.zeros(fam.k)
             for i in range(ds.n):
                 for b, pb in ((1, probs[i]), (-1, 1 - probs[i])):
-                    total += likelihood.score_single(fam, theta, ds.design(i), b) * pb
+                    total += score(fam, theta, one_row(ds, i, b)) * pb
             assert np.max(np.abs(total)) <= 1e-12
 
     @pytest.mark.parametrize("name", MODEL_NAMES)

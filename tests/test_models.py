@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from bitglm import (
     DegenerateThreshold,
     DomainError,
+    ModelFamily,
     NumericalError,
     fim_censored,
     fim_uncensored,
@@ -312,9 +313,8 @@ class TestLawOfTotalCovariance:
             assert_allclose(
                 within + between, cov, rtol=0, atol=1e-10 * (1 + np.abs(cov).max())
             )
-            # the between term is rank one, w u u^T, at the same f
-            f, u, w = fam.bit_information_T(theta, ds)
-            assert np.array_equal(f, p)
+            # the between term is rank one, w u u^T
+            u, w = fam.bit_information_T(theta, ds)
             assert u.shape == (ds.n, fam.d) and w.shape == (ds.n,) and np.all(w >= 0)
             rank_one = w[:, None, None] * u[:, :, None] * u[:, None, :]
             assert_allclose(rank_one, between, rtol=0, atol=1e-10 * (1 + np.abs(cov).max()))
@@ -346,6 +346,35 @@ class TestInformationPositivityCheck:
         )
         assert report.min_eigenvalue > 0
         assert report.passed
+
+
+class TestOneDesignType:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_per_row_designs_raise(self, name, rng):
+        fam, theta, ds = random_instance(name, rng, n=3)
+        rows = [ds.subset(slice(i, i + 1)) for i in range(ds.n)]
+        bits = np.ones(ds.n, dtype=np.int8)
+        calls = [
+            lambda d: fam.log_partition(theta, d),
+            lambda d: fam.prob_leq(theta, d),
+            lambda d: fam.mean_T(theta, d),
+            lambda d: fam.cov_T(theta, d),
+            lambda d: fam.cond_devs_T(theta, d, bits),
+            lambda d: fam.cond_mean_dev_T(theta, d, bits),
+            lambda d: fam.conditional_cov_T(theta, d, bits),
+            lambda d: fam.bit_information_T(theta, d),
+            lambda d: fam.third_abs_moment_T(theta, d),
+            lambda d: fam.sample(theta, d, np.random.default_rng(0)),
+            lambda d: fam.uncensored_mle(d, np.ones(ds.n)),
+            lambda d: fim_censored(fam, theta, d),
+            lambda d: fim_uncensored(fam, theta, d),
+        ]
+        if type(fam).check_designs is not ModelFamily.check_designs:
+            calls.append(fam.check_designs)
+        for call in calls:
+            with pytest.raises(TypeError, match="DesignSet"):
+                call(rows)
+            call(ds)
 
 
 class TestRegistry:
