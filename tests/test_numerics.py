@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from bitglm import _gauss, _poisson, models
-from _oracles import poisson_cdf_sum, poisson_sf_sum
+from _oracles import poisson_cdf_sum, poisson_sf_sum, truncated_normal_moment
 
 
 def mp_norm_cdf(z):
@@ -59,6 +59,20 @@ class TestNormalPieces:
                 want[i] = float(mpmath.npdf(z) ** 2 / (f * (1 - f)))
         assert_allclose(got, want, rtol=1e-13)
         assert np.array_equal(_gauss.fim_weight(-zs), got)
+
+    @pytest.mark.parametrize("z", [-2.3, -0.4, 0.0, 1.1, 2.8])
+    @pytest.mark.parametrize("b", [1, -1])
+    def test_truncated_moments_match_quadrature(self, z, b):
+        # every raw moment of N(0, 1) on one side of z follows from the
+        # signed hazard c alone: M_0 = 1, M_1 = -c and
+        # M_k = (k - 1) M_{k-2} - z^{k-1} c; the Gaussian families read M_1, M_2
+        c = _gauss.signed_hazard(np.array([z]), np.array([b]))[0]
+        m_prev2, m_prev1 = 1.0, -c
+        for power in range(1, 7):
+            if power > 1:
+                m_prev2, m_prev1 = m_prev1, (power - 1) * m_prev2 - z ** (power - 1) * c
+            want = truncated_normal_moment(0.0, 1.0, z, b, power)
+            assert_allclose(m_prev1, want, rtol=1e-8, atol=1e-10)
 
     def test_abs_third_moment(self):
         # standard case has the closed value 2*sqrt(2/pi)

@@ -33,6 +33,30 @@ class TestParameterVector:
             ParameterVector([-1.0], ("negative",))
 
 
+class TestDesignSet:
+    def test_shapes(self):
+        designs = DesignSet(np.ones((3, 2, 4)), np.zeros(3), np.arange(3.0))
+        assert (designs.n, len(designs), designs.d, designs.k) == (3, 3, 2, 4)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            DesignSet(np.full((1, 1, 1), np.inf), np.zeros(1))
+        with pytest.raises(ValueError, match="finite"):
+            DesignSet(np.ones((1, 1, 1)), [np.nan])
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 1, 1, 1), (0, 1, 1), (2, 0, 1), (2, 1, 0)])
+    def test_rejects_shapes_other_than_n_d_k(self, shape):
+        with pytest.raises(ValueError):
+            DesignSet(np.ones(shape), np.zeros(shape[0]))
+
+    def test_subset_keeps_rows_and_aux(self):
+        designs = DesignSet(np.arange(3.0).reshape(3, 1, 1), [0.5, -0.5, 1.5], [1.0, 2.0, 3.0])
+        row = designs.subset(slice(1, 2))
+        assert (row.n, row.V[0, 0, 0], row.taus[0], row.aux[0]) == (1, 1.0, -0.5, 2.0)
+        assert designs.subset([2, 0]).aux.tolist() == [3.0, 1.0]
+        assert DesignSet(np.ones((2, 1, 1)), np.zeros(2)).subset([1]).aux is None
+
+
 class TestCensoredDataset:
     def test_bits_validated(self):
         designs = DesignSet(np.ones((2, 1, 1)), np.zeros(2))
@@ -69,6 +93,18 @@ class TestCensoredDataset:
         for bad in (rows, (designs.V, designs.taus)):
             with pytest.raises(TypeError, match="DesignSet"):
                 CensoredDataset([1, -1], bad)
+
+    def test_mixed_design_shapes_rejected(self):
+        # one threshold per design matrix, or no dataset
+        with pytest.raises(ValueError, match="thresholds"):
+            CensoredDataset([1, -1], DesignSet(np.ones((2, 1, 1)), np.zeros(3)))
+
+    def test_aux_all_or_none(self):
+        # aux is one entry per row or absent
+        with pytest.raises(ValueError, match="aux"):
+            CensoredDataset([1, 1], DesignSet(np.ones((2, 1, 1)), np.zeros(2), [1.0]))
+        data = CensoredDataset([1, 1], DesignSet(np.ones((2, 1, 1)), np.zeros(2)))
+        assert data.designs.aux is None
 
     def test_length_mismatch(self):
         designs = DesignSet(np.ones((2, 1, 1)), np.zeros(2))
