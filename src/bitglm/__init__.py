@@ -23,15 +23,7 @@ from .exceptions import (
     NumericalError,
 )
 from .families import ModelFamily
-from .fisher import (
-    DpiReport,
-    FimResult,
-    dpi_check,
-    fim_censored,
-    fim_numeric_oracle,
-    fim_uncensored,
-    negative_expected_hessian,
-)
+from .fisher import DpiReport, FimResult, dpi_check, fim_censored, fim_uncensored
 from .likelihood import hessian, log_likelihood, score
 from .models import (
     REGISTRY,
@@ -39,18 +31,7 @@ from .models import (
     GaussianCase2,
     GaussianCase3,
     PoissonModel,
-    case1_fim,
     case1_optimal_thresholds,
-    case1_uncensored_fim,
-    case2_fim,
-    case2_uncensored_fim,
-    case3_fim,
-    case3_uncensored_fim,
-    gaussian_conditional_moments,
-    poisson_conditional_mean,
-    poisson_fim,
-    poisson_uncensored_fim,
-    information_positivity_check,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -91,25 +72,12 @@ __all__ = [
     "GaussianCase2",
     "GaussianCase3",
     "PoissonModel",
-    "gaussian_conditional_moments",
-    "poisson_conditional_mean",
-    "case1_fim",
-    "case1_uncensored_fim",
     "case1_optimal_thresholds",
-    "case2_fim",
-    "case2_uncensored_fim",
-    "case3_fim",
-    "case3_uncensored_fim",
-    "poisson_fim",
-    "poisson_uncensored_fim",
-    "information_positivity_check",
     # fisher
     "FimResult",
     "DpiReport",
     "fim_censored",
     "fim_uncensored",
-    "fim_numeric_oracle",
-    "negative_expected_hessian",
     "dpi_check",
     # estimator
     "FitConfig",

@@ -28,11 +28,6 @@ def norm_cdf(z):
     return special.ndtr(np.asarray(z, dtype=float))
 
 
-def norm_logcdf(z):
-    """log of the standard normal CDF, stable for very negative z."""
-    return special.log_ndtr(np.asarray(z, dtype=float))
-
-
 def norm_ppf(p):
     """Standard normal quantile function."""
     return special.ndtri(np.asarray(p, dtype=float))

@@ -13,12 +13,10 @@ Design notes
 * The primitive conditional quantities are the *deviations*
   E[T|B=b] - E[T] and Cov(T|B=b) - Cov(T), for which every concrete
   family has a cancellation-free closed form.  ``cond_devs_T`` is the one
-  route that returns both; the plain conditional moments, the Hessian and
-  the curvature route to the information are derived from it, and
-  ``cond_mean_dev_T`` is its first half.  The score, the Hessian and all
-  Fisher information assemblies consume only the deviations, which is
-  what lets independent computation routes agree to ~1e-10 instead of
-  ~1e-6.
+  route that returns both, and ``cond_mean_dev_T`` is its first half.
+  The score and the Hessian consume only the deviations, never the plain
+  conditional moments, which is what lets independent computation routes
+  agree to ~1e-10 instead of ~1e-6.
 * A bit takes two values, so Cov(E[T|B]) is rank one, w u u^T, and
   ``bit_information_T`` gives its factors (u, w), cancellation-free, from
   one evaluation of each tail and of the density.  Each concrete family
@@ -71,11 +69,6 @@ class ModelFamily(abc.ABC):
     def check_theta(self, theta):
         check_domain(np.atleast_1d(np.asarray(theta, dtype=float)), self.domain)
 
-    # -- density description ----------------------------------------------
-    @abc.abstractmethod
-    def log_partition(self, theta, designs):
-        """phi(eta_i) per observation, shape (n,)."""
-
     # -- designs -----------------------------------------------------------
     def check_designs(self, designs):
         """Validate thresholds interior to the support and aux data.
@@ -112,14 +105,6 @@ class ModelFamily(abc.ABC):
     def cond_mean_dev_T(self, theta, designs, bits):
         """E[T_i | B_i=b_i] - E[T_i], shape (n, d): the first half of
         :meth:`cond_devs_T`."""
-
-    def conditional_mean_T(self, theta, designs, bits):
-        """E[T_i | B_i=b_i], shape (n, d)."""
-        return self.mean_T(theta, designs) + self.cond_mean_dev_T(theta, designs, bits)
-
-    def conditional_cov_T(self, theta, designs, bits):
-        """Cov(T_i | B_i=b_i), shape (n, d, d)."""
-        return self.cov_T(theta, designs) + self.cond_devs_T(theta, designs, bits)[1]
 
     # -- moment conditions -------------------------------------------------------
     @abc.abstractmethod

@@ -8,25 +8,19 @@ Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i.
 
 Each total is assembled as one k x k BLAS reduction over the stacked rows:
 the censored information as (g * w)^T g over the rows g_i = V_i^T u_i,
-the sandwiches as the (n d) x k product V^T (inner V).  The (n, k, k)
-stack of per-observation summands is built only when asked for.
+the uncensored one as the (n d) x k product V^T (Cov(T) V).  The
+(n, k, k) stack of per-observation summands is built only when asked for.
 
-``fim_numeric_oracle`` is an independent verification route: it enumerates
-both bit values per observation and averages the outer product of the
-score of that observation alone.  ``negative_expected_hessian`` is a second
-independent route through the curvature.  Processing a sample into a bit
-cannot create information, so I_n - J_n must be positive semidefinite;
-``dpi_check`` verifies that numerically.
+Processing a sample into a bit cannot create information, so I_n - J_n
+must be positive semidefinite; ``dpi_check`` verifies that numerically.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import likelihood
 from .exceptions import DegenerateThreshold
 from .likelihood import _theta_values
-from .types import CensoredDataset
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
 PSD_TOLERANCE = -1e-10
@@ -83,15 +77,6 @@ def _reject(model, bad):
         )
 
 
-def _censoring(model, theta, designs):
-    """(theta, P(X_i <= tau_i)); DegenerateThreshold where a censoring
-    probability is numerically 0 or 1, since both bits are weighted."""
-    theta = _theta_values(model, theta)
-    f = model.prob_leq(theta, designs)
-    _reject(model, (f <= 0.0) | (f >= 1.0))
-    return theta, f
-
-
 def fim_censored(model, theta, designs, keep_terms=False):
     """Information carried by the bits: per observation, the rank-one
     covariance w u u^T of E[T | B] sandwiched by the design matrix.
@@ -120,37 +105,6 @@ def _sandwich(V, inner, keep_terms):
 def fim_uncensored(model, theta, designs, keep_terms=False):
     """Information carried by the raw observations."""
     inner = model.cov_T(_theta_values(model, theta), designs)
-    return _sandwich(designs.V, inner, keep_terms)
-
-
-def fim_numeric_oracle(model, theta, designs, keep_terms=False):
-    """Independent check of the censored information: enumerate both bits
-    per observation and average the outer product of the score computed by
-    the likelihood module."""
-    theta, f = _censoring(model, theta, designs)
-
-    k = designs.k
-    terms = np.empty((designs.n, k, k))
-    for i in range(designs.n):
-        row = designs.subset(slice(i, i + 1))
-        acc = np.zeros((k, k))
-        for b, pb in ((1, f[i]), (-1, 1.0 - f[i])):
-            s = likelihood.score(model, theta, CensoredDataset(np.array([b]), row))
-            acc += np.outer(s, s) * pb
-        terms[i] = acc
-    return FimResult.build(np.add.reduce(terms, axis=0), terms if keep_terms else None)
-
-
-def negative_expected_hessian(model, theta, designs, keep_terms=False):
-    """-E[Hessian] with the expectation enumerated over both bit values;
-    equals the censored information by the information-matrix equality."""
-    theta, f = _censoring(model, theta, designs)
-
-    plus = np.ones(designs.n, dtype=np.int8)
-    dev_p = model.cond_devs_T(theta, designs, plus)[1]
-    dev_m = model.cond_devs_T(theta, designs, -plus)[1]
-    # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
-    inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
     return _sandwich(designs.V, inner, keep_terms)
 
 

@@ -16,8 +16,6 @@ of sigma, which is what keeps the far-tail evaluations stable.
 """
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _gauss, _poisson
@@ -122,11 +120,6 @@ class GaussianCase1(ModelFamily):
         z = (designs.taus - mu) / self.sigma
         return mu, z
 
-    def log_partition(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
-        eta = designs.natural_params(theta)[:, 0]
-        return 0.5 * self.sigma**2 * eta**2
-
     def prob_leq(self, theta, designs):
         _, z = self._mu_z(theta, designs)
         return _gauss.norm_cdf(z)
@@ -203,20 +196,6 @@ class GaussianCase1(ModelFamily):
         return np.array([(_mean(data.designs.taus, data) - self.sigma * q) / mean_w])
 
 
-def case1_fim(model, alpha, taus):
-    """Censored information for the known-variance Gaussian mean,
-    sum of w^2 * pdf^2 / (F * (1 - F)) over observations."""
-    taus = _as_1d(taus)
-    z = (taus - model.weights * float(alpha)) / model.sigma
-    terms = model.weights**2 * _gauss.fim_weight(z) / model.sigma**2
-    return float(math.fsum(terms))
-
-
-def case1_uncensored_fim(model):
-    """Information from the raw observations: sum of w^2 / sigma^2."""
-    return float(math.fsum(model.weights**2)) / model.sigma**2
-
-
 def case1_optimal_thresholds(model, alpha):
     """Thresholds maximizing each censored-information term: tau_i = w_i * alpha.
 
@@ -273,11 +252,6 @@ class GaussianCase2(ModelFamily):
         sigma = math.sqrt(sigma2)
         z = (designs.taus - designs.aux) / sigma
         return sigma, z
-
-    def log_partition(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
-        eta = designs.natural_params(theta)[:, 0]
-        return -0.5 * np.log(np.abs(2.0 * eta))
 
     def prob_leq(self, theta, designs):
         _, z = self._sigma_z(theta, designs)
@@ -353,21 +327,6 @@ class GaussianCase2(ModelFamily):
         return np.array([1.0 / max(spread, 1e-4)])
 
 
-def case2_fim(model, sigma, taus):
-    """Censored information for the known-mean Gaussian precision,
-    sum of (sigma^4/4) (tau - mu)^2 pdf^2 / (F (1 - F))."""
-    sigma = float(sigma)
-    taus = _as_1d(taus)
-    z = (taus - model.means) / sigma
-    terms = 0.25 * sigma**4 * z * z * _gauss.fim_weight(z)
-    return float(math.fsum(terms))
-
-
-def case2_uncensored_fim(model, sigma):
-    """Information from the raw observations: n * sigma^4 / 2."""
-    return 0.5 * float(sigma) ** 4 * model.means.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Gaussian: unknown mean and variance
 # ---------------------------------------------------------------------------
@@ -415,12 +374,6 @@ class GaussianCase3(ModelFamily):
         mu = sigma2 * eta1
         z = (designs.taus - mu) / sigma
         return mu, sigma, z, designs
-
-    def log_partition(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
-        eta = designs.natural_params(theta)
-        # -eta1^2/(4 eta2) - log(-2 eta2)/2 for eta2 < 0
-        return -eta[:, 0] ** 2 / (4.0 * eta[:, 1]) - 0.5 * np.log(-2.0 * eta[:, 1])
 
     def prob_leq(self, theta, designs):
         _, _, z, _ = self._mu_sigma_z(theta, designs)
@@ -551,36 +504,6 @@ def _norm_t3_quad(mu, sigma):
     return scale * (lo + hi)
 
 
-def case3_fim(model, alpha, sigma, taus):
-    """Censored information for the two-parameter Gaussian, the sum of
-    rank-one 2x2 terms weighted by sigma^2 pdf^2/(F (1-F)) per observation."""
-    alpha, sigma = float(alpha), float(sigma)
-    taus = _as_1d(taus)
-    w = model.weights
-    mu = w * alpha
-    z = (taus - mu) / sigma
-    cw = sigma**2 * _gauss.fim_weight(z)
-    tp = taus + mu
-    out = np.zeros((2, 2))
-    out[0, 0] = math.fsum(cw * w * w)
-    out[0, 1] = out[1, 0] = math.fsum(cw * w * (-0.5) * tp)
-    out[1, 1] = math.fsum(cw * 0.25 * tp * tp)
-    return out
-
-
-def case3_uncensored_fim(model, alpha, sigma):
-    """Information from the raw observations, V^T Cov(T) V summed."""
-    alpha, sigma = float(alpha), float(sigma)
-    w = model.weights
-    mu = w * alpha
-    s2 = sigma**2
-    out = np.zeros((2, 2))
-    out[0, 0] = math.fsum(w * w * s2)
-    out[0, 1] = out[1, 0] = math.fsum(w * (-0.5) * 2.0 * mu * s2)
-    out[1, 1] = math.fsum(np.full_like(w, 0.25) * (2.0 * s2 * s2 + 4.0 * mu**2 * s2))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Poisson
 # ---------------------------------------------------------------------------
@@ -651,10 +574,6 @@ class PoissonModel(ModelFamily):
                 f"observation {idx}: bit has probability 0 at this parameter", index=idx
             )
         return pb
-
-    def log_partition(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
-        return np.exp(designs.natural_params(theta)[:, 0])
 
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)
@@ -743,134 +662,6 @@ class PoissonModel(ModelFamily):
         if abs(vbar) < max(1e-8, 0.1 * scale):
             vbar = scale if scale > 1e-8 else 1.0
         return np.array([math.log(max(0.5, _mean(data.designs.taus, data))) / vbar])
-
-
-def poisson_conditional_mean(lam, tau, b):
-    """E[X | B=b] for X ~ Poisson(lam) and the bit of X <= tau.
-
-    Equals lam * F(t-1) / F(t) for b = +1 and lam * S(t-1) / S(t) for
-    b = -1, where t = floor(tau) and F and S are ``_poisson.poisson_tails``.
-    """
-    lam = np.asarray(lam, dtype=float)
-    t = np.floor(np.asarray(tau, dtype=float)).astype(np.int64)
-    b = np.asarray(b)
-    scalar = lam.ndim == 0 and t.ndim == 0 and b.ndim == 0
-    lam, t, b = np.atleast_1d(lam), np.atleast_1d(t), np.atleast_1d(b)
-    lam, t, b = np.broadcast_arrays(lam, t, b)
-    pb = PoissonModel._bit_prob(t, lam, b)
-    out = lam * _poisson.bit_prob(t - 1, lam, b) / pb
-    return float(out[0]) if scalar else out
-
-
-def poisson_fim(model, theta, taus):
-    """Censored information for the Poisson rate parameter,
-    sum of v^2 exp(2 v theta) pmf(t)^2 / (F(t) (1 - F(t))), taken as
-    (pmf/F) (pmf/S) since pmf^2 underflows far in the tails."""
-    theta = float(np.atleast_1d(theta)[0])
-    ds = model.design_set(taus)
-    lam = np.exp(model.covariates * theta)
-    t = np.floor(ds.taus).astype(np.int64)
-    f, sf = _poisson.poisson_tails(t, lam)
-    bad = (f == 0.0) | (sf == 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise DegenerateThreshold(
-            f"design {idx}: censoring probability is numerically 0 or 1", index=idx
-        )
-    p_t = _poisson.poisson_pmf(t, lam)
-    terms = model.covariates**2 * np.exp(2.0 * model.covariates * theta) * (p_t / f) * (p_t / sf)
-    return float(math.fsum(terms))
-
-
-def poisson_uncensored_fim(model, theta):
-    """Information from the raw counts: sum of v^2 exp(v theta)."""
-    theta = float(np.atleast_1d(theta)[0])
-    return float(math.fsum(model.covariates**2 * np.exp(model.covariates * theta)))
-
-
-# ---------------------------------------------------------------------------
-# Standalone Gaussian conditional moments
-# ---------------------------------------------------------------------------
-
-def gaussian_conditional_moments(mu, sigma, tau, b):
-    """(E[X | B=b], E[X^2 | B=b]) for X ~ N(mu, sigma^2), B the bit of X <= tau.
-
-    E[X | B=b]   = mu - b sigma^2 pdf(tau) / P(B=b)
-    E[X^2 | B=b] = sigma^2 + mu^2 - b sigma^2 pdf(tau)/P(B=b) * (tau + mu)
-
-    Raises NumericalError once P(B=b) underflows to zero (standardized
-    threshold beyond about +-38 on the conditioning side).
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    b = np.asarray(b)
-    scalar = max(mu.ndim, sigma.ndim, tau.ndim, b.ndim) == 0
-    mu, sigma, tau, b = np.atleast_1d(mu, sigma, tau, b)
-    mu, sigma, tau, b = np.broadcast_arrays(mu, sigma, tau, b)
-    if np.any(sigma <= 0):
-        raise DomainError("sigma must be strictly positive")
-    z = (tau - mu) / sigma
-    # gate degeneracy through the log-CDF: the plain CDF flushes to zero
-    # around |z| ~ 37 while exp(log CDF) keeps denormal mass out to ~38.6
-    log_pb = np.where(b > 0, _gauss.norm_logcdf(z), _gauss.norm_logcdf(-z))
-    if np.any(np.exp(log_pb) == 0.0):
-        raise NumericalError(
-            "conditioning event has probability 0 in double precision "
-            "(standardized threshold beyond the tail-stability range)"
-        )
-    c = _gauss.signed_hazard(z, b)
-    ex = mu - sigma * c
-    ex2 = sigma**2 + mu**2 - sigma * c * (tau + mu)
-    if scalar:
-        return float(ex[0]), float(ex2[0])
-    return ex, ex2
-
-
-# ---------------------------------------------------------------------------
-# Sufficient conditions for an invertible two-parameter Gaussian information
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InformationPositivityReport:
-    """Outcome of the positive-definiteness sufficient-condition check."""
-
-    max_abs_weight: float
-    nonzero_weight_fraction: float
-    min_eigenvalue: float
-    weights_bounded: bool
-    weights_nontrivial: bool
-    information_positive: bool
-
-    @property
-    def passed(self):
-        return self.weights_bounded and self.weights_nontrivial and self.information_positive
-
-
-def information_positivity_check(model, theta, taus, eig_tol=1e-10):
-    """Check the sufficient conditions for the averaged two-parameter
-    Gaussian information matrix to be positive definite.
-
-    Clauses: (a) weights bounded, (b) a positive fraction of weights is
-    nonzero, (c) the per-observation average information has minimum
-    eigenvalue above ``eig_tol``.  Returns a report with the witnessed
-    values and a pass/fail flag per clause.
-    """
-    taus = _as_1d(taus)
-    alpha, sigma2 = GaussianCase3.alpha_sigma2_from_natural(theta)
-    jn = case3_fim(model, alpha, math.sqrt(sigma2), taus)
-    avg = jn / taus.shape[0]
-    eigs = np.linalg.eigvalsh(0.5 * (avg + avg.T))
-    max_w = float(np.max(np.abs(model.weights))) if model.weights.size else 0.0
-    frac = float(np.mean(model.weights != 0.0))
-    return InformationPositivityReport(
-        max_abs_weight=max_w,
-        nonzero_weight_fraction=frac,
-        min_eigenvalue=float(eigs[0]),
-        weights_bounded=bool(np.isfinite(max_w)),
-        weights_nontrivial=frac > 0.0,
-        information_positive=float(eigs[0]) > eig_tol,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,39 @@
 """Independent verification routes used by the tests.
 
-Everything here deliberately avoids the library's own computation paths:
-finite differences for derivatives, quadrature/summation for moments and
+Most of these avoid the library's own computation paths: finite
+differences for derivatives, quadrature/summation for moments and
 Poisson tail probabilities, and dense grid search for maximizers.
+
+Two groups are evaluated with library pieces instead:
+
+* The paper's closed-form spot formulas (``case1_fim`` ... ``poisson_fim``
+  and their uncensored counterparts, ``gaussian_conditional_moments`` and
+  ``poisson_conditional_mean``) are evaluated with the library's kernels
+  ``_gauss.fim_weight``/``signed_hazard`` and ``_poisson.poisson_tails``,
+  which ``test_numerics`` checks against mpmath, and ``poisson_pmf``.
+  Each sums its own per-family formula with ``math.fsum``, not the
+  families' stacked factors and BLAS reductions.
+* ``fim_numeric_oracle`` enumerates both bits per observation and
+  averages outer products of ``likelihood.score``;
+  ``negative_expected_hessian`` takes the information through the
+  curvature, from ``cond_devs_T``.  Both reach the censored information
+  by a route other than ``bit_information_T``.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
+
+from bitglm import CensoredDataset, _gauss, _poisson, likelihood, models
+from bitglm.exceptions import DegenerateThreshold, DomainError, NumericalError
+from bitglm.fisher import FimResult, _reject, _sandwich
+from bitglm.likelihood import _theta_values
+
+
+def _as_1d(x):
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def fd_gradient(fun, theta, step=1e-6):
@@ -113,8 +138,6 @@ def scipy_loglik_grid(family, data, grid):
     entirely through scipy.stats (independent of the library's numerics)."""
     from scipy import stats
 
-    from bitglm import models
-
     bits = data.bits
     taus = data.designs.taus
     grid = np.asarray(grid, dtype=float)
@@ -158,3 +181,212 @@ def grid_search_maximizer(family, data, lo, hi, stages=(1e-2, 1e-4, 1e-6, 1e-7))
         center = float(grid[int(np.argmax(vals))])
         prev_res = res
     return center
+
+
+# ---------------------------------------------------------------------------
+# Log-partition functions phi(eta), per observation
+# ---------------------------------------------------------------------------
+
+def log_partition(family, eta):
+    """phi(eta_i) per observation for the natural parameters ``eta`` (n, d);
+    E[T_i] and Cov(T_i) are its gradient and Hessian in eta_i."""
+    eta = np.asarray(eta, dtype=float)
+    if isinstance(family, models.GaussianCase1):
+        return 0.5 * family.sigma**2 * eta[:, 0] ** 2
+    if isinstance(family, models.GaussianCase2):
+        return -0.5 * np.log(np.abs(2.0 * eta[:, 0]))
+    if isinstance(family, models.GaussianCase3):
+        # -eta1^2/(4 eta2) - log(-2 eta2)/2 for eta2 < 0
+        return -eta[:, 0] ** 2 / (4.0 * eta[:, 1]) - 0.5 * np.log(-2.0 * eta[:, 1])
+    if isinstance(family, models.PoissonModel):
+        return np.exp(eta[:, 0])
+    raise TypeError(f"no log-partition for {type(family).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Closed-form spot information, summed with math.fsum
+# ---------------------------------------------------------------------------
+
+def case1_fim(model, alpha, taus):
+    """Censored information for the known-variance Gaussian mean,
+    sum of w^2 * pdf^2 / (F * (1 - F)) over observations."""
+    taus = _as_1d(taus)
+    z = (taus - model.weights * float(alpha)) / model.sigma
+    terms = model.weights**2 * _gauss.fim_weight(z) / model.sigma**2
+    return float(math.fsum(terms))
+
+
+def case1_uncensored_fim(model):
+    """Information from the raw observations: sum of w^2 / sigma^2."""
+    return float(math.fsum(model.weights**2)) / model.sigma**2
+
+
+def case2_fim(model, sigma, taus):
+    """Censored information for the known-mean Gaussian precision,
+    sum of (sigma^4/4) (tau - mu)^2 pdf^2 / (F (1 - F))."""
+    sigma = float(sigma)
+    taus = _as_1d(taus)
+    z = (taus - model.means) / sigma
+    terms = 0.25 * sigma**4 * z * z * _gauss.fim_weight(z)
+    return float(math.fsum(terms))
+
+
+def case2_uncensored_fim(model, sigma):
+    """Information from the raw observations: n * sigma^4 / 2."""
+    return 0.5 * float(sigma) ** 4 * model.means.shape[0]
+
+
+def case3_fim(model, alpha, sigma, taus):
+    """Censored information for the two-parameter Gaussian, the sum of
+    rank-one 2x2 terms weighted by sigma^2 pdf^2/(F (1-F)) per observation."""
+    alpha, sigma = float(alpha), float(sigma)
+    taus = _as_1d(taus)
+    w = model.weights
+    mu = w * alpha
+    z = (taus - mu) / sigma
+    cw = sigma**2 * _gauss.fim_weight(z)
+    tp = taus + mu
+    out = np.zeros((2, 2))
+    out[0, 0] = math.fsum(cw * w * w)
+    out[0, 1] = out[1, 0] = math.fsum(cw * w * (-0.5) * tp)
+    out[1, 1] = math.fsum(cw * 0.25 * tp * tp)
+    return out
+
+
+def case3_uncensored_fim(model, alpha, sigma):
+    """Information from the raw observations, V^T Cov(T) V summed."""
+    alpha, sigma = float(alpha), float(sigma)
+    w = model.weights
+    mu = w * alpha
+    s2 = sigma**2
+    out = np.zeros((2, 2))
+    out[0, 0] = math.fsum(w * w * s2)
+    out[0, 1] = out[1, 0] = math.fsum(w * (-0.5) * 2.0 * mu * s2)
+    out[1, 1] = math.fsum(np.full_like(w, 0.25) * (2.0 * s2 * s2 + 4.0 * mu**2 * s2))
+    return out
+
+
+def poisson_fim(model, theta, taus):
+    """Censored information for the Poisson rate parameter,
+    sum of v^2 exp(2 v theta) pmf(t)^2 / (F(t) (1 - F(t))), taken as
+    (pmf/F) (pmf/S) since pmf^2 underflows far in the tails."""
+    theta = float(np.atleast_1d(theta)[0])
+    ds = model.design_set(taus)
+    lam = np.exp(model.covariates * theta)
+    t = np.floor(ds.taus).astype(np.int64)
+    f, sf = _poisson.poisson_tails(t, lam)
+    bad = (f == 0.0) | (sf == 0.0)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise DegenerateThreshold(
+            f"design {idx}: censoring probability is numerically 0 or 1", index=idx
+        )
+    p_t = _poisson.poisson_pmf(t, lam)
+    terms = model.covariates**2 * np.exp(2.0 * model.covariates * theta) * (p_t / f) * (p_t / sf)
+    return float(math.fsum(terms))
+
+
+def poisson_uncensored_fim(model, theta):
+    """Information from the raw counts: sum of v^2 exp(v theta)."""
+    theta = float(np.atleast_1d(theta)[0])
+    return float(math.fsum(model.covariates**2 * np.exp(model.covariates * theta)))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form conditional moments
+# ---------------------------------------------------------------------------
+
+def poisson_conditional_mean(lam, tau, b):
+    """E[X | B=b] for X ~ Poisson(lam) and the bit of X <= tau.
+
+    Equals lam * F(t-1) / F(t) for b = +1 and lam * S(t-1) / S(t) for
+    b = -1, where t = floor(tau) and F and S are ``_poisson.poisson_tails``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    t = np.floor(np.asarray(tau, dtype=float)).astype(np.int64)
+    b = np.asarray(b)
+    scalar = lam.ndim == 0 and t.ndim == 0 and b.ndim == 0
+    lam, t, b = np.atleast_1d(lam), np.atleast_1d(t), np.atleast_1d(b)
+    lam, t, b = np.broadcast_arrays(lam, t, b)
+    pb = models.PoissonModel._bit_prob(t, lam, b)
+    out = lam * _poisson.bit_prob(t - 1, lam, b) / pb
+    return float(out[0]) if scalar else out
+
+
+def gaussian_conditional_moments(mu, sigma, tau, b):
+    """(E[X | B=b], E[X^2 | B=b]) for X ~ N(mu, sigma^2), B the bit of X <= tau.
+
+    E[X | B=b]   = mu - b sigma^2 pdf(tau) / P(B=b)
+    E[X^2 | B=b] = sigma^2 + mu^2 - b sigma^2 pdf(tau)/P(B=b) * (tau + mu)
+
+    Raises NumericalError once P(B=b) underflows to zero (standardized
+    threshold beyond about +-38 on the conditioning side).
+    """
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    b = np.asarray(b)
+    scalar = max(mu.ndim, sigma.ndim, tau.ndim, b.ndim) == 0
+    mu, sigma, tau, b = np.atleast_1d(mu, sigma, tau, b)
+    mu, sigma, tau, b = np.broadcast_arrays(mu, sigma, tau, b)
+    if np.any(sigma <= 0):
+        raise DomainError("sigma must be strictly positive")
+    z = (tau - mu) / sigma
+    # gate degeneracy through the log-CDF: the plain CDF flushes to zero
+    # around |z| ~ 37 while exp(log CDF) keeps denormal mass out to ~38.6
+    log_pb = np.where(b > 0, special.log_ndtr(z), special.log_ndtr(-z))
+    if np.any(np.exp(log_pb) == 0.0):
+        raise NumericalError(
+            "conditioning event has probability 0 in double precision "
+            "(standardized threshold beyond the tail-stability range)"
+        )
+    c = _gauss.signed_hazard(z, b)
+    ex = mu - sigma * c
+    ex2 = sigma**2 + mu**2 - sigma * c * (tau + mu)
+    if scalar:
+        return float(ex[0]), float(ex2[0])
+    return ex, ex2
+
+
+# ---------------------------------------------------------------------------
+# Censored information by enumeration over both bits
+# ---------------------------------------------------------------------------
+
+def _censoring(model, theta, designs):
+    """(theta, P(X_i <= tau_i)); DegenerateThreshold where a censoring
+    probability is numerically 0 or 1, since both bits are weighted."""
+    theta = _theta_values(model, theta)
+    f = model.prob_leq(theta, designs)
+    _reject(model, (f <= 0.0) | (f >= 1.0))
+    return theta, f
+
+
+def fim_numeric_oracle(model, theta, designs, keep_terms=False):
+    """Independent check of the censored information: enumerate both bits
+    per observation and average the outer product of the score computed by
+    the likelihood module."""
+    theta, f = _censoring(model, theta, designs)
+
+    k = designs.k
+    terms = np.empty((designs.n, k, k))
+    for i in range(designs.n):
+        row = designs.subset(slice(i, i + 1))
+        acc = np.zeros((k, k))
+        for b, pb in ((1, f[i]), (-1, 1.0 - f[i])):
+            s = likelihood.score(model, theta, CensoredDataset(np.array([b]), row))
+            acc += np.outer(s, s) * pb
+        terms[i] = acc
+    return FimResult.build(np.add.reduce(terms, axis=0), terms if keep_terms else None)
+
+
+def negative_expected_hessian(model, theta, designs, keep_terms=False):
+    """-E[Hessian] with the expectation enumerated over both bit values;
+    equals the censored information by the information-matrix equality."""
+    theta, f = _censoring(model, theta, designs)
+
+    plus = np.ones(designs.n, dtype=np.int8)
+    dev_p = model.cond_devs_T(theta, designs, plus)[1]
+    dev_m = model.cond_devs_T(theta, designs, -plus)[1]
+    # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
+    inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
+    return _sandwich(designs.V, inner, keep_terms)

@@ -28,21 +28,25 @@ from bitglm import (
     NonIdentifiable,
     cli,
     fim_censored,
-    fim_numeric_oracle,
     fim_uncensored,
     fit,
     likelihood,
     models,
     montecarlo,
-    negative_expected_hessian,
 )
 from conftest import MODEL_NAMES, random_instance
 from test_fisher import closed_form, rel_err
 from _oracles import (
+    case1_fim,
+    case1_uncensored_fim,
+    case3_fim,
     fd_gradient,
     fd_jacobian,
+    fim_numeric_oracle,
     grid_search_maximizer,
+    negative_expected_hessian,
     poisson_conditional_moment_sum,
+    poisson_fim,
     poisson_pmf_exact,
 )
 
@@ -132,7 +136,7 @@ def test_criterion_2_censoring_penalty():
     fam = models.GaussianCase1([0.7, 1.0, 1.4], sigma=1.2)
     alpha = 0.9
     taus = models.case1_optimal_thresholds(fam, alpha)
-    ratio = models.case1_fim(fam, alpha, taus) / models.case1_uncensored_fim(fam)
+    ratio = case1_fim(fam, alpha, taus) / case1_uncensored_fim(fam)
     ratio_ok = abs(ratio - 2 / math.pi) <= 1e-12
 
     # scan each observation's threshold on a 1e-3 grid around the optimum
@@ -140,7 +144,7 @@ def test_criterion_2_censoring_penalty():
     for w, opt in zip(fam.weights, taus):
         single = models.GaussianCase1([w], sigma=fam.sigma)
         grid = np.arange(opt - 1.0, opt + 1.0 + 1e-3, 1e-3)
-        vals = np.array([models.case1_fim(single, alpha, [t]) for t in grid])
+        vals = np.array([case1_fim(single, alpha, [t]) for t in grid])
         argmax_ok &= abs(grid[int(np.argmax(vals))] - opt) <= 1e-3
     elapsed = time.perf_counter() - t0
     ok = ratio_ok and argmax_ok and elapsed < 1.0
@@ -296,7 +300,7 @@ def test_criterion_7_asymptotic_normality():
     report = montecarlo.check_asymptotic_normality(config, 10000, 500)
     # the reference must agree with the closed-form information
     fam = models.GaussianCase3(np.ones(2))
-    j1 = models.case3_fim(fam, 1.0, 1.0, np.array([-1.0, 2.0])) / 2.0
+    j1 = case3_fim(fam, 1.0, 1.0, np.array([-1.0, 2.0])) / 2.0
     ref_gap = rel_err(report.reference_cov, np.linalg.inv(j1))
     ok = (
         report.rel_frobenius <= 0.15
@@ -329,7 +333,7 @@ def test_criterion_7_consistency_slopes(fig1_results, poisson_curve):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_poisson_closed_form():
-    spot = models.poisson_fim(models.PoissonModel([1.0]), 0.0, [0.0])
+    spot = poisson_fim(models.PoissonModel([1.0]), 0.0, [0.0])
     spot_ok = abs(spot - 1.0 / (math.e - 1.0)) <= 1e-12
 
     rng = np.random.default_rng(88)
@@ -341,7 +345,7 @@ def test_criterion_8_poisson_closed_form():
         hi = int(lam + 3.0 * math.sqrt(lam) + 2.0)
         tau = float(rng.integers(0, hi + 1))
         fam = models.PoissonModel([v])
-        got = models.poisson_fim(fam, theta, [tau])
+        got = poisson_fim(fam, theta, [tau])
         # enumeration oracle: two-point variance of the conditional mean
         t = math.floor(tau)
         f = sum(poisson_pmf_exact(x, lam) for x in range(t + 1))

@@ -3,6 +3,7 @@ artifacts."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +15,18 @@ from bitglm import cli, models
 from bitglm.cli import config_hash, load_json_config
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
+#: the directory holding the package under test, put first on the child's
+#: path so that it runs the same bitglm whether or not it is installed
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bitglm.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -282,6 +288,38 @@ class TestCheckConditions:
         assert code == 0
         assert "(1)" in out and "(2)" in out and "(3)" in out
 
+    @staticmethod
+    def _case3(tmp_path, capsys, weights, taus):
+        """(payload, its positive-definiteness part) of check-conditions on
+        gaussian-case3 at alpha = sigma = 1; the part reads clause (3)."""
+        doc = {
+            "model": {"name": "gaussian-case3", "alpha": 1.0, "sigma": 1.0, "weights": weights},
+            "thresholds": taus,
+        }
+        cfg = write(tmp_path, "case3.cfg", json.dumps(doc))
+        assert cli.main(["check-conditions", "--config", cfg, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        posdef = out["positive_definiteness_check"]
+        assert posdef["min_eigenvalue"] == out["min_eigenvalue"]
+        return out, posdef
+
+    def test_all_zero_weights_fail_nontriviality(self, tmp_path, capsys):
+        _, posdef = self._case3(tmp_path, capsys, [0.0, 0.0, 0.0], [0.1, 0.5, 0.9])
+        assert posdef["nonzero_weight_fraction"] == 0.0
+        assert posdef["passed"] is False
+
+    def test_identical_thresholds_are_rank_one(self, tmp_path, capsys):
+        out, posdef = self._case3(tmp_path, capsys, 1.0, [0.3] * 20)
+        assert posdef["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
+        assert out["information_positive"] is False
+        assert posdef["passed"] is False
+
+    def test_continuous_thresholds_pass(self, tmp_path, capsys):
+        taus = np.random.default_rng(11).uniform(0.0, 3.0, 1000)
+        _, posdef = self._case3(tmp_path, capsys, 1.0, taus.tolist())
+        assert posdef["min_eigenvalue"] > 0
+        assert posdef["passed"] is True
+
 
 def main_in_process(capsys, *args):
     """(exit code, stderr) of ``bitglm ARGS`` run in this process."""
@@ -325,6 +363,38 @@ class TestFamilyKeys:
         code, err = main_in_process(capsys, command, "--config", cfg)
         assert code == 2
         assert "model.theta" in err
+
+    @pytest.mark.parametrize(
+        "thresholds, count",
+        [
+            ("0.5", '"x"'),
+            ("0.5", "-1"),
+            ("0.5", "0"),
+            ("0.5", "2.5"),
+            ("0.5", "true"),
+            ("[0.5, 1.0]", "5"),
+        ],
+    )
+    def test_count_is_a_positive_integer(self, tmp_path, capsys, thresholds, count):
+        cfg = write(
+            tmp_path,
+            "x.cfg",
+            '{"model": {"name": "poisson", "theta": 0.0, "covariates": 1.0}, '
+            f'"thresholds": {thresholds}, "count": {count}}}',
+        )
+        code, err = main_in_process(capsys, "fim", "--config", cfg)
+        assert code == 2
+        assert "(count)" in err
+
+    def test_thresholds_must_not_be_empty(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "x.cfg",
+            '{"model": {"name": "poisson", "theta": 0.0, "covariates": 1.0}, "thresholds": []}',
+        )
+        code, err = main_in_process(capsys, "fim", "--config", cfg)
+        assert code == 2
+        assert "(thresholds)" in err
 
     @pytest.mark.parametrize(
         "model, key",

@@ -7,40 +7,44 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bitglm import (
-    DegenerateThreshold,
-    dpi_check,
-    fim_censored,
-    fim_numeric_oracle,
-    fim_uncensored,
-    models,
-    negative_expected_hessian,
-)
+from bitglm import DegenerateThreshold, dpi_check, fim_censored, fim_uncensored, models
 from conftest import MODEL_NAMES, random_instance
+from _oracles import (
+    case1_fim,
+    case1_uncensored_fim,
+    case2_fim,
+    case2_uncensored_fim,
+    case3_fim,
+    case3_uncensored_fim,
+    fim_numeric_oracle,
+    negative_expected_hessian,
+    poisson_fim,
+    poisson_uncensored_fim,
+)
 
 
 def closed_form(family, theta, designs):
     if isinstance(family, models.GaussianCase1):
-        return np.array([[models.case1_fim(family, theta[0], designs.taus)]])
+        return np.array([[case1_fim(family, theta[0], designs.taus)]])
     if isinstance(family, models.GaussianCase2):
         return np.array(
-            [[models.case2_fim(family, 1.0 / math.sqrt(theta[0]), designs.taus)]]
+            [[case2_fim(family, 1.0 / math.sqrt(theta[0]), designs.taus)]]
         )
     if isinstance(family, models.GaussianCase3):
         alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
-        return models.case3_fim(family, alpha, math.sqrt(sigma2), designs.taus)
-    return np.array([[models.poisson_fim(family, theta[0], designs.taus)]])
+        return case3_fim(family, alpha, math.sqrt(sigma2), designs.taus)
+    return np.array([[poisson_fim(family, theta[0], designs.taus)]])
 
 
 def closed_form_uncensored(family, theta):
     if isinstance(family, models.GaussianCase1):
-        return np.array([[models.case1_uncensored_fim(family)]])
+        return np.array([[case1_uncensored_fim(family)]])
     if isinstance(family, models.GaussianCase2):
-        return np.array([[models.case2_uncensored_fim(family, 1.0 / math.sqrt(theta[0]))]])
+        return np.array([[case2_uncensored_fim(family, 1.0 / math.sqrt(theta[0]))]])
     if isinstance(family, models.GaussianCase3):
         alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
-        return models.case3_uncensored_fim(family, alpha, math.sqrt(sigma2))
-    return np.array([[models.poisson_uncensored_fim(family, theta[0])]])
+        return case3_uncensored_fim(family, alpha, math.sqrt(sigma2))
+    return np.array([[poisson_uncensored_fim(family, theta[0])]])
 
 
 def rel_err(a, b):
@@ -149,7 +153,7 @@ class TestPsdAndStructure:
         # a bit of probability ~1e-20 still carries finite information
         fam = models.PoissonModel([1.0])
         got = fim_censored(fam, [0.0], fam.design_set([20.0])).matrix[0, 0]
-        assert_allclose(got, models.poisson_fim(fam, 0.0, [20.0]), rtol=1e-12)
+        assert_allclose(got, poisson_fim(fam, 0.0, [20.0]), rtol=1e-12)
         assert_allclose(got, 3.0313723275105805e-18, rtol=1e-12)
 
     def test_gaussian_far_tail_keeps_its_information(self):
@@ -157,7 +161,7 @@ class TestPsdAndStructure:
         fam = models.GaussianCase1([1.0], sigma=1.0)
         for tau, size in ((9.0, 9.36e-18), (20.0, 1.1e-86)):
             got = fim_censored(fam, [0.0], fam.design_set([tau])).matrix[0, 0]
-            assert_allclose(got, models.case1_fim(fam, 0.0, [tau]), rtol=1e-12)
+            assert_allclose(got, case1_fim(fam, 0.0, [tau]), rtol=1e-12)
             assert_allclose(got, size, rtol=1e-2)
 
 

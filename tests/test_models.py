@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bitglm
 from bitglm import (
     DegenerateThreshold,
     DomainError,
@@ -15,30 +16,41 @@ from bitglm import (
     NumericalError,
     fim_censored,
     fim_uncensored,
+    fisher,
     models,
 )
 from conftest import MODEL_NAMES, random_instance
 from _oracles import (
+    case1_fim,
+    case1_uncensored_fim,
+    case2_fim,
+    case3_fim,
+    fd_gradient,
+    fd_jacobian,
+    gaussian_conditional_moments,
+    log_partition,
+    poisson_conditional_mean,
     poisson_conditional_moment_sum,
+    poisson_fim,
     truncated_normal_moment,
 )
 
 
 class TestGaussianConditionalMoments:
     def test_standard_median_threshold(self):
-        ex, ex2 = models.gaussian_conditional_moments(0.0, 1.0, 0.0, 1)
+        ex, ex2 = gaussian_conditional_moments(0.0, 1.0, 0.0, 1)
         assert_allclose(ex, -math.sqrt(2 / math.pi), rtol=1e-14)
         assert_allclose(ex2, 1.0, rtol=1e-14)
 
     def test_halves_mix_back_to_the_mean(self):
-        lo, _ = models.gaussian_conditional_moments(2.0, 1.0, 2.0, 1)
-        hi, _ = models.gaussian_conditional_moments(2.0, 1.0, 2.0, -1)
+        lo, _ = gaussian_conditional_moments(2.0, 1.0, 2.0, 1)
+        hi, _ = gaussian_conditional_moments(2.0, 1.0, 2.0, -1)
         assert_allclose(lo + hi, 4.0, rtol=1e-14)
 
     def test_one_sigma_cut(self):
         from bitglm import _gauss
 
-        ex, _ = models.gaussian_conditional_moments(2.0, 1.0, 1.0, 1)
+        ex, _ = gaussian_conditional_moments(2.0, 1.0, 1.0, 1)
         want = 2.0 - float(_gauss.norm_pdf(-1.0) / _gauss.norm_cdf(-1.0))
         assert_allclose(ex, want, rtol=1e-13)
         assert ex == pytest.approx(0.4748647, abs=1e-6)
@@ -51,7 +63,7 @@ class TestGaussianConditionalMoments:
             (-1.0, 2.0, 0.0, -1),
             (3.0, 0.5, 2.4, -1),
         ]:
-            ex, ex2 = models.gaussian_conditional_moments(mu, sigma, tau, b)
+            ex, ex2 = gaussian_conditional_moments(mu, sigma, tau, b)
             assert_allclose(ex, truncated_normal_moment(mu, sigma, tau, b, 1), rtol=1e-8)
             assert_allclose(ex2, truncated_normal_moment(mu, sigma, tau, b, 2), rtol=1e-8)
 
@@ -63,8 +75,8 @@ class TestGaussianConditionalMoments:
             sigma = float(rng.uniform(0.3, 2.5))
             tau = mu + sigma * float(rng.uniform(-3, 3))
             p = float(_gauss.norm_cdf((tau - mu) / sigma))
-            ex_p, ex2_p = models.gaussian_conditional_moments(mu, sigma, tau, 1)
-            ex_m, ex2_m = models.gaussian_conditional_moments(mu, sigma, tau, -1)
+            ex_p, ex2_p = gaussian_conditional_moments(mu, sigma, tau, 1)
+            ex_m, ex2_m = gaussian_conditional_moments(mu, sigma, tau, -1)
             assert_allclose(ex_p * p + ex_m * (1 - p), mu, rtol=0, atol=1e-12 * max(1, abs(mu)))
             # law of total variance: Var(E[X|B]) + E[Var(X|B)] = sigma^2
             var_p = ex2_p - ex_p**2
@@ -74,30 +86,30 @@ class TestGaussianConditionalMoments:
             assert_allclose(between + within, sigma**2, rtol=1e-10)
 
     def test_far_tail_is_finite_up_to_the_contract(self):
-        ex, ex2 = models.gaussian_conditional_moments(0.0, 1.0, 38.0, -1)
+        ex, ex2 = gaussian_conditional_moments(0.0, 1.0, 38.0, -1)
         assert math.isfinite(ex) and math.isfinite(ex2)
         with pytest.raises(NumericalError):
-            models.gaussian_conditional_moments(0.0, 1.0, 40.0, -1)
+            gaussian_conditional_moments(0.0, 1.0, 40.0, -1)
 
     def test_sigma_validated(self):
         with pytest.raises(DomainError):
-            models.gaussian_conditional_moments(0.0, -1.0, 0.0, 1)
+            gaussian_conditional_moments(0.0, -1.0, 0.0, 1)
 
 
 class TestCase1Information:
     def test_optimal_threshold_value(self):
         fam = models.GaussianCase1([1.0], sigma=1.0)
-        got = models.case1_fim(fam, 0.3, [0.3])
+        got = case1_fim(fam, 0.3, [0.3])
         assert_allclose(got, 2 / math.pi, rtol=1e-12)
 
     def test_zero_weights(self):
         fam = models.GaussianCase1([0.0, 0.0], sigma=1.0)
-        assert models.case1_fim(fam, 1.0, [0.5, -0.3]) == 0.0
+        assert case1_fim(fam, 1.0, [0.5, -0.3]) == 0.0
 
     def test_matches_generic_assembly(self):
         fam = models.GaussianCase1([1.0, 2.0], sigma=1.0)
         ds = fam.design_set([0.5, -0.3])
-        got = models.case1_fim(fam, 0.0, [0.5, -0.3])
+        got = case1_fim(fam, 0.0, [0.5, -0.3])
         want = fim_censored(fam, [0.0], ds).matrix[0, 0]
         assert_allclose(got, want, rtol=1e-12)
 
@@ -105,7 +117,7 @@ class TestCase1Information:
         fam = models.GaussianCase1([1.0, -2.0, 0.5], sigma=1.5)
         ds = fam.design_set([0.0, 0.0, 0.0])
         want = fim_uncensored(fam, [0.7], ds).matrix[0, 0]
-        assert_allclose(models.case1_uncensored_fim(fam), want, rtol=1e-13)
+        assert_allclose(case1_uncensored_fim(fam), want, rtol=1e-13)
 
 
 class TestCase1OptimalThresholds:
@@ -119,10 +131,10 @@ class TestCase1OptimalThresholds:
         alpha = 0.8
         opt = models.case1_optimal_thresholds(fam, alpha)[0]
         grid = np.arange(opt - 1.0, opt + 1.0 + 1e-3, 1e-3)
-        vals = np.array([models.case1_fim(fam, alpha, [t]) for t in grid])
+        vals = np.array([case1_fim(fam, alpha, [t]) for t in grid])
         best = grid[int(np.argmax(vals))]
         assert abs(best - opt) <= 1e-3
-        at_opt = models.case1_fim(fam, alpha, [opt])
+        at_opt = case1_fim(fam, alpha, [opt])
         off = vals[np.abs(grid - opt) > 5e-3]
         assert np.all(off < at_opt)
 
@@ -130,19 +142,19 @@ class TestCase1OptimalThresholds:
         fam = models.GaussianCase1([0.5, 1.0, 2.0], sigma=1.7)
         alpha = -0.6
         taus = models.case1_optimal_thresholds(fam, alpha)
-        ratio = models.case1_fim(fam, alpha, taus) / models.case1_uncensored_fim(fam)
+        ratio = case1_fim(fam, alpha, taus) / case1_uncensored_fim(fam)
         assert abs(ratio - 2 / math.pi) <= 1e-12
 
 
 class TestCase2Information:
     def test_threshold_at_the_mean_is_uninformative(self):
         fam = models.GaussianCase2(means=[1.0, -2.0])
-        assert models.case2_fim(fam, 1.3, [1.0, -2.0]) == 0.0
+        assert case2_fim(fam, 1.3, [1.0, -2.0]) == 0.0
 
     def test_single_observation_matches_generic(self):
         fam = models.GaussianCase2(means=[0.0])
         ds = fam.design_set([1.0])
-        got = models.case2_fim(fam, 1.0, [1.0])
+        got = case2_fim(fam, 1.0, [1.0])
         want = fim_censored(fam, [1.0], ds).matrix[0, 0]
         assert_allclose(got, want, rtol=1e-12)
 
@@ -154,7 +166,7 @@ class TestCase2Information:
             fam = models.GaussianCase2(means=means)
             for scale in (1.0, 2.0):
                 taus = means + scale * offs
-                got = models.case2_fim(fam, sigma, taus)
+                got = case2_fim(fam, sigma, taus)
                 want = fim_censored(fam, [1 / sigma**2], fam.design_set(taus)).matrix[0, 0]
                 assert_allclose(got, want, rtol=1e-12)
 
@@ -162,19 +174,19 @@ class TestCase2Information:
 class TestCase3Information:
     def test_two_point_example_determinant(self):
         fam = models.GaussianCase3([1.0, 1.0])
-        j = models.case3_fim(fam, 1.0, 1.0, [-1.0, 2.0])
+        j = case3_fim(fam, 1.0, 1.0, [-1.0, 2.0])
         assert np.linalg.det(j) == pytest.approx(0.1294, abs=5e-4)
 
     def test_single_summand_is_singular(self):
         fam = models.GaussianCase3([1.0])
-        j = models.case3_fim(fam, 1.0, 1.0, [0.7])
+        j = case3_fim(fam, 1.0, 1.0, [0.7])
         assert abs(np.linalg.det(j)) < 1e-14
 
     def test_matches_generic_entrywise(self, rng):
         for _ in range(30):
             fam, theta, ds = random_instance("gaussian-case3", rng)
             alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
-            got = models.case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
+            got = case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
             want = fim_censored(fam, theta, ds).matrix
             assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
@@ -182,7 +194,7 @@ class TestCase3Information:
         for _ in range(30):
             fam, theta, ds = random_instance("gaussian-case3", rng)
             alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
-            j = models.case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
+            j = case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
             assert np.linalg.eigvalsh(j)[0] >= -1e-12
 
     def test_third_moment_integrates_once_per_distinct_mean(self, monkeypatch):
@@ -210,17 +222,17 @@ class TestCase3Information:
 class TestPoissonInformation:
     def test_unit_rate_zero_threshold(self):
         fam = models.PoissonModel([1.0])
-        got = models.poisson_fim(fam, 0.0, [0.0])
+        got = poisson_fim(fam, 0.0, [0.0])
         assert_allclose(got, 1 / (math.e - 1), rtol=1e-12)
 
     def test_zero_covariates(self):
         fam = models.PoissonModel([0.0, 0.0])
-        assert models.poisson_fim(fam, 1.0, [1.0, 2.0]) == 0.0
+        assert poisson_fim(fam, 1.0, [1.0, 2.0]) == 0.0
 
     def test_rate_three_matches_enumeration(self):
         theta = math.log(3.0)
         fam = models.PoissonModel([1.0])
-        got = models.poisson_fim(fam, theta, [2.0])
+        got = poisson_fim(fam, theta, [2.0])
         # enumeration oracle: Var(E[X|B]) via exact pmf sums
         lam = 3.0
         f = sum(math.exp(-lam) * lam**x / math.factorial(x) for x in range(3))
@@ -235,7 +247,7 @@ class TestPoissonInformation:
         # F = 5.9e-168 here, so pmf^2 alone would underflow to 0
         theta = math.log(2000.0)
         fam = models.PoissonModel([1.0])
-        got = models.poisson_fim(fam, theta, [900.5])
+        got = poisson_fim(fam, theta, [900.5])
         with mpmath.workdps(60):
             lam = mpmath.mpf(math.exp(theta))
             f = mpmath.gammainc(901, lam, mpmath.inf, regularized=True)
@@ -248,11 +260,11 @@ class TestPoissonInformation:
     def test_degenerate_threshold_raises(self):
         fam = models.PoissonModel([1.0])
         with pytest.raises(DegenerateThreshold):
-            models.poisson_fim(fam, 0.0, [300.0])
+            poisson_fim(fam, 0.0, [300.0])
 
     def test_floor_rule(self):
         fam = models.PoissonModel([1.0])
-        assert models.poisson_fim(fam, 0.1, [2.0]) == models.poisson_fim(fam, 0.1, [2.9])
+        assert poisson_fim(fam, 0.1, [2.0]) == poisson_fim(fam, 0.1, [2.9])
 
     def test_negative_threshold_rejected(self):
         fam = models.PoissonModel([1.0])
@@ -270,22 +282,22 @@ class TestPoissonInformation:
 
 class TestPoissonConditionalMean:
     def test_only_zero_survives(self):
-        assert models.poisson_conditional_mean(1.0, 0.0, 1) == 0.0
+        assert poisson_conditional_mean(1.0, 0.0, 1) == 0.0
 
     def test_total_expectation(self):
         lam, tau = 2.0, 3.0
         f = sum(math.exp(-lam) * lam**x / math.factorial(x) for x in range(4))
-        em = models.poisson_conditional_mean(lam, tau, 1)
-        ep = models.poisson_conditional_mean(lam, tau, -1)
+        em = poisson_conditional_mean(lam, tau, 1)
+        ep = poisson_conditional_mean(lam, tau, -1)
         assert_allclose(em * f + ep * (1 - f), lam, rtol=1e-13)
 
     def test_upper_tail_against_summation(self):
-        got = models.poisson_conditional_mean(2.0, 3.0, -1)
+        got = poisson_conditional_mean(2.0, 3.0, -1)
         want = poisson_conditional_moment_sum(2.0, 3.0, -1, 1)
         assert_allclose(got, want, rtol=1e-12)
 
     def test_vectorized(self):
-        got = models.poisson_conditional_mean([1.0, 2.0], [0.0, 3.0], [1, -1])
+        got = poisson_conditional_mean([1.0, 2.0], [0.0, 3.0], [1, -1])
         assert got.shape == (2,)
         assert got[0] == 0.0
 
@@ -298,14 +310,14 @@ class TestLawOfTotalCovariance:
             p = fam.prob_leq(theta, ds)
             plus = np.ones(ds.n, dtype=np.int8)
             mean = fam.mean_T(theta, ds)
-            m_p = fam.conditional_mean_T(theta, ds, plus)
-            m_m = fam.conditional_mean_T(theta, ds, -plus)
+            m_p = mean + fam.cond_mean_dev_T(theta, ds, plus)
+            m_m = mean + fam.cond_mean_dev_T(theta, ds, -plus)
             mixed = m_p * p[:, None] + m_m * (1 - p)[:, None]
             assert_allclose(mixed, mean, rtol=0, atol=1e-12 * (1 + np.abs(mean).max()))
 
             cov = fam.cov_T(theta, ds)
-            c_p = fam.conditional_cov_T(theta, ds, plus)
-            c_m = fam.conditional_cov_T(theta, ds, -plus)
+            c_p = cov + fam.cond_devs_T(theta, ds, plus)[1]
+            c_m = cov + fam.cond_devs_T(theta, ds, -plus)[1]
             within = c_p * p[:, None, None] + c_m * (1 - p)[:, None, None]
             dev_p = (m_p - mean)[:, :, None] * (m_p - mean)[:, None, :]
             dev_m = (m_m - mean)[:, :, None] * (m_m - mean)[:, None, :]
@@ -320,34 +332,6 @@ class TestLawOfTotalCovariance:
             assert_allclose(rank_one, between, rtol=0, atol=1e-10 * (1 + np.abs(cov).max()))
 
 
-class TestInformationPositivityCheck:
-    def test_all_zero_weights_fail_nontriviality(self):
-        fam = models.GaussianCase3([0.0, 0.0, 0.0])
-        report = models.information_positivity_check(
-            fam, models.GaussianCase3.natural_from_alpha_sigma2(1.0, 1.0), [0.1, 0.5, 0.9]
-        )
-        assert not report.weights_nontrivial
-        assert not report.passed
-
-    def test_identical_thresholds_are_rank_one(self):
-        fam = models.GaussianCase3(np.ones(20))
-        report = models.information_positivity_check(
-            fam, models.GaussianCase3.natural_from_alpha_sigma2(1.0, 1.0), np.full(20, 0.3)
-        )
-        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-        assert not report.information_positive
-
-    def test_continuous_thresholds_pass(self):
-        rng = np.random.default_rng(11)
-        fam = models.GaussianCase3(np.ones(1000))
-        taus = rng.uniform(0.0, 3.0, 1000)
-        report = models.information_positivity_check(
-            fam, models.GaussianCase3.natural_from_alpha_sigma2(1.0, 1.0), taus
-        )
-        assert report.min_eigenvalue > 0
-        assert report.passed
-
-
 class TestOneDesignType:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_per_row_designs_raise(self, name, rng):
@@ -355,13 +339,11 @@ class TestOneDesignType:
         rows = [ds.subset(slice(i, i + 1)) for i in range(ds.n)]
         bits = np.ones(ds.n, dtype=np.int8)
         calls = [
-            lambda d: fam.log_partition(theta, d),
             lambda d: fam.prob_leq(theta, d),
             lambda d: fam.mean_T(theta, d),
             lambda d: fam.cov_T(theta, d),
             lambda d: fam.cond_devs_T(theta, d, bits),
             lambda d: fam.cond_mean_dev_T(theta, d, bits),
-            lambda d: fam.conditional_cov_T(theta, d, bits),
             lambda d: fam.bit_information_T(theta, d),
             lambda d: fam.third_abs_moment_T(theta, d),
             lambda d: fam.sample(theta, d, np.random.default_rng(0)),
@@ -386,9 +368,60 @@ class TestRegistry:
             "poisson",
         }
 
+
+class TestPublicSurface:
+    MOVED = (
+        "case1_fim",
+        "case1_uncensored_fim",
+        "case2_fim",
+        "case2_uncensored_fim",
+        "case3_fim",
+        "case3_uncensored_fim",
+        "poisson_fim",
+        "poisson_uncensored_fim",
+        "poisson_conditional_mean",
+        "gaussian_conditional_moments",
+        "information_positivity_check",
+        "InformationPositivityReport",
+        "fim_numeric_oracle",
+        "negative_expected_hessian",
+    )
+
+    def test_every_export_resolves(self):
+        for name in bitglm.__all__:
+            getattr(bitglm, name)
+
+    def test_test_oracles_are_not_exported(self):
+        for owner in (bitglm, models, fisher):
+            stale = [name for name in self.MOVED if hasattr(owner, name)]
+            assert not stale, f"{owner.__name__} still has {stale}"
+        for cls in (ModelFamily, *models.REGISTRY.values()):
+            for name in ("log_partition", "conditional_mean_T", "conditional_cov_T"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+class TestLogPartition:
+    """E[T_i] and Cov(T_i) are the gradient and Hessian of phi in eta_i."""
+
+    @staticmethod
+    def _close(got, want, label):
+        # rtol 1e-6, and the same relative to the row's largest entry for
+        # entries that vanish with the mean
+        assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max(), err_msg=label)
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_log_partition_is_finite(self, name, rng):
-        fam, theta, ds = random_instance(name, rng)
-        phi = fam.log_partition(theta, ds)
-        assert phi.shape == (ds.n,)
-        assert np.all(np.isfinite(phi))
+    def test_derivatives_are_the_moments(self, name, rng):
+        for _ in range(10):
+            fam, theta, ds = random_instance(name, rng)
+            eta = ds.natural_params(theta)
+            mean, cov = fam.mean_T(theta, ds), fam.cov_T(theta, ds)
+            for i in range(ds.n):
+
+                def phi(e):
+                    return log_partition(fam, e[None, :])[0]
+
+                self._close(fd_gradient(phi, eta[i]), mean[i], f"{name} mean, row {i}")
+                # nested differences: steps of 3e-5 balance the truncation
+                # error against the rounding that the outer step amplifies
+                hess = fd_jacobian(lambda e: fd_gradient(phi, e, step=3e-5), eta[i], step=3e-5)
+                self._close(hess, cov[i], f"{name} covariance, row {i}")
