@@ -11,7 +11,7 @@ normality experiments.
 
 __version__ = "0.1.0"
 
-from .estimator import FitConfig, FitResult, auto_initialize, fit
+from .estimator import FitConfig, FitResult, fit
 from .exceptions import (
     BitGlmError,
     ConfigError,
@@ -83,7 +83,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "fit",
-    "auto_initialize",
     # monte carlo
     "ExperimentConfig",
     "WeightsRule",

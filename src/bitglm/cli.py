@@ -97,14 +97,19 @@ def _floats(value, count, path):
     return np.full(count, value)
 
 
+def _integer(value, path, minimum):
+    """A JSON integer >= ``minimum``; JSON's true and false are not integers."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    raise ConfigError(f"expected an integer >= {minimum}", location=path)
+
+
 def _count(doc):
     """A config's optional ``count``: None, or a JSON integer >= 1 that, beside
     a threshold list, equals its length."""
     if "count" not in doc:
         return None
-    count = doc["count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError("expected an integer >= 1", location="count")
+    count = _integer(doc["count"], "count", 1)
     if isinstance(doc["thresholds"], list) and len(doc["thresholds"]) != count:
         raise ConfigError(
             f"count is {count} but thresholds lists {len(doc['thresholds'])} entries",
@@ -154,15 +159,12 @@ def build_model_instance(doc, path="model"):
     return family, theta0, family.design_set(taus)
 
 
-def _build_fit_config(doc, path="fit", seed_override=None):
-    # every solver setting but explicit starts, which configs cannot give
-    keys = [f.name for f in dataclasses.fields(FitConfig) if f.name != "initial_points"]
+def _build_fit_config(doc, path="fit"):
+    # every solver setting but an explicit start, which configs cannot give
+    keys = [f.name for f in dataclasses.fields(FitConfig) if f.name != "start"]
     _check_keys(doc, path, optional=keys)
-    kwargs = dict(doc)
-    if seed_override is not None:
-        kwargs["seed"] = int(seed_override)
     try:
-        return FitConfig(**kwargs)
+        return FitConfig(**doc)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err), location=path) from err
 
@@ -204,19 +206,25 @@ def build_experiment(doc, path="experiment", seed_override=None):
     fit_cfg = _build_fit_config(doc.get("fit", {}), f"{path}.fit")
     weights = _build_rule(montecarlo.WeightsRule, doc["weights"], f"{path}.weights")
     thresholds = _build_rule(montecarlo.ThresholdRule, doc["thresholds"], f"{path}.thresholds")
+    if not isinstance(doc["sample_sizes"], list):
+        raise ConfigError("expected a list of integers", location=f"{path}.sample_sizes")
+    sizes = tuple(_integer(n, f"{path}.sample_sizes", 1) for n in doc["sample_sizes"])
+    trials = _integer(doc["trials"], f"{path}.trials", 1)
+    seed = _integer(doc["seed"], f"{path}.seed", 0)
+    budget = _number(doc.get("max_failure_fraction", 0.05), f"{path}.max_failure_fraction")
     try:
         config = montecarlo.ExperimentConfig(
             model=doc["model"],
             true_params=true_params,
             weights=weights,
             thresholds=thresholds,
-            sample_sizes=tuple(doc["sample_sizes"]),
-            trials=int(doc["trials"]),
-            seed=int(seed_override if seed_override is not None else doc["seed"]),
+            sample_sizes=sizes,
+            trials=trials,
+            seed=seed if seed_override is None else int(seed_override),
             error_metric=doc.get("error_metric", "moment-coordinates"),
             estimator=doc.get("estimator", "censored"),
             fit=fit_cfg,
-            max_failure_fraction=float(doc.get("max_failure_fraction", 0.05)),
+            max_failure_fraction=budget,
         )
     except (ConfigError, TypeError, ValueError) as err:
         raise ConfigError(str(err), location=path) from err
@@ -353,10 +361,10 @@ def _emit(args, payload, human_lines):
             _print(line)
 
 
-def _write_json_report(args, doc, payload, filename, seed=None):
+def _write_json_report(args, doc, payload, filename):
     """With ``--out``, ``payload`` as ``filename`` and its manifest."""
     if args.out:
-        manifest = _Manifest(args.command, doc, args.config, seed)
+        manifest = _Manifest(args.command, doc, args.config, None)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / filename
@@ -456,8 +464,7 @@ def cmd_fit(args):
     doc = load_json_config(args.config)
     _check_keys(doc, "<root>", required=("model",), optional=("fit",))
     family, data = load_data_file(args.data, doc["model"])
-    fit_cfg = _build_fit_config(doc.get("fit", {}), "fit", seed_override=args.seed)
-    result = fit(family, data, fit_cfg)
+    result = fit(family, data, _build_fit_config(doc.get("fit", {})))
     moment = family.to_moment(result.theta_hat.values)
     payload = {
         "model": family.name,
@@ -474,17 +481,14 @@ def cmd_fit(args):
     lines = [
         f"model: {family.name} (n={data.n})",
         f"theta_hat (natural): {np.array2string(result.theta_hat.values, precision=10)}",
-        "estimate ("
-        + ", ".join(family.moment_labels())
-        + "): "
-        + np.array2string(moment, precision=10),
+        f"estimate ({', '.join(family.moment_labels())}): {np.array2string(moment, precision=10)}",
         f"status: {result.status} after {result.iterations} iterations "
         f"(|score|_inf = {result.final_score_norm:.3e})",
         f"log-likelihood: {result.log_likelihood:.10g}",
         f"observed information: {np.array2string(result.observed_information, precision=6)}",
     ]
     _emit(args, payload, lines)
-    _write_json_report(args, doc, payload, "fit.json", fit_cfg.seed)
+    _write_json_report(args, doc, payload, "fit.json")
     return EXIT_OK
 
 
@@ -579,7 +583,6 @@ def _build_parser():
             p.add_argument("--out", required=True, help="output directory")
         else:
             p.add_argument("--out", default=None, help="output directory for reports")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--json", action="store_true", help="JSON on stdout")
 
     p = sub.add_parser("fim", help="censored/uncensored information report")
@@ -599,6 +602,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="repeated-trial MSE experiment to CSV")
     common(p, out_required=True)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check-conditions", help="consistency-condition report")

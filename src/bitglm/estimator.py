@@ -1,31 +1,24 @@
 """Maximum-likelihood fitting of the censored GLM.
 
-A damped Newton ascent on the censored log-likelihood with analytic score
-and Hessian.  When the negated Hessian is not positive definite (the
-censored log-likelihood is not concave for every family) a diagonal
-Levenberg shift is escalated until it is, falling back to plain gradient
-ascent past a shift of 1e6.  Iterates never leave the parameter domain:
-steps are halved until feasible.  Steps must raise the log-likelihood
-enough (Armijo), except near the optimum, where the gain a step predicts is
-below the float resolution of the log-likelihood: there the full Newton
-step is taken when it lowers the score.
+``fit`` runs one damped Newton ascent, with analytic score and Hessian,
+from ``FitConfig.start`` or else the family's ``initial_point``.  It works
+on the grouped data (identical observations merged into counts), so each
+iteration costs O(distinct rows), not O(n).  Where the negated Hessian is
+not positive definite, a diagonal Levenberg shift is escalated until it is,
+falling back to gradient ascent past a shift of 1e6.  Steps are halved
+until feasible and must raise the log-likelihood enough (Armijo), except
+near the optimum, where the gain a step predicts is below the float
+resolution of the log-likelihood: there the full Newton step is taken when
+it lowers the score.
 
-``fit`` works on the grouped data (identical observations merged into
-counts), so each iteration costs O(distinct rows), not O(n).
-
-Multistart: each family's ``initial_point`` plus seeded multiplicative
-jitters; the winner is the candidate with the highest log-likelihood, ties
-broken by smaller parameter norm and then lexicographic order, so results
-are reproducible bit for bit.  The Gaussian families start at the
-per-design probit inversion (Berkson's minimum-chi-square start): where
-designs repeat, each design's +1 fraction p_j gives Phi^-1(p_j), which is
-linear in a reparameterisation of theta, and a weighted least-squares fit
-of those values is the start.  With exactly k designs, each seen with both
-bits and none one-sided, it is the MLE itself, so such a fit converges at
-its first iteration.  With fewer than k designs seen with both bits (every
-i.i.d. dataset), a rank-deficient system or a solution outside the domain,
-they fall back to a pooled start built from the overall bit fraction and
-mean threshold.
+Each family's P(B_i = +1) increases in a linear index offset_i + x_i.beta
+(``index_regressors``), in which the likelihood is concave.  So a finite
+maximizer exists unless the bits are separated: some direction d, with
+d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and > 0
+on one (Albert & Anderson, Biometrika 71, 1984).  ``fit`` checks that
+first.  For k <= 2 it needs no linear program: the cone of such d is
+spanned by the rays perpendicular to the rows at either end of the widest
+angular gap between them, or by its middle where it is a half-plane.
 """
 
 from dataclasses import dataclass
@@ -50,6 +43,8 @@ SUFFICIENT_INCREASE = 1e-4
 #: Smallest eigenvalue of the observed information, relative to its trace,
 #: below which a converged fit is a ridge and raises NonIdentifiable.
 RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
+#: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0.
+SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -58,17 +53,13 @@ class FitConfig:
 
     max_iterations: int = 200
     gradient_tolerance: float = 1e-9
-    initial_points: tuple = None  # explicit starts; None means auto
-    multistart_count: int = 5
-    seed: int = 0
+    start: tuple = None  # explicit start; None means model.initial_point
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (self.gradient_tolerance > 0):
             raise ValueError("gradient_tolerance must be > 0")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,52 +81,52 @@ class FitResult:
     status: str
 
 
-def auto_initialize(model, data, multistart_count=5, seed=0):
-    """Starting points: ``model.initial_point(data)`` plus seeded
-    multiplicative log-normal jitters (scale 0.5).
+def _separating_direction(model, data):
+    """A unit direction d of the index parameter beta along which no bit
+    gets less likely and at least one gets more likely, or None.
 
-    For the Gaussian families the base point is the per-design probit
-    inversion where at least k designs are seen with both bits, and the
-    pooled bit-fraction start otherwise (see the module docstring).
-
-    Returns a list of ``multistart_count`` parameter arrays, the
-    deterministic base point first.
+    Each candidate is verified on every row up to a relative tolerance, so
+    that x and -x (one design seen with both bits) cancel.
     """
-    base = model.initial_point(data)
-    starts = [base]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    while len(starts) < multistart_count:
-        jitter = np.exp(0.5 * rng.standard_normal(base.shape[0]))
-        starts.append(base * jitter)
-    return starts
+    A = data.bits[:, None] * model.index_regressors(data.designs)[0]
+    k = A.shape[1]
+    wall = np.eye(k)[[] if model.index_positive is None else [model.index_positive]]
+    candidates = np.array([[1.0], [-1.0]])
+    if k == 2:
+        rays = np.concatenate([A[(A != 0.0).any(axis=1)], wall])
+        angles = np.arctan2(rays[:, 1], rays[:, 0])
+        order = np.argsort(angles)
+        rays, angles = rays[order], angles[order]
+        gaps = np.concatenate([angles[1:], angles[:1] + 2.0 * np.pi]) - angles
+        if np.max(gaps, initial=0.0) < np.pi - SEPARATION_TOLERANCE:
+            return None  # the rows leave no half-plane free, so only d = 0 keeps all >= 0
+        j = np.argmax(gaps)
+        lo, hi = rays[j], rays[(j + 1) % len(rays)]
+        lo, hi = lo / np.hypot(*lo), hi / np.hypot(*hi)
+        perps = np.array([lo, hi]) @ np.array([[0.0, 1.0], [-1.0, 0.0]])  # turned by 90 degrees
+        candidates = np.vstack([lo + hi, perps, -perps])
+    elif k > 2:
+        raise NotImplementedError("the separation check covers k <= 2")
+    norms = np.linalg.norm(candidates, axis=1)
+    push = A @ candidates.T
+    slack = SEPARATION_TOLERANCE * np.linalg.norm(A, axis=1)[:, None] * norms
+    in_cone = np.all(wall @ candidates.T >= -SEPARATION_TOLERANCE * norms, axis=0)
+    ok = in_cone & np.all(push >= -slack, axis=0) & np.any(push > slack, axis=0)
+    j = np.argmax(ok)
+    return candidates[j] / norms[j] if ok[j] else None
 
 
 def _check_identifiable(model, data):
     V = data.designs.V
     for j in range(data.designs.k):
         if np.all(V[:, :, j] == 0.0):
-            raise NonIdentifiable(
-                f"parameter direction {j} is unconstrained (all designs zero there)"
-            )
-    # monotone-likelihood detection through the effective push direction of
-    # each bit; exact for the scalar families, conservative for the rest
-    lead = V[:, 0, 0]
-    nz = lead != 0.0
-    if data.designs.k == 1 and data.designs.d == 1:
-        s = data.bits[nz] * np.sign(lead[nz])
-        if s.size and np.all(s == s[0]):
-            raise NonIdentifiable(
-                "all observations push the same parameter direction "
-                "(one-sided bits); the likelihood is monotone and no finite "
-                "maximizer exists"
-            )
-    elif np.all(data.bits == data.bits[0]):
-        s = data.bits[nz] * np.sign(lead[nz])
-        if s.size == 0 or np.all(s == s[0]):
-            raise NonIdentifiable(
-                "all observed bits are equal; the likelihood is monotone and "
-                "no finite maximizer exists"
-            )
+            raise NonIdentifiable(f"every design is zero in parameter direction {j}")
+    d = _separating_direction(model, data)
+    if d is not None:
+        raise NonIdentifiable(
+            f"the bits are separated along the index direction {np.array2string(d, precision=4)}:"
+            " the likelihood rises without bound along it, so no finite maximizer exists"
+        )
 
 
 def _safe_ll(model, data, theta):
@@ -182,7 +173,7 @@ def _newton(model, data, theta0, config):
     theta = np.asarray(theta0, dtype=float).copy()
     if not satisfies_domain(theta, model.domain):
         raise DegenerateLikelihood("starting point outside the parameter domain")
-    ll, grad, hess = likelihood.evaluate(model, theta, data)  # may raise; caller skips start
+    ll, grad, hess = likelihood.evaluate(model, theta, data)  # may raise; see _newton_from
 
     status = "max-iterations"
     iterations = 0
@@ -251,63 +242,43 @@ def _newton(model, data, theta0, config):
     return theta, status, iterations, (ll, grad, hess)
 
 
+def _newton_from(model, data, start, config):
+    """``_newton`` from ``start`` or, where bits have probability 0 there, from
+    the first point toward a neutral interior one where none has."""
+    try:
+        return _newton(model, data, start, config)
+    except (DegenerateLikelihood, NumericalError) as err:
+        error = err
+    anchor = np.array([1.0 if k == "positive" else 0.0 for k in model.domain])
+    for _ in range(60):
+        start = 0.5 * (start + anchor)
+        if np.isfinite(_safe_ll(model, data, start)):
+            return _newton(model, data, start, config)
+    raise error
+
+
 def fit(model, data, config=None):
     """Maximize the censored log-likelihood over the model's domain.
 
     Works on ``data.grouped()``, so the result is bit-identical under any
-    permutation of the observations.  Runs every start from
-    ``config.initial_points`` (or auto_initialize), then deterministically
-    selects the best candidate.  Raises NonIdentifiable when the data admit
-    no finite maximizer or no unique one (a singular observed information
-    at a stationary point) and propagates degenerate-data errors.
+    permutation of the observations.  Raises NonIdentifiable where the bits
+    are separated (no finite maximizer) or the information at a stationary
+    point is singular (no unique one); propagates degenerate-data errors.
     """
     config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
     # order makes the fit independent of the order of the observations
     data, rows = data.grouped(return_index=True)
     _check_identifiable(model, data)
-
-    if config.initial_points is not None:
-        starts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in config.initial_points]
-        if not starts:
-            raise ValueError("initial_points must not be empty")
-    else:
-        starts = auto_initialize(model, data, config.multistart_count, config.seed)
-
-    candidates = []
-    last_error = None
-    for theta0 in starts:
-        try:
-            candidates.append(_newton(model, data, theta0, config))
-        except (DegenerateLikelihood, NumericalError) as err:
-            last_error = err
-    if not candidates:
-        # every start was infeasible (zero-probability bits there); pull the
-        # starts toward a neutral interior point until the likelihood is
-        # finite, then try again
-        anchor = np.array([1.0 if k == "positive" else 0.0 for k in model.domain])
-        for theta0 in starts:
-            cur = np.asarray(theta0, dtype=float)
-            for _ in range(60):
-                cur = 0.5 * (cur + anchor)
-                if np.isfinite(_safe_ll(model, data, cur)):
-                    try:
-                        candidates.append(_newton(model, data, cur, config))
-                    except (DegenerateLikelihood, NumericalError) as err:
-                        last_error = err
-                    break
-    if not candidates:
-        if isinstance(last_error, DegenerateLikelihood) and last_error.index is not None:
-            # name the observation in the caller's numbering, not the grouped one
-            raise DegenerateLikelihood.at_observation(int(rows[last_error.index])) from last_error
-        raise last_error
-
-    def rank(c):
-        theta, _, _, (ll, _, _) = c
-        return (-ll, float(np.linalg.norm(theta)), tuple(theta))
-
-    # the final diagnostics are the winner's last evaluation, at its theta
-    theta, status, iterations, (ll, grad, hess) = min(candidates, key=rank)
+    start = model.initial_point(data) if config.start is None else config.start
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    try:
+        theta, status, iterations, (ll, grad, hess) = _newton_from(model, data, start, config)
+    except DegenerateLikelihood as err:
+        if err.index is None:
+            raise
+        # name the observation in the caller's numbering, not the grouped one
+        raise DegenerateLikelihood.at_observation(int(rows[err.index])) from err
     gnorm = float(np.max(np.abs(grad)))
     observed = -hess
     observed.setflags(write=False)

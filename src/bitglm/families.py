@@ -82,6 +82,19 @@ class ModelFamily(abc.ABC):
     def prob_leq(self, theta, designs):
         """P(X_i <= tau_i) per observation, shape (n,)."""
 
+    def bit_prob(self, theta, designs, bits):
+        """P(B_i = b_i) per observation, shape (n,); defaults to F and 1 - F."""
+        f = self.prob_leq(theta, designs)
+        return np.where(np.asarray(bits) > 0, f, 1.0 - f)
+
+    #: the coordinate of the index parameter beta kept positive (1/sigma), or None
+    index_positive = None
+
+    @abc.abstractmethod
+    def index_regressors(self, designs):
+        """(X, offset), X of shape (n, k): P(B_i = +1) increases in the linear
+        index offset_i + X_i beta, for a reparameterisation beta of theta."""
+
     # -- sufficient-statistic moments ----------------------------------------
     @abc.abstractmethod
     def mean_T(self, theta, designs):

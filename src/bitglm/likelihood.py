@@ -3,8 +3,9 @@
 For independent observations with bits b_i and designs (V_i, tau_i),
 each row i standing for n_i identical observations (``data.counts``):
 
-* probability of a bit:   P(+1) = F(tau), P(-1) = 1 - F(tau), complements
-                          of one CDF evaluation, so they sum to one exactly
+* probability of a bit:   P(+1) = F(tau), P(-1) = 1 - F(tau), the family's
+                          ``bit_prob``: exact complements for the Gaussian
+                          families, each bit's own tail for Poisson
 * log-likelihood:         sum_i n_i log P(b_i)
 * score (gradient):       sum_i n_i V_i^T (E[T_i | B_i=b_i] - E[T_i])
 * Hessian:                sum_i n_i V_i^T (Cov(T_i | B_i=b_i) - Cov(T_i)) V_i
@@ -29,9 +30,7 @@ def _theta_values(model, theta):
 
 def bit_probabilities(model, theta, data):
     """P(B_i = b_i) per observation, shape (n,)."""
-    theta = _theta_values(model, theta)
-    f = model.prob_leq(theta, data.designs)
-    return np.where(data.bits > 0, f, 1.0 - f)
+    return model.bit_prob(_theta_values(model, theta), data.designs, data.bits)
 
 
 def _per_row(terms, data):

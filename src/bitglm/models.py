@@ -44,20 +44,19 @@ def _bit_fraction(data):
     return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
 
 
-def _probit_start(family, data, regressors, to_theta):
+def _probit_start(family, data, to_theta):
     """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
 
     A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
-    and q_j = Phi^-1(p_j) estimates its standardized threshold, which each
-    Gaussian family writes as linear in a reparameterisation beta of theta:
-    q_j = offset_j + X_j beta, with ``(X, offset) = regressors(V, taus, aux)``
-    over the usable designs.  Solves that system by least squares weighted
-    by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns ``to_theta(beta)``.  With
-    exactly k designs, every one of them usable, this is the MLE.  A
-    one-sided design adds nothing to the regression but still counts in the
-    likelihood, so with one the MLE lies further on.  Returns None when
-    fewer than k designs are usable, the system is rank-deficient, or the
-    solution lies outside the domain (``to_theta`` gives None).
+    and q_j = Phi^-1(p_j) estimates its standardized threshold, the linear
+    index offset_j + X_j beta of ``index_regressors``.  Solves that system by
+    least squares weighted by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns
+    ``to_theta(beta)``.  With exactly k designs, every one of them
+    usable, this is the MLE.  A one-sided design adds nothing to the
+    regression but still counts in the likelihood, so with one the MLE lies
+    further on.  Returns None when fewer than k designs are usable, the
+    system is rank-deficient, or the solution lies outside the domain
+    (``to_theta`` gives None).
     """
     rows, totals, plus = data.design_tally()
     usable = (plus > 0) & (plus < totals)
@@ -66,9 +65,8 @@ def _probit_start(family, data, regressors, to_theta):
     rows, n = rows[usable], totals[usable]
     p = plus[usable] / n
     q = _gauss.norm_ppf(p)
-    designs = data.designs
-    aux = None if designs.aux is None else designs.aux[rows]
-    X, offset = regressors(designs.V[rows], designs.taus[rows], aux)
+    X, offset = family.index_regressors(data.designs)
+    X, offset = X[rows], offset[rows]
     root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
     beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
     if rank < family.k:
@@ -177,15 +175,15 @@ class GaussianCase1(ModelFamily):
     def moment_labels(self):
         return ("alpha",)
 
+    def index_regressors(self, designs):
+        """z = tau/sigma - sigma V alpha, linear in beta = alpha."""
+        _, designs = self._coerce(None, designs)
+        return -self.sigma * designs.V[:, 0, :], designs.taus / self.sigma
+
     def initial_point(self, data):
-        """The per-design probit inversion, z = tau/sigma - sigma V alpha;
-        without one, alpha from the pooled bit fraction at the mean threshold."""
-        start = _probit_start(
-            self,
-            data,
-            lambda V, taus, aux: (-self.sigma * V[:, 0, :], taus / self.sigma),
-            lambda beta: beta,
-        )
+        """The per-design probit inversion; without one, alpha from the
+        pooled bit fraction at the mean threshold."""
+        start = _probit_start(self, data, lambda beta: beta)
         if start is not None:
             return start
         w = data.designs.V[:, 0, 0] * self.sigma**2
@@ -223,6 +221,7 @@ class GaussianCase2(ModelFamily):
     per_obs_key = "means"
     param_keys = ("sigma",)
     fit_keys = ("means",)
+    index_positive = 0
 
     def __init__(self, means):
         self.means = _as_1d(means)
@@ -312,15 +311,15 @@ class GaussianCase2(ModelFamily):
     def moment_labels(self):
         return ("sigma",)
 
+    def index_regressors(self, designs):
+        """z = (tau - mean) / sigma, linear in beta = 1/sigma."""
+        self.check_designs(designs)
+        return (designs.taus - designs.aux)[:, None], np.zeros(designs.n)
+
     def initial_point(self, data):
-        """The per-design probit inversion, z = (tau - mean) / sigma, linear
-        in 1/sigma; without one, the inverse mean squared threshold offset."""
-        start = _probit_start(
-            self,
-            data,
-            lambda V, taus, aux: ((taus - aux)[:, None], 0.0),
-            lambda beta: beta**2 if beta[0] > 0 else None,
-        )
+        """The per-design probit inversion; without one, the inverse mean
+        squared threshold offset."""
+        start = _probit_start(self, data, lambda beta: beta**2 if beta[0] > 0 else None)
         if start is not None:
             return start
         spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
@@ -344,6 +343,7 @@ class GaussianCase3(ModelFamily):
     k = 2
     per_obs_key = "weights"
     param_keys = ("alpha", "sigma")
+    index_positive = 0
 
     def __init__(self, weights):
         self.weights = _as_1d(weights)
@@ -459,14 +459,17 @@ class GaussianCase3(ModelFamily):
     def moment_labels(self):
         return ("alpha", "sigma")
 
+    def index_regressors(self, designs):
+        """z = tau/sigma - w alpha/sigma, linear in beta = (1/sigma, alpha/sigma)."""
+        _, designs = self._coerce(None, designs)
+        return np.stack([designs.taus, -designs.V[:, 0, 0]], axis=1), np.zeros(designs.n)
+
     def initial_point(self, data):
-        """The per-design probit inversion, z = tau/sigma - w alpha/sigma,
-        linear in (1/sigma, alpha/sigma); without one, sigma = 1 and alpha
+        """The per-design probit inversion; without one, sigma = 1 and alpha
         from the pooled bit fraction at the mean threshold."""
         start = _probit_start(
             self,
             data,
-            lambda V, taus, aux: (np.stack([taus, -V[:, 0, 0]], axis=1), 0.0),
             lambda beta: np.array([beta[0] * beta[1], beta[0] ** 2]) if beta[0] > 0 else None,
         )
         if start is not None:
@@ -578,6 +581,16 @@ class PoissonModel(ModelFamily):
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)
         return _poisson.poisson_cdf(t, lam)
+
+    def bit_prob(self, theta, designs, bits):
+        """Each bit's own tail: 1 - CDF loses a far right tail's digits."""
+        lam, t = self._lam_t(theta, designs)
+        return _poisson.bit_prob(t, lam, bits)
+
+    def index_regressors(self, designs):
+        """P(X <= tau) falls in the rate exp(v theta): the index is -v theta."""
+        _, designs = self._coerce(None, designs)
+        return -designs.V[:, 0, :], np.zeros(designs.n)
 
     def mean_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)

@@ -146,7 +146,7 @@ class ExperimentConfig:
     seed: int
     error_metric: str = "moment-coordinates"
     estimator: str = "censored"
-    fit: FitConfig = field(default_factory=lambda: FitConfig(multistart_count=1))
+    fit: FitConfig = field(default_factory=FitConfig)
     max_failure_fraction: float = 0.05
 
     def __post_init__(self):

@@ -2,7 +2,8 @@
 
 Most of these avoid the library's own computation paths: finite
 differences for derivatives, quadrature/summation for moments and
-Poisson tail probabilities, and dense grid search for maximizers.
+Poisson tail probabilities, dense grid search for maximizers and a
+linear program for separated bits.
 
 Two groups are evaluated with library pieces instead:
 
@@ -181,6 +182,32 @@ def grid_search_maximizer(family, data, lo, hi, stages=(1e-2, 1e-4, 1e-6, 1e-7))
         center = float(grid[int(np.argmax(vals))])
         prev_res = res
     return center
+
+
+def lp_separated(family, data):
+    """Whether the bits are separated, by linear programming: some direction
+    d of the linear index that P(B = +1) increases in has b_i x_i.d >= 0 on
+    every row and a positive sum, with d >= 0 in the 1/sigma coordinate of
+    the two Gaussian families with an unknown sigma (Konis 2007)."""
+    from scipy.optimize import linprog
+
+    V, taus = data.designs.V, data.designs.taus
+    positive = None
+    if isinstance(family, models.GaussianCase2):
+        X, positive = (taus - data.designs.aux)[:, None], 0
+    elif isinstance(family, models.GaussianCase3):
+        X, positive = np.stack([taus, -V[:, 0, 0]], axis=1), 0
+    else:  # case 1 and Poisson: the index falls in the mean and the rate
+        X = -V[:, 0, :]
+    A = data.bits[:, None] * X
+    A = A[np.any(A != 0.0, axis=1)]
+    if A.shape[0] == 0:
+        return False
+    A = A / np.linalg.norm(A, axis=1)[:, None]
+    bounds = [(0.0 if j == positive else -1.0, 1.0) for j in range(A.shape[1])]
+    res = linprog(-A.sum(axis=0), A_ub=-A, b_ub=np.zeros(A.shape[0]), bounds=bounds)
+    assert res.status == 0, res.message
+    return -res.fun > 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def poisson_curve():
         trials=1000,
         seed=77,
         error_metric="natural-coordinates",
-        fit=FitConfig(multistart_count=1),
+        fit=FitConfig(),
     )
     return montecarlo.run_mse_experiment(config)
 
@@ -295,7 +295,7 @@ def test_criterion_7_asymptotic_normality():
         sample_sizes=(10000,),
         trials=500,
         seed=424242,
-        fit=FitConfig(multistart_count=1),
+        fit=FitConfig(),
     )
     report = montecarlo.check_asymptotic_normality(config, 10000, 500)
     # the reference must agree with the closed-form information
@@ -383,7 +383,7 @@ def test_criterion_9_grid_oracle_and_determinism():
             fam = models.GaussianCase2(np.tile(fam.means, reps))
         ds = fam.design_set(np.tile(ds.taus, reps))
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        cfg = FitConfig(multistart_count=3, seed=7)
+        cfg = FitConfig()
         try:
             res = fit(fam, data, cfg)
         except Exception:

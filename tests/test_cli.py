@@ -414,7 +414,9 @@ class TestFamilyKeys:
         assert code == 2
         assert key in err
 
-    @pytest.mark.parametrize("key", ["backtracking_factor", "sufficient_increase"])
+    @pytest.mark.parametrize(
+        "key", ["backtracking_factor", "sufficient_increase", "multistart_count", "seed"]
+    )
     def test_fit_section_has_no_line_search_keys(self, tmp_path, capsys, key):
         cfg = write(
             tmp_path,
@@ -471,6 +473,14 @@ class TestFamilyKeys:
                 ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
                 for value in (True, None, "0.5", [0.5])
             ),
+            *(({"trials": value}, "trials") for value in (2.5, True, "3", 0)),
+            *(({"seed": value}, "seed") for value in (1.5, True, "1", -1)),
+            *(
+                ({"sample_sizes": value}, "sample_sizes")
+                for value in ([50.5], [True], ["50"], [0], 50)
+            ),
+            *(({"max_failure_fraction": value}, "max_failure_fraction") for value in ("0.1", True)),
+            ({"fit": {"multistart_count": 1}}, "multistart_count"),
         ],
     )
     def test_simulate_checks_every_experiment_before_running(
@@ -484,6 +494,18 @@ class TestFamilyKeys:
         assert code == 2
         assert key in err and "experiments[1]" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fim", "fit", "check-conditions"])
+def test_only_simulate_takes_a_seed(tmp_path, capsys, command):
+    # the seed fed nothing on fim and check-conditions, and on fit only the
+    # solver's jittered starts, which are gone
+    cfg = write(tmp_path, "x.cfg", CASE1_FIT_CFG)
+    data = ["--data", write(tmp_path, "obs.dat", FOUR_ROW_DATA)] if command == "fit" else []
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--config", cfg, *data, "--seed", "1"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestConfigHash:

@@ -17,8 +17,8 @@ from bitglm import (
     FitConfig,
     NonIdentifiable,
     NumericalError,
-    auto_initialize,
     cli,
+    estimator,
     fit,
     likelihood,
     models,
@@ -26,7 +26,7 @@ from bitglm import (
 )
 from bitglm._gauss import norm_ppf
 from conftest import MODEL_NAMES, random_instance, repeated_rows
-from _oracles import grid_search_maximizer
+from _oracles import grid_search_maximizer, lp_separated
 
 
 def iid_case1(bits, tau=0.0, sigma=1.0):
@@ -69,7 +69,7 @@ class TestFitSpots:
         fam = models.GaussianCase1([1.0] * 4, sigma=1.0)
         data = CensoredDataset([-1, 1, 1, -1], fam.design_set([2.0, -1e4, 2.0, 1.0]))
         with pytest.raises(DegenerateLikelihood) as err:
-            fit(fam, data, FitConfig(initial_points=[[0.0]]))
+            fit(fam, data, FitConfig(start=[0.0]))
         assert err.value.index == 1
         assert str(err.value).startswith("observation 1 ")
 
@@ -99,7 +99,7 @@ class TestFitSpots:
         theta0 = models.GaussianCase3.natural_from_alpha_sigma2(2.0, 1.0)
         x = fam.sample(theta0, ds, rng)
         data = CensoredDataset(np.where(x <= taus, 1, -1), ds)
-        res = fit(fam, data, FitConfig(multistart_count=1))
+        res = fit(fam, data)
         assert res.converged
         alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(res.theta_hat.values)
         assert alpha == pytest.approx(2.0, abs=0.15)
@@ -112,10 +112,98 @@ class TestFitSpots:
         # slides into the domain wall instead of converging
         fam = models.GaussianCase2(means=[0.0, 0.0])
         data = CensoredDataset([1, -1], fam.design_set([-1.0, 2.0]))
-        res = fit(fam, data, FitConfig(max_iterations=300, multistart_count=1))
+        res = fit(fam, data, FitConfig(max_iterations=300))
         assert not res.converged
         assert res.status in ("boundary-divergence", "max-iterations")
         assert res.theta_hat.values[0] > 0  # never left the domain
+
+
+class TestSeparation:
+    """No finite maximizer exists exactly when the bits are separated in the
+    family's linear index; fit raises NonIdentifiable there, and only there."""
+
+    def test_case3_bits_split_by_threshold(self):
+        # every bit -1 at the low threshold and +1 at the high one: the
+        # supremum lies at sigma -> 0; this used to converge at (1.214, 0.116)
+        fam = models.GaussianCase3(np.ones(200))
+        taus = np.repeat([0.42, 2.0], 100)
+        data = CensoredDataset(np.repeat([-1, 1], 100), fam.design_set(taus))
+        assert lp_separated(fam, data)
+        with pytest.raises(NonIdentifiable, match="separated"):
+            fit(fam, data)
+
+    def test_case2_bits_split_by_threshold_sign(self):
+        # the design is -1/2 on every case-2 row, so a sign test on it cannot
+        # see this; it used to converge at precision 39.1
+        fam = models.GaussianCase2(np.zeros(4))
+        data = CensoredDataset([1, 1, -1, -1], fam.design_set([1.0, 1.0, -1.0, -1.0]))
+        assert lp_separated(fam, data)
+        with pytest.raises(NonIdentifiable, match="separated"):
+            fit(fam, data)
+
+    def test_case2_equal_bits_can_have_a_finite_maximizer(self):
+        # all bits -1, but the thresholds lie on both sides of the mean; this
+        # used to raise NonIdentifiable
+        fam = models.GaussianCase2(np.zeros(4))
+        data = CensoredDataset([-1] * 4, fam.design_set([-2.0, -2.0, -2.0, 1.0]))
+        assert not lp_separated(fam, data)
+        res = fit(fam, data)
+        assert res.converged
+        top = res.theta_hat.values[0]
+        assert top == pytest.approx(0.3882, abs=1e-4)
+        assert abs(top - grid_search_maximizer(fam, data, 1e-3, top + 3.0)) <= 1e-6
+
+    @pytest.mark.parametrize("other_bit, separated", [(1, True), (-1, False)])
+    def test_case3_quasi_separation(self, other_bit, separated):
+        # the design at tau = 0.5 is seen with both bits, which pins the
+        # index direction to (1, 0.5), on which it reads 0; the other
+        # design's bits then decide whether the likelihood rises along it.
+        # If they fall instead, more -1 bits at the higher threshold ask for
+        # sigma < 0, and the supremum lies on the wall sigma -> infinity
+        fam = models.GaussianCase3(np.ones(10))
+        taus = np.repeat([0.5, 2.0], 5)
+        bits = np.r_[[1, -1, 1, -1, 1], np.full(5, other_bit)]
+        data = CensoredDataset(bits, fam.design_set(taus))
+        assert lp_separated(fam, data) == separated
+        if separated:
+            with pytest.raises(NonIdentifiable, match=r"separated .* \[0.8944 0.4472\]"):
+                fit(fam, data)
+        else:
+            assert not fit(fam, data).converged
+
+    def test_one_direction_for_every_row_is_a_half_plane(self):
+        # with no positivity wall, rows that all point one way leave a
+        # half-plane of separating directions, whose edges read 0 on every
+        # row: only its middle separates
+        class Index:
+            index_positive = None
+
+            def index_regressors(self, designs):
+                return np.tile([3.0, 4.0], (designs.n, 1)), 0.0
+
+        fam = models.GaussianCase3(np.ones(3))
+        data = CensoredDataset([1, 1, 1], fam.design_set(np.zeros(3)))
+        assert_allclose(estimator._separating_direction(Index(), data), [0.6, 0.8])
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), repeated=st.booleans())
+    def test_raises_exactly_on_separated_data(self, name, seed, repeated):
+        rng = np.random.default_rng(seed)
+        if repeated:
+            fam, _, data = repeated_rows(name, rng, max_reps=30)
+        else:
+            fam, _, designs = random_instance(name, rng)
+            data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
+        separated = lp_separated(fam, data)
+        try:
+            fit(fam, data)
+        except NonIdentifiable as err:
+            assert separated == ("separated" in str(err))
+        except BitGlmError:
+            assert not separated
+        else:
+            assert not separated
 
 
 class TestOracleAgreement:
@@ -136,7 +224,7 @@ class TestOracleAgreement:
             ds = fam.design_set(taus)
             data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
             try:
-                res = fit(fam, data, FitConfig(multistart_count=3))
+                res = fit(fam, data)
             except (NonIdentifiable, NumericalError):
                 continue
             if not res.converged:
@@ -169,6 +257,21 @@ class TestOracleAgreement:
                 assert likelihood.log_likelihood(fam, probe, data) <= base + 1e-10
 
 
+def test_poisson_fit_reads_the_far_right_tail():
+    # the -1 bit of the third design has probability 2.1e-11 near the
+    # maximizer; formed as 1 - CDF it was quantized at ~1e-5 of the
+    # log-likelihood, and the fit stalled at a score of 6.4e-3
+    v = np.tile([-1.09704017, 0.47672656, -0.83110711], 2)
+    rows = np.repeat(np.arange(6), [4, 22, 3, 5, 8, 6])
+    fam = models.PoissonModel(v[rows])
+    taus = np.array([2.0, 5.0, 6.0, 2.0, 5.0, 6.0])[rows]
+    data = CensoredDataset(np.array([-1, -1, -1, 1, 1, 1])[rows], fam.design_set(taus))
+    res = fit(fam, data)
+    assert res.converged
+    top = res.theta_hat.values[0]
+    assert abs(top - grid_search_maximizer(fam, data, top - 3.0, top + 3.0)) <= 1e-6
+
+
 class TestDeterminism:
     def test_bit_identical_rerun(self, rng):
         fam, theta, ds = random_instance("gaussian-case3", rng, n_max=5)
@@ -176,7 +279,7 @@ class TestDeterminism:
         fam = models.GaussianCase3(np.tile(fam.weights, reps))
         ds = fam.design_set(np.tile(ds.taus, reps))
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        cfg = FitConfig(multistart_count=4, seed=99)
+        cfg = FitConfig()
         try:
             a = fit(fam, data, cfg)
             b = fit(fam, data, cfg)
@@ -197,7 +300,7 @@ class TestDeterminism:
             outcomes = []
             for order in [np.arange(data.n)] + [rng.permutation(data.n) for _ in range(3)]:
                 try:
-                    res = fit(fam, data.permuted(order), FitConfig(multistart_count=3))
+                    res = fit(fam, data.permuted(order))
                 except BitGlmError as err:
                     outcomes.append(type(err))
                     continue
@@ -209,45 +312,29 @@ class TestDeterminism:
         assert fitted >= 1
 
     def test_monotone_start_improvement(self, rng):
-        # the winner is at least as good as the likelihood at every start
+        # the estimate is at least as good as the likelihood at the start
         fam, theta, ds = random_instance("gaussian-case1", rng, n_max=5)
         reps = 6
         fam = models.GaussianCase1(np.tile(fam.weights, reps), sigma=fam.sigma)
         ds = fam.design_set(np.tile(ds.taus, reps))
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        cfg = FitConfig(multistart_count=4, seed=3)
         try:
-            res = fit(fam, data, cfg)
+            res = fit(fam, data)
         except NonIdentifiable:
             pytest.skip("instance not identifiable")
-        for start in auto_initialize(fam, data, 4, 3):
-            assert res.log_likelihood >= likelihood.log_likelihood(fam, start, data) - 1e-12
+        start = fam.initial_point(data.grouped())
+        assert res.log_likelihood >= likelihood.log_likelihood(fam, start, data) - 1e-12
 
 
-class TestAutoInitialize:
+class TestInitialPoint:
     def test_balanced_fraction_starts_at_zero(self):
         fam, data = iid_case1([1, -1, 1, -1])
-        starts = auto_initialize(fam, data, 3, 0)
-        assert starts[0][0] == pytest.approx(0.0, abs=1e-12)
+        assert fam.initial_point(data)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_parameter_base_has_unit_precision(self):
         fam = models.GaussianCase3(np.ones(4))
         data = CensoredDataset([1, -1, 1, -1], fam.design_set(np.zeros(4)))
-        starts = auto_initialize(fam, data, 5, 0)
-        assert starts[0][1] == 1.0
-
-    def test_jitters_deterministic_under_seed(self):
-        fam, data = iid_case1([1, -1, 1, 1])
-        a = auto_initialize(fam, data, 5, seed=42)
-        b = auto_initialize(fam, data, 5, seed=42)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        c = auto_initialize(fam, data, 5, seed=43)
-        assert not np.array_equal(a[1], c[1])
-
-    def test_count(self):
-        fam, data = iid_case1([1, -1])
-        assert len(auto_initialize(fam, data, 7, 0)) == 7
+        assert fam.initial_point(data)[1] == 1.0
 
 
 class TestFitConfigValidation:
@@ -256,12 +343,10 @@ class TestFitConfigValidation:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(multistart_count=0)
 
-    def test_explicit_initial_points(self):
+    def test_explicit_start(self):
         fam, data = iid_case1([1, 1, -1, -1])
-        res = fit(fam, data, FitConfig(initial_points=(np.array([2.0]),)))
+        res = fit(fam, data, FitConfig(start=np.array([2.0])))
         assert res.converged
         assert res.theta_hat.values[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -366,7 +451,7 @@ class TestProbitStart:
     def test_fig1_start_is_the_closed_form_mle(self, name, n, trial):
         config, fam, data = _fig1_trial(name, n, trial)
         want = _closed_form_two_threshold(data)
-        start = auto_initialize(fam, data.grouped(), 1)[0]
+        start = fam.initial_point(data.grouped())
         assert_allclose(fam.to_moment(start), want, rtol=1e-10)
         # the raw rows tally to the same designs
         assert_allclose(fam.to_moment(fam.initial_point(data)), want, rtol=1e-10)
@@ -402,7 +487,7 @@ class TestProbitStart:
         fam, data = _gaussian(name, taus + [4.0] * 5, bits + [1] * 5)
         start = fam.initial_point(data.grouped())
         assert_allclose(start, fam_usable.initial_point(usable.grouped()), rtol=1e-12)
-        res = fit(fam, data, FitConfig(multistart_count=1))
+        res = fit(fam, data)
         assert res.converged and res.iterations > 1
         assert not np.allclose(res.theta_hat.values, start, rtol=1e-6, atol=0.0)
 
@@ -441,13 +526,13 @@ class TestProbitStart:
         fam, _, data = repeated_rows(name, np.random.default_rng(seed), max_reps=30)
         grouped = data.grouped()
         try:
-            old = fit(fam, data, FitConfig(initial_points=[_pooled_start(fam, grouped)]))
+            old = fit(fam, data, FitConfig(start=_pooled_start(fam, grouped)))
         except BitGlmError:
             return
         if not old.converged:
             return
         try:
-            new = fit(fam, data, FitConfig(multistart_count=1))
+            new = fit(fam, data)
         except NonIdentifiable:
             return  # a singular information: a ridge, no unique maximizer
         assert new.converged

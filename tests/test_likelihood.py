@@ -55,6 +55,16 @@ class TestCensoredProb:
         fam, ds = gaussian1([1.0], 1.0, [1.0])
         assert_allclose(bit_prob(fam, [2.0], ds, 0, 1), want, rtol=1e-14)
 
+    def test_poisson_minus_bit_takes_its_own_tail(self):
+        # P(X > 6) = 2.1e-11; 1 - P(X <= 6) kept only ~5 of its digits
+        v, theta, t = -0.83110711, 2.74242737, 6
+        fam = models.PoissonModel([v])
+        ds = fam.design_set([float(t)])
+        lam = float(np.exp(np.array([v]) * theta)[0])
+        with mpmath.workdps(50):
+            want = float(mpmath.gammainc(t + 1, 0, mpmath.mpf(lam), regularized=True))
+        assert_allclose(bit_prob(fam, [theta], ds, 0, -1), want, rtol=1e-13)
+
     def test_bits_are_exact_complements(self):
         fam, ds = gaussian1([0.7], 1.3, [0.4])
         p = bit_prob(fam, [1.1], ds, 0, 1)

@@ -152,7 +152,7 @@ class TestMseExperiment:
             sample_sizes=(400,),
             trials=25,
             seed=5,
-            fit=FitConfig(multistart_count=1),
+            fit=FitConfig(),
         )
         nat = run_mse_experiment(ExperimentConfig(error_metric="natural-coordinates", **shared))
         mom = run_mse_experiment(ExperimentConfig(error_metric="moment-coordinates", **shared))
@@ -195,7 +195,7 @@ class TestMseExperiment:
             trials=150,
             seed=31,
             error_metric="natural-coordinates",
-            fit=FitConfig(multistart_count=1),
+            fit=FitConfig(),
         )
         table = run_mse_experiment(cfg)
         assert table.loglog_slope() == pytest.approx(-1.0, abs=0.3)
@@ -217,7 +217,7 @@ class TestAsymptoticNormality:
     def test_scalar_family_matches_information(self):
         cfg = case1_config(
             thresholds=ThresholdRule(kind="fixed", value=0.5),
-            fit=FitConfig(multistart_count=1),
+            fit=FitConfig(),
         )
         report = check_asymptotic_normality(cfg, 4000, 220)
         # optimal threshold: per-observation information 2/pi
