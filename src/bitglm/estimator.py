@@ -1,24 +1,27 @@
 """Maximum-likelihood fitting of the censored GLM.
 
-``fit`` runs one damped Newton ascent, with analytic score and Hessian,
-from ``FitConfig.start`` or else the family's ``initial_point``.  It works
-on the grouped data (identical observations merged into counts), so each
-iteration costs O(distinct rows), not O(n).  Where the negated Hessian is
-not positive definite, a diagonal Levenberg shift is escalated until it is,
-falling back to gradient ascent past a shift of 1e6.  Steps are halved
-until feasible and must raise the log-likelihood enough (Armijo), except
-near the optimum, where the gain a step predicts is below the float
-resolution of the log-likelihood: there the full Newton step is taken when
-it lowers the score.
+Each family's P(B_i = +1) is a log-concave cdf of a linear index
+offset_i + x_i.beta (``index_regressors``), so the log-likelihood is
+concave in beta over all of R^k (Pratt, JASA 76, 1981).  ``fit`` runs one
+damped Newton ascent in beta with the derivatives of ``index_link``, on
+the grouped data (identical observations merged into counts), so each
+iteration costs O(distinct rows), not O(n).  Steps must raise the
+log-likelihood enough (Armijo), except where the gain a step predicts is
+below its float resolution: there the full step is taken when it lowers
+the score.  That score, judged and reported, is the one in theta, J^-T g
+for the Jacobian J of theta(beta).
 
-Each family's P(B_i = +1) increases in a linear index offset_i + x_i.beta
-(``index_regressors``), in which the likelihood is concave.  So a finite
-maximizer exists unless the bits are separated: some direction d, with
-d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and > 0
-on one (Albert & Anderson, Biometrika 71, 1984).  ``fit`` checks that
+A finite maximizer exists unless the bits are separated: some direction d,
+with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
+> 0 on one (Albert & Anderson, Biometrika 71, 1984).  ``fit`` checks that
 first.  For k <= 2 it needs no linear program: the cone of such d is
 spanned by the rays perpendicular to the rows at either end of the widest
 angular gap between them, or by its middle where it is a half-plane.
+
+Where the ascent ends at 1/sigma <= 0, or stops short while the score at
+the maximizer along the wall 1/sigma = 0 points out of the domain or its
+likelihood ties the iterate's, the supremum lies on that wall (sigma ->
+infinity): ``fit`` reports that maximizer, just inside, as "boundary-divergence".
 """
 
 from dataclasses import dataclass
@@ -28,12 +31,8 @@ from scipy import linalg as sla
 
 from . import likelihood
 from .exceptions import DegenerateLikelihood, NonIdentifiable, NumericalError
-from .types import ParameterVector, satisfies_domain
+from .types import ParameterVector
 
-#: Iterate norm beyond which a still-increasing likelihood is declared monotone.
-DIVERGENCE_NORM = 1e8
-#: Largest Levenberg shift before falling back to gradient ascent.
-MAX_SHIFT = 1e6
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
 #: Factor the line search shrinks a rejected step by.
@@ -64,12 +63,14 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a fit.
+    """Outcome of a fit, in theta.
 
     ``observed_information`` is the negated Hessian at the estimate;
     ``status`` is one of "converged", "max-iterations",
-    "boundary-divergence" (the estimate slid into a domain wall), or
-    "non-identifiable" (only seen inside failure reports; fit raises).
+    "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
+    and the estimate and its log-likelihood are the maximizer along it,
+    moved just inside to sigma ~ 1/eps), or "non-identifiable" (only seen
+    inside failure reports; fit raises).
     """
 
     theta_hat: ParameterVector
@@ -129,18 +130,12 @@ def _check_identifiable(model, data):
         )
 
 
-def _safe_ll(model, data, theta):
+def _safe_ll(model, data, index, beta):
+    """``likelihood.index_evaluate`` at a probe; ll = -inf where that raises."""
     try:
-        return likelihood.log_likelihood(model, theta, data)
+        return likelihood.index_evaluate(model, beta, data, index)
     except (DegenerateLikelihood, NumericalError):
-        return -np.inf
-
-
-def _safe_evaluate(model, data, theta):
-    try:
-        return likelihood.evaluate(model, theta, data)
-    except (DegenerateLikelihood, NumericalError):
-        return None
+        return -np.inf, None, None
 
 
 def _ll_resolution(ll):
@@ -149,112 +144,94 @@ def _ll_resolution(ll):
 
 
 def _ascent_direction(neg_hess, grad):
-    """Newton direction with escalating diagonal shift; gradient fallback."""
-    k = neg_hess.shape[0]
-    shift = 0.0
-    scale = max(1.0, float(np.trace(neg_hess)) / k)
-    while True:
-        try:
-            c, low = sla.cho_factor(neg_hess + shift * np.eye(k), check_finite=False)
-            return sla.cho_solve((c, low), grad, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-        shift = max(shift * 10.0, 1e-8 * scale) if shift else 1e-8 * scale
-        if shift > MAX_SHIFT:
-            return grad.copy()
+    """Newton direction; least squares where the negated Hessian is singular."""
+    try:
+        return sla.cho_solve(sla.cho_factor(neg_hess, check_finite=False), grad, check_finite=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
 
 
-def _newton(model, data, theta0, config):
-    """Damped Newton ascent from ``theta0``.
+def _inverse_jacobian(model, beta):
+    """(d theta / d beta)^-1 by the adjugate (k <= 2), infinite where it is
+    singular, on the wall beta_p = 0; None where theta = beta."""
+    if model.index_curvature is None:
+        return None
+    J = model.index_curvature @ beta
+    adj = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) if len(J) == 2 else np.ones((1, 1))
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] if len(J) == 2 else J[0, 0]
+    return adj / det if det else np.full(J.shape, np.inf)
 
-    Returns (theta, status, iterations, (ll, grad, hess)), the last being
-    the evaluation at the returned theta.
-    """
-    theta = np.asarray(theta0, dtype=float).copy()
-    if not satisfies_domain(theta, model.domain):
-        raise DegenerateLikelihood("starting point outside the parameter domain")
-    ll, grad, hess = likelihood.evaluate(model, theta, data)  # may raise; see _newton_from
 
+def _newton(model, data, index, beta, config, score_norm):
+    """Damped Newton ascent in beta until ``score_norm(beta, grad)`` falls to
+    the tolerance: (beta, status, iterations, its (ll, grad, hess))."""
+    ll, grad, hess = likelihood.index_evaluate(model, beta, data, index)  # _newton_from catches
     status = "max-iterations"
     iterations = 0
-    stalled = 0
     for iterations in range(1, config.max_iterations + 1):
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = score_norm(beta, grad)
         if gnorm <= config.gradient_tolerance:
             status = "converged"
             break
         direction = _ascent_direction(-hess, grad)
         slope = float(grad @ direction)
-        if slope <= 0.0:  # fallback already guarantees ascent; belt and braces
-            direction = grad.copy()
-            slope = float(grad @ grad)
-
-        t = 1.0
-        while not satisfies_domain(theta + t * direction, model.domain):
-            t *= BACKTRACKING_FACTOR
-            if t < MIN_DAMPING:
-                status = "boundary-divergence"
-                break
-        if status == "boundary-divergence":
+        if not slope > 0.0:
             break
-
         # a predicted gain below the float resolution of the log-likelihood
         # makes the sufficient-increase test a coin flip; there the full
         # step is judged by whether it lowers the score instead
-        accepted = False
-        if t == 1.0 and 0.5 * slope <= _ll_resolution(ll):
-            step = _safe_evaluate(model, data, theta + direction)
-            if step is not None and float(np.max(np.abs(step[1]))) < gnorm:
-                theta = theta + direction
-                gain = step[0] - ll
-                ll, grad, hess = step
-                accepted = True
-        if not accepted:
-            while t >= MIN_DAMPING:
-                cand = theta + t * direction
-                cand_ll = _safe_ll(model, data, cand)
-                if cand_ll >= ll + SUFFICIENT_INCREASE * t * slope:
-                    gain = cand_ll - ll
-                    theta = cand
-                    accepted = True
-                    break
-                t *= BACKTRACKING_FACTOR
-            if not accepted:
-                break  # no measurable progress left at this precision
-            ll, grad, hess = likelihood.evaluate(model, theta, data)
-
-        # progress below the float resolution of the log-likelihood for many
-        # consecutive steps means the line search has gone blind; give slow
-        # shifted-Newton crawls room, but do not churn to the iteration cap
-        if gain <= _ll_resolution(ll):
-            stalled += 1
-            if stalled >= 25:
+        blind = 0.5 * slope <= _ll_resolution(ll)
+        t = 1.0
+        while t >= MIN_DAMPING:
+            cand = beta + t * direction
+            step = _safe_ll(model, data, index, cand)
+            if step[0] >= ll + SUFFICIENT_INCREASE * t * slope or (
+                blind and t == 1.0 and step[1] is not None and score_norm(cand, step[1]) < gnorm
+            ):
                 break
-        else:
-            stalled = 0
-
-        if float(np.linalg.norm(theta)) > DIVERGENCE_NORM:
-            raise NonIdentifiable(
-                "iterates diverged with increasing likelihood; the data do "
-                "not pin down a finite maximizer"
-            )
-
-    return theta, status, iterations, (ll, grad, hess)
+            t *= BACKTRACKING_FACTOR
+        if t < MIN_DAMPING:
+            break  # no measurable progress left at this precision
+        beta, (ll, grad, hess) = cand, step
+    return beta, status, iterations, (ll, grad, hess)
 
 
-def _newton_from(model, data, start, config):
-    """``_newton`` from ``start`` or, where bits have probability 0 there, from
-    the first point toward a neutral interior one where none has."""
+def _newton_from(model, data, index, beta, config):
+    """``_newton`` judged on the theta-score, from ``beta`` or, where bits
+    have probability 0 there, from the first point toward a neutral interior
+    one where none has."""
+    def score_norm(b, g):  # the score in theta
+        inverse = _inverse_jacobian(model, b)
+        return float(np.max(np.abs(g if inverse is None else inverse.T @ g)))
+
     try:
-        return _newton(model, data, start, config)
+        return _newton(model, data, index, beta, config, score_norm)
     except (DegenerateLikelihood, NumericalError) as err:
         error = err
-    anchor = np.array([1.0 if k == "positive" else 0.0 for k in model.domain])
+    anchor = model.index_from_theta(np.array([float(k == "positive") for k in model.domain]))
     for _ in range(60):
-        start = 0.5 * (start + anchor)
-        if np.isfinite(_safe_ll(model, data, start)):
-            return _newton(model, data, start, config)
+        beta = 0.5 * (beta + anchor)
+        if np.isfinite(_safe_ll(model, data, index, beta)[0]):
+            return _newton(model, data, index, beta, config, score_norm)
     raise error
+
+
+def _wall_maximum(model, data, index, beta, ll, config):
+    """The maximizer along the wall beta_p = 0, moved in until an index moves
+    by eps, and its evaluation; None where ``beta`` is inside, the wall's
+    score points inside and the likelihoods differ: an interior maximum."""
+    p, (X, offset) = model.index_positive, index
+    free = np.arange(len(beta)) != p
+    wall = np.zeros_like(beta)
+    wall[free] = _newton(
+        model, data, (X[:, free], offset), beta[free], config,
+        lambda b, g: float(np.max(np.abs(g), initial=0.0)),
+    )[0]
+    wall_ll, grad, _ = likelihood.index_evaluate(model, wall, data, index)
+    if beta[p] > 0.0 and grad[p] > 0.0 and abs(ll - wall_ll) > _ll_resolution(wall_ll):
+        return None
+    wall[p] = np.finfo(float).eps / np.max(np.abs(X[:, p]))
+    return wall, likelihood.index_evaluate(model, wall, data, index)
 
 
 def fit(model, data, config=None):
@@ -272,22 +249,35 @@ def fit(model, data, config=None):
     _check_identifiable(model, data)
     start = model.initial_point(data) if config.start is None else config.start
     start = np.atleast_1d(np.asarray(start, dtype=float))
+    model.check_theta(start)
+    index = model.index_regressors(data.designs)
+    beta0 = model.index_from_theta(start)
     try:
-        theta, status, iterations, (ll, grad, hess) = _newton_from(model, data, start, config)
+        beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta0, config)
     except DegenerateLikelihood as err:
         if err.index is None:
             raise
         # name the observation in the caller's numbering, not the grouped one
         raise DegenerateLikelihood.at_observation(int(rows[err.index])) from err
+    p = model.index_positive
+    if p is not None and (status != "converged" or not beta[p] > 0.0):
+        wall = _wall_maximum(model, data, index, beta, ll, config)
+        if wall is not None:
+            (beta, (ll, grad, hess)), status = wall, "boundary-divergence"
+    # back to theta by the chain rule; theta(beta) has constant second derivatives
+    inverse = _inverse_jacobian(model, beta)
+    if inverse is not None:
+        grad = inverse.T @ grad
+        hess = inverse.T @ (hess - model.index_curvature.T @ grad) @ inverse
     gnorm = float(np.max(np.abs(grad)))
-    observed = -hess
+    observed = -0.5 * (hess + hess.T)
     observed.setflags(write=False)
     # converged means a stationary point that is locally a maximum: tiny
     # score and a positive definite observed information.  A regular point
     # is locally identified iff its information is nonsingular (Rothenberg,
     # Econometrica 39, 1971), so a singular one at a stationary point is a
     # ridge of maximizers, not an estimate
-    converged = status == "converged" and gnorm <= config.gradient_tolerance
+    converged = status == "converged"
     if converged:
         eigs, vecs = np.linalg.eigh(observed)
         trace = float(np.trace(observed))
@@ -301,7 +291,8 @@ def fit(model, data, config=None):
     if status == "converged" and not converged:
         status = "max-iterations"
     return FitResult(
-        theta_hat=model.parameter_vector(theta),
+        # the start itself where no step was taken, so it is not rounded twice
+        theta_hat=model.parameter_vector(start if beta is beta0 else model.theta_from_index(beta)),
         converged=converged,
         iterations=iterations,
         final_score_norm=gnorm,

@@ -23,9 +23,10 @@ class NumericalError(BitGlmError):
 class DegenerateLikelihood(BitGlmError):
     """An observed bit has probability exactly zero at the given parameter.
 
-    ``index`` identifies the first offending row.  ``fit`` works on grouped
-    data and reports the first row of the first offending group, in the
-    numbering of the data it was given.
+    Log-probabilities are formed in log space, so only a Poisson tail can
+    read 0; ``fit`` retreats from such a start toward a neutral one first.
+    ``index`` identifies the first offending row; ``fit`` reports the first
+    row of the first offending group, in the numbering of its input.
     """
 
     def __init__(self, message, index=None):

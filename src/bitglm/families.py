@@ -23,6 +23,12 @@ Design notes
   defines ``cond_mean_dev_T`` itself, as the first half of its
   ``cond_devs_T``: the benchmark tracer spans it in the class, and the
   tests check the factors against the two-bit mixture of the deviations.
+* P(B_i = +1) is a log-concave cdf of a linear index offset_i + X_i beta
+  (``index_regressors``; beta is alpha, 1/sigma, (1/sigma, alpha/sigma)
+  or theta), and ``index_link`` gives log P(B_i = b_i) and its first two
+  derivatives in the index: the one log-space likelihood route, concave in
+  beta.  theta is beta or beta^T C_m beta / 2 per coordinate m, for the
+  constant second derivatives C = ``index_curvature``.
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -82,18 +88,29 @@ class ModelFamily(abc.ABC):
     def prob_leq(self, theta, designs):
         """P(X_i <= tau_i) per observation, shape (n,)."""
 
-    def bit_prob(self, theta, designs, bits):
-        """P(B_i = b_i) per observation, shape (n,); defaults to F and 1 - F."""
-        f = self.prob_leq(theta, designs)
-        return np.where(np.asarray(bits) > 0, f, 1.0 - f)
-
     #: the coordinate of the index parameter beta kept positive (1/sigma), or None
     index_positive = None
+    #: d^2 theta_m / d beta_j d beta_l, constant, shape (k, k, k); None where theta = beta
+    index_curvature = None
 
     @abc.abstractmethod
     def index_regressors(self, designs):
         """(X, offset), X of shape (n, k): P(B_i = +1) increases in the linear
         index offset_i + X_i beta, for a reparameterisation beta of theta."""
+
+    @abc.abstractmethod
+    def index_link(self, z, designs, bits):
+        """(log P(B_i = b_i), its first and second derivatives in z_i) at the
+        linear index z, each shape (n,); log P is -inf where P is 0."""
+
+    def theta_from_index(self, beta):
+        """theta at the index parameter beta."""
+        C = self.index_curvature
+        return beta if C is None else 0.5 * (C @ beta) @ beta
+
+    def index_from_theta(self, theta):
+        """Inverse of :meth:`theta_from_index`, with beta_p > 0."""
+        return theta
 
     # -- sufficient-statistic moments ----------------------------------------
     @abc.abstractmethod
@@ -151,12 +168,9 @@ class ModelFamily(abc.ABC):
         NonIdentifiable where it has no finite value."""
 
     # -- fitting ----------------------------------------------------------------
+    @abc.abstractmethod
     def initial_point(self, data):
-        """Deterministic starting point of the MLE solver for ``data``.
-
-        Defaults to ones; the concrete families derive theirs from the data.
-        """
-        return np.ones(self.k)
+        """Deterministic starting point of the MLE solver for ``data``."""
 
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):

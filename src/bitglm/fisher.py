@@ -8,8 +8,7 @@ Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i.
 
 Each total is assembled as one k x k BLAS reduction over the stacked rows:
 the censored information as (g * w)^T g over the rows g_i = V_i^T u_i,
-the uncensored one as the (n d) x k product V^T (Cov(T) V).  The
-(n, k, k) stack of per-observation summands is built only when asked for.
+the uncensored one as the (n d) x k product V^T (Cov(T) V).
 
 Processing a sample into a bit cannot create information, so I_n - J_n
 must be positive semidefinite; ``dpi_check`` verifies that numerically.
@@ -38,29 +37,19 @@ def _det_small(m):
 
 @dataclass(frozen=True)
 class FimResult:
-    """A k x k information matrix with PSD metadata.
-
-    ``per_observation_terms`` (optional) holds each observation's k x k
-    summand in observation order.
-    """
+    """A k x k information matrix with PSD metadata."""
 
     matrix: np.ndarray
     min_eigenvalue: float
     determinant: float
-    per_observation_terms: tuple = None
 
     @classmethod
-    def build(cls, total, terms=None):
-        """From the k x k total and, optionally, its (n, k, k) summands."""
+    def build(cls, total):
+        """From the k x k total, symmetrized."""
         total = 0.5 * (total + total.T)
         eigs = np.linalg.eigvalsh(total)
         total.setflags(write=False)
-        return cls(
-            matrix=total,
-            min_eigenvalue=float(eigs[0]),
-            determinant=_det_small(total),
-            per_observation_terms=None if terms is None else tuple(terms),
-        )
+        return cls(matrix=total, min_eigenvalue=float(eigs[0]), determinant=_det_small(total))
 
     @property
     def k(self):
@@ -77,7 +66,7 @@ def _reject(model, bad):
         )
 
 
-def fim_censored(model, theta, designs, keep_terms=False):
+def fim_censored(model, theta, designs):
     """Information carried by the bits: per observation, the rank-one
     covariance w u u^T of E[T | B] sandwiched by the design matrix.
     DegenerateThreshold where w is not finite, at a bit of probability 0."""
@@ -86,26 +75,21 @@ def fim_censored(model, theta, designs, keep_terms=False):
     _reject(model, ~np.isfinite(w))
 
     g = np.einsum("ndk,nd->nk", designs.V, u)  # V^T u per row, (n, k)
-    wg = g * w[:, None]
-    total = wg.T @ g
-    terms = wg[:, :, None] * g[:, None, :] if keep_terms else None
-    return FimResult.build(total, terms)
+    return FimResult.build((g * w[:, None]).T @ g)
 
 
-def _sandwich(V, inner, keep_terms):
+def _sandwich(V, inner):
     """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
     n, d, k = V.shape
     # d = 1: each block product is one multiply, bit-identical and far faster
     right = inner * V if d == 1 else np.matmul(inner, V)  # (n, d, k)
-    total = V.reshape(n * d, k).T @ right.reshape(n * d, k)
-    terms = np.matmul(V.swapaxes(1, 2), right) if keep_terms else None
-    return FimResult.build(total, terms)
+    return FimResult.build(V.reshape(n * d, k).T @ right.reshape(n * d, k))
 
 
-def fim_uncensored(model, theta, designs, keep_terms=False):
+def fim_uncensored(model, theta, designs):
     """Information carried by the raw observations."""
     inner = model.cov_T(_theta_values(model, theta), designs)
-    return _sandwich(designs.V, inner, keep_terms)
+    return _sandwich(designs.V, inner)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ of sigma, which is what keeps the far-tail evaluations stable.
 
 import math
 import numpy as np
+from scipy import special
 
 from . import _gauss, _poisson
-from .exceptions import DegenerateThreshold, DomainError, NonIdentifiable, NumericalError
+from .exceptions import DomainError, NonIdentifiable, NumericalError
 from .families import ModelFamily
-from .types import DesignSet, satisfies_domain
+from .types import DesignSet
 
 
 def _as_1d(x):
@@ -44,19 +45,18 @@ def _bit_fraction(data):
     return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
 
 
-def _probit_start(family, data, to_theta):
+def _probit_start(family, data):
     """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
 
     A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
     and q_j = Phi^-1(p_j) estimates its standardized threshold, the linear
     index offset_j + X_j beta of ``index_regressors``.  Solves that system by
     least squares weighted by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns
-    ``to_theta(beta)``.  With exactly k designs, every one of them
+    ``theta_from_index(beta)``.  With exactly k designs, every one of them
     usable, this is the MLE.  A one-sided design adds nothing to the
     regression but still counts in the likelihood, so with one the MLE lies
     further on.  Returns None when fewer than k designs are usable, the
-    system is rank-deficient, or the solution lies outside the domain
-    (``to_theta`` gives None).
+    system is rank-deficient, or the solution lies outside the domain.
     """
     rows, totals, plus = data.design_tally()
     usable = (plus > 0) & (plus < totals)
@@ -69,17 +69,31 @@ def _probit_start(family, data, to_theta):
     X, offset = X[rows], offset[rows]
     root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
     beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
-    if rank < family.k:
+    p = family.index_positive
+    if rank < family.k or (p is not None and not beta[p] > 0):
         return None
-    theta = to_theta(beta)
-    return theta if theta is not None and satisfies_domain(theta, family.domain) else None
+    theta = family.theta_from_index(beta)
+    try:
+        family.check_theta(theta)
+    except DomainError:
+        return None
+    return theta
+
+
+class _GaussianIndex(ModelFamily):
+    """P(B = +1) = Phi(z) at the standardized threshold z, the linear index."""
+
+    def index_link(self, z, designs, bits):
+        """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
+        c = _gauss.signed_hazard(z, bits)
+        return special.log_ndtr(bits * z), c, -c * (z + c)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian: unknown mean, known variance
 # ---------------------------------------------------------------------------
 
-class GaussianCase1(ModelFamily):
+class GaussianCase1(_GaussianIndex):
     """X_i = w_i * alpha + noise, noise ~ N(0, sigma^2) with sigma known.
 
     Sufficient statistic T = x, natural parameter eta_i = (w_i/sigma^2) * alpha.
@@ -183,7 +197,7 @@ class GaussianCase1(ModelFamily):
     def initial_point(self, data):
         """The per-design probit inversion; without one, alpha from the
         pooled bit fraction at the mean threshold."""
-        start = _probit_start(self, data, lambda beta: beta)
+        start = _probit_start(self, data)
         if start is not None:
             return start
         w = data.designs.V[:, 0, 0] * self.sigma**2
@@ -208,7 +222,7 @@ def case1_optimal_thresholds(model, alpha):
 # Gaussian: known mean, unknown variance
 # ---------------------------------------------------------------------------
 
-class GaussianCase2(ModelFamily):
+class GaussianCase2(_GaussianIndex):
     """X_i ~ N(mu_i, sigma^2) with known means, theta = 1/sigma^2 > 0.
 
     Sufficient statistic T = (x - mu_i)^2, per-observation design -1/2.
@@ -222,6 +236,7 @@ class GaussianCase2(ModelFamily):
     param_keys = ("sigma",)
     fit_keys = ("means",)
     index_positive = 0
+    index_curvature = np.full((1, 1, 1), 2.0)
 
     def __init__(self, means):
         self.means = _as_1d(means)
@@ -316,10 +331,13 @@ class GaussianCase2(ModelFamily):
         self.check_designs(designs)
         return (designs.taus - designs.aux)[:, None], np.zeros(designs.n)
 
+    def index_from_theta(self, theta):
+        return np.sqrt(theta)
+
     def initial_point(self, data):
         """The per-design probit inversion; without one, the inverse mean
         squared threshold offset."""
-        start = _probit_start(self, data, lambda beta: beta**2 if beta[0] > 0 else None)
+        start = _probit_start(self, data)
         if start is not None:
             return start
         spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
@@ -330,7 +348,7 @@ class GaussianCase2(ModelFamily):
 # Gaussian: unknown mean and variance
 # ---------------------------------------------------------------------------
 
-class GaussianCase3(ModelFamily):
+class GaussianCase3(_GaussianIndex):
     """X_i = w_i * alpha + noise, noise ~ N(0, sigma^2), both unknown.
 
     Natural coordinates theta = (alpha/sigma^2, 1/sigma^2) with theta_2 > 0;
@@ -344,6 +362,7 @@ class GaussianCase3(ModelFamily):
     per_obs_key = "weights"
     param_keys = ("alpha", "sigma")
     index_positive = 0
+    index_curvature = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
 
     def __init__(self, weights):
         self.weights = _as_1d(weights)
@@ -464,14 +483,17 @@ class GaussianCase3(ModelFamily):
         _, designs = self._coerce(None, designs)
         return np.stack([designs.taus, -designs.V[:, 0, 0]], axis=1), np.zeros(designs.n)
 
+    def theta_from_index(self, beta):
+        return np.array([beta[0] * beta[1], beta[0] ** 2])
+
+    def index_from_theta(self, theta):
+        root = math.sqrt(theta[1])
+        return np.array([root, theta[0] / root])
+
     def initial_point(self, data):
         """The per-design probit inversion; without one, sigma = 1 and alpha
         from the pooled bit fraction at the mean threshold."""
-        start = _probit_start(
-            self,
-            data,
-            lambda beta: np.array([beta[0] * beta[1], beta[0] ** 2]) if beta[0] > 0 else None,
-        )
+        start = _probit_start(self, data)
         if start is not None:
             return start
         mean_w = _mean(data.designs.V[:, 0, 0], data)
@@ -556,41 +578,36 @@ class PoissonModel(ModelFamily):
     #: 7e-6 relative at a rate of 1e6.
     MAX_RATE = 2e5
 
-    def _lam_t(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
+    def _lam_t(self, theta, designs, z=None):
+        """(lam, floor(tau)) at theta or at the index z = -log(lam), up to MAX_RATE."""
+        if z is None:
+            theta, designs = self._coerce(theta, designs)
         self.check_designs(designs)
-        lam = np.exp(designs.natural_params(theta)[:, 0])
+        lam = np.exp(designs.natural_params(theta)[:, 0] if z is None else -z)
         if not np.all(lam <= self.MAX_RATE):
             raise NumericalError(
                 f"poisson rate exceeds the supported range (max {self.MAX_RATE:g})"
             )
-        t = np.floor(designs.taus).astype(np.int64)
-        return lam, t
-
-    @staticmethod
-    def _bit_prob(t, lam, bits):
-        """P(B=b) per observation; DegenerateThreshold where it is 0."""
-        pb = _poisson.bit_prob(t, lam, bits)
-        if np.any(pb == 0.0):
-            idx = int(np.argmax(pb == 0.0))
-            raise DegenerateThreshold(
-                f"observation {idx}: bit has probability 0 at this parameter", index=idx
-            )
-        return pb
+        return lam, np.floor(designs.taus).astype(np.int64)
 
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)
         return _poisson.poisson_cdf(t, lam)
 
-    def bit_prob(self, theta, designs, bits):
-        """Each bit's own tail: 1 - CDF loses a far right tail's digits."""
-        lam, t = self._lam_t(theta, designs)
-        return _poisson.bit_prob(t, lam, bits)
-
     def index_regressors(self, designs):
         """P(X <= tau) falls in the rate exp(v theta): the index is -v theta."""
         _, designs = self._coerce(None, designs)
         return -designs.V[:, 0, :], np.zeros(designs.n)
+
+    def index_link(self, z, designs, bits):
+        """At the rate lam = exp(-z), with h = b pmf(t) / P(B=b): the log of
+        each bit's own tail (1 - CDF loses a far right tail's digits), lam h
+        and, as pmf(t-1) = pmf(t) t / lam, lam h (lam - t - 1 - lam h)."""
+        lam, t = self._lam_t(None, designs, z)
+        pb = _poisson.bit_prob(t, lam, bits)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_h = lam * (np.asarray(bits, dtype=float) * _poisson.poisson_pmf(t, lam) / pb)
+            return np.log(pb), lam_h, lam_h * (lam - t - 1.0 - lam_h)
 
     def mean_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)
@@ -600,26 +617,14 @@ class PoissonModel(ModelFamily):
         lam, _ = self._lam_t(theta, designs)
         return lam[:, None, None].copy()
 
-    def _dev_pieces(self, theta, designs, bits):
-        """(lam, t, h) with the signed ratio h = b * pmf(t) / P(B=b).
-
-        Both conditional deviations are polynomials in h: the mean
-        deviation is -lam * h and, since pmf(t-1) = pmf(t) * t / lam, the
-        variance deviation is lam * h * (lam - t - 1 - lam * h).  Neither
-        forms a difference of nearly-equal CDF values.
-        """
-        lam, t = self._lam_t(theta, designs)
-        pb = self._bit_prob(t, lam, bits)
-        h = np.asarray(bits, dtype=float) * _poisson.poisson_pmf(t, lam) / pb
-        return lam, t, h
-
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
-        lam, t, h = self._dev_pieces(theta, designs, bits)
-        var_dev = lam * h * (lam - t - 1.0 - lam * h)
-        return (-lam * h)[:, None], var_dev[:, None, None]
+        """-d/dz and d^2/dz^2 of the index link, at z = -(natural parameter)."""
+        theta, designs = self._coerce(theta, designs)
+        _, s, r = self.index_link(-designs.natural_params(theta)[:, 0], designs, bits)
+        return -s[:, None], r[:, None, None]
 
     def bit_information_T(self, theta, designs):
         """u = lam and w = (pmf/F) (pmf/S): pmf^2 underflows far in the tails."""

@@ -38,15 +38,6 @@ def check_domain(values, domain):
             raise DomainError(f"coordinate {j} must be strictly positive, got {v!r}")
 
 
-def satisfies_domain(values, domain):
-    """True iff check_domain would pass."""
-    try:
-        check_domain(values, domain)
-    except DomainError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class ParameterVector:
     """A parameter point together with its per-coordinate domain.

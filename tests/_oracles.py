@@ -335,8 +335,7 @@ def poisson_conditional_mean(lam, tau, b):
     scalar = lam.ndim == 0 and t.ndim == 0 and b.ndim == 0
     lam, t, b = np.atleast_1d(lam), np.atleast_1d(t), np.atleast_1d(b)
     lam, t, b = np.broadcast_arrays(lam, t, b)
-    pb = models.PoissonModel._bit_prob(t, lam, b)
-    out = lam * _poisson.bit_prob(t - 1, lam, b) / pb
+    out = lam * _poisson.bit_prob(t - 1, lam, b) / _poisson.bit_prob(t, lam, b)
     return float(out[0]) if scalar else out
 
 
@@ -388,7 +387,7 @@ def _censoring(model, theta, designs):
     return theta, f
 
 
-def fim_numeric_oracle(model, theta, designs, keep_terms=False):
+def fim_numeric_oracle(model, theta, designs):
     """Independent check of the censored information: enumerate both bits
     per observation and average the outer product of the score computed by
     the likelihood module."""
@@ -403,10 +402,10 @@ def fim_numeric_oracle(model, theta, designs, keep_terms=False):
             s = likelihood.score(model, theta, CensoredDataset(np.array([b]), row))
             acc += np.outer(s, s) * pb
         terms[i] = acc
-    return FimResult.build(np.add.reduce(terms, axis=0), terms if keep_terms else None)
+    return FimResult.build(np.add.reduce(terms, axis=0))
 
 
-def negative_expected_hessian(model, theta, designs, keep_terms=False):
+def negative_expected_hessian(model, theta, designs):
     """-E[Hessian] with the expectation enumerated over both bit values;
     equals the censored information by the information-matrix equality."""
     theta, f = _censoring(model, theta, designs)
@@ -416,4 +415,4 @@ def negative_expected_hessian(model, theta, designs, keep_terms=False):
     dev_m = model.cond_devs_T(theta, designs, -plus)[1]
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
-    return _sandwich(designs.V, inner, keep_terms)
+    return _sandwich(designs.V, inner)

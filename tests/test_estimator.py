@@ -64,10 +64,11 @@ class TestFitSpots:
             fit(fam, data)
 
     def test_degenerate_error_names_the_callers_observation(self):
-        # only observation 1 is impossible at the start, and the grouped
-        # data store it as row 2
-        fam = models.GaussianCase1([1.0] * 4, sigma=1.0)
-        data = CensoredDataset([-1, 1, 1, -1], fam.design_set([2.0, -1e4, 2.0, 1.0]))
+        # only observation 1 is impossible at the start, where P(X > 300)
+        # at rate 1 is exactly 0 (the retreat's anchor is that start), and
+        # the grouped data store it as row 2
+        fam = models.PoissonModel([1.0] * 4)
+        data = CensoredDataset([-1, -1, 1, -1], fam.design_set([2.0, 300.0, 2.0, 1.0]))
         with pytest.raises(DegenerateLikelihood) as err:
             fit(fam, data, FitConfig(start=[0.0]))
         assert err.value.index == 1
@@ -108,14 +109,73 @@ class TestFitSpots:
         assert np.linalg.eigvalsh(res.observed_information)[0] >= -1e-8
 
     def test_boundary_divergence_status(self):
-        # mixed bits that reward an ever-smaller precision: the iterate
-        # slides into the domain wall instead of converging
+        # mixed bits that reward an ever-smaller precision: the supremum
+        # lies on the wall sigma -> infinity, reported just inside
         fam = models.GaussianCase2(means=[0.0, 0.0])
         data = CensoredDataset([1, -1], fam.design_set([-1.0, 2.0]))
         res = fit(fam, data, FitConfig(max_iterations=300))
         assert not res.converged
-        assert res.status in ("boundary-divergence", "max-iterations")
+        assert res.status == "boundary-divergence"
         assert res.theta_hat.values[0] > 0  # never left the domain
+
+    @pytest.mark.parametrize("tau, b", [(9.0, -1), (-40.0, 1)])
+    def test_one_far_tail_bit_does_not_stop_the_fit(self, tau, b):
+        # its probability at the estimate, about 7e-19 or 3e-353, used to read 0
+        rng = np.random.default_rng(3)
+        taus = np.r_[rng.uniform(-1.0, 1.0, 2000), tau]
+        fam = models.GaussianCase1(np.ones(taus.size), sigma=1.0)
+        x = fam.sample([0.2], fam.design_set(taus), rng)
+        data = CensoredDataset(np.r_[np.where(x[:-1] <= taus[:-1], 1, -1), b], fam.design_set(taus))
+        res = fit(fam, data)
+        assert res.converged and res.final_score_norm <= 1e-9
+        assert np.isfinite(res.log_likelihood)
+
+
+def _case2_wall_statistic(fam, data):
+    """S = sum_i n_i b_i (tau_i - m_i): the derivative of the log-likelihood
+    in 1/sigma at 1/sigma = 0 is 2 pdf(0) S."""
+    return float(np.sum(data.counts * data.bits * (data.designs.taus - data.designs.aux)))
+
+
+class TestWall:
+    """The log-likelihood is concave in the index beta, so where the bits are
+    not separated the supremum over 1/sigma > 0 lies on the wall 1/sigma = 0
+    exactly when the score there points out of the domain."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_case2_wall_iff_the_score_at_zero_is_not_positive(self, seed):
+        fam, _, data = repeated_rows("gaussian-case2", np.random.default_rng(seed), max_reps=30)
+        if lp_separated(fam, data):
+            return
+        res = fit(fam, data)
+        wall = _case2_wall_statistic(fam, data) <= 0.0
+        assert res.status == ("boundary-divergence" if wall else "converged")
+
+    def test_case2_tied_score_is_on_the_wall(self):
+        # S = 0 exactly: the maximizer over R is 1/sigma = 0 itself
+        fam = models.GaussianCase2(np.zeros(8))
+        data = CensoredDataset([1, -1, 1, -1] * 2, fam.design_set([1.5] * 4 + [-0.5] * 4))
+        assert _case2_wall_statistic(fam, data) == 0.0
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence" and 0.0 < res.theta_hat.values[0] < 1e-20
+
+    def test_case3_wall_maximum_against_a_bounded_line_search(self):
+        # this used to stop at max-iterations, 4.6e-4 below the supremum
+        from scipy.optimize import minimize_scalar
+        from scipy.special import log_ndtr
+
+        fam, _, data = repeated_rows("gaussian-case3", np.random.default_rng(0), max_reps=30)
+        assert not lp_separated(fam, data)
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence" and not res.converged
+        # on the wall z = -w alpha/sigma, so P(B = b) = Phi(-b w alpha/sigma)
+        w, b = data.designs.V[:, 0, 0], data.bits
+        line = minimize_scalar(
+            lambda a: -np.sum(log_ndtr(-b * w * a)), bounds=(-50.0, 50.0), method="bounded",
+            options={"xatol": 1e-12},
+        )
+        assert_allclose(res.log_likelihood, -line.fun, rtol=1e-8)
 
 
 class TestSeparation:

@@ -33,27 +33,30 @@ def one_row(ds, i, b):
     return CensoredDataset([b], ds.subset(slice(i, i + 1)))
 
 
-def bit_prob(fam, theta, ds, i, b):
-    """P(B = b) for design i alone."""
-    return float(likelihood.bit_probabilities(fam, theta, one_row(ds, i, b))[0])
+def log_prob(fam, theta, ds, i, b):
+    """log P(B = b) for design i alone."""
+    return float(likelihood.log_bit_probabilities(fam, theta, one_row(ds, i, b))[0])
+
+
+def mp_log_ncdf(z):
+    """log Phi(z) to 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.ncdf(mpmath.mpf(z))))
 
 
 class TestCensoredProb:
     def test_threshold_at_the_mean(self):
         fam, ds = gaussian1([1.0], 1.0, [2.0])
-        assert bit_prob(fam, [2.0], ds, 0, 1) == 0.5
+        assert log_prob(fam, [2.0], ds, 0, 1) == math.log(0.5)
 
     def test_poisson_zero_threshold(self):
         fam = models.PoissonModel([1.0])
         ds = fam.design_set([0.0])
-        assert_allclose(bit_prob(fam, [0.0], ds, 0, 1), math.exp(-1), rtol=1e-15)
+        assert_allclose(log_prob(fam, [0.0], ds, 0, 1), -1.0, rtol=1e-15)
 
     def test_one_sigma_below_mean(self):
-        # high-precision CDF oracle
-        with mpmath.workdps(40):
-            want = float(mpmath.ncdf(-1))
         fam, ds = gaussian1([1.0], 1.0, [1.0])
-        assert_allclose(bit_prob(fam, [2.0], ds, 0, 1), want, rtol=1e-14)
+        assert_allclose(log_prob(fam, [2.0], ds, 0, 1), mp_log_ncdf(-1), rtol=1e-14)
 
     def test_poisson_minus_bit_takes_its_own_tail(self):
         # P(X > 6) = 2.1e-11; 1 - P(X <= 6) kept only ~5 of its digits
@@ -62,14 +65,22 @@ class TestCensoredProb:
         ds = fam.design_set([float(t)])
         lam = float(np.exp(np.array([v]) * theta)[0])
         with mpmath.workdps(50):
-            want = float(mpmath.gammainc(t + 1, 0, mpmath.mpf(lam), regularized=True))
-        assert_allclose(bit_prob(fam, [theta], ds, 0, -1), want, rtol=1e-13)
+            want = float(mpmath.log(mpmath.gammainc(t + 1, 0, mpmath.mpf(lam), regularized=True)))
+        assert_allclose(log_prob(fam, [theta], ds, 0, -1), want, rtol=1e-13)
 
-    def test_bits_are_exact_complements(self):
-        fam, ds = gaussian1([0.7], 1.3, [0.4])
-        p = bit_prob(fam, [1.1], ds, 0, 1)
-        q = bit_prob(fam, [1.1], ds, 0, -1)
-        assert p + q == 1.0
+    @pytest.mark.parametrize(
+        "z, b", [(-40.0, 1), (-45.0, 1), (5.0, -1), (7.0, -1), (8.0, -1), (9.0, -1)]
+    )
+    def test_far_tails_against_mpmath(self, z, b):
+        # P(+1) underflows below z = -38 and 1 - Phi(z) loses its digits
+        # above z = 5 (to 2e-3 at z = 8) and rounds to 0 from z = 8.3
+        fam, ds = gaussian1([1.0], 1.0, [z])
+        assert_allclose(log_prob(fam, [0.0], ds, 0, b), mp_log_ncdf(b * z), rtol=1e-13)
+
+    def test_bits_mirror_exactly(self):
+        # (tau, w) -> (-tau, -w) negates the index exactly
+        fam, ds = gaussian1([0.7, -0.7], 1.3, [0.4, -0.4])
+        assert log_prob(fam, [1.1], ds, 0, 1) == log_prob(fam, [1.1], ds, 1, -1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -78,23 +89,22 @@ class TestCensoredProb:
         w=st.floats(-2, 2),
         sigma=st.floats(0.3, 3),
     )
-    def test_complement_property(self, alpha, tau, w, sigma):
-        fam, ds = gaussian1([w], sigma, [tau])
-        p = bit_prob(fam, [alpha], ds, 0, 1)
-        q = bit_prob(fam, [alpha], ds, 0, -1)
-        assert 0.0 <= p <= 1.0
-        assert p + q == 1.0
+    def test_mirror_property(self, alpha, tau, w, sigma):
+        fam, ds = gaussian1([w, -w], sigma, [tau, -tau])
+        plus = log_prob(fam, [alpha], ds, 0, 1)
+        assert plus <= 0.0
+        assert plus == log_prob(fam, [alpha], ds, 1, -1)
 
     def test_domain_violation(self):
         fam = models.GaussianCase2(means=[0.0])
         ds = fam.design_set([1.0])
         with pytest.raises(DomainError):
-            bit_prob(fam, [-1.0], ds, 0, 1)
+            log_prob(fam, [-1.0], ds, 0, 1)
 
     def test_invalid_bit(self):
         fam, ds = gaussian1([1.0], 1.0, [0.0])
         with pytest.raises(ValueError):
-            bit_prob(fam, [0.0], ds, 0, 0)
+            log_prob(fam, [0.0], ds, 0, 0)
 
 
 class TestLogLikelihood:
@@ -111,13 +121,11 @@ class TestLogLikelihood:
         assert log_likelihood(fam2, [0.8], two) == 2.0 * log_likelihood(fam, [0.8], one)
 
     def test_three_observation_product(self):
-        # independent per-observation probabilities multiplied by hand
+        # independent per-observation probabilities multiplied in mpmath
         fam, ds = gaussian1([1.0, 1.0, 1.0], 1.0, [-1.0, 0.0, 1.0])
         bits = [1, -1, 1]
         data = CensoredDataset(bits, ds)
-        want = sum(
-            math.log(bit_prob(fam, [0.3], ds, i, b)) for i, b in enumerate(bits)
-        )
+        want = sum(mp_log_ncdf(b * (tau - 0.3)) for tau, b in zip(ds.taus, bits))
         assert_allclose(log_likelihood(fam, [0.3], data), want, rtol=1e-15)
 
     def test_permutation_invariance_bit_identical(self):
@@ -131,11 +139,13 @@ class TestLogLikelihood:
             assert log_likelihood(fam, theta, data.permuted(perm)) == base
 
     def test_degenerate_observation_reported(self):
-        fam, ds = gaussian1([1.0], 1.0, [0.0])
-        data = CensoredDataset([1], ds)
+        # a Poisson tail of exactly 0, here P(X > 300) at rate 1, is the only
+        # bit probability that reads 0: a Gaussian one is log Phi in log space
+        fam = models.PoissonModel([1.0, 1.0])
+        data = CensoredDataset([1, -1], fam.design_set([2.0, 300.0]))
         with pytest.raises(DegenerateLikelihood) as err:
-            log_likelihood(fam, [45.0], data)  # z = -45, P(+1) underflows
-        assert err.value.index == 0
+            log_likelihood(fam, [0.0], data)
+        assert err.value.index == 1
 
 
 class TestPoissonFarTails:
@@ -250,3 +260,27 @@ class TestGroupedRows:
             ):
                 assert_allclose(got, want, rtol=1e-12)
 
+
+
+class TestIndexRoute:
+    """``index_evaluate`` in the index parameter beta against ``evaluate`` in
+    theta: l_beta = J^T l_theta and l_beta,beta = J^T l_theta,theta J +
+    sum_m l_theta_m C_m, for the Jacobian J = C beta of theta(beta)."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_chain_rule_matches_the_theta_route(self, name, rng):
+        for _ in range(25):
+            fam, theta, ds = random_instance(name, rng)
+            data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
+            beta = fam.index_from_theta(theta)
+            assert_allclose(fam.theta_from_index(beta), theta, rtol=1e-15)
+            ll, g, h = likelihood.index_evaluate(fam, beta, data, fam.index_regressors(ds))
+            want_ll, g_theta, h_theta = likelihood.evaluate(fam, theta, data)
+            C = fam.index_curvature
+            J = np.eye(fam.k) if C is None else C @ beta
+            curve = 0.0 if C is None else C.T @ g_theta
+            assert_allclose(ll, want_ll, rtol=1e-13)
+            scale = np.abs(g).max() + 1.0
+            assert_allclose(g, J.T @ g_theta, rtol=1e-10, atol=1e-12 * scale)
+            scale = np.abs(h).max() + 1.0
+            assert_allclose(h, J.T @ h_theta @ J + curve, rtol=1e-9, atol=1e-11 * scale)
