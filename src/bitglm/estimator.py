@@ -82,14 +82,14 @@ class FitResult:
     status: str
 
 
-def _separating_direction(model, data):
-    """A unit direction d of the index parameter beta along which no bit
-    gets less likely and at least one gets more likely, or None.
+def _separating_direction(model, data, X):
+    """A unit direction d of the index parameter beta (regressors ``X``) along
+    which no bit gets less likely and at least one gets more likely, or None.
 
     Each candidate is verified on every row up to a relative tolerance, so
     that x and -x (one design seen with both bits) cancel.
     """
-    A = data.bits[:, None] * model.index_regressors(data.designs)[0]
+    A = data.bits[:, None] * X
     k = A.shape[1]
     wall = np.eye(k)[[] if model.index_positive is None else [model.index_positive]]
     candidates = np.array([[1.0], [-1.0]])
@@ -117,12 +117,12 @@ def _separating_direction(model, data):
     return candidates[j] / norms[j] if ok[j] else None
 
 
-def _check_identifiable(model, data):
+def _check_identifiable(model, data, X):
     V = data.designs.V
     for j in range(data.designs.k):
         if np.all(V[:, :, j] == 0.0):
             raise NonIdentifiable(f"every design is zero in parameter direction {j}")
-    d = _separating_direction(model, data)
+    d = _separating_direction(model, data, X)
     if d is not None:
         raise NonIdentifiable(
             f"the bits are separated along the index direction {np.array2string(d, precision=4)}:"
@@ -246,11 +246,11 @@ def fit(model, data, config=None):
     # every evaluation below costs O(distinct rows), and the canonical row
     # order makes the fit independent of the order of the observations
     data, rows = data.grouped(return_index=True)
-    _check_identifiable(model, data)
+    index = model.index_regressors(data.designs)
+    _check_identifiable(model, data, index[0])
     start = model.initial_point(data) if config.start is None else config.start
     start = np.atleast_1d(np.asarray(start, dtype=float))
     model.check_theta(start)
-    index = model.index_regressors(data.designs)
     beta0 = model.index_from_theta(start)
     try:
         beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta0, config)

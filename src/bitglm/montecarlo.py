@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown error metric {self.error_metric!r}")
         if self.estimator not in ("censored", "uncensored"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if not 0.0 <= self.max_failure_fraction < 1.0:
+            raise ConfigError("max_failure_fraction must be in [0, 1)")
 
 
 def family_and_theta(config, n, rng):
@@ -271,8 +273,8 @@ def run_mse_experiment(config):
     """Accumulate mean squared estimation error over repeated trials.
 
     Non-converged trials are excluded from the average and counted in the
-    ``failures`` column; the experiment aborts with ExperimentFailure if
-    exclusions exceed ``config.max_failure_fraction``.
+    ``failures`` column; the experiment aborts with ExperimentFailure where
+    they exceed ``config.max_failure_fraction`` (< 1), so where none converge.
     """
     rows = []
     for n in config.sample_sizes:
@@ -320,8 +322,8 @@ def check_asymptotic_normality(config, n, trials):
     """Fit ``trials`` independent datasets of size n and compare the
     scaled estimator covariance with the information-based prediction.
 
-    Raises ExperimentFailure if more than ``config.max_failure_fraction``
-    of the trials fail to converge; requires at least two trials.
+    Raises ExperimentFailure where more than ``config.max_failure_fraction``
+    of the trials, or all but one, fail to converge; needs two trials.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials to estimate a covariance")
@@ -349,6 +351,8 @@ def check_asymptotic_normality(config, n, trials):
             f"{failures}/{trials} trials failed, above the "
             f"{config.max_failure_fraction:.0%} budget"
         )
+    if len(estimates) < 2:
+        raise ExperimentFailure(f"{len(estimates)}/{trials} trials converged; a covariance needs 2")
     scaled = math.sqrt(n) * (np.array(estimates) - theta0)
     emp = np.atleast_2d(np.cov(scaled.T, ddof=1))
     ref = np.linalg.inv(info_sum / trials)

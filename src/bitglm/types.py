@@ -83,7 +83,7 @@ class DesignSet:
         taus = np.asarray(taus, dtype=float)
         if taus.shape != (V.shape[0],):
             raise ValueError("thresholds must have shape (n,)")
-        if not (np.all(np.isfinite(V)) and np.all(np.isfinite(taus))):
+        if not (np.isfinite(V).all() and np.isfinite(taus).all()):
             raise ValueError("designs must be finite")
         if V.shape[0] < 1 or V.shape[1] < 1 or V.shape[2] < 1:
             raise ValueError("need n, d, k >= 1")
@@ -93,8 +93,8 @@ class DesignSet:
             self.aux = None
         else:
             aux = np.asarray(aux, dtype=float)
-            if aux.shape != taus.shape:
-                raise ValueError("aux must have shape (n,)")
+            if aux.shape != taus.shape or not np.isfinite(aux).all():
+                raise ValueError("aux must be finite, of shape (n,)")
             self.aux = _readonly(aux)
 
     @property
@@ -124,19 +124,45 @@ class DesignSet:
         return (self.V.reshape(n * d, k) @ theta).reshape(n, d)
 
 
-def _runs(columns):
-    """(order, starts): a stable lexicographic order of the rows (the last
-    column most significant) and where each run of equal rows starts in it."""
-    n = columns[0].shape[0]
-    # constant columns cannot split a run; sorting on them is waste
-    keys = [c for c in columns if np.any(c != c[0])]
-    order = np.lexsort(keys) if keys else np.arange(n)
-    new = np.zeros(n, dtype=bool)
-    new[0] = True
-    for key in keys:
-        s = key[order]
-        new[1:] |= s[1:] != s[:-1]
-    return order, np.flatnonzero(new)
+def _rank(values):
+    """(rank, count): each entry's rank among the distinct values, and their number."""
+    order = np.argsort(values)  # unstable is enough: equal entries share a rank
+    s = values[order]
+    rank = np.empty(values.shape, np.intp)
+    rank[order] = np.cumsum(np.concatenate(([0], s[1:] != s[:-1])))
+    return rank, int(rank[order[-1]]) + 1
+
+
+def _groups(V, columns, *weights):
+    """``(first, *sums)`` per group of equal rows of (V's columns, *columns),
+    in lexicographic order with the last column most significant and -0.0
+    equal to 0.0: the smallest row index and the sum of each integer weight.
+    A row's group number has one mixed-radix digit per varying column, its
+    rank there, which takes a sort only where a column has over two values."""
+    n = V.shape[0]
+    flat = V.reshape(n, -1)
+    # one pass over the block: a column varies iff a row differs from the one before
+    changed = (flat[1:] != flat[:-1]).ravel().nonzero()[0] % flat.shape[1]
+    varying = [flat[:, j] for j in np.bincount(changed, minlength=flat.shape[1]).nonzero()[0]]
+    code, size = np.zeros(n, np.intp), 1
+    for column in [*varying, *columns]:
+        lo, hi = column.min(), column.max()
+        if lo == hi:
+            continue
+        digit, radix = column > lo, 2
+        if np.count_nonzero(column == hi) != np.count_nonzero(digit):
+            digit, radix = _rank(column)
+        code += size * digit
+        size *= radix
+        if size > n:
+            code, size = _rank(code)
+    first = np.full(size, n)
+    np.minimum.at(first, code, np.arange(n))
+    totals = np.zeros((len(weights), size), np.int64)
+    for total, w in zip(totals, weights):
+        np.add.at(total, code, w)
+    seen = first < n
+    return first[seen], *totals[:, seen]
 
 
 @dataclass(frozen=True)
@@ -162,7 +188,7 @@ class CensoredDataset:
         bits = np.atleast_1d(np.asarray(self.bits))
         if bits.ndim != 1 or bits.shape[0] < 1:
             raise ValueError("need at least one observation")
-        if not np.all((bits == 1) | (bits == -1)):
+        if not ((bits == 1) | (bits == -1)).all():
             raise ValueError("bits must be -1 or +1")
         b = bits.astype(np.int8)
         b.setflags(write=False)
@@ -171,12 +197,12 @@ class CensoredDataset:
             raise TypeError(f"designs must be a DesignSet, got {type(self.designs).__name__}")
         if self.designs.n != b.shape[0]:
             raise ValueError("bits and designs must have equal length")
-        counts = np.ones(b.shape, np.int64) if self.counts is None else np.asarray(self.counts)
+        counts = np.ones(b.shape, np.int64) if self.counts is None else np.array(self.counts)
         if counts.shape != b.shape:
             raise ValueError("counts must have one entry per row")
-        if not (np.all(counts == np.round(counts)) and np.all(counts >= 1)):
+        if self.counts is not None and not ((counts >= 1) & (counts == np.round(counts))).all():
             raise ValueError("counts must be positive integers")
-        counts = counts.astype(np.int64)
+        counts = counts.astype(np.int64, copy=False)  # np.array made it a copy already
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -201,18 +227,15 @@ class CensoredDataset:
         """The same observations with identical rows merged into counts.
 
         Rows are identical when every design entry, the threshold, aux and
-        the bit agree.  Groups come in sorted key order, so every
-        permutation of the rows gives the same grouped dataset, bit for bit.
-        With ``return_index`` also returns, per group, the index of its
-        first row in this dataset.
+        the bit agree.  Groups come in sorted key order (aux most
+        significant, then the bit, the threshold and the design entries
+        from last to first), so every permutation of the rows gives the
+        same grouped dataset, bit for bit.  With ``return_index`` also
+        returns, per group, the index of its first row in this dataset.
         """
-        n, designs = self.n, self.designs
-        columns = [*designs.V.reshape(n, -1).T, designs.taus, self.bits]
-        if designs.aux is not None:
-            columns.append(designs.aux)
-        order, starts = _runs(columns)
-        first = order[starts]
-        counts = np.add.reduceat(self.counts[order], starts)
+        designs = self.designs
+        aux = [] if designs.aux is None else [designs.aux]
+        first, counts = _groups(designs.V, [designs.taus, self.bits, *aux], self.counts)
         # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
         # leak the input order into the representative
         picked = [a[first] for a in (designs.V, designs.taus, designs.aux) if a is not None]
@@ -225,12 +248,10 @@ class CensoredDataset:
         """Observation and +1 counts per distinct design (V, tau, aux).
 
         Returns ``(rows, totals, plus)``: per distinct design, the index of
-        one of its rows, the number of observations it carries and how many
+        its first row, the number of observations it carries and how many
         of them have bit +1.  Designs come sorted by threshold first.
         """
-        n, designs = self.n, self.designs
+        designs = self.designs
         aux = [] if designs.aux is None else [designs.aux]
-        order, starts = _runs([*designs.V.reshape(n, -1).T, *aux, designs.taus])
-        counts = self.counts[order]
-        plus = np.where(self.bits[order] > 0, counts, 0)
-        return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)
+        plus = np.where(self.bits > 0, self.counts, 0)
+        return _groups(designs.V, [*aux, designs.taus], self.counts, plus)

@@ -2,8 +2,8 @@
 
 Most of these avoid the library's own computation paths: finite
 differences for derivatives, quadrature/summation for moments and
-Poisson tail probabilities, dense grid search for maximizers and a
-linear program for separated bits.
+Poisson tail probabilities, dense grid search for maximizers, a
+linear program for separated bits and a stable lexsort for grouping.
 
 Two groups are evaluated with library pieces instead:
 
@@ -416,3 +416,37 @@ def negative_expected_hessian(model, theta, designs):
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
     return _sandwich(designs.V, inner)
+
+
+def lexsort_runs(columns):
+    """(order, starts): a stable lexicographic order of the rows (the last
+    column most significant) and where each run of equal rows starts in it.
+    The sort-based grouping that ``types._groups`` replaced."""
+    n = columns[0].shape[0]
+    keys = [c for c in columns if np.any(c != c[0])]
+    order = np.lexsort(keys) if keys else np.arange(n)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for key in keys:
+        s = key[order]
+        new[1:] |= s[1:] != s[:-1]
+    return order, np.flatnonzero(new)
+
+
+def lexsort_grouped(data):
+    """(first row, counts) per group of ``data.grouped``, by ``lexsort_runs``."""
+    designs = data.designs
+    aux = [] if designs.aux is None else [designs.aux]
+    columns = [*designs.V.reshape(data.n, -1).T, designs.taus, data.bits, *aux]
+    order, starts = lexsort_runs(columns)
+    return order[starts], np.add.reduceat(data.counts[order], starts)
+
+
+def lexsort_design_tally(data):
+    """``data.design_tally()``, by ``lexsort_runs``."""
+    designs = data.designs
+    aux = [] if designs.aux is None else [designs.aux]
+    order, starts = lexsort_runs([*designs.V.reshape(data.n, -1).T, *aux, designs.taus])
+    counts = data.counts[order]
+    plus = np.where(data.bits[order] > 0, counts, 0)
+    return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)

@@ -479,7 +479,10 @@ class TestFamilyKeys:
                 ({"sample_sizes": value}, "sample_sizes")
                 for value in ([50.5], [True], ["50"], [0], 50)
             ),
-            *(({"max_failure_fraction": value}, "max_failure_fraction") for value in ("0.1", True)),
+            *(
+                ({"max_failure_fraction": value}, "max_failure_fraction")
+                for value in ("0.1", True, -0.5, 1.0)
+            ),
             ({"fit": {"multistart_count": 1}}, "multistart_count"),
         ],
     )

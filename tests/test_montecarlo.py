@@ -185,6 +185,20 @@ class TestMseExperiment:
         with pytest.raises(ConfigError):
             case1_config(error_metric="other")
 
+    @pytest.mark.parametrize("budget", [-0.1, 1.0, 1.5, math.nan])
+    def test_failure_budget_must_be_a_fraction_below_one(self, budget):
+        from bitglm import ConfigError
+
+        with pytest.raises(ConfigError, match="max_failure_fraction"):
+            case1_config(max_failure_fraction=budget)
+
+    def test_no_converged_trial_raises_at_the_largest_budget(self):
+        # every trial of a two-row case-1 dataset at seed 0 is separated:
+        # no mean may be formed, whatever the budget
+        cfg = case1_config(sample_sizes=(2,), trials=1, seed=0, max_failure_fraction=0.99)
+        with pytest.raises(ExperimentFailure, match="1/1 trials failed at n=2"):
+            run_mse_experiment(cfg)
+
     def test_precision_model_error_shrinks_like_one_over_n(self):
         cfg = ExperimentConfig(
             model="gaussian-case2",
@@ -213,6 +227,13 @@ class TestAsymptoticNormality:
     def test_single_trial_rejected(self):
         with pytest.raises(ValueError):
             check_asymptotic_normality(case1_config(), 100, 1)
+
+    def test_one_converged_estimate_raises(self):
+        # of two two-row trials at seed 0, trial 0 is separated and trial 1
+        # converges: within a 50 % budget, but one estimate has no covariance
+        cfg = case1_config(seed=0, max_failure_fraction=0.5)
+        with pytest.raises(ExperimentFailure, match="1/2 trials converged"):
+            check_asymptotic_normality(cfg, 2, 2)
 
     def test_scalar_family_matches_information(self):
         cfg = case1_config(

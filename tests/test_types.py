@@ -3,6 +3,8 @@ import pytest
 
 from bitglm import CensoredDataset, DesignSet, DomainError, ParameterVector
 
+from _oracles import lexsort_design_tally, lexsort_grouped
+
 
 class TestParameterVector:
     def test_accepts_valid(self):
@@ -43,6 +45,8 @@ class TestDesignSet:
             DesignSet(np.full((1, 1, 1), np.inf), np.zeros(1))
         with pytest.raises(ValueError, match="finite"):
             DesignSet(np.ones((1, 1, 1)), [np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            DesignSet(np.ones((2, 1, 1)), [0.0, 1.0], [np.nan, 0.0])
 
     @pytest.mark.parametrize("shape", [(2, 1), (2, 1, 1, 1), (0, 1, 1), (2, 0, 1), (2, 1, 0)])
     def test_rejects_shapes_other_than_n_d_k(self, shape):
@@ -231,3 +235,64 @@ class TestDesignTally:
             for r, t, p in zip(rows, totals, plus)
         )
         assert got == [(1.0, 0.5, 2, 1), (1.0, 0.7, 1, 1), (2.0, 0.5, 2, 2)]
+
+
+def _column(rng, n, kind):
+    """A key column: one value, a few values with both signed zeros, or all distinct."""
+    if kind == "constant":
+        return np.full(n, rng.choice([-0.0, 0.0, 1.5]))
+    if kind == "few":
+        return rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0], n)
+    return rng.standard_normal(n)
+
+
+def _oracle_instance(rng):
+    """Random rows mixing constant, few-valued and distinct columns, with
+    or without aux, unit or repeated counts, and one or both bits."""
+    n = int(rng.choice([1, 2, int(rng.integers(3, 60))]))
+    d, k = (int(v) for v in rng.integers(1, 3, 2))
+    kinds = ("constant", "few", "distinct")
+    V = np.stack([_column(rng, n, rng.choice(kinds, p=[0.4, 0.5, 0.1])) for _ in range(d * k)], 1)
+    taus = _column(rng, n, rng.choice(kinds))
+    aux = _column(rng, n, rng.choice(kinds)) if rng.random() < 0.5 else None
+    bits = rng.choice([-1, 1], n) if rng.random() < 0.8 else np.full(n, rng.choice([-1, 1]))
+    counts = rng.integers(1, 6, n) if rng.random() < 0.5 else None
+    return CensoredDataset(bits, DesignSet(V.reshape(n, d, k), taus, aux), counts)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGroupingOracle:
+    """``grouped`` and ``design_tally`` against the stable lexsort they replaced."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_bit_identical_to_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        data = _oracle_instance(rng)
+        for d in (data, data.permuted(rng.permutation(data.n))):
+            g, first = d.grouped(return_index=True)
+            want_first, want_counts = lexsort_grouped(d)
+            assert _same(first, want_first)
+            assert _same(g.counts, want_counts)
+            assert _same(g.bits, d.bits[want_first])
+            for got, rows in ((g.designs.V, d.designs.V), (g.designs.taus, d.designs.taus)):
+                assert _same(got, rows[want_first] + 0.0)
+            if d.designs.aux is None:
+                assert g.designs.aux is None
+            else:
+                assert _same(g.designs.aux, d.designs.aux[want_first] + 0.0)
+            for got, want in zip(d.design_tally(), lexsort_design_tally(d)):
+                assert _same(got, want)
+
+    def test_distinct_rows_and_many_columns(self):
+        # every row its own group, and more digits than fit one int64 code
+        rng = np.random.default_rng(7)
+        n = 500
+        V = rng.standard_normal((n, 2, 3))
+        designs = DesignSet(V, rng.standard_normal(n), V[:, 0, 0])
+        data = CensoredDataset(rng.choice([-1, 1], n), designs)
+        g, first = data.grouped(return_index=True)
+        assert _same(first, lexsort_grouped(data)[0]) and g.n == n
+        assert all(_same(a, b) for a, b in zip(data.design_tally(), lexsort_design_tally(data)))

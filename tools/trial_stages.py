@@ -1,0 +1,101 @@
+"""Time the stages of one censored fig1 trial, and ``grouped()`` on distinct rows.
+
+Run from anywhere inside the repository:
+
+    python3 tools/trial_stages.py
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/trial_stages.py
+
+For every sample size of ``configs/fig1.cfg`` the script replays trials
+0 .. ``--trials``-1 of its first censored curve the way
+``montecarlo.run_trial`` runs them, timing each stage ``--repeat`` times
+from the trial's own substream: the design draw (``family_and_theta``), the
+sampling, the dataset build, the grouping (``grouped(return_index=True)``,
+as ``fit`` calls it) and the fit of the grouped rows.  It prints, per n and
+stage, the median over trials of each trial's best time, in microseconds.
+It then prints the best time of ``grouped()`` on
+``bench/workloads.iid_instance`` data, where no two rows share a design, at
+n = ``--iid-n`` for every family.  Uses the standard library, numpy and the
+bitglm of this checkout, or of the checkout whose ``src`` is on
+``PYTHONPATH``.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another tree
+
+from bitglm import CensoredDataset, cli, fit, montecarlo  # noqa: E402
+
+FIG1 = Path(cli.__file__).parent / "configs" / "fig1.cfg"
+STAGES = ("design draw", "sampling", "dataset build", "grouping", "fit after grouping")
+
+
+def trial_stages(config, n, trial):
+    """Seconds each stage of one censored trial took, in ``STAGES`` order."""
+    clock = [time.perf_counter()]
+    rng = montecarlo._substream(config.seed, n, trial)
+    family, designs, theta0 = montecarlo.family_and_theta(config, n, rng)
+    clock.append(time.perf_counter())
+    x = family.sample(theta0, designs, rng)
+    clock.append(time.perf_counter())
+    data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
+    clock.append(time.perf_counter())
+    grouped, _ = data.grouped(return_index=True)
+    clock.append(time.perf_counter())
+    fit(family, grouped, config.fit)
+    clock.append(time.perf_counter())
+    return [b - a for a, b in zip(clock, clock[1:])]
+
+
+def best_of(repeat, run):
+    """Per-entry minimum of ``repeat`` calls of ``run`` (a list of seconds)."""
+    return [min(column) for column in zip(*(run() for _ in range(repeat)))]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--trials", type=int, default=10, help="trials per sample size")
+    parser.add_argument("--repeat", type=int, default=5, help="timings per trial and stage")
+    parser.add_argument("--iid-n", type=int, default=100_000, help="rows of the distinct-row data")
+    args = parser.parse_args(argv)
+
+    name, config = next(
+        (name, c) for name, c in cli.load_experiments(cli.load_json_config(FIG1))
+        if c.estimator == "censored"
+    )
+    print(f"fig1 curve {name}: median over {args.trials} trials of the best of {args.repeat}, us")
+    print(f"  {'n':>6s}" + "".join(f"  {s:>18s}" for s in STAGES) + f"  {'total':>8s}")
+    for n in config.sample_sizes:
+        per_trial = [
+            best_of(args.repeat, lambda t=t: trial_stages(config, n, t)) for t in range(args.trials)
+        ]
+        medians = [1e6 * statistics.median(column) for column in zip(*per_trial)]
+        print(f"  {n:6d}" + "".join(f"  {m:18.1f}" for m in medians) + f"  {sum(medians):8.1f}")
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    print(f"grouped() on iid_instance rows, n = {args.iid_n}, best of {args.repeat}, ms")
+    for family_name in workloads.FAMILIES:
+        family, designs, theta0 = workloads.iid_instance(
+            family_name, args.iid_n, np.random.default_rng(1)
+        )
+        x = family.sample(theta0, designs, np.random.default_rng(2))
+        data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
+
+        def group():
+            start = time.perf_counter()
+            data.grouped()
+            return [time.perf_counter() - start]
+
+        print(f"  {family_name:15s} {1e3 * best_of(args.repeat, group)[0]:8.2f}")
+
+
+if __name__ == "__main__":
+    main()
