@@ -66,20 +66,22 @@ class FitResult:
     """Outcome of a fit, in theta.
 
     ``observed_information`` is the negated Hessian at the estimate;
-    ``status`` is one of "converged", "max-iterations",
+    ``status`` is one of "converged", "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
-    moved just inside to sigma ~ 1/eps), or "non-identifiable" (only seen
-    inside failure reports; fit raises).
+    moved just inside to sigma ~ 1/eps).
     """
 
     theta_hat: ParameterVector
-    converged: bool
     iterations: int
     final_score_norm: float
     log_likelihood: float
     observed_information: np.ndarray
     status: str
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
 
 def _separating_direction(model, data, X):
@@ -277,8 +279,7 @@ def fit(model, data, config=None):
     # is locally identified iff its information is nonsingular (Rothenberg,
     # Econometrica 39, 1971), so a singular one at a stationary point is a
     # ridge of maximizers, not an estimate
-    converged = status == "converged"
-    if converged:
+    if status == "converged":
         eigs, vecs = np.linalg.eigh(observed)
         trace = float(np.trace(observed))
         if abs(eigs[0]) <= RIDGE_TOLERANCE * abs(trace):
@@ -287,13 +288,11 @@ def fit(model, data, config=None):
                 f"eigenvalue {eigs[0]:.3g}, trace {trace:.3g}); the likelihood is flat "
                 f"along the direction {np.array2string(vecs[:, 0], precision=4)}"
             )
-        converged = bool(eigs[0] > 0.0)
-    if status == "converged" and not converged:
-        status = "max-iterations"
+        if not eigs[0] > 0.0:
+            status = "max-iterations"
     return FitResult(
         # the start itself where no step was taken, so it is not rounded twice
         theta_hat=model.parameter_vector(start if beta is beta0 else model.theta_from_index(beta)),
-        converged=converged,
         iterations=iterations,
         final_score_norm=gnorm,
         log_likelihood=ll,

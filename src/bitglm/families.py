@@ -186,8 +186,9 @@ class ModelFamily(abc.ABC):
         return np.array(np.atleast_1d(values), dtype=float)
 
     def moment_labels(self):
-        """Names of the reporting coordinates, for tables and CLI output."""
-        return tuple(f"theta{j + 1}" for j in range(self.k))
+        """Names of the reporting coordinates, for tables and CLI output: the
+        ``param_keys`` that a fit does not take as known (``fit_keys``)."""
+        return tuple(key for key in self.param_keys if key not in self.fit_keys)
 
     # -- helpers -----------------------------------------------------------------------
     def _coerce(self, theta, designs):

@@ -186,9 +186,6 @@ class GaussianCase1(_GaussianIndex):
             raise NonIdentifiable("all weights are zero")
         return np.array([float(w @ x) / denom])
 
-    def moment_labels(self):
-        return ("alpha",)
-
     def index_regressors(self, designs):
         """z = tau/sigma - sigma V alpha, linear in beta = alpha."""
         _, designs = self._coerce(None, designs)
@@ -322,9 +319,6 @@ class GaussianCase2(_GaussianIndex):
     def from_moment(self, values):
         values = _as_1d(values)
         return np.array([1.0 / values[0] ** 2])
-
-    def moment_labels(self):
-        return ("sigma",)
 
     def index_regressors(self, designs):
         """z = (tau - mean) / sigma, linear in beta = 1/sigma."""
@@ -475,9 +469,6 @@ class GaussianCase3(_GaussianIndex):
         alpha, sigma = map(float, values)
         return np.array([alpha / sigma**2, 1.0 / sigma**2])
 
-    def moment_labels(self):
-        return ("alpha", "sigma")
-
     def index_regressors(self, designs):
         """z = tau/sigma - w alpha/sigma, linear in beta = (1/sigma, alpha/sigma)."""
         _, designs = self._coerce(None, designs)
@@ -583,7 +574,8 @@ class PoissonModel(ModelFamily):
         if z is None:
             theta, designs = self._coerce(theta, designs)
         self.check_designs(designs)
-        lam = np.exp(designs.natural_params(theta)[:, 0] if z is None else -z)
+        with np.errstate(over="ignore"):  # an infinite rate fails the check below
+            lam = np.exp(designs.natural_params(theta)[:, 0] if z is None else -z)
         if not np.all(lam <= self.MAX_RATE):
             raise NumericalError(
                 f"poisson rate exceeds the supported range (max {self.MAX_RATE:g})"
@@ -667,9 +659,6 @@ class PoissonModel(ModelFamily):
             if abs(step) < 1e-12:
                 return np.array([theta])
         raise NonIdentifiable("rate equation admits no finite root")
-
-    def moment_labels(self):
-        return ("theta",)
 
     def initial_point(self, data):
         """log of the mean threshold over the mean covariate."""

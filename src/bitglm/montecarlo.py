@@ -252,14 +252,11 @@ def run_trial(config, n, trial):
     per-trial failure modes, which are reported through ``status``)."""
     rng = _substream(config.seed, n, trial)
     family, designs, theta0 = family_and_theta(config, n, rng)
-    x = family.sample(theta0, designs, rng)
     try:
         if config.estimator == "uncensored":
-            theta_hat = family.uncensored_mle(designs, x)
+            theta_hat = family.uncensored_mle(designs, family.sample(theta0, designs, rng))
         else:
-            bits = np.where(x <= designs.taus, 1, -1)
-            data = CensoredDataset(bits, designs)
-            result = fit(family, data, config.fit)
+            result = fit(family, generate_and_censor(family, theta0, designs, rng), config.fit)
             if not result.converged:
                 return TrialOutcome(n, result.theta_hat.values, math.nan, result.status)
             theta_hat = result.theta_hat.values
@@ -267,6 +264,21 @@ def run_trial(config, n, trial):
         return TrialOutcome(n, None, math.nan, type(err).__name__)
     err = _squared_error(family, theta_hat, theta0, config.error_metric)
     return TrialOutcome(n, theta_hat, err, "converged")
+
+
+def _converged_trials(config, n, trials):
+    """(converged outcomes in trial order, failure count) of trials
+    0 .. ``trials``-1 at n; raises ExperimentFailure where the failures
+    exceed ``config.max_failure_fraction`` of the trials."""
+    outcomes = [run_trial(config, n, trial) for trial in range(trials)]
+    converged = [o for o in outcomes if o.status == "converged"]
+    failures = trials - len(converged)
+    if failures > config.max_failure_fraction * trials:
+        raise ExperimentFailure(
+            f"{failures}/{trials} trials failed at n={n}, above the "
+            f"{config.max_failure_fraction:.0%} budget"
+        )
+    return converged, failures
 
 
 def run_mse_experiment(config):
@@ -278,19 +290,8 @@ def run_mse_experiment(config):
     """
     rows = []
     for n in config.sample_sizes:
-        errs = []
-        failures = 0
-        for trial in range(config.trials):
-            outcome = run_trial(config, n, trial)
-            if outcome.status == "converged":
-                errs.append(outcome.squared_error)
-            else:
-                failures += 1
-        if failures > config.max_failure_fraction * config.trials:
-            raise ExperimentFailure(
-                f"{failures}/{config.trials} trials failed at n={n}, above the "
-                f"{config.max_failure_fraction:.0%} budget"
-            )
+        converged, failures = _converged_trials(config, n, config.trials)
+        errs = [o.squared_error for o in converged]
         m = len(errs)
         mse = float(np.mean(errs))
         stderr = float(np.std(errs, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
@@ -319,41 +320,25 @@ class NormalityReport:
 
 
 def check_asymptotic_normality(config, n, trials):
-    """Fit ``trials`` independent datasets of size n and compare the
-    scaled estimator covariance with the information-based prediction.
+    """Run ``trials`` trials of size n through ``run_trial`` and compare the
+    scaled estimator covariance with the inverse average information at
+    theta0 of the estimator ``config.estimator`` names.
 
     Raises ExperimentFailure where more than ``config.max_failure_fraction``
     of the trials, or all but one, fail to converge; needs two trials.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials to estimate a covariance")
-    estimates = []
-    failures = 0
-    info_sum = None
-    theta0 = None
+    converged, failures = _converged_trials(config, n, trials)
+    if len(converged) < 2:
+        raise ExperimentFailure(f"{len(converged)}/{trials} trials converged; a covariance needs 2")
+    information = fisher.fim_censored if config.estimator == "censored" else fisher.fim_uncensored
+    info_sum = 0.0
     for trial in range(trials):
-        rng = _substream(config.seed, n, trial)
-        family, designs, theta0 = family_and_theta(config, n, rng)
-        data = generate_and_censor(family, theta0, designs, rng)
-        info = fisher.fim_censored(family, theta0, designs).matrix / n
-        info_sum = info if info_sum is None else info_sum + info
-        try:
-            result = fit(family, data, config.fit)
-        except (NonIdentifiable, DegenerateLikelihood, DegenerateThreshold):
-            failures += 1
-            continue
-        if not result.converged:
-            failures += 1
-            continue
-        estimates.append(result.theta_hat.values)
-    if failures > config.max_failure_fraction * trials:
-        raise ExperimentFailure(
-            f"{failures}/{trials} trials failed, above the "
-            f"{config.max_failure_fraction:.0%} budget"
-        )
-    if len(estimates) < 2:
-        raise ExperimentFailure(f"{len(estimates)}/{trials} trials converged; a covariance needs 2")
-    scaled = math.sqrt(n) * (np.array(estimates) - theta0)
+        # the trial's own designs: run_trial drew them first from this substream
+        family, designs, theta0 = family_and_theta(config, n, _substream(config.seed, n, trial))
+        info_sum = info_sum + information(family, theta0, designs).matrix / n
+    scaled = math.sqrt(n) * (np.array([o.theta_hat for o in converged]) - theta0)
     emp = np.atleast_2d(np.cov(scaled.T, ddof=1))
     ref = np.linalg.inv(info_sum / trials)
     rel = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
@@ -377,6 +362,10 @@ def check_asymptotic_normality(config, n, trials):
 # Consistency / normality sufficient conditions
 # ---------------------------------------------------------------------------
 
+#: Smallest eigenvalue of the average information that clause (3) reads as positive.
+EIGENVALUE_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class ConditionsReport:
     """Witnessed values for the three sufficient conditions: bounded third
@@ -398,7 +387,7 @@ class ConditionsReport:
         return self.moments_bounded and self.designs_bounded and self.information_positive
 
 
-def check_consistency_conditions(model, theta0, designs, eig_tol=1e-10):
+def check_consistency_conditions(model, theta0, designs):
     """Evaluate the three sufficient conditions at theta0 for the given
     designs; the report carries the witnessed quantities per clause."""
     theta0 = np.asarray(theta0, dtype=float)
@@ -431,5 +420,5 @@ def check_consistency_conditions(model, theta0, designs, eig_tol=1e-10):
         prefix_drift=prefix_drift,
         moments_bounded=bool(np.isfinite(max_t3)),
         designs_bounded=bool(np.isfinite(vnorm)),
-        information_positive=bool(eigs[0] > eig_tol and np.isfinite(det)),
+        information_positive=bool(eigs[0] > EIGENVALUE_TOLERANCE and np.isfinite(det)),
     )

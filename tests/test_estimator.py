@@ -335,6 +335,20 @@ def test_poisson_fit_reads_the_far_right_tail():
     assert abs(top - grid_search_maximizer(fam, data, top - 3.0, top + 3.0)) <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_poisson_line_search_probe_past_the_rate_range_does_not_warn():
+    # the line search probes a rate past exp(709): the supported-range check
+    # rejects the infinite rate, and forming it must not warn
+    fam = models.PoissonModel([
+        0.9699388396579856, -0.9311192124643677, 0.2196609946758769,
+        0.7400709264759451, -1.1011350013996313, -0.9782347537975848,
+    ])
+    taus = fam.design_set([1.0, 4.0, 6.0, 2.0, 5.0, 2.0])
+    res = fit(fam, CensoredDataset(np.array([-1, -1, 1, 1, -1, -1]), taus))
+    assert res.converged
+    assert res.theta_hat.values[0] == pytest.approx(-1.975720862747147, rel=1e-12)
+
+
 class TestDeterminism:
     def test_bit_identical_rerun(self, rng):
         fam, theta, ds = random_instance("gaussian-case3", rng, n_max=5)

@@ -368,6 +368,15 @@ class TestRegistry:
             "poisson",
         }
 
+    def test_moment_labels_are_the_parameters_a_fit_estimates(self, rng):
+        labels = {name: random_instance(name, rng)[0].moment_labels() for name in MODEL_NAMES}
+        assert labels == {
+            "gaussian-case1": ("alpha",),
+            "gaussian-case2": ("sigma",),
+            "gaussian-case3": ("alpha", "sigma"),
+            "poisson": ("theta",),
+        }
+
 
 class TestPublicSurface:
     MOVED = (

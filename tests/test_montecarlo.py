@@ -250,6 +250,31 @@ class TestAsymptoticNormality:
         assert abs(report.skewness[0]) < 0.6
         assert abs(report.excess_kurtosis[0]) < 1.2
 
+    def test_empirical_cov_is_that_of_the_run_trial_estimates(self):
+        cfg = ExperimentConfig(
+            model="gaussian-case3",
+            true_params={"alpha": 2.0, "sigma": 1.0},
+            weights=WeightsRule(kind="iid-uniform", low=0.5, high=1.5),
+            thresholds=ThresholdRule(kind="iid-uniform", low=0.0, high=4.0),
+            sample_sizes=(300,),
+            trials=30,
+            seed=8,
+        )
+        report = check_asymptotic_normality(cfg, 300, 30)
+        outcomes = [montecarlo.run_trial(cfg, 300, trial) for trial in range(30)]
+        estimates = [o.theta_hat for o in outcomes if o.status == "converged"]
+        theta0 = models.GaussianCase3.natural_from_alpha_sigma2(2.0, 1.0)
+        scaled = math.sqrt(300) * (np.array(estimates) - theta0)
+        assert np.array_equal(report.empirical_cov, np.cov(scaled.T, ddof=1))
+        assert report.failures == 30 - len(estimates)
+
+    def test_uncensored_estimator_gets_the_uncensored_reference(self):
+        # weights 1 and sigma 1: each raw observation carries information 1,
+        # where its bit at the optimal threshold carries 2/pi
+        cfg = case1_config(estimator="uncensored", sample_sizes=(500,), trials=20)
+        report = check_asymptotic_normality(cfg, 500, 20)
+        assert np.array_equal(report.reference_cov, [[1.0]])
+
 
 class TestConditionChecker:
     def test_gaussian_mean_known_variance_witnesses(self):
