@@ -292,14 +292,14 @@ def load_data_file(path, family_section):
             raise ConfigError(f"{path}: malformed number", location=f"line {lineno}") from err
         if b not in (-1, 1):
             raise ConfigError(f"{path}: bit must be -1 or +1", location=f"line {lineno}")
-        rows.append((b, vals[0], np.array(vals[1:]).reshape(d, k)))
+        rows.append((lineno, b, vals[0], np.array(vals[1:]).reshape(d, k)))
     if header is None or not rows:
         raise ConfigError(f"{path}: no observations found")
 
     d, k = header
-    bits = np.array([b for b, _, _ in rows])
-    taus = np.array([t for _, t, _ in rows])
-    V = np.stack([v for _, _, v in rows])
+    bits = np.array([b for _, b, _, _ in rows])
+    taus = np.array([t for _, _, t, _ in rows])
+    V = np.stack([v for _, _, _, v in rows])
     n = bits.shape[0]
 
     if (d, k) != (cls.d, cls.k):
@@ -309,7 +309,12 @@ def load_data_file(path, family_section):
         )
     section = _model_values(family_section, cls, cls.fit_keys, n, "model")
     family, designs = cls.from_data(V, taus, section)
-    family.check_designs(designs)
+    try:
+        family.check_designs(designs)
+    except DomainError as err:
+        if err.index is None:
+            raise
+        raise ConfigError(f"{path}: {err}", location=f"line {rows[err.index][0]}") from err
     return family, CensoredDataset(bits, designs)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import likelihood
-from .exceptions import DegenerateLikelihood, NonIdentifiable, NumericalError
+from .exceptions import DegenerateLikelihood, DomainError, NonIdentifiable, NumericalError
 from .types import ParameterVector
 
 #: Smallest line-search damping before giving up on a direction.
@@ -153,17 +153,6 @@ def _ascent_direction(neg_hess, grad):
         return np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
 
 
-def _inverse_jacobian(model, beta):
-    """(d theta / d beta)^-1 by the adjugate (k <= 2), infinite where it is
-    singular, on the wall beta_p = 0; None where theta = beta."""
-    if model.index_curvature is None:
-        return None
-    J = model.index_curvature @ beta
-    adj = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) if len(J) == 2 else np.ones((1, 1))
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] if len(J) == 2 else J[0, 0]
-    return adj / det if det else np.full(J.shape, np.inf)
-
-
 def _newton(model, data, index, beta, config, score_norm):
     """Damped Newton ascent in beta until ``score_norm(beta, grad)`` falls to
     the tolerance: (beta, status, iterations, its (ll, grad, hess))."""
@@ -203,8 +192,7 @@ def _newton_from(model, data, index, beta, config):
     have probability 0 there, from the first point toward a neutral interior
     one where none has."""
     def score_norm(b, g):  # the score in theta
-        inverse = _inverse_jacobian(model, b)
-        return float(np.max(np.abs(g if inverse is None else inverse.T @ g)))
+        return float(np.max(np.abs(likelihood.to_theta(model, b, g)[0])))
 
     try:
         return _newton(model, data, index, beta, config, score_norm)
@@ -242,13 +230,19 @@ def fit(model, data, config=None):
     Works on ``data.grouped()``, so the result is bit-identical under any
     permutation of the observations.  Raises NonIdentifiable where the bits
     are separated (no finite maximizer) or the information at a stationary
-    point is singular (no unique one); propagates degenerate-data errors.
+    point is singular (no unique one); propagates degenerate-data errors and
+    DomainError, naming a row in the numbering of ``data``.
     """
     config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
     # order makes the fit independent of the order of the observations
     data, rows = data.grouped(return_index=True)
-    index = model.index_regressors(data.designs)
+    try:
+        index = model.index_regressors(data.designs)
+    except DomainError as err:
+        if err.index is None:
+            raise
+        raise DomainError(str(err), index=int(rows[err.index])) from err
     _check_identifiable(model, data, index[0])
     start = model.initial_point(data) if config.start is None else config.start
     start = np.atleast_1d(np.asarray(start, dtype=float))
@@ -266,13 +260,9 @@ def fit(model, data, config=None):
         wall = _wall_maximum(model, data, index, beta, ll, config)
         if wall is not None:
             (beta, (ll, grad, hess)), status = wall, "boundary-divergence"
-    # back to theta by the chain rule; theta(beta) has constant second derivatives
-    inverse = _inverse_jacobian(model, beta)
-    if inverse is not None:
-        grad = inverse.T @ grad
-        hess = inverse.T @ (hess - model.index_curvature.T @ grad) @ inverse
+    grad, hess = likelihood.to_theta(model, beta, grad, hess)
     gnorm = float(np.max(np.abs(grad)))
-    observed = -0.5 * (hess + hess.T)
+    observed = -hess
     observed.setflags(write=False)
     # converged means a stationary point that is locally a maximum: tiny
     # score and a positive definite observed information.  A regular point

@@ -9,11 +9,17 @@ deterministic) and no amount of backing off helps.
 
 
 class BitGlmError(Exception):
-    """Base class for all bitglm errors."""
+    """Base class for all bitglm errors.  ``index`` identifies the first
+    offending row or design of an error that has one, and is None otherwise."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DomainError(BitGlmError):
-    """A parameter vector violates its per-coordinate domain constraint."""
+    """A parameter vector violates its per-coordinate domain constraint, or
+    a design one its family fixes; then ``index`` identifies that design."""
 
 
 class NumericalError(BitGlmError):
@@ -29,10 +35,6 @@ class DegenerateLikelihood(BitGlmError):
     row of the first offending group, in the numbering of its input.
     """
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
     @classmethod
     def at_observation(cls, index):
         return cls(f"observation {index} has probability 0 at this parameter", index=index)
@@ -43,10 +45,6 @@ class DegenerateThreshold(BitGlmError):
 
     ``index`` identifies the first offending design.
     """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class NonIdentifiable(BitGlmError):

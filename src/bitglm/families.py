@@ -10,25 +10,22 @@ Design notes
 * All statistical methods are vectorized over observations: they take a
   DesignSet (plus a bits array where relevant) and return stacked arrays.
   A DesignSet is the one design type; anything else raises TypeError.
-* The primitive conditional quantities are the *deviations*
-  E[T|B=b] - E[T] and Cov(T|B=b) - Cov(T), for which every concrete
-  family has a cancellation-free closed form.  ``cond_devs_T`` is the one
-  route that returns both, and ``cond_mean_dev_T`` is its first half.
-  The score and the Hessian consume only the deviations, never the plain
-  conditional moments, which is what lets independent computation routes
-  agree to ~1e-10 instead of ~1e-6.
-* A bit takes two values, so Cov(E[T|B]) is rank one, w u u^T, and
-  ``bit_information_T`` gives its factors (u, w), cancellation-free, from
-  one evaluation of each tail and of the density.  Each concrete family
-  defines ``cond_mean_dev_T`` itself, as the first half of its
-  ``cond_devs_T``: the benchmark tracer spans it in the class, and the
-  tests check the factors against the two-bit mixture of the deviations.
-* P(B_i = +1) is a log-concave cdf of a linear index offset_i + X_i beta
-  (``index_regressors``; beta is alpha, 1/sigma, (1/sigma, alpha/sigma)
-  or theta), and ``index_link`` gives log P(B_i = b_i) and its first two
-  derivatives in the index: the one log-space likelihood route, concave in
-  beta.  theta is beta or beta^T C_m beta / 2 per coordinate m, for the
-  constant second derivatives C = ``index_curvature``.
+* P(B_i = +1) = F(z_i), a log-concave cdf of a linear index z_i =
+  offset_i + X_i beta (``index_regressors``; beta is alpha, 1/sigma,
+  (1/sigma, alpha/sigma) or theta).  theta is beta or beta^T C_m beta / 2
+  per coordinate m, for the constant second derivatives C =
+  ``index_curvature``.  The two primitives are functions of z:
+  ``index_link`` gives log P(B_i = b_i) and its first two derivatives in
+  z, the one log-space likelihood route, concave in beta; ``index_weight``
+  gives F'(z)^2 / (F (1 - F)), the information a bit carries about z.  The
+  likelihood module takes both to theta by the chain rule.
+* Each family fixes the design entries its closed forms assume and
+  ``check_designs`` rejects any other, where the family builds its index.
+* The paper's conditional *deviations* E[T|B=b] - E[T] and
+  Cov(T|B=b) - Cov(T) (``cond_devs_T``, ``cond_mean_dev_T``) and
+  ``prob_leq`` are no longer the library's route: the tests check the
+  index route against them, and the benchmark tracer still spans them in
+  each concrete class.
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -77,11 +74,19 @@ class ModelFamily(abc.ABC):
 
     # -- designs -----------------------------------------------------------
     def check_designs(self, designs):
-        """Validate thresholds interior to the support and aux data.
+        """Validate thresholds interior to the support, aux data and the
+        design entries the family fixes.
 
         Does nothing by default, which is all a family whose support is
-        the whole real line needs.
+        the whole real line and whose designs are free needs.
         """
+
+    def _check_fixed(self, V, bad, form):
+        """DomainError at the first design where ``bad`` holds: the family
+        fixes its design entries to ``form``."""
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise DomainError(f"{self.name} fixes V = {form}, got {V[i].tolist()}", index=i)
 
     # -- censoring ----------------------------------------------------------
     @abc.abstractmethod
@@ -103,6 +108,11 @@ class ModelFamily(abc.ABC):
         """(log P(B_i = b_i), its first and second derivatives in z_i) at the
         linear index z, each shape (n,); log P is -inf where P is 0."""
 
+    @abc.abstractmethod
+    def index_weight(self, z, designs):
+        """F'(z_i)^2 / (F(z_i) (1 - F(z_i))) for F(z) = P(B_i = +1) at the
+        linear index z, shape (n,); not finite where a bit has probability 0."""
+
     def theta_from_index(self, beta):
         """theta at the index parameter beta."""
         C = self.index_curvature
@@ -114,10 +124,6 @@ class ModelFamily(abc.ABC):
 
     # -- sufficient-statistic moments ----------------------------------------
     @abc.abstractmethod
-    def mean_T(self, theta, designs):
-        """E[T_i], shape (n, d)."""
-
-    @abc.abstractmethod
     def cov_T(self, theta, designs):
         """Cov(T_i), shape (n, d, d)."""
 
@@ -127,19 +133,14 @@ class ModelFamily(abc.ABC):
         shapes (n, d) and (n, d, d), cancellation-free and in one pass."""
 
     @abc.abstractmethod
-    def bit_information_T(self, theta, designs):
-        """(u, w) with Cov(E[T_i | B_i]) = w_i u_i u_i^T, u (n, d) and
-        w >= 0 (n,); w is not finite where a bit has probability 0."""
-
-    @abc.abstractmethod
     def cond_mean_dev_T(self, theta, designs, bits):
         """E[T_i | B_i=b_i] - E[T_i], shape (n, d): the first half of
         :meth:`cond_devs_T`."""
 
     # -- moment conditions -------------------------------------------------------
     @abc.abstractmethod
-    def third_abs_moment_T(self, theta, designs):
-        """E[||T_i||^3] per observation, shape (n,)."""
+    def max_third_abs_moment_T(self, theta, designs):
+        """max_i E[||T_i||^3], a float."""
 
     # -- simulation --------------------------------------------------------------
     @abc.abstractmethod

@@ -1,14 +1,14 @@
 """Fisher information for censored and uncensored observation of a GLM.
 
-Censored:   J_n = sum_i V_i^T Cov(E[T_i | B_i]) V_i.  A bit takes two
-values, so the inner covariance is rank one, w_i u_i u_i^T; the family
-gives its factors (``bit_information_T``) from one evaluation of each
-tail and of the density, one erfcx call per row for a Gaussian family.
-Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i.
-
-Each total is assembled as one k x k BLAS reduction over the stacked rows:
-the censored information as (g * w)^T g over the rows g_i = V_i^T u_i,
-the uncensored one as the (n d) x k product V^T (Cov(T) V).
+Censored:   J_n = sum_i V_i^T Cov(E[T_i | B_i]) V_i.  The bit has
+P(B_i = +1) = F(z_i) for the family's linear index z_i = offset_i +
+x_i.beta, so this is the binary-response information in beta,
+sum_i w_i x_i x_i^T with w = F'^2 / (F (1 - F)) (``index_weight``; McCullagh
+& Nelder, Generalized Linear Models, 1989), taken to theta by the
+likelihood module's chain rule: one BLAS reduction over the rows, one
+erfcx call per row for a Gaussian family.
+Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, assembled as the (n d) x k
+product V^T (Cov(T) V).
 
 Processing a sample into a bit cannot create information, so I_n - J_n
 must be positive semidefinite; ``dpi_check`` verifies that numerically.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateThreshold
-from .likelihood import _theta_values
+from .likelihood import _theta_values, to_theta
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
 PSD_TOLERANCE = -1e-10
@@ -67,15 +67,15 @@ def _reject(model, bad):
 
 
 def fim_censored(model, theta, designs):
-    """Information carried by the bits: per observation, the rank-one
-    covariance w u u^T of E[T | B] sandwiched by the design matrix.
+    """Information carried by the bits: X^T diag(w) X in the index parameter,
+    for the family's regressors X and weights w, taken to theta.
     DegenerateThreshold where w is not finite, at a bit of probability 0."""
-    theta = _theta_values(model, theta)
-    u, w = model.bit_information_T(theta, designs)
+    beta = model.index_from_theta(_theta_values(model, theta))
+    X, offset = model.index_regressors(designs)
+    w = model.index_weight(offset + X @ beta, designs)
     _reject(model, ~np.isfinite(w))
-
-    g = np.einsum("ndk,nd->nk", designs.V, u)  # V^T u per row, (n, k)
-    return FimResult.build((g * w[:, None]).T @ g)
+    # the expected score is 0, so the information transforms as a Hessian there
+    return FimResult.build(to_theta(model, beta, np.zeros(model.k), X.T @ (X * w[:, None]))[1])
 
 
 def _sandwich(V, inner):

@@ -88,6 +88,10 @@ class _GaussianIndex(ModelFamily):
         c = _gauss.signed_hazard(z, bits)
         return special.log_ndtr(bits * z), c, -c * (z + c)
 
+    def index_weight(self, z, designs):
+        """pdf(z)^2 / (Phi(z) (1 - Phi(z))), one erfcx call per row."""
+        return _gauss.fim_weight(z)
+
 
 # ---------------------------------------------------------------------------
 # Gaussian: unknown mean, known variance
@@ -136,10 +140,6 @@ class GaussianCase1(_GaussianIndex):
         _, z = self._mu_z(theta, designs)
         return _gauss.norm_cdf(z)
 
-    def mean_T(self, theta, designs):
-        mu, _ = self._mu_z(theta, designs)
-        return mu[:, None]
-
     def cov_T(self, theta, designs):
         _, designs = self._coerce(theta, designs)
         return np.full((designs.n, 1, 1), self.sigma**2)
@@ -154,13 +154,10 @@ class GaussianCase1(_GaussianIndex):
         cov_dev = (-self.sigma**2 * c * (z + c))[:, None, None]
         return mean_dev, cov_dev
 
-    def bit_information_T(self, theta, designs):
-        _, z = self._mu_z(theta, designs)
-        return np.ones((z.shape[0], 1)), self.sigma**2 * _gauss.fim_weight(z)
-
-    def third_abs_moment_T(self, theta, designs):
+    def max_third_abs_moment_T(self, theta, designs):
+        # E|X|^3 increases in |mu|: |X| is stochastically increasing in |mu|
         mu, _ = self._mu_z(theta, designs)
-        return _gauss.abs_third_moment(mu, self.sigma)
+        return float(_gauss.abs_third_moment(mu[np.argmax(np.abs(mu))], self.sigma))
 
     def sample(self, theta, designs, rng):
         mu, _ = self._mu_z(theta, designs)
@@ -255,6 +252,7 @@ class GaussianCase2(_GaussianIndex):
         _, designs = self._coerce(None, designs)
         if designs.aux is None:
             raise DomainError("gaussian-case2 designs must carry the known means as aux")
+        self._check_fixed(designs.V, designs.V[:, 0, 0] != -0.5, "[[-1/2]]")
 
     def _sigma_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
@@ -267,10 +265,6 @@ class GaussianCase2(_GaussianIndex):
     def prob_leq(self, theta, designs):
         _, z = self._sigma_z(theta, designs)
         return _gauss.norm_cdf(z)
-
-    def mean_T(self, theta, designs):
-        sigma, z = self._sigma_z(theta, designs)
-        return np.full((z.shape[0], 1), sigma**2)
 
     def cov_T(self, theta, designs):
         sigma, z = self._sigma_z(theta, designs)
@@ -287,13 +281,9 @@ class GaussianCase2(_GaussianIndex):
         cov_dev = (sigma**4 * (-c * z * (z * z + 1.0 + z * c)))[:, None, None]
         return mean_dev, cov_dev
 
-    def bit_information_T(self, theta, designs):
-        sigma, z = self._sigma_z(theta, designs)
-        return (sigma**2 * z)[:, None], _gauss.fim_weight(z)
-
-    def third_abs_moment_T(self, theta, designs):
-        sigma, z = self._sigma_z(theta, designs)
-        return np.full(z.shape, 15.0 * sigma**6)
+    def max_third_abs_moment_T(self, theta, designs):
+        sigma, _ = self._sigma_z(theta, designs)
+        return 15.0 * sigma**6
 
     def sample(self, theta, designs, rng):
         sigma, _ = self._sigma_z(theta, designs)
@@ -377,6 +367,12 @@ class GaussianCase3(_GaussianIndex):
         V[:, 1, 1] = -0.5
         return DesignSet(V, taus)
 
+    def check_designs(self, designs):
+        _, designs = self._coerce(None, designs)
+        V = designs.V
+        bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
+        self._check_fixed(V, bad, "[[w, 0], [0, -1/2]]")
+
     def _mu_sigma_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
         if not theta[1] > 0:
@@ -391,10 +387,6 @@ class GaussianCase3(_GaussianIndex):
     def prob_leq(self, theta, designs):
         _, _, z, _ = self._mu_sigma_z(theta, designs)
         return _gauss.norm_cdf(z)
-
-    def mean_T(self, theta, designs):
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        return np.stack([mu, mu**2 + sigma**2], axis=1)
 
     def cov_T(self, theta, designs):
         mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
@@ -430,17 +422,11 @@ class GaussianCase3(_GaussianIndex):
         )
         return mean_dev, cov_dev
 
-    def bit_information_T(self, theta, designs):
-        mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
-        u = np.stack([np.ones_like(z), designs.taus + mu], axis=1)
-        return u, sigma**2 * _gauss.fim_weight(z)
-
-    def third_abs_moment_T(self, theta, designs):
-        # ||T|| = |x| sqrt(1 + x^2); its cube has no closed Gaussian moment,
-        # so integrate numerically, once per distinct mean.
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        means, inverse = np.unique(mu, return_inverse=True)
-        return np.array([_norm_t3_quad(m, sigma) for m in means])[inverse]
+    def max_third_abs_moment_T(self, theta, designs):
+        # ||T|| = |x| sqrt(1 + x^2) increases in |x|, and |X| stochastically in
+        # |mu|: integrate (no closed Gaussian moment) at the largest |mu| only
+        mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
+        return _norm_t3_quad(mu[np.argmax(np.abs(mu))], sigma)
 
     def sample(self, theta, designs, rng):
         mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
@@ -471,7 +457,7 @@ class GaussianCase3(_GaussianIndex):
 
     def index_regressors(self, designs):
         """z = tau/sigma - w alpha/sigma, linear in beta = (1/sigma, alpha/sigma)."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         return np.stack([designs.taus, -designs.V[:, 0, 0]], axis=1), np.zeros(designs.n)
 
     def theta_from_index(self, beta):
@@ -601,10 +587,6 @@ class PoissonModel(ModelFamily):
             lam_h = lam * (np.asarray(bits, dtype=float) * _poisson.poisson_pmf(t, lam) / pb)
             return np.log(pb), lam_h, lam_h * (lam - t - 1.0 - lam_h)
 
-    def mean_T(self, theta, designs):
-        lam, _ = self._lam_t(theta, designs)
-        return lam[:, None]
-
     def cov_T(self, theta, designs):
         lam, _ = self._lam_t(theta, designs)
         return lam[:, None, None].copy()
@@ -618,19 +600,19 @@ class PoissonModel(ModelFamily):
         _, s, r = self.index_link(-designs.natural_params(theta)[:, 0], designs, bits)
         return -s[:, None], r[:, None, None]
 
-    def bit_information_T(self, theta, designs):
-        """u = lam and w = (pmf/F) (pmf/S): pmf^2 underflows far in the tails."""
-        lam, t = self._lam_t(theta, designs)
+    def index_weight(self, z, designs):
+        """(lam pmf/F) (lam pmf/S) at lam = exp(-z), as dF/dz = lam pmf(t):
+        pmf^2 underflows far in the tails."""
+        lam, t = self._lam_t(None, designs, z)
         f, sf = _poisson.poisson_tails(t, lam)
-        pmf = _poisson.poisson_pmf(t, lam)
+        lam_pmf = lam * _poisson.poisson_pmf(t, lam)
         # inf or nan where F or S is 0, rows that the caller rejects
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (pmf / f) * (pmf / sf)
-        return lam[:, None], w
+            return (lam_pmf / f) * (lam_pmf / sf)
 
-    def third_abs_moment_T(self, theta, designs):
-        lam, _ = self._lam_t(theta, designs)
-        return lam**3 + 3.0 * lam * lam + lam
+    def max_third_abs_moment_T(self, theta, designs):
+        lam = np.max(self._lam_t(theta, designs)[0])  # E[X^3] increases in lam
+        return float(lam**3 + 3.0 * lam * lam + lam)
 
     def sample(self, theta, designs, rng):
         lam, _ = self._lam_t(theta, designs)

@@ -391,8 +391,7 @@ def check_consistency_conditions(model, theta0, designs):
     """Evaluate the three sufficient conditions at theta0 for the given
     designs; the report carries the witnessed quantities per clause."""
     theta0 = np.asarray(theta0, dtype=float)
-    t3 = model.third_abs_moment_T(theta0, designs)
-    max_t3 = float(np.max(t3))
+    max_t3 = float(model.max_third_abs_moment_T(theta0, designs))
     n = designs.n
 
     # matrix infinity norm per design: max absolute row sum

@@ -5,7 +5,7 @@ differences for derivatives, quadrature/summation for moments and
 Poisson tail probabilities, dense grid search for maximizers, a
 linear program for separated bits and a stable lexsort for grouping.
 
-Two groups are evaluated with library pieces instead:
+Three groups are evaluated with library pieces instead:
 
 * The paper's closed-form spot formulas (``case1_fim`` ... ``poisson_fim``
   and their uncensored counterparts, ``gaussian_conditional_moments`` and
@@ -13,12 +13,15 @@ Two groups are evaluated with library pieces instead:
   ``_gauss.fim_weight``/``signed_hazard`` and ``_poisson.poisson_tails``,
   which ``test_numerics`` checks against mpmath, and ``poisson_pmf``.
   Each sums its own per-family formula with ``math.fsum``, not the
-  families' stacked factors and BLAS reductions.
+  families' stacked index weights and BLAS reductions.
+* The paper's deviation route, from each family's ``cond_devs_T``,
+  ``cond_mean_dev_T`` and ``prob_leq``: ``deviation_derivatives`` (the
+  score and Hessian in theta), ``deviation_fim`` (the censored information
+  as the rank-one covariance of E[T | B]) and ``negative_expected_hessian``
+  (the information through the curvature).  The library derives all three
+  from the family's linear index instead (``index_link``, ``index_weight``).
 * ``fim_numeric_oracle`` enumerates both bits per observation and
-  averages outer products of ``likelihood.score``;
-  ``negative_expected_hessian`` takes the information through the
-  curvature, from ``cond_devs_T``.  Both reach the censored information
-  by a route other than ``bit_information_T``.
+  averages outer products of ``likelihood.score``.
 """
 
 import math
@@ -230,6 +233,49 @@ def log_partition(family, eta):
     raise TypeError(f"no log-partition for {type(family).__name__}")
 
 
+def mean_statistic(family, eta):
+    """E[T_i] per observation for the natural parameters ``eta`` (n, d), in
+    closed form: the gradient of ``log_partition`` in eta_i."""
+    eta = np.asarray(eta, dtype=float)
+    if isinstance(family, models.GaussianCase1):
+        return family.sigma**2 * eta
+    if isinstance(family, models.GaussianCase2):
+        return -0.5 / eta
+    if isinstance(family, models.GaussianCase3):
+        mu, sigma2 = -0.5 * eta[:, 0] / eta[:, 1], -0.5 / eta[:, 1]
+        return np.stack([mu, mu * mu + sigma2], axis=1)
+    if isinstance(family, models.PoissonModel):
+        return np.exp(eta)
+    raise TypeError(f"no mean for {type(family).__name__}")
+
+
+def _t3_quad(mu, sigma):
+    """E[(x^2 (1 + x^2))^(3/2)] for x ~ N(mu, sigma^2), by quadrature."""
+    def integrand(x):
+        return (x * x * (1.0 + x * x)) ** 1.5 * math.exp(-0.5 * ((x - mu) / sigma) ** 2)
+
+    lo, _ = quad(integrand, -np.inf, mu, limit=200)
+    hi, _ = quad(integrand, mu, np.inf, limit=200)
+    return (lo + hi) / (sigma * math.sqrt(2 * math.pi))
+
+
+def third_abs_moments(family, theta, designs):
+    """E[||T_i||^3] per observation, shape (n,): one quadrature per distinct
+    mean for the two-parameter Gaussian, closed forms elsewhere."""
+    theta = _theta_values(family, theta)
+    eta = designs.natural_params(theta)[:, 0]
+    if isinstance(family, models.GaussianCase1):
+        return _gauss.abs_third_moment(family.sigma**2 * eta, family.sigma)
+    if isinstance(family, models.GaussianCase2):
+        return np.full(designs.n, 15.0 / theta[0] ** 3)
+    if isinstance(family, models.GaussianCase3):
+        sigma = 1.0 / math.sqrt(theta[1])
+        means, inverse = np.unique(eta * sigma**2, return_inverse=True)
+        return np.array([_t3_quad(m, sigma) for m in means])[inverse]
+    lam = np.exp(eta)
+    return lam**3 + 3.0 * lam * lam + lam
+
+
 # ---------------------------------------------------------------------------
 # Closed-form spot information, summed with math.fsum
 # ---------------------------------------------------------------------------
@@ -416,6 +462,37 @@ def negative_expected_hessian(model, theta, designs):
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
     return _sandwich(designs.V, inner)
+
+
+# ---------------------------------------------------------------------------
+# The paper's deviation route
+# ---------------------------------------------------------------------------
+
+def deviation_derivatives(model, theta, data):
+    """(score, Hessian, their scales) in theta by the paper's route:
+    sum_i V_i^T (n_i mean_dev_i) and sum_i V_i^T (n_i cov_dev_i) V_i, from
+    ``cond_devs_T``.  Each scale is the largest entry of the sum of the
+    rows' absolute terms: where the rows' terms cancel, no route keeps more
+    digits of the total than that allows."""
+    theta = _theta_values(model, theta)
+    mean_dev, cov_dev = model.cond_devs_T(theta, data.designs, data.bits)
+    n, V = data.counts.astype(float), data.designs.V
+    g = n[:, None] * np.einsum("idk,id->ik", V, mean_dev)
+    h = n[:, None, None] * np.einsum("idk,ide,iel->ikl", V, cov_dev, V)
+    return g.sum(axis=0), h.sum(axis=0), np.abs(g).sum(axis=0).max(), np.abs(h).sum(axis=0).max()
+
+
+def deviation_fim(model, theta, designs):
+    """The censored information by the paper's route: per row the rank-one
+    covariance of E[T | B] over both bits, sum_b P(b) m_b m_b^T for the mean
+    deviations m_b (``cond_mean_dev_T``), sandwiched by V.  The deviations
+    average to 0, P(-1) m_- = -P(+1) m_+, so it is P(+1) m_+ (m_+ - m_-)^T
+    with P(+1) from ``prob_leq``: no 1 - P(+1) loses a small tail's digits."""
+    theta, f = _censoring(model, theta, designs)
+    plus = np.ones(designs.n, dtype=np.int8)
+    m_p = model.cond_mean_dev_T(theta, designs, plus)
+    m_m = model.cond_mean_dev_T(theta, designs, -plus)
+    return _sandwich(designs.V, f[:, None, None] * m_p[:, :, None] * (m_p - m_m)[:, None, :])
 
 
 def lexsort_runs(columns):

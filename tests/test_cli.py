@@ -199,6 +199,43 @@ class TestFit:
         assert "line" in err
 
 
+class TestFixedDesignEntries:
+    """Case 2 fixes V = [[-1/2]] and case 3 V = [[w, 0], [0, -1/2]]; a data
+    row with any other entry is a config error naming its line."""
+
+    CASE3 = '{"model": {"name": "gaussian-case3"}}'
+    CASE2 = '{"model": {"name": "gaussian-case2", "means": [0, 0, 0, 0]}}'
+
+    @staticmethod
+    def case3_rows():
+        rows = [f"{b} {tau} {w} 0 0 -0.5" for w in (0.5, 1.5) for tau in (-1, 1) for b in (1, -1)]
+        return ["2 2", *rows]
+
+    @pytest.mark.parametrize("field, value", [(3, "5"), (5, "-2")])  # V_12, V_22
+    def test_case3_rows_off_the_fixed_entries_exit_2(self, tmp_path, capsys, field, value):
+        cfg = write(tmp_path, "fit.cfg", self.CASE3)
+        good = write(tmp_path, "good.dat", "\n".join(self.case3_rows()) + "\n")
+        assert main_in_process(capsys, "fit", "--config", cfg, "--data", good)[0] == 0
+        lines = self.case3_rows()
+        fields = lines[4].split()
+        fields[field] = value
+        lines[4] = " ".join(fields)
+        data = write(tmp_path, "obs.dat", "\n".join(lines) + "\n")
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert code == 2
+        assert "(line 5)" in err and "[[w, 0], [0, -1/2]]" in err
+
+    @pytest.mark.parametrize("v, code", [("-0.5", 0), ("-2", 2)])
+    def test_case2_rows_fix_v(self, tmp_path, capsys, v, code):
+        cfg = write(tmp_path, "fit.cfg", self.CASE2)
+        body = "1 1\n1 -1.0 -0.5\n-1 -0.3 -0.5\n1 0.3 -0.5\n-1 1.0 V\n".replace("V", v)
+        data = write(tmp_path, "obs.dat", body)
+        got, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert got == code
+        if code:
+            assert "(line 5)" in err and "[[-1/2]]" in err
+
+
 class TestSimulate:
     def test_smoke_config_runs_and_is_reproducible(self, tmp_path):
         import time

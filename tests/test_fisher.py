@@ -16,6 +16,7 @@ from _oracles import (
     case2_uncensored_fim,
     case3_fim,
     case3_uncensored_fim,
+    deviation_fim,
     fim_numeric_oracle,
     negative_expected_hessian,
     poisson_fim,
@@ -65,6 +66,15 @@ class TestRouteAgreement:
             }
             for label, m in routes.items():
                 assert rel_err(j, m) <= 1e-10, f"{label} route disagrees for {name}"
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_index_weight_matches_the_deviation_route(self, name, rng):
+        # X^T diag(w) X taken to theta against the rank-one covariance of
+        # E[T | B] from the mean deviations at both bits
+        for _ in range(100):
+            fam, theta, ds = random_instance(name, rng)
+            j = fim_censored(fam, theta, ds).matrix
+            assert rel_err(j, deviation_fim(fam, theta, ds).matrix) <= 1e-13
 
     def test_two_point_determinant(self):
         fam = models.GaussianCase3([1.0, 1.0])

@@ -20,7 +20,7 @@ from bitglm import (
     score,
 )
 from conftest import MODEL_NAMES, random_instance, repeated_rows
-from _oracles import fd_gradient, fd_jacobian, truncated_normal_moment
+from _oracles import deviation_derivatives, fd_gradient, fd_jacobian, truncated_normal_moment
 
 
 def gaussian1(weights, sigma, taus):
@@ -263,9 +263,10 @@ class TestGroupedRows:
 
 
 class TestIndexRoute:
-    """``index_evaluate`` in the index parameter beta against ``evaluate`` in
-    theta: l_beta = J^T l_theta and l_beta,beta = J^T l_theta,theta J +
-    sum_m l_theta_m C_m, for the Jacobian J = C beta of theta(beta)."""
+    """``index_evaluate`` in the index parameter beta against the paper's
+    deviation route in theta: l_beta = J^T l_theta and l_beta,beta =
+    J^T l_theta,theta J + sum_m l_theta_m C_m, for the Jacobian J = C beta
+    of theta(beta)."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_chain_rule_matches_the_theta_route(self, name, rng):
@@ -275,12 +276,33 @@ class TestIndexRoute:
             beta = fam.index_from_theta(theta)
             assert_allclose(fam.theta_from_index(beta), theta, rtol=1e-15)
             ll, g, h = likelihood.index_evaluate(fam, beta, data, fam.index_regressors(ds))
-            want_ll, g_theta, h_theta = likelihood.evaluate(fam, theta, data)
+            g_theta, h_theta, _, _ = deviation_derivatives(fam, theta, data)
             C = fam.index_curvature
             J = np.eye(fam.k) if C is None else C @ beta
             curve = 0.0 if C is None else C.T @ g_theta
-            assert_allclose(ll, want_ll, rtol=1e-13)
+            assert ll == log_likelihood(fam, theta, data)
             scale = np.abs(g).max() + 1.0
             assert_allclose(g, J.T @ g_theta, rtol=1e-10, atol=1e-12 * scale)
             scale = np.abs(h).max() + 1.0
             assert_allclose(h, J.T @ h_theta @ J + curve, rtol=1e-9, atol=1e-11 * scale)
+
+
+class TestDeviationRoute:
+    """``evaluate`` (the index route taken to theta) against the paper's
+    sum_i n_i V_i^T (E[T_i | b_i] - E[T_i]) and sum_i n_i V_i^T (Cov(T_i |
+    b_i) - Cov(T_i)) V_i from ``cond_devs_T``, relative to the sum of the
+    rows' absolute terms: where those cancel, neither route keeps more."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_score_and_hessian_match(self, name, rng):
+        for i in range(40):
+            if i % 2:
+                fam, theta, data = repeated_rows(name, rng)
+            else:
+                fam, theta, ds = random_instance(name, rng)
+                data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
+            ll, g, h = likelihood.evaluate(fam, theta, data)
+            want_g, want_h, g_scale, h_scale = deviation_derivatives(fam, theta, data)
+            assert ll == log_likelihood(fam, theta, data)
+            assert np.abs(g - want_g).max() <= 1e-12 * g_scale
+            assert np.abs(h - want_h).max() <= 1e-12 * h_scale

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import bitglm
 from bitglm import (
+    CensoredDataset,
     DegenerateThreshold,
     DomainError,
     ModelFamily,
@@ -17,6 +18,9 @@ from bitglm import (
     fim_censored,
     fim_uncensored,
     fisher,
+    fit,
+    likelihood,
+    log_likelihood,
     models,
 )
 from conftest import MODEL_NAMES, random_instance
@@ -29,9 +33,11 @@ from _oracles import (
     fd_jacobian,
     gaussian_conditional_moments,
     log_partition,
+    mean_statistic,
     poisson_conditional_mean,
     poisson_conditional_moment_sum,
     poisson_fim,
+    third_abs_moments,
     truncated_normal_moment,
 )
 
@@ -197,18 +203,16 @@ class TestCase3Information:
             j = case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
             assert np.linalg.eigvalsh(j)[0] >= -1e-12
 
-    def test_third_moment_integrates_once_per_distinct_mean(self, monkeypatch):
+    def test_third_moment_integrates_once(self, monkeypatch):
         fam = models.GaussianCase3([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 0.0])
         theta = models.GaussianCase3.natural_from_alpha_sigma2(0.8, 1.3)
         ds = fam.design_set(np.linspace(-1.0, 1.0, 7))
-        mu, sigma, _, _ = fam._mu_sigma_z(theta, ds)
-        want = [models._norm_t3_quad(m, sigma) for m in mu]  # the per-row loop
         calls = []
         quad = models._norm_t3_quad
         monkeypatch.setattr(models, "_norm_t3_quad", lambda m, s: calls.append(m) or quad(m, s))
-        got = fam.third_abs_moment_T(theta, ds)
-        assert np.array_equal(got, want)
-        assert len(calls) == 4
+        got = fam.max_third_abs_moment_T(theta, ds)
+        assert calls == [pytest.approx(1.6, rel=1e-15)]  # w alpha at the largest |w|
+        assert_allclose(got, np.max(third_abs_moments(fam, theta, ds)), rtol=1e-10)
 
     def test_natural_moment_roundtrip(self):
         theta = np.array([1.7, 0.4])
@@ -309,7 +313,7 @@ class TestLawOfTotalCovariance:
             fam, theta, ds = random_instance(name, rng)
             p = fam.prob_leq(theta, ds)
             plus = np.ones(ds.n, dtype=np.int8)
-            mean = fam.mean_T(theta, ds)
+            mean = mean_statistic(fam, ds.natural_params(theta))
             m_p = mean + fam.cond_mean_dev_T(theta, ds, plus)
             m_m = mean + fam.cond_mean_dev_T(theta, ds, -plus)
             mixed = m_p * p[:, None] + m_m * (1 - p)[:, None]
@@ -325,11 +329,65 @@ class TestLawOfTotalCovariance:
             assert_allclose(
                 within + between, cov, rtol=0, atol=1e-10 * (1 + np.abs(cov).max())
             )
-            # the between term is rank one, w u u^T
-            u, w = fam.bit_information_T(theta, ds)
-            assert u.shape == (ds.n, fam.d) and w.shape == (ds.n,) and np.all(w >= 0)
-            rank_one = w[:, None, None] * u[:, :, None] * u[:, None, :]
-            assert_allclose(rank_one, between, rtol=0, atol=1e-10 * (1 + np.abs(cov).max()))
+            # sandwiched by V, the between term is the index weight's rank-one
+            # term w g g^T, for the row g = x J^-1 of the regressors in theta
+            beta = fam.index_from_theta(theta)
+            X, offset = fam.index_regressors(ds)
+            w = fam.index_weight(offset + X @ beta, ds)
+            assert w.shape == (ds.n,) and np.all(w >= 0)
+            inverse = likelihood._inverse_jacobian(fam, beta)
+            g = X if inverse is None else X @ inverse
+            rank_one = w[:, None, None] * g[:, :, None] * g[:, None, :]
+            want = np.einsum("idk,ide,iel->ikl", ds.V, between, ds.V)
+            assert_allclose(rank_one, want, rtol=0, atol=1e-10 * (1 + np.abs(want).max()))
+
+
+class TestThirdMoment:
+    """Clause (1) of the consistency conditions reads one maximum per family."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_maximum_matches_the_per_row_oracle(self, name, rng):
+        for _ in range(20):
+            fam, theta, ds = random_instance(name, rng, n=50)
+            got = fam.max_third_abs_moment_T(theta, ds)
+            assert isinstance(got, float)
+            assert_allclose(got, np.max(third_abs_moments(fam, theta, ds)), rtol=1e-10)
+
+
+class TestFixedDesignEntries:
+    """Designs whose entries the family fixes differently raise DomainError
+    wherever the family builds its index."""
+
+    @staticmethod
+    def malformed(name, entry, value, rng):
+        fam, theta, ds = random_instance(name, rng, n=6)
+        V = ds.V.copy()
+        V[(3, *entry)] = value
+        return fam, theta, type(ds)(V, ds.taus, ds.aux)
+
+    @pytest.mark.parametrize(
+        "name, entry, value",
+        [
+            ("gaussian-case3", (0, 1), 5.0),
+            ("gaussian-case3", (1, 0), 0.1),
+            ("gaussian-case3", (1, 1), -2.0),
+            ("gaussian-case2", (0, 0), -2.0),
+        ],
+    )
+    def test_every_route_raises(self, name, entry, value, rng):
+        fam, theta, ds = self.malformed(name, entry, value, rng)
+        data = CensoredDataset(np.tile([1, -1], 3), ds)
+        calls = [
+            lambda: fit(fam, data),
+            lambda: fim_censored(fam, theta, ds),
+            lambda: log_likelihood(fam, theta, data),
+            lambda: likelihood.evaluate(fam, theta, data),
+            lambda: fam.check_designs(ds),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="fixes V") as err:
+                call()
+            assert err.value.index == 3
 
 
 class TestOneDesignType:
@@ -340,12 +398,10 @@ class TestOneDesignType:
         bits = np.ones(ds.n, dtype=np.int8)
         calls = [
             lambda d: fam.prob_leq(theta, d),
-            lambda d: fam.mean_T(theta, d),
             lambda d: fam.cov_T(theta, d),
             lambda d: fam.cond_devs_T(theta, d, bits),
             lambda d: fam.cond_mean_dev_T(theta, d, bits),
-            lambda d: fam.bit_information_T(theta, d),
-            lambda d: fam.third_abs_moment_T(theta, d),
+            lambda d: fam.max_third_abs_moment_T(theta, d),
             lambda d: fam.sample(theta, d, np.random.default_rng(0)),
             lambda d: fam.uncensored_mle(d, np.ones(ds.n)),
             lambda d: fim_censored(fam, theta, d),
@@ -423,7 +479,7 @@ class TestLogPartition:
         for _ in range(10):
             fam, theta, ds = random_instance(name, rng)
             eta = ds.natural_params(theta)
-            mean, cov = fam.mean_T(theta, ds), fam.cov_T(theta, ds)
+            mean, cov = mean_statistic(fam, eta), fam.cov_T(theta, ds)
             for i in range(ds.n):
 
                 def phi(e):

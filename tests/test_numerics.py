@@ -216,7 +216,7 @@ class TestPoissonPieces:
         cdf, sf = _poisson.poisson_tails([[-1], [-7]], [1e-9, 2.0, 1e5])
         assert np.array_equal(cdf, np.zeros((2, 3))) and np.array_equal(sf, np.ones((2, 3)))
 
-    def test_bit_information_evaluates_one_tail_per_row(self, monkeypatch):
+    def test_index_weight_evaluates_one_tail_per_row(self, monkeypatch):
         evaluated = {"pdtr": 0, "pdtrc": 0}
 
         def counting(name):
@@ -239,7 +239,8 @@ class TestPoissonPieces:
         n = 500
         family = models.PoissonModel(rng.uniform(0.5, 2.0, n))
         designs = family.design_set(rng.integers(0, 40, n).astype(float))
-        family.bit_information_T(np.array([1.5]), designs)
+        X, offset = family.index_regressors(designs)
+        family.index_weight(offset + X @ np.array([1.5]), designs)
         assert evaluated["pdtr"] > 0 and evaluated["pdtrc"] > 0
         assert evaluated["pdtr"] + evaluated["pdtrc"] == n
 

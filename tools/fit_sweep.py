@@ -15,9 +15,13 @@ Each tree fits them in its own interpreter, one process at a time.
 Prints, per tree and family, the count of each outcome (a ``FitResult``
 status, or the name of the error ``fit`` raised) and the total fit time;
 then, against the first tree, the outcome transitions, the worst relative
-difference of estimates that both trees report converged, and the worst
+difference of estimates that both trees report converged, the worst
 log-likelihood shortfall, (ll_first - ll_other) / |ll_first|, over draws
-that both trees fit.  Uses numpy and the trees' own dependencies only.
+that both trees fit, and the worst relative difference, max |a - b| over
+the larger max |a|, of ``fisher.fim_censored`` and of the score and the
+Hessian of ``likelihood.evaluate`` at the draw's own theta, over draws
+where both trees return them.  Uses numpy and the trees' own dependencies
+only.
 """
 
 import argparse
@@ -33,7 +37,7 @@ FAMILIES = ("gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson")
 
 
 def draws(name, count, seed):
-    """(index, family, data) of the sweep's datasets for one family."""
+    """(index, family, theta, data) of the sweep's datasets for one family."""
     import numpy as np
     from bitglm import CensoredDataset
     from conftest import random_instance, repeated_rows
@@ -41,20 +45,30 @@ def draws(name, count, seed):
     rng = np.random.default_rng(seed)
     for i in range(count):
         if i % 2 == 0:
-            fam, _, data = repeated_rows(name, rng, max_reps=30)
+            fam, theta, data = repeated_rows(name, rng, max_reps=30)
         else:
-            fam, _, designs = random_instance(name, rng)
+            fam, theta, designs = random_instance(name, rng)
             data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
-        yield i, fam, data
+        yield i, fam, theta, data
 
 
 def fit_all(count, seed):
     """One record per draw and family, fitted with the bitglm on sys.path."""
-    from bitglm import BitGlmError, fit
+    from bitglm import BitGlmError, fim_censored, fit, likelihood
 
     records = []
     for name in FAMILIES:
-        for i, fam, data in draws(name, count, seed):
+        for i, fam, theta0, data in draws(name, count, seed):
+            at_theta = {}
+            try:
+                at_theta["fim"] = fim_censored(fam, theta0, data.designs).matrix.tolist()
+            except BitGlmError:
+                pass
+            try:
+                _, g, h = likelihood.evaluate(fam, theta0, data)
+                at_theta.update(score=g.tolist(), hessian=h.tolist())
+            except BitGlmError:
+                pass
             start = time.perf_counter()
             try:
                 res = fit(fam, data)
@@ -64,7 +78,7 @@ def fit_all(count, seed):
                 outcome, theta, ll = res.status, res.theta_hat.values.tolist(), res.log_likelihood
             records.append({
                 "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
-                "seconds": time.perf_counter() - start,
+                "seconds": time.perf_counter() - start, **at_theta,
             })
     return records
 
@@ -82,6 +96,13 @@ def run_tree(tree, count, seed):
 
 def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _rel_array(a, b):
+    import numpy as np
+
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
 
 
 def report(trees, results):
@@ -121,6 +142,12 @@ def report(trees, results):
             worst_est = max(est, default=0.0)
             print(f"    worst relative estimate difference (both converged): {worst_est:.3g}")
             print(f"    worst log-likelihood shortfall: {worst[0]:.3g} (draw {worst[1]})")
+            for key in ("fim", "score", "hessian"):
+                diffs = [(_rel_array(a[key], b[key]), a["draw"])
+                         for a, b in pairs if key in a and key in b]
+                worst = max(diffs, default=(0.0, None))
+                print(f"    worst relative {key} difference at theta: {worst[0]:.3g}"
+                      f" (draw {worst[1]})")
 
 
 def main(argv=None):
