@@ -23,7 +23,7 @@ from .exceptions import (
     NumericalError,
 )
 from .families import ModelFamily
-from .fisher import DpiReport, FimResult, dpi_check, fim_censored, fim_uncensored
+from .fisher import DpiReport, FimResult, dpi_check, fim_censored, fim_sweep, fim_uncensored
 from .likelihood import hessian, log_likelihood, score
 from .models import (
     REGISTRY,
@@ -77,6 +77,7 @@ __all__ = [
     "FimResult",
     "DpiReport",
     "fim_censored",
+    "fim_sweep",
     "fim_uncensored",
     "dpi_check",
     # estimator

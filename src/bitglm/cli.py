@@ -409,18 +409,10 @@ def _threshold_sweep(family, theta0, designs, spec):
     if idx >= designs.n:
         raise ConfigError(f"--sweep index {idx} out of range (n={designs.n})")
     grid = np.arange(lo, hi + step / 2, step)
-    rows = []
-    for tau in grid:
-        taus = designs.taus.copy()
-        taus[idx] = tau
-        swept = type(designs)(designs.V, taus, designs.aux)
-        try:
-            r = fisher.fim_censored(family, theta0, swept)
-        except (DegenerateThreshold, NumericalError):
-            continue
-        value = float(r.matrix[0, 0]) if r.k == 1 else r.determinant
-        rows.append((float(tau), value))
-    return rows
+    return [
+        (tau, float(r.matrix[0, 0]) if r.k == 1 else r.determinant)
+        for tau, r in fisher.fim_sweep(family, theta0, designs, idx, grid)
+    ]
 
 
 def cmd_fim(args):

@@ -20,7 +20,10 @@ Design notes
   gives F'(z)^2 / (F (1 - F)), the information a bit carries about z.  The
   likelihood module takes both to theta by the chain rule.
 * Each family fixes the design entries its closed forms assume and
-  ``check_designs`` rejects any other, where the family builds its index.
+  ``check_designs`` rejects any other, wherever the family relies on them.
+* ``uncensored_information`` is the family's closed form of sum_i V_i^T
+  Cov(T_i) V_i (Lehmann & Casella, 1998, 1.5): a dot product or two over
+  the rows.  The per-row Cov(T_i) is a test oracle, ``_oracles.cov_statistic``.
 * The paper's conditional *deviations* E[T|B=b] - E[T] and
   Cov(T|B=b) - Cov(T) (``cond_devs_T``, ``cond_mean_dev_T``) and
   ``prob_leq`` are no longer the library's route: the tests check the
@@ -124,8 +127,9 @@ class ModelFamily(abc.ABC):
 
     # -- sufficient-statistic moments ----------------------------------------
     @abc.abstractmethod
-    def cov_T(self, theta, designs):
-        """Cov(T_i), shape (n, d, d)."""
+    def uncensored_information(self, theta, designs):
+        """sum_i V_i^T Cov(T_i) V_i, shape (k, k): the information of the raw
+        observations, in the family's closed form."""
 
     @abc.abstractmethod
     def cond_devs_T(self, theta, designs, bits):

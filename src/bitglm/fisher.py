@@ -7,8 +7,12 @@ sum_i w_i x_i x_i^T with w = F'^2 / (F (1 - F)) (``index_weight``; McCullagh
 & Nelder, Generalized Linear Models, 1989), taken to theta by the
 likelihood module's chain rule: one BLAS reduction over the rows, one
 erfcx call per row for a Gaussian family.
-Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, assembled as the (n d) x k
-product V^T (Cov(T) V).
+Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, the family's closed form
+(``uncensored_information``): one or two dot products over the rows.
+
+Sweep (``fim_sweep``, behind ``fim --sweep``): J_n as one design's
+threshold runs over P grid points.  The other rows' X^T diag(w) X is summed
+once and each point adds its rank-one w_p x_p x_p^T: O(n + P), not O(n P).
 
 Processing a sample into a bit cannot create information, so I_n - J_n
 must be positive semidefinite; ``dpi_check`` verifies that numerically.
@@ -18,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateThreshold
+from .exceptions import DegenerateThreshold, NumericalError
 from .likelihood import _theta_values, to_theta
+from .types import DesignSet
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
 PSD_TOLERANCE = -1e-10
@@ -66,30 +71,55 @@ def _reject(model, bad):
         )
 
 
+def _index_weights(model, beta, designs):
+    """(X, w): the family's regressors and index weights at beta."""
+    X, offset = model.index_regressors(designs)
+    return X, model.index_weight(offset + X.dot(beta), designs)
+
+
+def _in_theta(model, beta, total):
+    # the expected score is 0, so the information transforms as a Hessian there
+    return FimResult.build(to_theta(model, beta, np.zeros(model.k), total)[1])
+
+
 def fim_censored(model, theta, designs):
     """Information carried by the bits: X^T diag(w) X in the index parameter,
     for the family's regressors X and weights w, taken to theta.
     DegenerateThreshold where w is not finite, at a bit of probability 0."""
     beta = model.index_from_theta(_theta_values(model, theta))
-    X, offset = model.index_regressors(designs)
-    w = model.index_weight(offset + X @ beta, designs)
+    X, w = _index_weights(model, beta, designs)
     _reject(model, ~np.isfinite(w))
-    # the expected score is 0, so the information transforms as a Hessian there
-    return FimResult.build(to_theta(model, beta, np.zeros(model.k), X.T @ (X * w[:, None]))[1])
+    return _in_theta(model, beta, X.T @ (X * w[:, None]))
 
 
-def _sandwich(V, inner):
-    """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
-    n, d, k = V.shape
-    # d = 1: each block product is one multiply, bit-identical and far faster
-    right = inner * V if d == 1 else np.matmul(inner, V)  # (n, d, k)
-    return FimResult.build(V.reshape(n * d, k).T @ right.reshape(n * d, k))
+def fim_sweep(model, theta, designs, index, grid):
+    """[(tau, FimResult)]: ``fim_censored`` with design ``index``'s threshold
+    set to each tau of ``grid`` in turn, skipping a tau where that row's bit
+    has probability 0.  Empty where another row's bit has, or where a rate
+    leaves the supported range (NumericalError)."""
+    beta = model.index_from_theta(_theta_values(model, theta))
+    grid = np.asarray(grid, dtype=float)
+    row = designs.subset(np.full(grid.shape, index))
+    points = DesignSet(row.V, grid, row.aux)
+    try:
+        x, w_p = _index_weights(model, beta, points)
+        X, w = _index_weights(model, beta, designs)
+    except NumericalError:
+        return []
+    w[index] = 0.0  # the swept row's term enters per point
+    if not np.all(np.isfinite(w)):
+        return []
+    base = X.T @ (X * w[:, None])
+    return [
+        (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
+        for p, tau in enumerate(grid)
+        if np.isfinite(w_p[p])
+    ]
 
 
 def fim_uncensored(model, theta, designs):
-    """Information carried by the raw observations."""
-    inner = model.cov_T(_theta_values(model, theta), designs)
-    return _sandwich(designs.V, inner)
+    """Information carried by the raw observations, in the family's closed form."""
+    return FimResult.build(model.uncensored_information(_theta_values(model, theta), designs))
 
 
 @dataclass(frozen=True)

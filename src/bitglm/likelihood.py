@@ -37,7 +37,7 @@ def _theta_values(model, theta):
 def log_bit_probabilities(model, theta, data):
     """log P(B_i = b_i) per observation, shape (n,)."""
     X, offset = model.index_regressors(data.designs)
-    z = offset + X @ model.index_from_theta(_theta_values(model, theta))
+    z = offset + X.dot(model.index_from_theta(_theta_values(model, theta)))
     return model.index_link(z, data.designs, data.bits)[0]
 
 
@@ -95,7 +95,7 @@ def index_evaluate(model, beta, data, index):
     model.index_regressors(data.designs)``: with the link's derivatives s
     and r, X^T (n s) and X^T diag(n r) X.  The solver's workhorse."""
     X, offset = index
-    log_probs, s, r = model.index_link(offset + X @ beta, data.designs, data.bits)
+    log_probs, s, r = model.index_link(offset + X.dot(beta), data.designs, data.bits)
     ll = _sum_logs(log_probs, data)
     h = X.T @ (X * (r * data.counts)[:, None])
     return ll, X.T @ (s * data.counts), 0.5 * (h + h.T)

@@ -140,9 +140,11 @@ class GaussianCase1(_GaussianIndex):
         _, z = self._mu_z(theta, designs)
         return _gauss.norm_cdf(z)
 
-    def cov_T(self, theta, designs):
+    def uncensored_information(self, theta, designs):
+        """sigma^2 sum_i V_i^2, as Var(x) = sigma^2."""
         _, designs = self._coerce(theta, designs)
-        return np.full((designs.n, 1, 1), self.sigma**2)
+        v = designs.V[:, 0, 0]
+        return np.array([[self.sigma**2 * v.dot(v)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -266,9 +268,10 @@ class GaussianCase2(_GaussianIndex):
         _, z = self._sigma_z(theta, designs)
         return _gauss.norm_cdf(z)
 
-    def cov_T(self, theta, designs):
+    def uncensored_information(self, theta, designs):
+        """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2."""
         sigma, z = self._sigma_z(theta, designs)
-        return np.full((z.shape[0], 1, 1), 2.0 * sigma**4)
+        return np.array([[0.5 * z.shape[0] * sigma**4]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -388,14 +391,17 @@ class GaussianCase3(_GaussianIndex):
         _, _, z, _ = self._mu_sigma_z(theta, designs)
         return _gauss.norm_cdf(z)
 
-    def cov_T(self, theta, designs):
-        mu, sigma, z, _ = self._mu_sigma_z(theta, designs)
-        n = mu.shape[0]
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = sigma**2
-        out[:, 0, 1] = out[:, 1, 0] = 2.0 * mu * sigma**2
-        out[:, 1, 1] = 2.0 * sigma**4 + 4.0 * mu**2 * sigma**2
-        return out
+    def uncensored_information(self, theta, designs):
+        """sigma^2 [[S, -alpha S], [-alpha S, n sigma^2 / 2 + alpha^2 S]] for S =
+        sum_i w_i^2, through the fixed V, as Var(x^2) = 2 sigma^4 + 4 mu^2 sigma^2."""
+        theta, designs = self._coerce(theta, designs)
+        self.check_theta(theta)
+        self.check_designs(designs)
+        alpha, s2 = self.alpha_sigma2_from_natural(theta)
+        w = designs.V[:, 0, 0]
+        S = w.dot(w)
+        cross = -alpha * S
+        return s2 * np.array([[S, cross], [cross, 0.5 * designs.n * s2 + alpha * alpha * S]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -545,8 +551,9 @@ class PoissonModel(ModelFamily):
 
     def check_designs(self, designs):
         _, designs = self._coerce(None, designs)
-        if np.any(designs.taus < 0):
-            raise DomainError("poisson thresholds must be >= 0")
+        bad = designs.taus < 0
+        if np.any(bad):
+            raise DomainError("poisson thresholds must be >= 0", index=int(np.argmax(bad)))
 
     #: Largest supported rate.  Up to here scipy's incomplete gamma tails
     #: agree with 340-digit mpmath to 1e-10 relative.  Beyond ~3e5 its
@@ -587,9 +594,11 @@ class PoissonModel(ModelFamily):
             lam_h = lam * (np.asarray(bits, dtype=float) * _poisson.poisson_pmf(t, lam) / pb)
             return np.log(pb), lam_h, lam_h * (lam - t - 1.0 - lam_h)
 
-    def cov_T(self, theta, designs):
+    def uncensored_information(self, theta, designs):
+        """sum_i v_i^2 lam_i, as Var(x) = lam."""
         lam, _ = self._lam_t(theta, designs)
-        return lam[:, None, None].copy()
+        v = designs.V[:, 0, 0]
+        return np.array([[v.dot(lam * v)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]

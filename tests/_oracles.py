@@ -22,6 +22,10 @@ Three groups are evaluated with library pieces instead:
   from the family's linear index instead (``index_link``, ``index_weight``).
 * ``fim_numeric_oracle`` enumerates both bits per observation and
   averages outer products of ``likelihood.score``.
+
+``uncensored_sandwich`` sums V_i^T Cov(T_i) V_i over the per-row stack of
+``cov_statistic``, the closed-form Hessian of ``log_partition``, where the
+families sum their closed forms over the rows (``uncensored_information``).
 """
 
 import math
@@ -32,7 +36,7 @@ from scipy.integrate import quad
 
 from bitglm import CensoredDataset, _gauss, _poisson, likelihood, models
 from bitglm.exceptions import DegenerateThreshold, DomainError, NumericalError
-from bitglm.fisher import FimResult, _reject, _sandwich
+from bitglm.fisher import FimResult, _reject
 from bitglm.likelihood import _theta_values
 
 
@@ -249,6 +253,41 @@ def mean_statistic(family, eta):
     raise TypeError(f"no mean for {type(family).__name__}")
 
 
+def cov_statistic(family, eta):
+    """Cov(T_i) per observation for the natural parameters ``eta`` (n, d),
+    shape (n, d, d), in closed form: the Hessian of ``log_partition`` in eta_i."""
+    eta = np.asarray(eta, dtype=float)
+    n = eta.shape[0]
+    if isinstance(family, models.GaussianCase1):
+        return np.full((n, 1, 1), family.sigma**2)
+    if isinstance(family, models.GaussianCase2):
+        return (0.5 / eta**2)[:, :, None]  # 2 sigma^4 at sigma^2 = -1/(2 eta)
+    if isinstance(family, models.GaussianCase3):
+        mu, s2 = -0.5 * eta[:, 0] / eta[:, 1], -0.5 / eta[:, 1]
+        out = np.empty((n, 2, 2))
+        out[:, 0, 0] = s2
+        out[:, 0, 1] = out[:, 1, 0] = 2.0 * mu * s2
+        out[:, 1, 1] = 2.0 * s2 * s2 + 4.0 * mu * mu * s2
+        return out
+    if isinstance(family, models.PoissonModel):
+        return np.exp(eta)[:, :, None]
+    raise TypeError(f"no covariance for {type(family).__name__}")
+
+
+def sandwich(V, inner):
+    """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
+    n, d, k = V.shape
+    right = np.matmul(inner, V)  # (n, d, k)
+    return FimResult.build(V.reshape(n * d, k).T @ right.reshape(n * d, k))
+
+
+def uncensored_sandwich(family, theta, designs):
+    """The uncensored information sum_i V_i^T Cov(T_i) V_i, from the per-row
+    ``cov_statistic`` stack."""
+    theta = _theta_values(family, theta)
+    return sandwich(designs.V, cov_statistic(family, designs.natural_params(theta)))
+
+
 def _t3_quad(mu, sigma):
     """E[(x^2 (1 + x^2))^(3/2)] for x ~ N(mu, sigma^2), by quadrature."""
     def integrand(x):
@@ -461,7 +500,7 @@ def negative_expected_hessian(model, theta, designs):
     dev_m = model.cond_devs_T(theta, designs, -plus)[1]
     # -E[Cov(T|B) - Cov(T)] = -(dev_+ P(+1) + dev_- P(-1))
     inner = -(dev_p * f[:, None, None] + dev_m * (1.0 - f)[:, None, None])
-    return _sandwich(designs.V, inner)
+    return sandwich(designs.V, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +531,7 @@ def deviation_fim(model, theta, designs):
     plus = np.ones(designs.n, dtype=np.int8)
     m_p = model.cond_mean_dev_T(theta, designs, plus)
     m_m = model.cond_mean_dev_T(theta, designs, -plus)
-    return _sandwich(designs.V, f[:, None, None] * m_p[:, :, None] * (m_p - m_m)[:, None, :])
+    return sandwich(designs.V, f[:, None, None] * m_p[:, :, None] * (m_p - m_m)[:, None, :])
 
 
 def lexsort_runs(columns):

@@ -198,6 +198,13 @@ class TestFit:
         assert code == 2
         assert "line" in err
 
+    def test_poisson_negative_threshold_names_its_line(self, tmp_path, capsys):
+        cfg = write(tmp_path, "fit.cfg", '{"model": {"name": "poisson"}}')
+        data = write(tmp_path, "obs.dat", "1 1\n1 2.0 1.0\n-1 -1.0 1.0\n")
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
+        assert code == 2
+        assert "(line 3)" in err and "thresholds must be >= 0" in err
+
 
 class TestFixedDesignEntries:
     """Case 2 fixes V = [[-1/2]] and case 3 V = [[w, 0], [0, -1/2]]; a data

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bitglm import DegenerateThreshold, dpi_check, fim_censored, fim_uncensored, models
+from bitglm import (
+    DegenerateThreshold,
+    DesignSet,
+    DomainError,
+    NumericalError,
+    dpi_check,
+    fim_censored,
+    fim_sweep,
+    fim_uncensored,
+    models,
+)
 from conftest import MODEL_NAMES, random_instance
 from _oracles import (
     case1_fim,
@@ -16,11 +26,13 @@ from _oracles import (
     case2_uncensored_fim,
     case3_fim,
     case3_uncensored_fim,
+    cov_statistic,
     deviation_fim,
     fim_numeric_oracle,
     negative_expected_hessian,
     poisson_fim,
     poisson_uncensored_fim,
+    uncensored_sandwich,
 )
 
 
@@ -124,7 +136,7 @@ class TestPsdAndStructure:
                     np.einsum("nd,ne->nde", m_p, m_p) * fw
                     + np.einsum("nd,ne->nde", m_m, m_m) * (1.0 - fw)
                 ),
-                fim_uncensored: fam.cov_T(theta, ds),
+                fim_uncensored: cov_statistic(fam, ds.natural_params(theta)),
                 negative_expected_hessian: -(c_p * fw + c_m * (1.0 - fw)),
             }
             for route, inner in inners.items():
@@ -171,6 +183,26 @@ class TestPsdAndStructure:
 
 class TestUncensoredSpots:
     @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_family_closed_form_matches_the_sandwich_oracle(self, name, rng):
+        # sum_i V_i^T Cov(T_i) V_i from the per-row covariance stack
+        for _ in range(50):
+            fam, theta, ds = random_instance(name, rng)
+            want = uncensored_sandwich(fam, theta, ds).matrix
+            assert_allclose(fim_uncensored(fam, theta, ds).matrix, want, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "family", [models.GaussianCase1([1.0], sigma=1.7), models.PoissonModel([1.0])]
+    )
+    def test_varied_designs_match_the_sandwich_oracle(self, family, rng):
+        # free designs of either sign and a wide spread of magnitudes
+        for n in (1, 7, 1000):
+            V = rng.normal(size=(n, 1, 1)) * np.exp(rng.uniform(-3.0, 1.5, (n, 1, 1)))
+            ds = DesignSet(V, rng.uniform(0.0, 5.0, n))
+            theta = np.array([rng.uniform(-1.0, 1.0)])
+            want = uncensored_sandwich(family, theta, ds).matrix
+            assert_allclose(fim_uncensored(family, theta, ds).matrix, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_closed_forms_match_the_sandwich(self, name, rng):
         for _ in range(25):
             fam, theta, ds = random_instance(name, rng)
@@ -206,6 +238,64 @@ class TestUncensoredSpots:
         cov = np.array([[1.0, 4.0], [4.0, 18.0]])
         v = np.array([[1.0, 0.0], [0.0, -0.5]])
         assert_allclose(r.matrix, v.T @ cov @ v, rtol=1e-13)
+
+
+def sweep_by_points(fam, theta, ds, index, grid):
+    """``fim_censored`` at each grid point in turn, skipping a point that
+    raises DegenerateThreshold or NumericalError."""
+    rows = []
+    for tau in grid:
+        taus = ds.taus.copy()
+        taus[index] = tau
+        try:
+            rows.append((float(tau), fim_censored(fam, theta, DesignSet(ds.V, taus, ds.aux))))
+        except (DegenerateThreshold, NumericalError):
+            continue
+    return rows
+
+
+class TestSweep:
+    @staticmethod
+    def check(fam, theta, ds, index, grid):
+        got = fim_sweep(fam, theta, ds, index, grid)
+        want = sweep_by_points(fam, theta, ds, index, grid)
+        assert [tau for tau, _ in got] == [tau for tau, _ in want]
+        for (tau, a), (_, b) in zip(got, want):
+            assert rel_err(a.matrix, b.matrix) <= 1e-12, f"tau = {tau}"
+        return got
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_the_per_point_loop(self, name, rng):
+        for n in (1, 2, 6, 200):  # n = 1: no other rows, the base is 0
+            fam, theta, ds = random_instance(name, rng, n=n)
+            index = int(rng.integers(n))
+            if name == "poisson":
+                grid = np.arange(0.0, 12.0, 0.5)
+            else:
+                grid = ds.taus[index] + np.linspace(-3.0, 3.0, 25)
+            assert len(self.check(fam, theta, ds, index, grid)) == len(grid)
+
+    def test_degenerate_point_is_skipped(self):
+        # P(X > 500) is 0 at rate 1: that point's bit is deterministic
+        fam = models.PoissonModel([1.0, 0.5, 1.0])
+        ds = fam.design_set([1.0, 2.0, 0.0])
+        got = self.check(fam, [0.0], ds, 1, [0.0, 500.0, 3.0])
+        assert [tau for tau, _ in got] == [0.0, 3.0]
+
+    def test_degenerate_other_row_empties_the_sweep(self):
+        fam = models.PoissonModel([1.0, 1.0])
+        ds = fam.design_set([500.0, 2.0])
+        assert self.check(fam, [0.0], ds, 1, [0.0, 1.0, 2.0]) == []
+
+    def test_rate_beyond_the_supported_range_empties_the_sweep(self):
+        fam = models.PoissonModel([1.0])
+        theta = [math.log(2.0 * models.PoissonModel.MAX_RATE)]
+        assert self.check(fam, theta, fam.design_set([1.0]), 0, [0.0, 1.0]) == []
+
+    def test_domain_error_propagates(self):
+        fam = models.PoissonModel([1.0, 1.0])
+        with pytest.raises(DomainError):
+            fim_sweep(fam, [0.0], fam.design_set([1.0, 2.0]), 0, [1.0, -1.0])
 
 
 class TestDataProcessingInequality:

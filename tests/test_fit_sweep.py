@@ -23,5 +23,5 @@ def test_ten_draws_against_itself(capsys):
     assert "->" not in out.split("==")[-1].split("\n", 1)[1]
     assert out.count("worst relative estimate difference (both converged): 0\n") == 4
     assert out.count("worst log-likelihood shortfall: 0 ") == 4
-    for key in ("fim", "score", "hessian"):
+    for key in ("fim", "fim_uncensored", "score", "hessian"):
         assert out.count(f"worst relative {key} difference at theta: 0 ") == 4

@@ -15,6 +15,7 @@ from bitglm import (
     DomainError,
     ModelFamily,
     NumericalError,
+    dpi_check,
     fim_censored,
     fim_uncensored,
     fisher,
@@ -29,6 +30,7 @@ from _oracles import (
     case1_uncensored_fim,
     case2_fim,
     case3_fim,
+    cov_statistic,
     fd_gradient,
     fd_jacobian,
     gaussian_conditional_moments,
@@ -319,7 +321,7 @@ class TestLawOfTotalCovariance:
             mixed = m_p * p[:, None] + m_m * (1 - p)[:, None]
             assert_allclose(mixed, mean, rtol=0, atol=1e-12 * (1 + np.abs(mean).max()))
 
-            cov = fam.cov_T(theta, ds)
+            cov = cov_statistic(fam, ds.natural_params(theta))
             c_p = cov + fam.cond_devs_T(theta, ds, plus)[1]
             c_m = cov + fam.cond_devs_T(theta, ds, -plus)[1]
             within = c_p * p[:, None, None] + c_m * (1 - p)[:, None, None]
@@ -380,6 +382,8 @@ class TestFixedDesignEntries:
         calls = [
             lambda: fit(fam, data),
             lambda: fim_censored(fam, theta, ds),
+            lambda: fim_uncensored(fam, theta, ds),
+            lambda: dpi_check(fam, theta, ds),
             lambda: log_likelihood(fam, theta, data),
             lambda: likelihood.evaluate(fam, theta, data),
             lambda: fam.check_designs(ds),
@@ -398,7 +402,7 @@ class TestOneDesignType:
         bits = np.ones(ds.n, dtype=np.int8)
         calls = [
             lambda d: fam.prob_leq(theta, d),
-            lambda d: fam.cov_T(theta, d),
+            lambda d: fam.uncensored_information(theta, d),
             lambda d: fam.cond_devs_T(theta, d, bits),
             lambda d: fam.cond_mean_dev_T(theta, d, bits),
             lambda d: fam.max_third_abs_moment_T(theta, d),
@@ -450,6 +454,7 @@ class TestPublicSurface:
         "InformationPositivityReport",
         "fim_numeric_oracle",
         "negative_expected_hessian",
+        "_sandwich",
     )
 
     def test_every_export_resolves(self):
@@ -461,7 +466,7 @@ class TestPublicSurface:
             stale = [name for name in self.MOVED if hasattr(owner, name)]
             assert not stale, f"{owner.__name__} still has {stale}"
         for cls in (ModelFamily, *models.REGISTRY.values()):
-            for name in ("log_partition", "conditional_mean_T", "conditional_cov_T"):
+            for name in ("log_partition", "conditional_mean_T", "conditional_cov_T", "cov_T"):
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
@@ -479,7 +484,7 @@ class TestLogPartition:
         for _ in range(10):
             fam, theta, ds = random_instance(name, rng)
             eta = ds.natural_params(theta)
-            mean, cov = mean_statistic(fam, eta), fam.cov_T(theta, ds)
+            mean, cov = mean_statistic(fam, eta), cov_statistic(fam, eta)
             for i in range(ds.n):
 
                 def phi(e):

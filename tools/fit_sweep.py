@@ -18,9 +18,10 @@ then, against the first tree, the outcome transitions, the worst relative
 difference of estimates that both trees report converged, the worst
 log-likelihood shortfall, (ll_first - ll_other) / |ll_first|, over draws
 that both trees fit, and the worst relative difference, max |a - b| over
-the larger max |a|, of ``fisher.fim_censored`` and of the score and the
-Hessian of ``likelihood.evaluate`` at the draw's own theta, over draws
-where both trees return them.  Uses numpy and the trees' own dependencies
+the larger max |a|, of ``fisher.fim_censored`` (``fim``),
+``fisher.fim_uncensored`` and the score and the Hessian of
+``likelihood.evaluate`` at the draw's own theta, over draws where both
+trees return them.  Uses numpy and the trees' own dependencies
 only.
 """
 
@@ -54,7 +55,7 @@ def draws(name, count, seed):
 
 def fit_all(count, seed):
     """One record per draw and family, fitted with the bitglm on sys.path."""
-    from bitglm import BitGlmError, fim_censored, fit, likelihood
+    from bitglm import BitGlmError, fim_censored, fim_uncensored, fit, likelihood
 
     records = []
     for name in FAMILIES:
@@ -62,6 +63,11 @@ def fit_all(count, seed):
             at_theta = {}
             try:
                 at_theta["fim"] = fim_censored(fam, theta0, data.designs).matrix.tolist()
+            except BitGlmError:
+                pass
+            try:
+                info = fim_uncensored(fam, theta0, data.designs)
+                at_theta["fim_uncensored"] = info.matrix.tolist()
             except BitGlmError:
                 pass
             try:
@@ -142,7 +148,7 @@ def report(trees, results):
             worst_est = max(est, default=0.0)
             print(f"    worst relative estimate difference (both converged): {worst_est:.3g}")
             print(f"    worst log-likelihood shortfall: {worst[0]:.3g} (draw {worst[1]})")
-            for key in ("fim", "score", "hessian"):
+            for key in ("fim", "fim_uncensored", "score", "hessian"):
                 diffs = [(_rel_array(a[key], b[key]), a["draw"])
                          for a, b in pairs if key in a and key in b]
                 worst = max(diffs, default=(0.0, None))
