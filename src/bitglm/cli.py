@@ -16,6 +16,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,16 +80,21 @@ def _check_keys(obj, path, required=(), optional=()):
         raise ConfigError(f"missing required key(s) {missing}", location=path)
 
 
-def _number(value, path, expected="a number"):
-    """A JSON number as a float; JSON's true and false are not numbers."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+def _number(value, path, expected="a finite number"):
+    """A finite JSON number as a float; JSON's true and false are not
+    numbers, nor are the NaN and Infinity that Python's json reads, nor an
+    integer too large for a float."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
     raise ConfigError(f"expected {expected}", location=path)
 
 
 def _floats(value, count, path):
     """A scalar (broadcast to count) or an explicit non-empty list of floats."""
-    expected = "a number or a non-empty list of numbers"
+    expected = "a finite number or a non-empty list of finite numbers"
     if isinstance(value, list) and value:
         return np.array([_number(v, path, expected) for v in value], dtype=float)
     value = _number(value, path, expected)
@@ -290,6 +296,8 @@ def load_data_file(path, family_section):
             vals = [float(v) for v in fields[1:]]
         except ValueError as err:
             raise ConfigError(f"{path}: malformed number", location=f"line {lineno}") from err
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{path}: numbers must be finite", location=f"line {lineno}")
         if b not in (-1, 1):
             raise ConfigError(f"{path}: bit must be -1 or +1", location=f"line {lineno}")
         rows.append((lineno, b, vals[0], np.array(vals[1:]).reshape(d, k)))

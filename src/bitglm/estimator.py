@@ -24,6 +24,8 @@ likelihood ties the iterate's, the supremum lies on that wall (sigma ->
 infinity): ``fit`` reports that maximizer, just inside, as "boundary-divergence".
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +57,10 @@ class FitConfig:
     start: tuple = None  # explicit start; None means model.initial_point
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be > 0")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        if not 0 < self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -244,9 +246,7 @@ def fit(model, data, config=None):
             raise
         raise DomainError(str(err), index=int(rows[err.index])) from err
     _check_identifiable(model, data, index[0])
-    start = model.initial_point(data) if config.start is None else config.start
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    model.check_theta(start)
+    start = model.check_theta(model.initial_point(data) if config.start is None else config.start)
     beta0 = model.index_from_theta(start)
     try:
         beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta0, config)

@@ -24,11 +24,15 @@ Design notes
 * ``uncensored_information`` is the family's closed form of sum_i V_i^T
   Cov(T_i) V_i (Lehmann & Casella, 1998, 1.5): a dot product or two over
   the rows.  The per-row Cov(T_i) is a test oracle, ``_oracles.cov_statistic``.
-* The paper's conditional *deviations* E[T|B=b] - E[T] and
-  Cov(T|B=b) - Cov(T) (``cond_devs_T``, ``cond_mean_dev_T``) and
-  ``prob_leq`` are no longer the library's route: the tests check the
-  index route against them, and the benchmark tracer still spans them in
-  each concrete class.
+* The contract is the index route: the abstract methods are the ones the
+  library calls.  The paper's conditional *deviations* E[T|B=b] - E[T]
+  and Cov(T|B=b) - Cov(T) (``cond_devs_T``, ``cond_mean_dev_T``) and
+  ``prob_leq`` are per-class methods outside it: the tests check the index
+  route against them, and the benchmark tracer spans them in each
+  concrete class.
+* ``domain`` is a class attribute, unbounded unless a family overrides it,
+  and ``check_theta`` is the one theta check: every method that takes
+  theta runs it.
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -46,8 +50,9 @@ class ModelFamily(abc.ABC):
     """Abstract base for concrete model families.
 
     Subclasses set ``name``, ``d`` and ``k`` and implement the abstract
-    methods.  ``theta`` arguments are plain (k,) arrays; use
-    :meth:`parameter_vector` to get a validated ParameterVector.
+    methods.  ``theta`` arguments are (k,) arrays or ParameterVectors, checked
+    by :meth:`check_theta`; use :meth:`parameter_vector` to get a validated
+    ParameterVector.
     """
 
     #: registry name, e.g. "gaussian-case1"
@@ -64,16 +69,20 @@ class ModelFamily(abc.ABC):
     fit_keys = ()
 
     # -- parameter domain ------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def domain(self):
-        """Per-coordinate constraints, a tuple of DOMAIN_KINDS entries."""
+    #: per-coordinate constraints, a tuple of DOMAIN_KINDS entries
+    domain = ("unbounded",)
 
     def parameter_vector(self, values):
         return ParameterVector(values, self.domain)
 
     def check_theta(self, theta):
-        check_domain(np.atleast_1d(np.asarray(theta, dtype=float)), self.domain)
+        """theta (an array or a ParameterVector) as a (k,) array; DomainError
+        unless it has k coordinates, all finite and inside ``domain``."""
+        theta = np.atleast_1d(np.asarray(getattr(theta, "values", theta), dtype=float))
+        if theta.shape != (self.k,):
+            raise DomainError(f"{self.name} expects {self.k} parameters, got shape {theta.shape}")
+        check_domain(theta, self.domain)
+        return theta
 
     # -- designs -----------------------------------------------------------
     def check_designs(self, designs):
@@ -92,10 +101,6 @@ class ModelFamily(abc.ABC):
             raise DomainError(f"{self.name} fixes V = {form}, got {V[i].tolist()}", index=i)
 
     # -- censoring ----------------------------------------------------------
-    @abc.abstractmethod
-    def prob_leq(self, theta, designs):
-        """P(X_i <= tau_i) per observation, shape (n,)."""
-
     #: the coordinate of the index parameter beta kept positive (1/sigma), or None
     index_positive = None
     #: d^2 theta_m / d beta_j d beta_l, constant, shape (k, k, k); None where theta = beta
@@ -130,16 +135,6 @@ class ModelFamily(abc.ABC):
     def uncensored_information(self, theta, designs):
         """sum_i V_i^T Cov(T_i) V_i, shape (k, k): the information of the raw
         observations, in the family's closed form."""
-
-    @abc.abstractmethod
-    def cond_devs_T(self, theta, designs, bits):
-        """(E[T_i | B_i=b_i] - E[T_i], Cov(T_i | B_i=b_i) - Cov(T_i)),
-        shapes (n, d) and (n, d, d), cancellation-free and in one pass."""
-
-    @abc.abstractmethod
-    def cond_mean_dev_T(self, theta, designs, bits):
-        """E[T_i | B_i=b_i] - E[T_i], shape (n, d): the first half of
-        :meth:`cond_devs_T`."""
 
     # -- moment conditions -------------------------------------------------------
     @abc.abstractmethod
@@ -200,11 +195,7 @@ class ModelFamily(abc.ABC):
         """(theta, designs) checked against the family's shapes; ``theta``
         is None for a method that takes no parameter."""
         if theta is not None:
-            theta = np.atleast_1d(np.asarray(theta, dtype=float))
-            if theta.shape != (self.k,):
-                raise DomainError(
-                    f"{self.name} expects {self.k} parameters, got shape {theta.shape}"
-                )
+            theta = self.check_theta(theta)
         if not isinstance(designs, DesignSet):
             raise TypeError(f"designs must be a DesignSet, got {type(designs).__name__}")
         if (designs.d, designs.k) != (self.d, self.k):

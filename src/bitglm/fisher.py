@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateThreshold, NumericalError
-from .likelihood import _theta_values, to_theta
+from .likelihood import to_theta
 from .types import DesignSet
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
@@ -86,7 +86,7 @@ def fim_censored(model, theta, designs):
     """Information carried by the bits: X^T diag(w) X in the index parameter,
     for the family's regressors X and weights w, taken to theta.
     DegenerateThreshold where w is not finite, at a bit of probability 0."""
-    beta = model.index_from_theta(_theta_values(model, theta))
+    beta = model.index_from_theta(model.check_theta(theta))
     X, w = _index_weights(model, beta, designs)
     _reject(model, ~np.isfinite(w))
     return _in_theta(model, beta, X.T @ (X * w[:, None]))
@@ -97,7 +97,7 @@ def fim_sweep(model, theta, designs, index, grid):
     set to each tau of ``grid`` in turn, skipping a tau where that row's bit
     has probability 0.  Empty where another row's bit has, or where a rate
     leaves the supported range (NumericalError)."""
-    beta = model.index_from_theta(_theta_values(model, theta))
+    beta = model.index_from_theta(model.check_theta(theta))
     grid = np.asarray(grid, dtype=float)
     row = designs.subset(np.full(grid.shape, index))
     points = DesignSet(row.V, grid, row.aux)
@@ -119,7 +119,7 @@ def fim_sweep(model, theta, designs, index, grid):
 
 def fim_uncensored(model, theta, designs):
     """Information carried by the raw observations, in the family's closed form."""
-    return FimResult.build(model.uncensored_information(_theta_values(model, theta), designs))
+    return FimResult.build(model.uncensored_information(theta, designs))
 
 
 @dataclass(frozen=True)

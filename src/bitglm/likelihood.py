@@ -28,16 +28,10 @@ import numpy as np
 from .exceptions import DegenerateLikelihood
 
 
-def _theta_values(model, theta):
-    values = np.atleast_1d(np.asarray(getattr(theta, "values", theta), dtype=float))
-    model.check_theta(values)
-    return values
-
-
 def log_bit_probabilities(model, theta, data):
     """log P(B_i = b_i) per observation, shape (n,)."""
     X, offset = model.index_regressors(data.designs)
-    z = offset + X.dot(model.index_from_theta(_theta_values(model, theta)))
+    z = offset + X.dot(model.index_from_theta(model.check_theta(theta)))
     return model.index_link(z, data.designs, data.bits)[0]
 
 
@@ -85,7 +79,7 @@ def to_theta(model, beta, grad, hess=None):
 def evaluate(model, theta, data):
     """(log-likelihood, score, hessian) in theta: ``index_evaluate`` at the
     index parameter of theta, taken to theta by ``to_theta``."""
-    beta = model.index_from_theta(_theta_values(model, theta))
+    beta = model.index_from_theta(model.check_theta(theta))
     ll, g, h = index_evaluate(model, beta, data, model.index_regressors(data.designs))
     return (ll, *to_theta(model, beta, g, h))
 

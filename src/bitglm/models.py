@@ -38,11 +38,16 @@ def _mean(x, data):
     return float(np.average(x, weights=data.counts))
 
 
-def _bit_fraction(data):
-    """Pooled fraction of +1 bits, kept inside [1/(n+1), n/(n+1)]."""
+def _pooled_alpha(data, w, sigma):
+    """alpha from the pooled +1 fraction, kept inside [1/(n+1), n/(n+1)], at
+    the mean threshold, for weights w and noise sd sigma; 0 where the mean
+    weight vanishes."""
+    mean_w = _mean(w, data)
+    if abs(mean_w) < 1e-8:
+        return 0.0
     n = data.total
-    p = _mean(data.bits > 0, data)
-    return min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
+    p = min(max(_mean(data.bits > 0, data), 1.0 / (n + 1.0)), n / (n + 1.0))
+    return (_mean(data.designs.taus, data) - sigma * float(_gauss.norm_ppf(p))) / mean_w
 
 
 def _probit_start(family, data):
@@ -72,16 +77,20 @@ def _probit_start(family, data):
     p = family.index_positive
     if rank < family.k or (p is not None and not beta[p] > 0):
         return None
-    theta = family.theta_from_index(beta)
     try:
-        family.check_theta(theta)
+        return family.check_theta(family.theta_from_index(beta))
     except DomainError:
         return None
-    return theta
 
 
 class _GaussianIndex(ModelFamily):
     """P(B = +1) = Phi(z) at the standardized threshold z, the linear index."""
+
+    def initial_point(self, data):
+        """The per-design probit inversion (``_probit_start``); without one,
+        the family's ``_pooled_start``."""
+        start = _probit_start(self, data)
+        return self._pooled_start(data) if start is None else start
 
     def index_link(self, z, designs, bits):
         """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
@@ -117,10 +126,6 @@ class GaussianCase1(_GaussianIndex):
             raise DomainError("sigma must be strictly positive")
         if not np.all(np.isfinite(self.weights)):
             raise DomainError("weights must be finite")
-
-    @property
-    def domain(self):
-        return ("unbounded",)
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -190,18 +195,10 @@ class GaussianCase1(_GaussianIndex):
         _, designs = self._coerce(None, designs)
         return -self.sigma * designs.V[:, 0, :], designs.taus / self.sigma
 
-    def initial_point(self, data):
-        """The per-design probit inversion; without one, alpha from the
-        pooled bit fraction at the mean threshold."""
-        start = _probit_start(self, data)
-        if start is not None:
-            return start
+    def _pooled_start(self, data):
+        """alpha from the pooled bit fraction at the mean threshold."""
         w = data.designs.V[:, 0, 0] * self.sigma**2
-        mean_w = _mean(w, data)
-        if abs(mean_w) < 1e-8:
-            return np.array([0.0])
-        q = float(_gauss.norm_ppf(_bit_fraction(data)))
-        return np.array([(_mean(data.designs.taus, data) - self.sigma * q) / mean_w])
+        return np.array([_pooled_alpha(data, w, self.sigma)])
 
 
 def case1_optimal_thresholds(model, alpha):
@@ -231,6 +228,7 @@ class GaussianCase2(_GaussianIndex):
     per_obs_key = "means"
     param_keys = ("sigma",)
     fit_keys = ("means",)
+    domain = ("positive",)
     index_positive = 0
     index_curvature = np.full((1, 1, 1), 2.0)
 
@@ -238,10 +236,6 @@ class GaussianCase2(_GaussianIndex):
         self.means = _as_1d(means)
         if not np.all(np.isfinite(self.means)):
             raise DomainError("means must be finite")
-
-    @property
-    def domain(self):
-        return ("positive",)
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -321,12 +315,8 @@ class GaussianCase2(_GaussianIndex):
     def index_from_theta(self, theta):
         return np.sqrt(theta)
 
-    def initial_point(self, data):
-        """The per-design probit inversion; without one, the inverse mean
-        squared threshold offset."""
-        start = _probit_start(self, data)
-        if start is not None:
-            return start
+    def _pooled_start(self, data):
+        """The inverse mean squared threshold offset."""
         spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
         return np.array([1.0 / max(spread, 1e-4)])
 
@@ -348,6 +338,7 @@ class GaussianCase3(_GaussianIndex):
     k = 2
     per_obs_key = "weights"
     param_keys = ("alpha", "sigma")
+    domain = ("unbounded", "positive")
     index_positive = 0
     index_curvature = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
 
@@ -355,10 +346,6 @@ class GaussianCase3(_GaussianIndex):
         self.weights = _as_1d(weights)
         if not np.all(np.isfinite(self.weights)):
             raise DomainError("weights must be finite")
-
-    @property
-    def domain(self):
-        return ("unbounded", "positive")
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -378,8 +365,6 @@ class GaussianCase3(_GaussianIndex):
 
     def _mu_sigma_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
-        if not theta[1] > 0:
-            raise DomainError("precision coordinate must be strictly positive")
         sigma2 = 1.0 / theta[1]
         sigma = math.sqrt(sigma2)
         eta1 = designs.natural_params(theta)[:, 0]
@@ -395,7 +380,6 @@ class GaussianCase3(_GaussianIndex):
         """sigma^2 [[S, -alpha S], [-alpha S, n sigma^2 / 2 + alpha^2 S]] for S =
         sum_i w_i^2, through the fixed V, as Var(x^2) = 2 sigma^4 + 4 mu^2 sigma^2."""
         theta, designs = self._coerce(theta, designs)
-        self.check_theta(theta)
         self.check_designs(designs)
         alpha, s2 = self.alpha_sigma2_from_natural(theta)
         w = designs.V[:, 0, 0]
@@ -473,19 +457,9 @@ class GaussianCase3(_GaussianIndex):
         root = math.sqrt(theta[1])
         return np.array([root, theta[0] / root])
 
-    def initial_point(self, data):
-        """The per-design probit inversion; without one, sigma = 1 and alpha
-        from the pooled bit fraction at the mean threshold."""
-        start = _probit_start(self, data)
-        if start is not None:
-            return start
-        mean_w = _mean(data.designs.V[:, 0, 0], data)
-        if abs(mean_w) < 1e-8:
-            alpha0 = 0.0
-        else:
-            q = float(_gauss.norm_ppf(_bit_fraction(data)))
-            alpha0 = (_mean(data.designs.taus, data) - q) / mean_w
-        return np.array([alpha0, 1.0])
+    def _pooled_start(self, data):
+        """sigma = 1 and alpha from the pooled bit fraction at the mean threshold."""
+        return np.array([_pooled_alpha(data, data.designs.V[:, 0, 0], 1.0), 1.0])
 
     @staticmethod
     def alpha_sigma2_from_natural(theta):
@@ -535,10 +509,6 @@ class PoissonModel(ModelFamily):
         self.covariates = _as_1d(covariates)
         if not np.all(np.isfinite(self.covariates)):
             raise DomainError("covariates must be finite")
-
-    @property
-    def domain(self):
-        return ("unbounded",)
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -628,8 +598,16 @@ class PoissonModel(ModelFamily):
         return rng.poisson(lam).astype(float)
 
     def uncensored_mle(self, designs, x):
-        """The root of sum v (x - exp(v theta)) = 0: log of the mean count
-        over v for a constant covariate, else a Newton solve from 0."""
+        """The root of g(theta) = sum v (x - exp(v theta)): log of the mean count
+        over v for a constant covariate, else brentq on a bracket doubled from
+        [0, 1] or [-1, 0], as g(0) is >= 0 or not.  g strictly decreases: as
+        theta -> inf, to -inf where some v > 0, else to sum v x; as theta ->
+        -inf, to +inf where some v < 0, else to sum v x.  So a root exists iff
+        those limits differ in sign; NonIdentifiable where they do not."""
+        # imported here: scipy.optimize costs a fifth of a second of cold
+        # start, and only this baseline needs it
+        from scipy.optimize import brentq
+
         _, designs = self._coerce(None, designs)
         v = designs.V[:, 0, 0]
         target = float(v @ x)
@@ -638,18 +616,22 @@ class PoissonModel(ModelFamily):
             if mean_x <= 0.0:
                 raise NonIdentifiable("all counts are zero")
             return np.array([math.log(mean_x) / v[0]])
-        theta = 0.0
-        for _ in range(100):
-            lam = np.exp(v * theta)
-            g = target - float(v @ lam)
-            h = float((v * v) @ lam)
-            if h <= 0.0:
-                raise NonIdentifiable("rate link carries no information")
-            step = g / h
-            theta += step
-            if abs(step) < 1e-12:
-                return np.array([theta])
-        raise NonIdentifiable("rate equation admits no finite root")
+        if not ((np.any(v > 0) or target < 0) and (np.any(v < 0) or target > 0)):
+            raise NonIdentifiable("rate equation admits no finite root")
+
+        def g(theta):
+            with np.errstate(over="ignore"):
+                value = target - float(v @ np.exp(v * theta))
+            if not math.isfinite(value):
+                raise NumericalError("poisson rates overflow before the root is bracketed")
+            return value
+
+        lo, hi = (0.0, 1.0) if g(0.0) >= 0.0 else (-1.0, 0.0)
+        while g(lo) < 0.0:
+            lo *= 2.0
+        while g(hi) > 0.0:
+            hi *= 2.0
+        return np.array([brentq(g, lo, hi, xtol=np.finfo(float).tiny)])
 
     def initial_point(self, data):
         """log of the mean threshold over the mean covariate."""

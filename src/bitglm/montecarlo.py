@@ -8,6 +8,7 @@ order.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -17,7 +18,6 @@ from .estimator import FitConfig, fit
 from .exceptions import (
     ConfigError,
     DegenerateLikelihood,
-    DegenerateThreshold,
     ExperimentFailure,
     NonIdentifiable,
 )
@@ -32,9 +32,15 @@ def _substream(seed, n, trial):
 # Design-generation rules
 # ---------------------------------------------------------------------------
 
+def _finite(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_rule(rule, what, reads):
     """Raise ConfigError unless ``rule`` is of a kind in ``reads`` and sets
-    exactly the fields that kind reads, with a non-empty list of values."""
+    exactly the fields that kind reads: each a finite number (not a bool),
+    or for ``values`` and ``probabilities`` a non-empty list of them, with
+    low <= high."""
     if rule.kind not in reads:
         raise ConfigError(f"unknown {what} rule {rule.kind!r}")
     given = [f.name for f in fields(rule) if f.name != "kind" and getattr(rule, f.name) is not None]
@@ -42,10 +48,18 @@ def _check_rule(rule, what, reads):
         raise ConfigError(
             f"{what} rule {rule.kind!r} reads {list(reads[rule.kind])}, got {given}"
         )
-    if rule.values is not None:
-        vals = np.asarray(rule.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] == 0:
-            raise ConfigError(f"{what} rule {rule.kind!r} needs a non-empty list of values")
+    for name in given:
+        value = getattr(rule, name)
+        if name in ("values", "probabilities"):
+            listed = isinstance(value, (list, tuple, np.ndarray))
+            ok = listed and len(value) > 0 and all(map(_finite, value))
+            need = "a non-empty list of finite numbers"
+        else:
+            ok, need = _finite(value), "a finite number"
+        if not ok:
+            raise ConfigError(f"{what} rule {rule.kind!r} needs {need} as {name}")
+    if rule.kind == "iid-uniform" and not rule.low <= rule.high:
+        raise ConfigError(f"{what} rule {rule.kind!r} needs low <= high")
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,14 @@ class ThresholdRule:
                 "iid-normal": ("mu", "sd"),
             },
         )
+        if self.kind == "iid-normal" and self.sd < 0:
+            raise ConfigError("threshold rule 'iid-normal' needs sd >= 0")
         if self.kind == "two-point":
             probs = np.asarray(self.probabilities, dtype=float)
             if probs.shape != np.shape(self.values):
                 raise ConfigError("two-point rule needs matching values/probabilities")
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise ConfigError("two-point probabilities must lie in [0, 1]")
             if not math.isclose(float(probs.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
                 raise ConfigError("two-point probabilities must sum to 1")
 
@@ -260,7 +278,7 @@ def run_trial(config, n, trial):
             if not result.converged:
                 return TrialOutcome(n, result.theta_hat.values, math.nan, result.status)
             theta_hat = result.theta_hat.values
-    except (NonIdentifiable, DegenerateLikelihood, DegenerateThreshold) as err:
+    except (NonIdentifiable, DegenerateLikelihood) as err:
         return TrialOutcome(n, None, math.nan, type(err).__name__)
     err = _squared_error(family, theta_hat, theta0, config.error_metric)
     return TrialOutcome(n, theta_hat, err, "converged")

@@ -37,7 +37,6 @@ from scipy.integrate import quad
 from bitglm import CensoredDataset, _gauss, _poisson, likelihood, models
 from bitglm.exceptions import DegenerateThreshold, DomainError, NumericalError
 from bitglm.fisher import FimResult, _reject
-from bitglm.likelihood import _theta_values
 
 
 def _as_1d(x):
@@ -284,7 +283,7 @@ def sandwich(V, inner):
 def uncensored_sandwich(family, theta, designs):
     """The uncensored information sum_i V_i^T Cov(T_i) V_i, from the per-row
     ``cov_statistic`` stack."""
-    theta = _theta_values(family, theta)
+    theta = family.check_theta(theta)
     return sandwich(designs.V, cov_statistic(family, designs.natural_params(theta)))
 
 
@@ -301,7 +300,7 @@ def _t3_quad(mu, sigma):
 def third_abs_moments(family, theta, designs):
     """E[||T_i||^3] per observation, shape (n,): one quadrature per distinct
     mean for the two-parameter Gaussian, closed forms elsewhere."""
-    theta = _theta_values(family, theta)
+    theta = family.check_theta(theta)
     eta = designs.natural_params(theta)[:, 0]
     if isinstance(family, models.GaussianCase1):
         return _gauss.abs_third_moment(family.sigma**2 * eta, family.sigma)
@@ -466,7 +465,7 @@ def gaussian_conditional_moments(mu, sigma, tau, b):
 def _censoring(model, theta, designs):
     """(theta, P(X_i <= tau_i)); DegenerateThreshold where a censoring
     probability is numerically 0 or 1, since both bits are weighted."""
-    theta = _theta_values(model, theta)
+    theta = model.check_theta(theta)
     f = model.prob_leq(theta, designs)
     _reject(model, (f <= 0.0) | (f >= 1.0))
     return theta, f
@@ -513,7 +512,7 @@ def deviation_derivatives(model, theta, data):
     ``cond_devs_T``.  Each scale is the largest entry of the sum of the
     rows' absolute terms: where the rows' terms cancel, no route keeps more
     digits of the total than that allows."""
-    theta = _theta_values(model, theta)
+    theta = model.check_theta(theta)
     mean_dev, cov_dev = model.cond_devs_T(theta, data.designs, data.bits)
     n, V = data.counts.astype(float), data.designs.V
     g = n[:, None] * np.einsum("idk,id->ik", V, mean_dev)

@@ -189,6 +189,8 @@ class TestFit:
             "1 1\n1 0.0\n",  # missing design entry
             "1 1\n2 0.0 1.0\n",  # invalid bit
             "1 1\none 0.0 1.0\n",  # non-numeric
+            "1 1\n1 0.0 1.0\n-1 nan 1.0\n",  # non-finite threshold
+            "1 1\n1 0.0 inf\n",  # non-finite design entry
         ],
     )
     def test_data_file_errors(self, tmp_path, body):
@@ -395,7 +397,7 @@ class TestFamilyKeys:
         assert code == 2
         assert "alpha" in err and "sigma" in err
 
-    @pytest.mark.parametrize("value", ["[1]", "null", '"x"', "true"])
+    @pytest.mark.parametrize("value", ["[1]", "null", '"x"', "true", "NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("command", ["fim", "check-conditions"])
     def test_scalar_model_keys_must_be_numbers(self, tmp_path, capsys, command, value):
         cfg = write(
@@ -429,6 +431,27 @@ class TestFamilyKeys:
         code, err = main_in_process(capsys, "fim", "--config", cfg)
         assert code == 2
         assert "(count)" in err
+
+    @pytest.mark.parametrize(
+        "model, thresholds, key",
+        [
+            ('"gaussian-case1", "weights": 1, "alpha": NaN, "sigma": 1', "[1.0]", "model.alpha"),
+            ('"gaussian-case1", "weights": 1, "alpha": 0, "sigma": Infinity', "[1.0]", "model.sigma"),
+            ('"poisson", "theta": 0.0, "covariates": 1.0', "[1.0, Infinity]", "thresholds"),
+            ('"poisson", "theta": 0.0, "covariates": [1.0, NaN]', "[1.0, 2.0]", "model.covariates"),
+            pytest.param(
+                f'"poisson", "theta": 1{"0" * 400}, "covariates": 1', "[1.0]", "model.theta",
+                id="integer-beyond-float",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fim", "check-conditions"])
+    def test_numbers_must_be_finite(self, tmp_path, capsys, command, model, thresholds, key):
+        # Python's json reads NaN and Infinity; they are config errors too
+        doc = f'{{"model": {{"name": {model}}}, "thresholds": {thresholds}}}'
+        code, err = main_in_process(capsys, command, "--config", write(tmp_path, "x.cfg", doc))
+        assert code == 2
+        assert f"({key})" in err
 
     def test_thresholds_must_not_be_empty(self, tmp_path, capsys):
         cfg = write(
@@ -528,6 +551,28 @@ class TestFamilyKeys:
                 for value in ("0.1", True, -0.5, 1.0)
             ),
             ({"fit": {"multistart_count": 1}}, "multistart_count"),
+            # non-finite numbers and rule fields that the rule's kind reads
+            *(
+                ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
+                for value in (math.nan, math.inf)
+            ),
+            ({"weights": {"kind": "constant", "value": "abc"}}, "value"),
+            ({"weights": {"kind": "list", "values": [1.0, math.nan]}}, "values"),
+            ({"weights": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
+            ({"thresholds": {"kind": "fixed", "value": True}}, "value"),
+            ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": -math.inf}}, "high"),
+            ({"thresholds": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
+            ({"thresholds": {"kind": "iid-normal", "mu": 0.0, "sd": -1.0}}, "sd"),
+            (
+                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.5, -0.5]}},
+                "probabilities",
+            ),
+            (
+                {"thresholds": {"kind": "two-point", "values": [0, math.inf], "probabilities": [1, 0]}},
+                "values",
+            ),
+            *(({"fit": {"max_iterations": value}}, "max_iterations") for value in (math.inf, 2.5)),
+            ({"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
         ],
     )
     def test_simulate_checks_every_experiment_before_running(

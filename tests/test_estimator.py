@@ -416,10 +416,12 @@ class TestInitialPoint:
 
 class TestFitConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            FitConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(gradient_tolerance=0.0)
+        for bad in (0, 2.5, np.inf):
+            with pytest.raises(ValueError, match="max_iterations"):
+                FitConfig(max_iterations=bad)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="gradient_tolerance"):
+                FitConfig(gradient_tolerance=bad)
 
     def test_explicit_start(self):
         fam, data = iid_case1([1, 1, -1, -1])

@@ -25,3 +25,4 @@ def test_ten_draws_against_itself(capsys):
     assert out.count("worst log-likelihood shortfall: 0 ") == 4
     for key in ("fim", "fim_uncensored", "score", "hessian"):
         assert out.count(f"worst relative {key} difference at theta: 0 ") == 4
+    assert out.count("worst relative uncensored_mle difference: 0 ") == 4

@@ -394,29 +394,46 @@ class TestFixedDesignEntries:
             assert err.value.index == 3
 
 
+def _bad_thetas(fam, theta):
+    """Thetas of the wrong shape, with a coordinate that is not finite, or
+    with a positive coordinate at or below 0."""
+    bad = [theta[:-1], np.append(theta, 1.0), theta[None, :]]
+    for j, kind in enumerate(fam.domain):
+        for value in (np.nan, np.inf, -np.inf, *((0.0, -1.0) if kind == "positive" else ())):
+            bad.append(theta.copy())
+            bad[-1][j] = value
+    return bad
+
+
 class TestOneDesignType:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_per_row_designs_raise(self, name, rng):
+        """Per-row designs raise TypeError, and a theta outside the family's
+        shape or domain raises DomainError, in every method that takes them."""
         fam, theta, ds = random_instance(name, rng, n=3)
         rows = [ds.subset(slice(i, i + 1)) for i in range(ds.n)]
         bits = np.ones(ds.n, dtype=np.int8)
         calls = [
-            lambda d: fam.prob_leq(theta, d),
-            lambda d: fam.uncensored_information(theta, d),
-            lambda d: fam.cond_devs_T(theta, d, bits),
-            lambda d: fam.cond_mean_dev_T(theta, d, bits),
-            lambda d: fam.max_third_abs_moment_T(theta, d),
-            lambda d: fam.sample(theta, d, np.random.default_rng(0)),
-            lambda d: fam.uncensored_mle(d, np.ones(ds.n)),
-            lambda d: fim_censored(fam, theta, d),
-            lambda d: fim_uncensored(fam, theta, d),
+            lambda t, d: fam.prob_leq(t, d),
+            lambda t, d: fam.uncensored_information(t, d),
+            lambda t, d: fam.cond_devs_T(t, d, bits),
+            lambda t, d: fam.cond_mean_dev_T(t, d, bits),
+            lambda t, d: fam.max_third_abs_moment_T(t, d),
+            lambda t, d: fam.sample(t, d, np.random.default_rng(0)),
+            lambda t, d: fim_censored(fam, t, d),
+            lambda t, d: fim_uncensored(fam, t, d),
         ]
+        for call in calls:
+            for bad in _bad_thetas(fam, theta):
+                with pytest.raises(DomainError):
+                    call(bad, ds)
+        calls.append(lambda t, d: fam.uncensored_mle(d, np.ones(ds.n)))
         if type(fam).check_designs is not ModelFamily.check_designs:
-            calls.append(fam.check_designs)
+            calls.append(lambda t, d: fam.check_designs(d))
         for call in calls:
             with pytest.raises(TypeError, match="DesignSet"):
-                call(rows)
-            call(ds)
+                call(theta, rows)
+            call(theta, ds)
 
 
 class TestRegistry:
@@ -460,6 +477,22 @@ class TestPublicSurface:
     def test_every_export_resolves(self):
         for name in bitglm.__all__:
             getattr(bitglm, name)
+
+    def test_the_contract_is_the_index_route(self):
+        assert ModelFamily.__abstractmethods__ == {
+            "index_regressors",
+            "index_link",
+            "index_weight",
+            "uncensored_information",
+            "max_third_abs_moment_T",
+            "sample",
+            "uncensored_mle",
+            "initial_point",
+        }
+        # the domain is a class attribute, set where it is not unbounded
+        owners = [cls.name for cls in models.REGISTRY.values() if "domain" in vars(cls)]
+        assert owners == ["gaussian-case2", "gaussian-case3"]
+        assert ModelFamily.domain == ("unbounded",)
 
     def test_test_oracles_are_not_exported(self):
         for owner in (bitglm, models, fisher):

@@ -3,6 +3,7 @@ condition checker."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from bitglm import (
     ExperimentFailure,
     FitConfig,
+    NonIdentifiable,
     models,
     montecarlo,
 )
@@ -116,6 +118,64 @@ class TestUncensoredMle:
         theta = fam.uncensored_mle(ds, x)[0]
         v = np.array([1.0, 2.0, 0.5])
         assert_allclose(float(v @ x), float(v @ np.exp(v * theta)), rtol=1e-10)
+
+    @staticmethod
+    def _mpmath_root(v, x):
+        """The root of sum v (x - exp(v theta)) at 40 digits: 60 bisections of
+        a bracket found by doubling, then Newton steps."""
+        with mpmath.workdps(40):
+            v, x = [mpmath.mpf(a) for a in v], [mpmath.mpf(a) for a in x]
+
+            def g(t):
+                return sum(a * (b - mpmath.exp(a * t)) for a, b in zip(v, x))
+
+            lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+            while g(lo) < 0:
+                lo *= 2
+            while g(hi) > 0:
+                hi *= 2
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            t = (lo + hi) / 2
+            for _ in range(4):
+                t += g(t) / sum(a * a * mpmath.exp(a * t) for a in v)
+            return float(t)
+
+    def test_poisson_newton_overshoot_example(self):
+        # Newton from 0 overshoots this root, at rates 149.3 and 0.29
+        fam = models.PoissonModel([2.0, -0.5])
+        theta = fam.uncensored_mle(fam.design_set([0.0, 0.0]), np.array([150.0, 3.0]))[0]
+        assert theta == pytest.approx(self._mpmath_root([2.0, -0.5], [150.0, 3.0]), rel=1e-13)
+        assert theta == pytest.approx(2.503051, abs=1e-6)
+
+    def test_poisson_root_exactly_where_the_sign_test_finds_one(self):
+        """sum v (x - exp(v theta)) falls strictly, so a root exists iff its
+        limits have opposite signs: (some v > 0 or sum v x < 0) and (some
+        v < 0 or sum v x > 0)."""
+        rng = np.random.default_rng(20)
+        found = absent = 0
+        for draw in range(120):
+            n = int(rng.integers(2, 30))
+            v = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+            if draw % 3 == 0:
+                v = np.abs(v) * rng.choice([-1.0, 1.0])  # one-signed covariates
+            lam = np.exp(v * rng.uniform(-2.0, 2.0))
+            x = rng.poisson(np.minimum(lam, 1e6)).astype(float)
+            if draw % 4 == 0:
+                x[:] = 0.0  # no root iff the covariates are one-signed
+            fam = models.PoissonModel(v)
+            designs = fam.design_set(np.zeros(n))
+            s = float(v @ x)
+            if (np.any(v > 0) or s < 0) and (np.any(v < 0) or s > 0):
+                theta = fam.uncensored_mle(designs, x)[0]
+                assert theta == pytest.approx(self._mpmath_root(v, x), rel=1e-12, abs=1e-15)
+                found += 1
+            else:
+                with pytest.raises(NonIdentifiable):
+                    fam.uncensored_mle(designs, x)
+                absent += 1
+        assert found > 80 and absent >= 10
 
 
 class TestMseExperiment:

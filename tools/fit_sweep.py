@@ -21,8 +21,11 @@ that both trees fit, and the worst relative difference, max |a - b| over
 the larger max |a|, of ``fisher.fim_censored`` (``fim``),
 ``fisher.fim_uncensored`` and the score and the Hessian of
 ``likelihood.evaluate`` at the draw's own theta, over draws where both
-trees return them.  Uses numpy and the trees' own dependencies
-only.
+trees return them.  Each draw also feeds the family's uncensored baseline:
+``fam.sample`` at the draw's theta, seeded by the draw index, then
+``uncensored_mle``, whose outcome (an estimate, or the error's name)
+transitions and worst relative estimate difference are printed the same
+way.  Uses numpy and the trees' own dependencies only.
 """
 
 import argparse
@@ -55,6 +58,7 @@ def draws(name, count, seed):
 
 def fit_all(count, seed):
     """One record per draw and family, fitted with the bitglm on sys.path."""
+    import numpy as np
     from bitglm import BitGlmError, fim_censored, fim_uncensored, fit, likelihood
 
     records = []
@@ -75,6 +79,12 @@ def fit_all(count, seed):
                 at_theta.update(score=g.tolist(), hessian=h.tolist())
             except BitGlmError:
                 pass
+            try:
+                x = fam.sample(theta0, data.designs, np.random.default_rng(i))
+                at_theta["mle"] = fam.uncensored_mle(data.designs, x).tolist()
+                at_theta["mle_outcome"] = "estimate"
+            except BitGlmError as err:
+                at_theta["mle_outcome"] = type(err).__name__
             start = time.perf_counter()
             try:
                 res = fit(fam, data)
@@ -111,6 +121,17 @@ def _rel_array(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
 
 
+def _print_transitions(pairs, key, label=""):
+    """One line per (outcome in the first tree, in the other) that differs."""
+    moves = {}
+    for a, b in pairs:
+        if a[key] != b[key]:
+            moves.setdefault((a[key], b[key]), []).append(a["draw"])
+    for (was, now), which in sorted(moves.items()):
+        shown = ", ".join(map(str, which[:5])) + (", ..." if len(which) > 5 else "")
+        print(f"    {label}{was} -> {now}: {len(which)} (draws {shown})")
+
+
 def report(trees, results):
     first = results[0]
     for tree, records in zip(trees, results):
@@ -126,10 +147,6 @@ def report(trees, results):
         print(f"== {trees[0]} -> {tree}")
         for name in FAMILIES:
             pairs = [(a, b) for a, b in zip(first, records) if a["family"] == name]
-            moves = {}  # (outcome in the first tree, in this one) -> draws
-            for a, b in pairs:
-                if a["outcome"] != b["outcome"]:
-                    moves.setdefault((a["outcome"], b["outcome"]), []).append(a["draw"])
             est = [
                 max(_rel(x, y) for x, y in zip(a["theta"], b["theta"]))
                 for a, b in pairs
@@ -142,9 +159,7 @@ def report(trees, results):
             ]
             worst = max(short, default=(0.0, None))
             print(f"  {name}:")
-            for (was, now), which in sorted(moves.items()):
-                shown = ", ".join(map(str, which[:5])) + (", ..." if len(which) > 5 else "")
-                print(f"    {was} -> {now}: {len(which)} (draws {shown})")
+            _print_transitions(pairs, "outcome")
             worst_est = max(est, default=0.0)
             print(f"    worst relative estimate difference (both converged): {worst_est:.3g}")
             print(f"    worst log-likelihood shortfall: {worst[0]:.3g} (draw {worst[1]})")
@@ -154,6 +169,11 @@ def report(trees, results):
                 worst = max(diffs, default=(0.0, None))
                 print(f"    worst relative {key} difference at theta: {worst[0]:.3g}"
                       f" (draw {worst[1]})")
+            _print_transitions(pairs, "mle_outcome", "uncensored_mle ")
+            diffs = [(_rel_array(a["mle"], b["mle"]), a["draw"])
+                     for a, b in pairs if "mle" in a and "mle" in b]
+            worst = max(diffs, default=(0.0, None))
+            print(f"    worst relative uncensored_mle difference: {worst[0]:.3g} (draw {worst[1]})")
 
 
 def main(argv=None):
