@@ -44,12 +44,11 @@ from .montecarlo import (
     generate_and_censor,
     run_mse_experiment,
 )
-from .types import CensoredDataset, DesignSet, ParameterVector
+from .types import CensoredDataset, DesignSet
 
 __all__ = [
     "__version__",
     # types
-    "ParameterVector",
     "DesignSet",
     "CensoredDataset",
     "ModelFamily",

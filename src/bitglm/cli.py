@@ -470,10 +470,10 @@ def cmd_fit(args):
     _check_keys(doc, "<root>", required=("model",), optional=("fit",))
     family, data = load_data_file(args.data, doc["model"])
     result = fit(family, data, _build_fit_config(doc.get("fit", {})))
-    moment = family.to_moment(result.theta_hat.values)
+    moment = family.to_moment(result.theta_hat)
     payload = {
         "model": family.name,
-        "theta_hat": [float(v) for v in result.theta_hat.values],
+        "theta_hat": [float(v) for v in result.theta_hat],
         "moment_labels": list(family.moment_labels()),
         "moment_values": [float(v) for v in moment],
         "converged": result.converged,
@@ -485,7 +485,7 @@ def cmd_fit(args):
     }
     lines = [
         f"model: {family.name} (n={data.n})",
-        f"theta_hat (natural): {np.array2string(result.theta_hat.values, precision=10)}",
+        f"theta_hat (natural): {np.array2string(result.theta_hat, precision=10)}",
         f"estimate ({', '.join(family.moment_labels())}): {np.array2string(moment, precision=10)}",
         f"status: {result.status} after {result.iterations} iterations "
         f"(|score|_inf = {result.final_score_norm:.3e})",
@@ -548,21 +548,6 @@ def cmd_check_conditions(args):
         f"... {mark(report.information_positive)}",
         f"overall: {mark(report.passed)}",
     ]
-    if family.name == "gaussian-case3":
-        # clause (3) already holds the averaged information's eigenvalue; all
-        # zero weights leave its first row and column zero, so it fails there
-        nonzero = float(np.mean(family.weights != 0.0))
-        payload["positive_definiteness_check"] = {
-            "max_abs_weight": float(np.max(np.abs(family.weights))),
-            "nonzero_weight_fraction": nonzero,
-            "min_eigenvalue": report.min_eigenvalue,
-            "passed": report.information_positive,
-        }
-        lines.append(
-            f"positive-definiteness sufficient conditions: {mark(report.information_positive)} "
-            f"(nonzero-weight fraction {nonzero:.3g}, "
-            f"min eigenvalue {report.min_eigenvalue:.6g})"
-        )
     _emit(args, payload, lines)
     _write_json_report(args, doc, payload, "conditions.json")
     return EXIT_OK

@@ -33,7 +33,6 @@ from scipy import linalg as sla
 
 from . import likelihood
 from .exceptions import DegenerateLikelihood, DomainError, NonIdentifiable, NumericalError
-from .types import ParameterVector
 
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
@@ -67,14 +66,15 @@ class FitConfig:
 class FitResult:
     """Outcome of a fit, in theta.
 
-    ``observed_information`` is the negated Hessian at the estimate;
+    ``theta_hat`` is a read-only (k,) float array inside the family's
+    domain; ``observed_information`` is the negated Hessian at the estimate;
     ``status`` is one of "converged", "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
     moved just inside to sigma ~ 1/eps).
     """
 
-    theta_hat: ParameterVector
+    theta_hat: np.ndarray
     iterations: int
     final_score_norm: float
     log_likelihood: float
@@ -280,9 +280,11 @@ def fit(model, data, config=None):
             )
         if not eigs[0] > 0.0:
             status = "max-iterations"
+    # the start itself where no step was taken, so it is not rounded twice
+    theta_hat = model.check_theta(start if beta is beta0 else model.theta_from_index(beta)).copy()
+    theta_hat.setflags(write=False)
     return FitResult(
-        # the start itself where no step was taken, so it is not rounded twice
-        theta_hat=model.parameter_vector(start if beta is beta0 else model.theta_from_index(beta)),
+        theta_hat=theta_hat,
         iterations=iterations,
         final_score_norm=gnorm,
         log_likelihood=ll,

@@ -32,7 +32,8 @@ Design notes
   concrete class.
 * ``domain`` is a class attribute, unbounded unless a family overrides it,
   and ``check_theta`` is the one theta check: every method that takes
-  theta runs it.
+  theta runs it.  theta is a plain (k,) array, and so is an estimate
+  (``FitResult.theta_hat``, read-only, checked before it is returned).
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
@@ -43,16 +44,15 @@ import abc
 import numpy as np
 
 from .exceptions import DomainError
-from .types import DesignSet, ParameterVector, check_domain
+from .types import DesignSet
 
 
 class ModelFamily(abc.ABC):
     """Abstract base for concrete model families.
 
     Subclasses set ``name``, ``d`` and ``k`` and implement the abstract
-    methods.  ``theta`` arguments are (k,) arrays or ParameterVectors, checked
-    by :meth:`check_theta`; use :meth:`parameter_vector` to get a validated
-    ParameterVector.
+    methods.  ``theta`` arguments are (k,) arrays, checked by
+    :meth:`check_theta`.
     """
 
     #: registry name, e.g. "gaussian-case1"
@@ -69,19 +69,20 @@ class ModelFamily(abc.ABC):
     fit_keys = ()
 
     # -- parameter domain ------------------------------------------------
-    #: per-coordinate constraints, a tuple of DOMAIN_KINDS entries
+    #: per-coordinate constraints, each "unbounded" or "positive"
     domain = ("unbounded",)
 
-    def parameter_vector(self, values):
-        return ParameterVector(values, self.domain)
-
     def check_theta(self, theta):
-        """theta (an array or a ParameterVector) as a (k,) array; DomainError
-        unless it has k coordinates, all finite and inside ``domain``."""
-        theta = np.atleast_1d(np.asarray(getattr(theta, "values", theta), dtype=float))
+        """theta as a (k,) float array; DomainError unless it has k
+        coordinates, all finite and inside ``domain``."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.k,):
             raise DomainError(f"{self.name} expects {self.k} parameters, got shape {theta.shape}")
-        check_domain(theta, self.domain)
+        if not np.all(np.isfinite(theta)):
+            raise DomainError("parameter coordinates must be finite")
+        for j, (v, kind) in enumerate(zip(theta, self.domain)):
+            if kind == "positive" and not v > 0.0:
+                raise DomainError(f"coordinate {j} must be strictly positive, got {v!r}")
         return theta
 
     # -- designs -----------------------------------------------------------

@@ -276,8 +276,8 @@ def run_trial(config, n, trial):
         else:
             result = fit(family, generate_and_censor(family, theta0, designs, rng), config.fit)
             if not result.converged:
-                return TrialOutcome(n, result.theta_hat.values, math.nan, result.status)
-            theta_hat = result.theta_hat.values
+                return TrialOutcome(n, result.theta_hat, math.nan, result.status)
+            theta_hat = result.theta_hat
     except (NonIdentifiable, DegenerateLikelihood) as err:
         return TrialOutcome(n, None, math.nan, type(err).__name__)
     err = _squared_error(family, theta_hat, theta0, config.error_metric)
@@ -416,8 +416,7 @@ def check_consistency_conditions(model, theta0, designs):
     vnorm = float(np.max(np.sum(np.abs(designs.V), axis=2)))
 
     avg = fisher.fim_censored(model, theta0, designs).matrix / n
-    eigs = np.linalg.eigvalsh(avg)
-    det = fisher._det_small(avg)
+    info = fisher.FimResult.build(avg)
 
     if n >= 2:
         half = designs.subset(slice(0, n // 2))
@@ -432,10 +431,12 @@ def check_consistency_conditions(model, theta0, designs):
         max_third_abs_moment=max_t3,
         max_design_norm=vnorm,
         avg_information=avg,
-        min_eigenvalue=float(eigs[0]),
-        determinant=float(det),
+        min_eigenvalue=info.min_eigenvalue,
+        determinant=info.determinant,
         prefix_drift=prefix_drift,
         moments_bounded=bool(np.isfinite(max_t3)),
         designs_bounded=bool(np.isfinite(vnorm)),
-        information_positive=bool(eigs[0] > EIGENVALUE_TOLERANCE and np.isfinite(det)),
+        information_positive=bool(
+            info.min_eigenvalue > EIGENVALUE_TOLERANCE and np.isfinite(info.determinant)
+        ),
     )

@@ -1,5 +1,7 @@
-"""Core value types: parameters, designs, and censored datasets.
+"""Core value types: designs and censored datasets.
 
+A parameter theta is a plain (k,) float array; its domain belongs to the
+model family (``ModelFamily.domain``, checked by ``check_theta``).
 Designs have one form, ``DesignSet``: the (V_i, tau_i) of all
 observations stacked into contiguous arrays, which every layer takes.
 All types are immutable after construction (arrays are made read-only),
@@ -10,59 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
-
-#: Allowed per-coordinate domain constraints for a parameter vector.
-DOMAIN_KINDS = ("unbounded", "positive")
-
 
 def _readonly(a):
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
-
-
-def check_domain(values, domain):
-    """Raise DomainError unless every coordinate satisfies its constraint."""
-    values = np.asarray(values, dtype=float)
-    if len(domain) != values.shape[0]:
-        raise DomainError(
-            f"parameter has {values.shape[0]} coordinates but domain lists {len(domain)}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise DomainError("parameter coordinates must be finite")
-    for j, (v, kind) in enumerate(zip(values, domain)):
-        if kind not in DOMAIN_KINDS:
-            raise DomainError(f"unknown domain constraint {kind!r}")
-        if kind == "positive" and not v > 0.0:
-            raise DomainError(f"coordinate {j} must be strictly positive, got {v!r}")
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """A parameter point together with its per-coordinate domain.
-
-    Attributes
-    ----------
-    values : ndarray, shape (k,)
-    domain : tuple of str
-        One of "unbounded", "positive" per coordinate,
-        checked on construction.
-    """
-
-    values: np.ndarray
-    domain: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if self.values.ndim != 1 or self.values.shape[0] < 1:
-            raise DomainError("parameter must be a vector with k >= 1 coordinates")
-        check_domain(self.values, self.domain)
-
-    @property
-    def k(self):
-        return self.values.shape[0]
 
 
 class DesignSet:

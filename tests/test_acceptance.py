@@ -391,10 +391,10 @@ def test_criterion_9_grid_oracle_and_determinism():
         if not res.converged:
             continue
         rerun = fit(fam, data, cfg)
-        assert np.array_equal(res.theta_hat.values, rerun.theta_hat.values)
+        assert np.array_equal(res.theta_hat, rerun.theta_hat)
         assert res.log_likelihood == rerun.log_likelihood
 
-        top = float(res.theta_hat.values[0])
+        top = float(res.theta_hat[0])
         lo, hi = (1e-3, top + 3.0) if name == "gaussian-case2" else (top - 3.0, top + 3.0)
         star = grid_search_maximizer(fam, data, lo, hi)
         worst = max(worst, abs(top - star))

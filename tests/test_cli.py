@@ -175,7 +175,7 @@ class TestFit:
         fam = models.GaussianCase1(np.ones(4), sigma=1.0)
         dataset = CensoredDataset([1, 1, 1, -1], fam.design_set(np.zeros(4)))
         res = fit(fam, dataset, FitConfig())
-        assert doc["theta_hat"] == [float(v) for v in res.theta_hat.values]
+        assert doc["theta_hat"] == [float(v) for v in res.theta_hat]
         assert doc["log_likelihood"] == res.log_likelihood
         assert doc["iterations"] == res.iterations
         assert doc["observed_information"] == [
@@ -325,7 +325,8 @@ class TestCheckConditions:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert doc["positive_definiteness_check"]["passed"] is True
+        assert doc["min_eigenvalue"] > 0 and doc["information_positive"] is True
+        assert "positive_definiteness_check" not in doc
 
     def test_human_output_lists_clauses(self):
         code, out, _ = run_cli(
@@ -336,35 +337,32 @@ class TestCheckConditions:
 
     @staticmethod
     def _case3(tmp_path, capsys, weights, taus):
-        """(payload, its positive-definiteness part) of check-conditions on
-        gaussian-case3 at alpha = sigma = 1; the part reads clause (3)."""
+        """The payload of check-conditions on gaussian-case3 at alpha = sigma = 1."""
         doc = {
             "model": {"name": "gaussian-case3", "alpha": 1.0, "sigma": 1.0, "weights": weights},
             "thresholds": taus,
         }
         cfg = write(tmp_path, "case3.cfg", json.dumps(doc))
         assert cli.main(["check-conditions", "--config", cfg, "--json"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        posdef = out["positive_definiteness_check"]
-        assert posdef["min_eigenvalue"] == out["min_eigenvalue"]
-        return out, posdef
+        return json.loads(capsys.readouterr().out)
 
     def test_all_zero_weights_fail_nontriviality(self, tmp_path, capsys):
-        _, posdef = self._case3(tmp_path, capsys, [0.0, 0.0, 0.0], [0.1, 0.5, 0.9])
-        assert posdef["nonzero_weight_fraction"] == 0.0
-        assert posdef["passed"] is False
+        # zero weights leave the information's first row and column zero
+        out = self._case3(tmp_path, capsys, [0.0, 0.0, 0.0], [0.1, 0.5, 0.9])
+        assert out["avg_information"][0] == [0.0, 0.0]
+        assert out["min_eigenvalue"] == 0.0
+        assert out["information_positive"] is False
 
     def test_identical_thresholds_are_rank_one(self, tmp_path, capsys):
-        out, posdef = self._case3(tmp_path, capsys, 1.0, [0.3] * 20)
-        assert posdef["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
+        out = self._case3(tmp_path, capsys, 1.0, [0.3] * 20)
+        assert out["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
         assert out["information_positive"] is False
-        assert posdef["passed"] is False
 
     def test_continuous_thresholds_pass(self, tmp_path, capsys):
         taus = np.random.default_rng(11).uniform(0.0, 3.0, 1000)
-        _, posdef = self._case3(tmp_path, capsys, 1.0, taus.tolist())
-        assert posdef["min_eigenvalue"] > 0
-        assert posdef["passed"] is True
+        out = self._case3(tmp_path, capsys, 1.0, taus.tolist())
+        assert out["min_eigenvalue"] > 0
+        assert out["information_positive"] is True
 
 
 def main_in_process(capsys, *args):

@@ -40,7 +40,7 @@ class TestFitSpots:
         fam, data = iid_case1([1, -1, 1, -1])
         res = fit(fam, data)
         assert res.converged
-        assert res.theta_hat.values[0] == pytest.approx(0.0, abs=1e-12)
+        assert res.theta_hat[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_three_quarters_inversion(self):
         # closed form: alpha_hat = tau - sigma * quantile(3/4)
@@ -48,8 +48,8 @@ class TestFitSpots:
         res = fit(fam, data)
         want = -float(norm_ppf(0.75))
         assert res.converged
-        assert_allclose(res.theta_hat.values[0], want, rtol=1e-8)
-        assert res.theta_hat.values[0] == pytest.approx(-0.6744897501960817, abs=1e-7)
+        assert_allclose(res.theta_hat[0], want, rtol=1e-8)
+        assert res.theta_hat[0] == pytest.approx(-0.6744897501960817, abs=1e-7)
 
     def test_all_positive_bits_raise(self):
         fam, data = iid_case1([1, 1, 1, 1])
@@ -102,7 +102,7 @@ class TestFitSpots:
         data = CensoredDataset(np.where(x <= taus, 1, -1), ds)
         res = fit(fam, data)
         assert res.converged
-        alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(res.theta_hat.values)
+        alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(res.theta_hat)
         assert alpha == pytest.approx(2.0, abs=0.15)
         assert sigma2 == pytest.approx(1.0, abs=0.2)
         assert res.final_score_norm <= 1e-9
@@ -116,7 +116,7 @@ class TestFitSpots:
         res = fit(fam, data, FitConfig(max_iterations=300))
         assert not res.converged
         assert res.status == "boundary-divergence"
-        assert res.theta_hat.values[0] > 0  # never left the domain
+        assert res.theta_hat[0] > 0  # never left the domain
 
     @pytest.mark.parametrize("tau, b", [(9.0, -1), (-40.0, 1)])
     def test_one_far_tail_bit_does_not_stop_the_fit(self, tau, b):
@@ -160,7 +160,7 @@ class TestWall:
         data = CensoredDataset([1, -1, 1, -1] * 2, fam.design_set([1.5] * 4 + [-0.5] * 4))
         assert _case2_wall_statistic(fam, data) == 0.0
         res = fit(fam, data)
-        assert res.status == "boundary-divergence" and 0.0 < res.theta_hat.values[0] < 1e-20
+        assert res.status == "boundary-divergence" and 0.0 < res.theta_hat[0] < 1e-20
 
     def test_case3_wall_maximum_against_a_bounded_line_search(self):
         # this used to stop at max-iterations, 4.6e-4 below the supremum
@@ -178,6 +178,62 @@ class TestWall:
             options={"xatol": 1e-12},
         )
         assert_allclose(res.log_likelihood, -line.fun, rtol=1e-8)
+
+
+class TestEstimateType:
+    """An estimate is one type everywhere: a read-only float64 (k,) array
+    that the family's ``check_theta`` accepts, from ``fit`` and from
+    ``run_trial`` alike."""
+
+    PARAMS = {
+        "gaussian-case1": {"alpha": 0.5, "sigma": 1.0},
+        "gaussian-case2": {"sigma": 1.0},
+        "gaussian-case3": {"alpha": 0.5, "sigma": 1.0},
+        "poisson": {"theta": 0.3},
+    }
+
+    @staticmethod
+    def _check(fam, theta_hat):
+        assert type(theta_hat) is np.ndarray and theta_hat.dtype == np.float64
+        assert theta_hat.shape == (fam.k,) and not theta_hat.flags.writeable
+        assert np.array_equal(fam.check_theta(theta_hat), theta_hat)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_fit_and_run_trial(self, name):
+        config = montecarlo.ExperimentConfig(
+            model=name,
+            true_params=self.PARAMS[name],
+            weights=montecarlo.WeightsRule(kind="constant", value=1.0),
+            thresholds=montecarlo.ThresholdRule(
+                kind="two-point", values=(0.0, 2.0), probabilities=(0.5, 0.5)
+            ),
+            sample_sizes=(400,),
+            trials=1,
+            seed=3,
+        )
+        rng = np.random.default_rng(3)
+        fam, designs, theta0 = montecarlo.family_and_theta(config, 400, rng)
+        res = fit(fam, montecarlo.generate_and_censor(fam, theta0, designs, rng))
+        assert res.status == "converged"
+        self._check(fam, res.theta_hat)
+        outcome = montecarlo.run_trial(config, 400, 0)
+        assert outcome.status == "converged"
+        self._check(fam, outcome.theta_hat)
+
+    def test_boundary_divergence(self):
+        fam = models.GaussianCase2(np.zeros(8))
+        data = CensoredDataset([1, -1, 1, -1] * 2, fam.design_set([1.5] * 4 + [-0.5] * 4))
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence"
+        self._check(fam, res.theta_hat)
+
+    def test_start_is_copied(self):
+        # an estimate that is the start itself does not alias the caller's array
+        fam, data = iid_case1([1, -1, 1, -1])
+        start = np.zeros(1)
+        res = fit(fam, data, FitConfig(start=start))
+        assert res.theta_hat[0] == 0.0 and not np.shares_memory(res.theta_hat, start)
+        self._check(fam, res.theta_hat)
 
 
 class TestSeparation:
@@ -211,7 +267,7 @@ class TestSeparation:
         assert not lp_separated(fam, data)
         res = fit(fam, data)
         assert res.converged
-        top = res.theta_hat.values[0]
+        top = res.theta_hat[0]
         assert top == pytest.approx(0.3882, abs=1e-4)
         assert abs(top - grid_search_maximizer(fam, data, 1e-3, top + 3.0)) <= 1e-6
 
@@ -292,7 +348,7 @@ class TestOracleAgreement:
                 continue
             if not res.converged:
                 continue
-            top = res.theta_hat.values[0]
+            top = res.theta_hat[0]
             lo, hi = (1e-3, top + 4.0) if name == "gaussian-case2" else (top - 4.0, top + 4.0)
             star = grid_search_maximizer(fam, data, lo, hi)
             assert abs(top - star) <= 1e-6, f"{name}: {top} vs grid {star}"
@@ -314,7 +370,7 @@ class TestOracleAgreement:
                 continue
             base = res.log_likelihood
             for _ in range(12):
-                probe = res.theta_hat.values + 1e-4 * rng.standard_normal(2)
+                probe = res.theta_hat + 1e-4 * rng.standard_normal(2)
                 if probe[1] <= 0:
                     continue
                 assert likelihood.log_likelihood(fam, probe, data) <= base + 1e-10
@@ -331,7 +387,7 @@ def test_poisson_fit_reads_the_far_right_tail():
     data = CensoredDataset(np.array([-1, -1, -1, 1, 1, 1])[rows], fam.design_set(taus))
     res = fit(fam, data)
     assert res.converged
-    top = res.theta_hat.values[0]
+    top = res.theta_hat[0]
     assert abs(top - grid_search_maximizer(fam, data, top - 3.0, top + 3.0)) <= 1e-6
 
 
@@ -346,7 +402,7 @@ def test_poisson_line_search_probe_past_the_rate_range_does_not_warn():
     taus = fam.design_set([1.0, 4.0, 6.0, 2.0, 5.0, 2.0])
     res = fit(fam, CensoredDataset(np.array([-1, -1, 1, 1, -1, -1]), taus))
     assert res.converged
-    assert res.theta_hat.values[0] == pytest.approx(-1.975720862747147, rel=1e-12)
+    assert res.theta_hat[0] == pytest.approx(-1.975720862747147, rel=1e-12)
 
 
 class TestDeterminism:
@@ -362,7 +418,7 @@ class TestDeterminism:
             b = fit(fam, data, cfg)
         except NonIdentifiable:
             pytest.skip("instance not identifiable")
-        assert np.array_equal(a.theta_hat.values, b.theta_hat.values)
+        assert np.array_equal(a.theta_hat, b.theta_hat)
         assert a.log_likelihood == b.log_likelihood
         assert a.iterations == b.iterations
         assert np.array_equal(a.observed_information, b.observed_information)
@@ -382,7 +438,7 @@ class TestDeterminism:
                     outcomes.append(type(err))
                     continue
                 outcomes.append(
-                    (res.theta_hat.values.tobytes(), res.log_likelihood, res.status, res.iterations)
+                    (res.theta_hat.tobytes(), res.log_likelihood, res.status, res.iterations)
                 )
             assert all(o == outcomes[0] for o in outcomes)
             fitted += not isinstance(outcomes[0], type)
@@ -427,7 +483,7 @@ class TestFitConfigValidation:
         fam, data = iid_case1([1, 1, -1, -1])
         res = fit(fam, data, FitConfig(start=np.array([2.0])))
         assert res.converged
-        assert res.theta_hat.values[0] == pytest.approx(0.0, abs=1e-9)
+        assert res.theta_hat[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def _fig1_trial(name, n, trial):
@@ -470,7 +526,7 @@ class TestBlindLineSearch:
         res = fit(fam, data, config.fit)
         assert res.converged and res.status == "converged"
         assert res.final_score_norm <= 1e-9
-        alpha_sigma = fam.to_moment(res.theta_hat.values)
+        alpha_sigma = fam.to_moment(res.theta_hat)
         assert_allclose(alpha_sigma, _closed_form_two_threshold(data), rtol=1e-8)
 
 
@@ -536,7 +592,7 @@ class TestProbitStart:
         assert_allclose(fam.to_moment(fam.initial_point(data)), want, rtol=1e-10)
         res = fit(fam, data, config.fit)
         assert res.converged and res.iterations == 1
-        assert_allclose(fam.to_moment(res.theta_hat.values), want, rtol=1e-10)
+        assert_allclose(fam.to_moment(res.theta_hat), want, rtol=1e-10)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_one_design_per_family_parameter_is_inverted_exactly(self, name):
@@ -568,7 +624,7 @@ class TestProbitStart:
         assert_allclose(start, fam_usable.initial_point(usable.grouped()), rtol=1e-12)
         res = fit(fam, data)
         assert res.converged and res.iterations > 1
-        assert not np.allclose(res.theta_hat.values, start, rtol=1e-6, atol=0.0)
+        assert not np.allclose(res.theta_hat, start, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):
@@ -620,5 +676,5 @@ class TestProbitStart:
         # singular information (one case-3 design: a ridge) has no unique one
         lam = np.linalg.eigvalsh(new.observed_information)[0]
         slack = 2.0 * (new.final_score_norm + old.final_score_norm) / lam if lam > 0 else np.inf
-        got, want = new.theta_hat.values, old.theta_hat.values
+        got, want = new.theta_hat, old.theta_hat
         assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want) + slack)

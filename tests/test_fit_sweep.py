@@ -26,3 +26,12 @@ def test_ten_draws_against_itself(capsys):
     for key in ("fim", "fim_uncensored", "score", "hessian"):
         assert out.count(f"worst relative {key} difference at theta: 0 ") == 4
     assert out.count("worst relative uncensored_mle difference: 0 ") == 4
+
+
+def test_estimates_that_round_to_zero_read_their_difference():
+    # a root within rounding of 0 in one tree and exactly 0 in the other
+    assert fit_sweep._rel(4.6e-18, 0.0) == 4.6e-18
+    assert fit_sweep._rel_array([4.6e-18], [0.0], 1.0) == 4.6e-18
+    # above 1 the difference stays relative, and so do the matrices
+    assert fit_sweep._rel(4.0, 2.0) == 0.5
+    assert fit_sweep._rel_array([[4.6e-18]], [[0.0]]) == 1.0

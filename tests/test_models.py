@@ -23,6 +23,7 @@ from bitglm import (
     likelihood,
     log_likelihood,
     models,
+    types,
 )
 from conftest import MODEL_NAMES, random_instance
 from _oracles import (
@@ -493,6 +494,17 @@ class TestPublicSurface:
         owners = [cls.name for cls in models.REGISTRY.values() if "domain" in vars(cls)]
         assert owners == ["gaussian-case2", "gaussian-case3"]
         assert ModelFamily.domain == ("unbounded",)
+
+    def test_the_domain_has_one_carrier(self):
+        # an estimate is a plain array and check_theta the one domain check
+        for owner, names in (
+            (bitglm, ("ParameterVector", "check_domain", "DOMAIN_KINDS")),
+            (types, ("ParameterVector", "check_domain", "DOMAIN_KINDS")),
+            (ModelFamily, ("parameter_vector",)),
+        ):
+            stale = [name for name in names if hasattr(owner, name)]
+            assert not stale, f"{owner.__name__} still has {stale}"
+        assert "ParameterVector" not in bitglm.__all__
 
     def test_test_oracles_are_not_exported(self):
         for owner in (bitglm, models, fisher):

@@ -1,38 +1,9 @@
 import numpy as np
 import pytest
 
-from bitglm import CensoredDataset, DesignSet, DomainError, ParameterVector
+from bitglm import CensoredDataset, DesignSet
 
 from _oracles import lexsort_design_tally, lexsort_grouped
-
-
-class TestParameterVector:
-    def test_accepts_valid(self):
-        pv = ParameterVector([0.5, 2.0], ("unbounded", "positive"))
-        assert pv.k == 2
-        assert pv.values.flags.writeable is False
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            ParameterVector([1.0, 2.0], ("unbounded",))
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(DomainError):
-            ParameterVector([bad], ("positive",))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            ParameterVector([np.nan], ("unbounded",))
-
-    def test_rejects_unknown_constraint(self):
-        with pytest.raises(DomainError):
-            ParameterVector([1.0], ("somewhere",))
-
-    def test_no_negative_constraint(self):
-        # no family constrains a coordinate below zero
-        with pytest.raises(DomainError, match="unknown domain constraint"):
-            ParameterVector([-1.0], ("negative",))
 
 
 class TestDesignSet:

@@ -14,18 +14,21 @@ Each tree fits them in its own interpreter, one process at a time.
 
 Prints, per tree and family, the count of each outcome (a ``FitResult``
 status, or the name of the error ``fit`` raised) and the total fit time;
-then, against the first tree, the outcome transitions, the worst relative
-difference of estimates that both trees report converged, the worst
-log-likelihood shortfall, (ll_first - ll_other) / |ll_first|, over draws
-that both trees fit, and the worst relative difference, max |a - b| over
-the larger max |a|, of ``fisher.fim_censored`` (``fim``),
+then, against the first tree, the outcome transitions, the worst
+difference of estimates that both trees report converged, |a - b| over
+max(|a|, |b|, 1) per coordinate, the worst log-likelihood shortfall,
+(ll_first - ll_other) / |ll_first|, over draws that both trees fit, and
+the worst relative difference, max |a - b| over the larger max |a|, of
+``fisher.fim_censored`` (``fim``),
 ``fisher.fim_uncensored`` and the score and the Hessian of
 ``likelihood.evaluate`` at the draw's own theta, over draws where both
 trees return them.  Each draw also feeds the family's uncensored baseline:
 ``fam.sample`` at the draw's theta, seeded by the draw index, then
 ``uncensored_mle``, whose outcome (an estimate, or the error's name)
-transitions and worst relative estimate difference are printed the same
-way.  Uses numpy and the trees' own dependencies only.
+transitions and worst estimate difference, floored at 1 like the fit's,
+are printed the same way.  An estimate is read as an array or, from a tree
+that wraps it, as its ``.values``.  Uses numpy and the trees' own
+dependencies only.
 """
 
 import argparse
@@ -91,7 +94,8 @@ def fit_all(count, seed):
             except BitGlmError as err:
                 outcome, theta, ll = type(err).__name__, None, None
             else:
-                outcome, theta, ll = res.status, res.theta_hat.values.tolist(), res.log_likelihood
+                theta = getattr(res.theta_hat, "values", res.theta_hat).tolist()
+                outcome, ll = res.status, res.log_likelihood
             records.append({
                 "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
                 "seconds": time.perf_counter() - start, **at_theta,
@@ -111,14 +115,16 @@ def run_tree(tree, count, seed):
 
 
 def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    """|a - b| of two estimates, relative above 1 and absolute below, so two
+    that both round to 0 read their difference, not 1."""
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def _rel_array(a, b):
+def _rel_array(a, b, floor=1e-300):
     import numpy as np
 
     a, b = np.asarray(a), np.asarray(b)
-    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), floor))
 
 
 def _print_transitions(pairs, key, label=""):
@@ -170,7 +176,7 @@ def report(trees, results):
                 print(f"    worst relative {key} difference at theta: {worst[0]:.3g}"
                       f" (draw {worst[1]})")
             _print_transitions(pairs, "mle_outcome", "uncensored_mle ")
-            diffs = [(_rel_array(a["mle"], b["mle"]), a["draw"])
+            diffs = [(_rel_array(a["mle"], b["mle"], 1.0), a["draw"])
                      for a, b in pairs if "mle" in a and "mle" in b]
             worst = max(diffs, default=(0.0, None))
             print(f"    worst relative uncensored_mle difference: {worst[0]:.3g} (draw {worst[1]})")
