@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .exceptions import (
     NonIdentifiable,
     NumericalError,
 )
-from .types import CensoredDataset
+from .types import CensoredDataset, is_finite_number, is_integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,14 +82,9 @@ def _check_keys(obj, path, required=(), optional=()):
 
 
 def _number(value, path, expected="a finite number"):
-    """A finite JSON number as a float; JSON's true and false are not
-    numbers, nor are the NaN and Infinity that Python's json reads, nor an
-    integer too large for a float."""
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass
+    """A finite JSON number (``is_finite_number``) as a float."""
+    if is_finite_number(value):
+        return float(value)
     raise ConfigError(f"expected {expected}", location=path)
 
 
@@ -103,19 +99,14 @@ def _floats(value, count, path):
     return np.full(count, value)
 
 
-def _integer(value, path, minimum):
-    """A JSON integer >= ``minimum``; JSON's true and false are not integers."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
-        return value
-    raise ConfigError(f"expected an integer >= {minimum}", location=path)
-
-
 def _count(doc):
     """A config's optional ``count``: None, or a JSON integer >= 1 that, beside
     a threshold list, equals its length."""
     if "count" not in doc:
         return None
-    count = _integer(doc["count"], "count", 1)
+    count = doc["count"]
+    if not is_integer(count, 1):
+        raise ConfigError("expected an integer >= 1", location="count")
     if isinstance(doc["thresholds"], list) and len(doc["thresholds"]) != count:
         raise ConfigError(
             f"count is {count} but thresholds lists {len(doc['thresholds'])} entries",
@@ -156,7 +147,7 @@ def _model_values(model, cls, keys, n, path):
 
 def build_model_instance(doc, path="model"):
     """(family, theta0, designs) from a model+thresholds config section."""
-    _check_keys(doc, "<root>", required=("model", "thresholds"), optional=("count", "fit"))
+    _check_keys(doc, "<root>", required=("model", "thresholds"), optional=("count",))
     model = doc["model"]
     cls = _family_class(model, path, lambda c: (c.per_obs_key, *c.param_keys))
     taus = _floats(doc["thresholds"], _count(doc), "thresholds")
@@ -165,75 +156,47 @@ def build_model_instance(doc, path="model"):
     return family, theta0, family.design_set(taus)
 
 
-def _build_fit_config(doc, path="fit"):
-    # every solver setting but an explicit start, which configs cannot give
-    keys = [f.name for f in dataclasses.fields(FitConfig) if f.name != "start"]
-    _check_keys(doc, path, optional=keys)
-    try:
-        return FitConfig(**doc)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err), location=path) from err
+def _build(cls, doc, path):
+    """``cls`` from its config section ``doc`` at ``path``.
 
-
-def _build_rule(rule_cls, doc, path):
-    """A WeightsRule or ThresholdRule from its config object."""
-    keys = [f.name for f in dataclasses.fields(rule_cls)]
-    _check_keys(doc, path, required=("kind",), optional=keys)
-    tupled = {k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()}
+    The section's keys are the dataclass's fields, those without a default
+    required; a field whose type is a dataclass is a section built the same
+    way.  Other values pass unchanged, lists as tuples, for ``cls`` to
+    check, and its error is a ConfigError at ``path``.
+    """
+    # every field but FitConfig's explicit start, which configs cannot give
+    fields = {k: p for k, p in inspect.signature(cls).parameters.items() if k != "start"}
+    required = [k for k, p in fields.items() if p.default is p.empty]
+    _check_keys(doc, path, required=required, optional=fields)
+    values = {}
+    for key, value in doc.items():
+        if dataclasses.is_dataclass(fields[key].annotation):
+            values[key] = _build(fields[key].annotation, value, f"{path}.{key}")
+        else:
+            values[key] = tuple(value) if isinstance(value, list) else value
     try:
-        return rule_cls(**tupled)
+        return cls(**values)
     except (ConfigError, TypeError, ValueError) as err:
         raise ConfigError(str(err), location=path) from err
-
-
-_EXPERIMENT_KEYS = dict(
-    required=(
-        "model",
-        "true_params",
-        "weights",
-        "thresholds",
-        "sample_sizes",
-        "trials",
-        "seed",
-    ),
-    optional=("name", "error_metric", "estimator", "fit", "max_failure_fraction"),
-)
 
 
 def build_experiment(doc, path="experiment", seed_override=None):
-    """(name, ExperimentConfig) from one experiment section."""
-    _check_keys(doc, path, **_EXPERIMENT_KEYS)
-    name = doc.get("name", "experiment")
-    if not isinstance(doc["true_params"], dict):
-        raise ConfigError("true_params must be an object", location=f"{path}.true_params")
-    true_params = {
-        k: _number(v, f"{path}.true_params.{k}") for k, v in doc["true_params"].items()
-    }
-    fit_cfg = _build_fit_config(doc.get("fit", {}), f"{path}.fit")
-    weights = _build_rule(montecarlo.WeightsRule, doc["weights"], f"{path}.weights")
-    thresholds = _build_rule(montecarlo.ThresholdRule, doc["thresholds"], f"{path}.thresholds")
-    if not isinstance(doc["sample_sizes"], list):
-        raise ConfigError("expected a list of integers", location=f"{path}.sample_sizes")
-    sizes = tuple(_integer(n, f"{path}.sample_sizes", 1) for n in doc["sample_sizes"])
-    trials = _integer(doc["trials"], f"{path}.trials", 1)
-    seed = _integer(doc["seed"], f"{path}.seed", 0)
-    budget = _number(doc.get("max_failure_fraction", 0.05), f"{path}.max_failure_fraction")
-    try:
-        config = montecarlo.ExperimentConfig(
-            model=doc["model"],
-            true_params=true_params,
-            weights=weights,
-            thresholds=thresholds,
-            sample_sizes=sizes,
-            trials=trials,
-            seed=seed if seed_override is None else int(seed_override),
-            error_metric=doc.get("error_metric", "moment-coordinates"),
-            estimator=doc.get("estimator", "censored"),
-            fit=fit_cfg,
-            max_failure_fraction=budget,
+    """(name, ExperimentConfig) from one experiment section.  The optional
+    ``name`` names the experiment's CSV in the output directory, so it must
+    be a file name there: a non-empty string with no path separator, not
+    "." or ".."."""
+    _check_keys(doc, path, optional=doc)  # the type only: _build checks the keys
+    section = dict(doc)
+    name = section.pop("name", "experiment")
+    file_name = isinstance(name, str) and Path(name).name == name and "\0" not in name
+    if not file_name or name in ("", ".", ".."):
+        raise ConfigError(
+            "expected a file name: a non-empty string with no path separator, not . or ..",
+            location=f"{path}.name",
         )
-    except (ConfigError, TypeError, ValueError) as err:
-        raise ConfigError(str(err), location=path) from err
+    config = _build(montecarlo.ExperimentConfig, section, path)
+    if seed_override is not None:
+        config = dataclasses.replace(config, seed=seed_override)
     return name, config
 
 
@@ -362,16 +325,12 @@ def _matrix_json(m):
     return [[float(v) for v in row] for row in np.atleast_2d(m)]
 
 
-def _print(s=""):
-    sys.stdout.write(s + "\n")
-
-
 def _emit(args, payload, human_lines):
     if args.json:
-        _print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for line in human_lines:
-            _print(line)
+            print(line)
 
 
 def _write_json_report(args, doc, payload, filename):
@@ -469,7 +428,7 @@ def cmd_fit(args):
     doc = load_json_config(args.config)
     _check_keys(doc, "<root>", required=("model",), optional=("fit",))
     family, data = load_data_file(args.data, doc["model"])
-    result = fit(family, data, _build_fit_config(doc.get("fit", {})))
+    result = fit(family, data, _build(FitConfig, doc.get("fit", {}), "fit"))
     moment = family.to_moment(result.theta_hat)
     payload = {
         "model": family.name,
@@ -509,11 +468,11 @@ def cmd_simulate(args):
         target = out_dir / f"{name}.csv"
         target.write_text(csv_text, encoding="utf-8")
         manifest.add_output(target.name)
-        _print(f"[{name}] model={config.model} trials={config.trials} -> {target}")
+        print(f"[{name}] model={config.model} trials={config.trials} -> {target}")
         for line in csv_text.strip().splitlines():
-            _print("  " + line)
+            print("  " + line)
     path = manifest.write(out_dir)
-    _print(f"manifest: {path}")
+    print(f"manifest: {path}")
     return EXIT_OK
 
 

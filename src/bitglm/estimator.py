@@ -24,8 +24,6 @@ likelihood ties the iterate's, the supremum lies on that wall (sigma ->
 infinity): ``fit`` reports that maximizer, just inside, as "boundary-divergence".
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ from scipy import linalg as sla
 
 from . import likelihood
 from .exceptions import DegenerateLikelihood, DomainError, NonIdentifiable, NumericalError
+from .types import is_finite_number, is_integer
 
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
@@ -56,9 +55,9 @@ class FitConfig:
     start: tuple = None  # explicit start; None means model.initial_point
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        if not is_integer(self.max_iterations, 1):
             raise ValueError("max_iterations must be an integer >= 1")
-        if not 0 < self.gradient_tolerance < math.inf:
+        if not (is_finite_number(self.gradient_tolerance) and self.gradient_tolerance > 0):
             raise ValueError("gradient_tolerance must be finite and > 0")
 
 

@@ -8,7 +8,6 @@ order.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,7 +20,7 @@ from .exceptions import (
     ExperimentFailure,
     NonIdentifiable,
 )
-from .types import CensoredDataset
+from .types import CensoredDataset, is_finite_number, is_integer
 
 
 def _substream(seed, n, trial):
@@ -32,16 +31,12 @@ def _substream(seed, n, trial):
 # Design-generation rules
 # ---------------------------------------------------------------------------
 
-def _finite(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _check_rule(rule, what, reads):
     """Raise ConfigError unless ``rule`` is of a kind in ``reads`` and sets
     exactly the fields that kind reads: each a finite number (not a bool),
     or for ``values`` and ``probabilities`` a non-empty list of them, with
     low <= high."""
-    if rule.kind not in reads:
+    if not isinstance(rule.kind, str) or rule.kind not in reads:
         raise ConfigError(f"unknown {what} rule {rule.kind!r}")
     given = [f.name for f in fields(rule) if f.name != "kind" and getattr(rule, f.name) is not None]
     if sorted(given) != sorted(reads[rule.kind]):
@@ -52,10 +47,10 @@ def _check_rule(rule, what, reads):
         value = getattr(rule, name)
         if name in ("values", "probabilities"):
             listed = isinstance(value, (list, tuple, np.ndarray))
-            ok = listed and len(value) > 0 and all(map(_finite, value))
+            ok = listed and len(value) > 0 and all(map(is_finite_number, value))
             need = "a non-empty list of finite numbers"
         else:
-            ok, need = _finite(value), "a finite number"
+            ok, need = is_finite_number(value), "a finite number"
         if not ok:
             raise ConfigError(f"{what} rule {rule.kind!r} needs {need} as {name}")
     if rule.kind == "iid-uniform" and not rule.low <= rule.high:
@@ -150,9 +145,11 @@ class ExperimentConfig:
     """A repeated-trial estimation experiment.
 
     ``true_params`` gives exactly the family's reporting parameters
-    (``param_keys``), e.g. {"alpha": 2, "sigma": 1} for the two-parameter
-    Gaussian or {"theta": 0.3} for the Poisson family.  ``error_metric``
-    selects the coordinates the squared error is accumulated in.
+    (``param_keys``) as finite numbers, e.g. {"alpha": 2, "sigma": 1} for
+    the two-parameter Gaussian or {"theta": 0.3} for the Poisson family.
+    ``error_metric`` selects the coordinates the squared error is
+    accumulated in.  Every field is checked here, whether a config or
+    library code builds the experiment: a bad one raises ConfigError naming it.
     """
 
     model: str
@@ -168,25 +165,34 @@ class ExperimentConfig:
     max_failure_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.model not in models.REGISTRY:
+        if not isinstance(self.model, str) or self.model not in models.REGISTRY:
             raise ConfigError(f"unknown model {self.model!r}")
         keys = models.REGISTRY[self.model].param_keys
-        if sorted(self.true_params) != sorted(keys):
+        if not isinstance(self.true_params, dict) or set(self.true_params) != set(keys):
             raise ConfigError(
-                f"true_params of {self.model!r} are {list(keys)}, got {list(self.true_params)}"
+                f"{self.model!r} needs a dict of true_params {list(keys)}, got {self.true_params!r}"
             )
-        sizes = tuple(int(n) for n in self.sample_sizes)
-        object.__setattr__(self, "sample_sizes", sizes)
+        for key, value in self.true_params.items():
+            if not is_finite_number(value):
+                raise ConfigError(f"true_params.{key} must be a finite number")
+        object.__setattr__(self, "true_params", {k: float(v) for k, v in self.true_params.items()})
+        sizes = self.sample_sizes
+        if not isinstance(sizes, (tuple, list)) or not all(is_integer(n, 1) for n in sizes):
+            raise ConfigError("sample_sizes must be a list of integers >= 1")
         if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-            raise ConfigError("sample sizes must be strictly increasing and non-empty")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ConfigError("sample_sizes must be strictly increasing and non-empty")
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
+        if not is_integer(self.trials, 1):
+            raise ConfigError("trials must be an integer >= 1")
+        if not is_integer(self.seed, 0):
+            raise ConfigError("seed must be an integer >= 0")
         if self.error_metric not in ("moment-coordinates", "natural-coordinates"):
             raise ConfigError(f"unknown error metric {self.error_metric!r}")
         if self.estimator not in ("censored", "uncensored"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if not 0.0 <= self.max_failure_fraction < 1.0:
-            raise ConfigError("max_failure_fraction must be in [0, 1)")
+        budget = self.max_failure_fraction
+        if not (is_finite_number(budget) and 0.0 <= budget < 1.0):
+            raise ConfigError("max_failure_fraction must be a number in [0, 1)")
 
 
 def family_and_theta(config, n, rng):
@@ -272,7 +278,9 @@ def run_trial(config, n, trial):
     family, designs, theta0 = family_and_theta(config, n, rng)
     try:
         if config.estimator == "uncensored":
-            theta_hat = family.uncensored_mle(designs, family.sample(theta0, designs, rng))
+            x = family.sample(theta0, designs, rng)
+            theta_hat = family.check_theta(family.uncensored_mle(designs, x)).copy()
+            theta_hat.setflags(write=False)
         else:
             result = fit(family, generate_and_censor(family, theta0, designs, rng), config.fit)
             if not result.converged:

@@ -5,12 +5,29 @@ model family (``ModelFamily.domain``, checked by ``check_theta``).
 Designs have one form, ``DesignSet``: the (V_i, tau_i) of all
 observations stacked into contiguous arrays, which every layer takes.
 All types are immutable after construction (arrays are made read-only),
-so they can be shared freely across workers.
+so they can be shared freely across workers.  ``is_finite_number`` and
+``is_integer`` are the number checks of every config type.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_finite_number(value):
+    """Whether ``value`` is a finite real number, and not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def is_integer(value, minimum):
+    """Whether ``value`` is an integer >= ``minimum``, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 def _readonly(a):

@@ -4,6 +4,7 @@ artifacts."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitglm import cli, models
+from bitglm import ConfigError, FitConfig, cli, models
 from bitglm.cli import config_hash, load_json_config
+from bitglm.montecarlo import ExperimentConfig, ThresholdRule, WeightsRule
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 #: the directory holding the package under test, put first on the child's
@@ -45,6 +47,9 @@ FOUR_ROW_DATA = """\
 1 0.0 1.0
 -1 0.0 1.0
 """
+
+#: a 400-digit integer, which no float holds
+HUGE = int("9" * 400)
 
 CASE1_FIT_CFG = '{"model": {"name": "gaussian-case1", "sigma": 1.0}}\n'
 
@@ -371,6 +376,65 @@ def main_in_process(capsys, *args):
     return code, capsys.readouterr().err
 
 
+#: (override, key) pairs: an experiment section with ``override`` applied is
+#: rejected with ``key`` in the message
+EXPERIMENT_ERRORS = [
+    ({"true_params": {"alpha": 0.5}}, "sigma"),
+    ({"true_params": {"alpha": 0.5, "sigma": 1.0, "theta": 2.0}}, "theta"),
+    ({"weights": {"kind": "list", "values": []}}, "values"),
+    ({"weights": {"kind": "constant", "value": 1.0, "low": 0.0}}, "low"),
+    ({"weights": {"kind": "zigzag", "value": 1.0}}, "zigzag"),
+    ({"thresholds": {"kind": "fixed"}}, "value"),
+    ({"thresholds": {"kind": "fixed", "value": 1.0, "sd": 2.0}}, "sd"),
+    ({"thresholds": {"kind": "iid-gamma", "mu": 1.0, "sd": 2.0}}, "iid-gamma"),
+    (
+        {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [0.6, 0.6]}},
+        "probabilities",
+    ),
+    (
+        {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.0]}},
+        "probabilities",
+    ),
+    *(
+        ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
+        for value in (True, None, "0.5", [0.5])
+    ),
+    *(({"trials": value}, "trials") for value in (2.5, True, "3", 0)),
+    *(({"seed": value}, "seed") for value in (1.5, True, "1", -1)),
+    *(
+        ({"sample_sizes": value}, "sample_sizes")
+        for value in ([50.5], [True], ["50"], [0], 50)
+    ),
+    *(
+        ({"max_failure_fraction": value}, "max_failure_fraction")
+        for value in ("0.1", True, -0.5, 1.0)
+    ),
+    ({"fit": {"multistart_count": 1}}, "multistart_count"),
+    # non-finite numbers and rule fields that the rule's kind reads
+    *(
+        ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
+        for value in (math.nan, math.inf)
+    ),
+    ({"weights": {"kind": "constant", "value": "abc"}}, "value"),
+    ({"weights": {"kind": "list", "values": [1.0, math.nan]}}, "values"),
+    ({"weights": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
+    ({"thresholds": {"kind": "fixed", "value": True}}, "value"),
+    ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": -math.inf}}, "high"),
+    ({"thresholds": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
+    ({"thresholds": {"kind": "iid-normal", "mu": 0.0, "sd": -1.0}}, "sd"),
+    (
+        {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.5, -0.5]}},
+        "probabilities",
+    ),
+    (
+        {"thresholds": {"kind": "two-point", "values": [0, math.inf], "probabilities": [1, 0]}},
+        "values",
+    ),
+    *(({"fit": {"max_iterations": value}}, "max_iterations") for value in (math.inf, 2.5)),
+    ({"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
+]
+
+
 class TestFamilyKeys:
     """Each model section holds exactly the keys its family names:
     ``per_obs_key`` and ``param_keys`` for fim and check-conditions,
@@ -515,64 +579,7 @@ class TestFamilyKeys:
         doc.update(overrides)
         return doc
 
-    @pytest.mark.parametrize(
-        "override, key",
-        [
-            ({"true_params": {"alpha": 0.5}}, "sigma"),
-            ({"true_params": {"alpha": 0.5, "sigma": 1.0, "theta": 2.0}}, "theta"),
-            ({"weights": {"kind": "list", "values": []}}, "values"),
-            ({"weights": {"kind": "constant", "value": 1.0, "low": 0.0}}, "low"),
-            ({"weights": {"kind": "zigzag", "value": 1.0}}, "zigzag"),
-            ({"thresholds": {"kind": "fixed"}}, "value"),
-            ({"thresholds": {"kind": "fixed", "value": 1.0, "sd": 2.0}}, "sd"),
-            ({"thresholds": {"kind": "iid-gamma", "mu": 1.0, "sd": 2.0}}, "iid-gamma"),
-            (
-                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [0.6, 0.6]}},
-                "probabilities",
-            ),
-            (
-                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.0]}},
-                "probabilities",
-            ),
-            *(
-                ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
-                for value in (True, None, "0.5", [0.5])
-            ),
-            *(({"trials": value}, "trials") for value in (2.5, True, "3", 0)),
-            *(({"seed": value}, "seed") for value in (1.5, True, "1", -1)),
-            *(
-                ({"sample_sizes": value}, "sample_sizes")
-                for value in ([50.5], [True], ["50"], [0], 50)
-            ),
-            *(
-                ({"max_failure_fraction": value}, "max_failure_fraction")
-                for value in ("0.1", True, -0.5, 1.0)
-            ),
-            ({"fit": {"multistart_count": 1}}, "multistart_count"),
-            # non-finite numbers and rule fields that the rule's kind reads
-            *(
-                ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
-                for value in (math.nan, math.inf)
-            ),
-            ({"weights": {"kind": "constant", "value": "abc"}}, "value"),
-            ({"weights": {"kind": "list", "values": [1.0, math.nan]}}, "values"),
-            ({"weights": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
-            ({"thresholds": {"kind": "fixed", "value": True}}, "value"),
-            ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": -math.inf}}, "high"),
-            ({"thresholds": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
-            ({"thresholds": {"kind": "iid-normal", "mu": 0.0, "sd": -1.0}}, "sd"),
-            (
-                {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [1.5, -0.5]}},
-                "probabilities",
-            ),
-            (
-                {"thresholds": {"kind": "two-point", "values": [0, math.inf], "probabilities": [1, 0]}},
-                "values",
-            ),
-            *(({"fit": {"max_iterations": value}}, "max_iterations") for value in (math.inf, 2.5)),
-            ({"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
-        ],
-    )
+    @pytest.mark.parametrize("override, key", EXPERIMENT_ERRORS)
     def test_simulate_checks_every_experiment_before_running(
         self, tmp_path, capsys, override, key
     ):
@@ -584,6 +591,69 @@ class TestFamilyKeys:
         assert code == 2
         assert key in err and "experiments[1]" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, key", EXPERIMENT_ERRORS)
+    def test_library_rejects_what_simulate_rejects(self, override, key):
+        # the same section built directly: its rules and fit section from
+        # their objects, then the experiment, which checks its own fields
+        doc = self._experiment("bad", **override)
+        del doc["name"]
+        sections = {"weights": WeightsRule, "thresholds": ThresholdRule, "fit": FitConfig}
+        # FitConfig, a solver type, raises ValueError or TypeError
+        expected = (ValueError, TypeError) if "fit" in override else ConfigError
+        with pytest.raises(expected, match=re.escape(key)):
+            for section, cls in sections.items():
+                if section in doc:
+                    doc[section] = cls(**doc[section])
+            ExperimentConfig(**doc)
+
+    @pytest.mark.parametrize("name", [["a"], "../escaped", "sub/dir", "", 5, ".", ".."])
+    def test_experiment_names_are_file_names_in_out(self, tmp_path, capsys, name):
+        # the bad name comes second: nothing may run or be written, in --out or beside it
+        doc = {"experiments": [self._experiment("good"), self._experiment(name)]}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert "experiments[1].name" in err
+        assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"weights": {"kind": "constant", "value": HUGE}}, "value"),
+            ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": HUGE}}, "high"),
+            ({"true_params": {"alpha": HUGE, "sigma": 1.0}}, "true_params.alpha"),
+            ({"max_failure_fraction": HUGE}, "max_failure_fraction"),
+        ],
+    )
+    def test_huge_integers_are_config_errors(self, tmp_path, capsys, override, key):
+        # a float cannot hold a 400-digit integer: a config error, not an OverflowError
+        doc = {"experiment": self._experiment("x", **override)}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sim.cfg", json.dumps({"experiment": self._experiment("x")}))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]
+        code, err = main_in_process(capsys, *argv)
+        assert code == 2
+        assert "seed" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fim", "check-conditions"])
+def test_model_instance_configs_take_no_fit_section(tmp_path, capsys, command):
+    doc = json.loads((CONFIG_DIR / "two-point.cfg").read_text(encoding="utf-8"))
+    cfg = write(tmp_path, "x.cfg", json.dumps({**doc, "fit": "garbage"}))
+    code, err = main_in_process(capsys, command, "--config", cfg)
+    assert code == 2
+    assert "unknown key(s) ['fit']" in err
 
 
 @pytest.mark.parametrize("command", ["fim", "fit", "check-conditions"])

@@ -183,7 +183,7 @@ class TestWall:
 class TestEstimateType:
     """An estimate is one type everywhere: a read-only float64 (k,) array
     that the family's ``check_theta`` accepts, from ``fit`` and from
-    ``run_trial`` alike."""
+    ``run_trial`` alike, censored or uncensored."""
 
     PARAMS = {
         "gaussian-case1": {"alpha": 0.5, "sigma": 1.0},
@@ -198,9 +198,8 @@ class TestEstimateType:
         assert theta_hat.shape == (fam.k,) and not theta_hat.flags.writeable
         assert np.array_equal(fam.check_theta(theta_hat), theta_hat)
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_fit_and_run_trial(self, name):
-        config = montecarlo.ExperimentConfig(
+    def _config(self, name, estimator):
+        return montecarlo.ExperimentConfig(
             model=name,
             true_params=self.PARAMS[name],
             weights=montecarlo.WeightsRule(kind="constant", value=1.0),
@@ -210,12 +209,25 @@ class TestEstimateType:
             sample_sizes=(400,),
             trials=1,
             seed=3,
+            estimator=estimator,
         )
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_fit_and_run_trial(self, name):
+        config = self._config(name, "censored")
         rng = np.random.default_rng(3)
         fam, designs, theta0 = montecarlo.family_and_theta(config, 400, rng)
         res = fit(fam, montecarlo.generate_and_censor(fam, theta0, designs, rng))
         assert res.status == "converged"
         self._check(fam, res.theta_hat)
+        outcome = montecarlo.run_trial(config, 400, 0)
+        assert outcome.status == "converged"
+        self._check(fam, outcome.theta_hat)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_uncensored_run_trial(self, name):
+        config = self._config(name, "uncensored")
+        fam, _, _ = montecarlo.family_and_theta(config, 400, np.random.default_rng(3))
         outcome = montecarlo.run_trial(config, 400, 0)
         assert outcome.status == "converged"
         self._check(fam, outcome.theta_hat)
@@ -472,10 +484,11 @@ class TestInitialPoint:
 
 class TestFitConfigValidation:
     def test_rejects_bad_values(self):
-        for bad in (0, 2.5, np.inf):
+        for bad in (0, 2.5, np.inf, True):
             with pytest.raises(ValueError, match="max_iterations"):
                 FitConfig(max_iterations=bad)
-        for bad in (0.0, np.inf, np.nan):
+        # a bool is no number, nor is an integer too large for a float
+        for bad in (0.0, np.inf, np.nan, True, int("9" * 400)):
             with pytest.raises(ValueError, match="gradient_tolerance"):
                 FitConfig(gradient_tolerance=bad)
 

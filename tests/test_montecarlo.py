@@ -252,6 +252,36 @@ class TestMseExperiment:
         with pytest.raises(ConfigError, match="max_failure_fraction"):
             case1_config(max_failure_fraction=budget)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_sizes", (50.7,)),
+            ("sample_sizes", (True, 5)),
+            ("sample_sizes", 50),
+            ("trials", 2.5),
+            ("trials", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("max_failure_fraction", "0.1"),
+            ("true_params", {"alpha": math.nan, "sigma": 1.0}),
+            ("true_params", {"alpha": int("9" * 400), "sigma": 1.0}),
+            ("true_params", [("alpha", 0.5), ("sigma", 1.0)]),
+        ],
+    )
+    def test_each_field_is_checked_on_construction(self, field, value):
+        # whoever builds the experiment: n = 50.7 or seed 1.5 never runs as 50 or 1
+        from bitglm import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            case1_config(**{field: value})
+
+    def test_fields_are_normalized(self):
+        cfg = case1_config(sample_sizes=[250, 500], true_params={"alpha": 1, "sigma": 2})
+        assert cfg.sample_sizes == (250, 500)
+        assert cfg.true_params == {"alpha": 1.0, "sigma": 2.0}
+        assert all(type(v) is float for v in cfg.true_params.values())
+
     def test_no_converged_trial_raises_at_the_largest_budget(self):
         # every trial of a two-row case-1 dataset at seed 0 is separated:
         # no mean may be formed, whatever the budget
@@ -395,6 +425,9 @@ class TestRules:
             lambda: ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(1.0,)),
             lambda: ThresholdRule(kind="two-point", values=(), probabilities=()),
             lambda: ThresholdRule(kind="iid-gamma", mu=1.0, sd=1.0),
+            # an unhashable kind is unknown, not a TypeError
+            lambda: WeightsRule(kind={}, value=1.0),
+            lambda: ThresholdRule(kind=["fixed"], value=1.0),
         ],
     )
     def test_invalid_rules_rejected_at_construction(self, make):
@@ -402,6 +435,20 @@ class TestRules:
 
         with pytest.raises(ConfigError):
             make()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "constant", "value": int("9" * 400)},
+            {"kind": "list", "values": (1.0, int("9" * 400))},
+        ],
+    )
+    def test_huge_integer_fields_rejected(self, fields):
+        # a float cannot hold a 400-digit integer: a ConfigError, not an OverflowError
+        from bitglm import ConfigError
+
+        with pytest.raises(ConfigError, match="finite number"):
+            WeightsRule(**fields)
 
     def test_weights_list_cycles(self):
         rule = WeightsRule(kind="list", values=(1.0, 2.0, 3.0))
