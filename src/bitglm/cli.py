@@ -462,17 +462,18 @@ def cmd_simulate(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("simulate", doc, args.config, args.seed)
+    tables = {}
     for name, config in experiments:
-        table = montecarlo.run_mse_experiment(config)
-        csv_text = table.to_csv()
         target = out_dir / f"{name}.csv"
-        target.write_text(csv_text, encoding="utf-8")
-        manifest.add_output(target.name)
+        csv_text = tables[target] = montecarlo.run_mse_experiment(config).to_csv()
         print(f"[{name}] model={config.model} trials={config.trials} -> {target}")
         for line in csv_text.strip().splitlines():
             print("  " + line)
-    path = manifest.write(out_dir)
-    print(f"manifest: {path}")
+    # written once every experiment has run: a failed run leaves no CSV without a manifest
+    for target, csv_text in tables.items():
+        target.write_text(csv_text, encoding="utf-8")
+        manifest.add_output(target.name)
+    print(f"manifest: {manifest.write(out_dir)}")
     return EXIT_OK
 
 

@@ -120,12 +120,24 @@ def _separating_direction(model, data, X):
     return candidates[j] / norms[j] if ok[j] else None
 
 
-def _check_identifiable(model, data, X):
-    V = data.designs.V
-    for j in range(data.designs.k):
-        if np.all(V[:, :, j] == 0.0):
-            raise NonIdentifiable(f"every design is zero in parameter direction {j}")
-    d = _separating_direction(model, data, X)
+def _paired_tally(data):
+    """``data.design_tally()`` of grouped rows without aux where every design
+    has both bits, else None: ``grouped`` sorts by bit before design, so such
+    rows are two equal blocks of designs, -1 then +1."""
+    m, designs, counts = data.n // 2, data.designs, data.counts
+    if data.n % 2 or designs.aux is not None or not data.bits[m - 1] < 0 < data.bits[m]:
+        return None
+    same = all((a[:m] == a[m:]).all() for a in (designs.taus, designs.V))
+    return (np.arange(m), counts[:m] + counts[m:], counts[m:]) if same else None
+
+
+def _check_identifiable(model, data, X, paired):
+    zero = (data.designs.V == 0.0).all(axis=(0, 1))
+    if zero.any():
+        raise NonIdentifiable(f"every design is zero in parameter direction {zero.argmax()}")
+    # where every design has both bits (``paired``), each row x of b X has a
+    # twin -x, and b x.d >= 0 on both forces x.d = 0: nothing is separated
+    d = None if paired else _separating_direction(model, data, X)
     if d is not None:
         raise NonIdentifiable(
             f"the bits are separated along the index direction {np.array2string(d, precision=4)}:"
@@ -244,8 +256,10 @@ def fit(model, data, config=None):
         if err.index is None:
             raise
         raise DomainError(str(err), index=int(rows[err.index])) from err
-    _check_identifiable(model, data, index[0])
-    start = model.check_theta(model.initial_point(data) if config.start is None else config.start)
+    tally = _paired_tally(data)
+    _check_identifiable(model, data, index[0], tally is not None)
+    start = config.start  # initial_point checks its own
+    start = model.initial_point(data, index, tally) if start is None else model.check_theta(start)
     beta0 = model.index_from_theta(start)
     try:
         beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta0, config)

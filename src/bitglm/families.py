@@ -78,7 +78,7 @@ class ModelFamily(abc.ABC):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.k,):
             raise DomainError(f"{self.name} expects {self.k} parameters, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DomainError("parameter coordinates must be finite")
         for j, (v, kind) in enumerate(zip(theta, self.domain)):
             if kind == "positive" and not v > 0.0:
@@ -170,8 +170,9 @@ class ModelFamily(abc.ABC):
 
     # -- fitting ----------------------------------------------------------------
     @abc.abstractmethod
-    def initial_point(self, data):
-        """Deterministic starting point of the MLE solver for ``data``."""
+    def initial_point(self, data, index=None, tally=None):
+        """Checked starting point of the MLE solver for ``data``; ``index`` and
+        ``tally``, where given, are its ``index_regressors`` and ``design_tally()``."""
 
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):

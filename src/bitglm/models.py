@@ -50,7 +50,7 @@ def _pooled_alpha(data, w, sigma):
     return (_mean(data.designs.taus, data) - sigma * float(_gauss.norm_ppf(p))) / mean_w
 
 
-def _probit_start(family, data):
+def _probit_start(family, data, index=None, tally=None):
     """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
 
     A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
@@ -63,14 +63,14 @@ def _probit_start(family, data):
     further on.  Returns None when fewer than k designs are usable, the
     system is rank-deficient, or the solution lies outside the domain.
     """
-    rows, totals, plus = data.design_tally()
+    rows, totals, plus = data.design_tally() if tally is None else tally
     usable = (plus > 0) & (plus < totals)
     if np.count_nonzero(usable) < family.k:
         return None
     rows, n = rows[usable], totals[usable]
     p = plus[usable] / n
     q = _gauss.norm_ppf(p)
-    X, offset = family.index_regressors(data.designs)
+    X, offset = family.index_regressors(data.designs) if index is None else index
     X, offset = X[rows], offset[rows]
     root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
     beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
@@ -86,11 +86,11 @@ def _probit_start(family, data):
 class _GaussianIndex(ModelFamily):
     """P(B = +1) = Phi(z) at the standardized threshold z, the linear index."""
 
-    def initial_point(self, data):
+    def initial_point(self, data, index=None, tally=None):
         """The per-design probit inversion (``_probit_start``); without one,
         the family's ``_pooled_start``."""
-        start = _probit_start(self, data)
-        return self._pooled_start(data) if start is None else start
+        start = _probit_start(self, data, index, tally)
+        return self.check_theta(self._pooled_start(data)) if start is None else start
 
     def index_link(self, z, designs, bits):
         """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
@@ -633,7 +633,7 @@ class PoissonModel(ModelFamily):
             hi *= 2.0
         return np.array([brentq(g, lo, hi, xtol=np.finfo(float).tiny)])
 
-    def initial_point(self, data):
+    def initial_point(self, data, index=None, tally=None):
         """log of the mean threshold over the mean covariate."""
         v = data.designs.V[:, 0, 0]
         vbar = _mean(v, data)
@@ -641,7 +641,7 @@ class PoissonModel(ModelFamily):
         # mixed-sign covariates can average to ~0 and catapult the start
         if abs(vbar) < max(1e-8, 0.1 * scale):
             vbar = scale if scale > 1e-8 else 1.0
-        return np.array([math.log(max(0.5, _mean(data.designs.taus, data))) / vbar])
+        return self.check_theta(math.log(max(0.5, _mean(data.designs.taus, data))) / vbar)
 
 
 # ---------------------------------------------------------------------------

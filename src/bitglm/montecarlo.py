@@ -128,9 +128,12 @@ class ThresholdRule:
         if self.kind == "fixed":
             return np.full(n, float(self.value))
         if self.kind == "two-point":
-            vals = np.asarray(self.values, dtype=float)
-            probs = np.asarray(self.probabilities, dtype=float)
-            return rng.choice(vals, size=n, p=probs)
+            # rng.choice(values, n, p=probabilities) exactly: the same uniforms u, and
+            # its cdf.searchsorted(u, side="right") as the count of cdf[:-1] entries <= u
+            cdf = np.cumsum(np.asarray(self.probabilities, dtype=float))
+            u = rng.random(n)
+            idx = sum((u >= c for c in cdf[:-1] / cdf[-1]), np.zeros(n, np.intp))
+            return np.asarray(self.values, dtype=float)[idx]
         if self.kind == "iid-uniform":
             return rng.uniform(float(self.low), float(self.high), size=n)
         return rng.normal(float(self.mu), float(self.sd), size=n)
@@ -181,6 +184,8 @@ class ExperimentConfig:
             raise ConfigError("sample_sizes must be a list of integers >= 1")
         if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
             raise ConfigError("sample_sizes must be strictly increasing and non-empty")
+        if sizes[-1] > np.iinfo(np.intp).max:  # the largest, which must index an array
+            raise ConfigError(f"sample_sizes must be at most {np.iinfo(np.intp).max}")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         if not is_integer(self.trials, 1):
             raise ConfigError("trials must be an integer >= 1")

@@ -36,6 +36,17 @@ def _readonly(a):
     return a
 
 
+def _checked(cls, **fields):
+    """``cls`` holding ``fields``, read-only, past its constructor's checks and
+    copies: for fresh arrays taken from checked ones."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class DesignSet:
     """The designs of n observations, stored as contiguous arrays.
 
@@ -209,10 +220,11 @@ class CensoredDataset:
         first, counts = _groups(designs.V, [designs.taus, self.bits, *aux], self.counts)
         # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
         # leak the input order into the representative
-        picked = [a[first] for a in (designs.V, designs.taus, designs.aux) if a is not None]
-        for a in picked:
-            a += 0.0
-        grouped = CensoredDataset(self.bits[first], DesignSet(*picked), counts)
+        V, taus, known = (
+            a if a is None else a[first] + 0.0 for a in (designs.V, designs.taus, designs.aux)
+        )
+        picked = _checked(DesignSet, V=V, taus=taus, aux=known)
+        grouped = _checked(CensoredDataset, bits=self.bits[first], designs=picked, counts=counts)
         return (grouped, first) if return_index else grouped
 
     def design_tally(self):

@@ -403,7 +403,7 @@ EXPERIMENT_ERRORS = [
     *(({"seed": value}, "seed") for value in (1.5, True, "1", -1)),
     *(
         ({"sample_sizes": value}, "sample_sizes")
-        for value in ([50.5], [True], ["50"], [0], 50)
+        for value in ([50.5], [True], ["50"], [0], 50, [2**63], [int("9" * 400)])
     ),
     *(
         ({"max_failure_fraction": value}, "max_failure_fraction")
@@ -591,6 +591,22 @@ class TestFamilyKeys:
         assert code == 2
         assert key in err and "experiments[1]" in err
         assert not out.exists()
+
+    def test_a_failed_run_writes_no_csv(self, tmp_path, capsys):
+        # the good curve runs and prints first; the second fails every trial
+        # (all counts are zero), so no CSV may be left without a manifest
+        doomed = self._experiment(
+            "doomed", model="poisson", true_params={"theta": -8.0}, estimator="uncensored",
+            thresholds={"kind": "fixed", "value": 1.0}, sample_sizes=[20], trials=5,
+        )
+        doc = {"experiments": [self._experiment("good"), doomed]}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 5 and "runtime failure" in printed.err
+        assert "[good]" in printed.out and "n,mse,mc_stderr,failures" in printed.out
+        assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("override, key", EXPERIMENT_ERRORS)
     def test_library_rejects_what_simulate_rejects(self, override, key):

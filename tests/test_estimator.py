@@ -317,6 +317,54 @@ class TestSeparation:
         assert_allclose(estimator._separating_direction(Index(), data, X), [0.6, 0.8])
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_designs_seen_with_both_bits_are_never_separated(self, name):
+        # fit skips the search where every design has both bits: there the
+        # LP oracle finds no separation, and neither does the search
+        paired = 0
+        for seed in range(80):
+            fam, _, data = repeated_rows(name, np.random.default_rng(seed))
+            data = data.grouped()
+            _, totals, plus = data.design_tally()
+            if np.all((plus > 0) & (plus < totals)):
+                paired += 1
+                assert not lp_separated(fam, data)
+                X = fam.index_regressors(data.designs)[0]
+                assert estimator._separating_direction(fam, data, X) is None
+        assert paired >= 20
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_the_paired_tally_is_the_design_tally(self, name):
+        # read off grouped rows without aux in which every design has both
+        # bits, and only there
+        for seed in range(80):
+            fam, _, data = repeated_rows(name, np.random.default_rng(seed))
+            data = data.grouped()
+            want = data.design_tally()
+            both = np.all((want[2] > 0) & (want[2] < want[1]))
+            got = estimator._paired_tally(data)
+            assert (got is not None) == (both and data.designs.aux is None)
+            if got is not None:
+                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_the_paired_shortcut_changes_no_fit(self, name, monkeypatch):
+        # the same status, estimate or error with the tally read off the
+        # rows and the search skipped, as with both done in full
+        def outcome(fam, data):
+            try:
+                res = fit(fam, data)
+            except BitGlmError as err:
+                return type(err).__name__, str(err)
+            return res.status, res.iterations, res.theta_hat.tobytes()
+
+        for seed in range(40):
+            fam, _, data = repeated_rows(name, np.random.default_rng(seed))
+            fast = outcome(fam, data)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_paired_tally", lambda data: None)
+                assert outcome(fam, data) == fast
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), repeated=st.booleans())
     def test_raises_exactly_on_separated_data(self, name, seed, repeated):

@@ -2,6 +2,8 @@
 condition checker."""
 
 import math
+from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,9 +14,12 @@ from scipy.integrate import quad
 from bitglm import (
     ExperimentFailure,
     FitConfig,
+    ModelFamily,
     NonIdentifiable,
+    cli,
     models,
     montecarlo,
+    types,
 )
 from bitglm.montecarlo import (
     ExperimentConfig,
@@ -405,7 +410,67 @@ class TestConditionChecker:
         assert report.max_third_abs_moment == pytest.approx(5.0, rel=1e-12)  # 1+3+1
 
 
+class TestTrialSetup:
+    """A censored trial pays each piece of its fit's set-up once."""
+
+    @pytest.mark.parametrize("curve", ["mixture-0.42-2.0", "mixture-1.2-1.9"])
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_a_fig1_trial_groups_builds_and_checks_once(self, monkeypatch, curve, n):
+        # one grouping pass (the start reads the design tally off the grouped
+        # rows), one regressor build, and two theta checks inside fit: the
+        # start's and the estimate's
+        doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
+        config = dict(cli.load_experiments(doc))[curve]
+        calls = Counter()
+
+        def counted(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counting
+
+        cls = models.GaussianCase3
+        monkeypatch.setattr(types, "_groups", counted("groups", types._groups))
+        monkeypatch.setattr(cls, "index_regressors", counted("index", cls.index_regressors))
+        monkeypatch.setattr(ModelFamily, "check_theta", counted("theta", ModelFamily.check_theta))
+        fit = montecarlo.fit
+
+        def fit_counting_theta_checks(*args):
+            before = calls["theta"]
+            result = fit(*args)
+            calls["theta in fit"] = calls["theta"] - before
+            return result
+
+        monkeypatch.setattr(montecarlo, "fit", fit_counting_theta_checks)
+        for trial in range(3):
+            calls.clear()
+            assert montecarlo.run_trial(config, n, trial).status == "converged"
+            assert (calls["groups"], calls["index"]) == (1, 1)
+            assert calls["theta in fit"] == 2
+
+
 class TestRules:
+    @pytest.mark.parametrize(
+        "values, probabilities",
+        [
+            ((0.42, 2.0), (0.5, 0.5)),
+            ((1.0, 2.0, 3.0), (0.2, 0.3, 0.5)),
+            ((1.0, 2.0, 3.0), (0.6, 0.0, 0.4)),
+            ((1.0, 2.0, 3.0), (0.6, 0.4, 0.0)),
+        ],
+    )
+    def test_two_point_draw_is_rng_choice(self, values, probabilities):
+        # the same thresholds as Generator.choice, element for element, and
+        # the same generator state after the draw
+        rule = ThresholdRule(kind="two-point", values=values, probabilities=probabilities)
+        for seed in range(200):
+            for n in (1, 1000, 10007):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = theirs.choice(np.asarray(values, dtype=float), size=n, p=probabilities)
+                assert np.array_equal(rule.draw(n, ours), want)
+                assert ours.random() == theirs.random()
+
     def test_two_point_probabilities_validated(self):
         from bitglm import ConfigError
 
