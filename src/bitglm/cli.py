@@ -2,10 +2,10 @@
 
 Subcommands: ``fim``, ``fit``, ``simulate``, ``check-conditions``.
 Configs are JSON documents (conventionally ``.cfg``); parsing is strict,
-unknown keys are errors.  Every run that writes files also writes a
-``manifest.json`` sufficient to reproduce it: config hash (stable under
-key reordering), effective seed, tool version, timestamps and output
-paths.
+unknown keys are errors.  Every run with ``--out`` writes its files and
+then a ``manifest.json`` sufficient to reproduce it: config hash (stable
+under key reordering), the ``--seed`` override (null when the config's
+seeds apply), tool version, timestamps and output names.
 
 Exit codes: 0 ok, 2 config error, 3 degenerate model input,
 4 non-identifiable data, 5 runtime failure.
@@ -31,7 +31,6 @@ from .exceptions import (
     DegenerateLikelihood,
     DegenerateThreshold,
     DomainError,
-    ExperimentFailure,
     NonIdentifiable,
     NumericalError,
 )
@@ -229,6 +228,7 @@ def load_data_file(path, family_section):
     carry.  Returns (family, CensoredDataset).
     """
     cls = _family_class(family_section, "model", lambda c: c.fit_keys)
+    d, k = cls.d, cls.k
     rows = []
     header = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -237,18 +237,17 @@ def load_data_file(path, family_section):
             continue
         fields = line.split()
         if header is None:
-            if len(fields) != 2:
-                raise ConfigError(
-                    f"{path}: header must be 'd k'", location=f"line {lineno}"
-                )
+            header = fields
             try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError as err:
+                matches = [int(f) for f in fields] == [d, k]
+            except ValueError:
+                matches = False
+            if not matches:
                 raise ConfigError(
-                    f"{path}: header must hold two integers", location=f"line {lineno}"
-                ) from err
+                    f"{path}: header must be 'd k' = '{d} {k}' for model {cls.name!r}",
+                    location=f"line {lineno}",
+                )
             continue
-        d, k = header
         if len(fields) != 2 + d * k:
             raise ConfigError(
                 f"{path}: expected {2 + d * k} fields (b tau v11..v{d}{k})",
@@ -264,20 +263,14 @@ def load_data_file(path, family_section):
         if b not in (-1, 1):
             raise ConfigError(f"{path}: bit must be -1 or +1", location=f"line {lineno}")
         rows.append((lineno, b, vals[0], np.array(vals[1:]).reshape(d, k)))
-    if header is None or not rows:
+    if not rows:
         raise ConfigError(f"{path}: no observations found")
 
-    d, k = header
     bits = np.array([b for _, b, _, _ in rows])
     taus = np.array([t for _, _, t, _ in rows])
     V = np.stack([v for _, _, _, v in rows])
     n = bits.shape[0]
 
-    if (d, k) != (cls.d, cls.k):
-        raise ConfigError(
-            f"data file declares d={d}, k={k} but model {cls.name!r} needs "
-            f"d={cls.d}, k={cls.k}"
-        )
     section = _model_values(family_section, cls, cls.fit_keys, n, "model")
     family, designs = cls.from_data(V, taus, section)
     try:
@@ -290,59 +283,47 @@ def load_data_file(path, family_section):
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 def _utcnow():
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-class _Manifest:
-    def __init__(self, command, doc, path, seed):
-        self.payload = {
-            "tool": "bitglm",
-            "version": __version__,
-            "command": command,
-            "config_path": str(path),
-            "config_hash": config_hash(doc),
-            "seed": seed,
-            "started_at": _utcnow(),
-            "finished_at": None,
-            "outputs": [],
-        }
+def _write_run(args, doc, started_at, files):
+    """Write ``files`` ({file name: text}) into the ``--out`` directory, then
+    the ``manifest.json`` that names them; returns the manifest's path."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    manifest = {
+        "tool": "bitglm",
+        "version": __version__,
+        "command": args.command,
+        "config_path": str(args.config),
+        "config_hash": config_hash(doc),
+        "seed": getattr(args, "seed", None),
+        "started_at": started_at,
+        "finished_at": _utcnow(),
+        "outputs": list(files),
+    }
+    target = out_dir / "manifest.json"
+    target.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return target
 
-    def add_output(self, path):
-        self.payload["outputs"].append(str(path))
 
-    def write(self, out_dir):
-        self.payload["finished_at"] = _utcnow()
-        target = Path(out_dir) / "manifest.json"
-        target.write_text(json.dumps(self.payload, indent=2) + "\n", encoding="utf-8")
-        return target
+def _report(args, doc, started_at, payload, lines, filename):
+    """Print ``payload`` (``--json``) or ``lines``; with ``--out``, also
+    write ``payload`` as ``filename``."""
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    if args.out:
+        _write_run(args, doc, started_at, {filename: json.dumps(payload, indent=2) + "\n"})
+    return EXIT_OK
 
 
 def _matrix_json(m):
     return [[float(v) for v in row] for row in np.atleast_2d(m)]
-
-
-def _emit(args, payload, human_lines):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _write_json_report(args, doc, payload, filename):
-    """With ``--out``, ``payload`` as ``filename`` and its manifest."""
-    if args.out:
-        manifest = _Manifest(args.command, doc, args.config, None)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / filename
-        target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        manifest.add_output(target.name)
-        manifest.write(out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +335,12 @@ def _parse_sweep(spec):
         idx, lo, hi, step = spec.split(":")
         idx = int(idx)
         lo, hi, step = float(lo), float(hi), float(step)
-        if step <= 0 or hi < lo or idx < 0:
+        # NaN fails every comparison
+        if idx < 0 or not (0 < step < math.inf and -math.inf < lo <= hi < math.inf):
             raise ValueError
     except ValueError:
         raise ConfigError(
-            "--sweep expects INDEX:LO:HI:STEP with STEP > 0 and HI >= LO",
+            "--sweep expects INDEX:LO:HI:STEP with finite LO <= HI and STEP > 0",
             location="--sweep",
         ) from None
     return idx, lo, hi, step
@@ -382,16 +364,14 @@ def _threshold_sweep(family, theta0, designs, spec):
     ]
 
 
-def cmd_fim(args):
-    doc = load_json_config(args.config)
+def cmd_fim(args, doc, started_at):
     family, theta0, designs = build_model_instance(doc)
     if args.sweep:
         rows = _threshold_sweep(family, theta0, designs, _parse_sweep(args.sweep))
         label = "information" if family.k == 1 else "det_information"
         payload = {"model": family.name, "sweep": [[t, v] for t, v in rows], "value": label}
-        _emit(args, payload, [f"tau,{label}", *(f"{t!r},{v!r}" for t, v in rows)])
-        _write_json_report(args, doc, payload, "fim-sweep.json")
-        return EXIT_OK
+        lines = [f"tau,{label}", *(f"{t!r},{v!r}" for t, v in rows)]
+        return _report(args, doc, started_at, payload, lines, "fim-sweep.json")
     report = fisher.dpi_check(family, theta0, designs)
     j, i = report.censored, report.uncensored
     payload = {
@@ -419,13 +399,10 @@ def cmd_fim(args):
     ]
     if "censored_to_uncensored_ratio" in payload:
         lines.append(f"censored/uncensored ratio: {payload['censored_to_uncensored_ratio']:.12g}")
-    _emit(args, payload, lines)
-    _write_json_report(args, doc, payload, "fim.json")
-    return EXIT_OK
+    return _report(args, doc, started_at, payload, lines, "fim.json")
 
 
-def cmd_fit(args):
-    doc = load_json_config(args.config)
+def cmd_fit(args, doc, started_at):
     _check_keys(doc, "<root>", required=("model",), optional=("fit",))
     family, data = load_data_file(args.data, doc["model"])
     result = fit(family, data, _build(FitConfig, doc.get("fit", {}), "fit"))
@@ -451,34 +428,26 @@ def cmd_fit(args):
         f"log-likelihood: {result.log_likelihood:.10g}",
         f"observed information: {np.array2string(result.observed_information, precision=6)}",
     ]
-    _emit(args, payload, lines)
-    _write_json_report(args, doc, payload, "fit.json")
-    return EXIT_OK
+    return _report(args, doc, started_at, payload, lines, "fit.json")
 
 
-def cmd_simulate(args):
-    doc = load_json_config(args.config)
+def cmd_simulate(args, doc, started_at):
     experiments = load_experiments(doc, seed_override=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest("simulate", doc, args.config, args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any experiment: a bad --out fails at once
     tables = {}
     for name, config in experiments:
-        target = out_dir / f"{name}.csv"
-        csv_text = tables[target] = montecarlo.run_mse_experiment(config).to_csv()
-        print(f"[{name}] model={config.model} trials={config.trials} -> {target}")
+        file_name = f"{name}.csv"
+        csv_text = tables[file_name] = montecarlo.run_mse_experiment(config).to_csv()
+        print(f"[{name}] model={config.model} trials={config.trials} -> {out_dir / file_name}")
         for line in csv_text.strip().splitlines():
             print("  " + line)
     # written once every experiment has run: a failed run leaves no CSV without a manifest
-    for target, csv_text in tables.items():
-        target.write_text(csv_text, encoding="utf-8")
-        manifest.add_output(target.name)
-    print(f"manifest: {manifest.write(out_dir)}")
+    print(f"manifest: {_write_run(args, doc, started_at, tables)}")
     return EXIT_OK
 
 
-def cmd_check_conditions(args):
-    doc = load_json_config(args.config)
+def cmd_check_conditions(args, doc, started_at):
     family, theta0, designs = build_model_instance(doc)
     report = montecarlo.check_consistency_conditions(family, theta0, designs)
     payload = {
@@ -508,9 +477,7 @@ def cmd_check_conditions(args):
         f"... {mark(report.information_positive)}",
         f"overall: {mark(report.passed)}",
     ]
-    _emit(args, payload, lines)
-    _write_json_report(args, doc, payload, "conditions.json")
-    return EXIT_OK
+    return _report(args, doc, started_at, payload, lines, "conditions.json")
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +530,14 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    started_at = _utcnow()
     try:
-        return args.func(args)
+        return args.func(args, load_json_config(args.config), started_at)
     except ConfigError as err:
         loc = f" ({err.location})" if err.location else ""
         print(f"config error{loc}: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except OSError as err:  # a path that cannot be read or written
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateThreshold, DegenerateLikelihood, NumericalError, DomainError) as err:
@@ -578,7 +546,7 @@ def main(argv=None):
     except NonIdentifiable as err:
         print(f"non-identifiable data: {err}", file=sys.stderr)
         return EXIT_NON_IDENTIFIABLE
-    except (BitGlmError, ExperimentFailure, ValueError, np.linalg.LinAlgError) as err:
+    except (BitGlmError, ValueError, MemoryError, np.linalg.LinAlgError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -76,6 +76,18 @@ class TestConfigErrors:
         code, _, _ = run_cli("fim", "--config", "/nonexistent/x.cfg")
         assert code == 2
 
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        code, err = main_in_process(capsys, "fim", "--config", str(tmp_path))
+        assert code == 2
+        assert "config error" in err
+
+    def test_out_that_is_a_file(self, tmp_path, capsys):
+        taken = write(tmp_path, "taken", "")
+        cfg = str(CONFIG_DIR / "two-point.cfg")
+        code, err = main_in_process(capsys, "fim", "--config", cfg, "--out", taken)
+        assert code == 2
+        assert "config error" in err
+
     def test_unknown_model(self, tmp_path):
         cfg = write(
             tmp_path, "bad.cfg", '{"model": {"name": "cauchy"}, "thresholds": [0.0]}'
@@ -130,11 +142,22 @@ class TestFim:
         assert 0.0 < best < 4.0
         assert max(vals) > vals[0] and max(vals) > vals[-1]
 
-    def test_sweep_spec_validated(self):
-        code, _, err = run_cli(
-            "fim", "--config", str(CONFIG_DIR / "two-point.cfg"), "--sweep", "banana"
+    @pytest.mark.parametrize("spec", ["banana", "0:0:1:nan", "0:nan:1:1", "0:0:inf:1"])
+    def test_sweep_spec_validated(self, capsys, spec):
+        code, err = main_in_process(
+            capsys, "fim", "--config", str(CONFIG_DIR / "two-point.cfg"), "--sweep", spec
         )
         assert code == 2
+        assert "config error (--sweep)" in err
+
+    def test_unallocatable_sweep_is_a_runtime_failure(self, capsys):
+        # numpy refuses the 7 PiB grid up front, before allocating anything
+        code, err = main_in_process(
+            capsys, "fim", "--config", str(CONFIG_DIR / "two-point.cfg"),
+            "--sweep", "0:0:1e12:1e-3",
+        )
+        assert code == 5
+        assert "runtime failure" in err
 
     def test_report_written_with_manifest(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -196,6 +219,9 @@ class TestFit:
             "1 1\none 0.0 1.0\n",  # non-numeric
             "1 1\n1 0.0 1.0\n-1 nan 1.0\n",  # non-finite threshold
             "1 1\n1 0.0 inf\n",  # non-finite design entry
+            "1 -1\n1\n",  # header with a negative k
+            "-1 -1\n1 0.0 1.0\n",  # header with both negative
+            "1 2\n1 0.0 1.0 1.0\n",  # header of another family's shape
         ],
     )
     def test_data_file_errors(self, tmp_path, body):
@@ -696,3 +722,45 @@ class TestConfigHash:
 
     def test_sensitive_to_values(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+class TestRunRecord:
+    """Every ``--out`` run leaves its outputs and one manifest naming them."""
+
+    KEYS = [
+        "tool", "version", "command", "config_path", "config_hash", "seed",
+        "started_at", "finished_at", "outputs",
+    ]
+
+    def test_every_command_writes_the_same_record(self, tmp_path, capsys):
+        fit_cfg = write(tmp_path, "fit.cfg", CASE1_FIT_CFG)
+        data = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
+        two_point = str(CONFIG_DIR / "two-point.cfg")
+        runs = [
+            (["fim", "--config", two_point], ["fim.json"]),
+            (["fim", "--config", two_point, "--sweep", "1:0:1:0.5"], ["fim-sweep.json"]),
+            (["fit", "--config", fit_cfg, "--data", data], ["fit.json"]),
+            (["check-conditions", "--config", two_point], ["conditions.json"]),
+            (["simulate", "--config", str(CONFIG_DIR / "smoke.cfg")], ["smoke.csv"]),
+        ]
+        for i, (args, outputs) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert cli.main([*args, "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert list(manifest) == self.KEYS
+            assert manifest["command"] == args[0] and manifest["outputs"] == outputs
+            assert manifest["config_path"] == args[2] and manifest["seed"] is None
+            assert manifest["config_hash"] == config_hash(load_json_config(args[2]))
+            if outputs[0].endswith(".json"):
+                assert json.loads((out / outputs[0]).read_text())["model"]
+
+    @pytest.mark.parametrize("suffix", ["", "/sub"])
+    def test_simulate_checks_out_before_any_experiment(self, tmp_path, capsys, suffix):
+        # a file as --out, or a directory below one
+        out = write(tmp_path, "taken", "") + suffix
+        code = cli.main(["simulate", "--config", str(CONFIG_DIR / "smoke.cfg"), "--out", out])
+        printed = capsys.readouterr()
+        assert code == 2 and "config error" in printed.err
+        assert printed.out == ""

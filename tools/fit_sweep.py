@@ -26,9 +26,8 @@ trees return them.  Each draw also feeds the family's uncensored baseline:
 ``fam.sample`` at the draw's theta, seeded by the draw index, then
 ``uncensored_mle``, whose outcome (an estimate, or the error's name)
 transitions and worst estimate difference, floored at 1 like the fit's,
-are printed the same way.  An estimate is read as an array or, from a tree
-that wraps it, as its ``.values``.  Uses numpy and the trees' own
-dependencies only.
+are printed the same way.  Uses numpy and the trees' own dependencies
+only.
 """
 
 import argparse
@@ -94,7 +93,7 @@ def fit_all(count, seed):
             except BitGlmError as err:
                 outcome, theta, ll = type(err).__name__, None, None
             else:
-                theta = getattr(res.theta_hat, "values", res.theta_hat).tolist()
+                theta = res.theta_hat.tolist()
                 outcome, ll = res.status, res.log_likelihood
             records.append({
                 "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
