@@ -69,7 +69,9 @@ def bit_prob(t, lam, bits):
 
 
 def poisson_pmf(x, lam):
-    """P(X = x), elementwise; exact recurrence-free form via gammaln."""
+    """P(X = x), elementwise, as exp(x log lam - lam - gammaln(x + 1)).  Not
+    exact: the exponent's terms cancel, so it loses about lam * eps relative
+    (3.6e-11 at lam = 1e4, worst over x within 3 sd of lam, against mpmath)."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = np.exp(x * np.log(lam) - lam - special.gammaln(x + 1.0))

@@ -8,7 +8,7 @@ under key reordering), the ``--seed`` override (null when the config's
 seeds apply), tool version, timestamps and output names.
 
 Exit codes: 0 ok, 2 config error, 3 degenerate model input,
-4 non-identifiable data, 5 runtime failure.
+4 non-identifiable data, 5 runtime failure, 141 stdout closed early.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -41,15 +42,24 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NON_IDENTIFIABLE = 4
 EXIT_RUNTIME = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 # ---------------------------------------------------------------------------
 # Config loading and validation
 # ---------------------------------------------------------------------------
 
+def _read_text(path):
+    """The text of a config or data file; one that is not UTF-8 is a config error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
+
+
 def load_json_config(path):
     """Parse a JSON config file, reporting line/column on syntax errors."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -231,7 +241,7 @@ def load_data_file(path, family_section):
     d, k = cls.d, cls.k
     rows = []
     header = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -266,20 +276,16 @@ def load_data_file(path, family_section):
     if not rows:
         raise ConfigError(f"{path}: no observations found")
 
-    bits = np.array([b for _, b, _, _ in rows])
-    taus = np.array([t for _, _, t, _ in rows])
-    V = np.stack([v for _, _, _, v in rows])
-    n = bits.shape[0]
-
-    section = _model_values(family_section, cls, cls.fit_keys, n, "model")
-    family, designs = cls.from_data(V, taus, section)
+    _, bits, taus, V = zip(*rows)
+    section = _model_values(family_section, cls, cls.fit_keys, len(rows), "model")
+    family, designs = cls.from_data(np.stack(V), np.array(taus), section)
     try:
         family.check_designs(designs)
     except DomainError as err:
         if err.index is None:
             raise
         raise ConfigError(f"{path}: {err}", location=f"line {rows[err.index][0]}") from err
-    return family, CensoredDataset(bits, designs)
+    return family, CensoredDataset(np.array(bits), designs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +296,16 @@ def _utcnow():
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _make_out(args):
+    """Create ``--out``, if given: each command calls this before it computes."""
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+
+
 def _write_run(args, doc, started_at, files):
     """Write ``files`` ({file name: text}) into the ``--out`` directory, then
     the ``manifest.json`` that names them; returns the manifest's path."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="utf-8")
     manifest = {
@@ -330,7 +341,7 @@ def _matrix_json(m):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _parse_sweep(spec):
+def _parse_sweep(spec, n):
     try:
         idx, lo, hi, step = spec.split(":")
         idx = int(idx)
@@ -343,6 +354,8 @@ def _parse_sweep(spec):
             "--sweep expects INDEX:LO:HI:STEP with finite LO <= HI and STEP > 0",
             location="--sweep",
         ) from None
+    if idx >= n:
+        raise ConfigError(f"--sweep index {idx} out of range (n={n})")
     return idx, lo, hi, step
 
 
@@ -355,8 +368,6 @@ def _threshold_sweep(family, theta0, designs, spec):
     and the determinant for larger ones.
     """
     idx, lo, hi, step = spec
-    if idx >= designs.n:
-        raise ConfigError(f"--sweep index {idx} out of range (n={designs.n})")
     grid = np.arange(lo, hi + step / 2, step)
     return [
         (tau, float(r.matrix[0, 0]) if r.k == 1 else r.determinant)
@@ -366,8 +377,10 @@ def _threshold_sweep(family, theta0, designs, spec):
 
 def cmd_fim(args, doc, started_at):
     family, theta0, designs = build_model_instance(doc)
-    if args.sweep:
-        rows = _threshold_sweep(family, theta0, designs, _parse_sweep(args.sweep))
+    spec = _parse_sweep(args.sweep, designs.n) if args.sweep else None
+    _make_out(args)
+    if spec:
+        rows = _threshold_sweep(family, theta0, designs, spec)
         label = "information" if family.k == 1 else "det_information"
         payload = {"model": family.name, "sweep": [[t, v] for t, v in rows], "value": label}
         lines = [f"tau,{label}", *(f"{t!r},{v!r}" for t, v in rows)]
@@ -405,7 +418,9 @@ def cmd_fim(args, doc, started_at):
 def cmd_fit(args, doc, started_at):
     _check_keys(doc, "<root>", required=("model",), optional=("fit",))
     family, data = load_data_file(args.data, doc["model"])
-    result = fit(family, data, _build(FitConfig, doc.get("fit", {}), "fit"))
+    config = _build(FitConfig, doc.get("fit", {}), "fit")
+    _make_out(args)
+    result = fit(family, data, config)
     moment = family.to_moment(result.theta_hat)
     payload = {
         "model": family.name,
@@ -433,9 +448,8 @@ def cmd_fit(args, doc, started_at):
 
 def cmd_simulate(args, doc, started_at):
     experiments = load_experiments(doc, seed_override=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # before any experiment: a bad --out fails at once
-    tables = {}
+    _make_out(args)
+    out_dir, tables = Path(args.out), {}
     for name, config in experiments:
         file_name = f"{name}.csv"
         csv_text = tables[file_name] = montecarlo.run_mse_experiment(config).to_csv()
@@ -449,6 +463,7 @@ def cmd_simulate(args, doc, started_at):
 
 def cmd_check_conditions(args, doc, started_at):
     family, theta0, designs = build_model_instance(doc)
+    _make_out(args)
     report = montecarlo.check_consistency_conditions(family, theta0, designs)
     payload = {
         "model": family.name,
@@ -532,7 +547,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     started_at = _utcnow()
     try:
-        return args.func(args, load_json_config(args.config), started_at)
+        code = args.func(args, load_json_config(args.config), started_at)
+        sys.stdout.flush()  # in the try, so that a closed stdout is caught
+        return code
+    except BrokenPipeError:  # the reader has gone: exit quietly, flushing into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as err:
         loc = f" ({err.location})" if err.location else ""
         print(f"config error{loc}: {err}", file=sys.stderr)

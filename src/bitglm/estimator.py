@@ -120,17 +120,6 @@ def _separating_direction(model, data, X):
     return candidates[j] / norms[j] if ok[j] else None
 
 
-def _paired_tally(data):
-    """``data.design_tally()`` of grouped rows without aux where every design
-    has both bits, else None: ``grouped`` sorts by bit before design, so such
-    rows are two equal blocks of designs, -1 then +1."""
-    m, designs, counts = data.n // 2, data.designs, data.counts
-    if data.n % 2 or designs.aux is not None or not data.bits[m - 1] < 0 < data.bits[m]:
-        return None
-    same = all((a[:m] == a[m:]).all() for a in (designs.taus, designs.V))
-    return (np.arange(m), counts[:m] + counts[m:], counts[m:]) if same else None
-
-
 def _check_identifiable(model, data, X, paired):
     zero = (data.designs.V == 0.0).all(axis=(0, 1))
     if zero.any():
@@ -249,15 +238,14 @@ def fit(model, data, config=None):
     config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
     # order makes the fit independent of the order of the observations
-    data, rows = data.grouped(return_index=True)
+    data, rows, tally = data.grouped()
     try:
         index = model.index_regressors(data.designs)
     except DomainError as err:
         if err.index is None:
             raise
         raise DomainError(str(err), index=int(rows[err.index])) from err
-    tally = _paired_tally(data)
-    _check_identifiable(model, data, index[0], tally is not None)
+    _check_identifiable(model, data, index[0], paired=data.n == 2 * len(tally[0]))
     start = config.start  # initial_point checks its own
     start = model.initial_point(data, index, tally) if start is None else model.check_theta(start)
     beta0 = model.index_from_theta(start)

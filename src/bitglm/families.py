@@ -170,9 +170,9 @@ class ModelFamily(abc.ABC):
 
     # -- fitting ----------------------------------------------------------------
     @abc.abstractmethod
-    def initial_point(self, data, index=None, tally=None):
-        """Checked starting point of the MLE solver for ``data``; ``index`` and
-        ``tally``, where given, are its ``index_regressors`` and ``design_tally()``."""
+    def initial_point(self, data, index, tally):
+        """Checked starting point of the MLE solver for the grouped ``data``,
+        its ``index_regressors`` ``index`` and the design ``tally`` of ``grouped()``."""
 
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):

@@ -50,7 +50,7 @@ def _pooled_alpha(data, w, sigma):
     return (_mean(data.designs.taus, data) - sigma * float(_gauss.norm_ppf(p))) / mean_w
 
 
-def _probit_start(family, data, index=None, tally=None):
+def _probit_start(family, index, tally):
     """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
 
     A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
@@ -60,18 +60,19 @@ def _probit_start(family, data, index=None, tally=None):
     ``theta_from_index(beta)``.  With exactly k designs, every one of them
     usable, this is the MLE.  A one-sided design adds nothing to the
     regression but still counts in the likelihood, so with one the MLE lies
-    further on.  Returns None when fewer than k designs are usable, the
-    system is rank-deficient, or the solution lies outside the domain.
+    further on.  ``index`` is the grouped rows' ``index_regressors`` and
+    ``tally`` their design tally (``CensoredDataset.grouped()``).  Returns
+    None when fewer than k designs are usable, the system is rank-deficient,
+    or the solution lies outside the domain.
     """
-    rows, totals, plus = data.design_tally() if tally is None else tally
+    rows, totals, plus = tally
     usable = (plus > 0) & (plus < totals)
     if np.count_nonzero(usable) < family.k:
         return None
     rows, n = rows[usable], totals[usable]
     p = plus[usable] / n
     q = _gauss.norm_ppf(p)
-    X, offset = family.index_regressors(data.designs) if index is None else index
-    X, offset = X[rows], offset[rows]
+    X, offset = index[0][rows], index[1][rows]
     root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
     beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
     p = family.index_positive
@@ -86,10 +87,10 @@ def _probit_start(family, data, index=None, tally=None):
 class _GaussianIndex(ModelFamily):
     """P(B = +1) = Phi(z) at the standardized threshold z, the linear index."""
 
-    def initial_point(self, data, index=None, tally=None):
+    def initial_point(self, data, index, tally):
         """The per-design probit inversion (``_probit_start``); without one,
         the family's ``_pooled_start``."""
-        start = _probit_start(self, data, index, tally)
+        start = _probit_start(self, index, tally)
         return self.check_theta(self._pooled_start(data)) if start is None else start
 
     def index_link(self, z, designs, bits):
@@ -633,7 +634,7 @@ class PoissonModel(ModelFamily):
             hi *= 2.0
         return np.array([brentq(g, lo, hi, xtol=np.finfo(float).tiny)])
 
-    def initial_point(self, data, index=None, tally=None):
+    def initial_point(self, data, index, tally):
         """log of the mean threshold over the mean covariate."""
         v = data.designs.V[:, 0, 0]
         vbar = _mean(v, data)

@@ -115,12 +115,12 @@ def _rank(values):
     return rank, int(rank[order[-1]]) + 1
 
 
-def _groups(V, columns, *weights):
-    """``(first, *sums)`` per group of equal rows of (V's columns, *columns),
-    in lexicographic order with the last column most significant and -0.0
-    equal to 0.0: the smallest row index and the sum of each integer weight.
-    A row's group number has one mixed-radix digit per varying column, its
-    rank there, which takes a sort only where a column has over two values."""
+def _design_code(V, columns):
+    """(code, size): each row's number below ``size``, equal for equal rows of
+    (V's columns, *columns) and increasing in their lexicographic order, with
+    the last column most significant and -0.0 equal to 0.0.  The number has
+    one mixed-radix digit per varying column, its rank there, which takes a
+    sort only where a column has over two values."""
     n = V.shape[0]
     flat = V.reshape(n, -1)
     # one pass over the block: a column varies iff a row differs from the one before
@@ -138,13 +138,7 @@ def _groups(V, columns, *weights):
         size *= radix
         if size > n:
             code, size = _rank(code)
-    first = np.full(size, n)
-    np.minimum.at(first, code, np.arange(n))
-    totals = np.zeros((len(weights), size), np.int64)
-    for total, w in zip(totals, weights):
-        np.add.at(total, code, w)
-    seen = first < n
-    return first[seen], *totals[:, seen]
+    return code, size
 
 
 @dataclass(frozen=True)
@@ -205,19 +199,36 @@ class CensoredDataset:
         order = np.asarray(order)
         return CensoredDataset(self.bits[order], self.designs.subset(order), self.counts[order])
 
-    def grouped(self, return_index=False):
+    def grouped(self):
         """The same observations with identical rows merged into counts.
 
         Rows are identical when every design entry, the threshold, aux and
-        the bit agree.  Groups come in sorted key order (aux most
-        significant, then the bit, the threshold and the design entries
-        from last to first), so every permutation of the rows gives the
-        same grouped dataset, bit for bit.  With ``return_index`` also
-        returns, per group, the index of its first row in this dataset.
+        the bit agree.  Groups come in sorted key order (the bit most
+        significant, then the design: aux, the threshold and the design
+        entries from last to first), so every permutation of the rows gives
+        the same grouped dataset, bit for bit.
+
+        Returns ``(grouped, first, tally)``: the grouped dataset; per group,
+        the index of its first row in this dataset; and ``tally = (rows,
+        totals, plus)``, per distinct design (V, tau, aux) in key order, its
+        first grouped row, the number of observations it carries and how
+        many of them have bit +1.
         """
-        designs = self.designs
+        designs, n = self.designs, self.n
         aux = [] if designs.aux is None else [designs.aux]
-        first, counts = _groups(designs.V, [designs.taus, self.bits, *aux], self.counts)
+        code, size = _design_code(designs.V, [designs.taus, *aux])
+        code += size * (self.bits > 0)  # the bit is the most significant digit
+        first = np.full(2 * size, n)
+        np.minimum.at(first, code, np.arange(n))
+        counts = np.zeros(2 * size, np.int64)
+        np.add.at(counts, code, self.counts)
+        seen = first < n
+        # the tally is read off the 2 x size table of (bit, design) groups
+        row = (np.cumsum(seen) - 1).reshape(2, size)  # each group's grouped row
+        (minus, plus), both = counts.reshape(2, size), seen.reshape(2, size)
+        design = both.any(axis=0)
+        tally = (np.where(both[0], row[0], row[1])[design], (minus + plus)[design], plus[design])
+        first, counts = first[seen], counts[seen]
         # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
         # leak the input order into the representative
         V, taus, known = (
@@ -225,16 +236,4 @@ class CensoredDataset:
         )
         picked = _checked(DesignSet, V=V, taus=taus, aux=known)
         grouped = _checked(CensoredDataset, bits=self.bits[first], designs=picked, counts=counts)
-        return (grouped, first) if return_index else grouped
-
-    def design_tally(self):
-        """Observation and +1 counts per distinct design (V, tau, aux).
-
-        Returns ``(rows, totals, plus)``: per distinct design, the index of
-        its first row, the number of observations it carries and how many
-        of them have bit +1.  Designs come sorted by threshold first.
-        """
-        designs = self.designs
-        aux = [] if designs.aux is None else [designs.aux]
-        plus = np.where(self.bits > 0, self.counts, 0)
-        return _groups(designs.V, [*aux, designs.taus], self.counts, plus)
+        return grouped, first, tally

@@ -549,19 +549,21 @@ def lexsort_runs(columns):
 
 
 def lexsort_grouped(data):
-    """(first row, counts) per group of ``data.grouped``, by ``lexsort_runs``."""
+    """(first row, counts) per group of ``data.grouped``, by ``lexsort_runs``:
+    the bit most significant, then aux, the threshold and the design entries."""
     designs = data.designs
     aux = [] if designs.aux is None else [designs.aux]
-    columns = [*designs.V.reshape(data.n, -1).T, designs.taus, data.bits, *aux]
+    columns = [*designs.V.reshape(data.n, -1).T, designs.taus, *aux, data.bits]
     order, starts = lexsort_runs(columns)
     return order[starts], np.add.reduceat(data.counts[order], starts)
 
 
 def lexsort_design_tally(data):
-    """``data.design_tally()``, by ``lexsort_runs``."""
+    """(first row, observations, +1 count) per distinct design, the tally of
+    ``data.grouped``, by ``lexsort_runs``: aux > threshold > design entries."""
     designs = data.designs
     aux = [] if designs.aux is None else [designs.aux]
-    order, starts = lexsort_runs([*designs.V.reshape(data.n, -1).T, *aux, designs.taus])
+    order, starts = lexsort_runs([*designs.V.reshape(data.n, -1).T, designs.taus, *aux])
     counts = data.counts[order]
     plus = np.where(data.bits[order] > 0, counts, 0)
     return order[starts], np.add.reduceat(counts, starts), np.add.reduceat(plus, starts)

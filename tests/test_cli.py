@@ -88,6 +88,13 @@ class TestConfigErrors:
         assert code == 2
         assert "config error" in err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, err = main_in_process(capsys, "fim", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err and str(cfg) in err and "UTF-8" in err
+
     def test_unknown_model(self, tmp_path):
         cfg = write(
             tmp_path, "bad.cfg", '{"model": {"name": "cauchy"}, "thresholds": [0.0]}'
@@ -230,6 +237,14 @@ class TestFit:
         code, _, err = run_cli("fit", "--config", cfg, "--data", data)
         assert code == 2
         assert "line" in err
+
+    def test_data_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = write(tmp_path, "fit.cfg", CASE1_FIT_CFG)
+        data = tmp_path / "obs.dat"
+        data.write_bytes(b"\xff" + FOUR_ROW_DATA.encode())
+        code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", str(data))
+        assert code == 2
+        assert "config error" in err and str(data) in err and "UTF-8" in err
 
     def test_poisson_negative_threshold_names_its_line(self, tmp_path, capsys):
         cfg = write(tmp_path, "fit.cfg", '{"model": {"name": "poisson"}}')
@@ -764,3 +779,37 @@ class TestRunRecord:
         printed = capsys.readouterr()
         assert code == 2 and "config error" in printed.err
         assert printed.out == ""
+
+    @pytest.mark.parametrize(
+        "command", ["fim", "fim --sweep 1:0:1:0.5", "fit", "check-conditions"]
+    )
+    def test_every_command_checks_out_before_computing(self, tmp_path, capsys, command):
+        # a file as --out: the command stops before it computes or prints
+        taken = write(tmp_path, "taken", "")
+        args = command.split()
+        if args[0] == "fit":
+            data = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
+            args += ["--config", write(tmp_path, "fit.cfg", CASE1_FIT_CFG), "--data", data]
+        else:
+            args += ["--config", str(CONFIG_DIR / "two-point.cfg")]
+        code = cli.main([*args, "--out", taken])
+        printed = capsys.readouterr()
+        assert code == 2 and "config error" in printed.err
+        assert printed.out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line of a long sweep and closes the pipe
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bitglm.cli", "fim", "--config", str(CONFIG_DIR / "two-point.cfg"),
+         "--sweep", "1:0:4:0.0005"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"tau,det_information\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -323,8 +323,7 @@ class TestSeparation:
         paired = 0
         for seed in range(80):
             fam, _, data = repeated_rows(name, np.random.default_rng(seed))
-            data = data.grouped()
-            _, totals, plus = data.design_tally()
+            data, _, (_, totals, plus) = data.grouped()
             if np.all((plus > 0) & (plus < totals)):
                 paired += 1
                 assert not lp_separated(fam, data)
@@ -333,18 +332,19 @@ class TestSeparation:
         assert paired >= 20
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_the_paired_tally_is_the_design_tally(self, name):
-        # read off grouped rows without aux in which every design has both
-        # bits, and only there
-        for seed in range(80):
-            fam, _, data = repeated_rows(name, np.random.default_rng(seed))
-            data = data.grouped()
-            want = data.design_tally()
-            both = np.all((want[2] > 0) & (want[2] < want[1]))
-            got = estimator._paired_tally(data)
-            assert (got is not None) == (both and data.designs.aux is None)
-            if got is not None:
-                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    def test_paired_data_runs_no_search(self, name, monkeypatch):
+        # two designs, each seen with both bits: the tally of the one
+        # grouping pass shows the pairs for every family, case 2 included
+        searches = []
+        search = estimator._separating_direction
+        monkeypatch.setattr(
+            estimator, "_separating_direction", lambda *a: searches.append(a) or search(*a)
+        )
+        values, taus = np.repeat([0.5, 2.0], 4), np.repeat([1.0, 3.0], 4)
+        cls = models.REGISTRY[name]
+        fam = cls(values, 1.0) if name == "gaussian-case1" else cls(values)
+        res = fit(fam, CensoredDataset([1, -1, 1, 1, -1, 1, -1, -1], fam.design_set(taus)))
+        assert searches == [] and res.status in ("converged", "boundary-divergence")
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_the_paired_shortcut_changes_no_fit(self, name, monkeypatch):
@@ -361,7 +361,10 @@ class TestSeparation:
             fam, _, data = repeated_rows(name, np.random.default_rng(seed))
             fast = outcome(fam, data)
             with monkeypatch.context() as patch:
-                patch.setattr(estimator, "_paired_tally", lambda data: None)
+                check = estimator._check_identifiable
+                patch.setattr(
+                    estimator, "_check_identifiable", lambda m, d, X, paired: check(m, d, X, False)
+                )
                 assert outcome(fam, data) == fast
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -515,19 +518,25 @@ class TestDeterminism:
             res = fit(fam, data)
         except NonIdentifiable:
             pytest.skip("instance not identifiable")
-        start = fam.initial_point(data.grouped())
+        start = _start(fam, data)
         assert res.log_likelihood >= likelihood.log_likelihood(fam, start, data) - 1e-12
+
+
+def _start(fam, data):
+    """``fam.initial_point`` as ``fit`` calls it, on the grouped rows."""
+    grouped, _, tally = data.grouped()
+    return fam.initial_point(grouped, fam.index_regressors(grouped.designs), tally)
 
 
 class TestInitialPoint:
     def test_balanced_fraction_starts_at_zero(self):
         fam, data = iid_case1([1, -1, 1, -1])
-        assert fam.initial_point(data)[0] == pytest.approx(0.0, abs=1e-12)
+        assert _start(fam, data)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_parameter_base_has_unit_precision(self):
         fam = models.GaussianCase3(np.ones(4))
         data = CensoredDataset([1, -1, 1, -1], fam.design_set(np.zeros(4)))
-        assert fam.initial_point(data)[1] == 1.0
+        assert _start(fam, data)[1] == 1.0
 
 
 class TestFitConfigValidation:
@@ -647,10 +656,10 @@ class TestProbitStart:
     def test_fig1_start_is_the_closed_form_mle(self, name, n, trial):
         config, fam, data = _fig1_trial(name, n, trial)
         want = _closed_form_two_threshold(data)
-        start = fam.initial_point(data.grouped())
+        start = _start(fam, data)
         assert_allclose(fam.to_moment(start), want, rtol=1e-10)
-        # the raw rows tally to the same designs
-        assert_allclose(fam.to_moment(fam.initial_point(data)), want, rtol=1e-10)
+        # any order of the rows gives the same tally, so the same start
+        assert np.array_equal(_start(fam, data.permuted(np.arange(data.n)[::-1])), start)
         res = fit(fam, data, config.fit)
         assert res.converged and res.iterations == 1
         assert_allclose(fam.to_moment(res.theta_hat), want, rtol=1e-10)
@@ -670,7 +679,7 @@ class TestProbitStart:
             want = [0.9 - 1.3 * q]  # tau - sigma q over a unit weight
         else:
             want = [(q / (0.9 - 0.2)) ** 2]  # 1/sigma^2 with q = (tau - mean)/sigma
-        assert_allclose(fam.initial_point(data.grouped()), want, rtol=1e-12)
+        assert_allclose(_start(fam, data), want, rtol=1e-12)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_a_one_sided_design_moves_the_mle_off_the_start(self, name):
@@ -681,8 +690,8 @@ class TestProbitStart:
             taus, bits = taus + [2.5] * 10, bits + [1] * 9 + [-1]
         fam_usable, usable = _gaussian(name, taus, bits)
         fam, data = _gaussian(name, taus + [4.0] * 5, bits + [1] * 5)
-        start = fam.initial_point(data.grouped())
-        assert_allclose(start, fam_usable.initial_point(usable.grouped()), rtol=1e-12)
+        start = _start(fam, data)
+        assert_allclose(start, _start(fam_usable, usable), rtol=1e-12)
         res = fit(fam, data)
         assert res.converged and res.iterations > 1
         assert not np.allclose(res.theta_hat, start, rtol=1e-6, atol=0.0)
@@ -691,8 +700,7 @@ class TestProbitStart:
     def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):
         fam, _, designs = random_instance(name, rng, n=60)
         data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
-        assert np.array_equal(fam.initial_point(data), _pooled_start(fam, data))
-        assert np.array_equal(fam.initial_point(data.grouped()), _pooled_start(fam, data.grouped()))
+        assert np.array_equal(_start(fam, data), _pooled_start(fam, data.grouped()[0]))
 
     @pytest.mark.parametrize(
         "name,taus,bits,weights",
@@ -713,14 +721,14 @@ class TestProbitStart:
     )
     def test_fallback_is_the_pooled_start(self, name, taus, bits, weights):
         fam, data = _gaussian(name, taus, bits, weights)
-        assert np.array_equal(fam.initial_point(data.grouped()), _pooled_start(fam, data.grouped()))
+        assert np.array_equal(_start(fam, data), _pooled_start(fam, data.grouped()[0]))
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fit_agrees_with_the_pooled_start_fit(self, name, seed):
         fam, _, data = repeated_rows(name, np.random.default_rng(seed), max_reps=30)
-        grouped = data.grouped()
+        grouped = data.grouped()[0]
         try:
             old = fit(fam, data, FitConfig(start=_pooled_start(fam, grouped)))
         except BitGlmError:

@@ -416,8 +416,8 @@ class TestTrialSetup:
     @pytest.mark.parametrize("curve", ["mixture-0.42-2.0", "mixture-1.2-1.9"])
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_a_fig1_trial_groups_builds_and_checks_once(self, monkeypatch, curve, n):
-        # one grouping pass (the start reads the design tally off the grouped
-        # rows), one regressor build, and two theta checks inside fit: the
+        # one design-code pass (grouping gives the rows and the design tally
+        # at once), one regressor build, and two theta checks inside fit: the
         # start's and the estimate's
         doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
         config = dict(cli.load_experiments(doc))[curve]
@@ -431,7 +431,7 @@ class TestTrialSetup:
             return counting
 
         cls = models.GaussianCase3
-        monkeypatch.setattr(types, "_groups", counted("groups", types._groups))
+        monkeypatch.setattr(types, "_design_code", counted("codes", types._design_code))
         monkeypatch.setattr(cls, "index_regressors", counted("index", cls.index_regressors))
         monkeypatch.setattr(ModelFamily, "check_theta", counted("theta", ModelFamily.check_theta))
         fit = montecarlo.fit
@@ -446,7 +446,7 @@ class TestTrialSetup:
         for trial in range(3):
             calls.clear()
             assert montecarlo.run_trial(config, n, trial).status == "converged"
-            assert (calls["groups"], calls["index"]) == (1, 1)
+            assert (calls["codes"], calls["index"]) == (1, 1)
             assert calls["theta in fit"] == 2
 
 

@@ -129,7 +129,7 @@ def _mixed_rows(rng, n=60):
 class TestGrouped:
     def test_merges_identical_rows_only(self, rng):
         data = _mixed_rows(rng)
-        g = data.grouped()
+        g = data.grouped()[0]
         # every (design, bit) pair once; V, tau and aux each split groups
         keys = {
             (data.designs.V[i].tobytes(), data.designs.aux[i], data.bits[i]) for i in range(data.n)
@@ -147,9 +147,9 @@ class TestGrouped:
 
     def test_permutation_gives_identical_groups(self, rng):
         data = _mixed_rows(rng)
-        g = data.grouped()
+        g = data.grouped()[0]
         for _ in range(5):
-            h = data.permuted(rng.permutation(data.n)).grouped()
+            h = data.permuted(rng.permutation(data.n)).grouped()[0]
             assert np.array_equal(g.bits, h.bits)
             assert np.array_equal(g.counts, h.counts)
             assert np.array_equal(g.designs.V, h.designs.V)
@@ -158,18 +158,18 @@ class TestGrouped:
 
     def test_regrouping_adds_counts(self, rng):
         data = _mixed_rows(rng)
-        g = data.grouped()
+        g = data.grouped()[0]
         doubled = CensoredDataset(g.bits, g.designs, 2 * g.counts).permuted(np.arange(g.n)[::-1])
-        again = doubled.grouped()
+        again = doubled.grouped()[0]
         assert np.array_equal(again.counts, 2 * g.counts)
         assert np.array_equal(again.designs.V, g.designs.V)
 
     def test_single_group_and_signed_zero(self):
         V = np.array([[[0.0]], [[-0.0]], [[0.0]]])
         data = CensoredDataset([1, 1, 1], DesignSet(V, [1.0, 1.0, 1.0]))
-        g = data.grouped()
+        g = data.grouped()[0]
         assert (g.n, list(g.counts)) == (1, [3])
-        h = data.permuted([1, 0, 2]).grouped()
+        h = data.permuted([1, 0, 2]).grouped()[0]
         assert np.array_equal(g.designs.V, h.designs.V)
         assert not np.signbit(h.designs.V).any()
 
@@ -179,12 +179,12 @@ class TestDesignTally:
         data = _mixed_rows(rng, n=80)
         doubled = CensoredDataset(data.bits, data.designs, 2 * data.counts)
         shuffled = doubled.permuted(rng.permutation(80))
-        for d, scale in ((data, 1), (data.grouped(), 1), (shuffled, 2)):
-            rows, totals, plus = d.design_tally()
+        for d, scale in ((data, 1), (data.grouped()[0], 1), (shuffled, 2)):
+            g, _, (rows, totals, plus) = d.grouped()
             assert len(rows) == 3  # (w, aux): (1, 0), (2, 0), (1, 1); one threshold
             for r, total, p in zip(rows, totals, plus):
-                same = np.all(data.designs.V == d.designs.V[r], axis=(1, 2)) & (
-                    data.designs.aux == d.designs.aux[r]
+                same = np.all(data.designs.V == g.designs.V[r], axis=(1, 2)) & (
+                    data.designs.aux == g.designs.aux[r]
                 )
                 assert total == scale * np.count_nonzero(same)
                 assert p == scale * np.count_nonzero(same & (data.bits > 0))
@@ -192,17 +192,18 @@ class TestDesignTally:
     def test_distinct_thresholds_make_one_design_per_row(self):
         V = np.ones((4, 1, 1))
         data = CensoredDataset([1, -1, -1, 1], DesignSet(V, [0.3, -1.0, 2.0, 0.5]), [2, 1, 3, 1])
-        rows, totals, plus = data.design_tally()
-        assert list(rows) == [1, 0, 3, 2]  # sorted by threshold
+        g, first, (rows, totals, plus) = data.grouped()
+        assert list(first) == [1, 2, 0, 3]  # -1 bits first, each block by threshold
+        assert list(rows) == [0, 2, 3, 1]  # designs sorted by threshold
         assert list(totals) == [1, 2, 1, 3]
         assert list(plus) == [0, 2, 1, 0]
 
     def test_shared_threshold_split_by_design(self):
         V = np.array([[[1.0]], [[2.0]], [[1.0]], [[2.0]], [[1.0]]])
         data = CensoredDataset([1, 1, -1, 1, 1], DesignSet(V, [0.5, 0.5, 0.5, 0.5, 0.7]))
-        rows, totals, plus = data.design_tally()
+        g, _, (rows, totals, plus) = data.grouped()
         got = sorted(
-            (float(data.designs.V[r, 0, 0]), float(data.designs.taus[r]), int(t), int(p))
+            (float(g.designs.V[r, 0, 0]), float(g.designs.taus[r]), int(t), int(p))
             for r, t, p in zip(rows, totals, plus)
         )
         assert got == [(1.0, 0.5, 2, 1), (1.0, 0.7, 1, 1), (2.0, 0.5, 2, 2)]
@@ -235,15 +236,31 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_tally(g, tally, data):
+    """Whether the tally of ``data.grouped()`` (rows indexing ``g``) is the
+    oracle's, bit for bit: the same designs, totals and +1 counts."""
+    want_rows, want_totals, want_plus = lexsort_design_tally(data)
+    rows, totals, plus = tally
+    designs = [(g.designs.V, data.designs.V), (g.designs.taus, data.designs.taus)]
+    if data.designs.aux is not None:
+        designs.append((g.designs.aux, data.designs.aux))
+    return (
+        rows.dtype == np.intp
+        and all(_same(got[rows], want[want_rows] + 0.0) for got, want in designs)
+        and _same(totals, want_totals)
+        and _same(plus, want_plus)
+    )
+
+
 class TestGroupingOracle:
-    """``grouped`` and ``design_tally`` against the stable lexsort they replaced."""
+    """``grouped`` and its tally against the stable lexsort they replaced."""
 
     @pytest.mark.parametrize("seed", range(300))
     def test_bit_identical_to_lexsort(self, seed):
         rng = np.random.default_rng(seed)
         data = _oracle_instance(rng)
         for d in (data, data.permuted(rng.permutation(data.n))):
-            g, first = d.grouped(return_index=True)
+            g, first, tally = d.grouped()
             want_first, want_counts = lexsort_grouped(d)
             assert _same(first, want_first)
             assert _same(g.counts, want_counts)
@@ -254,8 +271,9 @@ class TestGroupingOracle:
                 assert g.designs.aux is None
             else:
                 assert _same(g.designs.aux, d.designs.aux[want_first] + 0.0)
-            for got, want in zip(d.design_tally(), lexsort_design_tally(d)):
-                assert _same(got, want)
+            assert _same_tally(g, tally, d)
+            # each design's row is its first among the grouped rows
+            assert _same(tally[0], lexsort_design_tally(g)[0])
 
     def test_distinct_rows_and_many_columns(self):
         # every row its own group, and more digits than fit one int64 code
@@ -264,6 +282,6 @@ class TestGroupingOracle:
         V = rng.standard_normal((n, 2, 3))
         designs = DesignSet(V, rng.standard_normal(n), V[:, 0, 0])
         data = CensoredDataset(rng.choice([-1, 1], n), designs)
-        g, first = data.grouped(return_index=True)
+        g, first, tally = data.grouped()
         assert _same(first, lexsort_grouped(data)[0]) and g.n == n
-        assert all(_same(a, b) for a, b in zip(data.design_tally(), lexsort_design_tally(data)))
+        assert _same_tally(g, tally, data)

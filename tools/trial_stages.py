@@ -1,4 +1,4 @@
-"""Time the stages of one censored fig1 trial, and ``grouped()`` on distinct rows.
+"""Time the stages of one censored fig1 trial, and grouping and fitting distinct rows.
 
 Run from anywhere inside the repository:
 
@@ -9,14 +9,15 @@ For every sample size of ``configs/fig1.cfg`` the script replays trials
 0 .. ``--trials``-1 of its first censored curve the way
 ``montecarlo.run_trial`` runs them, timing each stage ``--repeat`` times
 from the trial's own substream: the design draw (``family_and_theta``), the
-sampling, the dataset build, the grouping (``grouped(return_index=True)``,
-as ``fit`` calls it) and the fit of the grouped rows.  It prints, per n and
-stage, the median over trials of each trial's best time, in microseconds.
-It then prints the best time of ``grouped()`` on
-``bench/workloads.iid_instance`` data, where no two rows share a design, at
-n = ``--iid-n`` for every family.  Uses the standard library, numpy and the
-bitglm of this checkout, or of the checkout whose ``src`` is on
-``PYTHONPATH``.
+sampling, the dataset build, the grouping (``grouped()``, which ``fit``
+calls for its rows and their design tally) and the fit of the grouped rows.
+It prints, per n and stage, the median over trials of each trial's best
+time, in microseconds.  It then prints the best times of ``grouped()`` and
+of ``fit`` (grouping included) on ``bench/workloads.iid_instance`` data,
+where no two rows share a design, at n = ``--iid-n`` for every family.
+Uses the standard library, numpy and the bitglm of this checkout, or of
+the checkout whose ``src`` is on ``PYTHONPATH`` (one whose ``grouped()``
+returns the rows with their tally).
 """
 
 import argparse
@@ -46,7 +47,7 @@ def trial_stages(config, n, trial):
     clock.append(time.perf_counter())
     data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
     clock.append(time.perf_counter())
-    grouped, _ = data.grouped(return_index=True)
+    grouped = data.grouped()[0]
     clock.append(time.perf_counter())
     fit(family, grouped, config.fit)
     clock.append(time.perf_counter())
@@ -81,7 +82,7 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    print(f"grouped() on iid_instance rows, n = {args.iid_n}, best of {args.repeat}, ms")
+    print(f"grouped() and fit on iid_instance rows, n = {args.iid_n}, best of {args.repeat}, ms")
     for family_name in workloads.FAMILIES:
         family, designs, theta0 = workloads.iid_instance(
             family_name, args.iid_n, np.random.default_rng(1)
@@ -89,12 +90,16 @@ def main(argv=None):
         x = family.sample(theta0, designs, np.random.default_rng(2))
         data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
 
-        def group():
-            start = time.perf_counter()
+        def group_and_fit():
+            clock = [time.perf_counter()]
             data.grouped()
-            return [time.perf_counter() - start]
+            clock.append(time.perf_counter())
+            fit(family, data)
+            clock.append(time.perf_counter())
+            return [b - a for a, b in zip(clock, clock[1:])]
 
-        print(f"  {family_name:15s} {1e3 * best_of(args.repeat, group)[0]:8.2f}")
+        times = best_of(args.repeat, group_and_fit)
+        print(f"  {family_name:15s} {1e3 * times[0]:8.2f} {1e3 * times[1]:8.2f}")
 
 
 if __name__ == "__main__":
