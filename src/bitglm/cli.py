@@ -173,8 +173,7 @@ def _build(cls, doc, path):
     way.  Other values pass unchanged, lists as tuples, for ``cls`` to
     check, and its error is a ConfigError at ``path``.
     """
-    # every field but FitConfig's explicit start, which configs cannot give
-    fields = {k: p for k, p in inspect.signature(cls).parameters.items() if k != "start"}
+    fields = inspect.signature(cls).parameters
     required = [k for k, p in fields.items() if p.default is p.empty]
     _check_keys(doc, path, required=required, optional=fields)
     values = {}

@@ -18,10 +18,12 @@ first.  For k <= 2 it needs no linear program: the cone of such d is
 spanned by the rays perpendicular to the rows at either end of the widest
 angular gap between them, or by its middle where it is a half-plane.
 
-Where the ascent ends at 1/sigma <= 0, or stops short while the score at
-the maximizer along the wall 1/sigma = 0 points out of the domain or its
-likelihood ties the iterate's, the supremum lies on that wall (sigma ->
-infinity): ``fit`` reports that maximizer, just inside, as "boundary-divergence".
+Where the ascent ends at 1/sigma <= 0, the supremum lies on the wall
+1/sigma = 0 (sigma -> infinity).  So it does where the ascent stops short,
+or ends where 1/sigma moves no index beyond rounding, while the score at
+the maximizer along the wall points out of the domain or its likelihood
+ties the iterate's.  ``fit`` reports that maximizer, just inside, as
+"boundary-divergence".
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,9 @@ SUFFICIENT_INCREASE = 1e-4
 RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
 #: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0.
 SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
+#: |beta_p x_ip| relative to max(1, |z_i|) below which the wall coordinate
+#: moves no index beyond rounding: an ascent converged there may be on the wall.
+WALL_TOLERANCE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,6 @@ class FitConfig:
 
     max_iterations: int = 200
     gradient_tolerance: float = 1e-9
-    start: tuple = None  # explicit start; None means model.initial_point
 
     def __post_init__(self):
         if not is_integer(self.max_iterations, 1):
@@ -208,6 +212,14 @@ def _newton_from(model, data, index, beta, config):
     raise error
 
 
+def _on_the_wall(beta, index, p):
+    """Whether beta_p <= 0, or it moves no row's index z_i beyond rounding:
+    |beta_p x_ip| <= WALL_TOLERANCE max(1, |z_i|) on every row."""
+    X, offset = index
+    z = np.maximum(1.0, np.abs(offset + X.dot(beta)))
+    return not beta[p] > 0.0 or bool(np.all(np.abs(beta[p] * X[:, p]) <= WALL_TOLERANCE * z))
+
+
 def _wall_maximum(model, data, index, beta, ll, config):
     """The maximizer along the wall beta_p = 0, moved in until an index moves
     by eps, and its evaluation; None where ``beta`` is inside, the wall's
@@ -246,18 +258,16 @@ def fit(model, data, config=None):
             raise
         raise DomainError(str(err), index=int(rows[err.index])) from err
     _check_identifiable(model, data, index[0], paired=data.n == 2 * len(tally[0]))
-    start = config.start  # initial_point checks its own
-    start = model.initial_point(data, index, tally) if start is None else model.check_theta(start)
-    beta0 = model.index_from_theta(start)
+    beta = model.initial_point(data, index, tally)
     try:
-        beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta0, config)
+        beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta, config)
     except DegenerateLikelihood as err:
         if err.index is None:
             raise
         # name the observation in the caller's numbering, not the grouped one
         raise DegenerateLikelihood.at_observation(int(rows[err.index])) from err
     p = model.index_positive
-    if p is not None and (status != "converged" or not beta[p] > 0.0):
+    if p is not None and (status != "converged" or _on_the_wall(beta, index, p)):
         wall = _wall_maximum(model, data, index, beta, ll, config)
         if wall is not None:
             (beta, (ll, grad, hess)), status = wall, "boundary-divergence"
@@ -281,8 +291,7 @@ def fit(model, data, config=None):
             )
         if not eigs[0] > 0.0:
             status = "max-iterations"
-    # the start itself where no step was taken, so it is not rounded twice
-    theta_hat = model.check_theta(start if beta is beta0 else model.theta_from_index(beta)).copy()
+    theta_hat = model.check_theta(model.theta_from_index(beta)).copy()
     theta_hat.setflags(write=False)
     return FitResult(
         theta_hat=theta_hat,

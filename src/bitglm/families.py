@@ -18,7 +18,8 @@ Design notes
   ``index_link`` gives log P(B_i = b_i) and its first two derivatives in
   z, the one log-space likelihood route, concave in beta; ``index_weight``
   gives F'(z)^2 / (F (1 - F)), the information a bit carries about z.  The
-  likelihood module takes both to theta by the chain rule.
+  likelihood module takes both to theta by the chain rule.  The solver
+  iterates in beta and starts there: ``initial_point`` returns a beta.
 * Each family fixes the design entries its closed forms assume and
   ``check_designs`` rejects any other, wherever the family relies on them.
 * ``uncensored_information`` is the family's closed form of sum_i V_i^T
@@ -171,8 +172,8 @@ class ModelFamily(abc.ABC):
     # -- fitting ----------------------------------------------------------------
     @abc.abstractmethod
     def initial_point(self, data, index, tally):
-        """Checked starting point of the MLE solver for the grouped ``data``,
-        its ``index_regressors`` ``index`` and the design ``tally`` of ``grouped()``."""
+        """The solver's start in beta (finite, beta_p > 0) for the grouped
+        ``data``, its ``index_regressors`` ``index`` and the design ``tally``."""
 
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):

@@ -5,8 +5,8 @@ P(B_i = +1) = F(z_i) for the family's linear index z_i = offset_i +
 x_i.beta, so this is the binary-response information in beta,
 sum_i w_i x_i x_i^T with w = F'^2 / (F (1 - F)) (``index_weight``; McCullagh
 & Nelder, Generalized Linear Models, 1989), taken to theta by the
-likelihood module's chain rule: one BLAS reduction over the rows, one
-erfcx call per row for a Gaussian family.
+likelihood module's chain rule: one pairwise sum over the rows per entry
+(``likelihood.gram``), one erfcx call per row for a Gaussian family.
 Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, the family's closed form
 (``uncensored_information``): one or two dot products over the rows.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateThreshold, NumericalError
-from .likelihood import to_theta
+from .likelihood import gram, to_theta
 from .types import DesignSet
 
 #: Eigenvalues above this are treated as genuinely nonnegative.
@@ -89,7 +89,7 @@ def fim_censored(model, theta, designs):
     beta = model.index_from_theta(model.check_theta(theta))
     X, w = _index_weights(model, beta, designs)
     _reject(model, ~np.isfinite(w))
-    return _in_theta(model, beta, X.T @ (X * w[:, None]))
+    return _in_theta(model, beta, gram(X, w))
 
 
 def fim_sweep(model, theta, designs, index, grid):
@@ -109,7 +109,7 @@ def fim_sweep(model, theta, designs, index, grid):
     w[index] = 0.0  # the swept row's term enters per point
     if not np.all(np.isfinite(w)):
         return []
-    base = X.T @ (X * w[:, None])
+    base = gram(X, w)
     return [
         (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
         for p, tau in enumerate(grid)
@@ -140,8 +140,8 @@ def dpi_check(model, theta, designs):
     eigenvalue of I_n - J_n must be nonnegative up to rounding."""
     censored = fim_censored(model, theta, designs)
     uncensored = fim_uncensored(model, theta, designs)
-    gap = uncensored.matrix - censored.matrix
-    eigs = np.linalg.eigvalsh(0.5 * (gap + gap.T))
+    # both are exactly symmetric, so their gap is too
+    eigs = np.linalg.eigvalsh(uncensored.matrix - censored.matrix)
     return DpiReport(
         censored=censored,
         uncensored=uncensored,

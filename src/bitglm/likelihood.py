@@ -16,9 +16,12 @@ x_i.beta (``index_regressors``), in which P(B_i = +1) is a cdf F:
 These equal the paper's sum_i n_i V_i^T (E[T_i | B_i=b_i] - E[T_i]) and
 sum_i n_i V_i^T (Cov(T_i | B_i=b_i) - Cov(T_i)) V_i.
 
-The summation order is fixed (row order) and the log-likelihood reduction
-uses math.fsum over the rounded terms n_i log P(b_i), whose correctly
-rounded result is additionally invariant under permutations of the rows.
+Every sum over rows has a fixed order: each entry of the score, the
+Hessian and the information is one numpy pairwise sum over per-row
+products (``gram``), not a BLAS product, whose split of the rows over
+threads changes the rounding; the log-likelihood reduction uses math.fsum
+over the rounded terms n_i log P(b_i), whose correctly rounded result is
+additionally invariant under permutations of the rows.
 """
 
 import math
@@ -84,6 +87,17 @@ def evaluate(model, theta, data):
     return (ll, *to_theta(model, beta, g, h))
 
 
+def gram(X, w):
+    """sum_i w_i x_i x_i^T over the rows x_i of ``X``, shape (k, k), each
+    entry summed once and mirrored, so exactly symmetric."""
+    k = X.shape[1]
+    out = np.empty((k, k))
+    for j in range(k):
+        for m in range(j + 1):
+            out[j, m] = out[m, j] = np.add.reduce(X[:, j] * (X[:, m] * w))
+    return out
+
+
 def index_evaluate(model, beta, data, index):
     """(log-likelihood, score, hessian) at any beta in R^k, for ``index =
     model.index_regressors(data.designs)``: with the link's derivatives s
@@ -91,8 +105,8 @@ def index_evaluate(model, beta, data, index):
     X, offset = index
     log_probs, s, r = model.index_link(offset + X.dot(beta), data.designs, data.bits)
     ll = _sum_logs(log_probs, data)
-    h = X.T @ (X * (r * data.counts)[:, None])
-    return ll, X.T @ (s * data.counts), 0.5 * (h + h.T)
+    ns = s * data.counts
+    return ll, np.array([np.add.reduce(x * ns) for x in X.T]), gram(X, r * data.counts)
 
 
 def score(model, theta, data):

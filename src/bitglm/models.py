@@ -57,13 +57,13 @@ def _probit_start(family, index, tally):
     and q_j = Phi^-1(p_j) estimates its standardized threshold, the linear
     index offset_j + X_j beta of ``index_regressors``.  Solves that system by
     least squares weighted by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns
-    ``theta_from_index(beta)``.  With exactly k designs, every one of them
-    usable, this is the MLE.  A one-sided design adds nothing to the
-    regression but still counts in the likelihood, so with one the MLE lies
-    further on.  ``index`` is the grouped rows' ``index_regressors`` and
-    ``tally`` their design tally (``CensoredDataset.grouped()``).  Returns
-    None when fewer than k designs are usable, the system is rank-deficient,
-    or the solution lies outside the domain.
+    that beta.  With exactly k designs, every one of them usable, this is
+    the MLE.  A one-sided design adds nothing to the regression but still
+    counts in the likelihood, so with one the MLE lies further on.
+    ``index`` is the grouped rows' ``index_regressors`` and ``tally`` their
+    design tally (``CensoredDataset.grouped()``).  Returns None when fewer
+    than k designs are usable, the system is rank-deficient, or the
+    solution has beta_p <= 0.
     """
     rows, totals, plus = tally
     usable = (plus > 0) & (plus < totals)
@@ -78,10 +78,7 @@ def _probit_start(family, index, tally):
     p = family.index_positive
     if rank < family.k or (p is not None and not beta[p] > 0):
         return None
-    try:
-        return family.check_theta(family.theta_from_index(beta))
-    except DomainError:
-        return None
+    return beta
 
 
 class _GaussianIndex(ModelFamily):
@@ -89,9 +86,11 @@ class _GaussianIndex(ModelFamily):
 
     def initial_point(self, data, index, tally):
         """The per-design probit inversion (``_probit_start``); without one,
-        the family's ``_pooled_start``."""
+        the family's ``_pooled_start``, in beta."""
         start = _probit_start(self, index, tally)
-        return self.check_theta(self._pooled_start(data)) if start is None else start
+        if start is None:
+            return self.index_from_theta(self.check_theta(self._pooled_start(data)))
+        return start
 
     def index_link(self, z, designs, bits):
         """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
@@ -150,7 +149,7 @@ class GaussianCase1(_GaussianIndex):
         """sigma^2 sum_i V_i^2, as Var(x) = sigma^2."""
         _, designs = self._coerce(theta, designs)
         v = designs.V[:, 0, 0]
-        return np.array([[self.sigma**2 * v.dot(v)]])
+        return np.array([[self.sigma**2 * np.add.reduce(v * v)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -384,7 +383,7 @@ class GaussianCase3(_GaussianIndex):
         self.check_designs(designs)
         alpha, s2 = self.alpha_sigma2_from_natural(theta)
         w = designs.V[:, 0, 0]
-        S = w.dot(w)
+        S = np.add.reduce(w * w)
         cross = -alpha * S
         return s2 * np.array([[S, cross], [cross, 0.5 * designs.n * s2 + alpha * alpha * S]])
 
@@ -569,7 +568,7 @@ class PoissonModel(ModelFamily):
         """sum_i v_i^2 lam_i, as Var(x) = lam."""
         lam, _ = self._lam_t(theta, designs)
         v = designs.V[:, 0, 0]
-        return np.array([[v.dot(lam * v)]])
+        return np.array([[np.add.reduce(v * (lam * v))]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]

@@ -451,6 +451,7 @@ EXPERIMENT_ERRORS = [
         for value in ("0.1", True, -0.5, 1.0)
     ),
     ({"fit": {"multistart_count": 1}}, "multistart_count"),
+    ({"fit": {"start": [0.0]}}, "start"),
     # non-finite numbers and rule fields that the rule's kind reads
     *(
         ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")

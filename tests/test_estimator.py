@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,14 +64,15 @@ class TestFitSpots:
         with pytest.raises(NonIdentifiable):
             fit(fam, data)
 
-    def test_degenerate_error_names_the_callers_observation(self):
-        # only observation 1 is impossible at the start, where P(X > 300)
+    def test_degenerate_error_names_the_callers_observation(self, monkeypatch):
+        # only observation 1 is impossible at a start of 0, where P(X > 300)
         # at rate 1 is exactly 0 (the retreat's anchor is that start), and
         # the grouped data store it as row 2
         fam = models.PoissonModel([1.0] * 4)
         data = CensoredDataset([-1, -1, 1, -1], fam.design_set([2.0, 300.0, 2.0, 1.0]))
+        monkeypatch.setattr(fam, "initial_point", lambda *args: np.zeros(1))
         with pytest.raises(DegenerateLikelihood) as err:
-            fit(fam, data, FitConfig(start=[0.0]))
+            fit(fam, data)
         assert err.value.index == 1
         assert str(err.value).startswith("observation 1 ")
 
@@ -162,6 +164,15 @@ class TestWall:
         res = fit(fam, data)
         assert res.status == "boundary-divergence" and 0.0 < res.theta_hat[0] < 1e-20
 
+    def test_case3_tied_bits_are_on_the_wall(self):
+        # each design shows both bits equally often, so beta = 0 maximizes
+        # over R^2; the score cancels exactly on the way there, at a 1/sigma
+        # that moves no index beyond rounding: the wall itself
+        fam = models.GaussianCase3(np.ones(8))
+        data = CensoredDataset([1, -1] * 4, fam.design_set([0.5] * 4 + [2.0] * 4))
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence" and 0.0 < res.theta_hat[1] < 1e-20
+
     def test_case3_wall_maximum_against_a_bounded_line_search(self):
         # this used to stop at max-iterations, 4.6e-4 below the supremum
         from scipy.optimize import minimize_scalar
@@ -237,14 +248,6 @@ class TestEstimateType:
         data = CensoredDataset([1, -1, 1, -1] * 2, fam.design_set([1.5] * 4 + [-0.5] * 4))
         res = fit(fam, data)
         assert res.status == "boundary-divergence"
-        self._check(fam, res.theta_hat)
-
-    def test_start_is_copied(self):
-        # an estimate that is the start itself does not alias the caller's array
-        fam, data = iid_case1([1, -1, 1, -1])
-        start = np.zeros(1)
-        res = fit(fam, data, FitConfig(start=start))
-        assert res.theta_hat[0] == 0.0 and not np.shares_memory(res.theta_hat, start)
         self._check(fam, res.theta_hat)
 
 
@@ -518,12 +521,12 @@ class TestDeterminism:
             res = fit(fam, data)
         except NonIdentifiable:
             pytest.skip("instance not identifiable")
-        start = _start(fam, data)
+        start = fam.theta_from_index(_start(fam, data))
         assert res.log_likelihood >= likelihood.log_likelihood(fam, start, data) - 1e-12
 
 
 def _start(fam, data):
-    """``fam.initial_point`` as ``fit`` calls it, on the grouped rows."""
+    """``fam.initial_point`` as ``fit`` calls it, on the grouped rows: a beta."""
     grouped, _, tally = data.grouped()
     return fam.initial_point(grouped, fam.index_regressors(grouped.designs), tally)
 
@@ -536,7 +539,7 @@ class TestInitialPoint:
     def test_two_parameter_base_has_unit_precision(self):
         fam = models.GaussianCase3(np.ones(4))
         data = CensoredDataset([1, -1, 1, -1], fam.design_set(np.zeros(4)))
-        assert _start(fam, data)[1] == 1.0
+        assert _start(fam, data)[0] == 1.0  # beta_0 = 1/sigma
 
 
 class TestFitConfigValidation:
@@ -548,12 +551,6 @@ class TestFitConfigValidation:
         for bad in (0.0, np.inf, np.nan, True, int("9" * 400)):
             with pytest.raises(ValueError, match="gradient_tolerance"):
                 FitConfig(gradient_tolerance=bad)
-
-    def test_explicit_start(self):
-        fam, data = iid_case1([1, 1, -1, -1])
-        res = fit(fam, data, FitConfig(start=np.array([2.0])))
-        assert res.converged
-        assert res.theta_hat[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def _fig1_trial(name, n, trial):
@@ -620,6 +617,11 @@ def _pooled_start(model, data):
     return np.array([alpha0, 1.0])
 
 
+def _pooled_beta(model, data):
+    """``_pooled_start`` on the grouped rows of ``data``, in beta."""
+    return model.index_from_theta(_pooled_start(model, data.grouped()[0]))
+
+
 def _gaussian(name, taus, bits, weights=None):
     """(family, data); unit weights unless given, case-2 means 0.2 * weights."""
     n = len(taus)
@@ -657,16 +659,19 @@ class TestProbitStart:
         config, fam, data = _fig1_trial(name, n, trial)
         want = _closed_form_two_threshold(data)
         start = _start(fam, data)
-        assert_allclose(fam.to_moment(start), want, rtol=1e-10)
+        assert_allclose(fam.to_moment(fam.theta_from_index(start)), want, rtol=1e-10)
         # any order of the rows gives the same tally, so the same start
         assert np.array_equal(_start(fam, data.permuted(np.arange(data.n)[::-1])), start)
         res = fit(fam, data, config.fit)
         assert res.converged and res.iterations == 1
+        # no step is taken: the estimate is the start, taken to theta once
+        assert np.array_equal(res.theta_hat, fam.theta_from_index(start))
         assert_allclose(fam.to_moment(res.theta_hat), want, rtol=1e-10)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_one_design_per_family_parameter_is_inverted_exactly(self, name):
         # k = 1: a single design seen with both bits; 3 of 4 bits are +1
+        # the start is the index parameter beta
         taus = [0.9] * 4
         fam, data = _gaussian(name, taus, [1, 1, -1, 1])
         q = float(norm_ppf(0.75))
@@ -674,11 +679,11 @@ class TestProbitStart:
             # k = 2: a second design, 9 of 10 bits +1
             fam, data = _gaussian(name, taus + [2.5] * 10, [1, 1, -1, 1] + [1] * 9 + [-1])
             sigma = (2.5 - 0.9) / (float(norm_ppf(0.9)) - q)
-            want = fam.from_moment([0.9 - sigma * q, sigma])
+            want = [1.0 / sigma, (0.9 - sigma * q) / sigma]  # (1/sigma, alpha/sigma)
         elif name == "gaussian-case1":
-            want = [0.9 - 1.3 * q]  # tau - sigma q over a unit weight
+            want = [0.9 - 1.3 * q]  # alpha = tau - sigma q over a unit weight
         else:
-            want = [(q / (0.9 - 0.2)) ** 2]  # 1/sigma^2 with q = (tau - mean)/sigma
+            want = [q / (0.9 - 0.2)]  # 1/sigma with q = (tau - mean)/sigma
         assert_allclose(_start(fam, data), want, rtol=1e-12)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
@@ -694,13 +699,13 @@ class TestProbitStart:
         assert_allclose(start, _start(fam_usable, usable), rtol=1e-12)
         res = fit(fam, data)
         assert res.converged and res.iterations > 1
-        assert not np.allclose(res.theta_hat, start, rtol=1e-6, atol=0.0)
+        assert not np.allclose(res.theta_hat, fam.theta_from_index(start), rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):
         fam, _, designs = random_instance(name, rng, n=60)
         data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
-        assert np.array_equal(_start(fam, data), _pooled_start(fam, data.grouped()[0]))
+        assert np.array_equal(_start(fam, data), _pooled_beta(fam, data))
 
     @pytest.mark.parametrize(
         "name,taus,bits,weights",
@@ -721,16 +726,16 @@ class TestProbitStart:
     )
     def test_fallback_is_the_pooled_start(self, name, taus, bits, weights):
         fam, data = _gaussian(name, taus, bits, weights)
-        assert np.array_equal(_start(fam, data), _pooled_start(fam, data.grouped()[0]))
+        assert np.array_equal(_start(fam, data), _pooled_beta(fam, data))
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fit_agrees_with_the_pooled_start_fit(self, name, seed):
         fam, _, data = repeated_rows(name, np.random.default_rng(seed), max_reps=30)
-        grouped = data.grouped()[0]
         try:
-            old = fit(fam, data, FitConfig(start=_pooled_start(fam, grouped)))
+            with mock.patch.object(fam, "initial_point", return_value=_pooled_beta(fam, data)):
+                old = fit(fam, data)
         except BitGlmError:
             return
         if not old.converged:

@@ -18,6 +18,12 @@ def test_ten_draws_against_itself(capsys):
         assert len(lines) == 2
         counts = lines[0].split(" s  ")[1].split(", ")
         assert sum(int(c.rsplit(" ", 1)[1]) for c in counts) == 10
+    # per tree and family, the Newton iterations of each status: the same
+    # tree twice reads the same totals and maxima
+    totals = [line for line in out.splitlines() if line.startswith("    newton iterations: ")]
+    assert len(totals) == 2 * len(fit_sweep.FAMILIES)
+    assert totals[: len(fit_sweep.FAMILIES)] == totals[len(fit_sweep.FAMILIES):]
+    assert any("converged " in line and "(max " in line for line in totals)
     assert out.count("total fit time") == 2
     # the same tree twice: no transitions, identical estimates and fits
     assert "->" not in out.split("==")[-1].split("\n", 1)[1]

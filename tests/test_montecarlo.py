@@ -417,8 +417,8 @@ class TestTrialSetup:
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_a_fig1_trial_groups_builds_and_checks_once(self, monkeypatch, curve, n):
         # one design-code pass (grouping gives the rows and the design tally
-        # at once), one regressor build, and two theta checks inside fit: the
-        # start's and the estimate's
+        # at once), one regressor build, and one theta check inside fit: the
+        # estimate's, as the start is a beta
         doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
         config = dict(cli.load_experiments(doc))[curve]
         calls = Counter()
@@ -447,7 +447,7 @@ class TestTrialSetup:
             calls.clear()
             assert montecarlo.run_trial(config, n, trial).status == "converged"
             assert (calls["codes"], calls["index"]) == (1, 1)
-            assert calls["theta in fit"] == 2
+            assert calls["theta in fit"] == 1
 
 
 class TestRules:

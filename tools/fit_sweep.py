@@ -13,8 +13,8 @@ alternating ``repeated_rows(max_reps=30)`` (even draws) and
 Each tree fits them in its own interpreter, one process at a time.
 
 Prints, per tree and family, the count of each outcome (a ``FitResult``
-status, or the name of the error ``fit`` raised) and the total fit time;
-then, against the first tree, the outcome transitions, the worst
+status, or the name of the error ``fit`` raised) and the total fit time,
+and per status the total and the largest ``FitResult.iterations``; then, against the first tree, the outcome transitions, the worst
 difference of estimates that both trees report converged, |a - b| over
 max(|a|, |b|, 1) per coordinate, the worst log-likelihood shortfall,
 (ll_first - ll_other) / |ll_first|, over draws that both trees fit, and
@@ -91,13 +91,13 @@ def fit_all(count, seed):
             try:
                 res = fit(fam, data)
             except BitGlmError as err:
-                outcome, theta, ll = type(err).__name__, None, None
+                outcome, theta, ll, iterations = type(err).__name__, None, None, None
             else:
                 theta = res.theta_hat.tolist()
-                outcome, ll = res.status, res.log_likelihood
+                outcome, ll, iterations = res.status, res.log_likelihood, res.iterations
             records.append({
                 "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
-                "seconds": time.perf_counter() - start, **at_theta,
+                "iterations": iterations, "seconds": time.perf_counter() - start, **at_theta,
             })
     return records
 
@@ -147,6 +147,14 @@ def report(trees, results):
             seconds = sum(r["seconds"] for r in mine)
             listed = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
             print(f"  {name:15s} {seconds:7.2f} s  {listed}")
+            iterations = {}
+            for r in mine:
+                if r["iterations"] is not None:
+                    iterations.setdefault(r["outcome"], []).append(r["iterations"])
+            listed = ", ".join(
+                f"{k} {sum(v)} (max {max(v)})" for k, v in sorted(iterations.items())
+            )
+            print(f"    newton iterations: {listed}")
         print(f"  total fit time {sum(r['seconds'] for r in records):.2f} s")
     for tree, records in zip(trees[1:], results[1:]):
         print(f"== {trees[0]} -> {tree}")
