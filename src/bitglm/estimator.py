@@ -18,12 +18,16 @@ first.  For k <= 2 it needs no linear program: the cone of such d is
 spanned by the rays perpendicular to the rows at either end of the widest
 angular gap between them, or by its middle where it is a half-plane.
 
+The ascent also stops where its Newton step would change no row's index
+beyond rounding: beta is then stationary to its precision, whatever the
+theta-score's own rounding reads (it divides by 1/sigma).
+
 Where the ascent ends at 1/sigma <= 0, the supremum lies on the wall
-1/sigma = 0 (sigma -> infinity).  So it does where the ascent stops short,
-or ends where 1/sigma moves no index beyond rounding, while the score at
-the maximizer along the wall points out of the domain or its likelihood
-ties the iterate's.  ``fit`` reports that maximizer, just inside, as
-"boundary-divergence".
+1/sigma = 0 (sigma -> infinity).  So it does where the ascent ends short of
+a theta-score at the tolerance, or where the step to the wall itself would
+move no index beyond rounding, while the score at the maximizer along the
+wall points out of the domain or its likelihood ties the iterate's.
+``fit`` reports that maximizer, just inside, as "boundary-divergence".
 """
 
 from dataclasses import dataclass
@@ -46,9 +50,9 @@ SUFFICIENT_INCREASE = 1e-4
 RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
 #: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0.
 SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
-#: |beta_p x_ip| relative to max(1, |z_i|) below which the wall coordinate
-#: moves no index beyond rounding: an ascent converged there may be on the wall.
-WALL_TOLERANCE = 64.0 * np.finfo(float).eps
+#: |x_i.d| relative to max(1, |z_i|) at or below which a step d changes no
+#: row's index z_i beyond rounding.
+STATIONARY_TOLERANCE = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,15 @@ class FitResult:
 
     ``theta_hat`` is a read-only (k,) float array inside the family's
     domain; ``observed_information`` is the negated Hessian at the estimate;
-    ``status`` is one of "converged", "max-iterations" or
+    ``status`` is one of "converged" (stationary to rounding in beta, at a
+    locally maximal point: the theta-score fell to the tolerance or the
+    Newton step moves no index beyond rounding, and the observed
+    information is positive definite), "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
-    moved just inside to sigma ~ 1/eps).
+    moved just inside to sigma ~ 1/eps).  ``final_score_norm`` is the
+    theta-score as it is, above the tolerance where a flat optimum's
+    rounding puts it there.
     """
 
     theta_hat: np.ndarray
@@ -159,9 +168,18 @@ def _ascent_direction(neg_hess, grad):
         return np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
 
 
+def _moves_no_index(index, beta, moves):
+    """Whether index moves ``moves`` (X d for a step d) from ``beta`` stay
+    within rounding: |moves_i| <= STATIONARY_TOLERANCE max(1, |z_i|)."""
+    X, offset = index
+    z = np.maximum(1.0, np.abs(offset + X.dot(beta)))
+    return bool(np.all(np.abs(moves) <= STATIONARY_TOLERANCE * z))
+
+
 def _newton(model, data, index, beta, config, score_norm):
     """Damped Newton ascent in beta until ``score_norm(beta, grad)`` falls to
-    the tolerance: (beta, status, iterations, its (ll, grad, hess))."""
+    the tolerance ("converged") or the Newton step moves no index beyond
+    rounding ("stationary"): (beta, status, iterations, its (ll, grad, hess))."""
     ll, grad, hess = likelihood.index_evaluate(model, beta, data, index)  # _newton_from catches
     status = "max-iterations"
     iterations = 0
@@ -171,6 +189,9 @@ def _newton(model, data, index, beta, config, score_norm):
             status = "converged"
             break
         direction = _ascent_direction(-hess, grad)
+        if _moves_no_index(index, beta, index[0].dot(direction)):
+            status = "stationary"
+            break
         slope = float(grad @ direction)
         if not slope > 0.0:
             break
@@ -210,14 +231,6 @@ def _newton_from(model, data, index, beta, config):
         if np.isfinite(_safe_ll(model, data, index, beta)[0]):
             return _newton(model, data, index, beta, config, score_norm)
     raise error
-
-
-def _on_the_wall(beta, index, p):
-    """Whether beta_p <= 0, or it moves no row's index z_i beyond rounding:
-    |beta_p x_ip| <= WALL_TOLERANCE max(1, |z_i|) on every row."""
-    X, offset = index
-    z = np.maximum(1.0, np.abs(offset + X.dot(beta)))
-    return not beta[p] > 0.0 or bool(np.all(np.abs(beta[p] * X[:, p]) <= WALL_TOLERANCE * z))
 
 
 def _wall_maximum(model, data, index, beta, ll, config):
@@ -267,19 +280,26 @@ def fit(model, data, config=None):
         # name the observation in the caller's numbering, not the grouped one
         raise DegenerateLikelihood.at_observation(int(rows[err.index])) from err
     p = model.index_positive
-    if p is not None and (status != "converged" or _on_the_wall(beta, index, p)):
+    # the step to the wall beta_p = 0 moves each index z_i by -beta_p x_ip
+    if p is not None and (
+        status != "converged" or not beta[p] > 0.0
+        or _moves_no_index(index, beta, beta[p] * index[0][:, p])
+    ):
         wall = _wall_maximum(model, data, index, beta, ll, config)
         if wall is not None:
             (beta, (ll, grad, hess)), status = wall, "boundary-divergence"
+    if status == "stationary":
+        status = "converged"
     grad, hess = likelihood.to_theta(model, beta, grad, hess)
     gnorm = float(np.max(np.abs(grad)))
     observed = -hess
     observed.setflags(write=False)
-    # converged means a stationary point that is locally a maximum: tiny
-    # score and a positive definite observed information.  A regular point
-    # is locally identified iff its information is nonsingular (Rothenberg,
-    # Econometrica 39, 1971), so a singular one at a stationary point is a
-    # ridge of maximizers, not an estimate
+    # converged means a stationary point that is locally a maximum: a tiny
+    # score or a Newton step below rounding, and a positive definite
+    # observed information.  A regular point is locally identified iff its
+    # information is nonsingular (Rothenberg, Econometrica 39, 1971), so a
+    # singular one at a stationary point is a ridge of maximizers, not an
+    # estimate
     if status == "converged":
         eigs, vecs = np.linalg.eigh(observed)
         trace = float(np.trace(observed))

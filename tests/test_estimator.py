@@ -5,6 +5,7 @@ from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +165,25 @@ class TestWall:
         res = fit(fam, data)
         assert res.status == "boundary-divergence" and 0.0 < res.theta_hat[0] < 1e-20
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_case2_ties_stop_well_under_the_cap(self, seed):
+        # every design seen equally often with either bit, so S = 0 exactly;
+        # toward 1/sigma = 0 the theta-score g/(2 beta) tends to H/2, not 0,
+        # so only the step that moves no index ends the ascent (this used to
+        # take the 200-iteration cap in 13 of the 23 such sweep draws; now
+        # at most 26 over 23,000 seeds)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        means = rng.uniform(-2.0, 2.0, k)
+        taus = means + rng.uniform(0.15, 2.5, k) * rng.choice([-1.0, 1.0], k)
+        fam = models.GaussianCase2(np.tile(means, 2))
+        counts = np.tile(rng.integers(1, 16, k), 2)
+        data = CensoredDataset(np.repeat([1, -1], k), fam.design_set(np.tile(taus, 2)), counts)
+        assert _case2_wall_statistic(fam, data) == 0.0
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence" and res.iterations <= 40
+
     def test_case3_tied_bits_are_on_the_wall(self):
         # each design shows both bits equally often, so beta = 0 maximizes
         # over R^2; the score cancels exactly on the way there, at a 1/sigma
@@ -189,6 +209,67 @@ class TestWall:
             options={"xatol": 1e-12},
         )
         assert_allclose(res.log_likelihood, -line.fun, rtol=1e-8)
+
+
+def _mpmath_case3_maximizer(data, beta):
+    """The case-3 MLE in theta: the root of the score in beta, sum_i n_i b_i
+    pdf(b_i z_i)/Phi(b_i z_i) (tau_i, -w_i) with z_i = tau_i beta_0 - w_i
+    beta_1, found from ``beta`` by 50-digit Newton."""
+    rows = [
+        (mpmath.mpf(float(t)), mpmath.mpf(float(w)), int(b), int(n))
+        for t, w, b, n in zip(data.designs.taus, data.designs.V[:, 0, 0], data.bits, data.counts)
+    ]
+
+    def score(b0, b1):
+        g = [mpmath.mpf(0), mpmath.mpf(0)]
+        for t, w, b, n in rows:
+            z = b * (t * b0 - w * b1)
+            h = n * b * mpmath.npdf(z) / mpmath.ncdf(z)
+            g[0] += h * t
+            g[1] -= h * w
+        return g
+
+    with mpmath.workdps(50):
+        b0, b1 = mpmath.findroot(score, (mpmath.mpf(beta[0]), mpmath.mpf(beta[1])))
+        return np.array([float(b0 * b1), float(b0 * b0)])
+
+
+class TestFlatOptimum:
+    """Two case-3 draws of ``tools/fit_sweep.py`` (seed 5) with optima so flat,
+    sigma ~ 2,300, that the theta-score's rounding floor is the 1e-9
+    tolerance itself.  The ascent stops where its Newton step moves no index
+    beyond rounding, at the maximizer, whatever the theta-score reads."""
+
+    # sweep draw: five designs' thresholds and weights, each seen with
+    # bit -1 and with bit +1 the given numbers of times
+    DRAWS = {
+        316: (
+            [-2.456714206989738, -2.0726517782964073, 0.44681147881628025,
+             4.193964987042467, 4.3603870607405435],
+            [0.7757019779920165, -1.42303080078735, -1.4821883088859686,
+             1.1815099279895136, 1.42067757905341],
+            [4, 4, 12, 12, 11],
+            [3, 8, 8, 11, 16],
+        ),
+        1400: (
+            [-3.0676484546306777, -2.9585743835828557, -0.8644055173965048,
+             1.180007279105778, 1.18239320088578],
+            [-1.9923474731078272, 1.4394789999457165, -0.8556596354041177,
+             -0.9819226111241066, -0.7281827322605525],
+            [13, 4, 15, 4, 10],
+            [12, 5, 10, 9, 5],
+        ),
+    }
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_converges_at_the_mpmath_maximizer(self, draw):
+        taus, w, minus, plus = self.DRAWS[draw]
+        fam = models.GaussianCase3(np.tile(w, 2))
+        data = CensoredDataset(np.repeat([-1, 1], 5), fam.design_set(np.tile(taus, 2)), minus + plus)
+        res = fit(fam, data)
+        assert res.converged and res.iterations <= 10
+        want = _mpmath_case3_maximizer(data, fam.index_from_theta(res.theta_hat))
+        assert_allclose(res.theta_hat, want, rtol=1e-11)
 
 
 class TestEstimateType:

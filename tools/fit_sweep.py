@@ -14,7 +14,8 @@ Each tree fits them in its own interpreter, one process at a time.
 
 Prints, per tree and family, the count of each outcome (a ``FitResult``
 status, or the name of the error ``fit`` raised) and the total fit time,
-and per status the total and the largest ``FitResult.iterations``; then, against the first tree, the outcome transitions, the worst
+and per status the total and the largest ``FitResult.iterations``; then,
+against the first tree, the outcome transitions, the worst
 difference of estimates that both trees report converged, |a - b| over
 max(|a|, |b|, 1) per coordinate, the worst log-likelihood shortfall,
 (ll_first - ll_other) / |ll_first|, over draws that both trees fit, and
