@@ -14,8 +14,8 @@ and its relative error is at most e - 1 times the evaluated tail's, plus
 one rounding.  Both tails therefore keep their digits far into the tails
 for every rate the models accept.
 
-All functions are vectorized over observations; thresholds are integers
-(callers apply the floor rule before arriving here).
+All functions are vectorized over observations; thresholds are whole-number
+floats (callers apply the floor rule before arriving here).
 """
 
 import numpy as np
@@ -27,8 +27,8 @@ def poisson_tails(t, lam):
 
     Parameters
     ----------
-    t : array_like of int
-        Thresholds; entries below 0 give (0, 1).
+    t : array_like of float
+        Whole-number thresholds; entries below 0 give (0, 1).
     lam : array_like of float
         Poisson rates, each > 0.
 
@@ -37,7 +37,7 @@ def poisson_tails(t, lam):
     (ndarray, ndarray) of float, broadcast over ``t`` and ``lam``
     """
     t, lam = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(t, dtype=np.int64)), np.atleast_1d(np.asarray(lam, dtype=float))
+        np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(lam, dtype=float))
     )
     # t + 1 > lam puts the rate below the threshold, where P(X > t) is the
     # far-side tail; each ufunc runs only on its own rows (no NaN at t < 0)

@@ -368,10 +368,8 @@ def _threshold_sweep(family, theta0, designs, spec):
     """
     idx, lo, hi, step = spec
     grid = np.arange(lo, hi + step / 2, step)
-    return [
-        (tau, float(r.matrix[0, 0]) if r.k == 1 else r.determinant)
-        for tau, r in fisher.fim_sweep(family, theta0, designs, idx, grid)
-    ]
+    # the determinant of a 1 x 1 information is its value
+    return [(tau, r.determinant) for tau, r in fisher.fim_sweep(family, theta0, designs, idx, grid)]
 
 
 def cmd_fim(args, doc, started_at):

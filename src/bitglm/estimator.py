@@ -8,8 +8,9 @@ the grouped data (identical observations merged into counts), so each
 iteration costs O(distinct rows), not O(n).  Steps must raise the
 log-likelihood enough (Armijo), except where the gain a step predicts is
 below its float resolution: there the full step is taken when it lowers
-the score.  That score, judged and reported, is the one in theta, J^-T g
-for the Jacobian J of theta(beta).
+the score in beta (the one in theta divides by 1/sigma, so near the wall
+it reads rounding as slope).  Convergence is judged, and the score
+reported, in theta: J^-T g for the Jacobian J of theta(beta).
 
 A finite maximizer exists unless the bits are separated: some direction d,
 with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
@@ -197,14 +198,15 @@ def _newton(model, data, index, beta, config, score_norm):
             break
         # a predicted gain below the float resolution of the log-likelihood
         # makes the sufficient-increase test a coin flip; there the full
-        # step is judged by whether it lowers the score instead
+        # step is judged by whether it lowers the score in beta instead
         blind = 0.5 * slope <= _ll_resolution(ll)
         t = 1.0
         while t >= MIN_DAMPING:
             cand = beta + t * direction
             step = _safe_ll(model, data, index, cand)
             if step[0] >= ll + SUFFICIENT_INCREASE * t * slope or (
-                blind and t == 1.0 and step[1] is not None and score_norm(cand, step[1]) < gnorm
+                blind and t == 1.0 and step[1] is not None
+                and np.max(np.abs(step[1])) < np.max(np.abs(grad))
             ):
                 break
             t *= BACKTRACKING_FACTOR

@@ -30,35 +30,32 @@ from .types import DesignSet
 PSD_TOLERANCE = -1e-10
 
 
-def _det_small(m):
-    """Determinant of a small symmetric matrix; exact arithmetic for k <= 2."""
-    k = m.shape[0]
-    if k == 1:
-        return float(m[0, 0])
-    if k == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return float(np.linalg.det(m))
-
-
 @dataclass(frozen=True)
 class FimResult:
-    """A k x k information matrix with PSD metadata."""
+    """A k x k symmetric information matrix, read-only; its smallest
+    eigenvalue and determinant are computed where they are read."""
 
     matrix: np.ndarray
-    min_eigenvalue: float
-    determinant: float
 
-    @classmethod
-    def build(cls, total):
-        """From the k x k total, symmetrized."""
-        total = 0.5 * (total + total.T)
-        eigs = np.linalg.eigvalsh(total)
-        total.setflags(write=False)
-        return cls(matrix=total, min_eigenvalue=float(eigs[0]), determinant=_det_small(total))
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
     @property
     def k(self):
         return self.matrix.shape[0]
+
+    @property
+    def min_eigenvalue(self):
+        return float(np.linalg.eigvalsh(self.matrix)[0])
+
+    @property
+    def determinant(self):
+        m = self.matrix  # exact arithmetic for k <= 2
+        if self.k == 1:
+            return float(m[0, 0])
+        if self.k == 2:
+            return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return float(np.linalg.det(m))
 
 
 def _reject(model, bad):
@@ -79,7 +76,7 @@ def _index_weights(model, beta, designs):
 
 def _in_theta(model, beta, total):
     # the expected score is 0, so the information transforms as a Hessian there
-    return FimResult.build(to_theta(model, beta, np.zeros(model.k), total)[1])
+    return FimResult(to_theta(model, beta, np.zeros(model.k), total)[1])
 
 
 def fim_censored(model, theta, designs):
@@ -119,7 +116,7 @@ def fim_sweep(model, theta, designs, index, grid):
 
 def fim_uncensored(model, theta, designs):
     """Information carried by the raw observations, in the family's closed form."""
-    return FimResult.build(model.uncensored_information(theta, designs))
+    return FimResult(model.uncensored_information(theta, designs))
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,11 @@ class DpiReport:
 
     censored: FimResult
     uncensored: FimResult
-    min_eigenvalue_gap: float
+
+    @property
+    def min_eigenvalue_gap(self):
+        # both are exactly symmetric, so their gap is too
+        return float(np.linalg.eigvalsh(self.uncensored.matrix - self.censored.matrix)[0])
 
     @property
     def passed(self):
@@ -138,12 +139,4 @@ class DpiReport:
 def dpi_check(model, theta, designs):
     """Verify that censoring cannot increase information: the smallest
     eigenvalue of I_n - J_n must be nonnegative up to rounding."""
-    censored = fim_censored(model, theta, designs)
-    uncensored = fim_uncensored(model, theta, designs)
-    # both are exactly symmetric, so their gap is too
-    eigs = np.linalg.eigvalsh(uncensored.matrix - censored.matrix)
-    return DpiReport(
-        censored=censored,
-        uncensored=uncensored,
-        min_eigenvalue_gap=float(eigs[0]),
-    )
+    return DpiReport(fim_censored(model, theta, designs), fim_uncensored(model, theta, designs))

@@ -543,7 +543,8 @@ class PoissonModel(ModelFamily):
             raise NumericalError(
                 f"poisson rate exceeds the supported range (max {self.MAX_RATE:g})"
             )
-        return lam, np.floor(designs.taus).astype(np.int64)
+        # a float count: an int64 cast wraps thresholds of 2^63 and more
+        return lam, np.floor(designs.taus)
 
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)

@@ -429,7 +429,7 @@ def check_consistency_conditions(model, theta0, designs):
     vnorm = float(np.max(np.sum(np.abs(designs.V), axis=2)))
 
     avg = fisher.fim_censored(model, theta0, designs).matrix / n
-    info = fisher.FimResult.build(avg)
+    info = fisher.FimResult(avg)  # makes avg read-only
 
     if n >= 2:
         half = designs.subset(slice(0, n // 2))

@@ -277,7 +277,8 @@ def sandwich(V, inner):
     """FimResult of sum_i V_i^T inner_i V_i, assembled as one (n d) x k product."""
     n, d, k = V.shape
     right = np.matmul(inner, V)  # (n, d, k)
-    return FimResult.build(V.reshape(n * d, k).T @ right.reshape(n * d, k))
+    total = V.reshape(n * d, k).T @ right.reshape(n * d, k)
+    return FimResult(0.5 * (total + total.T))
 
 
 def uncensored_sandwich(family, theta, designs):
@@ -486,7 +487,8 @@ def fim_numeric_oracle(model, theta, designs):
             s = likelihood.score(model, theta, CensoredDataset(np.array([b]), row))
             acc += np.outer(s, s) * pb
         terms[i] = acc
-    return FimResult.build(np.add.reduce(terms, axis=0))
+    total = np.add.reduce(terms, axis=0)
+    return FimResult(0.5 * (total + total.T))
 
 
 def negative_expected_hessian(model, theta, designs):

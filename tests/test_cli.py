@@ -814,3 +814,85 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+#: (command, config text, data file text or None, extra arguments, location
+#: or None, message) of config errors that the other tests never raise
+RARE_CONFIG_ERRORS = [
+    pytest.param("fim", "[1, 2]", None, [], None, "config must be a JSON object", id="array"),
+    pytest.param(
+        "fim",
+        '{"model": {"name": "poisson", "theta": 0.0, "covariates": 1.0}, "thresholds": 0.5}',
+        None, [], "thresholds", "scalar needs an explicit 'count'", id="scalar-without-count",
+    ),
+    pytest.param(
+        "simulate", '{"experiments": []}', None, [], "experiments",
+        "experiments must be a non-empty list", id="no-experiments",
+    ),
+    pytest.param(
+        "simulate",
+        json.dumps({"experiments": [TestFamilyKeys._experiment("a")] * 2}),
+        None, [], "experiments", "experiment names must be unique", id="duplicate-names",
+    ),
+    pytest.param(
+        "fit", CASE1_FIT_CFG, "1 x\n1 0.0 1.0\n", [], "line 1", "header must be 'd k' = '1 1'",
+        id="non-integer-header",
+    ),
+    pytest.param(
+        "fit", CASE1_FIT_CFG, "# no rows\n1 1\n", [], None, "no observations found",
+        id="no-rows",
+    ),
+    pytest.param(
+        "fim", (CONFIG_DIR / "two-point.cfg").read_text(), None, ["--sweep", "2:0:1:0.5"], None,
+        "--sweep index 2 out of range (n=2)", id="sweep-index-beyond-n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, data, extra, location, message", RARE_CONFIG_ERRORS)
+def test_rare_config_errors_exit_2_at_their_location(
+    tmp_path, capsys, command, config, data, extra, location, message
+):
+    args = [command, "--config", write(tmp_path, "x.cfg", config), *extra]
+    if data is not None:
+        args += ["--data", write(tmp_path, "obs.dat", data)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    code, err = main_in_process(capsys, *args)
+    assert code == 2
+    assert err.startswith(f"config error ({location}): " if location else "config error: ")
+    assert message in err
+
+
+class TestRarePaths:
+    def test_count_broadcasts_a_scalar_threshold(self, tmp_path, capsys):
+        model = '{"name": "poisson", "theta": 0.0, "covariates": 1.0}'
+        docs = [
+            f'{{"model": {model}, "thresholds": 1.0, "count": 3}}',
+            f'{{"model": {model}, "thresholds": [1.0, 1.0, 1.0]}}',
+        ]
+        outs = []
+        for i, doc in enumerate(docs):
+            assert cli.main(["fim", "--config", write(tmp_path, f"{i}.cfg", doc), "--json"]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0]["uncensored"] == [[3.0]]  # three rows at rate 1
+
+    def test_one_design_has_no_prefix_drift(self, tmp_path, capsys):
+        # clause (3)'s probe compares the first half of the designs with all
+        # of them, and one design has no first half
+        model = {"name": "gaussian-case1", "alpha": 0.5, "sigma": 1.0, "weights": 1.0}
+        cfg = write(tmp_path, "x.cfg", json.dumps({"model": model, "thresholds": [0.5]}))
+        assert cli.main(["check-conditions", "--config", cfg, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert math.isnan(out["prefix_drift"])
+        assert out["min_eigenvalue"] == pytest.approx(2 / math.pi, rel=1e-12) and out["passed"]
+
+    def test_weights_that_average_to_zero_start_at_zero(self, tmp_path, capsys):
+        # no design has both bits, so the start is the pooled one, whose
+        # mean weight is 0; log Phi(-alpha) + log Phi(alpha) peaks there
+        cfg = write(tmp_path, "fit.cfg", CASE1_FIT_CFG)
+        data = write(tmp_path, "obs.dat", "1 1\n1 0.0 1.0\n1 0.0 -1.0\n")
+        assert cli.main(["fit", "--config", cfg, "--data", data, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] and out["theta_hat"] == [0.0] and out["iterations"] == 1

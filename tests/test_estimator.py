@@ -165,6 +165,17 @@ class TestWall:
         res = fit(fam, data)
         assert res.status == "boundary-divergence" and 0.0 < res.theta_hat[0] < 1e-20
 
+    @staticmethod
+    def _case2_ties(seed):
+        """Up to 5 designs, each seen equally often with either bit."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        means = rng.uniform(-2.0, 2.0, k)
+        taus = means + rng.uniform(0.15, 2.5, k) * rng.choice([-1.0, 1.0], k)
+        fam = models.GaussianCase2(np.tile(means, 2))
+        counts = np.tile(rng.integers(1, 16, k), 2)
+        return fam, CensoredDataset(np.repeat([1, -1], k), fam.design_set(np.tile(taus, 2)), counts)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_case2_ties_stop_well_under_the_cap(self, seed):
@@ -173,16 +184,21 @@ class TestWall:
         # so only the step that moves no index ends the ascent (this used to
         # take the 200-iteration cap in 13 of the 23 such sweep draws; now
         # at most 26 over 23,000 seeds)
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 6))
-        means = rng.uniform(-2.0, 2.0, k)
-        taus = means + rng.uniform(0.15, 2.5, k) * rng.choice([-1.0, 1.0], k)
-        fam = models.GaussianCase2(np.tile(means, 2))
-        counts = np.tile(rng.integers(1, 16, k), 2)
-        data = CensoredDataset(np.repeat([1, -1], k), fam.design_set(np.tile(taus, 2)), counts)
+        fam, data = self._case2_ties(seed)
         assert _case2_wall_statistic(fam, data) == 0.0
         res = fit(fam, data)
         assert res.status == "boundary-divergence" and res.iterations <= 40
+
+    @pytest.mark.parametrize("seed", [46, 1225, 2032, 2387, 2486])
+    def test_blind_steps_near_the_wall_are_judged_in_beta(self, seed):
+        # an iterate at 1/sigma ~ -6e-14 has a full step toward 0 whose gain
+        # is below rounding; the theta-score there divides by 1/sigma and
+        # reads ~1, so judging the step by it rejected it and the ascent
+        # crept on by backtracked steps (21-25 iterations; at most 5 over
+        # seeds 0-2,999 with the score in beta)
+        fam, data = self._case2_ties(seed)
+        res = fit(fam, data)
+        assert res.status == "boundary-divergence" and res.iterations <= 6
 
     def test_case3_tied_bits_are_on_the_wall(self):
         # each design shows both bits equally often, so beta = 0 maximizes
@@ -676,6 +692,37 @@ class TestBlindLineSearch:
         assert res.final_score_norm <= 1e-9
         alpha_sigma = fam.to_moment(res.theta_hat)
         assert_allclose(alpha_sigma, _closed_form_two_threshold(data), rtol=1e-8)
+
+
+class TestNewtonGivesUp:
+    """The two ways the ascent stops short of a stationary point: a direction
+    that does not ascend, and a line search that finds no acceptable step.
+    Each ends "max-iterations" at the iterate it had, here the start: two
+    designs, whose probit start (alpha 0.279) is not the MLE (0.255)."""
+
+    @staticmethod
+    def _data():
+        fam = models.GaussianCase1(np.ones(7), sigma=1.0)
+        return fam, CensoredDataset([1, 1, 1, -1, 1, -1, -1], fam.design_set([0.0] * 4 + [1.0] * 3))
+
+    def _assert_stopped_at_the_start(self, res):
+        fam, data = self._data()
+        grouped, _, tally = data.grouped()
+        start = fam.initial_point(grouped, fam.index_regressors(grouped.designs), tally)
+        assert res.status == "max-iterations" and res.iterations == 1
+        start = fam.theta_from_index(start)[0]
+        assert res.theta_hat[0] == start == pytest.approx(0.27937, abs=1e-5)
+        assert fit(fam, data).theta_hat[0] == pytest.approx(0.25505, abs=1e-5)
+
+    def test_a_direction_that_does_not_ascend(self):
+        with mock.patch.object(estimator, "_ascent_direction", lambda neg_hess, grad: -grad):
+            res = fit(*self._data())
+        self._assert_stopped_at_the_start(res)
+
+    def test_a_line_search_that_runs_out(self):
+        with mock.patch.object(estimator, "_safe_ll", lambda *args: (-np.inf, None, None)):
+            res = fit(*self._data())
+        self._assert_stopped_at_the_start(res)
 
 
 def _pooled_start(model, data):

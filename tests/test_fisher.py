@@ -1,6 +1,7 @@
 """Agreement of the independent information routes, PSD structure, and the
 censoring information inequality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from bitglm import (
     DegenerateThreshold,
     DesignSet,
     DomainError,
+    DpiReport,
+    FimResult,
     NumericalError,
     dpi_check,
     fim_censored,
@@ -296,6 +299,28 @@ class TestSweep:
         fam = models.PoissonModel([1.0, 1.0])
         with pytest.raises(DomainError):
             fim_sweep(fam, [0.0], fam.design_set([1.0, 2.0]), 0, [1.0, -1.0])
+
+
+class TestFimResult:
+    def test_holds_its_matrix_alone_read_only(self):
+        fam = models.GaussianCase3([1.0, 1.0])
+        theta = models.GaussianCase3.natural_from_alpha_sigma2(1.0, 1.0)
+        report = dpi_check(fam, theta, fam.design_set([-1.0, 2.0]))
+        assert [f.name for f in dataclasses.fields(FimResult)] == ["matrix"]
+        assert [f.name for f in dataclasses.fields(DpiReport)] == ["censored", "uncensored"]
+        for info in (report.censored, report.uncensored):
+            assert not info.matrix.flags.writeable
+            assert info.min_eigenvalue == np.linalg.eigvalsh(info.matrix)[0]
+        gap = np.linalg.eigvalsh(report.uncensored.matrix - report.censored.matrix)[0]
+        assert report.min_eigenvalue_gap == gap
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_determinant(self, k):
+        # exact arithmetic for k <= 2, numpy's LU beyond
+        m = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])[:k, :k]
+        want = {1: 4.0, 2: 11.0, 3: np.linalg.det(m)}[k]
+        assert FimResult(m.copy()).determinant == want
+        assert FimResult(m.copy()).k == k
 
 
 class TestDataProcessingInequality:

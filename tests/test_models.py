@@ -286,6 +286,23 @@ class TestPoissonInformation:
         with pytest.raises(NumericalError):
             fam.prob_leq([top + 1e-9], ds)
 
+    def test_thresholds_beyond_int64_keep_their_count(self):
+        # floor(1e19) as an int64 wrapped to -2^63, which read P(X <= tau) = 0
+        fam = models.PoissonModel([1.0, 1.0, 1.0])
+        ds = fam.design_set([1.0, 3.0, 1e19])
+        assert fam.prob_leq([0.5], ds)[2] == 1.0
+        # a -1 bit there has probability 0: no longer dropped in silence
+        with pytest.raises(bitglm.DegenerateLikelihood) as err:
+            log_likelihood(fam, [0.5], CensoredDataset([1, -1, -1], ds))
+        assert err.value.index == 2 and "observation 2" in str(err.value)
+        # a +1 bit there has probability 1, so the fit is that of the other
+        # two rows, from another start (the mean threshold)
+        got = fit(fam, CensoredDataset([1, -1, 1], ds))
+        two = models.PoissonModel([1.0, 1.0])
+        want = fit(two, CensoredDataset([1, -1], two.design_set([1.0, 3.0])))
+        assert got.converged and got.theta_hat[0] == pytest.approx(want.theta_hat[0], rel=1e-10)
+        assert want.theta_hat[0] == pytest.approx(1.01998, abs=1e-5)
+
 
 class TestPoissonConditionalMean:
     def test_only_zero_survives(self):
@@ -435,6 +452,89 @@ class TestOneDesignType:
             with pytest.raises(TypeError, match="DesignSet"):
                 call(theta, rows)
             call(theta, ds)
+
+
+def _case2_without_means():
+    models.GaussianCase2([0.0]).check_designs(types.DesignSet(np.full((1, 1, 1), -0.5), [1.0]))
+
+
+def _poisson_root_beyond_float_rates():
+    # the root of 2 exp(2 theta) + exp(theta) = 2e300 is near 345, but the
+    # doubled bracket's next end, 512, takes exp(1024) first
+    fam = models.PoissonModel([1.0, 2.0])
+    fam.uncensored_mle(fam.design_set([0.0, 0.0]), np.array([0.0, 1e300]))
+
+
+#: (call, error type, message) of input errors that the other tests never raise
+RARE_FAMILY_ERRORS = [
+    *(
+        pytest.param(
+            lambda sigma=sigma: models.GaussianCase1([1.0], sigma=sigma),
+            DomainError, "sigma must be strictly positive", id=f"case1-sigma-{sigma}",
+        )
+        for sigma in (0.0, -1.0)
+    ),
+    pytest.param(
+        lambda: models.GaussianCase1([1.0, math.nan], sigma=1.0), DomainError,
+        "weights must be finite", id="case1-weights",
+    ),
+    pytest.param(
+        lambda: models.GaussianCase2([math.inf]), DomainError, "means must be finite",
+        id="case2-means",
+    ),
+    pytest.param(
+        lambda: models.GaussianCase3([-math.inf]), DomainError, "weights must be finite",
+        id="case3-weights",
+    ),
+    pytest.param(
+        lambda: models.PoissonModel([math.nan]), DomainError, "covariates must be finite",
+        id="poisson-covariates",
+    ),
+    pytest.param(
+        lambda: models.GaussianCase1([1.0, 2.0], sigma=1.0).design_set([0.0]), ValueError,
+        "need one threshold per weight", id="case1-threshold-count",
+    ),
+    pytest.param(
+        lambda: models.GaussianCase2([1.0]).design_set([0.0, 1.0]), ValueError,
+        "need one threshold per mean", id="case2-threshold-count",
+    ),
+    pytest.param(
+        lambda: models.GaussianCase3([1.0, 2.0]).design_set([0.0, 1.0, 2.0]), ValueError,
+        "need one threshold per weight", id="case3-threshold-count",
+    ),
+    pytest.param(
+        lambda: models.PoissonModel([1.0]).design_set([]), ValueError,
+        "need one threshold per covariate", id="poisson-threshold-count",
+    ),
+    pytest.param(
+        _case2_without_means, DomainError,
+        "gaussian-case2 designs must carry the known means as aux", id="case2-no-aux",
+    ),
+    *(
+        pytest.param(
+            lambda fam=fam: fam.uncensored_mle(fam.design_set([0.0, 1.0]), np.array([0.5, 2.0])),
+            bitglm.NonIdentifiable, "all weights are zero", id=f"{fam.name}-zero-weights",
+        )
+        for fam in (models.GaussianCase1([0.0, 0.0], sigma=1.0), models.GaussianCase3([0.0, 0.0]))
+    ),
+    pytest.param(
+        lambda fam=models.GaussianCase2([0.0, 1.0]): fam.uncensored_mle(
+            fam.design_set([0.0, 0.0]), np.array([0.0, 1.0])
+        ),
+        bitglm.NonIdentifiable, "zero empirical variance", id="case2-zero-variance",
+    ),
+    pytest.param(
+        _poisson_root_beyond_float_rates, NumericalError,
+        "poisson rates overflow before the root is bracketed", id="poisson-rate-overflow",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", RARE_FAMILY_ERRORS)
+def test_rare_family_errors(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestRegistry:

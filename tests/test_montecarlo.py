@@ -294,6 +294,28 @@ class TestMseExperiment:
         with pytest.raises(ExperimentFailure, match="1/1 trials failed at n=2"):
             run_mse_experiment(cfg)
 
+    def test_trials_that_end_on_the_wall_are_failures(self):
+        # thresholds one unit above each known mean: where at most half the
+        # 8 bits are +1, the supremum lies at sigma -> infinity
+        cfg = ExperimentConfig(
+            model="gaussian-case2",
+            true_params={"sigma": 2.0},
+            weights=WeightsRule(kind="constant", value=0.0),
+            thresholds=ThresholdRule(kind="fixed", value=1.0),
+            sample_sizes=(8,),
+            trials=20,
+            seed=1,
+            max_failure_fraction=0.5,
+        )
+        outcomes = [montecarlo.run_trial(cfg, 8, trial) for trial in range(20)]
+        walls = [o for o in outcomes if o.status == "boundary-divergence"]
+        assert walls  # 5 of the 20 at this seed
+        for o in walls:
+            assert math.isnan(o.squared_error) and not o.theta_hat.flags.writeable
+            assert 0.0 < o.theta_hat[0] < 1e-20  # 1/sigma^2, just inside the wall
+        failures = sum(o.status != "converged" for o in outcomes)
+        assert run_mse_experiment(cfg).rows[0].failures == failures
+
     def test_precision_model_error_shrinks_like_one_over_n(self):
         cfg = ExperimentConfig(
             model="gaussian-case2",
@@ -519,6 +541,13 @@ class TestRules:
         rule = WeightsRule(kind="list", values=(1.0, 2.0, 3.0))
         got = rule.draw(5, np.random.default_rng(0))
         assert_allclose(got, [1.0, 2.0, 3.0, 1.0, 2.0])
+
+    def test_iid_normal_thresholds_are_the_generators_normals(self):
+        cfg = case1_config(thresholds=ThresholdRule(kind="iid-normal", mu=0.5, sd=2.0))
+        _, designs, _ = montecarlo.family_and_theta(cfg, 1000, np.random.default_rng(4))
+        # the constant weights draw nothing, so the thresholds come first
+        assert np.array_equal(designs.taus, np.random.default_rng(4).normal(0.5, 2.0, 1000))
+        assert montecarlo.run_trial(cfg, 1000, 0).status == "converged"
 
     def test_iid_rules_draw_within_range(self):
         rng = np.random.default_rng(0)

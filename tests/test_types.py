@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bitglm import CensoredDataset, DesignSet
+from bitglm import CensoredDataset, ConfigError, DesignSet, DomainError, models
+from bitglm.montecarlo import ExperimentConfig, ThresholdRule, WeightsRule
 
 from _oracles import lexsort_design_tally, lexsort_grouped
 
@@ -285,3 +286,44 @@ class TestGroupingOracle:
         g, first, tally = data.grouped()
         assert _same(first, lexsort_grouped(data)[0]) and g.n == n
         assert _same_tally(g, tally, data)
+
+
+def _unknown_estimator():
+    ExperimentConfig(
+        model="gaussian-case1",
+        true_params={"alpha": 0.5, "sigma": 1.0},
+        weights=WeightsRule(kind="constant", value=1.0),
+        thresholds=ThresholdRule(kind="fixed", value=0.5),
+        sample_sizes=(50,),
+        trials=1,
+        seed=1,
+        estimator="mle",
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: models.GaussianCase1([1.0], sigma=1.0).prob_leq(
+                [0.0], DesignSet(np.ones((1, 2, 2)), [0.0])
+            ),
+            DomainError, "gaussian-case1 expects designs of shape (1, 1), got (2, 2)",
+            id="families-design-shape",
+        ),
+        pytest.param(
+            _unknown_estimator, ConfigError, "unknown estimator 'mle'",
+            id="montecarlo-estimator",
+        ),
+        pytest.param(
+            lambda: CensoredDataset(np.array([], dtype=int), DesignSet(np.ones((1, 1, 1)), [0.0])),
+            ValueError, "need at least one observation", id="types-no-rows",
+        ),
+    ],
+)
+def test_rare_shape_and_config_errors(call, error, message):
+    # errors of the families, montecarlo and types modules that the other
+    # tests never raise
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
