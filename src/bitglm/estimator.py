@@ -225,14 +225,15 @@ def _newton_from(model, data, index, beta, config):
 
     try:
         return _newton(model, data, index, beta, config, score_norm)
-    except (DegenerateLikelihood, NumericalError) as err:
-        error = err
+    except (DegenerateLikelihood, NumericalError):
+        pass
     anchor = model.index_from_theta(np.array([float(k == "positive") for k in model.domain]))
     for _ in range(60):
         beta = 0.5 * (beta + anchor)
         if np.isfinite(_safe_ll(model, data, index, beta)[0]):
-            return _newton(model, data, index, beta, config, score_norm)
-    raise error
+            break
+    # where no probe could be evaluated, this raises the error of the last
+    return _newton(model, data, index, beta, config, score_norm)
 
 
 def _wall_maximum(model, data, index, beta, ll, config):

@@ -29,6 +29,14 @@ def _as_1d(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _sigma_power(sigma, k):
+    """sigma**k for a float sigma; NumericalError where that overflows."""
+    try:
+        return sigma**k
+    except OverflowError:
+        raise NumericalError(f"sigma**{k} overflows a float at sigma = {sigma:g}") from None
+
+
 # ---------------------------------------------------------------------------
 # Starting points for the MLE solver
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ class GaussianCase2(_GaussianIndex):
     def uncensored_information(self, theta, designs):
         """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2."""
         sigma, z = self._sigma_z(theta, designs)
-        return np.array([[0.5 * z.shape[0] * sigma**4]])
+        return np.array([[0.5 * z.shape[0] * _sigma_power(sigma, 4)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -280,7 +288,7 @@ class GaussianCase2(_GaussianIndex):
 
     def max_third_abs_moment_T(self, theta, designs):
         sigma, _ = self._sigma_z(theta, designs)
-        return 15.0 * sigma**6
+        return 15.0 * _sigma_power(sigma, 6)
 
     def sample(self, theta, designs, rng):
         sigma, _ = self._sigma_z(theta, designs)

@@ -129,6 +129,20 @@ class TestFim:
         code, _, err = run_cli("fim", "--config", cfg)
         assert code == 3
 
+    @pytest.mark.parametrize("command, power", [("fim", 4), ("check-conditions", 6)])
+    def test_case2_sigma_power_overflow_is_degenerate(self, tmp_path, capsys, command, power):
+        # sigma**4 of the uncensored information and 15 sigma**6 of the
+        # third moment overflowed as a raw OverflowError: exit 1, a traceback
+        cfg = write(
+            tmp_path,
+            "huge.cfg",
+            '{"model": {"name": "gaussian-case2", "means": 0.0, "sigma": 1e150},'
+            ' "thresholds": [-1e150, 1e150]}',
+        )
+        code, err = main_in_process(capsys, command, "--config", cfg)
+        assert code == cli.EXIT_DEGENERATE == 3
+        assert err == f"degenerate model input: sigma**{power} overflows a float at sigma = 1e+150\n"
+
     def test_threshold_sweep(self, tmp_path):
         # grid sweep over one threshold; the two-parameter determinant must
         # peak strictly inside the range (spread-out thresholds inform)

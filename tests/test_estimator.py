@@ -77,6 +77,18 @@ class TestFitSpots:
         assert err.value.index == 1
         assert str(err.value).startswith("observation 1 ")
 
+    def test_degenerate_error_where_the_retreat_gives_up(self):
+        # the start, log(mean threshold) = 42.6, is past the rate range, and
+        # every probe toward the anchor finds observation 2 impossible, as
+        # P(X > 1e19) is 0 at every supported rate; the start's rate error
+        # was reported instead
+        fam = models.PoissonModel([1.0] * 3)
+        data = CensoredDataset([1, -1, -1], fam.design_set([1.0, 3.0, 1e19]))
+        with pytest.raises(DegenerateLikelihood) as err:
+            fit(fam, data)
+        assert err.value.index == 2
+        assert str(err.value).startswith("observation 2 ")
+
     def test_unconstrained_direction_raises(self):
         fam = models.GaussianCase1([0.0, 0.0], sigma=1.0)
         data = CensoredDataset([1, -1], fam.design_set([0.0, 0.0]))

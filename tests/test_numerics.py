@@ -115,11 +115,11 @@ class TestNormalPieces:
         assert_allclose(_gauss.abs_third_moment(mus, sigmas), want, rtol=2e-15)
 
 
-def mp_poisson_tails(t, lam):
-    """(P(X <= t), P(X > t)) in 340-digit arithmetic through the upper
-    incomplete gamma function, so the complement keeps every tail above
-    the double-precision underflow threshold."""
-    with mpmath.workdps(340):
+def mp_poisson_tails(t, lam, dps=340):
+    """(P(X <= t), P(X > t)) in ``dps``-digit arithmetic through the upper
+    incomplete gamma function; at the default 340 digits the complement
+    keeps every tail above the double-precision underflow threshold."""
+    with mpmath.workdps(dps):
         cdf = mpmath.gammainc(int(t) + 1, mpmath.mpf(float(lam)), mpmath.inf, regularized=True)
         return float(cdf), float(1 - cdf)
 
@@ -193,6 +193,8 @@ class TestPoissonPieces:
         t = np.maximum(np.floor(lam + z * np.maximum(np.sqrt(lam), 1.0)), 0).astype(np.int64)
         cdf, sf = _poisson.poisson_tails(t, lam)
         want_cdf, want_sf = special.pdtr(t, lam), special.pdtrc(t, lam)
+        # left tails below the summing bound are the finite sum, not scipy
+        summed = (t + 1 <= lam) & (lam < _poisson.SUM_BELOW_RATE)
         # scipy evaluates the two ratios separately in its asymptotic bands
         # (Temme's expansion, in a = t + 1) and, at a = 1, in its power
         # series band 1/1.1 <= lam <= 1.1; everywhere else one of its two
@@ -200,9 +202,10 @@ class TestPoissonPieces:
         a = t + 1.0
         near = np.abs(lam - a) / a
         asymptotic = ((a > 20) & (a < 200) & (near < 0.3)) | ((a > 200) & (near < 4.5 / np.sqrt(a)))
-        series = (a == 1) & (lam >= 1 / 1.1) & (lam <= 1.1)
+        series = (a == 1) & (lam >= 1 / 1.1) & (lam <= 1.1) & ~summed
         assert np.count_nonzero(asymptotic) > 100 and np.count_nonzero(series) > 10
-        exact = ~(asymptotic | series)
+        assert not np.any(asymptotic & summed) and np.count_nonzero(summed) > 500
+        exact = ~(asymptotic | series | summed)
         assert np.array_equal(cdf[exact], want_cdf[exact])
         assert np.array_equal(sf[exact], want_sf[exact])
         eps = np.finfo(float).eps
@@ -211,20 +214,43 @@ class TestPoissonPieces:
             # there F = exp(-lam) is 1 - S, and the complement scales the
             # ~4 eps of scipy's S by up to S/F < e - 1
             assert_allclose(got[series], want[series], rtol=8 * eps, atol=0)
+        # the summed left tails hold 4 eps of 50-digit mpmath, where scipy's
+        # pdtr is off by up to 17 eps on such rows; their complement, as
+        # above, scales that by up to F/S < e - 1
+        want = np.array([mp_poisson_tails(ti, li, dps=50) for ti, li in zip(t[summed], lam[summed])])
+        assert_allclose(cdf[summed], want[:, 0], rtol=4 * eps, atol=0)
+        assert_allclose(sf[summed], want[:, 1], rtol=8 * eps, atol=0)
+
+    def test_summed_left_tails_against_mpmath(self):
+        # every threshold the sum takes, at rates across [t + 1, 16)
+        rng = np.random.default_rng(13)
+        t = rng.integers(0, 15, 3000)
+        lam = rng.uniform(t + 1.0, _poisson.SUM_BELOW_RATE)
+        lam[:15] = np.arange(1.0, 16.0)  # lam = t + 1 exactly
+        t[:15] = np.arange(15)
+        cdf, _ = _poisson.poisson_tails(t, lam)
+        want = np.array([mp_poisson_tails(ti, li, dps=50)[0] for ti, li in zip(t, lam)])
+        assert_allclose(cdf, want, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_a_summed_row_does_not_depend_on_its_batch(self):
+        t = np.array([2.0, 14.0, 0.0, 9.0, 40.0])
+        lam = np.array([3.7, 15.5, 1.0, 12.25, 3.0])
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        for i in range(t.size):
+            alone = _poisson.poisson_tails(t[i:i + 1], lam[i:i + 1])
+            assert alone[0][0] == cdf[i] and alone[1][0] == sf[i]
 
     def test_negative_thresholds_give_zero_and_one(self):
         cdf, sf = _poisson.poisson_tails([[-1], [-7]], [1e-9, 2.0, 1e5])
         assert np.array_equal(cdf, np.zeros((2, 3))) and np.array_equal(sf, np.ones((2, 3)))
 
     def test_index_weight_evaluates_one_tail_per_row(self, monkeypatch):
-        evaluated = {"pdtr": 0, "pdtrc": 0}
+        evaluated = []
 
         def counting(name):
-            def ufunc(*args, where=True, **kwargs):
-                evaluated[name] += np.count_nonzero(
-                    np.broadcast_to(where, np.broadcast_shapes(*(np.shape(x) for x in args)))
-                )
-                return getattr(special, name)(*args, where=where, **kwargs)
+            def ufunc(t, lam):
+                evaluated.extend(zip(t, lam))
+                return getattr(special, name)(t, lam)
 
             return ufunc
 
@@ -240,9 +266,31 @@ class TestPoissonPieces:
         family = models.PoissonModel(rng.uniform(0.5, 2.0, n))
         designs = family.design_set(rng.integers(0, 40, n).astype(float))
         X, offset = family.index_regressors(designs)
-        family.index_weight(offset + X @ np.array([1.5]), designs)
-        assert evaluated["pdtr"] > 0 and evaluated["pdtrc"] > 0
-        assert evaluated["pdtr"] + evaluated["pdtrc"] == n
+        z = offset + X @ np.array([1.5])
+        family.index_weight(z, designs)
+        t, lam = designs.taus, np.exp(-z)
+        summed = (t + 1 <= lam) & (lam < _poisson.SUM_BELOW_RATE)
+        assert 0 < np.count_nonzero(summed) < n - 100 and np.any(~summed & (t + 1 <= lam))
+        # one incomplete gamma on each row that is not summed, none on a summed one
+        assert sorted(evaluated) == sorted(zip(t[~summed], lam[~summed]))
+
+    def test_pmf_reads_log_factorials_from_gammaln(self, monkeypatch):
+        table = np.arange(_poisson.LOG_FACTORIAL_ROWS, dtype=float)
+        assert np.array_equal(_poisson._LOG_FACTORIAL, special.gammaln(table + 1.0))
+        x = np.concatenate([table, [1024.0, 5000.0, 2e5, 2.0**63, -1.0, -3.0]])
+        lam = np.random.default_rng(4).uniform(0.5, 3e5, x.size)
+        want = np.where(x < 0, 0.0, np.exp(x * np.log(lam) - lam - special.gammaln(x + 1.0)))
+        called = []
+
+        def gammaln(v):
+            called.extend(v)
+            return special.gammaln(v)
+
+        monkeypatch.setattr(_poisson, "special", types.SimpleNamespace(gammaln=gammaln))
+        assert np.array_equal(_poisson.poisson_pmf(x, lam), want)
+        # gammaln itself only off the table
+        assert called == [1025.0, 5001.0, 2e5 + 1.0, 2.0**63, 0.0, -2.0]
+        assert _poisson.poisson_pmf(3.0, 2.0).shape == ()
 
     def test_bit_prob_takes_the_bit_side(self):
         t = np.array([0, 3, 3, 12])

@@ -23,4 +23,8 @@ def test_one_trial_per_size(capsys):
     assert [line.split()[0] for line in lines[8:]] == [
         "gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson"
     ]
-    assert all(float(line.split()[1]) > 0.0 for line in lines[8:])
+    # grouped(), fit and dpi_check at theta0, each in ms
+    assert all(
+        len(line.split()) == 4 and min(float(v) for v in line.split()[1:]) > 0.0
+        for line in lines[8:]
+    )

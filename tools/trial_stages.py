@@ -12,9 +12,10 @@ from the trial's own substream: the design draw (``family_and_theta``), the
 sampling, the dataset build, the grouping (``grouped()``, which ``fit``
 calls for its rows and their design tally) and the fit of the grouped rows.
 It prints, per n and stage, the median over trials of each trial's best
-time, in microseconds.  It then prints the best times of ``grouped()`` and
-of ``fit`` (grouping included) on ``bench/workloads.iid_instance`` data,
-where no two rows share a design, at n = ``--iid-n`` for every family.
+time, in microseconds.  It then prints the best times of ``grouped()``, of
+``fit`` (grouping included) and of ``fisher.dpi_check`` at the true
+parameter on ``bench/workloads.iid_instance`` data, where no two rows share
+a design, at n = ``--iid-n`` for every family.
 Uses the standard library, numpy and the bitglm of this checkout, or of
 the checkout whose ``src`` is on ``PYTHONPATH`` (one whose ``grouped()``
 returns the rows with their tally).
@@ -31,7 +32,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another tree
 
-from bitglm import CensoredDataset, cli, fit, montecarlo  # noqa: E402
+from bitglm import CensoredDataset, cli, fisher, fit, montecarlo  # noqa: E402
 
 FIG1 = Path(cli.__file__).parent / "configs" / "fig1.cfg"
 STAGES = ("design draw", "sampling", "dataset build", "grouping", "fit after grouping")
@@ -82,7 +83,10 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    print(f"grouped() and fit on iid_instance rows, n = {args.iid_n}, best of {args.repeat}, ms")
+    print(
+        f"grouped(), fit and dpi_check at theta0 on iid_instance rows, n = {args.iid_n}, "
+        f"best of {args.repeat}, ms"
+    )
     for family_name in workloads.FAMILIES:
         family, designs, theta0 = workloads.iid_instance(
             family_name, args.iid_n, np.random.default_rng(1)
@@ -90,16 +94,18 @@ def main(argv=None):
         x = family.sample(theta0, designs, np.random.default_rng(2))
         data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
 
-        def group_and_fit():
+        def group_fit_and_check():
             clock = [time.perf_counter()]
             data.grouped()
             clock.append(time.perf_counter())
             fit(family, data)
             clock.append(time.perf_counter())
+            fisher.dpi_check(family, theta0, designs)
+            clock.append(time.perf_counter())
             return [b - a for a, b in zip(clock, clock[1:])]
 
-        times = best_of(args.repeat, group_and_fit)
-        print(f"  {family_name:15s} {1e3 * times[0]:8.2f} {1e3 * times[1]:8.2f}")
+        times = best_of(args.repeat, group_fit_and_check)
+        print(f"  {family_name:15s}" + "".join(f" {1e3 * t:8.2f}" for t in times))
 
 
 if __name__ == "__main__":
