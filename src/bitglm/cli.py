@@ -480,7 +480,7 @@ def cmd_check_conditions(args, doc, started_at):
 
     lines = [
         f"model: {family.name} (n={designs.n})",
-        f"(1) max E[||T||^3] = {report.max_third_abs_moment:.6g} "
+        f"(1) max sum_j E|T_j|^3 = {report.max_third_abs_moment:.6g} "
         f"... {mark(report.moments_bounded)}",
         f"(2) max ||V||_inf  = {report.max_design_norm:.6g} "
         f"... {mark(report.designs_bounded)}",

@@ -15,9 +15,11 @@ reported, in theta: J^-T g for the Jacobian J of theta(beta).
 A finite maximizer exists unless the bits are separated: some direction d,
 with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
 > 0 on one (Albert & Anderson, Biometrika 71, 1984).  ``fit`` checks that
-first.  For k <= 2 it needs no linear program: the cone of such d is
-spanned by the rays perpendicular to the rows at either end of the widest
-angular gap between them, or by its middle where it is a half-plane.
+first, then that the distinct designs' regressors have rank k: with fewer
+independent indices the maximizers form a ridge, whatever the start.  For
+k <= 2 the first needs no linear program: the cone of such d is spanned by
+the rays perpendicular to the rows at either end of the widest angular gap
+between them, or by its middle where it is a half-plane.
 
 The ascent also stops where its Newton step would change no row's index
 beyond rounding: beta is then stationary to its precision, whatever the
@@ -49,7 +51,8 @@ SUFFICIENT_INCREASE = 1e-4
 #: Smallest eigenvalue of the observed information, relative to its trace,
 #: below which a converged fit is a ridge and raises NonIdentifiable.
 RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
-#: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0.
+#: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0,
+#: and the relative singular value at or below which the rank check does.
 SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
 #: |x_i.d| relative to max(1, |z_i|) at or below which a step d changes no
 #: row's index z_i beyond rounding.
@@ -134,10 +137,7 @@ def _separating_direction(model, data, X):
     return candidates[j] / norms[j] if ok[j] else None
 
 
-def _check_identifiable(model, data, X, paired):
-    zero = (data.designs.V == 0.0).all(axis=(0, 1))
-    if zero.any():
-        raise NonIdentifiable(f"every design is zero in parameter direction {zero.argmax()}")
+def _check_identifiable(model, data, X, rows, paired):
     # where every design has both bits (``paired``), each row x of b X has a
     # twin -x, and b x.d >= 0 on both forces x.d = 0: nothing is separated
     d = None if paired else _separating_direction(model, data, X)
@@ -145,6 +145,15 @@ def _check_identifiable(model, data, X, paired):
         raise NonIdentifiable(
             f"the bits are separated along the index direction {np.array2string(d, precision=4)}:"
             " the likelihood rises without bound along it, so no finite maximizer exists"
+        )
+    # the likelihood reads beta only through the distinct designs' indices
+    # (the grouped ``rows`` of X): with fewer than k independent ones it is flat
+    s = np.linalg.svd(X[rows], compute_uv=False)  # half the cost of the whole SVD
+    if len(s) < model.k or s[-1] <= SEPARATION_TOLERANCE * s[0]:
+        flat = np.linalg.svd(X[rows], full_matrices=len(rows) < model.k)[2][-1]  # Vt is k x k
+        raise NonIdentifiable(
+            f"the distinct designs' regressors have rank below {model.k}: the likelihood"
+            f" is flat along the index direction {np.array2string(flat, precision=4)}"
         )
 
 
@@ -259,9 +268,10 @@ def fit(model, data, config=None):
 
     Works on ``data.grouped()``, so the result is bit-identical under any
     permutation of the observations.  Raises NonIdentifiable where the bits
-    are separated (no finite maximizer) or the information at a stationary
-    point is singular (no unique one); propagates degenerate-data errors and
-    DomainError, naming a row in the numbering of ``data``.
+    are separated (no finite maximizer), or the designs' regressors have rank
+    below k or the information at a stationary point is singular (no unique
+    one); propagates degenerate-data errors and DomainError, naming a row in
+    the numbering of ``data``.
     """
     config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
@@ -273,7 +283,7 @@ def fit(model, data, config=None):
         if err.index is None:
             raise
         raise DomainError(str(err), index=int(rows[err.index])) from err
-    _check_identifiable(model, data, index[0], paired=data.n == 2 * len(tally[0]))
+    _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
     beta = model.initial_point(data, index, tally)
     try:
         beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta, config)

@@ -141,7 +141,7 @@ class ModelFamily(abc.ABC):
     # -- moment conditions -------------------------------------------------------
     @abc.abstractmethod
     def max_third_abs_moment_T(self, theta, designs):
-        """max_i E[||T_i||^3], a float."""
+        """max_i sum_j E|T_ij|^3, a float: E|T_i|^3 where d = 1."""
 
     # -- simulation --------------------------------------------------------------
     @abc.abstractmethod

@@ -76,7 +76,11 @@ def _index_weights(model, beta, designs):
 
 def _in_theta(model, beta, total):
     # the expected score is 0, so the information transforms as a Hessian there
-    return FimResult(to_theta(model, beta, np.zeros(model.k), total)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = to_theta(model, beta, np.zeros(model.k), total)[1]
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError(f"the {model.name} information in theta overflows a float")
+    return FimResult(matrix)
 
 
 def fim_censored(model, theta, designs):
@@ -93,7 +97,8 @@ def fim_sweep(model, theta, designs, index, grid):
     """[(tau, FimResult)]: ``fim_censored`` with design ``index``'s threshold
     set to each tau of ``grid`` in turn, skipping a tau where that row's bit
     has probability 0.  Empty where another row's bit has, or where a rate
-    leaves the supported range (NumericalError)."""
+    leaves the supported range or the information in theta overflows
+    (NumericalError)."""
     beta = model.index_from_theta(model.check_theta(theta))
     grid = np.asarray(grid, dtype=float)
     row = designs.subset(np.full(grid.shape, index))
@@ -101,17 +106,17 @@ def fim_sweep(model, theta, designs, index, grid):
     try:
         x, w_p = _index_weights(model, beta, points)
         X, w = _index_weights(model, beta, designs)
+        w[index] = 0.0  # the swept row's term enters per point
+        if not np.all(np.isfinite(w)):
+            return []
+        base = gram(X, w)
+        return [
+            (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
+            for p, tau in enumerate(grid)
+            if np.isfinite(w_p[p])
+        ]
     except NumericalError:
         return []
-    w[index] = 0.0  # the swept row's term enters per point
-    if not np.all(np.isfinite(w)):
-        return []
-    base = gram(X, w)
-    return [
-        (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
-        for p, tau in enumerate(grid)
-        if np.isfinite(w_p[p])
-    ]
 
 
 def fim_uncensored(model, theta, designs):

@@ -154,10 +154,10 @@ class GaussianCase1(_GaussianIndex):
         return _gauss.norm_cdf(z)
 
     def uncensored_information(self, theta, designs):
-        """sigma^2 sum_i V_i^2, as Var(x) = sigma^2."""
+        """sum_i (sigma V_i)^2, as Var(x) = sigma^2 (sigma^2 sum_i V_i^2 overflows first)."""
         _, designs = self._coerce(theta, designs)
-        v = designs.V[:, 0, 0]
-        return np.array([[self.sigma**2 * np.add.reduce(v * v)]])
+        s = self.sigma * designs.V[:, 0, 0]
+        return np.array([[np.add.reduce(s * s)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -421,10 +421,15 @@ class GaussianCase3(_GaussianIndex):
         return mean_dev, cov_dev
 
     def max_third_abs_moment_T(self, theta, designs):
-        # ||T|| = |x| sqrt(1 + x^2) increases in |x|, and |X| stochastically in
-        # |mu|: integrate (no closed Gaussian moment) at the largest |mu| only
+        # sum_j E|T_j|^3 = E|X|^3 + E[X^6] for T = (x, x^2), bounded where E||T||^3
+        # is (in [1, sqrt 2] times it); both grow in |mu|, read at its largest only
         mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
-        return _norm_t3_quad(mu[np.argmax(np.abs(mu))], sigma)
+        mu = mu[np.argmax(np.abs(mu))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu2, s2 = mu * mu, sigma * sigma  # E[X^6] then overflows only where it does
+            sixth = ((mu2 + 15.0 * s2) * mu2 + 45.0 * s2 * s2) * mu2 + 15.0 * s2 * s2 * s2
+            moment = float(_gauss.abs_third_moment(mu, sigma) + sixth)
+        return math.inf if math.isnan(moment) else moment  # nan: 0 times an overflowed factor
 
     def sample(self, theta, designs, rng):
         mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
@@ -478,20 +483,6 @@ class GaussianCase3(_GaussianIndex):
     @staticmethod
     def natural_from_alpha_sigma2(alpha, sigma2):
         return np.array([float(alpha) / float(sigma2), 1.0 / float(sigma2)])
-
-
-def _norm_t3_quad(mu, sigma):
-    # imported here: scipy.integrate costs a quarter of the cold start and
-    # only this diagnostic needs it
-    from scipy.integrate import quad
-
-    def integrand(x):
-        return abs(x) ** 3 * (1.0 + x * x) ** 1.5 * math.exp(-0.5 * ((x - mu) / sigma) ** 2)
-
-    scale = 1.0 / (sigma * math.sqrt(2 * math.pi))
-    lo, _ = quad(integrand, -np.inf, mu, limit=200)
-    hi, _ = quad(integrand, mu, np.inf, limit=200)
-    return scale * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -288,19 +288,27 @@ def uncensored_sandwich(family, theta, designs):
     return sandwich(designs.V, cov_statistic(family, designs.natural_params(theta)))
 
 
-def _t3_quad(mu, sigma):
-    """E[(x^2 (1 + x^2))^(3/2)] for x ~ N(mu, sigma^2), by quadrature."""
+def _normal_quad(f, mu, sigma):
+    """E[f(x)] for x ~ N(mu, sigma^2), by quadrature split at mu and at 0,
+    where |x|^3 has its kink."""
     def integrand(x):
-        return (x * x * (1.0 + x * x)) ** 1.5 * math.exp(-0.5 * ((x - mu) / sigma) ** 2)
+        return f(x) * math.exp(-0.5 * ((x - mu) / sigma) ** 2)
 
-    lo, _ = quad(integrand, -np.inf, mu, limit=200)
-    hi, _ = quad(integrand, mu, np.inf, limit=200)
-    return (lo + hi) / (sigma * math.sqrt(2 * math.pi))
+    cuts = [-np.inf, *sorted({0.0, float(mu)}), np.inf]
+    total = sum(quad(integrand, a, b, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+    return total / (sigma * math.sqrt(2 * math.pi))
+
+
+def t3_quad(mu, sigma):
+    """The Euclidean E||T||^3 = E[(x^2 (1 + x^2))^(3/2)] of the two-parameter
+    Gaussian's T = (x, x^2), for x ~ N(mu, sigma^2), by quadrature."""
+    return _normal_quad(lambda x: (x * x * (1.0 + x * x)) ** 1.5, mu, sigma)
 
 
 def third_abs_moments(family, theta, designs):
-    """E[||T_i||^3] per observation, shape (n,): one quadrature per distinct
-    mean for the two-parameter Gaussian, closed forms elsewhere."""
+    """sum_j E|T_ij|^3 per observation, shape (n,), which is E|T_i|^3 for a
+    one-parameter family: one quadrature of E[|x|^3 + x^6] per distinct mean
+    for the two-parameter Gaussian, closed forms elsewhere."""
     theta = family.check_theta(theta)
     eta = designs.natural_params(theta)[:, 0]
     if isinstance(family, models.GaussianCase1):
@@ -310,7 +318,8 @@ def third_abs_moments(family, theta, designs):
     if isinstance(family, models.GaussianCase3):
         sigma = 1.0 / math.sqrt(theta[1])
         means, inverse = np.unique(eta * sigma**2, return_inverse=True)
-        return np.array([_t3_quad(m, sigma) for m in means])[inverse]
+        moment = [_normal_quad(lambda x: abs(x) ** 3 + x**6, m, sigma) for m in means]
+        return np.array(moment)[inverse]
     lam = np.exp(eta)
     return lam**3 + 3.0 * lam * lam + lam
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,19 +130,34 @@ class TestFim:
         code, _, err = run_cli("fim", "--config", cfg)
         assert code == 3
 
-    @pytest.mark.parametrize("command, power", [("fim", 4), ("check-conditions", 6)])
-    def test_case2_sigma_power_overflow_is_degenerate(self, tmp_path, capsys, command, power):
+    @pytest.mark.parametrize(
+        "command, tau, cause",
+        [
+            ("fim", 1.0, "the gaussian-case2 information in theta overflows a float"),
+            ("fim", 100.0, "sigma**4 overflows a float at sigma = 1e+150"),
+            ("check-conditions", 1.0, "sigma**6 overflows a float at sigma = 1e+150"),
+        ],
+        ids=["fim", "fim-uncensored", "check-conditions"],
+    )
+    def test_case2_sigma_power_overflow_is_degenerate(
+        self, tmp_path, capsys, command, tau, cause
+    ):
         # sigma**4 of the uncensored information and 15 sigma**6 of the
-        # third moment overflowed as a raw OverflowError: exit 1, a traceback
+        # third moment overflowed as a raw OverflowError: exit 1, a traceback.
+        # fim then warned of an overflow in matmul first: the censored
+        # information, which it reads first, is about sigma^4 in theta too,
+        # unless the thresholds lie so far out (tau sigma) that it is 0
         cfg = write(
             tmp_path,
             "huge.cfg",
             '{"model": {"name": "gaussian-case2", "means": 0.0, "sigma": 1e150},'
-            ' "thresholds": [-1e150, 1e150]}',
+            f' "thresholds": [{-tau}e150, {tau}e150]}}',
         )
-        code, err = main_in_process(capsys, command, "--config", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = main_in_process(capsys, command, "--config", cfg)
         assert code == cli.EXIT_DEGENERATE == 3
-        assert err == f"degenerate model input: sigma**{power} overflows a float at sigma = 1e+150\n"
+        assert err == f"degenerate model input: {cause}\n"
 
     def test_threshold_sweep(self, tmp_path):
         # grid sweep over one threshold; the two-parameter determinant must
@@ -417,6 +433,22 @@ class TestCheckConditions:
         out = self._case3(tmp_path, capsys, 1.0, [0.3] * 20)
         assert out["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
         assert out["information_positive"] is False
+
+    def test_case3_moment_at_a_huge_mean(self, tmp_path):
+        # a quadrature printed "(1) max E[||T||^3] = -7.97885e+119 ... pass"
+        # here, after IntegrationWarnings on stderr
+        cfg = write(
+            tmp_path,
+            "huge.cfg",
+            '{"model": {"name": "gaussian-case3", "weights": 1.0, "alpha": 1e20, "sigma": 1.0},'
+            ' "thresholds": [1e20, 1e20, 1e20]}',
+        )
+        code, out, err = run_cli("check-conditions", "--config", cfg, "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        assert "(1) max sum_j E|T_j|^3 = 1e+120 ... pass" in out.splitlines()
+        # E|X|^3 + E[X^6] = 1e120 (1 + 1.5e-39 + ...) at mu = 1e20, sigma = 1
+        doc = json.loads((tmp_path / "conditions.json").read_text())
+        assert doc["max_third_abs_moment"] == 1e120 and doc["moments_bounded"] is True
 
     def test_continuous_thresholds_pass(self, tmp_path, capsys):
         taus = np.random.default_rng(11).uniform(0.0, 3.0, 1000)

@@ -100,11 +100,50 @@ class TestFitSpots:
         # each dataset has one distinct case-3 design, which identifies only
         # (tau - w alpha) / sigma; the fit stopped at a point on that ridge
         # of maximizers and reported it converged, with the smallest
-        # eigenvalue of the observed information at ~1e-16 of its trace
+        # eigenvalue of the observed information at ~1e-16 of its trace.
+        # The rank of the distinct designs' regressors now rules first
         fam, _, data = repeated_rows("gaussian-case3", np.random.default_rng(seed), max_reps=30)
         assert len(np.unique(data.designs.taus)) == 1
-        with pytest.raises(NonIdentifiable, match="singular .* flat along the direction"):
+        with pytest.raises(NonIdentifiable, match="rank below 2: .* flat along the index"):
             fit(fam, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.floats(-3.0, 3.0),
+        tau=st.floats(-3.0, 3.0),
+        plus=st.integers(1, 20),
+        minus=st.integers(1, 20),
+        from_anchor=st.booleans(),
+    )
+    def test_one_case3_design_is_a_ridge_from_any_start(self, w, tau, plus, minus, from_anchor):
+        # one distinct design seen with both bits leaves a line of maximizers
+        # through the wall 1/sigma = 0; from the neutral anchor theta = (0, 1)
+        # instead of the pooled start the ascent drifted to the wall or ran
+        # out, and reported boundary-divergence or max-iterations
+        n = plus + minus
+        fam = models.GaussianCase3(np.full(n, w))
+        data = CensoredDataset([1] * plus + [-1] * minus, fam.design_set(np.full(n, tau)))
+        start = fam.initial_point
+        if from_anchor:
+            start = mock.Mock(return_value=fam.index_from_theta(np.array([0.0, 1.0])))
+        with mock.patch.object(fam, "initial_point", start):
+            with pytest.raises(NonIdentifiable, match="rank below 2"):
+                fit(fam, data)
+
+    def test_nearly_coincident_designs_are_a_numerical_ridge(self):
+        # two case-3 thresholds 1e-7 apart, seen with +1 fractions 1/2 and
+        # 3/5: the regressors have rank 2 (relative singular value ~4e-8),
+        # but the information at the MLE is singular to rounding
+        fam = models.GaussianCase3(np.ones(20))
+        taus = np.repeat([1.0, 1.0 + 1e-7], 10)
+        data = CensoredDataset([1] * 5 + [-1] * 5 + [1] * 6 + [-1] * 4, fam.design_set(taus))
+        with pytest.raises(NonIdentifiable, match="information is singular at the estimate"):
+            fit(fam, data)
+
+    def test_a_singular_hessian_takes_the_least_squares_step(self):
+        # Cholesky fails on [[1, 1], [1, 1]]; the minimum-norm solution remains
+        step = estimator._ascent_direction(np.ones((2, 2)), np.array([1.0, 1.0]))
+        assert_allclose(step, [0.5, 0.5], rtol=1e-14)
 
     def test_two_parameter_fit_recovers_truth_roughly(self):
         rng = np.random.default_rng(7)
@@ -475,7 +514,9 @@ class TestSeparation:
             with monkeypatch.context() as patch:
                 check = estimator._check_identifiable
                 patch.setattr(
-                    estimator, "_check_identifiable", lambda m, d, X, paired: check(m, d, X, False)
+                    estimator,
+                    "_check_identifiable",
+                    lambda m, d, X, rows, paired: check(m, d, X, rows, False),
                 )
                 assert outcome(fam, data) == fast
 

@@ -3,6 +3,7 @@ censoring information inequality."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bitglm import (
     DpiReport,
     FimResult,
     NumericalError,
+    _gauss,
     dpi_check,
     fim_censored,
     fim_sweep,
@@ -220,6 +222,22 @@ class TestUncensoredSpots:
         r = fim_uncensored(fam, [0.4], fam.design_set([0.0, 0.0, 0.0]))
         assert_allclose(r.matrix[0, 0], 3.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e150])
+    def test_gaussian_known_variance_at_extreme_sigma(self, sigma):
+        # sigma^2 sum V_i^2, with V = w / sigma^2, read inf at sigma = 1e-150
+        # and 0 at 1e150, with a RuntimeWarning, where the information
+        # sum (sigma V_i)^2 = 2 / sigma^2 is 2e300 and 2e-300
+        fam = models.GaussianCase1([1.0, 1.0], sigma=sigma)
+        ds = fam.design_set([-sigma, sigma])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = dpi_check(fam, [0.0], ds)
+        assert_allclose(report.uncensored.matrix[0, 0], case1_uncensored_fim(fam), rtol=1e-15)
+        assert_allclose(report.censored.matrix[0, 0], case1_fim(fam, 0.0, ds.taus), rtol=1e-14)
+        ratio = report.censored.matrix[0, 0] / report.uncensored.matrix[0, 0]
+        assert_allclose(ratio, float(_gauss.fim_weight(1.0)), rtol=1e-14)
+        assert report.passed and report.min_eigenvalue_gap > 0.0
+
     def test_poisson_unit_rate(self):
         fam = models.PoissonModel(np.ones(7))
         r = fim_uncensored(fam, [0.0], fam.design_set(np.zeros(7)))
@@ -294,6 +312,14 @@ class TestSweep:
         fam = models.PoissonModel([1.0])
         theta = [math.log(2.0 * models.PoissonModel.MAX_RATE)]
         assert self.check(fam, theta, fam.design_set([1.0]), 0, [0.0, 1.0]) == []
+
+    def test_information_overflowing_in_theta_empties_the_sweep(self):
+        # finite in the index parameter 1/sigma, about sigma^4 in theta
+        fam = models.GaussianCase2(means=[0.0, 0.0])
+        ds = fam.design_set([-1e150, 1e150])
+        with pytest.raises(NumericalError, match="information in theta overflows"):
+            fim_censored(fam, [1e-300], ds)
+        assert self.check(fam, [1e-300], ds, 1, [1e150, 2e150]) == []
 
     def test_domain_error_propagates(self):
         fam = models.PoissonModel([1.0, 1.0])

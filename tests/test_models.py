@@ -2,6 +2,7 @@
 and brute-force oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from bitglm import (
     DomainError,
     ModelFamily,
     NumericalError,
+    _gauss,
     dpi_check,
     fim_censored,
     fim_uncensored,
@@ -40,6 +42,7 @@ from _oracles import (
     poisson_conditional_mean,
     poisson_conditional_moment_sum,
     poisson_fim,
+    t3_quad,
     third_abs_moments,
     truncated_normal_moment,
 )
@@ -206,13 +209,15 @@ class TestCase3Information:
             j = case3_fim(fam, alpha, math.sqrt(sigma2), ds.taus)
             assert np.linalg.eigvalsh(j)[0] >= -1e-12
 
-    def test_third_moment_integrates_once(self, monkeypatch):
+    def test_third_moment_reads_the_largest_mean_only(self, monkeypatch):
         fam = models.GaussianCase3([0.5, -1.0, 0.5, 2.0, -1.0, 0.5, 0.0])
         theta = models.GaussianCase3.natural_from_alpha_sigma2(0.8, 1.3)
         ds = fam.design_set(np.linspace(-1.0, 1.0, 7))
         calls = []
-        quad = models._norm_t3_quad
-        monkeypatch.setattr(models, "_norm_t3_quad", lambda m, s: calls.append(m) or quad(m, s))
+        moment = _gauss.abs_third_moment
+        monkeypatch.setattr(
+            _gauss, "abs_third_moment", lambda m, s: calls.append(m) or moment(m, s)
+        )
         got = fam.max_third_abs_moment_T(theta, ds)
         assert calls == [pytest.approx(1.6, rel=1e-15)]  # w alpha at the largest |w|
         assert_allclose(got, np.max(third_abs_moments(fam, theta, ds)), rtol=1e-10)
@@ -372,6 +377,52 @@ class TestThirdMoment:
             got = fam.max_third_abs_moment_T(theta, ds)
             assert isinstance(got, float)
             assert_allclose(got, np.max(third_abs_moments(fam, theta, ds)), rtol=1e-10)
+
+    def test_case3_brackets_the_euclidean_moment(self, rng):
+        # |t_1|^3 + |t_2|^3 <= ||t||^3 <= sqrt(2) (|t_1|^3 + |t_2|^3) on R^2,
+        # so clause (1) is bounded exactly where E||T||^3 is
+        for _ in range(20):
+            fam, theta, ds = random_instance("gaussian-case3", rng)
+            alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(theta)
+            mu = fam.weights * alpha
+            euclid = t3_quad(mu[np.argmax(np.abs(mu))], math.sqrt(sigma2))
+            got = fam.max_third_abs_moment_T(theta, ds)
+            assert got <= euclid * (1.0 + 1e-10)
+            assert euclid <= math.sqrt(2.0) * got * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [(1.0, 1.0), (-3.5, 1.0), (1e8, 1.0), (1e16, 1.0), (2e16, 1.0), (-5e16, 1.0),
+         (1e20, 1.0), (1e40, 1.0), (1.0, 1e-53), (1.0, 1e-60), (-1.0, 1e-110), (1e-30, 1e-60)],
+    )
+    def test_case3_at_extreme_scales(self, mu, sigma):
+        # a quadrature read this moment over mu^6 as 1.014 at mu = 1e16, 1.60
+        # at 2e16 and -0.798 from 1e20 on, and warned; sigma^6 (or sigma^3)
+        # times a polynomial in mu / sigma read inf or nan from sigma = 1e-53
+        # (1e-103) on at mu = 1, where sigma^6 (sigma^3) leaves the normal range
+        fam = models.GaussianCase3([1.0])
+        theta = models.GaussianCase3.natural_from_alpha_sigma2(mu, sigma * sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fam.max_third_abs_moment_T(theta, fam.design_set([0.0]))
+        with mpmath.workdps(60):
+            s, m = mpmath.mpf(sigma), mpmath.mpf(mu) / mpmath.mpf(sigma)
+            m2 = m * m
+            abs3 = mpmath.sqrt(2 / mpmath.pi) * (m2 + 2) * mpmath.exp(-m2 / 2) + abs(m) * (
+                m2 + 3
+            ) * mpmath.erf(abs(m) / mpmath.sqrt(2))
+            want = s**3 * abs3 + s**6 * (m2**3 + 15 * m2**2 + 45 * m2 + 15)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("mu, sigma", [(1e200, 1.0), (0.0, 1e150), (1e120, 1e60)])
+    def test_case3_overflowing_moment_reads_inf(self, mu, sigma):
+        # mu^2 or sigma^2 overflows, and some term with it: the moment does too
+        fam = models.GaussianCase3([1.0])
+        theta = models.GaussianCase3.natural_from_alpha_sigma2(mu, sigma * sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fam.max_third_abs_moment_T(theta, fam.design_set([0.0])) == math.inf
 
 
 class TestFixedDesignEntries:

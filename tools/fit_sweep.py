@@ -10,11 +10,15 @@ sweep draws ``--draws`` datasets from ``np.random.default_rng(--seed)``,
 alternating ``repeated_rows(max_reps=30)`` (even draws) and
 ``random_instance`` with random bits (odd draws), using the generators in
 ``tests/conftest.py`` next to this script, so both trees see the same data.
-Each tree fits them in its own interpreter, one process at a time.
+Each tree fits in one worker interpreter, and the workers take turns draw
+by draw: each draw is fitted in ``ROUNDS`` rounds, one fit per tree in
+each, a millisecond or so apart, so that a slow spell of the machine falls
+on both trees alike.  Every round must give the draw the same outcome; its
+fit time is its fastest round's, and a family's is the sum over its draws.
 
 Prints, per tree and family, the count of each outcome (a ``FitResult``
-status, or the name of the error ``fit`` raised) and the total fit time,
-and per status the total and the largest ``FitResult.iterations``; then,
+status, or the name of the error ``fit`` raised) and the fit time, and
+per status the total and the largest ``FitResult.iterations``; then,
 against the first tree, the outcome transitions, the worst
 difference of estimates that both trees report converged, |a - b| over
 max(|a|, |b|, 1) per coordinate, the worst log-likelihood shortfall,
@@ -32,6 +36,7 @@ only.
 """
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -41,6 +46,8 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 FAMILIES = ("gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson")
+#: Fits of every draw per tree; a draw's fit time is its fastest round's.
+ROUNDS = 3
 
 
 def draws(name, count, seed):
@@ -59,59 +66,95 @@ def draws(name, count, seed):
         yield i, fam, theta, data
 
 
-def fit_all(count, seed):
-    """One record per draw and family, fitted with the bitglm on sys.path."""
+def record(name, i, fam, theta0, data):
+    """The record of draw ``i`` of family ``name``, fitted with the bitglm on sys.path."""
     import numpy as np
     from bitglm import BitGlmError, fim_censored, fim_uncensored, fit, likelihood
 
-    records = []
-    for name in FAMILIES:
-        for i, fam, theta0, data in draws(name, count, seed):
-            at_theta = {}
-            try:
-                at_theta["fim"] = fim_censored(fam, theta0, data.designs).matrix.tolist()
-            except BitGlmError:
-                pass
-            try:
-                info = fim_uncensored(fam, theta0, data.designs)
-                at_theta["fim_uncensored"] = info.matrix.tolist()
-            except BitGlmError:
-                pass
-            try:
-                _, g, h = likelihood.evaluate(fam, theta0, data)
-                at_theta.update(score=g.tolist(), hessian=h.tolist())
-            except BitGlmError:
-                pass
-            try:
-                x = fam.sample(theta0, data.designs, np.random.default_rng(i))
-                at_theta["mle"] = fam.uncensored_mle(data.designs, x).tolist()
-                at_theta["mle_outcome"] = "estimate"
-            except BitGlmError as err:
-                at_theta["mle_outcome"] = type(err).__name__
-            start = time.perf_counter()
-            try:
-                res = fit(fam, data)
-            except BitGlmError as err:
-                outcome, theta, ll, iterations = type(err).__name__, None, None, None
-            else:
-                theta = res.theta_hat.tolist()
-                outcome, ll, iterations = res.status, res.log_likelihood, res.iterations
-            records.append({
-                "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
-                "iterations": iterations, "seconds": time.perf_counter() - start, **at_theta,
-            })
-    return records
+    at_theta = {}
+    try:
+        at_theta["fim"] = fim_censored(fam, theta0, data.designs).matrix.tolist()
+    except BitGlmError:
+        pass
+    try:
+        info = fim_uncensored(fam, theta0, data.designs)
+        at_theta["fim_uncensored"] = info.matrix.tolist()
+    except BitGlmError:
+        pass
+    try:
+        _, g, h = likelihood.evaluate(fam, theta0, data)
+        at_theta.update(score=g.tolist(), hessian=h.tolist())
+    except BitGlmError:
+        pass
+    try:
+        x = fam.sample(theta0, data.designs, np.random.default_rng(i))
+        at_theta["mle"] = fam.uncensored_mle(data.designs, x).tolist()
+        at_theta["mle_outcome"] = "estimate"
+    except BitGlmError as err:
+        at_theta["mle_outcome"] = type(err).__name__
+    start = time.perf_counter()
+    try:
+        res = fit(fam, data)
+    except BitGlmError as err:
+        outcome, theta, ll, iterations = type(err).__name__, None, None, None
+    else:
+        theta = res.theta_hat.tolist()
+        outcome, ll, iterations = res.status, res.log_likelihood, res.iterations
+    return {
+        "family": name, "draw": i, "outcome": outcome, "theta": theta, "ll": ll,
+        "iterations": iterations, "seconds": time.perf_counter() - start, **at_theta,
+    }
 
 
-def run_tree(tree, count, seed):
-    src = Path(tree).resolve() / "src"
-    if not (src / "bitglm").is_dir():
-        sys.exit(f"{tree}: no src/bitglm")
-    out = subprocess.run(
-        [sys.executable, __file__, "--worker", src, "--draws", str(count), "--seed", str(seed)],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout)
+def serve(count, seed):
+    """Answer each line "family draw" on stdin with that draw's record, one
+    JSON line on stdout, until stdin closes."""
+    drawn = {name: list(draws(name, count, seed)) for name in FAMILIES}
+    for line in sys.stdin:
+        name, i = line.split()
+        print(json.dumps(record(name, *drawn[name][int(i)])), flush=True)
+
+
+@contextlib.contextmanager
+def worker(src, count, seed):
+    """A function (family, draw) -> that draw's record, answered by one
+    fresh interpreter on ``src`` while the context lasts."""
+    with subprocess.Popen(
+        [sys.executable, __file__, "--worker", str(src), "--draws", str(count),
+         "--seed", str(seed)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    ) as proc:
+        def ask(name, i):
+            proc.stdin.write(f"{name} {i}\n")
+            proc.stdin.flush()
+            line = proc.stdout.readline()
+            if not line:
+                sys.exit(f"{src}: the worker stopped")
+            return json.loads(line)
+
+        yield ask
+
+
+def run_trees(trees, count, seed):
+    """Per tree, one record per family and draw, in that order: each draw is
+    fitted in ROUNDS rounds, the trees' workers taking turns in each, and
+    keeps its fastest round's record; exits where a draw's rounds give it
+    different outcomes."""
+    srcs = [Path(tree).resolve() / "src" for tree in trees]
+    for tree, src in zip(trees, srcs):
+        if not (src / "bitglm").is_dir():
+            sys.exit(f"{tree}: no src/bitglm")
+    results = [[] for _ in trees]
+    with contextlib.ExitStack() as stack:
+        asks = [stack.enter_context(worker(src, count, seed)) for src in srcs]
+        for name in FAMILIES:
+            for i in range(count):
+                rounds = [[ask(name, i) for ask in asks] for _ in range(ROUNDS)]
+                for tree, records, mine in zip(trees, results, zip(*rounds)):
+                    if len({r["outcome"] for r in mine}) > 1:
+                        sys.exit(f"{tree}: {name} draw {i} changes outcome between rounds")
+                    records.append(min(mine, key=lambda r: r["seconds"]))
+    return results
 
 
 def _rel(a, b):
@@ -141,7 +184,7 @@ def _print_transitions(pairs, key, label=""):
 def report(trees, results):
     first = results[0]
     for tree, records in zip(trees, results):
-        print(f"== {tree}")
+        print(f"== {tree} (fit times: each draw's best of {ROUNDS} rounds)")
         for name in FAMILIES:
             mine = [r for r in records if r["family"] == name]
             counts = Counter(r["outcome"] for r in mine)
@@ -199,12 +242,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.worker:
         sys.path[:0] = [args.worker, str(TESTS)]
-        json.dump(fit_all(args.draws, args.seed), sys.stdout)
+        serve(args.draws, args.seed)
         return
     if not 1 <= len(args.trees) <= 2:
         parser.error("give one or two trees")
-    results = [run_tree(tree, args.draws, args.seed) for tree in args.trees]
-    report(args.trees, results)
+    report(args.trees, run_trees(args.trees, args.draws, args.seed))
 
 
 if __name__ == "__main__":
