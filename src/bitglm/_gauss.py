@@ -74,10 +74,15 @@ def abs_third_moment(mu, sigma):
     that it leaves the float range only where it does: with m = mu / sigma,
 
         sqrt(2/pi) sigma (mu^2 + 2 sigma^2) exp(-m^2/2) + mu (mu^2 + 3 sigma^2) erf(m/sqrt(2)).
+
+    Both terms are >= 0, so a nan can only be 0 times an overflowed factor:
+    it reads inf, without a warning.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    m = mu / sigma
-    mu2, s2 = mu * mu, sigma * sigma
-    tail = _SQRT_2_OVER_PI * sigma * (mu2 + 2.0 * s2) * np.exp(-0.5 * (m * m))
-    return tail + mu * (mu2 + 3.0 * s2) * special.erf(m / _SQRT2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = mu / sigma
+        mu2, s2 = mu * mu, sigma * sigma
+        tail = _SQRT_2_OVER_PI * sigma * (mu2 + 2.0 * s2) * np.exp(-0.5 * (m * m))
+        moment = tail + mu * (mu2 + 3.0 * s2) * special.erf(m / _SQRT2)
+    return np.where(np.isnan(moment), np.inf, moment)

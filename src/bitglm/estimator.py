@@ -162,7 +162,7 @@ def _safe_ll(model, data, index, beta):
     try:
         return likelihood.index_evaluate(model, beta, data, index)
     except (DegenerateLikelihood, NumericalError):
-        return -np.inf, None, None
+        return -np.inf, None, None, None
 
 
 def _ll_resolution(ll):
@@ -178,19 +178,17 @@ def _ascent_direction(neg_hess, grad):
         return np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
 
 
-def _moves_no_index(index, beta, moves):
-    """Whether index moves ``moves`` (X d for a step d) from ``beta`` stay
-    within rounding: |moves_i| <= STATIONARY_TOLERANCE max(1, |z_i|)."""
-    X, offset = index
-    z = np.maximum(1.0, np.abs(offset + X.dot(beta)))
-    return bool(np.all(np.abs(moves) <= STATIONARY_TOLERANCE * z))
+def _moves_no_index(z, moves):
+    """Whether index moves ``moves`` (X d for a step d) from the indices ``z``
+    stay within rounding: |moves_i| <= STATIONARY_TOLERANCE max(1, |z_i|)."""
+    return bool(np.all(np.abs(moves) <= STATIONARY_TOLERANCE * np.maximum(1.0, np.abs(z))))
 
 
 def _newton(model, data, index, beta, config, score_norm):
     """Damped Newton ascent in beta until ``score_norm(beta, grad)`` falls to
     the tolerance ("converged") or the Newton step moves no index beyond
-    rounding ("stationary"): (beta, status, iterations, its (ll, grad, hess))."""
-    ll, grad, hess = likelihood.index_evaluate(model, beta, data, index)  # _newton_from catches
+    rounding ("stationary"): (beta, status, iterations, its (ll, grad, hess, z))."""
+    ll, grad, hess, z = likelihood.index_evaluate(model, beta, data, index)  # _newton_from catches
     status = "max-iterations"
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
@@ -199,7 +197,7 @@ def _newton(model, data, index, beta, config, score_norm):
             status = "converged"
             break
         direction = _ascent_direction(-hess, grad)
-        if _moves_no_index(index, beta, index[0].dot(direction)):
+        if _moves_no_index(z, index[0].dot(direction)):
             status = "stationary"
             break
         slope = float(grad @ direction)
@@ -221,8 +219,8 @@ def _newton(model, data, index, beta, config, score_norm):
             t *= BACKTRACKING_FACTOR
         if t < MIN_DAMPING:
             break  # no measurable progress left at this precision
-        beta, (ll, grad, hess) = cand, step
-    return beta, status, iterations, (ll, grad, hess)
+        beta, (ll, grad, hess, z) = cand, step
+    return beta, status, iterations, (ll, grad, hess, z)
 
 
 def _newton_from(model, data, index, beta, config):
@@ -256,7 +254,7 @@ def _wall_maximum(model, data, index, beta, ll, config):
         model, data, (X[:, free], offset), beta[free], config,
         lambda b, g: float(np.max(np.abs(g), initial=0.0)),
     )[0]
-    wall_ll, grad, _ = likelihood.index_evaluate(model, wall, data, index)
+    wall_ll, grad, _, _ = likelihood.index_evaluate(model, wall, data, index)
     if beta[p] > 0.0 and grad[p] > 0.0 and abs(ll - wall_ll) > _ll_resolution(wall_ll):
         return None
     wall[p] = np.finfo(float).eps / np.max(np.abs(X[:, p]))
@@ -286,7 +284,7 @@ def fit(model, data, config=None):
     _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
     beta = model.initial_point(data, index, tally)
     try:
-        beta, status, iterations, (ll, grad, hess) = _newton_from(model, data, index, beta, config)
+        beta, status, iterations, (ll, grad, hess, z) = _newton_from(model, data, index, beta, config)
     except DegenerateLikelihood as err:
         if err.index is None:
             raise
@@ -296,11 +294,11 @@ def fit(model, data, config=None):
     # the step to the wall beta_p = 0 moves each index z_i by -beta_p x_ip
     if p is not None and (
         status != "converged" or not beta[p] > 0.0
-        or _moves_no_index(index, beta, beta[p] * index[0][:, p])
+        or _moves_no_index(z, beta[p] * index[0][:, p])
     ):
         wall = _wall_maximum(model, data, index, beta, ll, config)
         if wall is not None:
-            (beta, (ll, grad, hess)), status = wall, "boundary-divergence"
+            (beta, (ll, grad, hess, _)), status = wall, "boundary-divergence"
     if status == "stationary":
         status = "converged"
     grad, hess = likelihood.to_theta(model, beta, grad, hess)

@@ -6,9 +6,17 @@ x_i.beta, so this is the binary-response information in beta,
 sum_i w_i x_i x_i^T with w = F'^2 / (F (1 - F)) (``index_weight``; McCullagh
 & Nelder, Generalized Linear Models, 1989), taken to theta by the
 likelihood module's chain rule: one pairwise sum over the rows per entry
-(``likelihood.gram``), one erfcx call per row for a Gaussian family.
+(``likelihood.gram``).
 Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, the family's closed form
 (``uncensored_information``): one or two dot products over the rows.
+
+Cost per row: the one special function of the weight (erfcx for a Gaussian
+family; for Poisson each row's far tail, an incomplete gamma or a summed
+left tail, and the pmf's log and exp), plus the numpy passes the formulas
+need: the regressors and the index, the weight's arithmetic, one product
+per Gram column and one per entry, a finiteness check, and the uncensored
+closed form.  A family's design check runs once for J_n and once for I_n.
+At k = 1 the smallest eigenvalue is the matrix's entry.
 
 Sweep (``fim_sweep``, behind ``fim --sweep``): J_n as one design's
 threshold runs over P grid points.  The other rows' X^T diag(w) X is summed
@@ -46,7 +54,7 @@ class FimResult:
 
     @property
     def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return _min_eigenvalue(self.matrix)
 
     @property
     def determinant(self):
@@ -56,6 +64,11 @@ class FimResult:
         if self.k == 2:
             return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         return float(np.linalg.det(m))
+
+
+def _min_eigenvalue(m):
+    """The smallest eigenvalue of the symmetric ``m``: its entry where k = 1."""
+    return float(m[0, 0] if m.shape[0] == 1 else np.linalg.eigvalsh(m)[0])
 
 
 def _reject(model, bad):
@@ -89,8 +102,11 @@ def fim_censored(model, theta, designs):
     DegenerateThreshold where w is not finite, at a bit of probability 0."""
     beta = model.index_from_theta(model.check_theta(theta))
     X, w = _index_weights(model, beta, designs)
-    _reject(model, ~np.isfinite(w))
-    return _in_theta(model, beta, gram(X, w))
+    if not np.isfinite(w).all():
+        _reject(model, ~np.isfinite(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # _in_theta reports an overflow
+        total = gram(X, w)
+    return _in_theta(model, beta, total)
 
 
 def fim_sweep(model, theta, designs, index, grid):
@@ -109,12 +125,13 @@ def fim_sweep(model, theta, designs, index, grid):
         w[index] = 0.0  # the swept row's term enters per point
         if not np.all(np.isfinite(w)):
             return []
-        base = gram(X, w)
-        return [
-            (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
-            for p, tau in enumerate(grid)
-            if np.isfinite(w_p[p])
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):  # _in_theta reports an overflow
+            base = gram(X, w)
+            return [
+                (float(tau), _in_theta(model, beta, base + w_p[p] * np.outer(x[p], x[p])))
+                for p, tau in enumerate(grid)
+                if np.isfinite(w_p[p])
+            ]
     except NumericalError:
         return []
 
@@ -134,7 +151,7 @@ class DpiReport:
     @property
     def min_eigenvalue_gap(self):
         # both are exactly symmetric, so their gap is too
-        return float(np.linalg.eigvalsh(self.uncensored.matrix - self.censored.matrix)[0])
+        return _min_eigenvalue(self.uncensored.matrix - self.censored.matrix)
 
     @property
     def passed(self):

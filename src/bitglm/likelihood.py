@@ -83,7 +83,7 @@ def evaluate(model, theta, data):
     """(log-likelihood, score, hessian) in theta: ``index_evaluate`` at the
     index parameter of theta, taken to theta by ``to_theta``."""
     beta = model.index_from_theta(model.check_theta(theta))
-    ll, g, h = index_evaluate(model, beta, data, model.index_regressors(data.designs))
+    ll, g, h, _ = index_evaluate(model, beta, data, model.index_regressors(data.designs))
     return (ll, *to_theta(model, beta, g, h))
 
 
@@ -92,21 +92,24 @@ def gram(X, w):
     entry summed once and mirrored, so exactly symmetric."""
     k = X.shape[1]
     out = np.empty((k, k))
-    for j in range(k):
-        for m in range(j + 1):
-            out[j, m] = out[m, j] = np.add.reduce(X[:, j] * (X[:, m] * w))
+    for m in range(k):
+        xw = X[:, m] * w
+        for j in range(m, k):
+            out[j, m] = out[m, j] = np.add.reduce(X[:, j] * xw)
     return out
 
 
 def index_evaluate(model, beta, data, index):
-    """(log-likelihood, score, hessian) at any beta in R^k, for ``index =
+    """(log-likelihood, score, hessian, z) at any beta in R^k, for ``index =
     model.index_regressors(data.designs)``: with the link's derivatives s
-    and r, X^T (n s) and X^T diag(n r) X.  The solver's workhorse."""
+    and r, X^T (n s) and X^T diag(n r) X, and the indices z they are taken
+    at.  The solver's workhorse."""
     X, offset = index
-    log_probs, s, r = model.index_link(offset + X.dot(beta), data.designs, data.bits)
+    z = offset + X.dot(beta)
+    log_probs, s, r = model.index_link(z, data.designs, data.bits)
     ll = _sum_logs(log_probs, data)
     ns = s * data.counts
-    return ll, np.array([np.add.reduce(x * ns) for x in X.T]), gram(X, r * data.counts)
+    return ll, np.array([np.add.reduce(x * ns) for x in X.T]), gram(X, r * data.counts), z
 
 
 def score(model, theta, data):

@@ -272,8 +272,10 @@ class GaussianCase2(_GaussianIndex):
 
     def uncensored_information(self, theta, designs):
         """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2."""
-        sigma, z = self._sigma_z(theta, designs)
-        return np.array([[0.5 * z.shape[0] * _sigma_power(sigma, 4)]])
+        theta, designs = self._coerce(theta, designs)
+        self.check_designs(designs)
+        sigma = math.sqrt(1.0 / theta[0])
+        return np.array([[0.5 * designs.n * _sigma_power(sigma, 4)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -368,8 +370,13 @@ class GaussianCase3(_GaussianIndex):
     def check_designs(self, designs):
         _, designs = self._coerce(None, designs)
         V = designs.V
-        bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
-        self._check_fixed(V, bad, "[[w, 0], [0, -1/2]]")
+        # each fixed entry's misses counted on a copy of its column, which
+        # costs less than comparing the strided column itself; the mask that
+        # names the first bad row is built only where one is counted
+        fixed = ((0, 1, 0.0), (1, 0, 0.0), (1, 1, -0.5))
+        if any(np.count_nonzero(V[:, i, j].copy() != value) for i, j, value in fixed):
+            bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
+            self._check_fixed(V, bad, "[[w, 0], [0, -1/2]]")
 
     def _mu_sigma_z(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
@@ -461,7 +468,10 @@ class GaussianCase3(_GaussianIndex):
     def index_regressors(self, designs):
         """z = tau/sigma - w alpha/sigma, linear in beta = (1/sigma, alpha/sigma)."""
         self.check_designs(designs)
-        return np.stack([designs.taus, -designs.V[:, 0, 0]], axis=1), np.zeros(designs.n)
+        X = np.empty((designs.n, 2))  # C order: an F-ordered X.dot(beta) rounds differently
+        X[:, 0] = designs.taus
+        np.negative(designs.V[:, 0, 0], out=X[:, 1])
+        return X, np.zeros(designs.n)
 
     def theta_from_index(self, beta):
         return np.array([beta[0] * beta[1], beta[0] ** 2])
@@ -531,19 +541,24 @@ class PoissonModel(ModelFamily):
     #: 7e-6 relative at a rate of 1e6.
     MAX_RATE = 2e5
 
-    def _lam_t(self, theta, designs, z=None):
-        """(lam, floor(tau)) at theta or at the index z = -log(lam), up to MAX_RATE."""
+    def _rates(self, theta, designs, z=None):
+        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE."""
         if z is None:
             theta, designs = self._coerce(theta, designs)
         self.check_designs(designs)
+        # v theta: one product a row, the bytes of ``natural_params`` at k = 1
         with np.errstate(over="ignore"):  # an infinite rate fails the check below
-            lam = np.exp(designs.natural_params(theta)[:, 0] if z is None else -z)
+            lam = np.exp(designs.V[:, 0, 0] * theta[0] if z is None else -z)
         if not np.all(lam <= self.MAX_RATE):
             raise NumericalError(
                 f"poisson rate exceeds the supported range (max {self.MAX_RATE:g})"
             )
+        return lam
+
+    def _lam_t(self, theta, designs, z=None):
+        """(lam, floor(tau)): ``_rates`` and the whole-number thresholds."""
         # a float count: an int64 cast wraps thresholds of 2^63 and more
-        return lam, np.floor(designs.taus)
+        return self._rates(theta, designs, z), np.floor(designs.taus)
 
     def prob_leq(self, theta, designs):
         lam, t = self._lam_t(theta, designs)
@@ -559,14 +574,17 @@ class PoissonModel(ModelFamily):
         each bit's own tail (1 - CDF loses a far right tail's digits), lam h
         and, as pmf(t-1) = pmf(t) t / lam, lam h (lam - t - 1 - lam h)."""
         lam, t = self._lam_t(None, designs, z)
-        pb = _poisson.bit_prob(t, lam, bits)
+        far, right = _poisson.far_tail(t, lam)
+        # b = +1 reads the left tail, X <= t: where that is the far side's
+        # opposite (``right``), and b = -1 elsewhere, its own tail is 1 - far
+        pb = np.where(right == (np.asarray(bits) > 0), 1.0 - far, far)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam_h = lam * (np.asarray(bits, dtype=float) * _poisson.poisson_pmf(t, lam) / pb)
             return np.log(pb), lam_h, lam_h * (lam - t - 1.0 - lam_h)
 
     def uncensored_information(self, theta, designs):
         """sum_i v_i^2 lam_i, as Var(x) = lam."""
-        lam, _ = self._lam_t(theta, designs)
+        lam = self._rates(theta, designs)
         v = designs.V[:, 0, 0]
         return np.array([[np.add.reduce(v * (lam * v))]])
 
@@ -581,21 +599,21 @@ class PoissonModel(ModelFamily):
 
     def index_weight(self, z, designs):
         """(lam pmf/F) (lam pmf/S) at lam = exp(-z), as dF/dz = lam pmf(t):
-        pmf^2 underflows far in the tails."""
+        pmf^2 underflows far in the tails.  Symmetric in the two tails, so
+        taken as (lam pmf/far) (lam pmf/(1 - far)) for the far one."""
         lam, t = self._lam_t(None, designs, z)
-        f, sf = _poisson.poisson_tails(t, lam)
+        far, _ = _poisson.far_tail(t, lam)
         lam_pmf = lam * _poisson.poisson_pmf(t, lam)
         # inf or nan where F or S is 0, rows that the caller rejects
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (lam_pmf / f) * (lam_pmf / sf)
+            return (lam_pmf / far) * (lam_pmf / (1.0 - far))
 
     def max_third_abs_moment_T(self, theta, designs):
-        lam = np.max(self._lam_t(theta, designs)[0])  # E[X^3] increases in lam
+        lam = np.max(self._rates(theta, designs))  # E[X^3] increases in lam
         return float(lam**3 + 3.0 * lam * lam + lam)
 
     def sample(self, theta, designs, rng):
-        lam, _ = self._lam_t(theta, designs)
-        return rng.poisson(lam).astype(float)
+        return rng.poisson(self._rates(theta, designs)).astype(float)
 
     def uncensored_mle(self, designs, x):
         """The root of g(theta) = sum v (x - exp(v theta)): log of the mean count

@@ -434,9 +434,11 @@ def check_consistency_conditions(model, theta0, designs):
     if n >= 2:
         half = designs.subset(slice(0, n // 2))
         avg_half = fisher.fim_censored(model, theta0, half).matrix / half.n
-        prefix_drift = float(
-            np.linalg.norm(avg - avg_half) / max(np.linalg.norm(avg), 1e-300)
-        )
+        # both scaled by one power of two, exactly, so that the norms' squares
+        # cannot overflow
+        e = -np.frexp(np.max(np.abs(avg)))[1]
+        full, part = np.ldexp(avg, e), np.ldexp(avg_half, e)
+        prefix_drift = float(np.linalg.norm(full - part) / max(np.linalg.norm(full), 1e-300))
     else:
         prefix_drift = math.nan
 

@@ -429,7 +429,11 @@ def poisson_conditional_mean(lam, tau, b):
     scalar = lam.ndim == 0 and t.ndim == 0 and b.ndim == 0
     lam, t, b = np.atleast_1d(lam), np.atleast_1d(t), np.atleast_1d(b)
     lam, t, b = np.broadcast_arrays(lam, t, b)
-    out = lam * _poisson.bit_prob(t - 1, lam, b) / _poisson.bit_prob(t, lam, b)
+    def tail(t):  # the bit's own tail
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        return np.where(b > 0, cdf, sf)
+
+    out = lam * tail(t - 1) / tail(t)
     return float(out[0]) if scalar else out
 
 

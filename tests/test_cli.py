@@ -159,6 +159,47 @@ class TestFim:
         assert code == cli.EXIT_DEGENERATE == 3
         assert err == f"degenerate model input: {cause}\n"
 
+    def test_overflowing_information_errs_without_a_warning(self, tmp_path):
+        # the Gram sum in beta overflowed first, and warned of it in a
+        # multiply before the information in theta raised
+        cfg = write(
+            tmp_path,
+            "huge.cfg",
+            '{"model": {"name": "gaussian-case3", "weights": 1.0, "alpha": 1e200,'
+            ' "sigma": 1.0}, "thresholds": [1e200, 1e200, 1e200]}',
+        )
+        code, _, err = run_cli("check-conditions", "--config", cfg)
+        assert code == cli.EXIT_DEGENERATE == 3
+        assert err == (
+            "degenerate model input: the gaussian-case3 information in theta overflows a float\n"
+        )
+
+    def test_prefix_drift_of_a_huge_information(self, tmp_path):
+        # the average information is 4.4e299: its norm's sum of squares
+        # overflowed, with a warning, before the scaling by a power of two
+        cfg = write(
+            tmp_path,
+            "tiny.cfg",
+            '{"model": {"name": "gaussian-case1", "weights": 1.0, "alpha": 0.0,'
+            ' "sigma": 1e-150}, "thresholds": [1e-150, -1e-150]}',
+        )
+        code, out, err = run_cli("check-conditions", "--config", cfg)
+        assert (code, err) == (0, "")
+        assert "min eigenvalue = 4.38629e+299" in out and "prefix drift = 0 ... pass" in out
+
+    def test_overflowing_third_moment_reads_inf(self, tmp_path):
+        # E|X|^3 at mu = 1e200 read nan (0 times an overflowed factor) after
+        # three RuntimeWarnings
+        cfg = write(
+            tmp_path,
+            "far.cfg",
+            '{"model": {"name": "gaussian-case1", "weights": 1.0, "alpha": 1e200,'
+            ' "sigma": 1.0}, "thresholds": [1e200, 1e200]}',
+        )
+        code, out, err = run_cli("check-conditions", "--config", cfg)
+        assert (code, err) == (0, "")
+        assert "(1) max sum_j E|T_j|^3 = inf ... FAIL" in out
+
     def test_threshold_sweep(self, tmp_path):
         # grid sweep over one threshold; the two-parameter determinant must
         # peak strictly inside the range (spread-out thresholds inform)

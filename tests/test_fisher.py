@@ -340,6 +340,21 @@ class TestFimResult:
         gap = np.linalg.eigvalsh(report.uncensored.matrix - report.censored.matrix)[0]
         assert report.min_eigenvalue_gap == gap
 
+    def test_one_by_one_reads_its_entry_as_eigvalsh_does(self, rng):
+        # k = 1 reads the entry, without eigvalsh; both agree on every value
+        values = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        values[:7] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+        others = rng.permutation(values)
+        for a, b in zip(values, others):
+            info = FimResult(np.array([[a]]))
+            want = np.linalg.eigvalsh(np.array([[a]]))[0]
+            assert np.array_equal(info.min_eigenvalue, want, equal_nan=True)
+            with np.errstate(invalid="ignore"):
+                gap = DpiReport(FimResult(np.array([[b]])), info).min_eigenvalue_gap
+                want = np.linalg.eigvalsh(np.array([[a - b]]))[0]
+            assert np.array_equal(gap, want, equal_nan=True)
+            assert np.signbit(gap) == np.signbit(want)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_determinant(self, k):
         # exact arithmetic for k <= 2, numpy's LU beyond

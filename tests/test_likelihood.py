@@ -262,6 +262,22 @@ class TestGroupedRows:
 
 
 
+class TestGram:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 700), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_each_entry_is_its_pairwise_sum(self, n, k, seed):
+        # one product x_m w per column, then one pairwise sum per entry:
+        # the bytes of summing x_j (x_m w) entry by entry, mirrored exactly
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, k))
+        w = rng.uniform(0.0, 3.0, n)
+        got = likelihood.gram(X, w)
+        for j in range(k):
+            for m in range(k):
+                lo, hi = min(j, m), max(j, m)
+                assert got[j, m] == np.add.reduce(X[:, hi] * (X[:, lo] * w))
+
+
 class TestIndexRoute:
     """``index_evaluate`` in the index parameter beta against the paper's
     deviation route in theta: l_beta = J^T l_theta and l_beta,beta =
@@ -275,7 +291,9 @@ class TestIndexRoute:
             data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
             beta = fam.index_from_theta(theta)
             assert_allclose(fam.theta_from_index(beta), theta, rtol=1e-15)
-            ll, g, h = likelihood.index_evaluate(fam, beta, data, fam.index_regressors(ds))
+            X, offset = fam.index_regressors(ds)
+            ll, g, h, z = likelihood.index_evaluate(fam, beta, data, (X, offset))
+            assert np.array_equal(z, offset + X.dot(beta))
             g_theta, h_theta, _, _ = deviation_derivatives(fam, theta, data)
             C = fam.index_curvature
             J = np.eye(fam.k) if C is None else C @ beta

@@ -8,6 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 import bitglm
 from bitglm import (
@@ -425,6 +428,42 @@ class TestThirdMoment:
             assert fam.max_third_abs_moment_T(theta, fam.design_set([0.0])) == math.inf
 
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 1e-100, 1e100])
+    def test_case1_inside_the_float_range_keeps_its_bytes(self, sigma, rng):
+        # E|X|^3 now runs under np.errstate and reads a nan as inf; where the
+        # moment is finite it is the closed form's plain evaluation, bit for bit
+        def plain(mu, sigma):
+            m, mu2, s2 = mu / sigma, mu * mu, sigma * sigma
+            tail = math.sqrt(2.0 / math.pi) * sigma * (mu2 + 2.0 * s2) * np.exp(-0.5 * (m * m))
+            return tail + mu * (mu2 + 3.0 * s2) * special.erf(m / math.sqrt(2.0))
+
+        mu = sigma * rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-30.0, 30.0, 400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = plain(mu, sigma)
+        finite = np.isfinite(want)
+        assert finite.sum() >= 100
+        # the family reads the largest |mu| of its rows, here at alpha = sigma
+        fam = models.GaussianCase1(rng.uniform(0.5, 2.0, 5), sigma=sigma)
+        ds = fam.design_set(np.zeros(5))
+        means = sigma**2 * ds.natural_params([sigma])[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gauss.abs_third_moment(mu[finite], sigma)
+            top = fam.max_third_abs_moment_T([sigma], ds)
+        assert np.array_equal(got, want[finite])
+        assert top == plain(means[np.argmax(np.abs(means))], sigma)
+
+    @pytest.mark.parametrize("mu, sigma", [(1e200, 1.0), (1e155, 1.0), (0.0, 1e150), (1e120, 1e60)])
+    def test_case1_overflowing_moment_reads_inf(self, mu, sigma):
+        # mu^2 or sigma^2 overflows: the moment read nan (inf times 0) after
+        # three RuntimeWarnings at mu = 1e200, where it is +inf
+        fam = models.GaussianCase1([1.0], sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fam.max_third_abs_moment_T([mu], fam.design_set([0.0]))
+        assert got == math.inf
+
+
 class TestFixedDesignEntries:
     """Designs whose entries the family fixes differently raise DomainError
     wherever the family builds its index."""
@@ -461,6 +500,38 @@ class TestFixedDesignEntries:
             with pytest.raises(DomainError, match="fixes V") as err:
                 call()
             assert err.value.index == 3
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        row=st.integers(0, 299),
+        entry=st.sampled_from([(0, 1), (1, 0), (1, 1)]),
+        value=st.floats(-1e300, 1e300),
+    )
+    @example(n=5, row=3, entry=(0, 1), value=-0.0)
+    @example(n=5, row=3, entry=(1, 0), value=5e-324)
+    @example(n=5, row=3, entry=(1, 1), value=-0.5)
+    @example(n=5, row=4, entry=(1, 1), value=-0.5000000000000001)
+    @example(n=300, row=299, entry=(1, 1), value=0.0)
+    def test_case3_counted_check_names_the_masks_row(self, n, row, entry, value):
+        # the check counts the fixed entries' non-zeros and builds the mask
+        # only to name a row: the same error as the mask rule, at the same row
+        row %= n
+        fam = models.GaussianCase3(np.linspace(-1.0, 2.0, n))
+        ds = fam.design_set(np.zeros(n))
+        V = ds.V.copy()
+        V[(row, *entry)] = value
+        ds = types.DesignSet(V, ds.taus)
+        bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
+        if not bad.any():  # 0.0 or -0.0 off the diagonal, -0.5 on it
+            fam.check_designs(ds)
+            return
+        i = int(np.argmax(bad))
+        with pytest.raises(DomainError) as err:
+            fam.check_designs(ds)
+        assert err.value.index == i == row
+        assert str(err.value) == f"gaussian-case3 fixes V = [[w, 0], [0, -1/2]], got {V[i].tolist()}"
 
 
 def _bad_thetas(fam, theta):

@@ -292,15 +292,6 @@ class TestPoissonPieces:
         assert called == [1025.0, 5001.0, 2e5 + 1.0, 2.0**63, 0.0, -2.0]
         assert _poisson.poisson_pmf(3.0, 2.0).shape == ()
 
-    def test_bit_prob_takes_the_bit_side(self):
-        t = np.array([0, 3, 3, 12])
-        lam = np.array([0.5, 2.0, 2.0, 9.0])
-        bits = np.array([1, 1, -1, -1])
-        want = np.where(
-            bits > 0, _poisson.poisson_cdf(t, lam), _poisson.poisson_sf(t, lam)
-        )
-        assert np.array_equal(_poisson.bit_prob(t, lam, bits), want)
-
     def test_cdf_plus_sf(self):
         rng = np.random.default_rng(1)
         lam = rng.uniform(0.1, 30.0, 100)
@@ -308,3 +299,80 @@ class TestPoissonPieces:
         total = _poisson.poisson_cdf(t, lam) + _poisson.poisson_sf(t, lam)
         assert_allclose(total, 1.0, rtol=0, atol=1e-14)
 
+
+class TestPoissonKernels:
+    """The family's weight and link read one far tail per row
+    (``far_tail``); each is pinned, bit for bit, to its formula in the two
+    tails of ``poisson_tails`` and ``poisson_pmf``."""
+
+    @staticmethod
+    def rows(rng):
+        """(family, designs, z, lam, t): rows on all three routes, far right
+        tails, thresholds past the log t! table and rates up to MAX_RATE."""
+        top = math.log(models.PoissonModel.MAX_RATE)
+        while np.exp(top) > models.PoissonModel.MAX_RATE:
+            top = math.nextafter(top, 0.0)
+        z = -rng.uniform(math.log(1e-3), top, 3000)
+        z[:5] = -top  # the largest rate the family accepts
+        lam = np.exp(-z)
+        sd = np.sqrt(lam)
+        t = np.floor(np.maximum(0.0, lam + sd * rng.uniform(-12.0, 40.0, lam.size)))
+        t[-300:] = np.floor(lam[-300:] + 60.0 * sd[-300:] + 40.0)  # far: S underflows on some
+        t[-600:-300] = rng.integers(1000, 1100, 300)
+        z[-600:-300] = -np.log(t[-600:-300] + rng.uniform(-40.0, 40.0, 300))
+        lam = np.exp(-z)
+        fam = models.PoissonModel(np.ones(lam.size))
+        return fam, fam.design_set(t + 0.5), z, lam, t
+
+    def test_rows_cover_every_route(self, rng):
+        _, _, _, lam, t = self.rows(rng)
+        right = t + 1 > lam
+        assert right.sum() > 500 and (~right & (lam >= 16.0)).sum() > 300
+        assert (~right & (lam < 16.0)).sum() > 50
+        assert (t >= 1024).sum() > 300 and lam.max() > (1.0 - 1e-12) * models.PoissonModel.MAX_RATE
+        assert (_poisson.poisson_sf(t, lam) == 0.0).sum() > 10
+
+    def test_far_tail_places_both_tails(self, rng):
+        _, _, _, lam, t = self.rows(rng)
+        t[:20] = -1.0  # below the support
+        far, right = _poisson.far_tail(t, lam)
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        assert np.array_equal(right, t + 1 > lam)
+        assert np.array_equal(np.where(right, sf, cdf), far)
+        assert np.array_equal(np.where(right, cdf, sf), 1.0 - far)
+
+    def test_index_weight_is_the_tails_formula(self, rng):
+        fam, ds, z, lam, t = self.rows(rng)
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        lam_pmf = lam * _poisson.poisson_pmf(t, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = (lam_pmf / cdf) * (lam_pmf / sf)
+        assert not np.isfinite(want).all()
+        assert np.array_equal(fam.index_weight(z, ds), want, equal_nan=True)
+
+    def test_index_link_takes_the_bit_side(self, rng):
+        fam, ds, z, lam, t = self.rows(rng)
+        bits = rng.choice(np.array([-1, 1], dtype=np.int8), lam.size)
+        cdf, sf = _poisson.poisson_tails(t, lam)
+        own = np.where(bits > 0, cdf, sf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_h = lam * (bits.astype(float) * _poisson.poisson_pmf(t, lam) / own)
+            want = (np.log(own), lam_h, lam_h * (lam - t - 1.0 - lam_h))
+        got = fam.index_link(z, ds, bits)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_rates_are_the_natural_parameters_gemv(self, rng):
+        # exp(v theta): one product a row, the bytes of the k = 1 GEMV
+        v = rng.standard_normal(5000) * 10.0 ** rng.uniform(-3.0, 1.0, 5000)
+        v[:3] = [0.0, -0.0, 1e-300]
+        fam = models.PoissonModel(v)
+        ds = fam.design_set(np.zeros(v.size))
+        for theta in (0.7, -1.3, 1e-5, -0.0):
+            want = np.exp(ds.natural_params([theta])[:, 0])
+            keep = want <= fam.MAX_RATE
+            ds_kept = ds.subset(np.flatnonzero(keep))
+            assert np.array_equal(fam.uncensored_information([theta], ds_kept)[0, 0],
+                                  np.add.reduce(v[keep] * (want[keep] * v[keep])))
+            assert np.array_equal(fam.sample([theta], ds_kept, np.random.default_rng(3)),
+                                  np.random.default_rng(3).poisson(want[keep]).astype(float))

@@ -15,7 +15,10 @@ It prints, per n and stage, the median over trials of each trial's best
 time, in microseconds.  It then prints the best times of ``grouped()``, of
 ``fit`` (grouping included) and of ``fisher.dpi_check`` at the true
 parameter on ``bench/workloads.iid_instance`` data, where no two rows share
-a design, at n = ``--iid-n`` for every family.
+a design, at n = ``--iid-n`` for every family, and beside ``dpi_check`` its
+special-function floor on the same rows: the one call per row that the
+censored information cannot do without (``special_floor``), and the share
+of ``dpi_check`` spent beyond it.
 Uses the standard library, numpy and the bitglm of this checkout, or of
 the checkout whose ``src`` is on ``PYTHONPATH`` (one whose ``grouped()``
 returns the rows with their tally).
@@ -32,7 +35,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another tree
 
-from bitglm import CensoredDataset, cli, fisher, fit, montecarlo  # noqa: E402
+from scipy import special  # noqa: E402
+
+from bitglm import CensoredDataset, _poisson, cli, fisher, fit, montecarlo  # noqa: E402
 
 FIG1 = Path(cli.__file__).parent / "configs" / "fig1.cfg"
 STAGES = ("design draw", "sampling", "dataset build", "grouping", "fit after grouping")
@@ -53,6 +58,32 @@ def trial_stages(config, n, trial):
     fit(family, grouped, config.fit)
     clock.append(time.perf_counter())
     return [b - a for a, b in zip(clock, clock[1:])]
+
+
+def special_floor(family, theta, designs):
+    """A function that makes the special-function calls the censored
+    information of ``designs`` needs at ``theta``, on arguments gathered
+    beforehand: for a Gaussian family erfcx at |z| / sqrt 2 for the index z,
+    for Poisson the far tail of each row (``_poisson`` module docstring),
+    scipy's incomplete gamma or the summed left tail."""
+    X, offset = family.index_regressors(designs)
+    z = offset + X.dot(family.index_from_theta(family.check_theta(theta)))
+    if family.name != "poisson":
+        a = np.abs(z) / np.sqrt(2.0)
+        return lambda: special.erfcx(a)
+    lam, t = np.exp(-z), np.floor(designs.taus)
+    right = t + 1 > lam
+    small = lam < _poisson.SUM_BELOW_RATE
+    routes = [
+        (tail, t[rows], lam[rows])
+        for rows, tail in (
+            (right, special.pdtrc),
+            (~right & ~small, special.pdtr),
+            (~right & small, _poisson._left_tail_sum),
+        )
+        if rows.any()
+    ]
+    return lambda: [tail(ti, li) for tail, ti, li in routes]
 
 
 def best_of(repeat, run):
@@ -84,8 +115,8 @@ def main(argv=None):
     import workloads
 
     print(
-        f"grouped(), fit and dpi_check at theta0 on iid_instance rows, n = {args.iid_n}, "
-        f"best of {args.repeat}, ms"
+        f"grouped(), fit, dpi_check and its special-function floor at theta0 on iid_instance"
+        f" rows, n = {args.iid_n}, best of {args.repeat}, ms; dpi_check's share beyond the floor"
     )
     for family_name in workloads.FAMILIES:
         family, designs, theta0 = workloads.iid_instance(
@@ -93,6 +124,8 @@ def main(argv=None):
         )
         x = family.sample(theta0, designs, np.random.default_rng(2))
         data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
+
+        floor = special_floor(family, theta0, designs)
 
         def group_fit_and_check():
             clock = [time.perf_counter()]
@@ -102,10 +135,16 @@ def main(argv=None):
             clock.append(time.perf_counter())
             fisher.dpi_check(family, theta0, designs)
             clock.append(time.perf_counter())
+            floor()
+            clock.append(time.perf_counter())
             return [b - a for a, b in zip(clock, clock[1:])]
 
         times = best_of(args.repeat, group_fit_and_check)
-        print(f"  {family_name:15s}" + "".join(f" {1e3 * t:8.2f}" for t in times))
+        share = 1.0 - times[3] / times[2]
+        print(
+            f"  {family_name:15s}" + "".join(f" {1e3 * t:8.2f}" for t in times)
+            + f" {100.0 * share:5.1f}%"
+        )
 
 
 if __name__ == "__main__":
