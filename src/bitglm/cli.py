@@ -154,13 +154,13 @@ def _model_values(model, cls, keys, n, path):
     return out
 
 
-def build_model_instance(doc, path="model"):
+def build_model_instance(doc):
     """(family, theta0, designs) from a model+thresholds config section."""
     _check_keys(doc, "<root>", required=("model", "thresholds"), optional=("count",))
     model = doc["model"]
-    cls = _family_class(model, path, lambda c: (c.per_obs_key, *c.param_keys))
+    cls = _family_class(model, "model", lambda c: (c.per_obs_key, *c.param_keys))
     taus = _floats(doc["thresholds"], _count(doc), "thresholds")
-    params = _model_values(model, cls, (cls.per_obs_key, *cls.param_keys), taus.shape[0], path)
+    params = _model_values(model, cls, (cls.per_obs_key, *cls.param_keys), taus.shape[0], "model")
     family, theta0 = cls.from_params(params.pop(cls.per_obs_key), params)
     return family, theta0, family.design_set(taus)
 
@@ -358,26 +358,15 @@ def _parse_sweep(spec, n):
     return idx, lo, hi, step
 
 
-def _threshold_sweep(family, theta0, designs, spec):
-    """Censored information over a grid of one design's threshold.
-
-    No closed threshold-optimality rule exists beyond the known-variance
-    mean model, so sweeps are the supported way to explore thresholds for
-    the other families.  Reports the information value for scalar models
-    and the determinant for larger ones.
-    """
-    idx, lo, hi, step = spec
-    grid = np.arange(lo, hi + step / 2, step)
-    # the determinant of a 1 x 1 information is its value
-    return [(tau, r.determinant) for tau, r in fisher.fim_sweep(family, theta0, designs, idx, grid)]
-
-
 def cmd_fim(args, doc, started_at):
     family, theta0, designs = build_model_instance(doc)
     spec = _parse_sweep(args.sweep, designs.n) if args.sweep else None
     _make_out(args)
     if spec:
-        rows = _threshold_sweep(family, theta0, designs, spec)
+        idx, lo, hi, step = spec
+        grid = np.arange(lo, hi + step / 2, step)
+        # the determinant of a 1 x 1 information is its value
+        rows = [(t, r.determinant) for t, r in fisher.fim_sweep(family, theta0, designs, idx, grid)]
         label = "information" if family.k == 1 else "det_information"
         payload = {"model": family.name, "sweep": [[t, v] for t, v in rows], "value": label}
         lines = [f"tau,{label}", *(f"{t!r},{v!r}" for t, v in rows)]

@@ -277,19 +277,17 @@ def fit(model, data, config=None):
     data, rows, tally = data.grouped()
     try:
         index = model.index_regressors(data.designs)
-    except DomainError as err:
-        if err.index is None:
-            raise
-        raise DomainError(str(err), index=int(rows[err.index])) from err
-    _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
-    beta = model.initial_point(data, index, tally)
-    try:
+        _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
+        beta = model.initial_point(data, index, tally)
         beta, status, iterations, (ll, grad, hess, z) = _newton_from(model, data, index, beta, config)
-    except DegenerateLikelihood as err:
+    except (DomainError, DegenerateLikelihood) as err:
         if err.index is None:
             raise
-        # name the observation in the caller's numbering, not the grouped one
-        raise DegenerateLikelihood.at_observation(int(rows[err.index])) from err
+        # name the row in the caller's numbering, not the grouped one
+        i = int(rows[err.index])
+        if isinstance(err, DegenerateLikelihood):
+            raise DegenerateLikelihood.at_observation(i) from err
+        raise DomainError(str(err), index=i) from err
     p = model.index_positive
     # the step to the wall beta_p = 0 moves each index z_i by -beta_p x_ip
     if p is not None and (

@@ -20,8 +20,13 @@ Design notes
   gives F'(z)^2 / (F (1 - F)), the information a bit carries about z.  The
   likelihood module takes both to theta by the chain rule.  The solver
   iterates in beta and starts there: ``initial_point`` returns a beta.
-* Each family fixes the design entries its closed forms assume and
-  ``check_designs`` rejects any other, wherever the family relies on them.
+* Each family fixes the design entries its closed forms assume, and only
+  ``check_designs`` reads them.  It rejects any other value there, a
+  case-2 design set without its known means and a negative Poisson
+  threshold.  It runs in ``index_regressors``, where every fit and
+  censored information starts, and in each method that reads the means or
+  a Poisson threshold at theta, or whose closed form assumes the fixed
+  entries (the uncensored information).
 * ``uncensored_information`` is the family's closed form of sum_i V_i^T
   Cov(T_i) V_i (Lehmann & Casella, 1998, 1.5): a dot product or two over
   the rows.  The per-row Cov(T_i) is a test oracle, ``_oracles.cov_statistic``.

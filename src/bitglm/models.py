@@ -90,7 +90,19 @@ def _probit_start(family, index, tally):
 
 
 class _GaussianIndex(ModelFamily):
-    """P(B = +1) = Phi(z) at the standardized threshold z, the linear index."""
+    """P(B = +1) = Phi(z) at the standardized threshold z, the linear index.
+
+    A subclass's ``_mean_sd(theta, designs)`` checks both and returns the
+    rows' means (n,) and their sd, a float, from the entry V[:, 0, 0] or
+    the known means ``aux`` only: never from an entry its family fixes.
+    """
+
+    # prob_leq and sample have one body per subclass, but stay in each:
+    # the benchmark tracer spans them in each concrete class's own namespace
+    def _standardized(self, theta, designs):
+        """(mean, sd, z) from ``_mean_sd``, with z = (tau - mean) / sd."""
+        mean, sd = self._mean_sd(theta, designs)
+        return mean, sd, (designs.taus - mean) / sd
 
     def initial_point(self, data, index, tally):
         """The per-design probit inversion (``_probit_start``); without one,
@@ -142,15 +154,13 @@ class GaussianCase1(_GaussianIndex):
         V = (self.weights / self.sigma**2).reshape(-1, 1, 1)
         return DesignSet(V, taus)
 
-    def _mu_z(self, theta, designs):
+    def _mean_sd(self, theta, designs):
+        """(sigma^2 V alpha, sigma): the bytes of the k = 1 ``natural_params``."""
         theta, designs = self._coerce(theta, designs)
-        eta = designs.natural_params(theta)[:, 0]
-        mu = self.sigma**2 * eta
-        z = (designs.taus - mu) / self.sigma
-        return mu, z
+        return self.sigma**2 * (designs.V[:, 0, 0] * theta[0]), self.sigma
 
     def prob_leq(self, theta, designs):
-        _, z = self._mu_z(theta, designs)
+        _, _, z = self._standardized(theta, designs)
         return _gauss.norm_cdf(z)
 
     def uncensored_information(self, theta, designs):
@@ -163,7 +173,7 @@ class GaussianCase1(_GaussianIndex):
         return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
-        _, z = self._mu_z(theta, designs)
+        _, _, z = self._standardized(theta, designs)
         c = _gauss.signed_hazard(z, bits)
         mean_dev = (-self.sigma * c)[:, None]
         cov_dev = (-self.sigma**2 * c * (z + c))[:, None, None]
@@ -171,12 +181,12 @@ class GaussianCase1(_GaussianIndex):
 
     def max_third_abs_moment_T(self, theta, designs):
         # E|X|^3 increases in |mu|: |X| is stochastically increasing in |mu|
-        mu, _ = self._mu_z(theta, designs)
+        mu, _ = self._mean_sd(theta, designs)
         return float(_gauss.abs_third_moment(mu[np.argmax(np.abs(mu))], self.sigma))
 
     def sample(self, theta, designs, rng):
-        mu, _ = self._mu_z(theta, designs)
-        return mu + self.sigma * rng.standard_normal(mu.shape[0])
+        mean, sd = self._mean_sd(theta, designs)
+        return mean + sd * rng.standard_normal(designs.n)
 
     @classmethod
     def from_params(cls, values, params):
@@ -258,30 +268,25 @@ class GaussianCase2(_GaussianIndex):
             raise DomainError("gaussian-case2 designs must carry the known means as aux")
         self._check_fixed(designs.V, designs.V[:, 0, 0] != -0.5, "[[-1/2]]")
 
-    def _sigma_z(self, theta, designs):
+    def _mean_sd(self, theta, designs):
         theta, designs = self._coerce(theta, designs)
         self.check_designs(designs)
-        sigma2 = 1.0 / theta[0]
-        sigma = math.sqrt(sigma2)
-        z = (designs.taus - designs.aux) / sigma
-        return sigma, z
+        return designs.aux, math.sqrt(1.0 / theta[0])
 
     def prob_leq(self, theta, designs):
-        _, z = self._sigma_z(theta, designs)
+        _, _, z = self._standardized(theta, designs)
         return _gauss.norm_cdf(z)
 
     def uncensored_information(self, theta, designs):
         """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2."""
-        theta, designs = self._coerce(theta, designs)
-        self.check_designs(designs)
-        sigma = math.sqrt(1.0 / theta[0])
+        _, sigma = self._mean_sd(theta, designs)
         return np.array([[0.5 * designs.n * _sigma_power(sigma, 4)]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
-        sigma, z = self._sigma_z(theta, designs)
+        _, sigma, z = self._standardized(theta, designs)
         c = _gauss.signed_hazard(z, bits)
         mean_dev = (-sigma**2 * z * c)[:, None]
         # Var((X-mu)^2 | b) - 2 sigma^4 = -sigma^4 * c * z * (z^2 + 1 + z*c)
@@ -289,12 +294,12 @@ class GaussianCase2(_GaussianIndex):
         return mean_dev, cov_dev
 
     def max_third_abs_moment_T(self, theta, designs):
-        sigma, _ = self._sigma_z(theta, designs)
+        _, sigma = self._mean_sd(theta, designs)
         return 15.0 * _sigma_power(sigma, 6)
 
     def sample(self, theta, designs, rng):
-        sigma, _ = self._sigma_z(theta, designs)
-        return designs.aux + sigma * rng.standard_normal(designs.n)
+        mean, sd = self._mean_sd(theta, designs)
+        return mean + sd * rng.standard_normal(designs.n)
 
     @classmethod
     def from_data(cls, V, taus, section):
@@ -303,7 +308,7 @@ class GaussianCase2(_GaussianIndex):
 
     def uncensored_mle(self, designs, x):
         """The inverse mean squared deviation from the known means."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         ss = float(np.mean((x - designs.aux) ** 2))
         if ss <= 0.0:
             raise NonIdentifiable("zero empirical variance")
@@ -378,17 +383,14 @@ class GaussianCase3(_GaussianIndex):
             bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
             self._check_fixed(V, bad, "[[w, 0], [0, -1/2]]")
 
-    def _mu_sigma_z(self, theta, designs):
+    def _mean_sd(self, theta, designs):
+        """((1/theta_2)(w theta_1), sqrt(1/theta_2)) from the free entry w."""
         theta, designs = self._coerce(theta, designs)
         sigma2 = 1.0 / theta[1]
-        sigma = math.sqrt(sigma2)
-        eta1 = designs.natural_params(theta)[:, 0]
-        mu = sigma2 * eta1
-        z = (designs.taus - mu) / sigma
-        return mu, sigma, z, designs
+        return sigma2 * (designs.V[:, 0, 0] * theta[0]), math.sqrt(sigma2)
 
     def prob_leq(self, theta, designs):
-        _, _, z, _ = self._mu_sigma_z(theta, designs)
+        _, _, z = self._standardized(theta, designs)
         return _gauss.norm_cdf(z)
 
     def uncensored_information(self, theta, designs):
@@ -406,7 +408,7 @@ class GaussianCase3(_GaussianIndex):
         return self.cond_devs_T(theta, designs, bits)[0]
 
     def cond_devs_T(self, theta, designs, bits):
-        mu, sigma, z, designs = self._mu_sigma_z(theta, designs)
+        mu, sigma, z = self._standardized(theta, designs)
         c = _gauss.signed_hazard(z, bits)
         n = z.shape[0]
         mean_dev = np.empty((n, 2))
@@ -430,7 +432,7 @@ class GaussianCase3(_GaussianIndex):
     def max_third_abs_moment_T(self, theta, designs):
         # sum_j E|T_j|^3 = E|X|^3 + E[X^6] for T = (x, x^2), bounded where E||T||^3
         # is (in [1, sqrt 2] times it); both grow in |mu|, read at its largest only
-        mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
+        mu, sigma = self._mean_sd(theta, designs)
         mu = mu[np.argmax(np.abs(mu))]
         with np.errstate(over="ignore", invalid="ignore"):
             mu2, s2 = mu * mu, sigma * sigma  # E[X^6] then overflows only where it does
@@ -439,8 +441,8 @@ class GaussianCase3(_GaussianIndex):
         return math.inf if math.isnan(moment) else moment  # nan: 0 times an overflowed factor
 
     def sample(self, theta, designs, rng):
-        mu, sigma, _, _ = self._mu_sigma_z(theta, designs)
-        return mu + sigma * rng.standard_normal(mu.shape[0])
+        mean, sd = self._mean_sd(theta, designs)
+        return mean + sd * rng.standard_normal(designs.n)
 
     def uncensored_mle(self, designs, x):
         """Least-squares alpha and the biased (MLE-convention) variance."""
@@ -542,10 +544,11 @@ class PoissonModel(ModelFamily):
     MAX_RATE = 2e5
 
     def _rates(self, theta, designs, z=None):
-        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE."""
+        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE;
+        ``index_regressors`` checks the thresholds where the index path starts."""
         if z is None:
             theta, designs = self._coerce(theta, designs)
-        self.check_designs(designs)
+            self.check_designs(designs)
         # v theta: one product a row, the bytes of ``natural_params`` at k = 1
         with np.errstate(over="ignore"):  # an infinite rate fails the check below
             lam = np.exp(designs.V[:, 0, 0] * theta[0] if z is None else -z)
@@ -566,7 +569,7 @@ class PoissonModel(ModelFamily):
 
     def index_regressors(self, designs):
         """P(X <= tau) falls in the rate exp(v theta): the index is -v theta."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         return -designs.V[:, 0, :], np.zeros(designs.n)
 
     def index_link(self, z, designs, bits):
@@ -593,7 +596,8 @@ class PoissonModel(ModelFamily):
 
     def cond_devs_T(self, theta, designs, bits):
         """-d/dz and d^2/dz^2 of the index link, at z = -(natural parameter)."""
-        theta, designs = self._coerce(theta, designs)
+        theta = self.check_theta(theta)
+        self.check_designs(designs)
         _, s, r = self.index_link(-designs.natural_params(theta)[:, 0], designs, bits)
         return -s[:, None], r[:, None, None]
 

@@ -250,8 +250,6 @@ class MseTable:
     """One row per sample size, in increasing-n order."""
 
     rows: tuple
-    trials: int
-    error_metric: str
 
     def to_csv(self):
         lines = ["n,mse,mc_stderr,failures"]
@@ -327,7 +325,7 @@ def run_mse_experiment(config):
         mse = float(np.mean(errs))
         stderr = float(np.std(errs, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
         rows.append(MseRow(n=n, mse=mse, mc_stderr=stderr, failures=failures))
-    return MseTable(rows=tuple(rows), trials=config.trials, error_metric=config.error_metric)
+    return MseTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from bitglm import (
     BitGlmError,
     CensoredDataset,
     DegenerateLikelihood,
+    DesignSet,
+    DomainError,
     FitConfig,
     NonIdentifiable,
     NumericalError,
@@ -88,6 +90,33 @@ class TestFitSpots:
             fit(fam, data)
         assert err.value.index == 2
         assert str(err.value).startswith("observation 2 ")
+
+    def test_negative_poisson_threshold_names_the_callers_row(self):
+        # the grouped data store the bad row 0 as row 1 (the bit is the most
+        # significant key), and the error names the caller's row
+        fam = models.PoissonModel([1.0] * 3)
+        data = CensoredDataset([1, -1, 1], DesignSet(np.ones((3, 1, 1)), [-1.0, 2.0, 4.0]))
+        with pytest.raises(DomainError, match="poisson thresholds must be >= 0") as err:
+            fit(fam, data)
+        assert err.value.index == 0
+
+    def test_designs_of_the_wrong_shape_raise_without_an_index(self):
+        fam = models.GaussianCase3([1.0, 1.0])
+        data = CensoredDataset([1, -1], DesignSet(np.ones((2, 1, 1)), [0.0, 1.0]))
+        with pytest.raises(DomainError, match=r"shape \(2, 2\), got \(1, 1\)") as err:
+            fit(fam, data)
+        assert err.value.index is None
+
+    def test_poisson_fit_checks_its_designs_once(self):
+        # the thresholds are checked where the index route starts, not on
+        # every likelihood evaluation
+        fam = models.PoissonModel([0.5, 1.0, 1.5, 1.0] * 3)
+        data = CensoredDataset([1, -1, 1, -1, -1, 1] * 2, fam.design_set([1.0, 2.0, 4.0, 3.0] * 3))
+        with mock.patch.object(fam, "check_designs", wraps=fam.check_designs) as check, \
+                mock.patch.object(fam, "index_link", wraps=fam.index_link) as link:
+            assert fit(fam, data).converged
+        assert link.call_count > 1
+        assert check.call_count == 1
 
     def test_unconstrained_direction_raises(self):
         fam = models.GaussianCase1([0.0, 0.0], sigma=1.0)

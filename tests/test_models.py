@@ -533,6 +533,47 @@ class TestFixedDesignEntries:
         assert err.value.index == i == row
         assert str(err.value) == f"gaussian-case3 fixes V = [[w, 0], [0, -1/2]], got {V[i].tolist()}"
 
+    def test_case2_baseline_needs_the_known_means(self):
+        # a typed error, not the TypeError of x - None
+        with pytest.raises(DomainError, match="must carry the known means"):
+            models.GaussianCase2([0.0, 1.0]).uncensored_mle(
+                types.DesignSet(np.full((2, 1, 1), -0.5), [0.0, 1.0]), np.array([0.5, 1.5])
+            )
+
+
+class TestRowStandardization:
+    """A Gaussian row's mean and sd read only the entry its family leaves free,
+    and the mean has the bytes of the natural-parameter product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        zero_w=st.sampled_from([None, 0.0, -0.0]),
+        zero_alpha=st.sampled_from([None, 0.0, -0.0]),
+    )
+    def test_mean_is_the_natural_parameter_product(self, seed, zero_w, zero_alpha):
+        rng = np.random.default_rng(seed)
+        for name in ("gaussian-case1", "gaussian-case3"):
+            fam, theta, ds = random_instance(name, rng)
+            V = ds.V.copy()
+            if zero_w is not None:
+                V[0, 0, 0] = zero_w
+            if zero_alpha is not None:
+                theta[0] = zero_alpha
+            ds = types.DesignSet(V, ds.taus)
+            mean, sd = fam._mean_sd(theta, ds)
+            if name == "gaussian-case1":
+                want = fam.sigma**2 * ds.natural_params(theta)[:, 0], fam.sigma
+            else:
+                want = (1.0 / theta[1]) * ds.natural_params(theta)[:, 0], math.sqrt(1.0 / theta[1])
+                # the fixed entries are never read
+                V[:, 0, 1], V[:, 1, 0], V[:, 1, 1] = rng.normal(size=(3, ds.n))
+                got = fam._mean_sd(theta, types.DesignSet(V, ds.taus))
+                assert np.array_equal(got[0], mean) and got[1] == sd
+            # array_equal: a zero mean may differ in its sign only
+            assert np.array_equal(mean, want[0]) and sd == want[1]
+            assert np.array_equal(fam._standardized(theta, ds)[2], (ds.taus - mean) / sd)
+
 
 def _bad_thetas(fam, theta):
     """Thetas of the wrong shape, with a coordinate that is not finite, or
