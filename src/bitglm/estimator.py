@@ -2,15 +2,13 @@
 
 Each family's P(B_i = +1) is a log-concave cdf of a linear index
 offset_i + x_i.beta (``index_regressors``), so the log-likelihood is
-concave in beta over all of R^k (Pratt, JASA 76, 1981).  ``fit`` runs one
-damped Newton ascent in beta with the derivatives of ``index_link``, on
-the grouped data (identical observations merged into counts), so each
-iteration costs O(distinct rows), not O(n).  Steps must raise the
-log-likelihood enough (Armijo), except where the gain a step predicts is
-below its float resolution: there the full step is taken when it lowers
-the score in beta (the one in theta divides by 1/sigma, so near the wall
-it reads rounding as slope).  Convergence is judged, and the score
-reported, in theta: J^-T g for the Jacobian J of theta(beta).
+concave in beta over all of R^k (Pratt, JASA 76, 1981).  ``fit`` ascends it
+by damped Newton steps in beta, with the derivatives of ``index_link``, on
+the grouped data, so each iteration costs O(distinct rows), not O(n).  Steps
+must raise the log-likelihood enough (Armijo), except where the gain a step
+predicts is below its float resolution: there the full step is taken when it
+lowers the score in beta.  An ascent stops only where its Newton step would
+change no row's index beyond rounding.
 
 A finite maximizer exists unless the bits are separated: some direction d,
 with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
@@ -21,26 +19,21 @@ k <= 2 the first needs no linear program: the cone of such d is spanned by
 the rays perpendicular to the rows at either end of the widest angular gap
 between them, or by its middle where it is a half-plane.
 
-The ascent also stops where its Newton step would change no row's index
-beyond rounding: beta is then stationary to its precision, whatever the
-theta-score's own rounding reads (it divides by 1/sigma).
-
-Where the ascent ends at 1/sigma <= 0, the supremum lies on the wall
-1/sigma = 0 (sigma -> infinity).  So it does where the ascent ends short of
-a theta-score at the tolerance, or where the step to the wall itself would
-move no index beyond rounding, while the score at the maximizer along the
-wall points out of the domain or its likelihood ties the iterate's.
-``fit`` reports that maximizer, just inside, as "boundary-divergence".
+Then a maximizer over beta_p >= 0, for a family's positive coordinate
+beta_p = 1/sigma, exists, and by the KKT conditions it lies on the wall
+beta_p = 0 (sigma -> infinity) exactly when dl/dbeta_p <= 0 at the
+maximizer along the wall.  Unless the start is stationary, ``fit`` decides
+that before any interior ascent, and reports a maximum on the wall, just
+inside, as "boundary-divergence".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import likelihood
 from .exceptions import DegenerateLikelihood, DomainError, NonIdentifiable, NumericalError
-from .types import is_finite_number, is_integer
+from .types import is_integer
 
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
@@ -54,9 +47,12 @@ RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
 #: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0,
 #: and the relative singular value at or below which the rank check does.
 SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
-#: |x_i.d| relative to max(1, |z_i|) at or below which a step d changes no
+#: |x_i.d| relative to ``_index_scale`` at or below which a step d changes no
 #: row's index z_i beyond rounding.
 STATIONARY_TOLERANCE = 16.0 * np.finfo(float).eps
+#: dl/dbeta_p = sum_i n_i s_i x_ip on the wall reads <= 0 up to this share of
+#: sum_i n_i |x_ip| (|s_i| + |r_i| ``_index_scale``): its rounding, and that of z.
+WALL_TOLERANCE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,13 +60,10 @@ class FitConfig:
     """Solver settings; the defaults suit all bundled model families."""
 
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not is_integer(self.max_iterations, 1):
             raise ValueError("max_iterations must be an integer >= 1")
-        if not (is_finite_number(self.gradient_tolerance) and self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -79,15 +72,14 @@ class FitResult:
 
     ``theta_hat`` is a read-only (k,) float array inside the family's
     domain; ``observed_information`` is the negated Hessian at the estimate;
-    ``status`` is one of "converged" (stationary to rounding in beta, at a
-    locally maximal point: the theta-score fell to the tolerance or the
+    ``status`` is one of "converged" (stationary to rounding in beta: the
     Newton step moves no index beyond rounding, and the observed
     information is positive definite), "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
-    moved just inside to sigma ~ 1/eps).  ``final_score_norm`` is the
-    theta-score as it is, above the tolerance where a flat optimum's
-    rounding puts it there.
+    moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
+    directions: the interior ascent's, or for a boundary fit the ascent
+    along the wall's.  ``final_score_norm`` is the score in theta, as it is.
     """
 
     theta_hat: np.ndarray
@@ -165,48 +157,64 @@ def _safe_ll(model, data, index, beta):
         return -np.inf, None, None, None
 
 
-def _ll_resolution(ll):
-    """Smallest change of a log-likelihood near ``ll`` that rounding cannot fake."""
-    return 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
-
-
 def _ascent_direction(neg_hess, grad):
     """Newton direction; least squares where the negated Hessian is singular."""
     try:
-        return sla.cho_solve(sla.cho_factor(neg_hess, check_finite=False), grad, check_finite=False)
+        return np.linalg.solve(neg_hess, grad)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
 
 
-def _moves_no_index(z, moves):
-    """Whether index moves ``moves`` (X d for a step d) from the indices ``z``
-    stay within rounding: |moves_i| <= STATIONARY_TOLERANCE max(1, |z_i|)."""
-    return bool(np.all(np.abs(moves) <= STATIONARY_TOLERANCE * np.maximum(1.0, np.abs(z))))
+def _index_scale(index, beta):
+    """max(1, |offset_i| + sum_j |x_ij beta_j|) per row: the size of the terms
+    that the index z_i sums, to which its rounding is relative."""
+    X, offset = index
+    return np.maximum(1.0, np.abs(offset) + np.abs(X).dot(np.abs(beta)))
 
 
-def _newton(model, data, index, beta, config, score_norm):
-    """Damped Newton ascent in beta until ``score_norm(beta, grad)`` falls to
-    the tolerance ("converged") or the Newton step moves no index beyond
-    rounding ("stationary"): (beta, status, iterations, its (ll, grad, hess, z))."""
-    ll, grad, hess, z = likelihood.index_evaluate(model, beta, data, index)  # _newton_from catches
-    status = "max-iterations"
-    iterations = 0
+def _newton_direction(index, beta, grad, hess):
+    """The Newton direction d at an evaluated point, or None where it moves no
+    index beyond rounding, |x_i.d| <= STATIONARY_TOLERANCE ``_index_scale``."""
+    direction = _ascent_direction(-hess, grad)
+    if np.all(np.abs(index[0].dot(direction)) <= STATIONARY_TOLERANCE * _index_scale(index, beta)):
+        return None
+    return direction
+
+
+def _evaluable(model, data, index, beta, anchor=None):
+    """(beta, its ``index_evaluate``); where a bit has probability 0 at beta, the
+    same for the first point toward ``anchor`` (theta = 0, 1 where positive)."""
+    try:
+        return beta, likelihood.index_evaluate(model, beta, data, index)
+    except (DegenerateLikelihood, NumericalError):
+        pass
+    if anchor is None:
+        anchor = model.index_from_theta(np.array([float(k == "positive") for k in model.domain]))
+    for _ in range(60):
+        beta = 0.5 * (beta + anchor)
+        state = _safe_ll(model, data, index, beta)
+        if np.isfinite(state[0]):
+            return beta, state
+    # where no probe could be evaluated, this raises the error of the last
+    return beta, likelihood.index_evaluate(model, beta, data, index)
+
+
+def _newton(model, data, index, beta, state, direction, config):
+    """Damped Newton ascent from ``beta``, its evaluation ``state`` and its
+    ``_newton_direction`` until that is None ("converged"), a direction does
+    not ascend or the line search finds no step: (beta, status, iterations,
+    its (ll, grad, hess, z))."""
+    ll, grad, hess, z = state
     for iterations in range(1, config.max_iterations + 1):
-        gnorm = score_norm(beta, grad)
-        if gnorm <= config.gradient_tolerance:
-            status = "converged"
-            break
-        direction = _ascent_direction(-hess, grad)
-        if _moves_no_index(z, index[0].dot(direction)):
-            status = "stationary"
-            break
+        if direction is None:
+            return beta, "converged", iterations, (ll, grad, hess, z)
         slope = float(grad @ direction)
         if not slope > 0.0:
             break
         # a predicted gain below the float resolution of the log-likelihood
         # makes the sufficient-increase test a coin flip; there the full
         # step is judged by whether it lowers the score in beta instead
-        blind = 0.5 * slope <= _ll_resolution(ll)
+        blind = 0.5 * slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
         t = 1.0
         while t >= MIN_DAMPING:
             cand = beta + t * direction
@@ -220,45 +228,35 @@ def _newton(model, data, index, beta, config, score_norm):
         if t < MIN_DAMPING:
             break  # no measurable progress left at this precision
         beta, (ll, grad, hess, z) = cand, step
-    return beta, status, iterations, (ll, grad, hess, z)
+        direction = _newton_direction(index, beta, grad, hess)
+    return beta, "max-iterations", iterations, (ll, grad, hess, z)
 
 
-def _newton_from(model, data, index, beta, config):
-    """``_newton`` judged on the theta-score, from ``beta`` or, where bits
-    have probability 0 there, from the first point toward a neutral interior
-    one where none has."""
-    def score_norm(b, g):  # the score in theta
-        return float(np.max(np.abs(likelihood.to_theta(model, b, g)[0])))
-
-    try:
-        return _newton(model, data, index, beta, config, score_norm)
-    except (DegenerateLikelihood, NumericalError):
-        pass
-    anchor = model.index_from_theta(np.array([float(k == "positive") for k in model.domain]))
-    for _ in range(60):
-        beta = 0.5 * (beta + anchor)
-        if np.isfinite(_safe_ll(model, data, index, beta)[0]):
-            break
-    # where no probe could be evaluated, this raises the error of the last
-    return _newton(model, data, index, beta, config, score_norm)
-
-
-def _wall_maximum(model, data, index, beta, ll, config):
+def _wall_maximum(model, data, index, beta, state, config):
     """The maximizer along the wall beta_p = 0, moved in until an index moves
-    by eps, and its evaluation; None where ``beta`` is inside, the wall's
-    score points inside and the likelihoods differ: an interior maximum."""
+    by eps, as ``_newton`` returns it; None where dl/dbeta_p is positive there
+    beyond WALL_TOLERANCE.  Ascends from the wall maximizer of the quadratic
+    model at ``beta``, evaluated as ``state``."""
     p, (X, offset) = model.index_positive, index
     free = np.arange(len(beta)) != p
-    wall = np.zeros_like(beta)
-    wall[free] = _newton(
-        model, data, (X[:, free], offset), beta[free], config,
-        lambda b, g: float(np.max(np.abs(g), initial=0.0)),
-    )[0]
-    wall_ll, grad, _, _ = likelihood.index_evaluate(model, wall, data, index)
-    if beta[p] > 0.0 and grad[p] > 0.0 and abs(ll - wall_ll) > _ll_resolution(wall_ll):
+    wall_index = (X[:, free], offset)
+    _, g, h, _ = state
+    start = beta[free] + _ascent_direction(-h[free][:, free], g[free] - h[free, p] * beta[p])
+    # toward beta_free = 0, where every index is its offset
+    start, state = _evaluable(model, data, wall_index, start, np.zeros(len(start)))
+    direction = _newton_direction(wall_index, start, *state[1:3])
+    free_beta, _, iterations, (_, _, _, z) = _newton(
+        model, data, wall_index, start, state, direction, config
+    )
+    _, s, r = model.index_link(z, data.designs, data.bits)
+    x = X[:, p]
+    slope = np.add.reduce(x * (s * data.counts))
+    bound = np.abs(s) + np.abs(r) * _index_scale(wall_index, free_beta)
+    if slope > WALL_TOLERANCE * np.add.reduce(np.abs(x) * data.counts * bound):
         return None
-    wall[p] = np.finfo(float).eps / np.max(np.abs(X[:, p]))
-    return wall, likelihood.index_evaluate(model, wall, data, index)
+    wall = np.insert(free_beta, p, np.finfo(float).eps / np.max(np.abs(x)))
+    state = likelihood.index_evaluate(model, wall, data, index)
+    return wall, "boundary-divergence", iterations, state
 
 
 def fit(model, data, config=None):
@@ -278,8 +276,16 @@ def fit(model, data, config=None):
     try:
         index = model.index_regressors(data.designs)
         _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
-        beta = model.initial_point(data, index, tally)
-        beta, status, iterations, (ll, grad, hess, z) = _newton_from(model, data, index, beta, config)
+        beta, state = _evaluable(model, data, index, model.initial_point(data, index, tally))
+        direction = _newton_direction(index, beta, *state[1:3])
+        # a start stationary to rounding is the estimate, and needs no wall;
+        # elsewhere the wall is decided before any interior ascent
+        fitted = None
+        if direction is not None and model.index_positive is not None:
+            fitted = _wall_maximum(model, data, index, beta, state, config)
+        beta, status, iterations, state = fitted or _newton(
+            model, data, index, beta, state, direction, config
+        )
     except (DomainError, DegenerateLikelihood) as err:
         if err.index is None:
             raise
@@ -288,27 +294,14 @@ def fit(model, data, config=None):
         if isinstance(err, DegenerateLikelihood):
             raise DegenerateLikelihood.at_observation(i) from err
         raise DomainError(str(err), index=i) from err
-    p = model.index_positive
-    # the step to the wall beta_p = 0 moves each index z_i by -beta_p x_ip
-    if p is not None and (
-        status != "converged" or not beta[p] > 0.0
-        or _moves_no_index(z, beta[p] * index[0][:, p])
-    ):
-        wall = _wall_maximum(model, data, index, beta, ll, config)
-        if wall is not None:
-            (beta, (ll, grad, hess, _)), status = wall, "boundary-divergence"
-    if status == "stationary":
-        status = "converged"
+    ll, grad, hess, _ = state
     grad, hess = likelihood.to_theta(model, beta, grad, hess)
     gnorm = float(np.max(np.abs(grad)))
     observed = -hess
     observed.setflags(write=False)
-    # converged means a stationary point that is locally a maximum: a tiny
-    # score or a Newton step below rounding, and a positive definite
-    # observed information.  A regular point is locally identified iff its
-    # information is nonsingular (Rothenberg, Econometrica 39, 1971), so a
-    # singular one at a stationary point is a ridge of maximizers, not an
-    # estimate
+    # a regular point is locally identified iff its information is nonsingular
+    # (Rothenberg, Econometrica 39, 1971), so a singular one at a stationary
+    # point is a ridge of maximizers, not an estimate
     if status == "converged":
         eigs, vecs = np.linalg.eigh(observed)
         trace = float(np.trace(observed))

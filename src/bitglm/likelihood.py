@@ -65,18 +65,16 @@ def _inverse_jacobian(model, beta):
     return adj / det if det else np.full(J.shape, np.inf)
 
 
-def to_theta(model, beta, grad, hess=None):
+def to_theta(model, beta, grad, hess):
     """(score, Hessian) in theta from those in the index parameter beta, the
-    Hessian symmetrized, or None where ``hess`` is.  theta(beta) has
-    constant second derivatives C, so with J = d theta / d beta: J^-T g and
-    J^-T (H - C^T (J^-T g)) J^-1.  At a zero score this takes an information
-    matrix to theta too."""
+    Hessian symmetrized.  theta(beta) has constant second derivatives C, so
+    with J = d theta / d beta: J^-T g and J^-T (H - C^T (J^-T g)) J^-1.  At
+    a zero score this takes an information matrix to theta too."""
     inverse = _inverse_jacobian(model, beta)
     if inverse is not None:
         grad = inverse.T @ grad
-        if hess is not None:
-            hess = inverse.T @ (hess - model.index_curvature.T @ grad) @ inverse
-    return grad, None if hess is None else 0.5 * (hess + hess.T)
+        hess = inverse.T @ (hess - model.index_curvature.T @ grad) @ inverse
+    return grad, 0.5 * (hess + hess.T)
 
 
 def evaluate(model, theta, data):

@@ -182,7 +182,11 @@ class GaussianCase1(_GaussianIndex):
     def max_third_abs_moment_T(self, theta, designs):
         # E|X|^3 increases in |mu|: |X| is stochastically increasing in |mu|
         mu, _ = self._mean_sd(theta, designs)
-        return float(_gauss.abs_third_moment(mu[np.argmax(np.abs(mu))], self.sigma))
+        mu = mu[np.argmax(np.abs(mu))]
+        moment = float(_gauss.abs_third_moment(mu, self.sigma))
+        if not math.isfinite(moment):
+            raise NumericalError(f"E|X|^3 overflows a float at mu = {mu:g}, sigma = {self.sigma:g}")
+        return moment
 
     def sample(self, theta, designs, rng):
         mean, sd = self._mean_sd(theta, designs)
@@ -438,7 +442,10 @@ class GaussianCase3(_GaussianIndex):
             mu2, s2 = mu * mu, sigma * sigma  # E[X^6] then overflows only where it does
             sixth = ((mu2 + 15.0 * s2) * mu2 + 45.0 * s2 * s2) * mu2 + 15.0 * s2 * s2 * s2
             moment = float(_gauss.abs_third_moment(mu, sigma) + sixth)
-        return math.inf if math.isnan(moment) else moment  # nan: 0 times an overflowed factor
+        if not math.isfinite(moment):  # inf, or nan: 0 times an overflowed factor
+            raise NumericalError("E|X|^3 + E[X^6] overflows a float"
+                                 f" at mu = {mu:g}, sigma = {sigma:g}")
+        return moment
 
     def sample(self, theta, designs, rng):
         mean, sd = self._mean_sd(theta, designs)

@@ -161,14 +161,15 @@ class TestFim:
 
     def test_overflowing_information_errs_without_a_warning(self, tmp_path):
         # the Gram sum in beta overflowed first, and warned of it in a
-        # multiply before the information in theta raised
+        # multiply before the information in theta raised.  fim reads the
+        # information first; check-conditions stops earlier, at clause (1)
         cfg = write(
             tmp_path,
             "huge.cfg",
             '{"model": {"name": "gaussian-case3", "weights": 1.0, "alpha": 1e200,'
             ' "sigma": 1.0}, "thresholds": [1e200, 1e200, 1e200]}',
         )
-        code, _, err = run_cli("check-conditions", "--config", cfg)
+        code, _, err = run_cli("fim", "--config", cfg)
         assert code == cli.EXIT_DEGENERATE == 3
         assert err == (
             "degenerate model input: the gaussian-case3 information in theta overflows a float\n"
@@ -187,18 +188,30 @@ class TestFim:
         assert (code, err) == (0, "")
         assert "min eigenvalue = 4.38629e+299" in out and "prefix drift = 0 ... pass" in out
 
-    def test_overflowing_third_moment_reads_inf(self, tmp_path):
-        # E|X|^3 at mu = 1e200 read nan (0 times an overflowed factor) after
-        # three RuntimeWarnings
+    @pytest.mark.parametrize(
+        "name, alpha, cause",
+        [
+            ("gaussian-case1", "1e200", "E|X|^3 overflows a float at mu = 1e+200"),
+            ("gaussian-case1", "6e102", "E|X|^3 overflows a float at mu = 6e+102"),
+            ("gaussian-case3", "3e51", "E|X|^3 + E[X^6] overflows a float at mu = 3e+51"),
+            ("gaussian-case3", "-3e51", "E|X|^3 + E[X^6] overflows a float at mu = -3e+51"),
+        ],
+    )
+    def test_overflowing_third_moment_is_degenerate(self, tmp_path, capsys, name, alpha, cause):
+        # clause (1) read inf and printed "(1) max sum_j E|T_j|^3 = inf ...
+        # FAIL" with exit 0, after three RuntimeWarnings at alpha = 1e200;
+        # an overflow is a typed error, as case 2's sigma**6 is
         cfg = write(
             tmp_path,
             "far.cfg",
-            '{"model": {"name": "gaussian-case1", "weights": 1.0, "alpha": 1e200,'
-            ' "sigma": 1.0}, "thresholds": [1e200, 1e200]}',
+            f'{{"model": {{"name": "{name}", "weights": 1.0, "alpha": {alpha},'
+            f' "sigma": 1.0}}, "thresholds": [{alpha}, {alpha}]}}',
         )
-        code, out, err = run_cli("check-conditions", "--config", cfg)
-        assert (code, err) == (0, "")
-        assert "(1) max sum_j E|T_j|^3 = inf ... FAIL" in out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = main_in_process(capsys, "check-conditions", "--config", cfg)
+        assert code == cli.EXIT_DEGENERATE == 3
+        assert err == f"degenerate model input: {cause}, sigma = 1\n"
 
     def test_threshold_sweep(self, tmp_path):
         # grid sweep over one threshold; the two-parameter determinant must
@@ -560,7 +573,8 @@ EXPERIMENT_ERRORS = [
         "values",
     ),
     *(({"fit": {"max_iterations": value}}, "max_iterations") for value in (math.inf, 2.5)),
-    ({"fit": {"gradient_tolerance": math.inf}}, "gradient_tolerance"),
+    # the solver has one stop rule and no score tolerance: a once valid key
+    ({"fit": {"gradient_tolerance": 1e-9}}, "gradient_tolerance"),
 ]
 
 
@@ -751,6 +765,13 @@ class TestFamilyKeys:
                 if section in doc:
                     doc[section] = cls(**doc[section])
             ExperimentConfig(**doc)
+
+    def test_gradient_tolerance_is_an_unknown_fit_key(self):
+        doc = self._experiment("x", fit={"max_iterations": 50, "gradient_tolerance": 1e-9})
+        unknown = re.escape("unknown key(s) ['gradient_tolerance']")
+        with pytest.raises(ConfigError, match=unknown) as err:
+            cli.build_experiment(doc)
+        assert err.value.location == "experiment.fit"
 
     @pytest.mark.parametrize("name", [["a"], "../escaped", "sub/dir", "", 5, ".", ".."])
     def test_experiment_names_are_file_names_in_out(self, tmp_path, capsys, name):

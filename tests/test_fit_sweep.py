@@ -27,10 +27,14 @@ def test_ten_draws_against_itself(capsys):
     assert len(totals) == 2 * len(fit_sweep.FAMILIES)
     assert totals[: len(fit_sweep.FAMILIES)] == totals[len(fit_sweep.FAMILIES):]
     assert any("converged " in line and "(max " in line for line in totals)
+    times = [line for line in out.splitlines() if line.startswith("    fit time: ")]
+    assert len(times) == 2 * len(fit_sweep.FAMILIES)
+    assert all(line.endswith(" s") for line in times)
     assert out.count("total fit time") == 2
     # the same tree twice: no transitions, identical estimates and fits
     assert "->" not in out.split("==")[-1].split("\n", 1)[1]
     assert out.count("worst relative estimate difference (both converged): 0\n") == 4
+    assert out.count("worst relative estimate difference (both boundary-divergence): 0\n") == 4
     assert out.count("worst log-likelihood shortfall: 0 ") == 4
     for key in ("fim", "fim_uncensored", "score", "hessian"):
         assert out.count(f"worst relative {key} difference at theta: 0 ") == 4

@@ -418,14 +418,19 @@ class TestThirdMoment:
         assert got > 0.0
         assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("mu, sigma", [(1e200, 1.0), (0.0, 1e150), (1e120, 1e60)])
-    def test_case3_overflowing_moment_reads_inf(self, mu, sigma):
-        # mu^2 or sigma^2 overflows, and some term with it: the moment does too
+    @pytest.mark.parametrize(
+        "mu, sigma", [(1e200, 1.0), (0.0, 1e150), (1e120, 1e60), (3e51, 1.0), (-3e51, 1.0)]
+    )
+    def test_case3_overflowing_moment_raises(self, mu, sigma):
+        # mu^2 or sigma^2 overflows, or only E[X^6] ~ mu^6 does (|mu| = 3e51):
+        # the moment did too, and read inf, which check-conditions printed
+        # as a failed clause (1) with exit 0
         fam = models.GaussianCase3([1.0])
         theta = models.GaussianCase3.natural_from_alpha_sigma2(mu, sigma * sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fam.max_third_abs_moment_T(theta, fam.design_set([0.0])) == math.inf
+            with pytest.raises(NumericalError, match=r"E\|X\|\^3 \+ E\[X\^6\] overflows"):
+                fam.max_third_abs_moment_T(theta, fam.design_set([0.0]))
 
 
     @pytest.mark.parametrize("sigma", [1.0, 0.37, 1e-100, 1e100])
@@ -453,15 +458,18 @@ class TestThirdMoment:
         assert np.array_equal(got, want[finite])
         assert top == plain(means[np.argmax(np.abs(means))], sigma)
 
-    @pytest.mark.parametrize("mu, sigma", [(1e200, 1.0), (1e155, 1.0), (0.0, 1e150), (1e120, 1e60)])
-    def test_case1_overflowing_moment_reads_inf(self, mu, sigma):
-        # mu^2 or sigma^2 overflows: the moment read nan (inf times 0) after
-        # three RuntimeWarnings at mu = 1e200, where it is +inf
+    @pytest.mark.parametrize(
+        "mu, sigma", [(1e200, 1.0), (1e155, 1.0), (6e102, 1.0), (0.0, 1e150), (1e120, 1e60)]
+    )
+    def test_case1_overflowing_moment_raises(self, mu, sigma):
+        # mu^2 or sigma^2 overflows, or only mu^3 does (mu = 6e102): the
+        # moment read nan (inf times 0) after three RuntimeWarnings at
+        # mu = 1e200, then inf, and check-conditions printed a failed clause (1)
         fam = models.GaussianCase1([1.0], sigma=sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fam.max_third_abs_moment_T([mu], fam.design_set([0.0]))
-        assert got == math.inf
+            with pytest.raises(NumericalError, match=r"E\|X\|\^3 overflows a float"):
+                fam.max_third_abs_moment_T([mu], fam.design_set([0.0]))
 
 
 class TestFixedDesignEntries:

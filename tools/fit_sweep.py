@@ -18,9 +18,10 @@ fit time is its fastest round's, and a family's is the sum over its draws.
 
 Prints, per tree and family, the count of each outcome (a ``FitResult``
 status, or the name of the error ``fit`` raised) and the fit time, and
-per status the total and the largest ``FitResult.iterations``; then,
-against the first tree, the outcome transitions, the worst
-difference of estimates that both trees report converged, |a - b| over
+per status the total and the largest ``FitResult.iterations`` and the
+total fit time; then, against the first tree, the outcome transitions,
+the worst difference of estimates that both trees report converged, and
+of those that both report boundary-divergence, |a - b| over
 max(|a|, |b|, 1) per coordinate, the worst log-likelihood shortfall,
 (ll_first - ll_other) / |ll_first|, over draws that both trees fit, and
 the worst relative difference, max |a - b| over the larger max |a|, of
@@ -191,24 +192,21 @@ def report(trees, results):
             seconds = sum(r["seconds"] for r in mine)
             listed = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
             print(f"  {name:15s} {seconds:7.2f} s  {listed}")
-            iterations = {}
+            iterations, times = {}, Counter()
             for r in mine:
+                times[r["outcome"]] += r["seconds"]
                 if r["iterations"] is not None:
                     iterations.setdefault(r["outcome"], []).append(r["iterations"])
             listed = ", ".join(
                 f"{k} {sum(v)} (max {max(v)})" for k, v in sorted(iterations.items())
             )
             print(f"    newton iterations: {listed}")
+            print("    fit time: " + ", ".join(f"{k} {v:.3f} s" for k, v in sorted(times.items())))
         print(f"  total fit time {sum(r['seconds'] for r in records):.2f} s")
     for tree, records in zip(trees[1:], results[1:]):
         print(f"== {trees[0]} -> {tree}")
         for name in FAMILIES:
             pairs = [(a, b) for a, b in zip(first, records) if a["family"] == name]
-            est = [
-                max(_rel(x, y) for x, y in zip(a["theta"], b["theta"]))
-                for a, b in pairs
-                if a["outcome"] == b["outcome"] == "converged"
-            ]
             short = [
                 ((a["ll"] - b["ll"]) / max(abs(a["ll"]), 1e-300), a["draw"])
                 for a, b in pairs
@@ -217,8 +215,14 @@ def report(trees, results):
             worst = max(short, default=(0.0, None))
             print(f"  {name}:")
             _print_transitions(pairs, "outcome")
-            worst_est = max(est, default=0.0)
-            print(f"    worst relative estimate difference (both converged): {worst_est:.3g}")
+            for status in ("converged", "boundary-divergence"):
+                est = [
+                    max(_rel(x, y) for x, y in zip(a["theta"], b["theta"]))
+                    for a, b in pairs
+                    if a["outcome"] == b["outcome"] == status
+                ]
+                worst_est = max(est, default=0.0)
+                print(f"    worst relative estimate difference (both {status}): {worst_est:.3g}")
             print(f"    worst log-likelihood shortfall: {worst[0]:.3g} (draw {worst[1]})")
             for key in ("fim", "fim_uncensored", "score", "hessian"):
                 diffs = [(_rel_array(a[key], b[key]), a["draw"])
