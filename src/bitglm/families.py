@@ -9,7 +9,6 @@ Design notes
 ------------
 * All statistical methods are vectorized over observations: they take a
   DesignSet (plus a bits array where relevant) and return stacked arrays.
-  A DesignSet is the one design type; anything else raises TypeError.
 * P(B_i = +1) = F(z_i), a log-concave cdf of a linear index z_i =
   offset_i + X_i beta (``index_regressors``; beta is alpha, 1/sigma,
   (1/sigma, alpha/sigma) or theta).  theta is beta or beta^T C_m beta / 2
@@ -20,13 +19,11 @@ Design notes
   gives F'(z)^2 / (F (1 - F)), the information a bit carries about z.  The
   likelihood module takes both to theta by the chain rule.  The solver
   iterates in beta and starts there: ``initial_point`` returns a beta.
-* Each family fixes the design entries its closed forms assume, and only
-  ``check_designs`` reads them.  It rejects any other value there, a
-  case-2 design set without its known means and a negative Poisson
-  threshold.  It runs in ``index_regressors``, where every fit and
-  censored information starts, and in each method that reads the means or
-  a Poisson threshold at theta, or whose closed form assumes the fixed
-  entries (the uncensored information).
+* ``check_designs`` is the one design check: it rejects anything but a
+  DesignSet, an entry other than the value the family fixes there, a
+  case-2 set without its known means and a negative Poisson threshold.
+  Every method that takes designs, bar the index link and weight, runs it
+  at entry, and it reads a set once per family class.
 * ``uncensored_information`` is the family's closed form of sum_i V_i^T
   Cov(T_i) V_i (Lehmann & Casella, 1998, 1.5): a dot product or two over
   the rows.  The per-row Cov(T_i) is a test oracle, ``_oracles.cov_statistic``.
@@ -93,17 +90,34 @@ class ModelFamily(abc.ABC):
 
     # -- designs -----------------------------------------------------------
     def check_designs(self, designs):
-        """Validate thresholds interior to the support, aux data and the
-        design entries the family fixes.
+        """``designs``: TypeError unless a DesignSet, else DomainError unless of the
+        family's shape with rows that pass ``_check_entries``, once per class."""
+        if not isinstance(designs, DesignSet):
+            raise TypeError(f"designs must be a DesignSet, got {type(designs).__name__}")
+        if type(self) not in designs._passed:
+            if (designs.d, designs.k) != (self.d, self.k):
+                raise DomainError(f"{self.name} expects designs of shape "
+                                  f"{(self.d, self.k)}, got {(designs.d, designs.k)}")
+            self._check_entries(designs)
+            designs._passed.add(type(self))
+        return designs
 
-        Does nothing by default, which is all a family whose support is
-        the whole real line and whose designs are free needs.
-        """
+    def _check_args(self, theta, designs):
+        """theta through ``check_theta``, then the designs through ``check_designs``."""
+        theta = self.check_theta(theta)
+        self.check_designs(designs)
+        return theta
 
-    def _check_fixed(self, V, bad, form):
-        """DomainError at the first design where ``bad`` holds: the family
-        fixes its design entries to ``form``."""
-        if np.any(bad):
+    def _check_entries(self, designs):
+        """DomainError at a row that breaks the family's rules: none by default."""
+
+    def _check_fixed(self, V, fixed, form):
+        """DomainError at the first row where V[:, i, j] != value for an (i, j,
+        value) of ``fixed``: the family fixes V to ``form``."""
+        # misses counted on copies of the columns, cheaper than comparing strided
+        # ones; the mask that names the first bad row is built only on a miss
+        if any(np.count_nonzero(V[:, i, j].copy() != value) for i, j, value in fixed):
+            bad = np.logical_or.reduce([V[:, i, j] != value for i, j, value in fixed])
             i = int(np.argmax(bad))
             raise DomainError(f"{self.name} fixes V = {form}, got {V[i].tolist()}", index=i)
 
@@ -197,18 +211,3 @@ class ModelFamily(abc.ABC):
         """Names of the reporting coordinates, for tables and CLI output: the
         ``param_keys`` that a fit does not take as known (``fit_keys``)."""
         return tuple(key for key in self.param_keys if key not in self.fit_keys)
-
-    # -- helpers -----------------------------------------------------------------------
-    def _coerce(self, theta, designs):
-        """(theta, designs) checked against the family's shapes; ``theta``
-        is None for a method that takes no parameter."""
-        if theta is not None:
-            theta = self.check_theta(theta)
-        if not isinstance(designs, DesignSet):
-            raise TypeError(f"designs must be a DesignSet, got {type(designs).__name__}")
-        if (designs.d, designs.k) != (self.d, self.k):
-            raise DomainError(
-                f"{self.name} expects designs of shape ({self.d}, {self.k}), "
-                f"got ({designs.d}, {designs.k})"
-            )
-        return theta, designs

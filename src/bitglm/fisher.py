@@ -15,7 +15,7 @@ family; for Poisson each row's far tail, an incomplete gamma or a summed
 left tail, and the pmf's log and exp), plus the numpy passes the formulas
 need: the regressors and the index, the weight's arithmetic, one product
 per Gram column and one per entry, a finiteness check, and the uncensored
-closed form.  A family's design check runs once for J_n and once for I_n.
+closed form.  A family's design check runs once per design set.
 At k = 1 the smallest eigenvalue is the matrix's entry.
 
 Sweep (``fim_sweep``, behind ``fim --sweep``): J_n as one design's

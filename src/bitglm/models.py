@@ -92,9 +92,9 @@ def _probit_start(family, index, tally):
 class _GaussianIndex(ModelFamily):
     """P(B = +1) = Phi(z) at the standardized threshold z, the linear index.
 
-    A subclass's ``_mean_sd(theta, designs)`` checks both and returns the
-    rows' means (n,) and their sd, a float, from the entry V[:, 0, 0] or
-    the known means ``aux`` only: never from an entry its family fixes.
+    A subclass's ``_mean_sd(theta, designs)`` checks both, the designs through
+    ``check_designs``, and returns the rows' means (n,) and their sd, a float,
+    from V[:, 0, 0] or the known means ``aux`` only: never a fixed entry.
     """
 
     # prob_leq and sample have one body per subclass, but stay in each:
@@ -103,6 +103,12 @@ class _GaussianIndex(ModelFamily):
         """(mean, sd, z) from ``_mean_sd``, with z = (tau - mean) / sd."""
         mean, sd = self._mean_sd(theta, designs)
         return mean, sd, (designs.taus - mean) / sd
+
+    def _recorded(self, designs):
+        """``designs``, recorded as passing ``check_designs``: ``design_set``
+        writes the fixed entries and the known means itself."""
+        designs._passed.add(type(self))
+        return designs
 
     def initial_point(self, data, index, tally):
         """The per-design probit inversion (``_probit_start``); without one,
@@ -152,11 +158,11 @@ class GaussianCase1(_GaussianIndex):
         if taus.shape != self.weights.shape:
             raise ValueError("need one threshold per weight")
         V = (self.weights / self.sigma**2).reshape(-1, 1, 1)
-        return DesignSet(V, taus)
+        return self._recorded(DesignSet(V, taus))
 
     def _mean_sd(self, theta, designs):
         """(sigma^2 V alpha, sigma): the bytes of the k = 1 ``natural_params``."""
-        theta, designs = self._coerce(theta, designs)
+        theta = self._check_args(theta, designs)
         return self.sigma**2 * (designs.V[:, 0, 0] * theta[0]), self.sigma
 
     def prob_leq(self, theta, designs):
@@ -165,7 +171,7 @@ class GaussianCase1(_GaussianIndex):
 
     def uncensored_information(self, theta, designs):
         """sum_i (sigma V_i)^2, as Var(x) = sigma^2 (sigma^2 sum_i V_i^2 overflows first)."""
-        _, designs = self._coerce(theta, designs)
+        self._check_args(theta, designs)
         s = self.sigma * designs.V[:, 0, 0]
         return np.array([[np.add.reduce(s * s)]])
 
@@ -205,7 +211,7 @@ class GaussianCase1(_GaussianIndex):
 
     def uncensored_mle(self, designs, x):
         """Least squares, alpha = w.x / w.w."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         w = designs.V[:, 0, 0] * self.sigma**2
         denom = float(w @ w)
         if denom == 0.0:
@@ -214,7 +220,7 @@ class GaussianCase1(_GaussianIndex):
 
     def index_regressors(self, designs):
         """z = tau/sigma - sigma V alpha, linear in beta = alpha."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         return -self.sigma * designs.V[:, 0, :], designs.taus / self.sigma
 
     def _pooled_start(self, data):
@@ -264,17 +270,15 @@ class GaussianCase2(_GaussianIndex):
         if taus.shape != self.means.shape:
             raise ValueError("need one threshold per mean")
         V = np.full((taus.shape[0], 1, 1), -0.5)
-        return DesignSet(V, taus, aux=self.means)
+        return self._recorded(DesignSet(V, taus, aux=self.means))
 
-    def check_designs(self, designs):
-        _, designs = self._coerce(None, designs)
+    def _check_entries(self, designs):
         if designs.aux is None:
             raise DomainError("gaussian-case2 designs must carry the known means as aux")
-        self._check_fixed(designs.V, designs.V[:, 0, 0] != -0.5, "[[-1/2]]")
+        self._check_fixed(designs.V, ((0, 0, -0.5),), "[[-1/2]]")
 
     def _mean_sd(self, theta, designs):
-        theta, designs = self._coerce(theta, designs)
-        self.check_designs(designs)
+        theta = self._check_args(theta, designs)
         return designs.aux, math.sqrt(1.0 / theta[0])
 
     def prob_leq(self, theta, designs):
@@ -374,22 +378,15 @@ class GaussianCase3(_GaussianIndex):
         V = np.zeros((n, 2, 2))
         V[:, 0, 0] = self.weights
         V[:, 1, 1] = -0.5
-        return DesignSet(V, taus)
+        return self._recorded(DesignSet(V, taus))
 
-    def check_designs(self, designs):
-        _, designs = self._coerce(None, designs)
-        V = designs.V
-        # each fixed entry's misses counted on a copy of its column, which
-        # costs less than comparing the strided column itself; the mask that
-        # names the first bad row is built only where one is counted
+    def _check_entries(self, designs):
         fixed = ((0, 1, 0.0), (1, 0, 0.0), (1, 1, -0.5))
-        if any(np.count_nonzero(V[:, i, j].copy() != value) for i, j, value in fixed):
-            bad = (V[:, 0, 1] != 0.0) | (V[:, 1, 0] != 0.0) | (V[:, 1, 1] != -0.5)
-            self._check_fixed(V, bad, "[[w, 0], [0, -1/2]]")
+        self._check_fixed(designs.V, fixed, "[[w, 0], [0, -1/2]]")
 
     def _mean_sd(self, theta, designs):
         """((1/theta_2)(w theta_1), sqrt(1/theta_2)) from the free entry w."""
-        theta, designs = self._coerce(theta, designs)
+        theta = self._check_args(theta, designs)
         sigma2 = 1.0 / theta[1]
         return sigma2 * (designs.V[:, 0, 0] * theta[0]), math.sqrt(sigma2)
 
@@ -400,8 +397,7 @@ class GaussianCase3(_GaussianIndex):
     def uncensored_information(self, theta, designs):
         """sigma^2 [[S, -alpha S], [-alpha S, n sigma^2 / 2 + alpha^2 S]] for S =
         sum_i w_i^2, through the fixed V, as Var(x^2) = 2 sigma^4 + 4 mu^2 sigma^2."""
-        theta, designs = self._coerce(theta, designs)
-        self.check_designs(designs)
+        theta = self._check_args(theta, designs)
         alpha, s2 = self.alpha_sigma2_from_natural(theta)
         w = designs.V[:, 0, 0]
         S = np.add.reduce(w * w)
@@ -453,7 +449,7 @@ class GaussianCase3(_GaussianIndex):
 
     def uncensored_mle(self, designs, x):
         """Least-squares alpha and the biased (MLE-convention) variance."""
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         w = designs.V[:, 0, 0]
         denom = float(w @ w)
         if denom == 0.0:
@@ -532,13 +528,9 @@ class PoissonModel(ModelFamily):
         taus = _as_1d(taus)
         if taus.shape != self.covariates.shape:
             raise ValueError("need one threshold per covariate")
-        V = self.covariates.reshape(-1, 1, 1)
-        ds = DesignSet(V, taus)
-        self.check_designs(ds)
-        return ds
+        return self.check_designs(DesignSet(self.covariates.reshape(-1, 1, 1), taus))
 
-    def check_designs(self, designs):
-        _, designs = self._coerce(None, designs)
+    def _check_entries(self, designs):
         bad = designs.taus < 0
         if np.any(bad):
             raise DomainError("poisson thresholds must be >= 0", index=int(np.argmax(bad)))
@@ -551,11 +543,9 @@ class PoissonModel(ModelFamily):
     MAX_RATE = 2e5
 
     def _rates(self, theta, designs, z=None):
-        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE;
-        ``index_regressors`` checks the thresholds where the index path starts."""
+        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE."""
         if z is None:
-            theta, designs = self._coerce(theta, designs)
-            self.check_designs(designs)
+            theta = self._check_args(theta, designs)
         # v theta: one product a row, the bytes of ``natural_params`` at k = 1
         with np.errstate(over="ignore"):  # an infinite rate fails the check below
             lam = np.exp(designs.V[:, 0, 0] * theta[0] if z is None else -z)
@@ -603,8 +593,7 @@ class PoissonModel(ModelFamily):
 
     def cond_devs_T(self, theta, designs, bits):
         """-d/dz and d^2/dz^2 of the index link, at z = -(natural parameter)."""
-        theta = self.check_theta(theta)
-        self.check_designs(designs)
+        theta = self._check_args(theta, designs)
         _, s, r = self.index_link(-designs.natural_params(theta)[:, 0], designs, bits)
         return -s[:, None], r[:, None, None]
 
@@ -637,7 +626,7 @@ class PoissonModel(ModelFamily):
         # start, and only this baseline needs it
         from scipy.optimize import brentq
 
-        _, designs = self._coerce(None, designs)
+        self.check_designs(designs)
         v = designs.V[:, 0, 0]
         target = float(v @ x)
         if np.all(v == v[0]) and v[0] != 0.0:

@@ -54,9 +54,11 @@ class DesignSet:
     thresholds.  ``aux`` (n,) optionally carries a per-observation known
     constant that some model families read (the known mean of a
     variance-only Gaussian model); families that do not need it ignore it.
+    Fields are set at construction; ``_passed`` records the families that
+    have checked the set.
     """
 
-    __slots__ = ("V", "taus", "aux")
+    __slots__ = ("V", "taus", "aux", "_passed")
 
     def __init__(self, V, taus, aux=None):
         V = np.asarray(V, dtype=float)
@@ -69,15 +71,23 @@ class DesignSet:
             raise ValueError("designs must be finite")
         if V.shape[0] < 1 or V.shape[1] < 1 or V.shape[2] < 1:
             raise ValueError("need n, d, k >= 1")
-        self.V = _readonly(V)
-        self.taus = _readonly(taus)
-        if aux is None:
-            self.aux = None
-        else:
-            aux = np.asarray(aux, dtype=float)
+        if aux is not None:
+            aux = _readonly(aux)
             if aux.shape != taus.shape or not np.isfinite(aux).all():
                 raise ValueError("aux must be finite, of shape (n,)")
-            self.aux = _readonly(aux)
+        object.__setattr__(self, "V", _readonly(V))
+        object.__setattr__(self, "taus", _readonly(taus))
+        object.__setattr__(self, "aux", aux)
+        object.__setattr__(self, "_passed", set())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DesignSet.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DesignSet.{name} is read-only")
+
+    def __reduce__(self):  # a copy is checked afresh
+        return DesignSet, (self.V, self.taus, self.aux)
 
     @property
     def n(self):
@@ -234,6 +244,7 @@ class CensoredDataset:
         V, taus, known = (
             a if a is None else a[first] + 0.0 for a in (designs.V, designs.taus, designs.aux)
         )
-        picked = _checked(DesignSet, V=V, taus=taus, aux=known)
+        # every family's design rules are row-wise: the rows keep the record
+        picked = _checked(DesignSet, V=V, taus=taus, aux=known, _passed=set(designs._passed))
         grouped = _checked(CensoredDataset, bits=self.bits[first], designs=picked, counts=counts)
         return grouped, first, tally

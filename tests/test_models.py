@@ -14,12 +14,14 @@ from scipy import special
 
 import bitglm
 from bitglm import (
+    BitGlmError,
     CensoredDataset,
     DegenerateThreshold,
     DomainError,
     ModelFamily,
     NumericalError,
     _gauss,
+    check_consistency_conditions,
     dpi_check,
     fim_censored,
     fim_uncensored,
@@ -574,9 +576,14 @@ class TestRowStandardization:
                 want = fam.sigma**2 * ds.natural_params(theta)[:, 0], fam.sigma
             else:
                 want = (1.0 / theta[1]) * ds.natural_params(theta)[:, 0], math.sqrt(1.0 / theta[1])
-                # the fixed entries are never read
+                # the arithmetic never reads the fixed entries: only the check
+                # does, which a set recorded as passed skips
                 V[:, 0, 1], V[:, 1, 0], V[:, 1, 1] = rng.normal(size=(3, ds.n))
-                got = fam._mean_sd(theta, types.DesignSet(V, ds.taus))
+                with pytest.raises(DomainError, match="fixes V"):
+                    fam._mean_sd(theta, types.DesignSet(V, ds.taus))
+                odd = types.DesignSet(V, ds.taus)
+                odd._passed.add(type(fam))
+                got = fam._mean_sd(theta, odd)
                 assert np.array_equal(got[0], mean) and got[1] == sd
             # array_equal: a zero mean may differ in its sign only
             assert np.array_equal(mean, want[0]) and sd == want[1]
@@ -623,6 +630,130 @@ class TestOneDesignType:
             with pytest.raises(TypeError, match="DesignSet"):
                 call(theta, rows)
             call(theta, ds)
+
+
+def _counting_rules(monkeypatch, cls):
+    """The design sets ``cls``'s entry rules run on, appended as they run."""
+    runs, rules = [], cls._check_entries
+
+    def counted(self, designs):
+        runs.append(designs)
+        return rules(self, designs)
+
+    monkeypatch.setattr(cls, "_check_entries", counted)
+    return runs
+
+
+def _rule_error(name, ds):
+    """(message, index) of the DomainError that family ``name``'s rules raise
+    on the (n, 1, 1) design set ``ds``, or None where it passes them."""
+    if name == "gaussian-case2":
+        if ds.aux is None:
+            return "gaussian-case2 designs must carry the known means as aux", None
+        bad = [i for i in range(ds.n) if ds.V[i, 0, 0] != -0.5]
+        if bad:
+            return f"gaussian-case2 fixes V = [[-1/2]], got {ds.V[bad[0]].tolist()}", bad[0]
+    if name == "poisson":
+        bad = [i for i in range(ds.n) if ds.taus[i] < 0]
+        if bad:
+            return "poisson thresholds must be >= 0", bad[0]
+    return None
+
+
+class TestDesignRecord:
+    """A design set runs a family's entry rules once per family class: the
+    record of a pass spares later methods the rules, and never another class."""
+
+    @staticmethod
+    def fresh(designs):
+        return types.DesignSet(designs.V, designs.taus, designs.aux)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_rules_run_once_per_set(self, name, rng, monkeypatch):
+        fam, theta, built = random_instance(name, rng, n=8)
+        runs = _counting_rules(monkeypatch, type(fam))
+        dpi_check(fam, theta, built)
+        assert runs == []  # the family's own sets are recorded as they are built
+        designs = self.fresh(built)
+        dpi_check(fam, theta, designs)
+        assert runs == [designs]
+        dpi_check(fam, theta, designs)
+        assert runs == [designs]
+
+        runs.clear()
+        designs = self.fresh(built)
+        check_consistency_conditions(fam, theta, designs)
+        # the set, and its first half, a set of its own
+        assert len(runs) == 2 and runs[0] is designs and runs[1].n == 4
+
+        bits = np.tile([1, -1], 4)
+        for designs, count in ((built, 0), (self.fresh(built), 1)):
+            runs.clear()
+            try:
+                fit(fam, CensoredDataset(bits, designs))
+            except BitGlmError:
+                pass  # the rules ran, or not, before any estimation error
+            assert len(runs) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_record_never_spares_another_family(self, data):
+        n = data.draw(st.integers(1, 3))
+        entry = st.sampled_from([-0.5, -0.5, 1.0, -0.0, -0.5000000000000001])
+        threshold = st.sampled_from([0.0, 2.5, -0.0, -1.0, -1e-300])
+        sets = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            V = np.array(data.draw(st.lists(entry, min_size=n, max_size=n))).reshape(n, 1, 1)
+            taus = data.draw(st.lists(threshold, min_size=n, max_size=n))
+            aux = data.draw(st.none() | st.just(np.linspace(-1.0, 1.0, n)))
+            sets.append(types.DesignSet(V, taus, aux))
+        families = {
+            "gaussian-case1": (models.GaussianCase1(np.ones(n), sigma=1.0), [0.5]),
+            "gaussian-case2": (models.GaussianCase2(np.zeros(n)), [1.0]),
+            "poisson": (models.PoissonModel(np.ones(n)), [0.1]),
+        }
+        methods = [
+            lambda fam, theta, ds: fam.check_designs(ds),
+            lambda fam, theta, ds: fam.index_regressors(ds),
+            lambda fam, theta, ds: fam.prob_leq(theta, ds),
+            lambda fam, theta, ds: fam.max_third_abs_moment_T(theta, ds),
+        ]
+        for _ in range(data.draw(st.integers(1, 12))):
+            ds = data.draw(st.sampled_from(sets))
+            name = data.draw(st.sampled_from(sorted(families)))
+            call = data.draw(st.sampled_from(methods))
+            want = _rule_error(name, ds)
+            if want is None:
+                call(*families[name], ds)
+                assert type(families[name][0]) in ds._passed
+                continue
+            with pytest.raises(DomainError) as err:
+                call(*families[name], ds)
+            assert (str(err.value), err.value.index) == want
+            assert type(families[name][0]) not in ds._passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5),
+        taus=st.lists(st.floats(0.0, 1e6), min_size=5, max_size=5),
+        negate=st.booleans(),
+        sigma=st.floats(1e-3, 1e3),
+    )
+    def test_family_sets_pass_the_rules_they_skip(self, values, taus, negate, sigma):
+        # what justifies recording a Gaussian family's own sets without
+        # reading them: a copy without the record passes the real rules
+        taus = np.array(taus[: len(values)]) * (-1.0 if negate else 1.0)
+        for fam in (
+            models.GaussianCase1(values, sigma=sigma),
+            models.GaussianCase2(values),
+            models.GaussianCase3(values),
+            models.PoissonModel(values),
+        ):
+            if isinstance(fam, models.PoissonModel) and negate and np.any(taus < 0):
+                continue  # its design_set runs the rules, and raises
+            built = fam.design_set(taus)
+            assert built._passed == {type(fam)}
+            fam.check_designs(self.fresh(built))
 
 
 def _case2_without_means():

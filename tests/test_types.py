@@ -32,6 +32,38 @@ class TestDesignSet:
         assert designs.subset([2, 0]).aux.tolist() == [3.0, 1.0]
         assert DesignSet(np.ones((2, 1, 1)), np.zeros(2)).subset([1]).aux is None
 
+    def test_fields_cannot_be_reassigned(self):
+        # a negative threshold assigned after a Poisson check passed would
+        # ride on the set's record; assigning once replaced the array, and
+        # the new one was writeable
+        fam = models.PoissonModel([1.0, 2.0])
+        built = fam.design_set([0.0, 3.0])
+        data = CensoredDataset([1, -1], DesignSet(np.ones((2, 1, 1)), [1.0, 2.0], [0.0, 1.0]))
+        grouped = data.grouped()[0].designs  # built past the constructor
+        for designs in (built, built.subset([1, 0]), grouped):
+            for field in ("V", "taus", "aux"):
+                before = getattr(designs, field)
+                with pytest.raises(AttributeError, match="read-only"):
+                    setattr(designs, field, np.array([-1.0, -1.0]))
+                with pytest.raises(AttributeError, match="read-only"):
+                    delattr(designs, field)
+                assert getattr(designs, field) is before
+        assert built.taus.tolist() == [0.0, 3.0]
+
+    def test_copies_start_without_a_record(self):
+        import copy
+        import pickle
+
+        fam = models.GaussianCase3([1.0, 2.0])
+        designs = fam.design_set([0.5, 1.5])
+        for twin in (pickle.loads(pickle.dumps(designs)), copy.deepcopy(designs)):
+            # a copy is checked afresh
+            assert np.array_equal(twin.V, designs.V) and twin._passed == set()
+            with pytest.raises(AttributeError, match="read-only"):
+                twin.taus = designs.taus
+        assert designs.subset([1])._passed == set()
+        assert DesignSet(designs.V, designs.taus)._passed == set()
+
 
 class TestCensoredDataset:
     def test_bits_validated(self):
