@@ -5,12 +5,21 @@ The numerically delicate quantity is the hazard ratio pdf/tail: the naive
 quotient is 0/0 once the tail probability underflows, so all hazard-type
 ratios are routed through the scaled complementary error function, which
 stays accurate for arbitrarily large |z|.
+
+Cost per row: one erfcx, and for ``log_cdf_and_signed_hazard`` one
+log_ndtr too, plus a few numpy passes.  From ``_order.ORDERED_ROWS`` rows
+on, a call evaluates them in blocks sorted by erfcx's Chebyshev piece
+(``_erfcx_piece``), which keeps their branches predictable: on a 2-vCPU
+Xeon at 10^4 rows, erfcx costs 17 ns a row that way against 29 ns in row
+order, and log_ndtr with erfcx 49 against 81 ns.
 """
 
 import math
 
 import numpy as np
 from scipy import special
+
+from ._order import in_key_order
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -41,7 +50,25 @@ def hazard(z):
     where the tail probability itself underflows.
     """
     z = np.asarray(z, dtype=float)
-    return _SQRT_2_OVER_PI / special.erfcx(z / _SQRT2)
+    return _SQRT_2_OVER_PI / erfcx(z / _SQRT2)
+
+
+def erfcx(x):
+    """scipy's erfcx, evaluated in the order of each row's Chebyshev piece."""
+    return in_key_order(special.erfcx, _erfcx_piece, x)
+
+
+def _erfcx_piece(x, *_):
+    """Faddeeva's erfcx evaluates |x| < 50 on the Chebyshev piece
+    floor(400 / (4 + |x|)), at x < 0 after an exp: that piece with the sign
+    of x, an int8.  Further arguments, evaluated in the same order, are not
+    read."""
+    a = np.abs(x)
+    a += 4.0
+    np.divide(400.0, a, out=a)
+    np.copysign(a, x, out=a)
+    with np.errstate(invalid="ignore"):  # a nan row may take any key
+        return a.astype(np.int8)
 
 
 def signed_hazard(z, bits):
@@ -54,6 +81,19 @@ def signed_hazard(z, bits):
     bits = np.asarray(bits)
     # b * hazard(-b z): one erfcx per row, and exact, as b = +-1
     return bits * hazard(-bits * np.asarray(z, dtype=float))
+
+
+def log_cdf_and_signed_hazard(z, bits):
+    """(log P(B=b), ``signed_hazard``) per row: log_ndtr(b z) and the one erfcx
+    of the hazard, evaluated in one key order."""
+    bits = np.asarray(bits)
+    bz = bits * np.asarray(z, dtype=float)
+    log_p, e = in_key_order(_log_ndtr_and_erfcx, _erfcx_piece, -bz / _SQRT2, bz)
+    return log_p, bits * (_SQRT_2_OVER_PI / e)
+
+
+def _log_ndtr_and_erfcx(x, y):
+    return special.log_ndtr(y), special.erfcx(x)
 
 
 def fim_weight(z):

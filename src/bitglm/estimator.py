@@ -8,7 +8,9 @@ the grouped data, so each iteration costs O(distinct rows), not O(n).  Steps
 must raise the log-likelihood enough (Armijo), except where the gain a step
 predicts is below its float resolution: there the full step is taken when it
 lowers the score in beta.  An ascent stops only where its Newton step would
-change no row's index beyond rounding.
+change no row's index beyond rounding, or where it comes back to a point it
+has left: the score's own rounding can carry a step past that test, and the
+two acceptance rules then alternate between two points forever.
 
 A finite maximizer exists unless the bits are separated: some direction d,
 with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
@@ -73,8 +75,9 @@ class FitResult:
     ``theta_hat`` is a read-only (k,) float array inside the family's
     domain; ``observed_information`` is the negated Hessian at the estimate;
     ``status`` is one of "converged" (stationary to rounding in beta: the
-    Newton step moves no index beyond rounding, and the observed
-    information is positive definite), "max-iterations" or
+    Newton step moves no index beyond rounding, or the ascent came back to
+    a point it had left, and the observed information is positive
+    definite), "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
     moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
@@ -201,13 +204,18 @@ def _evaluable(model, data, index, beta, anchor=None):
 
 def _newton(model, data, index, beta, state, direction, config):
     """Damped Newton ascent from ``beta``, its evaluation ``state`` and its
-    ``_newton_direction`` until that is None ("converged"), a direction does
-    not ascend or the line search finds no step: (beta, status, iterations,
-    its (ll, grad, hess, z))."""
-    ll, grad, hess, z = state
+    ``_newton_direction`` until that is None or the ascent is back at a point
+    it has left ("converged"), a direction does not ascend or the line search
+    finds no step: (beta, status, iterations, its ``index_evaluate``)."""
+    ll, grad, hess, link = state
+    visited = set()
     for iterations in range(1, config.max_iterations + 1):
-        if direction is None:
-            return beta, "converged", iterations, (ll, grad, hess, z)
+        # the ascent is deterministic, so back at a point it has left it
+        # would cycle to the iteration cap
+        point = beta.tobytes()
+        if direction is None or point in visited:
+            return beta, "converged", iterations, (ll, grad, hess, link)
+        visited.add(point)
         slope = float(grad @ direction)
         if not slope > 0.0:
             break
@@ -227,9 +235,9 @@ def _newton(model, data, index, beta, state, direction, config):
             t *= BACKTRACKING_FACTOR
         if t < MIN_DAMPING:
             break  # no measurable progress left at this precision
-        beta, (ll, grad, hess, z) = cand, step
+        beta, (ll, grad, hess, link) = cand, step
         direction = _newton_direction(index, beta, grad, hess)
-    return beta, "max-iterations", iterations, (ll, grad, hess, z)
+    return beta, "max-iterations", iterations, (ll, grad, hess, link)
 
 
 def _wall_maximum(model, data, index, beta, state, config):
@@ -245,10 +253,9 @@ def _wall_maximum(model, data, index, beta, state, config):
     # toward beta_free = 0, where every index is its offset
     start, state = _evaluable(model, data, wall_index, start, np.zeros(len(start)))
     direction = _newton_direction(wall_index, start, *state[1:3])
-    free_beta, _, iterations, (_, _, _, z) = _newton(
+    free_beta, _, iterations, (_, _, _, (s, r)) = _newton(
         model, data, wall_index, start, state, direction, config
     )
-    _, s, r = model.index_link(z, data.designs, data.bits)
     x = X[:, p]
     slope = np.add.reduce(x * (s * data.counts))
     bound = np.abs(s) + np.abs(r) * _index_scale(wall_index, free_beta)

@@ -12,10 +12,12 @@ Uncensored: I_n = sum_i V_i^T Cov(T_i) V_i, the family's closed form
 
 Cost per row: the one special function of the weight (erfcx for a Gaussian
 family; for Poisson each row's far tail, an incomplete gamma or a summed
-left tail, and the pmf's log and exp), plus the numpy passes the formulas
-need: the regressors and the index, the weight's arithmetic, one product
-per Gram column and one per entry, a finiteness check, and the uncensored
-closed form.  A family's design check runs once per design set.
+left tail, and the pmf's log and exp), evaluated in key order from
+``_order.ORDERED_ROWS`` rows on (at 10^4 rows on a 2-vCPU Xeon, erfcx 17 ns
+a row against 29 ns in row order, the incomplete gamma 99 against 113 ns),
+plus the numpy passes the formulas need: the regressors and the index, the
+weight's arithmetic, one product per Gram column and one per entry, a
+finiteness check, and the uncensored closed form.  A family's design check runs once per design set.
 At k = 1 the smallest eigenvalue is the matrix's entry.
 
 Sweep (``fim_sweep``, behind ``fim --sweep``): J_n as one design's

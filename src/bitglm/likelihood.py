@@ -98,16 +98,16 @@ def gram(X, w):
 
 
 def index_evaluate(model, beta, data, index):
-    """(log-likelihood, score, hessian, z) at any beta in R^k, for ``index =
-    model.index_regressors(data.designs)``: with the link's derivatives s
-    and r, X^T (n s) and X^T diag(n r) X, and the indices z they are taken
-    at.  The solver's workhorse."""
+    """(log-likelihood, score, hessian, (s, r)) at any beta in R^k, for
+    ``index = model.index_regressors(data.designs)``: with the link's
+    derivatives s and r per row, X^T (n s) and X^T diag(n r) X, and s and r
+    themselves.  The solver's workhorse."""
     X, offset = index
     z = offset + X.dot(beta)
     log_probs, s, r = model.index_link(z, data.designs, data.bits)
     ll = _sum_logs(log_probs, data)
     ns = s * data.counts
-    return ll, np.array([np.add.reduce(x * ns) for x in X.T]), gram(X, r * data.counts), z
+    return ll, np.array([np.add.reduce(x * ns) for x in X.T]), gram(X, r * data.counts), (s, r)
 
 
 def score(model, theta, data):

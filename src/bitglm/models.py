@@ -17,7 +17,6 @@ of sigma, which is what keeps the far-tail evaluations stable.
 
 import math
 import numpy as np
-from scipy import special
 
 from . import _gauss, _poisson
 from .exceptions import DomainError, NonIdentifiable, NumericalError
@@ -120,8 +119,8 @@ class _GaussianIndex(ModelFamily):
 
     def index_link(self, z, designs, bits):
         """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
-        c = _gauss.signed_hazard(z, bits)
-        return special.log_ndtr(bits * z), c, -c * (z + c)
+        log_p, c = _gauss.log_cdf_and_signed_hazard(z, bits)
+        return log_p, c, -c * (z + c)
 
     def index_weight(self, z, designs):
         """pdf(z)^2 / (Phi(z) (1 - Phi(z))), one erfcx call per row."""

@@ -403,6 +403,14 @@ class TestStartIndependence:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), repeated=st.booleans())
+    # Poisson draws whose default-start ascent cycled to the iteration cap
+    # between two points a few ulps apart (``TestCyclingAscent``)
+    @example(seed=5662, repeated=True)
+    @example(seed=7124, repeated=True)
+    @example(seed=8257, repeated=True)
+    @example(seed=9542, repeated=True)
+    @example(seed=12189, repeated=True)
+    @example(seed=12084, repeated=False)
     def test_the_anchor_start_reaches_the_same_estimate(self, name, seed, repeated):
         fam, data = _draw(name, seed, repeated)
         # theta = (0, 1) for case 3: 0, or 1 in a positive coordinate
@@ -419,6 +427,53 @@ class TestStartIndependence:
         scale = np.maximum(1.0, np.abs(offset) + np.abs(X).dot(np.abs(beta_a)))
         moved = np.abs(X.dot(beta_a - beta_b))
         assert np.all(moved <= 4.0 * estimator.STATIONARY_TOLERANCE * scale)
+
+
+class TestCyclingAscent:
+    """Six of the Poisson draws at seeds 0-15,999 alternated between two
+    estimates a few ulps apart until the 200-iteration cap: each Newton step
+    moved an index by 1.15-1.51 times the stop test's resolution, carried
+    there by the score's own rounding (about 7e-14), and the Armijo and the
+    blind-step rules each accepted one of the two steps.  The ascent now
+    stops where it comes back to a point it has left."""
+
+    DRAWS = [(5662, True), (7124, True), (8257, True), (9542, True), (12189, True), (12084, False)]
+
+    @pytest.mark.parametrize(("seed", "repeated"), DRAWS)
+    def test_the_cycle_converges(self, seed, repeated):
+        fam, data = _draw("poisson", seed, repeated)
+        res = fit(fam, data)
+        assert res.status == "converged" and res.iterations < 20
+
+    def test_the_estimate_is_the_mpmath_maximizer(self):
+        # the Poisson MLE: the root of sum_i n_i v_i lam_i pmf(t_i) (b_i = -1)
+        # or -(...) (b_i = +1), over each bit's own tail, at lam = exp(v theta)
+        fam, data = _draw("poisson", 5662, True)
+        theta = fit(fam, data).theta_hat[0]
+        grouped = data.grouped()[0]
+        rows = [
+            (mpmath.mpf(float(v)), int(t), int(b), int(n))
+            for v, t, b, n in zip(
+                grouped.designs.V[:, 0, 0], np.floor(grouped.designs.taus), grouped.bits,
+                grouped.counts,
+            )
+        ]
+
+        def score(th):
+            total = mpmath.mpf(0)
+            for v, t, b, n in rows:
+                lam = mpmath.exp(v * th)
+                pmf = mpmath.exp(t * mpmath.log(lam) - lam - mpmath.loggamma(t + 1))
+                cdf = mpmath.gammainc(t + 1, lam, mpmath.inf, regularized=True)
+                total += n * v * lam * pmf * (-1 / cdf if b > 0 else 1 / (1 - cdf))
+            return total
+
+        with mpmath.workdps(50):
+            want = float(mpmath.findroot(score, mpmath.mpf(theta)))
+        # the index -v theta within the stop test's resolution of the root's
+        v = grouped.designs.V[:, 0, 0]
+        scale = np.maximum(1.0, np.abs(v * want))
+        assert np.all(np.abs(v * (theta - want)) <= 2.0 * estimator.STATIONARY_TOLERANCE * scale)
 
 
 def _mpmath_case3_maximizer(data, beta):

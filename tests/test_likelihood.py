@@ -292,8 +292,10 @@ class TestIndexRoute:
             beta = fam.index_from_theta(theta)
             assert_allclose(fam.theta_from_index(beta), theta, rtol=1e-15)
             X, offset = fam.index_regressors(ds)
-            ll, g, h, z = likelihood.index_evaluate(fam, beta, data, (X, offset))
-            assert np.array_equal(z, offset + X.dot(beta))
+            ll, g, h, (s, r) = likelihood.index_evaluate(fam, beta, data, (X, offset))
+            # the link's derivatives at the indices offset + X.beta, as evaluated
+            _, s_z, r_z = fam.index_link(offset + X.dot(beta), ds, data.bits)
+            assert np.array_equal(s, s_z) and np.array_equal(r, r_z)
             g_theta, h_theta, _, _ = deviation_derivatives(fam, theta, data)
             C = fam.index_curvature
             J = np.eye(fam.k) if C is None else C @ beta

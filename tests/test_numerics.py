@@ -2,14 +2,18 @@
 
 import math
 import types
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from bitglm import _gauss, _poisson, models
+from bitglm import _gauss, _order, _poisson, models
+from conftest import MODEL_NAMES, random_instance
 from _oracles import poisson_cdf_sum, poisson_sf_sum, truncated_normal_moment
 
 
@@ -376,3 +380,103 @@ class TestPoissonKernels:
                                   np.add.reduce(v[keep] * (want[keep] * v[keep])))
             assert np.array_equal(fam.sample([theta], ds_kept, np.random.default_rng(3)),
                                   np.random.default_rng(3).poisson(want[keep]).astype(float))
+
+
+#: Row counts on either side of the ordering threshold and across block edges.
+SIZES = [
+    _order.ORDERED_ROWS - 1, _order.ORDERED_ROWS, _order.ORDER_BLOCK + 1, 3 * _order.ORDER_BLOCK - 5,
+]
+#: erfcx's edges: signed zeros, subnormals, Faddeeva's |x| >= 50 branch, its
+#: x < 0 routes (an exp alone below -6.1, overflow below -26.7) and non-finite rows.
+ERFCX_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 49.99999999, 50.0, -50.0, 5e7, 1e300,
+    -6.1, -6.2, -26.7, -26.8, np.inf, -np.inf, np.nan,
+]
+
+
+def _with_edges(rng, x, edges):
+    """``x`` with ``edges`` written at random distinct rows."""
+    x[rng.choice(x.size, len(edges), replace=False)] = edges
+    return x
+
+
+def _gamma_rows(rng, n):
+    """(t, lam): n rows on all three far-tail routes, with thresholds past the
+    key's clip at 511, rates past its clip at 15.75, and t = -1 and t = 0."""
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(models.PoissonModel.MAX_RATE), n))
+    t = np.floor(np.maximum(-1.0, lam + np.sqrt(lam) * rng.uniform(-6.0, 6.0, n)))
+    at = rng.choice(n, 8, replace=False)
+    t[at], lam[at] = [-1.0, 0.0, 0.0, 511.0, 512.0, 1e4, 3.0, 14.0], [1.0, 1e-3, 15.75, 512.0, 400.0, 1e4, 15.75, 15.75]
+    return t, lam
+
+
+class TestKeyOrder:
+    """From ``_order.ORDERED_ROWS`` rows on, the kernels evaluate erfcx,
+    log_ndtr and the incomplete gamma in blocks sorted by a key of each row's
+    branch.  A value depends on its own row alone, so every output equals the
+    plain scipy call in row order, bit for bit."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.5, 5.0, 60.0]))
+    def test_erfcx_is_scipys(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        x = _with_edges(rng, scale * rng.standard_normal(n), ERFCX_EDGES)
+        assert np.array_equal(_gauss.erfcx(x), special.erfcx(x), equal_nan=True)
+        # ordered exactly from ORDERED_ROWS rows on
+        key = mock.Mock(wraps=_gauss._erfcx_piece)
+        _order.in_key_order(special.erfcx, key, x)
+        assert key.called == (n >= _order.ORDERED_ROWS)
+
+    @settings(max_examples=24, deadline=None)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.5, 5.0, 60.0]))
+    def test_log_cdf_and_signed_hazard_are_scipys(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        z = _with_edges(rng, scale * rng.standard_normal(n), ERFCX_EDGES)
+        bits = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+        bz = bits * z
+        with np.errstate(divide="ignore"):  # erfcx(inf) = 0
+            log_p, c = _gauss.log_cdf_and_signed_hazard(z, bits)
+            want = bits * (math.sqrt(2.0 / math.pi) / special.erfcx(-bz / math.sqrt(2.0)))
+            assert np.array_equal(c, _gauss.signed_hazard(z, bits), equal_nan=True)
+        assert np.array_equal(log_p, special.log_ndtr(bz), equal_nan=True)
+        assert np.array_equal(c, want, equal_nan=True)
+
+    @settings(max_examples=16, deadline=None)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1))
+    def test_far_tail_is_its_routes_scipy_calls(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t, lam = _gamma_rows(rng, n)
+        right = t + 1 > lam
+        left = ~right & (t >= 0)
+        summed = left & (lam < _poisson.SUM_BELOW_RATE)
+        want = np.zeros(n)
+        want[right] = special.pdtrc(t[right], lam[right])
+        want[left & ~summed] = special.pdtr(t[left & ~summed], lam[left & ~summed])
+        want[summed] = _poisson._left_tail_sum(t[summed], lam[summed])
+        far, got_right = _poisson.far_tail(t, lam)
+        assert np.array_equal(got_right, right) and np.array_equal(far, want)
+        assert np.array_equal(_poisson.pdtrc(t[t >= 0], lam[t >= 0]), special.pdtrc(t[t >= 0], lam[t >= 0]))
+        assert np.array_equal(_poisson.pdtr(t[t >= 0], lam[t >= 0]), special.pdtr(t[t >= 0], lam[t >= 0]))
+
+    def test_the_largest_size_orders_both_gamma_routes(self):
+        # the right tails across a block edge; the summed route, in row order
+        t, lam = _gamma_rows(np.random.default_rng(0), SIZES[-1])
+        right = t + 1 > lam
+        assert right.sum() > _order.ORDER_BLOCK
+        assert (~right & (lam >= _poisson.SUM_BELOW_RATE)).sum() > _order.ORDERED_ROWS
+        assert (~right & (t >= 0) & (lam < _poisson.SUM_BELOW_RATE)).sum() > 500
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_the_families_equal_their_row_order_evaluation(self, name, rng):
+        fam, theta, ds = random_instance(name, rng, n=_order.ORDER_BLOCK + 3)
+        X, offset = fam.index_regressors(ds)
+        z = offset + X.dot(fam.index_from_theta(theta))
+        bits = rng.choice(np.array([-1, 1], dtype=np.int8), ds.n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ordered = [*fam.index_link(z, ds, bits), fam.index_weight(z, ds), _gauss.fim_weight(z)]
+            with mock.patch.object(_order, "ORDERED_ROWS", math.inf):
+                plain = [*fam.index_link(z, ds, bits), fam.index_weight(z, ds), _gauss.fim_weight(z)]
+        for a, b in zip(ordered, plain):
+            assert np.array_equal(a, b, equal_nan=True)

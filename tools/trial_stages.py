@@ -37,7 +37,7 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another t
 
 from scipy import special  # noqa: E402
 
-from bitglm import CensoredDataset, _poisson, cli, fisher, fit, montecarlo  # noqa: E402
+from bitglm import CensoredDataset, _gauss, _poisson, cli, fisher, fit, montecarlo  # noqa: E402
 
 FIG1 = Path(cli.__file__).parent / "configs" / "fig1.cfg"
 STAGES = ("design draw", "sampling", "dataset build", "grouping", "fit after grouping")
@@ -65,20 +65,24 @@ def special_floor(family, theta, designs):
     information of ``designs`` needs at ``theta``, on arguments gathered
     beforehand: for a Gaussian family erfcx at |z| / sqrt 2 for the index z,
     for Poisson the far tail of each row (``_poisson`` module docstring),
-    scipy's incomplete gamma or the summed left tail."""
+    scipy's incomplete gamma or the summed left tail, each in the order in
+    which the library evaluates it."""
     X, offset = family.index_regressors(designs)
     z = offset + X.dot(family.index_from_theta(family.check_theta(theta)))
+    # the kernels' ordered evaluation (``bitglm._order``), or scipy's plain
+    # call for a checkout that evaluates in row order
     if family.name != "poisson":
         a = np.abs(z) / np.sqrt(2.0)
-        return lambda: special.erfcx(a)
+        erfcx = getattr(_gauss, "erfcx", special.erfcx)
+        return lambda: erfcx(a)
     lam, t = np.exp(-z), np.floor(designs.taus)
     right = t + 1 > lam
     small = lam < _poisson.SUM_BELOW_RATE
     routes = [
         (tail, t[rows], lam[rows])
         for rows, tail in (
-            (right, special.pdtrc),
-            (~right & ~small, special.pdtr),
+            (right, getattr(_poisson, "pdtrc", special.pdtrc)),
+            (~right & ~small, getattr(_poisson, "pdtr", special.pdtr)),
             (~right & small, _poisson._left_tail_sum),
         )
         if rows.any()
