@@ -6,11 +6,12 @@ concave in beta over all of R^k (Pratt, JASA 76, 1981).  ``fit`` ascends it
 by damped Newton steps in beta, with the derivatives of ``index_link``, on
 the grouped data, so each iteration costs O(distinct rows), not O(n).  Steps
 must raise the log-likelihood enough (Armijo), except where the gain a step
-predicts is below its float resolution: there the full step is taken when it
-lowers the score in beta.  An ascent stops only where its Newton step would
-change no row's index beyond rounding, or where it comes back to a point it
-has left: the score's own rounding can carry a step past that test, and the
-two acceptance rules then alternate between two points forever.
+predicts is below its float resolution, the rounding of each index included:
+there the full step is taken when it lowers the score in beta.  An ascent
+stops only where its Newton step would change no row's index beyond
+rounding, or where it comes back to a point it has left: the score's own
+rounding can carry a step past that test, and the two acceptance rules then
+alternate between two points forever.
 
 A finite maximizer exists unless the bits are separated: some direction d,
 with d >= 0 in the 1/sigma coordinate, has b_i x_i.d >= 0 on every row and
@@ -19,14 +20,16 @@ first, then that the distinct designs' regressors have rank k: with fewer
 independent indices the maximizers form a ridge, whatever the start.  For
 k <= 2 the first needs no linear program: the cone of such d is spanned by
 the rays perpendicular to the rows at either end of the widest angular gap
-between them, or by its middle where it is a half-plane.
+between them, or by its middle where it is a half-plane.  At a converged
+estimate the same rank test, on the rows weighted by sqrt(-n r), judges the
+information X^T diag(-n r) X; neither test reads the data's location.
 
 Then a maximizer over beta_p >= 0, for a family's positive coordinate
 beta_p = 1/sigma, exists, and by the KKT conditions it lies on the wall
 beta_p = 0 (sigma -> infinity) exactly when dl/dbeta_p <= 0 at the
-maximizer along the wall.  Unless the start is stationary, ``fit`` decides
-that before any interior ascent, and reports a maximum on the wall, just
-inside, as "boundary-divergence".
+maximizer along the wall.  Unless the start is stationary and the wall
+beyond rounding of it, ``fit`` decides that before any interior ascent,
+and reports a maximum on the wall, just inside, as "boundary-divergence".
 """
 
 from dataclasses import dataclass
@@ -43,9 +46,6 @@ MIN_DAMPING = 1e-14
 BACKTRACKING_FACTOR = 0.5
 #: Armijo constant: the share of the predicted gain a step must achieve.
 SUFFICIENT_INCREASE = 1e-4
-#: Smallest eigenvalue of the observed information, relative to its trace,
-#: below which a converged fit is a ridge and raises NonIdentifiable.
-RIDGE_TOLERANCE = 1e3 * np.finfo(float).eps
 #: |b_i x_i.d| relative to |x_i| |d| below which the separation check reads 0,
 #: and the relative singular value at or below which the rank check does.
 SEPARATION_TOLERANCE = 1e3 * np.finfo(float).eps
@@ -76,8 +76,9 @@ class FitResult:
     domain; ``observed_information`` is the negated Hessian at the estimate;
     ``status`` is one of "converged" (stationary to rounding in beta: the
     Newton step moves no index beyond rounding, or the ascent came back to
-    a point it had left, and the observed information is positive
-    definite), "max-iterations" or
+    a point it had left, and the regressors weighted by sqrt(-n r) have rank
+    k; past alpha/sigma ~ 1e8 the smallest eigenvalue of the information in
+    theta can read below its rounding), "max-iterations" or
     "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
     and the estimate and its log-likelihood are the maximizer along it,
     moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
@@ -143,12 +144,18 @@ def _check_identifiable(model, data, X, rows, paired):
         )
     # the likelihood reads beta only through the distinct designs' indices
     # (the grouped ``rows`` of X): with fewer than k independent ones it is flat
-    s = np.linalg.svd(X[rows], compute_uv=False)  # half the cost of the whole SVD
-    if len(s) < model.k or s[-1] <= SEPARATION_TOLERANCE * s[0]:
-        flat = np.linalg.svd(X[rows], full_matrices=len(rows) < model.k)[2][-1]  # Vt is k x k
+    _check_rank(X[rows], model.k, "the distinct designs' regressors")
+
+
+def _check_rank(M, k, what):
+    """NonIdentifiable, naming ``what``, where the rows ``M`` have rank below k:
+    a smallest singular value at most SEPARATION_TOLERANCE times the largest."""
+    s = np.linalg.svd(M, compute_uv=False)  # half the cost of the whole SVD
+    if len(s) < k or s[-1] <= SEPARATION_TOLERANCE * s[0]:
+        flat = np.linalg.svd(M, full_matrices=len(M) < k)[2][-1]  # Vt is k x k
         raise NonIdentifiable(
-            f"the distinct designs' regressors have rank below {model.k}: the likelihood"
-            f" is flat along the index direction {np.array2string(flat, precision=4)}"
+            f"{what} have rank below {k}: the likelihood is flat along the index"
+            f" direction {np.array2string(flat, precision=4)}"
         )
 
 
@@ -186,13 +193,13 @@ def _newton_direction(index, beta, grad, hess):
 
 def _evaluable(model, data, index, beta, anchor=None):
     """(beta, its ``index_evaluate``); where a bit has probability 0 at beta, the
-    same for the first point toward ``anchor`` (theta = 0, 1 where positive)."""
+    same for the first point toward ``anchor`` (the family's by default)."""
     try:
         return beta, likelihood.index_evaluate(model, beta, data, index)
     except (DegenerateLikelihood, NumericalError):
         pass
     if anchor is None:
-        anchor = model.index_from_theta(np.array([float(k == "positive") for k in model.domain]))
+        anchor = model.anchor()
     for _ in range(60):
         beta = 0.5 * (beta + anchor)
         state = _safe_ll(model, data, index, beta)
@@ -200,6 +207,27 @@ def _evaluable(model, data, index, beta, anchor=None):
             return beta, state
     # where no probe could be evaluated, this raises the error of the last
     return beta, likelihood.index_evaluate(model, beta, data, index)
+
+
+def _below_resolution(gain, ll, rounding=0.0):
+    """Whether a gain in the log-likelihood ``ll`` is below its float resolution:
+    64 eps max(1, |ll|) for the sum, plus the ``rounding`` of its terms."""
+    return gain <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll)) + rounding
+
+
+def _index_rounding(data, index, beta, s):
+    """eps sum_i n_i |s_i| ``_index_scale``_i: the indices' rounding in the log-likelihood."""
+    return np.finfo(float).eps * np.add.reduce(data.counts * np.abs(s) * _index_scale(index, beta))
+
+
+def _wall_within_rounding(p, beta, state):
+    """Whether the quadratic model at ``beta`` (``state``) drops to the wall beta_p = 0
+    by 1/2 beta_p^2 / ((-H)^-1)_pp, a Schur complement (k <= 2), ``_below_resolution``."""
+    ll, _, hess, _ = state
+    schur = -float(hess[p, p])
+    if len(beta) == 2 and hess[1 - p, 1 - p] != 0.0:
+        schur += float(hess[p, 1 - p]) ** 2 / float(hess[1 - p, 1 - p])
+    return _below_resolution(0.5 * float(beta[p]) ** 2 * schur, ll)
 
 
 def _newton(model, data, index, beta, state, direction, config):
@@ -222,14 +250,14 @@ def _newton(model, data, index, beta, state, direction, config):
         # a predicted gain below the float resolution of the log-likelihood
         # makes the sufficient-increase test a coin flip; there the full
         # step is judged by whether it lowers the score in beta instead
-        blind = 0.5 * slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(ll))
         t = 1.0
         while t >= MIN_DAMPING:
             cand = beta + t * direction
             step = _safe_ll(model, data, index, cand)
             if step[0] >= ll + SUFFICIENT_INCREASE * t * slope or (
-                blind and t == 1.0 and step[1] is not None
+                t == 1.0 and step[1] is not None
                 and np.max(np.abs(step[1])) < np.max(np.abs(grad))
+                and _below_resolution(0.5 * slope, ll, _index_rounding(data, index, beta, link[0]))
             ):
                 break
             t *= BACKTRACKING_FACTOR
@@ -285,10 +313,10 @@ def fit(model, data, config=None):
         _check_identifiable(model, data, index[0], tally[0], paired=data.n == 2 * len(tally[0]))
         beta, state = _evaluable(model, data, index, model.initial_point(data, index, tally))
         direction = _newton_direction(index, beta, *state[1:3])
-        # a start stationary to rounding is the estimate, and needs no wall;
-        # elsewhere the wall is decided before any interior ascent
-        fitted = None
-        if direction is not None and model.index_positive is not None:
+        # a start stationary to rounding is the estimate, unless the wall is
+        # within rounding of it; elsewhere it is decided before any ascent
+        fitted, p = None, model.index_positive
+        if p is not None and (direction is not None or _wall_within_rounding(p, beta, state)):
             fitted = _wall_maximum(model, data, index, beta, state, config)
         beta, status, iterations, state = fitted or _newton(
             model, data, index, beta, state, direction, config
@@ -301,25 +329,16 @@ def fit(model, data, config=None):
         if isinstance(err, DegenerateLikelihood):
             raise DegenerateLikelihood.at_observation(i) from err
         raise DomainError(str(err), index=i) from err
-    ll, grad, hess, _ = state
+    ll, grad, hess, (_, r) = state
+    # a regular point is locally identified iff its information is nonsingular
+    # (Rothenberg, Econometrica 39, 1971); in beta that is X^T diag(-n r) X
+    if status == "converged":
+        weights = np.sqrt(data.counts * np.maximum(-r, 0.0))[:, None]
+        _check_rank(index[0] * weights, model.k, "the estimate's information-weighted regressors")
     grad, hess = likelihood.to_theta(model, beta, grad, hess)
     gnorm = float(np.max(np.abs(grad)))
     observed = -hess
     observed.setflags(write=False)
-    # a regular point is locally identified iff its information is nonsingular
-    # (Rothenberg, Econometrica 39, 1971), so a singular one at a stationary
-    # point is a ridge of maximizers, not an estimate
-    if status == "converged":
-        eigs, vecs = np.linalg.eigh(observed)
-        trace = float(np.trace(observed))
-        if abs(eigs[0]) <= RIDGE_TOLERANCE * abs(trace):
-            raise NonIdentifiable(
-                f"the observed information is singular at the estimate (smallest "
-                f"eigenvalue {eigs[0]:.3g}, trace {trace:.3g}); the likelihood is flat "
-                f"along the direction {np.array2string(vecs[:, 0], precision=4)}"
-            )
-        if not eigs[0] > 0.0:
-            status = "max-iterations"
     theta_hat = model.check_theta(model.theta_from_index(beta)).copy()
     theta_hat.setflags(write=False)
     return FitResult(

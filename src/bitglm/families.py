@@ -194,6 +194,10 @@ class ModelFamily(abc.ABC):
         """The solver's start in beta (finite, beta_p > 0) for the grouped
         ``data``, its ``index_regressors`` ``index`` and the design ``tally``."""
 
+    def anchor(self):
+        """theta = 0, 1 in a positive coordinate, in beta: a start that reads no data."""
+        return self.index_from_theta(np.array([float(kind == "positive") for kind in self.domain]))
+
     # -- coordinate conversions -----------------------------------------------------
     def to_moment(self, theta):
         """Map natural coordinates to the family's reporting coordinates.

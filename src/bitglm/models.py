@@ -36,56 +36,9 @@ def _sigma_power(sigma, k):
         raise NumericalError(f"sigma**{k} overflows a float at sigma = {sigma:g}") from None
 
 
-# ---------------------------------------------------------------------------
-# Starting points for the MLE solver
-# ---------------------------------------------------------------------------
-
 def _mean(x, data):
     """Mean over the observations, weighting each row by its count."""
     return float(np.average(x, weights=data.counts))
-
-
-def _pooled_alpha(data, w, sigma):
-    """alpha from the pooled +1 fraction, kept inside [1/(n+1), n/(n+1)], at
-    the mean threshold, for weights w and noise sd sigma; 0 where the mean
-    weight vanishes."""
-    mean_w = _mean(w, data)
-    if abs(mean_w) < 1e-8:
-        return 0.0
-    n = data.total
-    p = min(max(_mean(data.bits > 0, data), 1.0 / (n + 1.0)), n / (n + 1.0))
-    return (_mean(data.designs.taus, data) - sigma * float(_gauss.norm_ppf(p))) / mean_w
-
-
-def _probit_start(family, index, tally):
-    """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
-
-    A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
-    and q_j = Phi^-1(p_j) estimates its standardized threshold, the linear
-    index offset_j + X_j beta of ``index_regressors``.  Solves that system by
-    least squares weighted by n_j pdf(q_j)^2 / (p_j (1 - p_j)) and returns
-    that beta.  With exactly k designs, every one of them usable, this is
-    the MLE.  A one-sided design adds nothing to the regression but still
-    counts in the likelihood, so with one the MLE lies further on.
-    ``index`` is the grouped rows' ``index_regressors`` and ``tally`` their
-    design tally (``CensoredDataset.grouped()``).  Returns None when fewer
-    than k designs are usable, the system is rank-deficient, or the
-    solution has beta_p <= 0.
-    """
-    rows, totals, plus = tally
-    usable = (plus > 0) & (plus < totals)
-    if np.count_nonzero(usable) < family.k:
-        return None
-    rows, n = rows[usable], totals[usable]
-    p = plus[usable] / n
-    q = _gauss.norm_ppf(p)
-    X, offset = index[0][rows], index[1][rows]
-    root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
-    beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
-    p = family.index_positive
-    if rank < family.k or (p is not None and not beta[p] > 0):
-        return None
-    return beta
 
 
 class _GaussianIndex(ModelFamily):
@@ -110,12 +63,30 @@ class _GaussianIndex(ModelFamily):
         return designs
 
     def initial_point(self, data, index, tally):
-        """The per-design probit inversion (``_probit_start``); without one,
-        the family's ``_pooled_start``, in beta."""
-        start = _probit_start(self, index, tally)
-        if start is None:
-            return self.index_from_theta(self.check_theta(self._pooled_start(data)))
-        return start
+        """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
+
+        A distinct design j seen with both bits has a +1 fraction p_j in (0, 1),
+        and q_j = Phi^-1(p_j) estimates its standardized threshold, the index
+        offset_j + X_j beta.  The beta of that system's least squares, weighted
+        by n_j pdf(q_j)^2 / (p_j (1 - p_j)), is the MLE with exactly k designs,
+        every one usable (a one-sided design still counts in the likelihood).
+        The ``anchor`` where fewer are usable, the system is rank-deficient or
+        the solution has beta_p <= 0.
+        """
+        rows, totals, plus = tally
+        usable = (plus > 0) & (plus < totals)
+        if np.count_nonzero(usable) < self.k:
+            return self.anchor()
+        rows, n = rows[usable], totals[usable]
+        p = plus[usable] / n
+        q = _gauss.norm_ppf(p)
+        X, offset = index[0][rows], index[1][rows]
+        root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
+        beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
+        p = self.index_positive
+        if rank < self.k or (p is not None and not beta[p] > 0):
+            return self.anchor()
+        return beta
 
     def index_link(self, z, designs, bits):
         """log Phi(b z), the signed hazard c and -c (z + c): finite at every z."""
@@ -221,11 +192,6 @@ class GaussianCase1(_GaussianIndex):
         """z = tau/sigma - sigma V alpha, linear in beta = alpha."""
         self.check_designs(designs)
         return -self.sigma * designs.V[:, 0, :], designs.taus / self.sigma
-
-    def _pooled_start(self, data):
-        """alpha from the pooled bit fraction at the mean threshold."""
-        w = data.designs.V[:, 0, 0] * self.sigma**2
-        return np.array([_pooled_alpha(data, w, self.sigma)])
 
 
 def case1_optimal_thresholds(model, alpha):
@@ -336,11 +302,6 @@ class GaussianCase2(_GaussianIndex):
 
     def index_from_theta(self, theta):
         return np.sqrt(theta)
-
-    def _pooled_start(self, data):
-        """The inverse mean squared threshold offset."""
-        spread = _mean((data.designs.taus - data.designs.aux) ** 2, data)
-        return np.array([1.0 / max(spread, 1e-4)])
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +444,6 @@ class GaussianCase3(_GaussianIndex):
     def index_from_theta(self, theta):
         root = math.sqrt(theta[1])
         return np.array([root, theta[0] / root])
-
-    def _pooled_start(self, data):
-        """sigma = 1 and alpha from the pooled bit fraction at the mean threshold."""
-        return np.array([_pooled_alpha(data, data.designs.V[:, 0, 0], 1.0), 1.0])
 
     @staticmethod
     def alpha_sigma2_from_natural(theta):

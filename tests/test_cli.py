@@ -997,8 +997,8 @@ class TestRarePaths:
         assert out["min_eigenvalue"] == pytest.approx(2 / math.pi, rel=1e-12) and out["passed"]
 
     def test_weights_that_average_to_zero_start_at_zero(self, tmp_path, capsys):
-        # no design has both bits, so the start is the pooled one, whose
-        # mean weight is 0; log Phi(-alpha) + log Phi(alpha) peaks there
+        # no design has both bits, so the start is the anchor alpha = 0,
+        # where log Phi(-alpha) + log Phi(alpha) peaks
         cfg = write(tmp_path, "fit.cfg", CASE1_FIT_CFG)
         data = write(tmp_path, "obs.dat", "1 1\n1 0.0 1.0\n1 0.0 -1.0\n")
         assert cli.main(["fit", "--config", cfg, "--data", data, "--json"]) == 0

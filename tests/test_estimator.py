@@ -159,14 +159,28 @@ class TestFitSpots:
             with pytest.raises(NonIdentifiable, match="rank below 2"):
                 fit(fam, data)
 
-    def test_nearly_coincident_designs_are_a_numerical_ridge(self):
+    def test_nearly_coincident_designs_fit_the_closed_form(self):
         # two case-3 thresholds 1e-7 apart, seen with +1 fractions 1/2 and
-        # 3/5: the regressors have rank 2 (relative singular value ~4e-8),
-        # but the information at the MLE is singular to rounding
+        # 3/5: exactly k usable designs, so the MLE is the two-threshold
+        # inversion, alpha = 1 and sigma = 3.947e-7.  An eigenvalue test of
+        # the information in theta (1e3 eps of its trace) read this
+        # alpha/sigma ~ 2.5e6 as a ridge and raised NonIdentifiable
         fam = models.GaussianCase3(np.ones(20))
         taus = np.repeat([1.0, 1.0 + 1e-7], 10)
         data = CensoredDataset([1] * 5 + [-1] * 5 + [1] * 6 + [-1] * 4, fam.design_set(taus))
-        with pytest.raises(NonIdentifiable, match="information is singular at the estimate"):
+        res = fit(fam, data)
+        assert res.converged
+        # each index cancels terms of 1/sigma ~ 2.5e6, so it carries ~6e-10 of
+        # rounding: ~2e-9 of the quantile gap 0.25 that sigma divides
+        assert_allclose(fam.to_moment(res.theta_hat), _closed_form_two_threshold(data), rtol=1e-8)
+
+    def test_information_that_underflows_is_singular(self):
+        # the anchor alpha = 0 is stationary, but at z = +-40 each row's
+        # information weight -r, about pdf(40) ~ 1e-348, underflows to 0:
+        # the information-weighted regressors have rank 0
+        fam = models.GaussianCase1(np.ones(2), sigma=1.0)
+        data = CensoredDataset([-1, 1], fam.design_set([-40.0, 40.0]))
+        with pytest.raises(NonIdentifiable, match="information-weighted regressors have rank below 1"):
             fit(fam, data)
 
     def test_a_singular_hessian_takes_the_least_squares_step(self):
@@ -382,9 +396,9 @@ class TestWallDecision:
         try:
             res = fit(fam, data)
         except NonIdentifiable as err:
-            if "singular at the estimate" not in str(err):
+            if "information-weighted" not in str(err):
                 return  # separated or rank deficient: no maximizer to place
-            status = "converged"  # decided interior, then found a ridge there
+            status = "converged"  # decided interior, then found the information singular there
         else:
             status = res.status
         slope, resolution = _mpmath_wall_slope(fam, data)
@@ -392,13 +406,30 @@ class TestWallDecision:
         # a slope that rounding could have put on either side of 0
         assert status == ("boundary-divergence" if slope <= resolution else "converged")
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
+    @pytest.mark.parametrize("plus", range(1, 10))
+    def test_a_stationary_start_at_the_wall_is_on_it(self, gap, plus):
+        # two designs 1 and 1 + gap with the same +1 fraction: the wall slope
+        # is 0, a tie.  Where the probit inversion solves, its 1/sigma is
+        # rounding, about eps/gap, and the start is stationary; it used to be
+        # the estimate ("converged", sigma ~ 3e10-6e13), or NonIdentifiable
+        # from an eigenvalue test.  Its quadratic model puts the wall within
+        # the log-likelihood's resolution, so the wall is decided
+        fam = models.GaussianCase3(np.ones(20))
+        bits = np.tile([1] * plus + [-1] * (10 - plus), 2)
+        data = CensoredDataset(bits, fam.design_set(np.repeat([1.0, 1.0 + gap], 10)))
+        slope, resolution = _mpmath_wall_slope(fam, data)
+        assert abs(slope) <= 1e-40 < resolution
+        assert fit(fam, data).status == "boundary-divergence"
+
 
 class TestStartIndependence:
     """An ascent stops only where its Newton step moves no index beyond
     rounding, so from any start it ends within rounding of the maximizer:
     the indices of two estimates agree to a few eps of their scale.  With
     the 1e-9 theta-score tolerance, estimates from the default start and
-    from the anchor differed by up to 1.3e-8 (case 3, relative)."""
+    from the anchor differed by up to 1.3e-8 (case 3, relative).  Where the
+    default start is the anchor, the other start is the pooled one."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @settings(max_examples=40, deadline=None)
@@ -414,12 +445,15 @@ class TestStartIndependence:
     def test_the_anchor_start_reaches_the_same_estimate(self, name, seed, repeated):
         fam, data = _draw(name, seed, repeated)
         # theta = (0, 1) for case 3: 0, or 1 in a positive coordinate
-        anchor = fam.index_from_theta(np.array([float(k == "positive") for k in fam.domain]))
+        other = fam.index_from_theta(np.array([float(k == "positive") for k in fam.domain]))
+        if name != "poisson" and np.array_equal(_start(fam, data), other):
+            # no usable design: the default start is the anchor itself
+            other = _pooled_beta(fam, data)
         try:
             a = fit(fam, data)
         except BitGlmError:
             return
-        with mock.patch.object(fam, "initial_point", return_value=anchor):
+        with mock.patch.object(fam, "initial_point", return_value=other):
             b = fit(fam, data)
         assert a.status == b.status
         X, offset = fam.index_regressors(data.designs)
@@ -535,6 +569,53 @@ class TestFlatOptimum:
         assert res.converged and res.iterations <= 10
         want = _mpmath_case3_maximizer(data, fam.index_from_theta(res.theta_hat))
         assert_allclose(res.theta_hat, want, rtol=1e-11)
+
+
+def _case3_at_zero(seed, n=2000):
+    """(family, bits, thresholds): case 3 at alpha = 0 and sigma = 1, with
+    weights w ~ U(0.5, 1.5) and thresholds U(-2, 2); translate to alpha by
+    adding w alpha to the thresholds."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n)
+    taus = rng.uniform(-2.0, 2.0, n)
+    bits = np.where(rng.standard_normal(n) <= taus, 1, -1)
+    return models.GaussianCase3(w), bits, taus
+
+
+class TestTranslation:
+    """alpha -> alpha + D with tau -> tau + w D moves no index, so the case-3
+    MLE moves by D and sigma stays.  An eigenvalue test of the information in
+    theta, 1e3 eps of its trace, refused every such fit from alpha/sigma =
+    1,000 on: its smallest eigenvalue over its trace falls as (sigma/alpha)^4."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_translated_fit_is_the_fit_translated(self, seed):
+        fam, bits, taus = _case3_at_zero(seed)
+        base = fit(fam, CensoredDataset(bits, fam.design_set(taus)))
+        b0, b1 = fam.index_from_theta(base.theta_hat)
+        for shift in 10.0 ** np.arange(7):
+            moved = taus + fam.weights * shift
+            res = fit(fam, CensoredDataset(bits, fam.design_set(moved)))
+            assert base.converged and res.converged
+            # the untranslated estimate's indices, against those of the
+            # translated one on the translated rows, within the stop test's
+            # resolution there: terms of size alpha/sigma ~ shift
+            beta = fam.index_from_theta(res.theta_hat)
+            z = moved * beta[0] - fam.weights * beta[1]
+            scale = np.maximum(1.0, np.abs(moved * beta[0]) + np.abs(fam.weights * beta[1]))
+            want = taus * b0 - fam.weights * b1
+            assert np.all(np.abs(z - want) <= 4.0 * estimator.STATIONARY_TOLERANCE * scale)
+
+    def test_the_estimate_at_alpha_over_sigma_1e3_is_the_mpmath_maximizer(self):
+        fam, bits, taus = _case3_at_zero(0, n=500)
+        data = CensoredDataset(bits, fam.design_set(taus + fam.weights * 1e3))
+        res = fit(fam, data)
+        assert res.converged
+        beta = fam.index_from_theta(res.theta_hat)
+        want = fam.index_from_theta(_mpmath_case3_maximizer(data, beta))
+        X, offset = fam.index_regressors(data.designs)
+        scale = np.maximum(1.0, np.abs(offset) + np.abs(X).dot(np.abs(beta)))
+        assert np.all(np.abs(X.dot(beta - want)) <= 2.0 * estimator.STATIONARY_TOLERANCE * scale)
 
 
 class TestEstimateType:
@@ -979,8 +1060,9 @@ class TestNewtonGivesUp:
 
 
 def _pooled_start(model, data):
-    """The Gaussian families' start from the pooled bit fraction and mean
-    threshold, the only start before the per-design probit inversion."""
+    """The start from the pooled bit fraction and mean threshold, which the
+    Gaussian families used where the probit inversion has none: a second
+    start, away from the anchor, for the start-independence tests."""
     n = data.total
     p = float(np.average(data.bits > 0, weights=data.counts))
     p = min(max(p, 1.0 / (n + 1.0)), n / (n + 1.0))
@@ -1017,6 +1099,8 @@ def _gaussian(name, taus, bits, weights=None):
 
 
 GAUSSIANS = ("gaussian-case1", "gaussian-case2", "gaussian-case3")
+#: theta = 0, 1 in a positive coordinate, in beta: alpha; 1/sigma; (1/sigma, alpha/sigma)
+ANCHORS = {"gaussian-case1": [0.0], "gaussian-case2": [1.0], "gaussian-case3": [1.0, 0.0]}
 FIG1_TRIALS = [
     ("mixture-0.42-2.0", 1000, 50),
     ("mixture-1.2-1.9", 1000, 38),
@@ -1083,10 +1167,10 @@ class TestProbitStart:
         assert not np.allclose(res.theta_hat, fam.theta_from_index(start), rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("name", GAUSSIANS)
-    def test_iid_designs_fall_back_to_the_pooled_start(self, name, rng):
+    def test_iid_designs_start_at_the_anchor(self, name, rng):
         fam, _, designs = random_instance(name, rng, n=60)
         data = CensoredDataset(rng.choice([-1, 1], designs.n), designs)
-        assert np.array_equal(_start(fam, data), _pooled_beta(fam, data))
+        assert np.array_equal(_start(fam, data), ANCHORS[name])
 
     @pytest.mark.parametrize(
         "name,taus,bits,weights",
@@ -1105,9 +1189,9 @@ class TestProbitStart:
             ("gaussian-case3", [1.0, 1.0, 2.0, 2.0], [1, -1, 1, -1], [1.0, 1.0, 2.0, 2.0]),
         ],
     )
-    def test_fallback_is_the_pooled_start(self, name, taus, bits, weights):
+    def test_fallback_is_the_anchor(self, name, taus, bits, weights):
         fam, data = _gaussian(name, taus, bits, weights)
-        assert np.array_equal(_start(fam, data), _pooled_beta(fam, data))
+        assert np.array_equal(_start(fam, data), ANCHORS[name])
 
     @pytest.mark.parametrize("name", GAUSSIANS)
     @settings(max_examples=40, deadline=None)

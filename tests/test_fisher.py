@@ -327,6 +327,24 @@ class TestSweep:
             fim_sweep(fam, [0.0], fam.design_set([1.0, 2.0]), 0, [1.0, -1.0])
 
 
+class TestFig1Design:
+    def test_the_first_threshold_is_d_optimal(self):
+        # fig1's two-point mixture puts half the thresholds at the mean 2.0
+        # and half at 0.42: the first threshold that maximizes det of the
+        # censored information at (alpha, sigma) = (2, 1), to two decimals.
+        # D-optimality does not depend on the parameterization
+        from scipy.optimize import minimize_scalar
+
+        fam = models.GaussianCase3(np.ones(2))
+        theta0 = models.GaussianCase3.natural_from_alpha_sigma2(2.0, 1.0)
+        best = minimize_scalar(
+            lambda a: -fim_censored(fam, theta0, fam.design_set([a, 2.0])).determinant,
+            bounds=(-2.0, 2.0), method="bounded", options={"xatol": 1e-8},
+        )
+        assert best.x == pytest.approx(0.42496, abs=1e-5)
+        assert round(best.x, 2) == 0.42
+
+
 class TestFimResult:
     def test_holds_its_matrix_alone_read_only(self):
         fam = models.GaussianCase3([1.0, 1.0])
