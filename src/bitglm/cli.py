@@ -5,7 +5,8 @@ Configs are JSON documents (conventionally ``.cfg``); parsing is strict,
 unknown keys are errors.  Every run with ``--out`` writes its files and
 then a ``manifest.json`` sufficient to reproduce it: config hash (stable
 under key reordering), the ``--seed`` override (null when the config's
-seeds apply), tool version, timestamps and output names.
+seeds apply), tool version, timestamps, output names and the environment:
+the python, numpy and scipy versions and numpy's BLAS.
 
 Exit codes: 0 ok, 2 config error, 3 degenerate model input,
 4 non-identifiable data, 5 runtime failure, 141 stdout closed early.
@@ -19,10 +20,12 @@ import inspect
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, fisher, models, montecarlo
 from .estimator import FitConfig, fit
@@ -307,6 +310,7 @@ def _write_run(args, doc, started_at, files):
     out_dir = Path(args.out)
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="utf-8")
+    blas = np.show_config("dicts")["Build Dependencies"]["blas"]
     manifest = {
         "tool": "bitglm",
         "version": __version__,
@@ -317,6 +321,9 @@ def _write_run(args, doc, started_at, files):
         "started_at": started_at,
         "finished_at": _utcnow(),
         "outputs": list(files),
+        "environment": dict(
+            python=platform.python_version(), numpy=np.__version__, scipy=scipy.__version__,
+            blas=f"{blas['name']} {blas['version']}"),
     }
     target = out_dir / "manifest.json"
     target.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -21,11 +21,20 @@ import numpy as np
 from . import _gauss, _poisson
 from .exceptions import DomainError, NonIdentifiable, NumericalError
 from .families import ModelFamily
-from .types import DesignSet
+from .types import DesignSet, _hold
 
 
 def _as_1d(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _private(values, label):
+    """A read-only copy of ``values``, checked once: DomainError unless finite."""
+    values = np.array(values, dtype=float, ndmin=1)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{label} must be finite")
+    values.setflags(write=False)
+    return values
 
 
 def _sigma_power(sigma, k):
@@ -116,19 +125,20 @@ class GaussianCase1(_GaussianIndex):
     fit_keys = ("sigma",)
 
     def __init__(self, weights, sigma):
-        self.weights = _as_1d(weights)
         self.sigma = float(sigma)
         if not self.sigma > 0:
             raise DomainError("sigma must be strictly positive")
-        if not np.all(np.isfinite(self.weights)):
-            raise DomainError("weights must be finite")
+        self.weights = _private(weights, "weights")
+        with np.errstate(over="ignore", divide="ignore"):  # the largest design entry
+            if not np.isfinite(np.max(np.abs(self.weights), initial=0.0) / self.sigma**2):
+                raise DomainError("weights / sigma^2 must be finite")
 
     def design_set(self, taus):
         taus = _as_1d(taus)
         if taus.shape != self.weights.shape:
             raise ValueError("need one threshold per weight")
-        V = (self.weights / self.sigma**2).reshape(-1, 1, 1)
-        return self._recorded(DesignSet(V, taus))
+        V = self.weights.reshape(-1, 1, 1) / self.sigma**2  # owns its data: no base to write
+        return self._recorded(DesignSet(_hold(V), taus))
 
     def _mean_sd(self, theta, designs):
         """(sigma^2 V alpha, sigma): the bytes of the k = 1 ``natural_params``."""
@@ -183,10 +193,10 @@ class GaussianCase1(_GaussianIndex):
         """Least squares, alpha = w.x / w.w."""
         self.check_designs(designs)
         w = designs.V[:, 0, 0] * self.sigma**2
-        denom = float(w @ w)
+        denom = float(np.add.reduce(w * w))  # not BLAS: its sums vary with the thread count
         if denom == 0.0:
             raise NonIdentifiable("all weights are zero")
-        return np.array([float(w @ x) / denom])
+        return np.array([float(np.add.reduce(w * x)) / denom])
 
     def index_regressors(self, designs):
         """z = tau/sigma - sigma V alpha, linear in beta = alpha."""
@@ -226,16 +236,14 @@ class GaussianCase2(_GaussianIndex):
     index_curvature = np.full((1, 1, 1), 2.0)
 
     def __init__(self, means):
-        self.means = _as_1d(means)
-        if not np.all(np.isfinite(self.means)):
-            raise DomainError("means must be finite")
+        self.means = _private(means, "means")
 
     def design_set(self, taus):
         taus = _as_1d(taus)
         if taus.shape != self.means.shape:
             raise ValueError("need one threshold per mean")
         V = np.full((taus.shape[0], 1, 1), -0.5)
-        return self._recorded(DesignSet(V, taus, aux=self.means))
+        return self._recorded(DesignSet(_hold(V), taus, aux=self.means))
 
     def _check_entries(self, designs):
         if designs.aux is None:
@@ -326,9 +334,7 @@ class GaussianCase3(_GaussianIndex):
     index_curvature = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
 
     def __init__(self, weights):
-        self.weights = _as_1d(weights)
-        if not np.all(np.isfinite(self.weights)):
-            raise DomainError("weights must be finite")
+        self.weights = _private(weights, "weights")
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -338,7 +344,7 @@ class GaussianCase3(_GaussianIndex):
         V = np.zeros((n, 2, 2))
         V[:, 0, 0] = self.weights
         V[:, 1, 1] = -0.5
-        return self._recorded(DesignSet(V, taus))
+        return self._recorded(DesignSet(_hold(V), taus))
 
     def _check_entries(self, designs):
         fixed = ((0, 1, 0.0), (1, 0, 0.0), (1, 1, -0.5))
@@ -411,10 +417,10 @@ class GaussianCase3(_GaussianIndex):
         """Least-squares alpha and the biased (MLE-convention) variance."""
         self.check_designs(designs)
         w = designs.V[:, 0, 0]
-        denom = float(w @ w)
+        denom = float(np.add.reduce(w * w))  # not BLAS: its sums vary with the thread count
         if denom == 0.0:
             raise NonIdentifiable("all weights are zero")
-        alpha = float(w @ x) / denom
+        alpha = float(np.add.reduce(w * x)) / denom
         sigma2 = float(np.mean((x - w * alpha) ** 2))
         if sigma2 <= 0.0:
             raise NonIdentifiable("zero empirical variance")
@@ -476,9 +482,7 @@ class PoissonModel(ModelFamily):
     param_keys = ("theta",)
 
     def __init__(self, covariates):
-        self.covariates = _as_1d(covariates)
-        if not np.all(np.isfinite(self.covariates)):
-            raise DomainError("covariates must be finite")
+        self.covariates = _private(covariates, "covariates")
 
     def design_set(self, taus):
         taus = _as_1d(taus)
@@ -584,7 +588,7 @@ class PoissonModel(ModelFamily):
 
         self.check_designs(designs)
         v = designs.V[:, 0, 0]
-        target = float(v @ x)
+        target = float(np.add.reduce(v * x))  # not BLAS: its sums vary with the thread count
         if np.all(v == v[0]) and v[0] != 0.0:
             mean_x = float(np.mean(x))
             if mean_x <= 0.0:
@@ -595,7 +599,7 @@ class PoissonModel(ModelFamily):
 
         def g(theta):
             with np.errstate(over="ignore"):
-                value = target - float(v @ np.exp(v * theta))
+                value = target - float(np.add.reduce(v * np.exp(v * theta)))
             if not math.isfinite(value):
                 raise NumericalError("poisson rates overflow before the root is bracketed")
             return value

@@ -3,14 +3,16 @@
 A parameter theta is a plain (k,) float array; its domain belongs to the
 model family (``ModelFamily.domain``, checked by ``check_theta``).
 Designs have one form, ``DesignSet``: the (V_i, tau_i) of all
-observations stacked into contiguous arrays, which every layer takes.
-All types are immutable after construction (arrays are made read-only),
-so they can be shared freely across workers.  ``is_finite_number`` and
+observations stacked into arrays, which every layer takes.  All types are
+immutable after construction (arrays are made read-only), so they can be
+shared freely across workers; a design set shares, and does not copy, an
+array that another design set holds.  ``is_finite_number`` and
 ``is_integer`` are the number checks of every config type.
 """
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +32,25 @@ def is_integer(value, minimum):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float, copy=True)
+#: The float arrays that design sets hold, by id: read-only, checked and owned
+#: by them alone.  An array from outside is never held: its owner can write it.
+_HELD = weakref.WeakValueDictionary()
+
+
+def _hold(a):
+    """``a``, read-only and held: a fresh array, or a view of a held one."""
     a.setflags(write=False)
+    _HELD[id(a)] = a
+    return a
+
+
+def _kept(a, error):
+    """``a`` if held and still read-only, else a held copy: ValueError(``error``) unless finite."""
+    if _HELD.get(id(a)) is a and not a.flags.writeable:
+        return a
+    a = _hold(np.array(a, dtype=float, copy=True))
+    if not np.isfinite(a).all():
+        raise ValueError(error)
     return a
 
 
@@ -48,35 +66,34 @@ def _checked(cls, **fields):
 
 
 class DesignSet:
-    """The designs of n observations, stored as contiguous arrays.
+    """The designs of n observations, stored as stacked arrays.
 
     ``V`` (n, d, k) holds the design matrices and ``taus`` (n,) the
     thresholds.  ``aux`` (n,) optionally carries a per-observation known
     constant that some model families read (the known mean of a
     variance-only Gaussian model); families that do not need it ignore it.
     Fields are set at construction; ``_passed`` records the families that
-    have checked the set.
+    have checked the set.  Arguments are copied and checked finite, except
+    held ones: ``DesignSet(ds.V, taus, ds.aux)`` copies ``taus`` alone.
     """
 
     __slots__ = ("V", "taus", "aux", "_passed")
 
     def __init__(self, V, taus, aux=None):
-        V = np.asarray(V, dtype=float)
+        V = _kept(V, "designs must be finite")
         if V.ndim != 3:
             raise ValueError("stacked designs must have shape (n, d, k)")
-        taus = np.asarray(taus, dtype=float)
+        taus = _kept(taus, "designs must be finite")
         if taus.shape != (V.shape[0],):
             raise ValueError("thresholds must have shape (n,)")
-        if not (np.isfinite(V).all() and np.isfinite(taus).all()):
-            raise ValueError("designs must be finite")
         if V.shape[0] < 1 or V.shape[1] < 1 or V.shape[2] < 1:
             raise ValueError("need n, d, k >= 1")
         if aux is not None:
-            aux = _readonly(aux)
-            if aux.shape != taus.shape or not np.isfinite(aux).all():
+            aux = _kept(aux, "aux must be finite, of shape (n,)")
+            if aux.shape != taus.shape:
                 raise ValueError("aux must be finite, of shape (n,)")
-        object.__setattr__(self, "V", _readonly(V))
-        object.__setattr__(self, "taus", _readonly(taus))
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "_passed", set())
 
@@ -105,8 +122,9 @@ class DesignSet:
         return self.n
 
     def subset(self, idx):
-        aux = None if self.aux is None else self.aux[idx]
-        return DesignSet(self.V[idx], self.taus[idx], aux)
+        """The rows ``idx``, held as gathered or as read-only views: not copied again."""
+        rows = (None if a is None else _hold(a[idx]) for a in (self.V, self.taus, self.aux))
+        return DesignSet(*rows)
 
     def natural_params(self, theta):
         """eta_i = V_i theta for every observation, shape (n, d)."""
@@ -242,7 +260,8 @@ class CensoredDataset:
         # adding 0.0 maps -0.0 to 0.0, so the group's first row does not
         # leak the input order into the representative
         V, taus, known = (
-            a if a is None else a[first] + 0.0 for a in (designs.V, designs.taus, designs.aux)
+            a if a is None else _hold(a[first] + 0.0)
+            for a in (designs.V, designs.taus, designs.aux)
         )
         # every family's design rules are row-wise: the rows keep the record
         picked = _checked(DesignSet, V=V, taus=taus, aux=known, _passed=set(designs._passed))

@@ -1,8 +1,8 @@
 """Results that do not depend on the BLAS thread count.
 
 OpenBLAS splits a long reduction over rows between its threads, and the
-split changes the rounding.  Each child process here fits every family and
-takes both informations on the same distinct-row data, with
+split changes the rounding.  Each child process here fits every family, takes
+both informations and the uncensored estimate on the same distinct-row data, with
 ``OPENBLAS_NUM_THREADS`` set to 1 in one and to 2 in the other, and the
 bytes must agree.
 """
@@ -42,6 +42,7 @@ for name in ("gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson"):
         "observed_information": hexed(res.observed_information),
         "fim_censored": hexed(fim_censored(fam, theta0, designs).matrix),
         "fim_uncensored": hexed(fim_uncensored(fam, theta0, designs).matrix),
+        "uncensored_mle": hexed(fam.uncensored_mle(designs, x)),
     }
 json.dump(out, sys.stdout)
 """

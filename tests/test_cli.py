@@ -853,7 +853,7 @@ class TestRunRecord:
 
     KEYS = [
         "tool", "version", "command", "config_path", "config_hash", "seed",
-        "started_at", "finished_at", "outputs",
+        "started_at", "finished_at", "outputs", "environment",
     ]
 
     def test_every_command_writes_the_same_record(self, tmp_path, capsys):

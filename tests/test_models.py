@@ -780,6 +780,10 @@ RARE_FAMILY_ERRORS = [
         "weights must be finite", id="case1-weights",
     ),
     pytest.param(
+        lambda: models.GaussianCase1([1.0, 1e300], sigma=1e-10), DomainError,
+        "weights / sigma^2 must be finite", id="case1-design-overflow",
+    ),
+    pytest.param(
         lambda: models.GaussianCase2([math.inf]), DomainError, "means must be finite",
         id="case2-means",
     ),
@@ -836,6 +840,31 @@ def test_rare_family_errors(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+class TestPerObservationValues:
+    """A family keeps a read-only copy of its per-observation values, checked
+    once: a later write to the caller's array reaches no design set."""
+
+    FAMILIES = [
+        pytest.param(lambda v: models.GaussianCase1(v, sigma=1.0), id="gaussian-case1"),
+        pytest.param(models.GaussianCase2, id="gaussian-case2"),
+        pytest.param(models.GaussianCase3, id="gaussian-case3"),
+        pytest.param(models.PoissonModel, id="poisson"),
+    ]
+
+    @pytest.mark.parametrize("make", FAMILIES)
+    def test_a_later_write_to_the_values_changes_no_design(self, make):
+        values = np.ones(3)
+        fam = make(values)
+        want = fam.design_set(np.zeros(3))
+        assert not getattr(fam, fam.per_obs_key).flags.writeable
+        assert want.V.base is None  # held as built: no other array reaches its data
+        for value in (5.0, math.inf):
+            values[0] = value
+            got = fam.design_set(np.zeros(3))  # finite, and equal to the first
+            assert np.array_equal(got.V, want.V)
+            assert got.aux is None or np.array_equal(got.aux, want.aux)
 
 
 class TestRegistry:

@@ -61,8 +61,108 @@ class TestDesignSet:
             assert np.array_equal(twin.V, designs.V) and twin._passed == set()
             with pytest.raises(AttributeError, match="read-only"):
                 twin.taus = designs.taus
+        for twin in (pickle.loads(pickle.dumps(designs)), copy.deepcopy(designs)):
+            # ... and owns fresh arrays
+            for field in ("V", "taus"):
+                assert not np.shares_memory(getattr(twin, field), getattr(designs, field))
         assert designs.subset([1])._passed == set()
         assert DesignSet(designs.V, designs.taus)._passed == set()
+
+
+class TestSharing:
+    """A design set shares, and does not copy, an array that a design set
+    already holds; it copies every other array."""
+
+    def test_a_set_built_from_held_arrays_holds_the_same_objects(self):
+        designs = DesignSet(np.ones((3, 1, 1)), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        swept = DesignSet(designs.V, [5.0, 1.0, 2.0], designs.aux)
+        assert swept.V is designs.V and swept.aux is designs.aux
+        assert swept.taus is not designs.taus and swept.taus.tolist() == [5.0, 1.0, 2.0]
+        again = DesignSet(swept.V, designs.taus)
+        assert again.V is designs.V and again.taus is designs.taus
+        grouped = CensoredDataset([1, 1, -1], designs).grouped()[0].designs
+        assert DesignSet(grouped.V, grouped.taus, grouped.aux).V is grouped.V
+
+    def test_a_threshold_sweep_allocates_no_copy_of_V(self):
+        import tracemalloc
+
+        fam = models.GaussianCase3(np.linspace(0.5, 1.5, 10**4))
+        designs = fam.design_set(np.zeros(10**4))
+        grid = [designs.taus + tau for tau in np.linspace(-1.0, 1.0, 64)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep = [DesignSet(designs.V, taus) for taus in grid]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(swept.V is designs.V for swept in sweep)
+        # one copy of each grid point's thresholds, and of nothing else that size
+        assert 64 * designs.taus.nbytes <= grown < 64 * designs.taus.nbytes + designs.V.nbytes
+
+    def test_subset_rows_are_not_copied_again(self):
+        designs = DesignSet(np.arange(4.0).reshape(4, 1, 1), np.zeros(4), np.ones(4))
+        prefix = designs.subset(slice(0, 2))
+        assert all(np.shares_memory(getattr(prefix, f), getattr(designs, f))
+                   for f in ("V", "taus", "aux"))
+        with pytest.raises(ValueError):
+            prefix.V.setflags(write=True)  # a view of a read-only array
+        gathered = designs.subset([3, 0])
+        assert DesignSet(gathered.V, gathered.taus, gathered.aux).V is gathered.V
+
+    @staticmethod
+    def _outside():
+        """(array, write): arrays from outside the package, and a later write
+        by their owner to each."""
+        writeable = np.ones((2, 1, 1))
+        owned = np.ones((2, 1, 1))
+        owned.setflags(write=False)
+        base = np.ones((2, 1, 1))
+        view = base[:]
+        view.setflags(write=False)
+
+        def rewrite(a):
+            a.setflags(write=True)
+            a[0, 0, 0] = 7.0
+
+        return [
+            (writeable, lambda: writeable.__setitem__((0, 0, 0), 7.0)),
+            (owned, lambda: rewrite(owned)),
+            (view, lambda: base.__setitem__((0, 0, 0), 7.0)),
+        ]
+
+    @pytest.mark.parametrize("case", range(3), ids=["writeable", "owned-read-only", "view"])
+    def test_outside_arrays_are_copied(self, case):
+        array, write = self._outside()[case]
+        designs = DesignSet(array, array[:, 0, 0], array[:, 0, 0])
+        again = DesignSet(array, designs.taus)  # not held, so copied once more
+        write()
+        for ds in (designs, again):
+            assert ds.V.tolist() == [[[1.0]], [[1.0]]]
+            assert not np.shares_memory(ds.V, array)
+        assert designs.taus.tolist() == designs.aux.tolist() == [1.0, 1.0]
+
+    def test_a_nonfinite_outside_array_raises_even_read_only(self):
+        bad = np.array([0.0, np.inf])
+        bad.setflags(write=False)
+        with pytest.raises(ValueError, match="designs must be finite"):
+            DesignSet(np.ones((2, 1, 1)), bad)
+        with pytest.raises(ValueError, match="aux must be finite"):
+            DesignSet(np.ones((2, 1, 1)), np.zeros(2), bad)
+
+    def test_a_held_array_made_writeable_again_is_copied(self):
+        designs = DesignSet(np.ones((2, 1, 1)), np.zeros(2))
+        designs.V.setflags(write=True)  # its owner's array: reachable, so not shared
+        assert DesignSet(designs.V, designs.taus).V is not designs.V
+
+    def test_a_shared_V_still_meets_the_rules_on_its_own_thresholds(self):
+        fam = models.PoissonModel([1.0, 2.0, 3.0])
+        checked = fam.design_set([0.0, 1.0, 2.0])
+        swept = DesignSet(checked.V, [0.0, 1.0, -2.0])
+        assert swept.V is checked.V and swept._passed == set()
+        with pytest.raises(DomainError, match="poisson thresholds must be >= 0") as err:
+            fam.check_designs(swept)
+        assert err.value.index == 2
 
 
 class TestCensoredDataset:

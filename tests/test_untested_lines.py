@@ -28,7 +28,7 @@ def test_one_selection():
     assert executable and missing == executable
     # the designs it builds carry aux, and all their entries are finite
     executable, missing = modules[TYPES]
-    assert _line(TYPES, "aux = _readonly(aux)") not in missing
+    assert _line(TYPES, "aux = _kept(aux, ") not in missing
     assert _line(TYPES, 'raise ValueError("stacked designs must have shape (n, d, k)")') in missing
     assert missing < executable
 
