@@ -22,7 +22,9 @@ k <= 2 the first needs no linear program: the cone of such d is spanned by
 the rays perpendicular to the rows at either end of the widest angular gap
 between them, or by its middle where it is a half-plane.  At a converged
 estimate the same rank test, on the rows weighted by sqrt(-n r), judges the
-information X^T diag(-n r) X; neither test reads the data's location.
+information X^T diag(-n r) X.  Neither test reads the data's location up to
+alpha/sigma ~ 1e6; beyond about 1e7 the unweighted test refuses case 3, whose
+regressors' relative singular value falls as (sigma/alpha)^2.
 
 Then a maximizer over beta_p >= 0, for a family's positive coordinate
 beta_p = 1/sigma, exists, and by the KKT conditions it lies on the wall
@@ -167,8 +169,23 @@ def _safe_ll(model, data, index, beta):
         return -np.inf, None, None, None
 
 
+def _cramer(M, y, rcond=0.0):
+    """M^-1 y for a 2 x 2 ``M`` by Cramer's rule in Python floats, forward stable
+    for 2 x 2 systems (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 1.10.1); None where |det M| is 0, not finite or <= ``rcond`` |M|_F^2."""
+    ((a, b), (c, d)), (e, f) = M.tolist(), y.tolist()
+    det = a * d - b * c
+    if not 0.0 < abs(det) < np.inf or abs(det) <= rcond * (a * a + b * b + c * c + d * d):
+        return None
+    return np.array([(d * e - b * f) / det, (a * f - c * e) / det])
+
+
 def _ascent_direction(neg_hess, grad):
-    """Newton direction; least squares where the negated Hessian is singular."""
+    """Newton direction: ``_cramer``'s for k = 2, else or where that is None
+    the LU solve, or least squares where LU finds the negated Hessian singular."""
+    direction = _cramer(neg_hess, grad) if len(grad) == 2 else None
+    if direction is not None:
+        return direction
     try:
         return np.linalg.solve(neg_hess, grad)
     except np.linalg.LinAlgError:

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import _gauss, _poisson
+from .estimator import _cramer
 from .exceptions import DomainError, NonIdentifiable, NumericalError
 from .families import ModelFamily
 from .types import DesignSet, _hold
@@ -79,6 +80,8 @@ class _GaussianIndex(ModelFamily):
         offset_j + X_j beta.  The beta of that system's least squares, weighted
         by n_j pdf(q_j)^2 / (p_j (1 - p_j)), is the MLE with exactly k designs,
         every one usable (a one-sided design still counts in the likelihood).
+        With k = 2 and two usable designs the weights cancel, and ``_cramer`` solves
+        the square system, reading |det| <= 2 eps |X|_F^2 as rank 1 (lstsq's, to 2x).
         The ``anchor`` where fewer are usable, the system is rank-deficient or
         the solution has beta_p <= 0.
         """
@@ -90,10 +93,14 @@ class _GaussianIndex(ModelFamily):
         p = plus[usable] / n
         q = _gauss.norm_ppf(p)
         X, offset = index[0][rows], index[1][rows]
-        root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
-        beta, _, rank, _ = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
+        if X.shape == (2, 2):
+            beta = _cramer(X, q - offset, 2.0 * np.finfo(float).eps)
+        else:
+            root_w = _gauss.norm_pdf(q) * np.sqrt(n / (p * (1.0 - p)))
+            solution = np.linalg.lstsq(X * root_w[:, None], (q - offset) * root_w, rcond=None)
+            beta = solution[0] if solution[2] == self.k else None
         p = self.index_positive
-        if rank < self.k or (p is not None and not beta[p] > 0):
+        if beta is None or (p is not None and not beta[p] > 0):
             return self.anchor()
         return beta
 

@@ -20,7 +20,7 @@ from .exceptions import (
     ExperimentFailure,
     NonIdentifiable,
 )
-from .types import CensoredDataset, is_finite_number, is_integer
+from .types import CensoredDataset, _checked, is_finite_number, is_integer
 
 
 def _substream(seed, n, trial):
@@ -123,17 +123,19 @@ class ThresholdRule:
                 raise ConfigError("two-point probabilities must lie in [0, 1]")
             if not math.isclose(float(probs.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
                 raise ConfigError("two-point probabilities must sum to 1")
+            # rng.choice(values, n, p=probabilities) exactly: the same uniforms u, and
+            # its cdf.searchsorted(u, side="right") as the count of these cuts <= u
+            cdf = np.cumsum(probs)
+            object.__setattr__(self, "_cuts", tuple(cdf[:-1] / cdf[-1]))
+            object.__setattr__(self, "_points", np.array(self.values, dtype=float))
+            self._points.setflags(write=False)
 
     def draw(self, n, rng):
         if self.kind == "fixed":
             return np.full(n, float(self.value))
         if self.kind == "two-point":
-            # rng.choice(values, n, p=probabilities) exactly: the same uniforms u, and
-            # its cdf.searchsorted(u, side="right") as the count of cdf[:-1] entries <= u
-            cdf = np.cumsum(np.asarray(self.probabilities, dtype=float))
             u = rng.random(n)
-            idx = sum((u >= c for c in cdf[:-1] / cdf[-1]), np.zeros(n, np.intp))
-            return np.asarray(self.values, dtype=float)[idx]
+            return self._points[sum((u >= c for c in self._cuts), np.zeros(n, np.intp))]
         if self.kind == "iid-uniform":
             return rng.uniform(float(self.low), float(self.high), size=n)
         return rng.normal(float(self.mu), float(self.sd), size=n)
@@ -221,8 +223,9 @@ def generate_and_censor(model, theta0, designs, seed):
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x = model.sample(np.asarray(theta0, dtype=float), designs, rng)
-    bits = np.where(x <= designs.taus, 1, -1)
-    return CensoredDataset(bits, designs)
+    # +-1 by construction, one per design (``sample`` checked them): nothing to validate
+    bits = np.where(x <= designs.taus, np.int8(1), np.int8(-1))
+    return _checked(CensoredDataset, bits=bits, designs=designs, counts=np.ones(x.shape, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +280,16 @@ def _squared_error(family, theta_hat, theta0, metric):
 def run_trial(config, n, trial):
     """One estimation trial; returns a TrialOutcome (never raises on the
     per-trial failure modes, which are reported through ``status``)."""
+    return _trial(config, n, trial)
+
+
+def _trial(config, n, trial, drawn=None):
+    """``run_trial``, first calling ``drawn(family, designs, theta0)``, where
+    given, on what the trial drew."""
     rng = _substream(config.seed, n, trial)
     family, designs, theta0 = family_and_theta(config, n, rng)
+    if drawn is not None:
+        drawn(family, designs, theta0)
     try:
         if config.estimator == "uncensored":
             x = family.sample(theta0, designs, rng)
@@ -295,11 +306,11 @@ def run_trial(config, n, trial):
     return TrialOutcome(n, theta_hat, err, "converged")
 
 
-def _converged_trials(config, n, trials):
+def _converged_trials(config, n, trials, drawn=None):
     """(converged outcomes in trial order, failure count) of trials
-    0 .. ``trials``-1 at n; raises ExperimentFailure where the failures
-    exceed ``config.max_failure_fraction`` of the trials."""
-    outcomes = [run_trial(config, n, trial) for trial in range(trials)]
+    0 .. ``trials``-1 at n, run by ``_trial`` with ``drawn``; raises
+    ExperimentFailure where they exceed ``config.max_failure_fraction``."""
+    outcomes = [_trial(config, n, trial, drawn) for trial in range(trials)]
     converged = [o for o in outcomes if o.status == "converged"]
     failures = trials - len(converged)
     if failures > config.max_failure_fraction * trials:
@@ -349,24 +360,27 @@ class NormalityReport:
 
 
 def check_asymptotic_normality(config, n, trials):
-    """Run ``trials`` trials of size n through ``run_trial`` and compare the
-    scaled estimator covariance with the inverse average information at
-    theta0 of the estimator ``config.estimator`` names.
+    """Run ``trials`` trials of size n as ``run_trial`` does and compare the
+    scaled estimator covariance with the inverse average information, at
+    theta0 and the designs each trial drew, of the estimator
+    ``config.estimator`` names.
 
     Raises ExperimentFailure where more than ``config.max_failure_fraction``
     of the trials, or all but one, fail to converge; needs two trials.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials to estimate a covariance")
-    converged, failures = _converged_trials(config, n, trials)
+    information = fisher.fim_censored if config.estimator == "censored" else fisher.fim_uncensored
+    info_sum = theta0 = 0.0
+
+    def add(family, designs, drawn_theta0):  # at the designs that the trial drew
+        nonlocal info_sum, theta0
+        info_sum = info_sum + information(family, drawn_theta0, designs).matrix / n
+        theta0 = drawn_theta0
+
+    converged, failures = _converged_trials(config, n, trials, add)
     if len(converged) < 2:
         raise ExperimentFailure(f"{len(converged)}/{trials} trials converged; a covariance needs 2")
-    information = fisher.fim_censored if config.estimator == "censored" else fisher.fim_uncensored
-    info_sum = 0.0
-    for trial in range(trials):
-        # the trial's own designs: run_trial drew them first from this substream
-        family, designs, theta0 = family_and_theta(config, n, _substream(config.seed, n, trial))
-        info_sum = info_sum + information(family, theta0, designs).matrix / n
     scaled = math.sqrt(n) * (np.array([o.theta_hat for o in converged]) - theta0)
     emp = np.atleast_2d(np.cov(scaled.T, ddof=1))
     ref = np.linalg.inv(info_sum / trials)

@@ -1,6 +1,7 @@
 """Solver behavior: oracle agreement, determinism, identifiability."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -1124,7 +1125,8 @@ class TestProbitStart:
         config, fam, data = _fig1_trial(name, n, trial)
         want = _closed_form_two_threshold(data)
         start = _start(fam, data)
-        assert_allclose(fam.to_moment(fam.theta_from_index(start)), want, rtol=1e-10)
+        # the square 2 x 2 system solved by Cramer's rule, where NormalDist inverts
+        assert_allclose(fam.to_moment(fam.theta_from_index(start)), want, rtol=1e-13)
         # any order of the rows gives the same tally, so the same start
         assert np.array_equal(_start(fam, data.permuted(np.arange(data.n)[::-1])), start)
         res = fit(fam, data, config.fit)
@@ -1193,6 +1195,27 @@ class TestProbitStart:
         fam, data = _gaussian(name, taus, bits, weights)
         assert np.array_equal(_start(fam, data), ANCHORS[name])
 
+    @pytest.mark.parametrize("ulps", [1, 10, 11, 30, 50, 51, 60])
+    def test_a_square_system_at_the_cutoff_starts_at_the_anchor(self, ulps):
+        # case-3 rows x = (tau, -w): (1, -1) at p = 1/2 and (10 + delta, -10) at
+        # p = 3/4, delta = ulps ulp(10), so det = delta exactly.  At |det| <= 2 eps
+        # |X|_F^2 (ulps <= 50) the rank reads 1.  The rows' weights n pdf(q)^2 /
+        # (p (1 - p)) balance the short row against the long one, so that a
+        # weighted least-squares fit reads rank 2 from delta ~ 11 ulp(10) on
+        delta = ulps * np.spacing(10.0)
+        taus, weights = [1.0] * 400 + [10.0 + delta] * 4, [1.0] * 400 + [10.0] * 4
+        fam, data = _gaussian("gaussian-case3", taus, [1, -1] * 200 + [1, 1, 1, -1], weights)
+        start = _start(fam, data)
+        cutoff = 2 * Fraction(np.finfo(float).eps) * sum(
+            Fraction(v) ** 2 for v in (1.0, -1.0, 10.0 + delta, -10.0)
+        )
+        if Fraction(delta) <= cutoff:
+            assert np.array_equal(start, ANCHORS["gaussian-case3"])
+        else:
+            # beta_0 = beta_1 = q(3/4) / delta, one rounding from exact
+            q = float(norm_ppf(0.75))
+            assert np.array_equal(start, [q / delta, q / delta])
+
     @pytest.mark.parametrize("name", GAUSSIANS)
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1217,3 +1240,95 @@ class TestProbitStart:
         slack = 2.0 * (new.final_score_norm + old.final_score_norm) / lam if lam > 0 else np.inf
         got, want = new.theta_hat, old.theta_hat
         assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want) + slack)
+
+
+#: angles on a grid of 2 pi / 2^20: sines and cosines are 0 or far from underflow,
+#: which the error bound below does not model
+ANGLES = st.integers(0, 2**20).map(lambda k: 2.0 * math.pi * k / 2**20)
+
+
+def _turn(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+class TestCramer:
+    """``estimator._cramer``, the 2 x 2 solve of the case-3 start and Newton
+    direction, against 50-digit mpmath.
+
+    In floats with unit roundoff u = 2^-53, the computed det = ad - bc is
+    det (1 + e_D), |e_D| <= (1 + u) u (|ad| + |bc|) / |det| + u, and the
+    computed numerator of x_i, t1 - t2 (de - bf or af - ce), is off by at
+    most u (|t1| + |t2|) before its own rounding.  With the subtraction's
+    and the division's roundings,
+
+        |x^_i - x_i| <= ((1 + u)^2 u (|t1| + |t2|) / |det|
+                         + |x_i| ((1 + u)^2 - 1 + e_D)) / (1 - e_D),
+
+    and since (|t1| + |t2|) / |det| = (|A^-1| |b|)_i and |x_i| (|ad| + |bc|)
+    / |det| <= (|A^-1| |A| |x|)_i, to first order |x^ - x|_inf <= u (2
+    cond(A, x) + 3) |x|_inf <= 5 u cond(A, x) |x|_inf, with Skeel's
+    cond(A, x) = | |A^-1| |A| |x| |_inf / |x|_inf >= 1 (Higham 2002, 1.10.1:
+    forward stable)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_cond=st.floats(0.0, 12.0),
+        turns=st.tuples(ANGLES, ANGLES),
+        log_scale=st.floats(-3.0, 3.0),
+        x_polar=st.tuples(st.floats(-3.0, 3.0), ANGLES),
+    )
+    def test_forward_error_within_its_bound(self, log_cond, turns, log_scale, x_polar):
+        # singular values 10^log_scale and 10^(log_scale - log_cond), rounded
+        A = _turn(turns[0]) @ np.diag([1.0, 10.0**-log_cond]) @ _turn(turns[1]) * 10.0**log_scale
+        r, phi = 10.0 ** x_polar[0], x_polar[1]
+        y = A @ np.array([r * math.cos(phi), r * math.sin(phi)])
+        got = estimator._cramer(A, y)
+        with mpmath.workdps(50):  # the products of doubles are exact here
+            (a, b), (c, d) = [[mpmath.mpf(v) for v in row] for row in A.tolist()]
+            e, f = (mpmath.mpf(v) for v in y.tolist())
+            det, u = a * d - b * c, mpmath.mpf(2) ** -53
+            x = [(d * e - b * f) / det, (a * f - c * e) / det]
+            e_d = (1 + u) * u * (abs(a * d) + abs(b * c)) / abs(det) + u
+            assert e_d < 1
+            terms = [abs(d * e) + abs(b * f), abs(a * f) + abs(c * e)]
+            bound = [
+                ((1 + u) ** 2 * u * t / abs(det) + abs(xi) * ((1 + u) ** 2 - 1 + e_d)) / (1 - e_d)
+                for t, xi in zip(terms, x)
+            ]
+            err = [abs(mpmath.mpf(float(g)) - xi) for g, xi in zip(got, x)]
+            assert all(ei <= bi for ei, bi in zip(err, bound))
+            # no worse than the LU solve, whose own error can be 0 by luck where
+            # a backward-stable solve may commit u cond(A, x) |x|: times 5, the
+            # constant of the first-order bound above
+            lu = np.linalg.solve(A, y)
+            lu_err = max(abs(mpmath.mpf(float(g)) - xi) for g, xi in zip(lu, x))
+            inv = [[d / det, -b / det], [-c / det, a / det]]
+            skeel = max(
+                sum(abs(inv[i][j]) * (abs(m[0]) * abs(x[0]) + abs(m[1]) * abs(x[1]))
+                    for j, m in enumerate(((a, b), (c, d))))
+                for i in range(2)
+            )
+            assert max(err) <= 5 * max(lu_err, u * skeel)
+
+    @pytest.mark.parametrize(
+        "neg_hess",
+        [
+            np.ones((2, 2)),  # det 0, and LU finds it singular: least squares
+            np.diag([1e-200, 1e-200]),  # det underflows to 0, and LU solves
+            np.diag([1e200, 1e200]),  # det overflows
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),  # det nan
+        ],
+    )
+    def test_other_determinants_take_the_lapack_chain(self, neg_hess):
+        grad = np.array([1.0, 3.0])
+        try:
+            want = np.linalg.solve(neg_hess, grad)
+        except np.linalg.LinAlgError:
+            want = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
+        assert estimator._ascent_direction(neg_hess, grad).tobytes() == want.tobytes()
+
+    def test_a_regular_two_by_two_step_is_cramers(self):
+        neg_hess, grad = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, 3.0])
+        step = estimator._ascent_direction(neg_hess, grad)
+        assert step.tobytes() == estimator._cramer(neg_hess, grad).tobytes()
+        assert np.array_equal(step, [(2.0 - 3.0) / 5.0, (9.0 - 1.0) / 5.0])

@@ -1,7 +1,9 @@
 """Data generation statistics, experiment reproducibility, and the
 condition checker."""
 
+import dataclasses
 import math
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -12,11 +14,13 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from bitglm import (
+    CensoredDataset,
     ExperimentFailure,
     FitConfig,
     ModelFamily,
     NonIdentifiable,
     cli,
+    fisher,
     models,
     montecarlo,
     types,
@@ -66,6 +70,21 @@ class TestGenerateAndCensor:
         a = generate_and_censor(fam, [0.2], ds, 11)
         b = generate_and_censor(fam, [0.2], ds, 11)
         assert np.array_equal(a.bits, b.bits)
+
+    @pytest.mark.parametrize(
+        "name", ["gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson"]
+    )
+    def test_dataset_is_the_public_constructors(self, name, rng):
+        # the same draws through CensoredDataset's validation passes
+        fam, theta, ds = random_instance(name, rng, n=50)
+        got = generate_and_censor(fam, theta, ds, 5)
+        x = fam.sample(theta, ds, np.random.default_rng(5))
+        want = CensoredDataset(np.where(x <= ds.taus, 1, -1), ds)
+        assert got.designs is ds
+        for a, b in ((got.bits, want.bits), (got.counts, want.counts)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            flags = ("writeable", "c_contiguous", "f_contiguous", "owndata", "aligned")
+            assert [getattr(a.flags, f) for f in flags] == [getattr(b.flags, f) for f in flags]
 
     @pytest.mark.parametrize("name", ["gaussian-case2", "gaussian-case3", "poisson"])
     def test_fraction_within_three_binomial_errors(self, name, rng):
@@ -385,6 +404,50 @@ class TestAsymptoticNormality:
         assert np.array_equal(report.empirical_cov, np.cov(scaled.T, ddof=1))
         assert report.failures == 30 - len(estimates)
 
+    def test_each_trial_draws_its_designs_once(self, monkeypatch):
+        # the report equals, bit for bit, the one computed from trials run
+        # through run_trial and designs drawn again from each trial's substream
+        cfg = case1_config(
+            weights=WeightsRule(kind="iid-uniform", low=0.5, high=1.5),
+            thresholds=ThresholdRule(kind="iid-uniform", low=0.0, high=1.0),
+        )
+        n, trials = 200, 20
+        converged = [o for o in (montecarlo.run_trial(cfg, n, t) for t in range(trials))
+                     if o.status == "converged"]
+        info_sum = 0.0
+        for trial in range(trials):
+            rng = montecarlo._substream(cfg.seed, n, trial)
+            family, designs, theta0 = montecarlo.family_and_theta(cfg, n, rng)
+            info_sum = info_sum + fisher.fim_censored(family, theta0, designs).matrix / n
+        scaled = math.sqrt(n) * (np.array([o.theta_hat for o in converged]) - theta0)
+        emp = np.atleast_2d(np.cov(scaled.T, ddof=1))
+        ref = np.linalg.inv(info_sum / trials)
+        u = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=0)
+        want = montecarlo.NormalityReport(
+            n=n,
+            trials=trials,
+            failures=trials - len(converged),
+            empirical_cov=emp,
+            reference_cov=ref,
+            rel_frobenius=float(np.linalg.norm(emp - ref) / np.linalg.norm(ref)),
+            skewness=np.mean(u**3, axis=0),
+            excess_kurtosis=np.mean(u**4, axis=0) - 3.0,
+            abs_third_moment=np.mean(np.abs(u) ** 3, axis=0),
+        )
+        draws = Counter()
+        draw = montecarlo.family_and_theta
+
+        def counted(*args):
+            draws["designs"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "family_and_theta", counted)
+        got = check_asymptotic_normality(cfg, n, trials)
+        assert draws["designs"] == trials
+        for field in dataclasses.fields(want):
+            a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
     def test_uncensored_estimator_gets_the_uncensored_reference(self):
         # weights 1 and sigma 1: each raw observation carries information 1,
         # where its bit at the optimal threshold carries 2/pi
@@ -472,6 +535,13 @@ class TestTrialSetup:
             assert calls["theta in fit"] == 1
 
 
+def _two_point_reference(values, probabilities, rng, n):
+    cdf = np.cumsum(np.asarray(probabilities, dtype=float))
+    u = rng.random(n)
+    idx = sum((u >= c for c in cdf[:-1] / cdf[-1]), np.zeros(n, np.intp))
+    return np.asarray(values, dtype=float)[idx]
+
+
 class TestRules:
     @pytest.mark.parametrize(
         "values, probabilities",
@@ -492,6 +562,29 @@ class TestRules:
                 want = theirs.choice(np.asarray(values, dtype=float), size=n, p=probabilities)
                 assert np.array_equal(rule.draw(n, ours), want)
                 assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "values, probabilities", [((0.42, 2.0), (0.5, 0.5)), ((1.0, 2.0, 3.0), (0.2, 0.3, 0.5))]
+    )
+    def test_two_point_draw_is_the_per_draw_formula(self, values, probabilities):
+        # the cuts and the values array, as each draw computed them before
+        rule = ThresholdRule(kind="two-point", values=values, probabilities=probabilities)
+        for seed in range(50):
+            want = _two_point_reference(values, probabilities, np.random.default_rng(seed), 1001)
+            assert rule.draw(1001, np.random.default_rng(seed)).tobytes() == want.tobytes()
+
+    def test_two_point_rule_is_still_a_frozen_dataclass(self):
+        rule = ThresholdRule(kind="two-point", values=(0.42, 2.0), probabilities=(0.5, 0.5))
+        other = dataclasses.replace(rule, probabilities=(0.25, 0.75))
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and hash(copy) == hash(rule) and other != rule
+
+        def draw(r):
+            return r.draw(1000, np.random.default_rng(3))
+
+        assert np.array_equal(draw(copy), draw(rule))
+        want = _two_point_reference((0.42, 2.0), (0.25, 0.75), np.random.default_rng(3), 1000)
+        assert np.array_equal(draw(other), want)
 
     def test_two_point_probabilities_validated(self):
         from bitglm import ConfigError

@@ -18,9 +18,13 @@ def test_one_trial_per_size(capsys):
     rows = lines[2:7]
     assert [int(row.split()[0]) for row in rows] == [1000, 1778, 3162, 5623, 10000]
     for row in rows:
-        times = [float(v) for v in row.split()[1:]]
-        assert len(times) == len(trial_stages.STAGES) + 1 and min(times) > 0.0
+        # per stage and in total, a time in us and a count of minor page faults
+        values = row.split()[1:]
+        assert len(values) == 2 * (len(trial_stages.STAGES) + 1)
+        times, faults = [float(v) for v in values[0::2]], [int(v) for v in values[1::2]]
+        assert min(times) > 0.0 and min(faults) >= 0
         assert abs(sum(times[:-1]) - times[-1]) < 0.3  # each printed to 0.1 us
+        assert sum(faults[:-1]) == faults[-1]
     assert "n = 1000" in lines[7]
     assert [line.split()[0] for line in lines[8:]] == [
         "gaussian-case1", "gaussian-case2", "gaussian-case3", "poisson"

@@ -6,25 +6,29 @@ Run from anywhere inside the repository:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/trial_stages.py
 
 For every sample size of ``configs/fig1.cfg`` the script replays trials
-0 .. ``--trials``-1 of its first censored curve the way
-``montecarlo.run_trial`` runs them, timing each stage ``--repeat`` times
-from the trial's own substream: the design draw (``family_and_theta``), the
-sampling, the dataset build, the grouping (``grouped()``, which ``fit``
-calls for its rows and their design tally) and the fit of the grouped rows.
-It prints, per n and stage, the median over trials of each trial's best
-time, in microseconds.  It then prints the best times of ``grouped()``, of
-``fit`` (grouping included) and of ``fisher.dpi_check`` at the true
-parameter on ``bench/workloads.iid_instance`` data, where no two rows share
-a design, at n = ``--iid-n`` for every family, and beside ``dpi_check`` its
-special-function floor on the same rows: the one call per row that the
-censored information cannot do without (``special_floor``), and the share
-of ``dpi_check`` spent beyond it.
+0 .. ``--trials``-1 of its first censored curve with the calls that
+``montecarlo.run_trial`` makes, so that the stages sum to one trial, running
+each stage ``--repeat`` times from the trial's own substream: the design
+draw (``family_and_theta``), the sampling and censoring
+(``generate_and_censor``), the fit of the raw rows (``fit``, which groups
+them) and the squared error.  It prints, per n and stage, the median over
+trials of each trial's best time, in microseconds, and beside it the median
+over trials of each trial's median count of minor page faults
+(``resource.getrusage``: pages mapped at their first touch, such as those
+that the allocator returned to the system and takes back).  It then prints
+the best times of ``grouped()``, of ``fit`` (grouping included) and of
+``fisher.dpi_check`` at the true parameter on ``bench/workloads.iid_instance``
+data, where no two rows share a design, at n = ``--iid-n`` for every family,
+and beside ``dpi_check`` its special-function floor on the same rows: the
+one call per row that the censored information cannot do without
+(``special_floor``), and the share of ``dpi_check`` spent beyond it.
 Uses the standard library, numpy and the bitglm of this checkout, or of
 the checkout whose ``src`` is on ``PYTHONPATH`` (one whose ``grouped()``
 returns the rows with their tally).
 """
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -40,24 +44,27 @@ from scipy import special  # noqa: E402
 from bitglm import CensoredDataset, _gauss, _poisson, cli, fisher, fit, montecarlo  # noqa: E402
 
 FIG1 = Path(cli.__file__).parent / "configs" / "fig1.cfg"
-STAGES = ("design draw", "sampling", "dataset build", "grouping", "fit after grouping")
+STAGES = ("design draw", "sample and censor", "fit", "squared error")
+
+
+def _mark():
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def trial_stages(config, n, trial):
-    """Seconds each stage of one censored trial took, in ``STAGES`` order."""
-    clock = [time.perf_counter()]
+    """(seconds, minor page faults) of each stage of one censored trial, in
+    ``STAGES`` order."""
+    marks = [_mark()]
     rng = montecarlo._substream(config.seed, n, trial)
     family, designs, theta0 = montecarlo.family_and_theta(config, n, rng)
-    clock.append(time.perf_counter())
-    x = family.sample(theta0, designs, rng)
-    clock.append(time.perf_counter())
-    data = CensoredDataset(np.where(x <= designs.taus, 1, -1), designs)
-    clock.append(time.perf_counter())
-    grouped = data.grouped()[0]
-    clock.append(time.perf_counter())
-    fit(family, grouped, config.fit)
-    clock.append(time.perf_counter())
-    return [b - a for a, b in zip(clock, clock[1:])]
+    marks.append(_mark())
+    data = montecarlo.generate_and_censor(family, theta0, designs, rng)
+    marks.append(_mark())
+    result = fit(family, data, config.fit)
+    marks.append(_mark())
+    montecarlo._squared_error(family, result.theta_hat, theta0, config.error_metric)
+    marks.append(_mark())
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(marks, marks[1:])]
 
 
 def special_floor(family, theta, designs):
@@ -106,14 +113,27 @@ def main(argv=None):
         (name, c) for name, c in cli.load_experiments(cli.load_json_config(FIG1))
         if c.estimator == "censored"
     )
-    print(f"fig1 curve {name}: median over {args.trials} trials of the best of {args.repeat}, us")
-    print(f"  {'n':>6s}" + "".join(f"  {s:>18s}" for s in STAGES) + f"  {'total':>8s}")
+    print(
+        f"fig1 curve {name}: median over {args.trials} trials of the best of {args.repeat}, us,"
+        " and of the median minor page faults"
+    )
+    print(f"  {'n':>6s}" + "".join(f"  {s:>17s}" for s in (*STAGES, "total")))
     for n in config.sample_sizes:
-        per_trial = [
-            best_of(args.repeat, lambda t=t: trial_stages(config, n, t)) for t in range(args.trials)
+        runs = [
+            [trial_stages(config, n, t) for _ in range(args.repeat)] for t in range(args.trials)
         ]
-        medians = [1e6 * statistics.median(column) for column in zip(*per_trial)]
-        print(f"  {n:6d}" + "".join(f"  {m:18.1f}" for m in medians) + f"  {sum(medians):8.1f}")
+        times = [
+            1e6 * statistics.median(min(run[i][0] for run in trial) for trial in runs)
+            for i in range(len(STAGES))
+        ]
+        faults = [
+            statistics.median_low(
+                statistics.median_low(run[i][1] for run in trial) for trial in runs
+            )
+            for i in range(len(STAGES))
+        ]
+        cells = [*zip(times, faults), (sum(times), sum(faults))]
+        print(f"  {n:6d}" + "".join(f"  {t:10.1f} {f:6d}" for t, f in cells))
 
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
