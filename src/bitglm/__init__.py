@@ -11,7 +11,7 @@ normality experiments.
 
 __version__ = "0.1.0"
 
-from .estimator import FitConfig, FitResult, fit
+from .estimator import FitResult, fit
 from .exceptions import (
     BitGlmError,
     ConfigError,
@@ -80,7 +80,6 @@ __all__ = [
     "fim_uncensored",
     "dpi_check",
     # estimator
-    "FitConfig",
     "FitResult",
     "fit",
     # monte carlo

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__, fisher, models, montecarlo
-from .estimator import FitConfig, fit
+from .estimator import fit
 from .exceptions import (
     BitGlmError,
     ConfigError,
@@ -409,11 +409,10 @@ def cmd_fim(args, doc, started_at):
 
 
 def cmd_fit(args, doc, started_at):
-    _check_keys(doc, "<root>", required=("model",), optional=("fit",))
+    _check_keys(doc, "<root>", required=("model",))
     family, data = load_data_file(args.data, doc["model"])
-    config = _build(FitConfig, doc.get("fit", {}), "fit")
     _make_out(args)
-    result = fit(family, data, config)
+    result = fit(family, data)
     moment = family.to_moment(result.theta_hat)
     payload = {
         "model": family.name,

@@ -40,8 +40,9 @@ import numpy as np
 
 from . import likelihood
 from .exceptions import DegenerateLikelihood, DomainError, NonIdentifiable, NumericalError
-from .types import is_integer
 
+#: Most Newton directions an ascent takes before it stops as "max-iterations".
+MAX_ITERATIONS = 200
 #: Smallest line-search damping before giving up on a direction.
 MIN_DAMPING = 1e-14
 #: Factor the line search shrinks a rejected step by.
@@ -60,32 +61,22 @@ WALL_TOLERANCE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Solver settings; the defaults suit all bundled model families."""
-
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not is_integer(self.max_iterations, 1):
-            raise ValueError("max_iterations must be an integer >= 1")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Outcome of a fit, in theta.
 
-    ``theta_hat`` is a read-only (k,) float array inside the family's
-    domain; ``observed_information`` is the negated Hessian at the estimate;
-    ``status`` is one of "converged" (stationary to rounding in beta: the
-    Newton step moves no index beyond rounding, or the ascent came back to
-    a point it had left, and the regressors weighted by sqrt(-n r) have rank
-    k; past alpha/sigma ~ 1e8 the smallest eigenvalue of the information in
-    theta can read below its rounding), "max-iterations" or
-    "boundary-divergence" (the supremum lies on the wall sigma -> infinity,
-    and the estimate and its log-likelihood are the maximizer along it,
-    moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
-    directions: the interior ascent's, or for a boundary fit the ascent
-    along the wall's.  ``final_score_norm`` is the score in theta, as it is.
+    ``theta_hat`` is a read-only (k,) float array inside the family's domain;
+    ``observed_information`` is the negated Hessian at the estimate; ``status``
+    is one of "converged" (stationary to rounding in beta: the Newton step moves
+    no index beyond rounding, or the ascent came back to a point it had left,
+    and the regressors weighted by sqrt(-n r) have rank k; past alpha/sigma ~
+    1e8 the smallest eigenvalue of the information in theta can read below its
+    rounding), "max-iterations" (short of a stationary point: at the cap of
+    MAX_ITERATIONS = 200 directions, or a direction that did not ascend or found
+    no step) or "boundary-divergence" (the supremum lies on the wall sigma ->
+    infinity, and the estimate and its log-likelihood are the maximizer along
+    it, moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
+    directions: the interior ascent's, or for a boundary fit the ascent along
+    the wall's.  ``final_score_norm`` is the score in theta, as it is.
     """
 
     theta_hat: np.ndarray
@@ -247,14 +238,14 @@ def _wall_within_rounding(p, beta, state):
     return _below_resolution(0.5 * float(beta[p]) ** 2 * schur, ll)
 
 
-def _newton(model, data, index, beta, state, direction, config):
+def _newton(model, data, index, beta, state, direction):
     """Damped Newton ascent from ``beta``, its evaluation ``state`` and its
     ``_newton_direction`` until that is None or the ascent is back at a point
     it has left ("converged"), a direction does not ascend or the line search
     finds no step: (beta, status, iterations, its ``index_evaluate``)."""
     ll, grad, hess, link = state
     visited = set()
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         # the ascent is deterministic, so back at a point it has left it
         # would cycle to the iteration cap
         point = beta.tobytes()
@@ -285,7 +276,7 @@ def _newton(model, data, index, beta, state, direction, config):
     return beta, "max-iterations", iterations, (ll, grad, hess, link)
 
 
-def _wall_maximum(model, data, index, beta, state, config):
+def _wall_maximum(model, data, index, beta, state):
     """The maximizer along the wall beta_p = 0, moved in until an index moves
     by eps, as ``_newton`` returns it; None where dl/dbeta_p is positive there
     beyond WALL_TOLERANCE.  Ascends from the wall maximizer of the quadratic
@@ -299,7 +290,7 @@ def _wall_maximum(model, data, index, beta, state, config):
     start, state = _evaluable(model, data, wall_index, start, np.zeros(len(start)))
     direction = _newton_direction(wall_index, start, *state[1:3])
     free_beta, _, iterations, (_, _, _, (s, r)) = _newton(
-        model, data, wall_index, start, state, direction, config
+        model, data, wall_index, start, state, direction
     )
     x = X[:, p]
     slope = np.add.reduce(x * (s * data.counts))
@@ -311,7 +302,7 @@ def _wall_maximum(model, data, index, beta, state, config):
     return wall, "boundary-divergence", iterations, state
 
 
-def fit(model, data, config=None):
+def fit(model, data):
     """Maximize the censored log-likelihood over the model's domain.
 
     Works on ``data.grouped()``, so the result is bit-identical under any
@@ -321,7 +312,6 @@ def fit(model, data, config=None):
     one); propagates degenerate-data errors and DomainError, naming a row in
     the numbering of ``data``.
     """
-    config = config or FitConfig()
     # every evaluation below costs O(distinct rows), and the canonical row
     # order makes the fit independent of the order of the observations
     data, rows, tally = data.grouped()
@@ -334,10 +324,8 @@ def fit(model, data, config=None):
         # within rounding of it; elsewhere it is decided before any ascent
         fitted, p = None, model.index_positive
         if p is not None and (direction is not None or _wall_within_rounding(p, beta, state)):
-            fitted = _wall_maximum(model, data, index, beta, state, config)
-        beta, status, iterations, state = fitted or _newton(
-            model, data, index, beta, state, direction, config
-        )
+            fitted = _wall_maximum(model, data, index, beta, state)
+        beta, status, iterations, state = fitted or _newton(model, data, index, beta, state, direction)
     except (DomainError, DegenerateLikelihood) as err:
         if err.index is None:
             raise

@@ -8,12 +8,12 @@ order.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fisher, models
-from .estimator import FitConfig, fit
+from .estimator import fit
 from .exceptions import (
     ConfigError,
     DegenerateLikelihood,
@@ -166,7 +166,6 @@ class ExperimentConfig:
     seed: int
     error_metric: str = "moment-coordinates"
     estimator: str = "censored"
-    fit: FitConfig = field(default_factory=FitConfig)
     max_failure_fraction: float = 0.05
 
     def __post_init__(self):
@@ -296,7 +295,7 @@ def _trial(config, n, trial, drawn=None):
             theta_hat = family.check_theta(family.uncensored_mle(designs, x)).copy()
             theta_hat.setflags(write=False)
         else:
-            result = fit(family, generate_and_censor(family, theta0, designs, rng), config.fit)
+            result = fit(family, generate_and_censor(family, theta0, designs, rng))
             if not result.converged:
                 return TrialOutcome(n, result.theta_hat, math.nan, result.status)
             theta_hat = result.theta_hat

@@ -24,7 +24,6 @@ import pytest
 
 from bitglm import (
     CensoredDataset,
-    FitConfig,
     NonIdentifiable,
     cli,
     fim_censored,
@@ -106,7 +105,6 @@ def poisson_curve():
         trials=1000,
         seed=77,
         error_metric="natural-coordinates",
-        fit=FitConfig(),
     )
     return montecarlo.run_mse_experiment(config)
 
@@ -295,7 +293,6 @@ def test_criterion_7_asymptotic_normality():
         sample_sizes=(10000,),
         trials=500,
         seed=424242,
-        fit=FitConfig(),
     )
     report = montecarlo.check_asymptotic_normality(config, 10000, 500)
     # the reference must agree with the closed-form information
@@ -383,14 +380,13 @@ def test_criterion_9_grid_oracle_and_determinism():
             fam = models.GaussianCase2(np.tile(fam.means, reps))
         ds = fam.design_set(np.tile(ds.taus, reps))
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        cfg = FitConfig()
         try:
-            res = fit(fam, data, cfg)
+            res = fit(fam, data)
         except Exception:
             continue
         if not res.converged:
             continue
-        rerun = fit(fam, data, cfg)
+        rerun = fit(fam, data)
         assert np.array_equal(res.theta_hat, rerun.theta_hat)
         assert res.log_likelihood == rerun.log_likelihood
 

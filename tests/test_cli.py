@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitglm import ConfigError, FitConfig, cli, models
+from bitglm import ConfigError, cli, models
 from bitglm.cli import config_hash, load_json_config
 from bitglm.montecarlo import ExperimentConfig, ThresholdRule, WeightsRule
 
@@ -284,7 +284,6 @@ class TestFit:
 
     def test_roundtrip_matches_in_process(self, tmp_path):
         from bitglm import CensoredDataset, fit
-        from bitglm.estimator import FitConfig
 
         cfg = write(tmp_path, "fit.cfg", CASE1_FIT_CFG)
         data_path = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
@@ -293,7 +292,7 @@ class TestFit:
 
         fam = models.GaussianCase1(np.ones(4), sigma=1.0)
         dataset = CensoredDataset([1, 1, 1, -1], fam.design_set(np.zeros(4)))
-        res = fit(fam, dataset, FitConfig())
+        res = fit(fam, dataset)
         assert doc["theta_hat"] == [float(v) for v in res.theta_hat]
         assert doc["log_likelihood"] == res.log_likelihood
         assert doc["iterations"] == res.iterations
@@ -550,8 +549,6 @@ EXPERIMENT_ERRORS = [
         ({"max_failure_fraction": value}, "max_failure_fraction")
         for value in ("0.1", True, -0.5, 1.0)
     ),
-    ({"fit": {"multistart_count": 1}}, "multistart_count"),
-    ({"fit": {"start": [0.0]}}, "start"),
     # non-finite numbers and rule fields that the rule's kind reads
     *(
         ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
@@ -572,9 +569,6 @@ EXPERIMENT_ERRORS = [
         {"thresholds": {"kind": "two-point", "values": [0, math.inf], "probabilities": [1, 0]}},
         "values",
     ),
-    *(({"fit": {"max_iterations": value}}, "max_iterations") for value in (math.inf, 2.5)),
-    # the solver has one stop rule and no score tolerance: a once valid key
-    ({"fit": {"gradient_tolerance": 1e-9}}, "gradient_tolerance"),
 ]
 
 
@@ -687,18 +681,27 @@ class TestFamilyKeys:
         assert key in err
 
     @pytest.mark.parametrize(
-        "key", ["backtracking_factor", "sufficient_increase", "multistart_count", "seed"]
+        "section",
+        [
+            {},
+            {"max_iterations": 200},
+            # keys the fit section rejected before it was removed
+            *(
+                {key: 0.5}
+                for key in (
+                    "backtracking_factor", "sufficient_increase", "multistart_count", "seed"
+                )
+            ),
+        ],
     )
-    def test_fit_section_has_no_line_search_keys(self, tmp_path, capsys, key):
-        cfg = write(
-            tmp_path,
-            "fit.cfg",
-            f'{{"model": {{"name": "gaussian-case1", "sigma": 1.0}}, "fit": {{"{key}": 0.5}}}}',
-        )
+    def test_fit_config_has_no_fit_section(self, tmp_path, capsys, section):
+        # the solver takes no settings: its iteration cap is a constant
+        doc = {"model": {"name": "gaussian-case1", "sigma": 1.0}, "fit": section}
+        cfg = write(tmp_path, "fit.cfg", json.dumps(doc))
         data = write(tmp_path, "obs.dat", FOUR_ROW_DATA)
         code, err = main_in_process(capsys, "fit", "--config", cfg, "--data", data)
         assert code == 2
-        assert key in err
+        assert "config error (<root>): unknown key(s) ['fit']" in err
 
     def test_fit_means_need_one_entry_per_row(self, tmp_path, capsys):
         cfg = write(tmp_path, "fit.cfg", '{"model": {"name": "gaussian-case2", "means": [0, 1]}}')
@@ -753,25 +756,41 @@ class TestFamilyKeys:
 
     @pytest.mark.parametrize("override, key", EXPERIMENT_ERRORS)
     def test_library_rejects_what_simulate_rejects(self, override, key):
-        # the same section built directly: its rules and fit section from
-        # their objects, then the experiment, which checks its own fields
+        # the same section built directly: its rules from their objects,
+        # then the experiment, which checks its own fields
         doc = self._experiment("bad", **override)
         del doc["name"]
-        sections = {"weights": WeightsRule, "thresholds": ThresholdRule, "fit": FitConfig}
-        # FitConfig, a solver type, raises ValueError or TypeError
-        expected = (ValueError, TypeError) if "fit" in override else ConfigError
-        with pytest.raises(expected, match=re.escape(key)):
-            for section, cls in sections.items():
-                if section in doc:
-                    doc[section] = cls(**doc[section])
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            doc["weights"] = WeightsRule(**doc["weights"])
+            doc["thresholds"] = ThresholdRule(**doc["thresholds"])
             ExperimentConfig(**doc)
 
-    def test_gradient_tolerance_is_an_unknown_fit_key(self):
-        doc = self._experiment("x", fit={"max_iterations": 50, "gradient_tolerance": 1e-9})
-        unknown = re.escape("unknown key(s) ['gradient_tolerance']")
-        with pytest.raises(ConfigError, match=unknown) as err:
-            cli.build_experiment(doc)
-        assert err.value.location == "experiment.fit"
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {},
+            {"max_iterations": 50},
+            # sections that failed on their own keys or values before
+            {"multistart_count": 1},
+            {"start": [0.0]},
+            *({"max_iterations": value} for value in (math.inf, 2.5)),
+            {"gradient_tolerance": 1e-9},
+        ],
+    )
+    def test_fit_is_an_unknown_experiment_key(self, tmp_path, capsys, section):
+        # the solver takes no settings: its iteration cap is a constant
+        unknown = "unknown key(s) ['fit']"
+        with pytest.raises(ConfigError, match=re.escape(unknown)) as err:
+            cli.build_experiment(self._experiment("x", fit=section))
+        assert err.value.location == "experiment"
+        # the bad experiment comes second: nothing may run or be written
+        doc = {"experiments": [self._experiment("good"), self._experiment("bad", fit=section)]}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert f"config error (experiments[1]): {unknown}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", [["a"], "../escaped", "sub/dir", "", 5, ".", ".."])
     def test_experiment_names_are_file_names_in_out(self, tmp_path, capsys, name):

@@ -1,5 +1,6 @@
 """Solver behavior: oracle agreement, determinism, identifiability."""
 
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -13,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bitglm
 from bitglm import (
     BitGlmError,
     CensoredDataset,
     DegenerateLikelihood,
     DesignSet,
     DomainError,
-    FitConfig,
+    ModelFamily,
     NonIdentifiable,
     NumericalError,
     cli,
@@ -29,7 +31,7 @@ from bitglm import (
     models,
     montecarlo,
 )
-from bitglm._gauss import norm_ppf
+from bitglm._gauss import fim_weight, log_cdf_and_signed_hazard, norm_ppf
 from conftest import MODEL_NAMES, random_instance, repeated_rows
 from _oracles import grid_search_maximizer, lp_separated
 
@@ -212,7 +214,7 @@ class TestFitSpots:
         # lies on the wall sigma -> infinity, reported just inside
         fam = models.GaussianCase2(means=[0.0, 0.0])
         data = CensoredDataset([1, -1], fam.design_set([-1.0, 2.0]))
-        res = fit(fam, data, FitConfig(max_iterations=300))
+        res = fit(fam, data)
         assert not res.converged
         assert res.status == "boundary-divergence"
         assert res.theta_hat[0] > 0  # never left the domain
@@ -747,6 +749,33 @@ class TestSeparation:
         X = Index().index_regressors(data.designs)[0]
         assert_allclose(estimator._separating_direction(Index(), data, X), [0.6, 0.8])
 
+    def test_the_search_refuses_more_than_two_index_coordinates(self):
+        # ModelFamily is public, so a family can have k = 3; the angular-gap
+        # search needs k <= 2, and bits that are not paired need the search
+        class Probit3(ModelFamily):
+            name, d, k = "probit-3", 1, 3
+
+            def index_regressors(self, designs):
+                return designs.V[:, 0, :], designs.taus
+
+            def index_link(self, z, designs, bits):
+                log_p, c = log_cdf_and_signed_hazard(z, bits)
+                return log_p, c, -c * (z + c)
+
+            def index_weight(self, z, designs):
+                return fim_weight(z)
+
+            def initial_point(self, data, index, tally):
+                return self.anchor()
+
+            # what fit does not call
+            uncensored_information = max_third_abs_moment_T = sample = uncensored_mle = None
+
+        V = np.random.default_rng(0).normal(size=(6, 1, 3))
+        data = CensoredDataset([1, -1, 1, 1, -1, -1], DesignSet(V, np.zeros(6)))
+        with pytest.raises(NotImplementedError, match="k <= 2"):
+            fit(Probit3(), data)
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_designs_seen_with_both_bits_are_never_separated(self, name):
         # fit skips the search where every design has both bits: there the
@@ -908,10 +937,9 @@ class TestDeterminism:
         fam = models.GaussianCase3(np.tile(fam.weights, reps))
         ds = fam.design_set(np.tile(ds.taus, reps))
         data = CensoredDataset(rng.choice([-1, 1], ds.n), ds)
-        cfg = FitConfig()
         try:
-            a = fit(fam, data, cfg)
-            b = fit(fam, data, cfg)
+            a = fit(fam, data)
+            b = fit(fam, data)
         except NonIdentifiable:
             pytest.skip("instance not identifiable")
         assert np.array_equal(a.theta_hat, b.theta_hat)
@@ -972,17 +1000,24 @@ class TestInitialPoint:
         assert _start(fam, data)[0] == 1.0  # beta_0 = 1/sigma
 
 
-class TestFitConfigValidation:
-    def test_rejects_bad_values(self):
-        for bad in (0, 2.5, np.inf, True):
-            with pytest.raises(ValueError, match="max_iterations"):
-                FitConfig(max_iterations=bad)
+def test_fit_takes_no_settings():
+    # an ascent stops only where its Newton step moves no index beyond
+    # rounding, or at the fixed cap MAX_ITERATIONS: there is nothing to set
+    assert list(inspect.signature(fit).parameters) == ["model", "data"]
+    assert "FitConfig" not in bitglm.__all__
+    assert not hasattr(bitglm, "FitConfig") and not hasattr(estimator, "FitConfig")
 
-    def test_gradient_tolerance_is_no_setting(self):
-        # an ascent stops only where its Newton step moves no index beyond
-        # rounding, so there is no score tolerance to set
-        with pytest.raises(TypeError, match="gradient_tolerance"):
-            FitConfig(gradient_tolerance=1e-9)
+
+def test_readme_quick_start_runs_as_written():
+    # a name removed from the API must not stay in the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    assert scope["result"].status == "converged"
+    assert scope["alpha"] == pytest.approx(2.0, abs=0.1)
+    assert scope["sigma2"] == pytest.approx(1.0, abs=0.1)
+    assert scope["info"].matrix.shape == (2, 2)
 
 
 def _fig1_trial(name, n, trial):
@@ -1022,7 +1057,7 @@ class TestBlindLineSearch:
     def test_fig1_trial_converges_to_closed_form(self, name, n, trial):
         config, fam, data = _fig1_trial(name, n, trial)
         assert montecarlo.run_trial(config, n, trial).status == "converged"
-        res = fit(fam, data, config.fit)
+        res = fit(fam, data)
         assert res.converged and res.status == "converged"
         assert res.final_score_norm <= 1e-9
         alpha_sigma = fam.to_moment(res.theta_hat)
@@ -1030,10 +1065,11 @@ class TestBlindLineSearch:
 
 
 class TestNewtonGivesUp:
-    """The two ways the ascent stops short of a stationary point: a direction
-    that does not ascend, and a line search that finds no acceptable step.
-    Each ends "max-iterations" at the iterate it had, here the start: two
-    designs, whose probit start (alpha 0.279) is not the MLE (0.255)."""
+    """The three ways the ascent stops short of a stationary point: a direction
+    that does not ascend, a line search that finds no acceptable step, and the
+    iteration cap.  The first two end "max-iterations" at the iterate they had,
+    here the start: two designs, whose probit start (alpha 0.279) is not the
+    MLE (0.255)."""
 
     @staticmethod
     def _data():
@@ -1058,6 +1094,22 @@ class TestNewtonGivesUp:
         with mock.patch.object(estimator, "_safe_ll", lambda *args: (-np.inf, None, None)):
             res = fit(*self._data())
         self._assert_stopped_at_the_start(res)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_the_iteration_cap(self, name):
+        # distinct rows fitted from the anchor need more than two directions;
+        # a cap of two stops the ascent after two, inside the domain, having
+        # climbed from the anchor but not to the maximum
+        fam, data = _draw(name, 0, False)
+        with mock.patch.object(fam, "initial_point", lambda *args: fam.anchor()):
+            full = fit(fam, data)
+            with mock.patch.object(estimator, "MAX_ITERATIONS", 2):
+                capped = fit(fam, data)
+        assert full.converged and full.iterations > 2
+        assert capped.status == "max-iterations" and capped.iterations == 2
+        fam.check_theta(capped.theta_hat)
+        start = likelihood.log_likelihood(fam, fam.theta_from_index(fam.anchor()), data)
+        assert start < capped.log_likelihood < full.log_likelihood
 
 
 def _pooled_start(model, data):
@@ -1129,7 +1181,7 @@ class TestProbitStart:
         assert_allclose(fam.to_moment(fam.theta_from_index(start)), want, rtol=1e-13)
         # any order of the rows gives the same tally, so the same start
         assert np.array_equal(_start(fam, data.permuted(np.arange(data.n)[::-1])), start)
-        res = fit(fam, data, config.fit)
+        res = fit(fam, data)
         assert res.converged and res.iterations == 1
         # no step is taken: the estimate is the start, taken to theta once
         assert np.array_equal(res.theta_hat, fam.theta_from_index(start))

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from bitglm import (
     CensoredDataset,
     ExperimentFailure,
-    FitConfig,
     ModelFamily,
     NonIdentifiable,
     cli,
@@ -236,7 +235,6 @@ class TestMseExperiment:
             sample_sizes=(400,),
             trials=25,
             seed=5,
-            fit=FitConfig(),
         )
         nat = run_mse_experiment(ExperimentConfig(error_metric="natural-coordinates", **shared))
         mom = run_mse_experiment(ExperimentConfig(error_metric="moment-coordinates", **shared))
@@ -345,7 +343,6 @@ class TestMseExperiment:
             trials=150,
             seed=31,
             error_metric="natural-coordinates",
-            fit=FitConfig(),
         )
         table = run_mse_experiment(cfg)
         assert table.loglog_slope() == pytest.approx(-1.0, abs=0.3)
@@ -372,10 +369,7 @@ class TestAsymptoticNormality:
             check_asymptotic_normality(cfg, 2, 2)
 
     def test_scalar_family_matches_information(self):
-        cfg = case1_config(
-            thresholds=ThresholdRule(kind="fixed", value=0.5),
-            fit=FitConfig(),
-        )
+        cfg = case1_config(thresholds=ThresholdRule(kind="fixed", value=0.5))
         report = check_asymptotic_normality(cfg, 4000, 220)
         # optimal threshold: per-observation information 2/pi
         assert report.reference_cov[0, 0] == pytest.approx(math.pi / 2, rel=1e-6)

@@ -60,7 +60,7 @@ def trial_stages(config, n, trial):
     marks.append(_mark())
     data = montecarlo.generate_and_censor(family, theta0, designs, rng)
     marks.append(_mark())
-    result = fit(family, data, config.fit)
+    result = fit(family, data)
     marks.append(_mark())
     montecarlo._squared_error(family, result.theta_hat, theta0, config.error_metric)
     marks.append(_mark())
