@@ -36,9 +36,8 @@ from .models import (
 from .montecarlo import (
     ExperimentConfig,
     MseTable,
-    ThresholdRule,
+    Rule,
     TrialOutcome,
-    WeightsRule,
     check_asymptotic_normality,
     check_consistency_conditions,
     generate_and_censor,
@@ -84,8 +83,7 @@ __all__ = [
     "fit",
     # monte carlo
     "ExperimentConfig",
-    "WeightsRule",
-    "ThresholdRule",
+    "Rule",
     "TrialOutcome",
     "MseTable",
     "generate_and_censor",

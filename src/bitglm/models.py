@@ -46,6 +46,16 @@ def _sigma_power(sigma, k):
         raise NumericalError(f"sigma**{k} overflows a float at sigma = {sigma:g}") from None
 
 
+def _variance(sigma):
+    """sigma**2; DomainError unless sigma > 0 and sigma**2 is a finite positive float."""
+    sigma = float(sigma)
+    if not sigma > 0:
+        raise DomainError("sigma must be strictly positive")
+    if not 0.0 < sigma * sigma < math.inf:
+        raise DomainError(f"sigma^2 must be a finite positive float, got sigma = {sigma:g}")
+    return sigma**2
+
+
 def _mean(x, data):
     """Mean over the observations, weighting each row by its count."""
     return float(np.average(x, weights=data.counts))
@@ -133,11 +143,10 @@ class GaussianCase1(_GaussianIndex):
 
     def __init__(self, weights, sigma):
         self.sigma = float(sigma)
-        if not self.sigma > 0:
-            raise DomainError("sigma must be strictly positive")
+        variance = _variance(self.sigma)
         self.weights = _private(weights, "weights")
-        with np.errstate(over="ignore", divide="ignore"):  # the largest design entry
-            if not np.isfinite(np.max(np.abs(self.weights), initial=0.0) / self.sigma**2):
+        with np.errstate(over="ignore"):  # the largest design entry
+            if not np.isfinite(np.max(np.abs(self.weights), initial=0.0) / variance):
                 raise DomainError("weights / sigma^2 must be finite")
 
     def design_set(self, taus):
@@ -194,7 +203,7 @@ class GaussianCase1(_GaussianIndex):
     def from_data(cls, V, taus, section):
         """The design entry is w / sigma^2, so the weights are V sigma^2."""
         sigma = section["sigma"]
-        return cls(V[:, 0, 0] * sigma**2, sigma=sigma), DesignSet(V, taus)
+        return cls(V[:, 0, 0] * _variance(sigma), sigma=sigma), DesignSet(V, taus)
 
     def uncensored_mle(self, designs, x):
         """Least squares, alpha = w.x / w.w."""
@@ -307,8 +316,7 @@ class GaussianCase2(_GaussianIndex):
         return np.array([1.0 / math.sqrt(theta[0])])
 
     def from_moment(self, values):
-        values = _as_1d(values)
-        return np.array([1.0 / values[0] ** 2])
+        return np.array([1.0 / _variance(_as_1d(values)[0])])
 
     def index_regressors(self, designs):
         """z = (tau - mean) / sigma, linear in beta = 1/sigma."""
@@ -441,7 +449,8 @@ class GaussianCase3(_GaussianIndex):
     def from_moment(self, values):
         """Natural coordinates from (alpha, sigma)."""
         alpha, sigma = map(float, values)
-        return np.array([alpha / sigma**2, 1.0 / sigma**2])
+        variance = _variance(sigma)
+        return np.array([alpha / variance, 1.0 / variance])
 
     def index_regressors(self, designs):
         """z = tau/sigma - w alpha/sigma, linear in beta = (1/sigma, alpha/sigma)."""
@@ -495,7 +504,8 @@ class PoissonModel(ModelFamily):
         taus = _as_1d(taus)
         if taus.shape != self.covariates.shape:
             raise ValueError("need one threshold per covariate")
-        return self.check_designs(DesignSet(self.covariates.reshape(-1, 1, 1), taus))
+        V = self.covariates.reshape(-1, 1, 1).copy()  # held: the set keeps it uncopied
+        return self.check_designs(DesignSet(_hold(V), taus))
 
     def _check_entries(self, designs):
         bad = designs.taus < 0

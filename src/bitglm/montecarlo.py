@@ -1,5 +1,6 @@
-"""Monte Carlo machinery: data generation, MSE-versus-n experiments,
-asymptotic-normality checks, and the consistency-condition checker.
+"""Monte Carlo machinery: designs drawn by ``Rule``s, data generation,
+MSE-versus-n experiments with a fixed failure budget, asymptotic-normality
+checks, and the consistency-condition checker.
 
 Reproducibility contract: every trial draws from its own substream keyed
 by (seed, sample size, trial index), so results do not depend on
@@ -31,67 +32,17 @@ def _substream(seed, n, trial):
 # Design-generation rules
 # ---------------------------------------------------------------------------
 
-def _check_rule(rule, what, reads):
-    """Raise ConfigError unless ``rule`` is of a kind in ``reads`` and sets
-    exactly the fields that kind reads: each a finite number (not a bool),
-    or for ``values`` and ``probabilities`` a non-empty list of them, with
-    low <= high."""
-    if not isinstance(rule.kind, str) or rule.kind not in reads:
-        raise ConfigError(f"unknown {what} rule {rule.kind!r}")
-    given = [f.name for f in fields(rule) if f.name != "kind" and getattr(rule, f.name) is not None]
-    if sorted(given) != sorted(reads[rule.kind]):
-        raise ConfigError(
-            f"{what} rule {rule.kind!r} reads {list(reads[rule.kind])}, got {given}"
-        )
-    for name in given:
-        value = getattr(rule, name)
-        if name in ("values", "probabilities"):
-            listed = isinstance(value, (list, tuple, np.ndarray))
-            ok = listed and len(value) > 0 and all(map(is_finite_number, value))
-            need = "a non-empty list of finite numbers"
-        else:
-            ok, need = is_finite_number(value), "a finite number"
-        if not ok:
-            raise ConfigError(f"{what} rule {rule.kind!r} needs {need} as {name}")
-    if rule.kind == "iid-uniform" and not rule.low <= rule.high:
-        raise ConfigError(f"{what} rule {rule.kind!r} needs low <= high")
-
-
 @dataclass(frozen=True)
-class WeightsRule:
-    """How per-observation known constants are produced.
+class Rule:
+    """How an experiment draws its n per-observation weights or thresholds.
 
     kinds: "constant" (value), "list" (values, cycled to length n),
-    "iid-uniform" (low, high).  For the known-means Gaussian family this
-    rule supplies the means.
+    "two-point" (values + probabilities), "iid-uniform" (low, high) or
+    "iid-normal" (mu, sd).  A rule sets exactly the fields its kind reads,
+    each a finite number (not a bool), or for ``values`` and
+    ``probabilities`` a non-empty list of them.  For the known-means
+    Gaussian family the weights rule supplies the means.
     """
-
-    kind: str
-    value: float = None
-    values: tuple = None
-    low: float = None
-    high: float = None
-
-    def __post_init__(self):
-        _check_rule(
-            self,
-            "weights",
-            {"constant": ("value",), "list": ("values",), "iid-uniform": ("low", "high")},
-        )
-
-    def draw(self, n, rng):
-        if self.kind == "constant":
-            return np.full(n, float(self.value))
-        if self.kind == "list":
-            return np.resize(np.asarray(self.values, dtype=float), n)
-        return rng.uniform(float(self.low), float(self.high), size=n)
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """How thresholds are produced: "fixed" (value), "two-point"
-    (values + probabilities), "iid-uniform" (low, high) or "iid-normal"
-    (mu, sd)."""
 
     kind: str
     value: float = None
@@ -102,19 +53,36 @@ class ThresholdRule:
     mu: float = None
     sd: float = None
 
+    #: the fields each kind reads
+    KINDS = {
+        "constant": ("value",),
+        "list": ("values",),
+        "two-point": ("values", "probabilities"),
+        "iid-uniform": ("low", "high"),
+        "iid-normal": ("mu", "sd"),
+    }
+
     def __post_init__(self):
-        _check_rule(
-            self,
-            "threshold",
-            {
-                "fixed": ("value",),
-                "two-point": ("values", "probabilities"),
-                "iid-uniform": ("low", "high"),
-                "iid-normal": ("mu", "sd"),
-            },
-        )
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
+            raise ConfigError(f"unknown rule kind {self.kind!r}")
+        reads = self.KINDS[self.kind]
+        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not None]
+        if sorted(given) != sorted(reads):
+            raise ConfigError(f"rule {self.kind!r} reads {list(reads)}, got {given}")
+        for name in given:
+            value = getattr(self, name)
+            if name in ("values", "probabilities"):
+                listed = isinstance(value, (list, tuple, np.ndarray))
+                ok = listed and len(value) > 0 and all(map(is_finite_number, value))
+                need = "a non-empty list of finite numbers"
+            else:
+                ok, need = is_finite_number(value), "a finite number"
+            if not ok:
+                raise ConfigError(f"rule {self.kind!r} needs {need} as {name}")
+        if self.kind == "iid-uniform" and not self.low <= self.high:
+            raise ConfigError("rule 'iid-uniform' needs low <= high")
         if self.kind == "iid-normal" and self.sd < 0:
-            raise ConfigError("threshold rule 'iid-normal' needs sd >= 0")
+            raise ConfigError("rule 'iid-normal' needs sd >= 0")
         if self.kind == "two-point":
             probs = np.asarray(self.probabilities, dtype=float)
             if probs.shape != np.shape(self.values):
@@ -131,11 +99,14 @@ class ThresholdRule:
             self._points.setflags(write=False)
 
     def draw(self, n, rng):
-        if self.kind == "fixed":
+        # the kinds that fig1 trials take come first
+        if self.kind == "constant":
             return np.full(n, float(self.value))
         if self.kind == "two-point":
             u = rng.random(n)
             return self._points[sum((u >= c for c in self._cuts), np.zeros(n, np.intp))]
+        if self.kind == "list":
+            return np.resize(np.asarray(self.values, dtype=float), n)
         if self.kind == "iid-uniform":
             return rng.uniform(float(self.low), float(self.high), size=n)
         return rng.normal(float(self.mu), float(self.sd), size=n)
@@ -152,21 +123,19 @@ class ExperimentConfig:
     ``true_params`` gives exactly the family's reporting parameters
     (``param_keys``) as finite numbers, e.g. {"alpha": 2, "sigma": 1} for
     the two-parameter Gaussian or {"theta": 0.3} for the Poisson family.
-    ``error_metric`` selects the coordinates the squared error is
-    accumulated in.  Every field is checked here, whether a config or
-    library code builds the experiment: a bad one raises ConfigError naming it.
+    ``weights`` and ``thresholds`` are Rules of any kind.  Every field is
+    checked here, whether a config or library code builds the experiment: a
+    bad one raises ConfigError naming it.
     """
 
     model: str
     true_params: dict
-    weights: WeightsRule
-    thresholds: ThresholdRule
+    weights: Rule
+    thresholds: Rule
     sample_sizes: tuple
     trials: int
     seed: int
-    error_metric: str = "moment-coordinates"
     estimator: str = "censored"
-    max_failure_fraction: float = 0.05
 
     def __post_init__(self):
         if not isinstance(self.model, str) or self.model not in models.REGISTRY:
@@ -192,13 +161,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be an integer >= 1")
         if not is_integer(self.seed, 0):
             raise ConfigError("seed must be an integer >= 0")
-        if self.error_metric not in ("moment-coordinates", "natural-coordinates"):
-            raise ConfigError(f"unknown error metric {self.error_metric!r}")
         if self.estimator not in ("censored", "uncensored"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        budget = self.max_failure_fraction
-        if not (is_finite_number(budget) and 0.0 <= budget < 1.0):
-            raise ConfigError("max_failure_fraction must be a number in [0, 1)")
 
 
 def family_and_theta(config, n, rng):
@@ -230,6 +194,10 @@ def generate_and_censor(model, theta0, designs, seed):
 # ---------------------------------------------------------------------------
 # MSE experiment
 # ---------------------------------------------------------------------------
+
+#: The share of an experiment's trials at one n that may fail to converge.
+MAX_FAILURE_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -268,11 +236,8 @@ class MseTable:
         return float(coef[1])
 
 
-def _squared_error(family, theta_hat, theta0, metric):
-    if metric == "natural-coordinates":
-        diff = theta_hat - theta0
-    else:
-        diff = family.to_moment(theta_hat) - family.to_moment(theta0)
+def _squared_error(family, theta_hat, theta0):
+    diff = family.to_moment(theta_hat) - family.to_moment(theta0)
     return float(diff @ diff)
 
 
@@ -301,31 +266,32 @@ def _trial(config, n, trial, drawn=None):
             theta_hat = result.theta_hat
     except (NonIdentifiable, DegenerateLikelihood) as err:
         return TrialOutcome(n, None, math.nan, type(err).__name__)
-    err = _squared_error(family, theta_hat, theta0, config.error_metric)
+    err = _squared_error(family, theta_hat, theta0)
     return TrialOutcome(n, theta_hat, err, "converged")
 
 
 def _converged_trials(config, n, trials, drawn=None):
     """(converged outcomes in trial order, failure count) of trials
     0 .. ``trials``-1 at n, run by ``_trial`` with ``drawn``; raises
-    ExperimentFailure where they exceed ``config.max_failure_fraction``."""
+    ExperimentFailure where they exceed ``MAX_FAILURE_FRACTION``."""
     outcomes = [_trial(config, n, trial, drawn) for trial in range(trials)]
     converged = [o for o in outcomes if o.status == "converged"]
     failures = trials - len(converged)
-    if failures > config.max_failure_fraction * trials:
+    if failures > MAX_FAILURE_FRACTION * trials:
         raise ExperimentFailure(
             f"{failures}/{trials} trials failed at n={n}, above the "
-            f"{config.max_failure_fraction:.0%} budget"
+            f"{MAX_FAILURE_FRACTION:.0%} budget"
         )
     return converged, failures
 
 
 def run_mse_experiment(config):
-    """Accumulate mean squared estimation error over repeated trials.
+    """Accumulate mean squared estimation error over repeated trials, in the
+    family's reporting coordinates (``to_moment``).
 
     Non-converged trials are excluded from the average and counted in the
     ``failures`` column; the experiment aborts with ExperimentFailure where
-    they exceed ``config.max_failure_fraction`` (< 1), so where none converge.
+    they exceed ``MAX_FAILURE_FRACTION`` of the trials, so where none converge.
     """
     rows = []
     for n in config.sample_sizes:
@@ -364,7 +330,7 @@ def check_asymptotic_normality(config, n, trials):
     theta0 and the designs each trial drew, of the estimator
     ``config.estimator`` names.
 
-    Raises ExperimentFailure where more than ``config.max_failure_fraction``
+    Raises ExperimentFailure where more than ``MAX_FAILURE_FRACTION``
     of the trials, or all but one, fail to converge; needs two trials.
     """
     if trials < 2:

@@ -97,14 +97,13 @@ def poisson_curve():
     config = montecarlo.ExperimentConfig(
         model="poisson",
         true_params={"theta": math.log(2.0)},
-        weights=montecarlo.WeightsRule(kind="constant", value=1.0),
-        thresholds=montecarlo.ThresholdRule(
+        weights=montecarlo.Rule(kind="constant", value=1.0),
+        thresholds=montecarlo.Rule(
             kind="two-point", values=(1.0, 3.0), probabilities=(0.5, 0.5)
         ),
         sample_sizes=(1000, 1778, 3162, 5623, 10000),
         trials=1000,
         seed=77,
-        error_metric="natural-coordinates",
     )
     return montecarlo.run_mse_experiment(config)
 
@@ -286,8 +285,8 @@ def test_criterion_7_asymptotic_normality():
     config = montecarlo.ExperimentConfig(
         model="gaussian-case3",
         true_params={"alpha": 1.0, "sigma": 1.0},
-        weights=montecarlo.WeightsRule(kind="constant", value=1.0),
-        thresholds=montecarlo.ThresholdRule(
+        weights=montecarlo.Rule(kind="constant", value=1.0),
+        thresholds=montecarlo.Rule(
             kind="two-point", values=(-1.0, 2.0), probabilities=(0.5, 0.5)
         ),
         sample_sizes=(10000,),

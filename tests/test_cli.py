@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitglm import ConfigError, cli, models
+from bitglm import ConfigError, DomainError, cli, models
 from bitglm.cli import config_hash, load_json_config
-from bitglm.montecarlo import ExperimentConfig, ThresholdRule, WeightsRule
+from bitglm.montecarlo import ExperimentConfig, Rule
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 #: the directory holding the package under test, put first on the child's
@@ -421,7 +421,7 @@ class TestSimulate:
                         "true_params": {"theta": -8.0},
                         "estimator": "uncensored",
                         "weights": {"kind": "constant", "value": 1.0},
-                        "thresholds": {"kind": "fixed", "value": 1.0},
+                        "thresholds": {"kind": "constant", "value": 1.0},
                         "sample_sizes": [20],
                         "trials": 5,
                         "seed": 1,
@@ -516,6 +516,53 @@ def main_in_process(capsys, *args):
     return code, capsys.readouterr().err
 
 
+#: a Gaussian model section's keys besides name and sigma
+GAUSSIAN_KEYS = {
+    "gaussian-case1": {"alpha": 1.0, "weights": 1.0},
+    "gaussian-case2": {"means": 0.0},
+    "gaussian-case3": {"alpha": 1.0, "weights": 1.0},
+}
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-170, 1e200])
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_KEYS))
+def test_a_sigma_without_a_finite_positive_square_is_a_domain_error(
+    tmp_path, capsys, name, sigma
+):
+    # sigma <= 0, or sigma^2 that underflows to 0 or overflows: a typed error
+    # with no warning, from the library and from fim (exit 3, one line)
+    model = {"name": name, "sigma": sigma, **GAUSSIAN_KEYS[name]}
+    cls = models.REGISTRY[name]
+    cfg = write(tmp_path, "x.cfg", json.dumps({"model": model, "thresholds": [-1.0, 2.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="sigma"):
+            values = np.full(2, model[cls.per_obs_key])
+            cls.from_params(values, {key: model[key] for key in cls.param_keys})
+        code, err = main_in_process(capsys, "fim", "--config", cfg)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "sigma" in err and "Traceback" not in err
+
+
+def test_simulate_refuses_a_negative_sigma(tmp_path, capsys):
+    doc = {
+        "experiment": {
+            "model": "gaussian-case3",
+            "true_params": {"alpha": 1.0, "sigma": -1.0},
+            "weights": {"kind": "constant", "value": 1.0},
+            "thresholds": {"kind": "two-point", "values": [0.0, 2.0], "probabilities": [0.5, 0.5]},
+            "sample_sizes": [20],
+            "trials": 1,
+            "seed": 1,
+        }
+    }
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+    code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == 3 and "sigma" in err
+    assert list(out.glob("*")) == []
+
+
 #: (override, key) pairs: an experiment section with ``override`` applied is
 #: rejected with ``key`` in the message
 EXPERIMENT_ERRORS = [
@@ -524,8 +571,8 @@ EXPERIMENT_ERRORS = [
     ({"weights": {"kind": "list", "values": []}}, "values"),
     ({"weights": {"kind": "constant", "value": 1.0, "low": 0.0}}, "low"),
     ({"weights": {"kind": "zigzag", "value": 1.0}}, "zigzag"),
-    ({"thresholds": {"kind": "fixed"}}, "value"),
-    ({"thresholds": {"kind": "fixed", "value": 1.0, "sd": 2.0}}, "sd"),
+    ({"thresholds": {"kind": "constant"}}, "value"),
+    ({"thresholds": {"kind": "constant", "value": 1.0, "sd": 2.0}}, "sd"),
     ({"thresholds": {"kind": "iid-gamma", "mu": 1.0, "sd": 2.0}}, "iid-gamma"),
     (
         {"thresholds": {"kind": "two-point", "values": [0, 1], "probabilities": [0.6, 0.6]}},
@@ -545,10 +592,6 @@ EXPERIMENT_ERRORS = [
         ({"sample_sizes": value}, "sample_sizes")
         for value in ([50.5], [True], ["50"], [0], 50, [2**63], [int("9" * 400)])
     ),
-    *(
-        ({"max_failure_fraction": value}, "max_failure_fraction")
-        for value in ("0.1", True, -0.5, 1.0)
-    ),
     # non-finite numbers and rule fields that the rule's kind reads
     *(
         ({"true_params": {"alpha": value, "sigma": 1.0}}, "true_params.alpha")
@@ -557,7 +600,7 @@ EXPERIMENT_ERRORS = [
     ({"weights": {"kind": "constant", "value": "abc"}}, "value"),
     ({"weights": {"kind": "list", "values": [1.0, math.nan]}}, "values"),
     ({"weights": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
-    ({"thresholds": {"kind": "fixed", "value": True}}, "value"),
+    ({"thresholds": {"kind": "constant", "value": True}}, "value"),
     ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": -math.inf}}, "high"),
     ({"thresholds": {"kind": "iid-uniform", "low": 2.0, "high": 1.0}}, "low"),
     ({"thresholds": {"kind": "iid-normal", "mu": 0.0, "sd": -1.0}}, "sd"),
@@ -570,6 +613,45 @@ EXPERIMENT_ERRORS = [
         "values",
     ),
 ]
+
+
+#: a value for each rule field, valid together for every kind
+RULE_FIELDS = {
+    "value": 1.0, "values": [0.5, 1.5], "probabilities": [0.5, 0.5],
+    "low": 0.5, "high": 1.5, "mu": 0.5, "sd": 1.0,
+}
+
+
+def test_readme_lists_the_rule_kinds():
+    # the kinds and fields that README's config format names are Rule's, and
+    # each builds through a simulate config as weights and as thresholds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config_format = readme.split("### Config format")[1].split("\n### ")[0]
+    paragraph = next(p for p in config_format.split("\n\n") if "montecarlo.Rule" in p)
+    named = {
+        kind: sorted(re.findall(r"`(\w+)`", reads))
+        for kind, reads in re.findall(r"`([a-z-]+)` \(([^)]*)\)", paragraph)
+    }
+    assert named == {kind: sorted(reads) for kind, reads in Rule.KINDS.items()}
+    for kind, reads in Rule.KINDS.items():
+        rule = {"kind": kind, **{field: RULE_FIELDS[field] for field in reads}}
+        for section in ("weights", "thresholds"):
+            doc = {
+                "experiment": {
+                    "model": "gaussian-case3",
+                    "true_params": {"alpha": 1.0, "sigma": 1.0},
+                    "weights": {"kind": "constant", "value": 1.0},
+                    "thresholds": {"kind": "constant", "value": 1.0},
+                    "sample_sizes": [4],
+                    "trials": 1,
+                    "seed": 1,
+                    section: rule,
+                }
+            }
+            [(_, config)] = cli.load_experiments(doc)
+            built = getattr(config, section)
+            assert isinstance(built, Rule) and built.kind == kind
+            assert built.draw(4, np.random.default_rng(0)).shape == (4,)
 
 
 class TestFamilyKeys:
@@ -717,7 +799,7 @@ class TestFamilyKeys:
             "model": "gaussian-case1",
             "true_params": {"alpha": 0.5, "sigma": 1.0},
             "weights": {"kind": "constant", "value": 1.0},
-            "thresholds": {"kind": "fixed", "value": 0.5},
+            "thresholds": {"kind": "constant", "value": 0.5},
             "sample_sizes": [50],
             "trials": 1,
             "seed": 1,
@@ -743,7 +825,7 @@ class TestFamilyKeys:
         # (all counts are zero), so no CSV may be left without a manifest
         doomed = self._experiment(
             "doomed", model="poisson", true_params={"theta": -8.0}, estimator="uncensored",
-            thresholds={"kind": "fixed", "value": 1.0}, sample_sizes=[20], trials=5,
+            thresholds={"kind": "constant", "value": 1.0}, sample_sizes=[20], trials=5,
         )
         doc = {"experiments": [self._experiment("good"), doomed]}
         cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
@@ -761,8 +843,8 @@ class TestFamilyKeys:
         doc = self._experiment("bad", **override)
         del doc["name"]
         with pytest.raises(ConfigError, match=re.escape(key)):
-            doc["weights"] = WeightsRule(**doc["weights"])
-            doc["thresholds"] = ThresholdRule(**doc["thresholds"])
+            doc["weights"] = Rule(**doc["weights"])
+            doc["thresholds"] = Rule(**doc["thresholds"])
             ExperimentConfig(**doc)
 
     @pytest.mark.parametrize(
@@ -792,6 +874,39 @@ class TestFamilyKeys:
         assert f"config error (experiments[1]): {unknown}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, where, message",
+        [
+            # "fixed" was the thresholds' name for "constant"
+            *(
+                ({section: {"kind": "fixed", "value": 0.5}}, f".{section}", "unknown rule kind 'fixed'")
+                for section in ("weights", "thresholds")
+            ),
+            # the squared error is always read in the reporting coordinates
+            *(
+                ({"error_metric": metric}, "", "unknown key(s) ['error_metric']")
+                for metric in ("moment-coordinates", "natural-coordinates")
+            ),
+            # the failure budget is the constant MAX_FAILURE_FRACTION
+            *(
+                ({"max_failure_fraction": budget}, "", "unknown key(s) ['max_failure_fraction']")
+                for budget in (0.05, 0.5)
+            ),
+        ],
+    )
+    def test_removed_spellings_are_rejected(self, tmp_path, capsys, override, where, message):
+        with pytest.raises(ConfigError, match=re.escape(message)) as err:
+            cli.build_experiment(self._experiment("x", **override))
+        assert err.value.location == f"experiment{where}"
+        # the bad experiment comes second: nothing may run or be written
+        doc = {"experiments": [self._experiment("good"), self._experiment("bad", **override)]}
+        cfg = write(tmp_path, "sim.cfg", json.dumps(doc))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert f"config error (experiments[1]{where}): {message}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", [["a"], "../escaped", "sub/dir", "", 5, ".", ".."])
     def test_experiment_names_are_file_names_in_out(self, tmp_path, capsys, name):
         # the bad name comes second: nothing may run or be written, in --out or beside it
@@ -809,7 +924,6 @@ class TestFamilyKeys:
             ({"weights": {"kind": "constant", "value": HUGE}}, "value"),
             ({"thresholds": {"kind": "iid-uniform", "low": 0.0, "high": HUGE}}, "high"),
             ({"true_params": {"alpha": HUGE, "sigma": 1.0}}, "true_params.alpha"),
-            ({"max_failure_fraction": HUGE}, "max_failure_fraction"),
         ],
     )
     def test_huge_integers_are_config_errors(self, tmp_path, capsys, override, key):

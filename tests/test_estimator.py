@@ -643,8 +643,8 @@ class TestEstimateType:
         return montecarlo.ExperimentConfig(
             model=name,
             true_params=self.PARAMS[name],
-            weights=montecarlo.WeightsRule(kind="constant", value=1.0),
-            thresholds=montecarlo.ThresholdRule(
+            weights=montecarlo.Rule(kind="constant", value=1.0),
+            thresholds=montecarlo.Rule(
                 kind="two-point", values=(0.0, 2.0), probabilities=(0.5, 0.5)
             ),
             sample_sizes=(400,),

@@ -866,6 +866,20 @@ class TestPerObservationValues:
             assert np.array_equal(got.V, want.V)
             assert got.aux is None or np.array_equal(got.aux, want.aux)
 
+    @pytest.mark.parametrize("make", FAMILIES)
+    def test_a_design_set_holds_the_V_it_builds(self, make, monkeypatch):
+        # the family's one copy is held, so the set neither copies nor re-checks it
+        kept, keep = [], types._kept
+
+        def spy(a, error):
+            out = keep(a, error)
+            kept.append((a, out))
+            return out
+
+        monkeypatch.setattr(types, "_kept", spy)
+        designs = make(np.ones(3)).design_set(np.zeros(3))
+        assert kept[0][0] is kept[0][1] is designs.V
+
 
 class TestRegistry:
     def test_stable_names(self):

@@ -26,8 +26,7 @@ from bitglm import (
 )
 from bitglm.montecarlo import (
     ExperimentConfig,
-    ThresholdRule,
-    WeightsRule,
+    Rule,
     check_asymptotic_normality,
     check_consistency_conditions,
     generate_and_censor,
@@ -40,8 +39,8 @@ def case1_config(**overrides):
     base = dict(
         model="gaussian-case1",
         true_params={"alpha": 0.5, "sigma": 1.0},
-        weights=WeightsRule(kind="constant", value=1.0),
-        thresholds=ThresholdRule(kind="fixed", value=0.5),
+        weights=Rule(kind="constant", value=1.0),
+        thresholds=Rule(kind="constant", value=0.5),
         sample_sizes=(250, 500),
         trials=40,
         seed=123,
@@ -224,35 +223,34 @@ class TestMseExperiment:
         assert lines[0] == "n,mse,mc_stderr,failures"
         assert len(lines) == 3
 
-    def test_natural_vs_moment_metric_differ_for_two_parameters(self):
-        shared = dict(
+    def test_the_squared_error_is_read_in_alpha_and_sigma(self):
+        cfg = ExperimentConfig(
             model="gaussian-case3",
             true_params={"alpha": 2.0, "sigma": 1.0},
-            weights=WeightsRule(kind="constant", value=1.0),
-            thresholds=ThresholdRule(
-                kind="two-point", values=(0.42, 2.0), probabilities=(0.5, 0.5)
-            ),
+            weights=Rule(kind="constant", value=1.0),
+            thresholds=Rule(kind="two-point", values=(0.42, 2.0), probabilities=(0.5, 0.5)),
             sample_sizes=(400,),
-            trials=25,
+            trials=1,
             seed=5,
         )
-        nat = run_mse_experiment(ExperimentConfig(error_metric="natural-coordinates", **shared))
-        mom = run_mse_experiment(ExperimentConfig(error_metric="moment-coordinates", **shared))
-        assert nat.rows[0].mse != mom.rows[0].mse
+        out = montecarlo.run_trial(cfg, 400, 0)
+        alpha, sigma2 = models.GaussianCase3.alpha_sigma2_from_natural(out.theta_hat)
+        want = (alpha - 2.0) ** 2 + (math.sqrt(sigma2) - 1.0) ** 2
+        assert out.status == "converged" and out.squared_error == pytest.approx(want, rel=1e-12)
 
     def test_failure_budget_enforced(self):
-        # uncensored poisson with rate so small every draw is zero
+        # uncensored poisson with a rate so small that nearly every draw is zero
         cfg = ExperimentConfig(
             model="poisson",
             true_params={"theta": -8.0},
-            weights=WeightsRule(kind="constant", value=1.0),
-            thresholds=ThresholdRule(kind="fixed", value=1.0),
+            weights=Rule(kind="constant", value=1.0),
+            thresholds=Rule(kind="constant", value=1.0),
             sample_sizes=(20,),
             trials=10,
             seed=1,
             estimator="uncensored",
         )
-        with pytest.raises(ExperimentFailure):
+        with pytest.raises(ExperimentFailure, match="trials failed at n=20, above the 5% budget"):
             run_mse_experiment(cfg)
 
     def test_config_validation(self):
@@ -264,15 +262,6 @@ class TestMseExperiment:
             case1_config(trials=0)
         with pytest.raises(ConfigError):
             case1_config(model="gaussian-case9")
-        with pytest.raises(ConfigError):
-            case1_config(error_metric="other")
-
-    @pytest.mark.parametrize("budget", [-0.1, 1.0, 1.5, math.nan])
-    def test_failure_budget_must_be_a_fraction_below_one(self, budget):
-        from bitglm import ConfigError
-
-        with pytest.raises(ConfigError, match="max_failure_fraction"):
-            case1_config(max_failure_fraction=budget)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -285,7 +274,6 @@ class TestMseExperiment:
             ("seed", -1),
             ("seed", 1.5),
             ("seed", True),
-            ("max_failure_fraction", "0.1"),
             ("true_params", {"alpha": math.nan, "sigma": 1.0}),
             ("true_params", {"alpha": int("9" * 400), "sigma": 1.0}),
             ("true_params", [("alpha", 0.5), ("sigma", 1.0)]),
@@ -304,26 +292,31 @@ class TestMseExperiment:
         assert cfg.true_params == {"alpha": 1.0, "sigma": 2.0}
         assert all(type(v) is float for v in cfg.true_params.values())
 
-    def test_no_converged_trial_raises_at_the_largest_budget(self):
+    def test_no_converged_trial_raises_at_the_largest_budget(self, monkeypatch):
         # every trial of a two-row case-1 dataset at seed 0 is separated:
         # no mean may be formed, whatever the budget
-        cfg = case1_config(sample_sizes=(2,), trials=1, seed=0, max_failure_fraction=0.99)
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_FRACTION", 0.99)
+        cfg = case1_config(sample_sizes=(2,), trials=1, seed=0)
         with pytest.raises(ExperimentFailure, match="1/1 trials failed at n=2"):
             run_mse_experiment(cfg)
 
-    def test_trials_that_end_on_the_wall_are_failures(self):
+    @staticmethod
+    def _wall_config():
         # thresholds one unit above each known mean: where at most half the
         # 8 bits are +1, the supremum lies at sigma -> infinity
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             model="gaussian-case2",
             true_params={"sigma": 2.0},
-            weights=WeightsRule(kind="constant", value=0.0),
-            thresholds=ThresholdRule(kind="fixed", value=1.0),
+            weights=Rule(kind="constant", value=0.0),
+            thresholds=Rule(kind="constant", value=1.0),
             sample_sizes=(8,),
             trials=20,
             seed=1,
-            max_failure_fraction=0.5,
         )
+
+    def test_trials_that_end_on_the_wall_are_failures(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_FRACTION", 0.5)
+        cfg = self._wall_config()
         outcomes = [montecarlo.run_trial(cfg, 8, trial) for trial in range(20)]
         walls = [o for o in outcomes if o.status == "boundary-divergence"]
         assert walls  # 5 of the 20 at this seed
@@ -333,18 +326,36 @@ class TestMseExperiment:
         failures = sum(o.status != "converged" for o in outcomes)
         assert run_mse_experiment(cfg).rows[0].failures == failures
 
+    @pytest.mark.parametrize("budget, fails", [(0.3, False), (0.25, True)])
+    def test_the_budget_allows_failures_up_to_its_share(self, monkeypatch, budget, fails):
+        # 6 of the wall config's 20 trials fail: 30 %, more than a quarter
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_FRACTION", budget)
+        if fails:
+            message = "6/20 trials failed at n=8, above the 25% budget"
+            with pytest.raises(ExperimentFailure, match=message):
+                run_mse_experiment(self._wall_config())
+        else:
+            assert run_mse_experiment(self._wall_config()).rows[0].failures == 6
+
     def test_precision_model_error_shrinks_like_one_over_n(self):
+        # the error in the natural coordinate theta = 1/sigma^2, from the trials themselves
         cfg = ExperimentConfig(
             model="gaussian-case2",
             true_params={"sigma": 1.0},
-            weights=WeightsRule(kind="constant", value=0.0),  # known means
-            thresholds=ThresholdRule(kind="iid-uniform", low=-2.0, high=2.0),
+            weights=Rule(kind="constant", value=0.0),  # known means
+            thresholds=Rule(kind="iid-uniform", low=-2.0, high=2.0),
             sample_sizes=(400, 1600, 6400),
             trials=150,
             seed=31,
-            error_metric="natural-coordinates",
         )
-        table = run_mse_experiment(cfg)
+        rows = []
+        for n in cfg.sample_sizes:
+            outcomes = [montecarlo.run_trial(cfg, n, trial) for trial in range(cfg.trials)]
+            errs = [(o.theta_hat[0] - 1.0) ** 2 for o in outcomes if o.status == "converged"]
+            assert len(errs) >= (1.0 - montecarlo.MAX_FAILURE_FRACTION) * cfg.trials
+            failures = cfg.trials - len(errs)
+            rows.append(montecarlo.MseRow(n, float(np.mean(errs)), math.nan, failures))
+        table = montecarlo.MseTable(tuple(rows))
         assert table.loglog_slope() == pytest.approx(-1.0, abs=0.3)
 
     def test_uncensored_baseline_hits_information_bound(self):
@@ -361,15 +372,16 @@ class TestAsymptoticNormality:
         with pytest.raises(ValueError):
             check_asymptotic_normality(case1_config(), 100, 1)
 
-    def test_one_converged_estimate_raises(self):
+    def test_one_converged_estimate_raises(self, monkeypatch):
         # of two two-row trials at seed 0, trial 0 is separated and trial 1
         # converges: within a 50 % budget, but one estimate has no covariance
-        cfg = case1_config(seed=0, max_failure_fraction=0.5)
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_FRACTION", 0.5)
+        cfg = case1_config(seed=0)
         with pytest.raises(ExperimentFailure, match="1/2 trials converged"):
             check_asymptotic_normality(cfg, 2, 2)
 
     def test_scalar_family_matches_information(self):
-        cfg = case1_config(thresholds=ThresholdRule(kind="fixed", value=0.5))
+        cfg = case1_config(thresholds=Rule(kind="constant", value=0.5))
         report = check_asymptotic_normality(cfg, 4000, 220)
         # optimal threshold: per-observation information 2/pi
         assert report.reference_cov[0, 0] == pytest.approx(math.pi / 2, rel=1e-6)
@@ -384,8 +396,8 @@ class TestAsymptoticNormality:
         cfg = ExperimentConfig(
             model="gaussian-case3",
             true_params={"alpha": 2.0, "sigma": 1.0},
-            weights=WeightsRule(kind="iid-uniform", low=0.5, high=1.5),
-            thresholds=ThresholdRule(kind="iid-uniform", low=0.0, high=4.0),
+            weights=Rule(kind="iid-uniform", low=0.5, high=1.5),
+            thresholds=Rule(kind="iid-uniform", low=0.0, high=4.0),
             sample_sizes=(300,),
             trials=30,
             seed=8,
@@ -402,8 +414,8 @@ class TestAsymptoticNormality:
         # the report equals, bit for bit, the one computed from trials run
         # through run_trial and designs drawn again from each trial's substream
         cfg = case1_config(
-            weights=WeightsRule(kind="iid-uniform", low=0.5, high=1.5),
-            thresholds=ThresholdRule(kind="iid-uniform", low=0.0, high=1.0),
+            weights=Rule(kind="iid-uniform", low=0.5, high=1.5),
+            thresholds=Rule(kind="iid-uniform", low=0.0, high=1.0),
         )
         n, trials = 200, 20
         converged = [o for o in (montecarlo.run_trial(cfg, n, t) for t in range(trials))
@@ -549,7 +561,7 @@ class TestRules:
     def test_two_point_draw_is_rng_choice(self, values, probabilities):
         # the same thresholds as Generator.choice, element for element, and
         # the same generator state after the draw
-        rule = ThresholdRule(kind="two-point", values=values, probabilities=probabilities)
+        rule = Rule(kind="two-point", values=values, probabilities=probabilities)
         for seed in range(200):
             for n in (1, 1000, 10007):
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -562,13 +574,13 @@ class TestRules:
     )
     def test_two_point_draw_is_the_per_draw_formula(self, values, probabilities):
         # the cuts and the values array, as each draw computed them before
-        rule = ThresholdRule(kind="two-point", values=values, probabilities=probabilities)
+        rule = Rule(kind="two-point", values=values, probabilities=probabilities)
         for seed in range(50):
             want = _two_point_reference(values, probabilities, np.random.default_rng(seed), 1001)
             assert rule.draw(1001, np.random.default_rng(seed)).tobytes() == want.tobytes()
 
     def test_two_point_rule_is_still_a_frozen_dataclass(self):
-        rule = ThresholdRule(kind="two-point", values=(0.42, 2.0), probabilities=(0.5, 0.5))
+        rule = Rule(kind="two-point", values=(0.42, 2.0), probabilities=(0.5, 0.5))
         other = dataclasses.replace(rule, probabilities=(0.25, 0.75))
         copy = pickle.loads(pickle.dumps(rule))
         assert copy == rule and hash(copy) == hash(rule) and other != rule
@@ -584,24 +596,24 @@ class TestRules:
         from bitglm import ConfigError
 
         with pytest.raises(ConfigError):
-            ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(0.6, 0.6))
+            Rule(kind="two-point", values=(1.0, 2.0), probabilities=(0.6, 0.6))
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: WeightsRule(kind="list", values=()),
-            lambda: WeightsRule(kind="constant"),
-            lambda: WeightsRule(kind="constant", value=1.0, high=2.0),
-            lambda: WeightsRule(kind="zigzag", value=1.0),
-            lambda: ThresholdRule(kind="fixed"),
-            lambda: ThresholdRule(kind="iid-normal", mu=0.0),
-            lambda: ThresholdRule(kind="iid-uniform", low=0.0, high=1.0, sd=1.0),
-            lambda: ThresholdRule(kind="two-point", values=(1.0, 2.0), probabilities=(1.0,)),
-            lambda: ThresholdRule(kind="two-point", values=(), probabilities=()),
-            lambda: ThresholdRule(kind="iid-gamma", mu=1.0, sd=1.0),
+            lambda: Rule(kind="list", values=()),
+            lambda: Rule(kind="constant"),
+            lambda: Rule(kind="constant", value=1.0, high=2.0),
+            lambda: Rule(kind="zigzag", value=1.0),
+            lambda: Rule(kind="fixed", value=1.0),  # the thresholds' old name for constant
+            lambda: Rule(kind="iid-normal", mu=0.0),
+            lambda: Rule(kind="iid-uniform", low=0.0, high=1.0, sd=1.0),
+            lambda: Rule(kind="two-point", values=(1.0, 2.0), probabilities=(1.0,)),
+            lambda: Rule(kind="two-point", values=(), probabilities=()),
+            lambda: Rule(kind="iid-gamma", mu=1.0, sd=1.0),
             # an unhashable kind is unknown, not a TypeError
-            lambda: WeightsRule(kind={}, value=1.0),
-            lambda: ThresholdRule(kind=["fixed"], value=1.0),
+            lambda: Rule(kind={}, value=1.0),
+            lambda: Rule(kind=["constant"], value=1.0),
         ],
     )
     def test_invalid_rules_rejected_at_construction(self, make):
@@ -622,15 +634,15 @@ class TestRules:
         from bitglm import ConfigError
 
         with pytest.raises(ConfigError, match="finite number"):
-            WeightsRule(**fields)
+            Rule(**fields)
 
     def test_weights_list_cycles(self):
-        rule = WeightsRule(kind="list", values=(1.0, 2.0, 3.0))
+        rule = Rule(kind="list", values=(1.0, 2.0, 3.0))
         got = rule.draw(5, np.random.default_rng(0))
         assert_allclose(got, [1.0, 2.0, 3.0, 1.0, 2.0])
 
     def test_iid_normal_thresholds_are_the_generators_normals(self):
-        cfg = case1_config(thresholds=ThresholdRule(kind="iid-normal", mu=0.5, sd=2.0))
+        cfg = case1_config(thresholds=Rule(kind="iid-normal", mu=0.5, sd=2.0))
         _, designs, _ = montecarlo.family_and_theta(cfg, 1000, np.random.default_rng(4))
         # the constant weights draw nothing, so the thresholds come first
         assert np.array_equal(designs.taus, np.random.default_rng(4).normal(0.5, 2.0, 1000))
@@ -638,7 +650,30 @@ class TestRules:
 
     def test_iid_rules_draw_within_range(self):
         rng = np.random.default_rng(0)
-        taus = ThresholdRule(kind="iid-uniform", low=1.0, high=2.0).draw(100, rng)
+        taus = Rule(kind="iid-uniform", low=1.0, high=2.0).draw(100, rng)
         assert np.all((taus >= 1.0) & (taus <= 2.0))
-        w = WeightsRule(kind="iid-uniform", low=-1.0, high=1.0).draw(100, rng)
+        w = Rule(kind="iid-uniform", low=-1.0, high=1.0).draw(100, rng)
         assert np.all(np.abs(w) <= 1.0)
+
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            ({"kind": "constant", "value": 2.5}, lambda rng, n: np.full(n, 2.5)),
+            ({"kind": "list", "values": (1.0, -2.0)}, lambda rng, n: np.resize([1.0, -2.0], n)),
+            (
+                {"kind": "two-point", "values": (0.42, 2.0), "probabilities": (0.3, 0.7)},
+                lambda rng, n: rng.choice([0.42, 2.0], size=n, p=(0.3, 0.7)),
+            ),
+            (
+                {"kind": "iid-uniform", "low": -1.0, "high": 3.0},
+                lambda rng, n: rng.uniform(-1.0, 3.0, n),
+            ),
+            ({"kind": "iid-normal", "mu": 0.5, "sd": 2.0}, lambda rng, n: rng.normal(0.5, 2.0, n)),
+        ],
+    )
+    def test_each_kind_draws_what_the_generator_draws(self, fields, expected):
+        # the same values and the same generator state after the draw
+        assert set(Rule.KINDS) == {"constant", "list", "two-point", "iid-uniform", "iid-normal"}
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        assert Rule(**fields).draw(1001, ours).tobytes() == expected(theirs, 1001).tobytes()
+        assert ours.random() == theirs.random()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bitglm import CensoredDataset, ConfigError, DesignSet, DomainError, models
-from bitglm.montecarlo import ExperimentConfig, ThresholdRule, WeightsRule
+from bitglm.montecarlo import ExperimentConfig, Rule
 
 from _oracles import lexsort_design_tally, lexsort_grouped
 
@@ -424,8 +424,8 @@ def _unknown_estimator():
     ExperimentConfig(
         model="gaussian-case1",
         true_params={"alpha": 0.5, "sigma": 1.0},
-        weights=WeightsRule(kind="constant", value=1.0),
-        thresholds=ThresholdRule(kind="fixed", value=0.5),
+        weights=Rule(kind="constant", value=1.0),
+        thresholds=Rule(kind="constant", value=0.5),
         sample_sizes=(50,),
         trials=1,
         seed=1,
