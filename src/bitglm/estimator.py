@@ -34,7 +34,8 @@ beyond rounding of it, ``fit`` decides that before any interior ascent,
 and reports a maximum on the wall, just inside, as "boundary-divergence".
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,14 +78,27 @@ class FitResult:
     it, moved just inside to sigma ~ 1/eps).  ``iterations`` counts Newton
     directions: the interior ascent's, or for a boundary fit the ascent along
     the wall's.  ``final_score_norm`` is the score in theta, as it is.
+
+    Both are taken to theta from ``_in_beta`` (the family, and the estimate's
+    beta, score and Hessian) by ``likelihood.to_theta`` where one is first read,
+    and then kept.  Only ``fit`` constructs a FitResult.
     """
 
     theta_hat: np.ndarray
     iterations: int
-    final_score_norm: float
     log_likelihood: float
-    observed_information: np.ndarray
     status: str
+    _in_beta: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def _in_theta(self):
+        grad, hess = likelihood.to_theta(*self._in_beta)
+        observed = -hess
+        observed.setflags(write=False)
+        return float(np.max(np.abs(grad))), observed
+
+    final_score_norm = property(lambda self: self._in_theta[0])
+    observed_information = property(lambda self: self._in_theta[1])
 
     @property
     def converged(self):
@@ -340,17 +354,6 @@ def fit(model, data):
     if status == "converged":
         weights = np.sqrt(data.counts * np.maximum(-r, 0.0))[:, None]
         _check_rank(index[0] * weights, model.k, "the estimate's information-weighted regressors")
-    grad, hess = likelihood.to_theta(model, beta, grad, hess)
-    gnorm = float(np.max(np.abs(grad)))
-    observed = -hess
-    observed.setflags(write=False)
     theta_hat = model.check_theta(model.theta_from_index(beta)).copy()
     theta_hat.setflags(write=False)
-    return FitResult(
-        theta_hat=theta_hat,
-        iterations=iterations,
-        final_score_norm=gnorm,
-        log_likelihood=ll,
-        observed_information=observed,
-        status=status,
-    )
+    return FitResult(theta_hat, iterations, ll, status, (model, beta, grad, hess))

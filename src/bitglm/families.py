@@ -40,6 +40,8 @@ Design notes
 * A family also owns what the CLI and the Monte Carlo harness need to
   build it: the config keys it reads (``per_obs_key``, ``param_keys``,
   ``fit_keys``), ``from_params``, ``from_data`` and ``uncensored_mle``.
+* ``design_set`` holds its V and counts from its first call, and the sampling
+  law on that V is kept (``_at_theta``): a Monte Carlo cell computes each once.
 """
 
 import abc
@@ -47,7 +49,7 @@ import abc
 import numpy as np
 
 from .exceptions import DomainError
-from .types import DesignSet
+from .types import DesignSet, _hold
 
 
 class ModelFamily(abc.ABC):
@@ -89,6 +91,40 @@ class ModelFamily(abc.ABC):
         return theta
 
     # -- designs -----------------------------------------------------------
+    #: (V, aux, counts) of the family's own observations, held from the first
+    #: ``design_set``; (theta's bytes, value) of the last ``_at_theta`` on that V
+    _held, _last = (None, None, None), (None, None)
+
+    def design_set(self, taus):
+        """The designs of the family's own observations at ``taus``, one per
+        per-observation value: (V, aux) of ``_own_designs()`` and all-ones counts,
+        held from the first call, and ``taus``, uncopied where held too."""
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        if taus.shape != getattr(self, self.per_obs_key).shape:
+            raise ValueError(f"need one threshold per {self.per_obs_key[:-1]}")
+        if self._held[0] is None:
+            V, aux = self._own_designs()
+            self._held = _hold(V), aux, np.ones(taus.shape, np.int64)
+            self._held[2].setflags(write=False)
+        designs = DesignSet(self._held[0], taus, self._held[1])
+        designs._passed.add(type(self))  # the family wrote V and aux itself
+        return designs
+
+    def _counts(self, designs):
+        """One observation per row of ``designs``: on the family's own V, held."""
+        return self._held[2] if designs.V is self._held[0] else np.ones(designs.n, np.int64)
+
+    def _at_theta(self, theta, designs, law):
+        """(theta, ``law(theta)``) after ``_check_args``; on the family's own V kept,
+        read-only, at the last theta, so a Monte Carlo cell computes it once."""
+        theta = self._check_args(theta, designs)
+        if designs.V is not self._held[0]:
+            return theta, law(theta)
+        if self._last[0] != theta.tobytes():
+            self._last = theta.tobytes(), law(theta)
+            self._last[1].setflags(write=False)
+        return theta, self._last[1]
+
     def check_designs(self, designs):
         """``designs``: TypeError unless a DesignSet, else DomainError unless of the
         family's shape with rows that pass ``_check_entries``, once per class."""

@@ -43,7 +43,8 @@ PSD_TOLERANCE = -1e-10
 @dataclass(frozen=True)
 class FimResult:
     """A k x k symmetric information matrix, read-only; its smallest
-    eigenvalue and determinant are computed where they are read."""
+    eigenvalue and determinant are computed where they are read, the
+    determinant a NumericalError where it is not finite."""
 
     matrix: np.ndarray
 
@@ -61,11 +62,16 @@ class FimResult:
     @property
     def determinant(self):
         m = self.matrix  # exact arithmetic for k <= 2
-        if self.k == 1:
-            return float(m[0, 0])
-        if self.k == 2:
-            return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        return float(np.linalg.det(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.k == 1:
+                det = float(m[0, 0])
+            elif self.k == 2:
+                det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+            else:
+                det = float(np.linalg.det(m))
+        if not np.isfinite(det):
+            raise NumericalError(f"the determinant of a {self.k} x {self.k} information overflows")
+        return det
 
 
 def _min_eigenvalue(m):
@@ -90,11 +96,15 @@ def _index_weights(model, beta, designs):
 
 
 def _in_theta(model, beta, total):
+    """The information ``total`` in beta, taken to theta; NumericalError where
+    that overflows, or underflows to 0 from a nonzero one."""
     # the expected score is 0, so the information transforms as a Hessian there
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = to_theta(model, beta, np.zeros(model.k), total)[1]
     if not np.all(np.isfinite(matrix)):
         raise NumericalError(f"the {model.name} information in theta overflows a float")
+    if not matrix.any() and total.any():
+        raise NumericalError(f"the {model.name} information in theta underflows to 0")
     return FimResult(matrix)
 
 
@@ -115,8 +125,8 @@ def fim_sweep(model, theta, designs, index, grid):
     """[(tau, FimResult)]: ``fim_censored`` with design ``index``'s threshold
     set to each tau of ``grid`` in turn, skipping a tau where that row's bit
     has probability 0.  Empty where another row's bit has, or where a rate
-    leaves the supported range or the information in theta overflows
-    (NumericalError)."""
+    leaves the supported range or the information in theta overflows or
+    underflows (NumericalError)."""
     beta = model.index_from_theta(model.check_theta(theta))
     grid = np.asarray(grid, dtype=float)
     row = designs.subset(np.full(grid.shape, index))
@@ -139,8 +149,13 @@ def fim_sweep(model, theta, designs, index, grid):
 
 
 def fim_uncensored(model, theta, designs):
-    """Information carried by the raw observations, in the family's closed form."""
-    return FimResult(model.uncensored_information(theta, designs))
+    """Information carried by the raw observations, in the family's closed form;
+    NumericalError where that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = model.uncensored_information(theta, designs)
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError(f"the {model.name} uncensored information overflows a float")
+    return FimResult(matrix)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ def _as_1d(x):
 
 
 def _private(values, label):
-    """A read-only copy of ``values``, checked once: DomainError unless finite."""
+    """A held copy of ``values``, checked once: DomainError unless finite."""
     values = np.array(values, dtype=float, ndmin=1)
     if not np.isfinite(values).all():
         raise DomainError(f"{label} must be finite")
-    values.setflags(write=False)
-    return values
+    return _hold(values)
 
 
 def _sigma_power(sigma, k):
@@ -75,12 +74,6 @@ class _GaussianIndex(ModelFamily):
         """(mean, sd, z) from ``_mean_sd``, with z = (tau - mean) / sd."""
         mean, sd = self._mean_sd(theta, designs)
         return mean, sd, (designs.taus - mean) / sd
-
-    def _recorded(self, designs):
-        """``designs``, recorded as passing ``check_designs``: ``design_set``
-        writes the fixed entries and the known means itself."""
-        designs._passed.add(type(self))
-        return designs
 
     def initial_point(self, data, index, tally):
         """Berkson's minimum-chi-square probit start (Berkson, JASA 50, 1955).
@@ -149,17 +142,15 @@ class GaussianCase1(_GaussianIndex):
             if not np.isfinite(np.max(np.abs(self.weights), initial=0.0) / variance):
                 raise DomainError("weights / sigma^2 must be finite")
 
-    def design_set(self, taus):
-        taus = _as_1d(taus)
-        if taus.shape != self.weights.shape:
-            raise ValueError("need one threshold per weight")
-        V = self.weights.reshape(-1, 1, 1) / self.sigma**2  # owns its data: no base to write
-        return self._recorded(DesignSet(_hold(V), taus))
+    def _own_designs(self):
+        return self.weights.reshape(-1, 1, 1) / self.sigma**2, None  # owns its data
 
     def _mean_sd(self, theta, designs):
         """(sigma^2 V alpha, sigma): the bytes of the k = 1 ``natural_params``."""
-        theta = self._check_args(theta, designs)
-        return self.sigma**2 * (designs.V[:, 0, 0] * theta[0]), self.sigma
+        _, mean = self._at_theta(
+            theta, designs, lambda t: self.sigma**2 * (designs.V[:, 0, 0] * t[0])
+        )
+        return mean, self.sigma
 
     def prob_leq(self, theta, designs):
         _, _, z = self._standardized(theta, designs)
@@ -254,12 +245,8 @@ class GaussianCase2(_GaussianIndex):
     def __init__(self, means):
         self.means = _private(means, "means")
 
-    def design_set(self, taus):
-        taus = _as_1d(taus)
-        if taus.shape != self.means.shape:
-            raise ValueError("need one threshold per mean")
-        V = np.full((taus.shape[0], 1, 1), -0.5)
-        return self._recorded(DesignSet(_hold(V), taus, aux=self.means))
+    def _own_designs(self):
+        return np.full((self.means.shape[0], 1, 1), -0.5), self.means
 
     def _check_entries(self, designs):
         if designs.aux is None:
@@ -275,9 +262,13 @@ class GaussianCase2(_GaussianIndex):
         return _gauss.norm_cdf(z)
 
     def uncensored_information(self, theta, designs):
-        """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2."""
+        """n sigma^4 / 2, as Var((x - mu)^2) = 2 sigma^4 and V = -1/2;
+        NumericalError where that underflows to 0."""
         _, sigma = self._mean_sd(theta, designs)
-        return np.array([[0.5 * designs.n * _sigma_power(sigma, 4)]])
+        info = 0.5 * designs.n * _sigma_power(sigma, 4)
+        if info == 0.0:
+            raise NumericalError(f"n sigma^4 / 2 underflows to 0 at sigma = {sigma:g}")
+        return np.array([[info]])
 
     def cond_mean_dev_T(self, theta, designs, bits):
         return self.cond_devs_T(theta, designs, bits)[0]
@@ -351,15 +342,11 @@ class GaussianCase3(_GaussianIndex):
     def __init__(self, weights):
         self.weights = _private(weights, "weights")
 
-    def design_set(self, taus):
-        taus = _as_1d(taus)
-        if taus.shape != self.weights.shape:
-            raise ValueError("need one threshold per weight")
-        n = taus.shape[0]
-        V = np.zeros((n, 2, 2))
+    def _own_designs(self):
+        V = np.zeros((self.weights.shape[0], 2, 2))
         V[:, 0, 0] = self.weights
         V[:, 1, 1] = -0.5
-        return self._recorded(DesignSet(_hold(V), taus))
+        return V, None
 
     def _check_entries(self, designs):
         fixed = ((0, 1, 0.0), (1, 0, 0.0), (1, 1, -0.5))
@@ -367,9 +354,10 @@ class GaussianCase3(_GaussianIndex):
 
     def _mean_sd(self, theta, designs):
         """((1/theta_2)(w theta_1), sqrt(1/theta_2)) from the free entry w."""
-        theta = self._check_args(theta, designs)
-        sigma2 = 1.0 / theta[1]
-        return sigma2 * (designs.V[:, 0, 0] * theta[0]), math.sqrt(sigma2)
+        theta, mean = self._at_theta(
+            theta, designs, lambda t: 1.0 / t[1] * (designs.V[:, 0, 0] * t[0])
+        )
+        return mean, math.sqrt(1.0 / theta[1])
 
     def prob_leq(self, theta, designs):
         _, _, z = self._standardized(theta, designs)
@@ -500,12 +488,13 @@ class PoissonModel(ModelFamily):
     def __init__(self, covariates):
         self.covariates = _private(covariates, "covariates")
 
+    def _own_designs(self):
+        return self.covariates.reshape(-1, 1, 1).copy(), None
+
     def design_set(self, taus):
-        taus = _as_1d(taus)
-        if taus.shape != self.covariates.shape:
-            raise ValueError("need one threshold per covariate")
-        V = self.covariates.reshape(-1, 1, 1).copy()  # held: the set keeps it uncopied
-        return self.check_designs(DesignSet(_hold(V), taus))
+        designs = super().design_set(taus)
+        self._check_entries(designs)  # the thresholds are the caller's
+        return designs
 
     def _check_entries(self, designs):
         bad = designs.taus < 0
@@ -520,12 +509,15 @@ class PoissonModel(ModelFamily):
     MAX_RATE = 2e5
 
     def _rates(self, theta, designs, z=None):
-        """The rates lam at theta or at the index z = -log(lam), up to MAX_RATE."""
+        """The rates lam at theta (kept by ``_at_theta``) or at the index
+        z = -log(lam), up to MAX_RATE."""
         if z is None:
-            theta = self._check_args(theta, designs)
-        # v theta: one product a row, the bytes of ``natural_params`` at k = 1
+            # v theta: one product a row, the bytes of ``natural_params`` at k = 1
+            return self._at_theta(
+                theta, designs, lambda t: self._rates(None, designs, -(designs.V[:, 0, 0] * t[0]))
+            )[1]
         with np.errstate(over="ignore"):  # an infinite rate fails the check below
-            lam = np.exp(designs.V[:, 0, 0] * theta[0] if z is None else -z)
+            lam = np.exp(-z)
         if not np.all(lam <= self.MAX_RATE):
             raise NumericalError(
                 f"poisson rate exceeds the supported range (max {self.MAX_RATE:g})"

@@ -5,11 +5,12 @@ checks, and the consistency-condition checker.
 Reproducibility contract: every trial draws from its own substream keyed
 by (seed, sample size, trial index), so results do not depend on
 execution order or worker count; trial outcomes are reduced in trial
-order.
+order.  What the rules fix without a random draw is built once per
+(experiment, n) for all its trials (``family_and_theta``): no result changes.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .exceptions import (
     ExperimentFailure,
     NonIdentifiable,
 )
-from .types import CensoredDataset, _checked, is_finite_number, is_integer
+from .types import CensoredDataset, _checked, _hold, is_finite_number, is_integer
 
 
 def _substream(seed, n, trial):
@@ -99,14 +100,15 @@ class Rule:
             self._points.setflags(write=False)
 
     def draw(self, n, rng):
+        """n values, held (``types._hold``) except the iid kinds' draws, which can overflow."""
         # the kinds that fig1 trials take come first
         if self.kind == "constant":
-            return np.full(n, float(self.value))
+            return _hold(np.full(n, float(self.value)))
         if self.kind == "two-point":
             u = rng.random(n)
-            return self._points[sum((u >= c for c in self._cuts), np.zeros(n, np.intp))]
+            return _hold(self._points[sum((u >= c for c in self._cuts), np.zeros(n, np.intp))])
         if self.kind == "list":
-            return np.resize(np.asarray(self.values, dtype=float), n)
+            return _hold(np.resize(np.asarray(self.values, dtype=float), n))
         if self.kind == "iid-uniform":
             return rng.uniform(float(self.low), float(self.high), size=n)
         return rng.normal(float(self.mu), float(self.sd), size=n)
@@ -136,6 +138,8 @@ class ExperimentConfig:
     trials: int
     seed: int
     estimator: str = "censored"
+    #: {n: (family, theta0)} that ``family_and_theta`` shares between trials
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.model, str) or self.model not in models.REGISTRY:
@@ -166,11 +170,20 @@ class ExperimentConfig:
 
 
 def family_and_theta(config, n, rng):
-    """Instantiate (family, designs, theta0) for one trial of size n."""
-    w = config.weights.draw(n, rng)
-    taus = config.thresholds.draw(n, rng)
-    family, theta0 = models.REGISTRY[config.model].from_params(w, config.true_params)
-    return family, family.design_set(taus), theta0
+    """(family, designs, theta0) for one trial of size n, theta0 read-only.
+
+    Where the weights rule draws no random number (constant, list) and n is in
+    ``sample_sizes``, the family and theta0 are kept on ``config``: the cell's
+    trials share them, with the family's V, sampling law and counts."""
+    cell = config._cells.get(n)
+    if cell is None:
+        w = config.weights.draw(n, rng)
+        cell = models.REGISTRY[config.model].from_params(w, config.true_params)
+        cell[1].setflags(write=False)
+        if config.weights.kind in ("constant", "list") and n in config.sample_sizes:
+            config._cells[n] = cell
+    family, theta0 = cell
+    return family, family.design_set(config.thresholds.draw(n, rng)), theta0
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +201,7 @@ def generate_and_censor(model, theta0, designs, seed):
     x = model.sample(np.asarray(theta0, dtype=float), designs, rng)
     # +-1 by construction, one per design (``sample`` checked them): nothing to validate
     bits = np.where(x <= designs.taus, np.int8(1), np.int8(-1))
-    return _checked(CensoredDataset, bits=bits, designs=designs, counts=np.ones(x.shape, np.int64))
+    return _checked(CensoredDataset, bits=bits, designs=designs, counts=model._counts(designs))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +410,8 @@ class ConditionsReport:
 
 def check_consistency_conditions(model, theta0, designs):
     """Evaluate the three sufficient conditions at theta0 for the given
-    designs; the report carries the witnessed quantities per clause."""
+    designs; the report carries the witnessed quantities per clause.  A
+    determinant that is not finite is a NumericalError (``FimResult``)."""
     theta0 = np.asarray(theta0, dtype=float)
     max_t3 = float(model.max_third_abs_moment_T(theta0, designs))
     n = designs.n
@@ -428,7 +442,5 @@ def check_consistency_conditions(model, theta0, designs):
         prefix_drift=prefix_drift,
         moments_bounded=bool(np.isfinite(max_t3)),
         designs_bounded=bool(np.isfinite(vnorm)),
-        information_positive=bool(
-            info.min_eigenvalue > EIGENVALUE_TOLERANCE and np.isfinite(info.determinant)
-        ),
+        information_positive=bool(info.min_eigenvalue > EIGENVALUE_TOLERANCE),
     )

@@ -544,6 +544,27 @@ def test_a_sigma_without_a_finite_positive_square_is_a_domain_error(
     assert len(err.splitlines()) == 1 and "sigma" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, sigma, message",
+    [
+        ("gaussian-case3", 1e60, "determinant"),
+        ("gaussian-case3", 1e80, "uncensored information overflows"),
+        ("gaussian-case3", 1e150, "uncensored information overflows"),
+        ("gaussian-case2", 1e-150, "underflows to 0"),
+    ],
+)
+def test_fim_that_a_float_cannot_hold_is_a_numerical_error(tmp_path, capsys, name, sigma, message):
+    # these printed det=inf, nan determinants, a "nan (VIOLATED)" gap or a nan
+    # ratio of informations that underflowed to 0, with leaked warnings
+    model = {"name": name, "sigma": sigma, **GAUSSIAN_KEYS[name]}
+    cfg = write(tmp_path, "x.cfg", json.dumps({"model": model, "thresholds": [-1.0, 2.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = main_in_process(capsys, "fim", "--config", cfg)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+
+
 def test_simulate_refuses_a_negative_sigma(tmp_path, capsys):
     doc = {
         "experiment": {

@@ -1020,6 +1020,68 @@ def test_readme_quick_start_runs_as_written():
     assert scope["info"].matrix.shape == (2, 2)
 
 
+class TestInformationInTheta:
+    """A fit ends in beta; its score and information in theta are taken there
+    by ``likelihood.to_theta`` where they are first read, and then kept."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_they_are_to_theta_of_the_fits_state_in_beta(self, name):
+        rng, checked = np.random.default_rng(17), 0
+        for _ in range(4):
+            fam, theta, ds = random_instance(name, rng, n=40)
+            x = fam.sample(theta, ds, rng)
+            data = CensoredDataset(np.where(x <= ds.taus, 1, -1), ds)
+            try:
+                res = fit(fam, data)
+            except NonIdentifiable:
+                continue
+            model, beta, grad, hess = res._in_beta
+            # the state in beta is the fit's own: the evaluation at its last beta
+            grouped = data.grouped()[0]
+            ll, g, h, _ = likelihood.index_evaluate(
+                fam, beta, grouped, fam.index_regressors(grouped.designs)
+            )
+            assert model is fam and ll == res.log_likelihood
+            assert g.tobytes() == grad.tobytes() and h.tobytes() == hess.tobytes()
+            score, hessian = likelihood.to_theta(fam, beta, grad, hess)
+            got = res.observed_information
+            assert got.dtype == np.float64 and got.shape == (fam.k, fam.k)
+            assert got.tobytes() == (-hessian).tobytes()
+            assert res.final_score_norm == float(np.max(np.abs(score)))
+            assert type(res.final_score_norm) is float
+            assert res.observed_information is got and not got.flags.writeable
+            for field in ("observed_information", "final_score_norm"):
+                with pytest.raises(AttributeError):
+                    setattr(res, field, 0.0)
+            checked += 1
+        assert checked >= 2
+
+    def test_a_trial_that_reads_neither_never_takes_them_to_theta(self, monkeypatch):
+        doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
+        config = dict(cli.load_experiments(doc))["mixture-0.42-2.0"]
+        calls, results = [], []
+        to_theta, fit_ = likelihood.to_theta, montecarlo.fit
+
+        def spy(*args):
+            calls.append(args)
+            return to_theta(*args)
+
+        def kept_fit(*args):
+            results.append(fit_(*args))
+            return results[-1]
+
+        monkeypatch.setattr(likelihood, "to_theta", spy)
+        monkeypatch.setattr(montecarlo, "fit", kept_fit)
+        for trial in range(3):
+            assert montecarlo.run_trial(config, 1000, trial).status == "converged"
+        assert calls == [] and len(results) == 3
+        # the first read takes the fit to theta, once for both values
+        results[0].observed_information
+        results[0].final_score_norm
+        results[0].observed_information
+        assert len(calls) == 1 and calls[0][0] is results[0]._in_beta[0]
+
+
 def _fig1_trial(name, n, trial):
     """(config, family, data) of one fig1.cfg trial, drawn as run_trial draws it."""
     doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")

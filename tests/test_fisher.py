@@ -382,6 +382,48 @@ class TestFimResult:
         assert FimResult(m.copy()).k == k
 
 
+class TestNotFiniteInformation:
+    """An information or determinant that a float cannot hold is a
+    NumericalError, with no warning: never an inf, a nan or an underflowed 0."""
+
+    @pytest.mark.parametrize(
+        "m", [[[1e200, 0.0], [0.0, 1e200]], [[1e200, 2e200], [2e200, np.inf]]]
+    )
+    def test_a_determinant_that_overflows(self, m):
+        info = FimResult(np.array(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="determinant"):
+                info.determinant
+
+    @pytest.mark.parametrize("sigma", [1e80, 1e150])
+    def test_an_uncensored_information_that_overflows(self, sigma):
+        fam, theta = models.GaussianCase3.from_params(np.ones(2), {"alpha": 1.0, "sigma": sigma})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="uncensored information overflows"):
+                fim_uncensored(fam, theta, fam.design_set([-1.0, 2.0]))
+
+    def test_a_censored_information_that_underflows_from_a_nonzero_one(self):
+        # z = +-1 at sigma = 1e-150: the information in beta = 1/sigma is of
+        # order sigma^2, and in theta = 1/sigma^2 of order sigma^4 = 1e-600
+        fam, theta = models.GaussianCase2.from_params(np.zeros(2), {"sigma": 1e-150})
+        designs = fam.design_set([1e-150, -1e-150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflows"):
+                fim_censored(fam, theta, designs)
+            with pytest.raises(NumericalError, match="underflows"):
+                fim_uncensored(fam, theta, designs)
+            assert fim_sweep(fam, theta, designs, 0, [1e-150, 2e-150]) == []
+
+    def test_a_censored_information_that_is_zero_in_beta_too(self):
+        # the bits of far-tail thresholds carry no information in beta either:
+        # an exact 0, reported as such
+        fam, theta = models.GaussianCase2.from_params(np.zeros(2), {"sigma": 1e-100})
+        assert fim_censored(fam, theta, fam.design_set([-1.0, 2.0])).matrix.tolist() == [[0.0]]
+
+
 class TestDataProcessingInequality:
     def test_optimal_threshold_gap_closed_form(self):
         fam = models.GaussianCase1([1.0, 2.0], sigma=1.5)

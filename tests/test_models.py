@@ -17,6 +17,7 @@ from bitglm import (
     BitGlmError,
     CensoredDataset,
     DegenerateThreshold,
+    DesignSet,
     DomainError,
     ModelFamily,
     NumericalError,
@@ -30,6 +31,7 @@ from bitglm import (
     likelihood,
     log_likelihood,
     models,
+    montecarlo,
     types,
 )
 from conftest import MODEL_NAMES, random_instance
@@ -879,6 +881,45 @@ class TestPerObservationValues:
         monkeypatch.setattr(types, "_kept", spy)
         designs = make(np.ones(3)).design_set(np.zeros(3))
         assert kept[0][0] is kept[0][1] is designs.V
+
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_later_sets_share_the_V_and_a_kept_law_follows_theta(self, name, rng):
+        fam, theta, ds = random_instance(name, rng, n=6)
+        later = fam.design_set(ds.taus + 0.25)
+        assert later.V is ds.V and later.aux is ds.aux
+        other = theta * 1.25  # inside every domain
+        # a twin built from the same values keeps nothing yet; at each theta in
+        # turn the law that ``fam`` kept is the twin's, computed afresh
+        twin_ds = DesignSet(ds.V.copy(), ds.taus.copy(), None if ds.aux is None else ds.aux.copy())
+        for t in (theta, other, theta):
+            for designs in (ds, later):
+                twin = DesignSet(twin_ds.V, designs.taus, twin_ds.aux)
+                got = fam.sample(t, designs, np.random.default_rng(5))
+                want = fam.sample(t, twin, np.random.default_rng(5))
+                assert got.tobytes() == want.tobytes()
+                assert fam.prob_leq(t, designs).tobytes() == fam.prob_leq(t, twin).tobytes()
+        # the rows of another V are never read from the kept law
+        half = ds.subset(slice(0, 3))
+        assert fam.prob_leq(theta, half).tobytes() == fam.prob_leq(theta, ds)[:3].tobytes()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_a_kept_law_is_read_only(self, name, rng):
+        fam, theta, ds = random_instance(name, rng, n=4)
+        _, kept = fam._at_theta(theta, ds, lambda t: np.ones(4))
+        assert not kept.flags.writeable
+        assert fam._at_theta(theta, ds, lambda t: np.zeros(4))[1] is kept
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_datasets_of_the_familys_designs_share_its_counts(self, name, rng):
+        fam, theta, ds = random_instance(name, rng, n=5)
+        a = montecarlo.generate_and_censor(fam, theta, ds, 1)
+        b = montecarlo.generate_and_censor(fam, theta, fam.design_set(ds.taus), 2)
+        assert a.counts is b.counts and a.counts.tolist() == [1] * 5
+        copied = DesignSet(ds.V.copy(), ds.taus, ds.aux)
+        c = montecarlo.generate_and_censor(fam, theta, copied, 1)
+        assert c.counts is not a.counts and c.counts.tobytes() == a.counts.tobytes()
+        assert c.bits.tobytes() == a.bits.tobytes()
 
 
 class TestRegistry:

@@ -20,6 +20,7 @@ from bitglm import (
     NonIdentifiable,
     cli,
     fisher,
+    fit,
     models,
     montecarlo,
     types,
@@ -539,6 +540,142 @@ class TestTrialSetup:
             assert montecarlo.run_trial(config, n, trial).status == "converged"
             assert (calls["codes"], calls["index"]) == (1, 1)
             assert calls["theta in fit"] == 1
+
+
+def _fresh_trial(config, n, trial):
+    """``run_trial`` rebuilt from parts that no other trial shares: a fresh
+    family and theta0, a fresh design set of copied arrays, ``fit`` and the
+    squared error."""
+    rng = montecarlo._substream(config.seed, n, trial)
+    w = np.array(config.weights.draw(n, rng))
+    taus = np.array(config.thresholds.draw(n, rng))
+    family, theta0 = models.REGISTRY[config.model].from_params(w, config.true_params)
+    built = family.design_set(taus)
+    designs = types.DesignSet(
+        built.V.copy(), taus.copy(), None if built.aux is None else built.aux.copy()
+    )
+    x = family.sample(theta0, designs, rng)
+    if config.estimator == "uncensored":
+        theta_hat, status = family.check_theta(family.uncensored_mle(designs, x)), "converged"
+    else:
+        result = fit(family, CensoredDataset(np.where(x <= designs.taus, 1, -1), designs))
+        theta_hat, status = result.theta_hat, result.status
+    err = montecarlo._squared_error(family, theta_hat, theta0) if status == "converged" else math.nan
+    return montecarlo.TrialOutcome(n, theta_hat, err, status)
+
+
+def _fig1_configs():
+    doc = cli.load_json_config(Path(cli.__file__).parent / "configs" / "fig1.cfg")
+    return [config for _, config in cli.load_experiments(doc)]
+
+
+class TestSharedCells:
+    """Trials of one (experiment, n) share what their rules fix without a random
+    draw: the family, theta0, and the V, sampling law and counts it holds."""
+
+    CONFIGS = [
+        *_fig1_configs(),
+        case1_config(
+            weights=Rule(kind="list", values=(1.0, 2.0, -0.5)),
+            thresholds=Rule(kind="two-point", values=(0.0, 1.0), probabilities=(0.5, 0.5)),
+        ),
+        ExperimentConfig(
+            model="gaussian-case3",
+            true_params={"alpha": 2.0, "sigma": 1.0},
+            weights=Rule(kind="iid-uniform", low=0.5, high=1.5),
+            thresholds=Rule(kind="iid-uniform", low=0.0, high=4.0),
+            sample_sizes=(300, 600),
+            trials=5,
+            seed=8,
+        ),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    def test_a_trial_is_the_one_built_with_nothing_shared(self, index):
+        # a fresh config object, so that its cells are built here, trial 0 first
+        config = dataclasses.replace(self.CONFIGS[index])
+        for trial in range(5):
+            for n in config.sample_sizes:
+                got, want = montecarlo.run_trial(config, n, trial), _fresh_trial(config, n, trial)
+                assert (got.n, got.status) == (want.n, want.status)
+                assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+                assert np.float64(got.squared_error).tobytes() == np.float64(
+                    want.squared_error
+                ).tobytes()
+
+    def test_the_trials_of_a_cell_share_its_family_and_V(self):
+        config = case1_config()  # constant weights, sample sizes (250, 500)
+
+        def draw(cfg, n, trial):
+            family, designs, theta0 = montecarlo.family_and_theta(
+                cfg, n, montecarlo._substream(cfg.seed, n, trial)
+            )
+            return family, designs.V, theta0
+
+        first, second = draw(config, 250, 0), draw(config, 250, 1)
+        assert all(a is b for a, b in zip(first, second))
+        assert not first[2].flags.writeable
+        other_n = draw(config, 500, 0)
+        assert other_n[0] is not first[0] and other_n[1] is not first[1]
+        assert draw(config, 500, 3)[0] is other_n[0]
+        # an n outside sample_sizes is built afresh on every call
+        outside = draw(config, 300, 0), draw(config, 300, 1)
+        assert outside[0][0] is not outside[1][0] and outside[0][1] is not outside[1][1]
+        assert sorted(config._cells) == [250, 500]
+        # an equal config is another object: it shares nothing
+        twin = case1_config()
+        assert twin == config
+        shared = draw(twin, 250, 0)
+        assert all(a is not b for a, b in zip(shared, first))
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            (Rule(kind="iid-uniform", low=0.5, high=1.5), lambda rng, n: rng.uniform(0.5, 1.5, n)),
+            (Rule(kind="iid-normal", mu=1.0, sd=0.25), lambda rng, n: rng.normal(1.0, 0.25, n)),
+            (
+                Rule(kind="two-point", values=(0.5, 1.5), probabilities=(0.5, 0.5)),
+                lambda rng, n: rng.choice([0.5, 1.5], size=n, p=(0.5, 0.5)),
+            ),
+        ],
+    )
+    def test_random_weights_are_drawn_for_every_trial(self, weights, expected):
+        config = case1_config(
+            weights=weights, thresholds=Rule(kind="iid-normal", mu=0.5, sd=2.0)
+        )
+        families = []
+        for trial in range(3):
+            rng = montecarlo._substream(config.seed, 250, trial)
+            family, designs, _ = montecarlo.family_and_theta(config, 250, rng)
+            # the generator's own draws, weights first, then thresholds
+            theirs = montecarlo._substream(config.seed, 250, trial)
+            assert np.array_equal(family.weights, expected(theirs, 250))
+            assert np.array_equal(designs.taus, theirs.normal(0.5, 2.0, 250))
+            families.append(family)
+        assert config._cells == {}
+        assert len({id(f) for f in families}) == 3
+
+    def test_the_kept_cells_are_invisible(self):
+        config, twin = case1_config(), case1_config()
+        montecarlo.run_trial(config, 250, 0)
+        assert list(config._cells) == [250]
+        assert config == twin and repr(config) == repr(twin)
+        assert "_cells" not in repr(config)
+        assert dataclasses.replace(config, seed=9)._cells == {}
+        assert dataclasses.replace(config)._cells == {}
+        # a config section cannot set them
+        section = {
+            "model": "gaussian-case1",
+            "true_params": {"alpha": 0.5, "sigma": 1.0},
+            "weights": {"kind": "constant", "value": 1.0},
+            "thresholds": {"kind": "constant", "value": 0.5},
+            "sample_sizes": [250],
+            "trials": 2,
+            "seed": 1,
+        }
+        assert cli.build_experiment(section)[1]._cells == {}
+        with pytest.raises(cli.ConfigError, match="_cells"):
+            cli.build_experiment({**section, "_cells": {}})
 
 
 def _two_point_reference(values, probabilities, rng, n):

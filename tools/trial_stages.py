@@ -9,7 +9,9 @@ For every sample size of ``configs/fig1.cfg`` the script replays trials
 0 .. ``--trials``-1 of its first censored curve with the calls that
 ``montecarlo.run_trial`` makes, so that the stages sum to one trial, running
 each stage ``--repeat`` times from the trial's own substream: the design
-draw (``family_and_theta``), the sampling and censoring
+draw (``family_and_theta``, timed as a trial sees it: where the cell's
+family is kept between trials, as it is for fig1's constant weights, every
+call after the first draws the thresholds alone), the sampling and censoring
 (``generate_and_censor``), the fit of the raw rows (``fit``, which groups
 them) and the squared error.  It prints, per n and stage, the median over
 trials of each trial's best time, in microseconds, and beside it the median
